@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race checks lint lint-flow fuzz gen-checks bench bench-gate bench-baseline serve ci
+.PHONY: all build test race checks lint lint-flow fuzz gen-checks bench bench-gate bench-baseline bench-harness serve ci
 
 all: build test lint
 
@@ -91,6 +91,12 @@ bench-gate: bench
 bench-baseline: bench
 	$(GO) run ./tools/benchgate -baseline BENCH_BASELINE.json -write-baseline BENCH_spmv.json
 
+## bench-harness: vet and test the end-to-end benchmark harness. bench/
+## is a module of its own, so the ./... patterns above do not reach it,
+## yet it calls into the solver's internal packages.
+bench-harness:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 ## serve: run the batlifed HTTP daemon locally (override the listen
 ## address with ADDR, e.g. `make serve ADDR=:9000`). See docs/SERVICE.md.
 ADDR ?= :8418
@@ -98,4 +104,4 @@ serve:
 	$(GO) run ./cmd/batlifed -addr $(ADDR)
 
 ## ci: everything the CI workflow gates on
-ci: lint lint-flow build test race checks
+ci: lint lint-flow build test race checks bench-harness

@@ -29,6 +29,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"sync"
 	"time"
 
@@ -381,30 +383,17 @@ func (e *Expanded) LifetimeCDF(times []float64) (*Result, error) {
 // uniformisation operator, so repeated queries pay only the iteration
 // loop.
 func (e *Expanded) LifetimeCDFOpts(times []float64, so SolveOptions) (*Result, error) {
-	n := e.model.Workload.NumStates()
-	w := make([]float64, e.NumStates())
-	for j2 := 0; j2 < e.n2; j2++ {
-		for i := 0; i < n; i++ {
-			w[e.index(i, 0, j2)] = 1
-		}
-	}
 	u, err := e.Operator()
 	if err != nil {
 		return nil, err
 	}
-	res, err := u.Transient(e.alpha, w, times, e.transientOpts(so))
+	res, err := u.Transient(e.alpha, e.emptyIndicator(), times, e.transientOpts(so))
 	if err != nil {
 		return nil, fmt.Errorf("core: lifetime CDF: %w", err)
 	}
-	probs := res.Values
-	for k, p := range probs {
-		// Uniformisation guarantees probabilities up to rounding;
-		// clamp the usual ±1e-15 noise.
-		probs[k] = math.Min(1, math.Max(0, p))
-	}
 	return &Result{
 		Times:         res.Times,
-		EmptyProb:     probs,
+		EmptyProb:     clampProbs(res.Values),
 		Iterations:    res.Iterations,
 		Rate:          res.Rate,
 		States:        e.NumStates(),
@@ -416,14 +405,83 @@ func (e *Expanded) LifetimeCDFOpts(times []float64, so SolveOptions) (*Result, e
 }
 
 // LifetimeCDFBatchOpts evaluates the lifetime CDF on several time grids
-// in one batched transient solve: all grids share the model's initial
-// distribution and depletion functional, and every uniformisation step
-// advances the whole batch through one multi-RHS product
-// (sparse.Pool.MulVecMulti), so B grids cost roughly one matrix
-// traversal per step instead of B. Results[k] is bit-identical to a
-// solo LifetimeCDFOpts(grids[k], so) — this is how Solver.Sweep
-// amortises scenarios that share one expanded CTMC.
+// with one transient solve over the sorted, de-duplicated union of
+// their time points. The iterate sequence α·Pⁿ does not depend on t —
+// only the Poisson weights do — so the whole group costs one sweep out
+// to its largest horizon. This is how Solver.Sweep amortises scenarios
+// that share one expanded CTMC.
+//
+// Results[k] matches a solo LifetimeCDFOpts(grids[k], so): EmptyProb
+// bit for bit (each point's accumulator sees the same weighted iterates
+// whatever points share the solve, and past a grid's own Fox–Glynn
+// right bound its weights are zero), Iterations as the solo solve would
+// report them, and FoxGlynnLeft/Right the grid's own window. SpMVs are
+// charged once, to the first grid with the largest window, so a group's
+// sum is the work actually performed. Errors are for the group as a
+// whole: a union whose horizon exceeds MaxIterations fails even when
+// its shorter grids alone would pass.
 func (e *Expanded) LifetimeCDFBatchOpts(grids [][]float64, so SolveOptions) ([]*Result, error) {
+	if len(grids) == 0 {
+		return nil, fmt.Errorf("core: batched lifetime CDF: %w: no time grids", ctmc.ErrBadInput)
+	}
+	var union []float64
+	for k, grid := range grids {
+		if len(grid) == 0 || !sort.Float64sAreSorted(grid) {
+			return nil, fmt.Errorf("core: batched lifetime CDF: %w: grid %d is empty or not ascending", ctmc.ErrBadInput, k)
+		}
+		union = append(union, grid...)
+	}
+	sort.Float64s(union)
+	union = slices.Compact(union)
+
+	u, err := e.Operator()
+	if err != nil {
+		return nil, err
+	}
+	topts := e.transientOpts(so)
+	res, err := u.Transient(e.alpha, e.emptyIndicator(), union, topts)
+	if err != nil {
+		return nil, fmt.Errorf("core: batched lifetime CDF: %w", err)
+	}
+	probs := clampProbs(res.Values)
+
+	out := make([]*Result, len(grids))
+	charged := false
+	for k, grid := range grids {
+		left, right, err := u.Window(grid, topts)
+		if err != nil {
+			return nil, fmt.Errorf("core: batched lifetime CDF: %w", err)
+		}
+		r := &Result{
+			Times:         append([]float64(nil), grid...),
+			EmptyProb:     make([]float64, len(grid)),
+			Iterations:    min(res.Iterations, right),
+			Rate:          res.Rate,
+			States:        e.NumStates(),
+			NNZ:           e.NNZ(),
+			FoxGlynnLeft:  left,
+			FoxGlynnRight: right,
+		}
+		// Both slices ascend and the union holds every grid point, so
+		// one forward walk finds each point's value.
+		j := 0
+		for i, t := range grid {
+			for union[j] < t {
+				j++
+			}
+			r.EmptyProb[i] = probs[j]
+		}
+		if !charged && right == res.FoxGlynnRight {
+			r.SpMVs, charged = res.SpMVs, true
+		}
+		out[k] = r
+	}
+	return out, nil
+}
+
+// emptyIndicator returns the depletion functional: 1 on every j1 = 0
+// (battery empty) state, 0 elsewhere.
+func (e *Expanded) emptyIndicator() []float64 {
 	n := e.model.Workload.NumStates()
 	w := make([]float64, e.NumStates())
 	for j2 := 0; j2 < e.n2; j2++ {
@@ -431,39 +489,18 @@ func (e *Expanded) LifetimeCDFBatchOpts(grids [][]float64, so SolveOptions) ([]*
 			w[e.index(i, 0, j2)] = 1
 		}
 	}
-	u, err := e.Operator()
-	if err != nil {
-		return nil, err
+	return w //numlint:normalized a 0/1 state indicator, not a distribution
+}
+
+// clampProbs clamps each value into [0, 1] in place and returns the
+// slice. Uniformisation guarantees probabilities up to rounding; this
+// removes the usual ±1e-15 noise.
+func clampProbs(ps []float64) []float64 {
+	for k, p := range ps {
+		ps[k] = math.Min(1, math.Max(0, p))
 	}
-	alphas := make([][]float64, len(grids))
-	for k := range alphas {
-		alphas[k] = e.alpha
-	}
-	batch, err := u.TransientMulti(alphas, w, grids, e.transientOpts(so))
-	if err != nil {
-		return nil, fmt.Errorf("core: batched lifetime CDF: %w", err)
-	}
-	out := make([]*Result, len(batch))
-	for k, res := range batch {
-		probs := res.Values
-		for j, p := range probs {
-			// Uniformisation guarantees probabilities up to rounding;
-			// clamp the usual ±1e-15 noise.
-			probs[j] = math.Min(1, math.Max(0, p))
-		}
-		out[k] = &Result{
-			Times:         res.Times,
-			EmptyProb:     probs,
-			Iterations:    res.Iterations,
-			Rate:          res.Rate,
-			States:        e.NumStates(),
-			NNZ:           e.NNZ(),
-			FoxGlynnLeft:  res.FoxGlynnLeft,
-			FoxGlynnRight: res.FoxGlynnRight,
-			SpMVs:         res.SpMVs,
-		}
-	}
-	return out, nil
+	check.UnitInterval("core.clampProbs", ps)
+	return ps
 }
 
 // StateDistribution returns the marginal distribution over available-

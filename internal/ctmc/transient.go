@@ -189,6 +189,36 @@ func (u *Uniformized) weightsFor(t, eps float64) (*foxglynn.Weights, error) {
 	return fw, nil
 }
 
+// windows returns the Fox–Glynn table of every time point together with
+// the union [left, right] of their truncation windows.
+func (u *Uniformized) windows(times []float64, eps float64) ([]*foxglynn.Weights, int, int, error) {
+	weights := make([]*foxglynn.Weights, len(times))
+	left, right := math.MaxInt, 0
+	for k, t := range times {
+		fw, err := u.weightsFor(t, eps)
+		if err != nil {
+			return nil, 0, 0, fmt.Errorf("ctmc: poisson weights for t=%v: %w", t, err)
+		}
+		weights[k] = fw
+		left = min(left, fw.Left)
+		right = max(right, fw.Right)
+	}
+	return weights, left, right, nil
+}
+
+// Window reports the FoxGlynnLeft and FoxGlynnRight a Transient call
+// over times would commit to under opts (only Epsilon is consulted):
+// the union of the per-point Poisson truncation windows, or 0, 0 when
+// the chain has no transitions. The tables are cached on the operator,
+// so Window and a Transient over the same points compute each only once.
+func (u *Uniformized) Window(times []float64, opts TransientOptions) (left, right int, err error) {
+	if u.q == 0 {
+		return 0, 0, nil
+	}
+	_, left, right, err = u.windows(times, opts.epsilon())
+	return left, right, err
+}
+
 // TransientDistributions computes the full state distribution of the
 // CTMC with the given generator at each time point via uniformisation.
 // The generator may be any valid infinitesimal generator, including ones
@@ -294,21 +324,9 @@ func (u *Uniformized) transient(alpha, w, times []float64, opts TransientOptions
 	}
 
 	// Poisson windows per time point, and the global iteration bound.
-	weights := make([]*foxglynn.Weights, len(times))
-	maxRight := 0
-	minLeft := math.MaxInt
-	for k, t := range times {
-		fw, err := u.weightsFor(t, opts.epsilon())
-		if err != nil {
-			return nil, fmt.Errorf("ctmc: poisson weights for t=%v: %w", t, err)
-		}
-		weights[k] = fw
-		if fw.Right > maxRight {
-			maxRight = fw.Right
-		}
-		if fw.Left < minLeft {
-			minLeft = fw.Left
-		}
+	weights, minLeft, maxRight, err := u.windows(times, opts.epsilon())
+	if err != nil {
+		return nil, err
 	}
 	res.FoxGlynnLeft, res.FoxGlynnRight = minLeft, maxRight
 	if opts.MaxIterations > 0 && maxRight > opts.MaxIterations {

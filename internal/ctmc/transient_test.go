@@ -1,6 +1,7 @@
 package ctmc
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -271,6 +272,106 @@ func TestTransientOnIterationCallback(t *testing.T) {
 	}
 	if lastDone != res.Iterations || lastTotal < lastDone {
 		t.Errorf("last callback (%d,%d), iterations %d", lastDone, lastTotal, res.Iterations)
+	}
+}
+
+// absorbingCycle builds a small cyclic chain with an absorbing tail:
+// distributions keep moving for a while, and steady-state detection
+// eventually fires.
+func absorbingCycle(t *testing.T) *Chain {
+	t.Helper()
+	var b Builder
+	b.Transition("a", "b", 2.0)
+	b.Transition("b", "c", 1.5)
+	b.Transition("c", "a", 0.75)
+	b.Transition("c", "d", 0.25)
+	b.Transition("b", "d", 0.1)
+	c, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestTransientFusedMatchesUnfused: a single-time distribution solve
+// folds each iterate inside the product (MulVecAccum); a solve over the
+// same point twice takes the unfused product-then-fold path. The fused
+// kernel must not change a single bit of the answer.
+func TestTransientFusedMatchesUnfused(t *testing.T) {
+	c := absorbingCycle(t)
+	u, err := NewUniformized(c.Generator(), TransientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	alpha := c.PointDistribution(0)
+	for _, tm := range []float64{2.5, 400} { // 400: steady-state detection fires
+		fused, err := u.Transient(alpha, nil, []float64{tm}, TransientOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		unfused, err := u.Transient(alpha, nil, []float64{tm, tm}, TransientOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fused.Iterations != unfused.Iterations || fused.SpMVs != unfused.SpMVs {
+			t.Errorf("t=%v: iterations/spmvs %d/%d, unfused %d/%d",
+				tm, fused.Iterations, fused.SpMVs, unfused.Iterations, unfused.SpMVs)
+		}
+		if tm == 400 && fused.Iterations >= fused.FoxGlynnRight {
+			t.Errorf("t=400: %d iterations of window %d; want steady-state detection to fire", fused.Iterations, fused.FoxGlynnRight)
+		}
+		for i, p := range fused.Distributions[0] {
+			if math.Float64bits(p) != math.Float64bits(unfused.Distributions[0][i]) {
+				t.Errorf("t=%v state %d: fused %v, unfused %v (bit-identical)", tm, i, p, unfused.Distributions[0][i])
+			}
+		}
+	}
+}
+
+// TestTransientCancellation: a cancelled context aborts the solve
+// between steps with a wrapped context error.
+func TestTransientCancellation(t *testing.T) {
+	c := absorbingCycle(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := c.Transient(c.PointDistribution(0), []float64{5}, TransientOptions{Context: ctx})
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestUniformizedWindow: Window reports the window a Transient call over
+// the same points commits to, and 0, 0 for a chain without transitions.
+func TestUniformizedWindow(t *testing.T) {
+	c := absorbingCycle(t)
+	u, err := NewUniformized(c.Generator(), TransientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	times := []float64{0.5, 3, 12}
+	opts := TransientOptions{Epsilon: 1e-9}
+	res, err := u.Transient(c.PointDistribution(0), nil, times, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	left, right, err := u.Window(times, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if left != res.FoxGlynnLeft || right != res.FoxGlynnRight {
+		t.Errorf("Window = [%d,%d], Transient committed to [%d,%d]", left, right, res.FoxGlynnLeft, res.FoxGlynnRight)
+	}
+
+	gen, err := sparse.NewBuilder(2, 2, 0).Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	frozen, err := NewUniformized(gen, TransientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if left, right, err := frozen.Window([]float64{10}, TransientOptions{}); left != 0 || right != 0 || err != nil {
+		t.Errorf("frozen Window = [%d,%d], %v; want [0,0], nil", left, right, err)
 	}
 }
 

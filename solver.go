@@ -433,16 +433,18 @@ func (s *Solver) lifetimeDistribution(b Battery, w *Workload, times []float64, o
 }
 
 // lifetimeDistributionBatch solves the lifetime CDF for several time
-// grids against one (battery, workload, Δ) model in a single batched
-// transient solve (core.LifetimeCDFBatchOpts), after answering what it
-// can from the result memo. Distinct grids traverse the expanded matrix
-// together; duplicate grids are solved once. Each returned distribution
-// is bit-identical to a solo LifetimeDistribution call.
+// grids against one (battery, workload, Δ) model as one union-grid
+// transient (core.LifetimeCDFBatchOpts), after answering what it can
+// from the result memo: the grids' time points are merged, the chain is
+// swept once out to the largest horizon, and each grid's values are
+// scattered back. Each returned distribution is bit-identical to a solo
+// LifetimeDistribution call.
 //
 // On any failure it returns nil without touching the solve counters or
-// the memo: a batch error has no per-grid attribution, so the caller
-// (Sweep) falls back to solo solves, which re-run the counting and
-// report exact per-scenario errors.
+// the memo: a group error has no per-grid attribution (a union that
+// exceeds MaxIterations fails although its shorter grids would pass),
+// so the caller (Sweep) falls back to solo solves, which re-run the
+// counting and report exact per-scenario errors.
 func (s *Solver) lifetimeDistributionBatch(b Battery, w *Workload, grids [][]float64, opts AnalysisOptions, pool *sparse.Pool) []*Distribution {
 	e, modelKey, hit, _, err := s.expanded(b, w, opts)
 	if err != nil {
@@ -452,10 +454,9 @@ func (s *Solver) lifetimeDistributionBatch(b Battery, w *Workload, grids [][]flo
 	var (
 		missKeys  []resultKey
 		missGrids [][]float64
-		missFor   [][]int // batch positions sharing missGrids[i]
+		missAt    []int // batch position of each miss
 		memoHits  int64
 	)
-	seen := make(map[[sha256.Size]byte]int)
 	for k, grid := range grids {
 		key, _ := memoKey(kindCDF, modelKey, grid, opts) // Sweep sets no Progress: always memoable
 		if v, ok := s.results.Get(key); ok {
@@ -463,14 +464,9 @@ func (s *Solver) lifetimeDistributionBatch(b Battery, w *Workload, grids [][]flo
 			dists[k] = v.(memoEntry).val.(*Distribution).clone()
 			continue
 		}
-		if i, dup := seen[key.query]; dup {
-			missFor[i] = append(missFor[i], k)
-			continue
-		}
-		seen[key.query] = len(missGrids)
 		missKeys = append(missKeys, key)
 		missGrids = append(missGrids, grid)
-		missFor = append(missFor, []int{k})
+		missAt = append(missAt, k)
 	}
 	if len(missGrids) > 0 {
 		ctx, span := s.solveSpan(opts.Context, "cdf_batch")
@@ -488,7 +484,7 @@ func (s *Solver) lifetimeDistributionBatch(b Battery, w *Workload, grids [][]flo
 				Transitions: res.NNZ,
 				Iterations:  res.Iterations,
 			}
-			s.results.Put(missKeys[i], memoEntry{val: d, rep: SolveReport{
+			s.results.Put(missKeys[i], memoEntry{val: d.clone(), rep: SolveReport{
 				States:             res.States,
 				Transitions:        res.NNZ,
 				Iterations:         res.Iterations,
@@ -498,13 +494,11 @@ func (s *Solver) lifetimeDistributionBatch(b Battery, w *Workload, grids [][]flo
 				UniformizationRate: res.Rate,
 				ModelCacheHit:      hit,
 			}})
-			for _, k := range missFor[i] {
-				dists[k] = d.clone()
-			}
+			dists[missAt[i]] = d
 		}
 	}
-	// Counters commit only once the whole batch is known good, so the
-	// solo fallback after a failed batch does not double-count.
+	// Counters commit only once the whole group is known good, so the
+	// solo fallback after a failed solve does not double-count.
 	s.solves.Add(int64(len(grids)))
 	s.memoHits.Add(memoHits)
 	return dists
@@ -864,10 +858,10 @@ type SweepOptions struct {
 
 // sweepGroups partitions scenario indexes by expanded-model identity
 // (the engine fingerprint over battery, workload and Δ): scenarios in
-// one group share an expanded CTMC and are solved as one batched
-// multi-grid transient. Scenarios that cannot be fingerprinted (nil
-// workload, non-positive Δ) become singleton groups so the solo path
-// reports their errors exactly. Group order follows first appearance,
+// one group share an expanded CTMC and are solved as one union-grid
+// transient. Scenarios that cannot be fingerprinted (nil workload,
+// non-positive Δ) become singleton groups so the solo path reports
+// their errors exactly. Group order follows first appearance,
 // and indexes within a group stay in input order.
 func sweepGroups(scenarios []Scenario) [][]int {
 	groups := make([][]int, 0, len(scenarios))
@@ -897,11 +891,11 @@ func sweepGroups(scenarios []Scenario) [][]int {
 // over one model expands each distinct grid once, and repeated cells
 // not at all). Scenarios that share one expanded CTMC — same battery,
 // workload and Δ, differing only in time grids — are additionally
-// solved as one batched multi-vector transient, so the matrix is
-// traversed once per uniformisation step for the whole group. Results
-// are returned in input order and are bit-identical to solving each
-// scenario sequentially. The returned error is non-nil only for empty
-// input or a cancelled context; per-scenario failures land in
+// solved as one transient over the union of their time grids, so the
+// group costs one uniformisation sweep out to its largest horizon.
+// Results are returned in input order and are bit-identical to solving
+// each scenario sequentially. The returned error is non-nil only for
+// empty input or a cancelled context; per-scenario failures land in
 // SweepResult.Err.
 func (s *Solver) Sweep(scenarios []Scenario, opts SweepOptions) ([]SweepResult, error) {
 	if len(scenarios) == 0 {

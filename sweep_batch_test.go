@@ -1,14 +1,15 @@
 package batlife
 
 import (
+	"errors"
 	"testing"
 )
 
-// TestSweepBatchedGroupMatchesSolo forces the batched sweep path —
+// TestSweepBatchedGroupMatchesSolo forces the grouped sweep path —
 // scenarios sharing (battery, workload, Δ) but with distinct time grids
 // land in one fingerprint group and are solved through a single
-// multi-vector transient — and checks every curve bit for bit against
-// fresh solo solves, the batching contract.
+// union-grid transient — and checks every curve bit for bit against
+// fresh solo solves, the grouping contract.
 func TestSweepBatchedGroupMatchesSolo(t *testing.T) {
 	b, w := onOffC1(t)
 	scenarios := []Scenario{
@@ -41,14 +42,22 @@ func TestSweepBatchedGroupMatchesSolo(t *testing.T) {
 	}
 
 	// One fingerprint group: the whole sweep must have expanded exactly
-	// one model and batched the three distinct grids into one transient
-	// (the duplicate grid dedupes; it is served from the batch, and a
-	// repeat sweep comes entirely from the result memo).
+	// one model and run one transient over the union of its grids, whose
+	// products are exactly those of a solo solve of the longest grid
+	// (a repeat sweep comes entirely from the result memo).
 	if st := s.Stats(); st.Misses != 1 {
 		t.Errorf("model builds = %d, want 1 (one shared expanded CTMC)", st.Misses)
 	}
-	if v := reg.Counter("ctmc_batched_solves_total").Value(); v != 1 {
-		t.Errorf("ctmc_batched_solves_total = %d, want 1", v)
+	if v := reg.Counter("ctmc_solves_total").Value(); v != 1 {
+		t.Errorf("ctmc_solves_total = %d, want 1 (one union-grid solve)", v)
+	}
+	var longest SolveReport
+	if _, err := NewSolver(SolverOptions{}).LifetimeDistribution(b, w, scenarios[1].Times,
+		AnalysisOptions{Delta: 100, Report: &longest}); err != nil {
+		t.Fatal(err)
+	}
+	if v := reg.Counter("ctmc_spmv_total").Value(); v != int64(longest.SpMVs) {
+		t.Errorf("ctmc_spmv_total = %d, want %d (a solo solve of the longest grid)", v, longest.SpMVs)
 	}
 	if v := reg.Counter("solver_solves_total").Value(); v != int64(len(scenarios)) {
 		t.Errorf("solver_solves_total = %d, want %d", v, len(scenarios))
@@ -91,6 +100,49 @@ func TestSweepBatchedGroupErrorFallsBackToSolo(t *testing.T) {
 	}
 	if results[2].Err != nil {
 		t.Errorf("scenario good: %v", results[2].Err)
+	}
+}
+
+// TestSweepGroupIterationLimitPerScenario: MaxIterations lies between
+// the Fox–Glynn right bounds of a short and a long grid of one group, so
+// the union-grid solve fails as a whole. The solo fallback must still
+// answer the short scenario (bit-identical to its solo curve) and refuse
+// only the long one.
+func TestSweepGroupIterationLimitPerScenario(t *testing.T) {
+	b, w := onOffC1(t)
+	short := []float64{2000, 4000}
+	long := []float64{5000, 20000}
+	var shortRep, longRep SolveReport
+	solo := NewSolver(SolverOptions{})
+	defer solo.Close()
+	want, err := solo.LifetimeDistribution(b, w, short, AnalysisOptions{Delta: 100, Report: &shortRep})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := solo.LifetimeDistribution(b, w, long, AnalysisOptions{Delta: 100, Report: &longRep}); err != nil {
+		t.Fatal(err)
+	}
+	if shortRep.FoxGlynnRight >= longRep.FoxGlynnRight {
+		t.Fatalf("right bounds short %d, long %d: want short < long", shortRep.FoxGlynnRight, longRep.FoxGlynnRight)
+	}
+	limit := (shortRep.FoxGlynnRight + longRep.FoxGlynnRight) / 2
+
+	s := NewSolver(SolverOptions{})
+	defer s.Close()
+	results, err := s.Sweep([]Scenario{
+		{Name: "short", Battery: b, Workload: w, DeltaAs: 100, Times: short},
+		{Name: "long", Battery: b, Workload: w, DeltaAs: 100, Times: long},
+	}, SweepOptions{Workers: 1, MaxIterations: limit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := results[0]; r.Err != nil {
+		t.Errorf("short scenario: %v", r.Err)
+	} else {
+		sameCurve(t, "short scenario", r.Distribution.EmptyProb, want.EmptyProb)
+	}
+	if r := results[1]; !errors.Is(r.Err, ErrIterationLimit) || r.Distribution != nil {
+		t.Errorf("long scenario: err = %v, dist = %v; want ErrIterationLimit", r.Err, r.Distribution)
 	}
 }
 
