@@ -16,9 +16,12 @@ build:
 test: build
 	$(GO) test ./...
 
-## race: full test suite under the race detector
+## race: full test suite under the race detector, then the SpMV pool
+## and the windowed uniformisation loop (reused dispatch records, per-
+## product parallel dispatch) a second time
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=2 ./internal/sparse ./internal/ctmc
 
 ## checks: full test suite with the runtime invariant layer compiled in
 checks:

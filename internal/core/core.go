@@ -47,7 +47,10 @@ var ErrBadGrid = errors.New("core: invalid discretisation")
 // Options tunes the construction and solution of the expanded CTMC.
 type Options struct {
 	// Epsilon bounds the truncated Poisson tail mass of the transient
-	// solve; zero selects 1e-12.
+	// solve, and separately the mass the windowed solve may drop
+	// (Result.DroppedMass ≤ Epsilon): every probability is at most
+	// Epsilon + DroppedMass below the exact uniformisation value. Zero
+	// selects 1e-12.
 	Epsilon float64
 	// Workers sets the SpMV parallelism; zero selects runtime.NumCPU().
 	Workers int
@@ -85,8 +88,9 @@ type Options struct {
 // queried under many numerical settings — the substrate of the cached
 // Solver facade.
 type SolveOptions struct {
-	// Epsilon bounds the truncated Poisson tail mass; zero falls back
-	// to the build Options, then to 1e-12.
+	// Epsilon bounds the truncated Poisson tail mass and the dropped
+	// mass, as in Options; zero falls back to the build Options, then to
+	// 1e-12.
 	Epsilon float64
 	// Workers sets the SpMV parallelism; ignored when Pool is set.
 	Workers int
@@ -370,6 +374,11 @@ type Result struct {
 	// products. See ctmc.Result for the exact semantics.
 	FoxGlynnLeft, FoxGlynnRight int
 	SpMVs                       int
+	// DroppedMass is the probability mass the windowed solve trimmed
+	// from its iterates, at most Epsilon: each EmptyProb is at most
+	// Epsilon + DroppedMass below the exact uniformisation value. See
+	// ctmc.Result.
+	DroppedMass float64
 }
 
 // LifetimeCDF computes Pr{battery empty at t} — the approximation of
@@ -401,6 +410,7 @@ func (e *Expanded) LifetimeCDFOpts(times []float64, so SolveOptions) (*Result, e
 		FoxGlynnLeft:  res.FoxGlynnLeft,
 		FoxGlynnRight: res.FoxGlynnRight,
 		SpMVs:         res.SpMVs,
+		DroppedMass:   res.DroppedMass,
 	}, nil
 }
 
@@ -417,7 +427,9 @@ func (e *Expanded) LifetimeCDFOpts(times []float64, so SolveOptions) (*Result, e
 // right bound its weights are zero), Iterations as the solo solve would
 // report them, and FoxGlynnLeft/Right the grid's own window. SpMVs are
 // charged once, to the first grid with the largest window, so a group's
-// sum is the work actually performed. Errors are for the group as a
+// sum is the work actually performed. DroppedMass is the shared solve's,
+// which bounds every grid's (a solo solve stops dropping at its own
+// horizon). Errors are for the group as a
 // whole: a union whose horizon exceeds MaxIterations fails even when
 // its shorter grids alone would pass.
 func (e *Expanded) LifetimeCDFBatchOpts(grids [][]float64, so SolveOptions) ([]*Result, error) {
@@ -461,6 +473,7 @@ func (e *Expanded) LifetimeCDFBatchOpts(grids [][]float64, so SolveOptions) ([]*
 			NNZ:           e.NNZ(),
 			FoxGlynnLeft:  left,
 			FoxGlynnRight: right,
+			DroppedMass:   res.DroppedMass,
 		}
 		// Both slices ascend and the union holds every grid point, so
 		// one forward walk finds each point's value.

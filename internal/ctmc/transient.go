@@ -23,8 +23,12 @@ var ErrIterationBudget = errors.New("ctmc: iteration budget exceeded")
 
 // TransientOptions tunes the uniformisation engine.
 type TransientOptions struct {
-	// Epsilon bounds the truncated Poisson tail mass per time point.
-	// Zero selects 1e-12.
+	// Epsilon bounds the truncated Poisson tail mass per time point,
+	// and separately the mass the windowed loop may drop
+	// (Result.DroppedMass ≤ Epsilon). Each answer under-approximates the
+	// exact uniformisation value: a probability is at most Epsilon +
+	// DroppedMass below it (a functional w·π(t) at most that times
+	// max|w|). Zero selects 1e-12.
 	Epsilon float64
 	// Workers sets the SpMV parallelism; zero selects runtime.NumCPU().
 	// Ignored when Pool is set.
@@ -114,6 +118,15 @@ type Result struct {
 	// equals Iterations for a full solve and is kept separate so
 	// higher layers can aggregate operator work without re-deriving it.
 	SpMVs int
+	// WindowRows counts the rows the products computed: each product
+	// runs on the active window only, so WindowRows / (SpMVs · states)
+	// is the fraction of the chain the solve actually swept.
+	WindowRows int
+	// DroppedMass is the probability mass the window trimmed from the
+	// iterates (entries below 1e-8·Epsilon), at most Epsilon by
+	// construction. Every value is at most Epsilon + DroppedMass below
+	// the exact uniformisation value.
+	DroppedMass float64
 }
 
 // Uniformized is a reusable uniformisation operator for one generator:
@@ -125,9 +138,10 @@ type Result struct {
 // repeatedly. A Uniformized is immutable apart from the internally
 // synchronised weight cache and is safe for concurrent use.
 type Uniformized struct {
-	gen *sparse.CSR
-	q   float64
-	pt  *sparse.CSR // nil when q == 0 (no transitions anywhere)
+	gen    *sparse.CSR
+	q      float64
+	pt     *sparse.CSR // nil when q == 0 (no transitions anywhere)
+	shifts []int       // Pᵀ's index offset ranges (see shiftRanges)
 
 	mu      sync.RWMutex
 	weights map[weightKey]*foxglynn.Weights
@@ -159,6 +173,7 @@ func NewUniformized(gen *sparse.CSR, opts TransientOptions) (*Uniformized, error
 			return nil, err
 		}
 		u.pt = pt
+		u.shifts = shiftRanges(pt)
 	}
 	return u, nil
 }
@@ -270,6 +285,7 @@ func (u *Uniformized) Transient(alpha, w, times []float64, opts TransientOptions
 	reg.Counter("ctmc_solves_total").Inc()
 	reg.Counter("ctmc_uniformization_iterations_total").Add(int64(res.Iterations))
 	reg.Counter("ctmc_spmv_total").Add(int64(res.SpMVs))
+	reg.Counter("ctmc_window_rows_total").Add(int64(res.WindowRows))
 	if res.FoxGlynnRight > 0 {
 		reg.Histogram("ctmc_foxglynn_window").Observe(float64(res.FoxGlynnRight - res.FoxGlynnLeft + 1))
 	}
@@ -277,7 +293,9 @@ func (u *Uniformized) Transient(alpha, w, times []float64, opts TransientOptions
 		obs.Int("iterations", int64(res.Iterations)),
 		obs.Int("foxglynn_left", int64(res.FoxGlynnLeft)),
 		obs.Int("foxglynn_right", int64(res.FoxGlynnRight)),
-		obs.Float("rate", res.Rate))
+		obs.Float("rate", res.Rate),
+		obs.Int("window_rows", int64(res.WindowRows)),
+		obs.Float("dropped_mass", res.DroppedMass))
 	return res, nil
 }
 
@@ -349,8 +367,24 @@ func (u *Uniformized) transient(alpha, w, times []float64, opts TransientOptions
 		res.Values = make([]float64, len(times))
 	}
 
-	// foldIn accumulates weight·v into every requested time point.
-	foldIn := func(it int, v []float64, tailMass bool) {
+	// The functional folds over w's support only: every skipped term is
+	// an exact 0·v[i], so the dot product is bit-identical to a full one.
+	nw := 0
+	for _, wi := range w {
+		if wi != 0 {
+			nw++
+		}
+	}
+	wIdx := make([]int32, 0, nw)
+	for i, wi := range w {
+		if wi != 0 {
+			wIdx = append(wIdx, int32(i))
+		}
+	}
+
+	// foldIn accumulates weight·v into every requested time point. v is
+	// zero outside rows, so the distribution fold skips only exact zeros.
+	foldIn := func(it int, v []float64, rows []int32, tailMass bool) {
 		if w == nil {
 			for k, fw := range weights {
 				p := fw.At(it)
@@ -359,8 +393,10 @@ func (u *Uniformized) transient(alpha, w, times []float64, opts TransientOptions
 				}
 				if p > 0 {
 					dst := res.Distributions[k]
-					for i, vi := range v {
-						dst[i] += p * vi
+					for r := 0; r < len(rows); r += 2 {
+						for i := rows[r]; i < rows[r+1]; i++ {
+							dst[i] += p * v[i]
+						}
 					}
 				}
 			}
@@ -375,8 +411,8 @@ func (u *Uniformized) transient(alpha, w, times []float64, opts TransientOptions
 			}
 			if p > 0 {
 				if !computed {
-					for i, vi := range v {
-						s += w[i] * vi
+					for _, i := range wIdx {
+						s += w[i] * v[i]
 					}
 					computed = true
 				}
@@ -401,62 +437,70 @@ func (u *Uniformized) transient(alpha, w, times []float64, opts TransientOptions
 		pool.PutVec(v)
 		pool.PutVec(next)
 	}()
-	// Single-time-point distribution solves (wasted-charge, charge
-	// moments, state snapshots) fold each iterate into exactly one
-	// accumulator, so the fold fuses into the product: dst = Pᵀ·v and
-	// acc += p·dst in one pass over the matrix. Iterations that run the
-	// steady-state check keep the unfused kernel — the tail fold on
-	// convergence must see an un-accumulated iterate, exactly like the
-	// serial reference. Every fold is an element-independent multiply-
-	// add, so fused and unfused paths are bit-identical.
+	win := newWindow(alpha, u.shifts, opts.epsilon())
+	done := func() *Result {
+		res.WindowRows, res.DroppedMass = win.rows, win.dropped
+		check.UnitScalar("ctmc.transient dropped mass over epsilon", win.dropped/win.budget)
+		return validatedResult(res)
+	}
+	foldIn(0, v, win.cur, false)
+
+	// Each step computes next = Pᵀ·v on the grown window only, folds the
+	// untrimmed iterate into the answers, then trims the window. Single-
+	// time-point distribution solves (wasted-charge, charge moments,
+	// state snapshots) fold each iterate into exactly one accumulator,
+	// so the fold fuses into the product: dst = Pᵀ·v and acc += p·dst in
+	// one pass over the window. Iterations that run the steady-state
+	// check keep the unfused kernel — the tail fold on convergence must
+	// see an un-accumulated iterate. Every fold is an element-independent
+	// multiply-add, so fused and unfused paths are bit-identical.
 	fused := w == nil && len(times) == 1
-	foldedAhead := false
-	for it := 0; it <= maxRight; it++ {
+	for it := 0; it < maxRight; it++ {
 		if ctx := opts.Context; ctx != nil {
 			if err := ctx.Err(); err != nil {
 				return nil, fmt.Errorf("ctmc: transient solve cancelled at step %d: %w", it, err)
 			}
 		}
-		if !foldedAhead {
-			foldIn(it, v, false)
-		}
-		foldedAhead = false
-		if it == maxRight {
-			break
-		}
 		ssdNow := !opts.DisableSteadyStateDetection && it%checkEvery == 0
-		if fused && !ssdNow {
-			if err := pool.MulVecAccum(u.pt, next, v, res.Distributions[0], weights[0].At(it+1)); err != nil {
-				return nil, fmt.Errorf("ctmc: uniformisation step %d: %w", it, err)
-			}
-			foldedAhead = true
-		} else if err := pool.MulVec(u.pt, next, v); err != nil {
+		fuseNow := fused && !ssdNow
+		var acc []float64
+		var p float64
+		if fuseNow {
+			acc, p = res.Distributions[0], weights[0].At(it+1)
+		}
+		win.grow()
+		if err := pool.MulVecRanges(u.pt, win.grown, next, v, acc, p); err != nil {
 			return nil, fmt.Errorf("ctmc: uniformisation step %d: %w", it, err)
 		}
+		win.zeroStale(next)
+		res.Iterations++
+		res.SpMVs++
 		if ssdNow {
 			maxDelta := 0.0
-			for i := range v {
-				if d := math.Abs(next[i] - v[i]); d > maxDelta {
-					maxDelta = d
+			for r := 0; r < len(win.grown); r += 2 {
+				for i := win.grown[r]; i < win.grown[r+1]; i++ {
+					if d := math.Abs(next[i] - v[i]); d > maxDelta {
+						maxDelta = d
+					}
 				}
 			}
 			if maxDelta <= ssdTol {
 				// Fold the remaining window mass (> it) in one shot.
-				v, next = next, v
-				res.Iterations++
-				res.SpMVs++
-				foldIn(it+1, v, true)
-				return validatedResult(res), nil
+				foldIn(it+1, next, win.grown, true)
+				return done(), nil
 			}
 		}
+		if !fuseNow {
+			foldIn(it+1, next, win.grown, false)
+		}
+		win.trim(next)
 		v, next = next, v
-		res.Iterations++
-		res.SpMVs++
+		win.advance()
 		if opts.OnIteration != nil {
 			opts.OnIteration(res.Iterations, maxRight)
 		}
 	}
-	return validatedResult(res), nil
+	return done(), nil
 }
 
 // validatedResult asserts, under the debugchecks build tag, that every

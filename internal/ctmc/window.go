@@ -1,0 +1,220 @@
+package ctmc
+
+import (
+	"math"
+	"slices"
+
+	"batlife/internal/sparse"
+)
+
+// Windowed uniformisation (after Hahn et al., "Transient Reward
+// Approximation for Continuous-Time Markov Chains"): each step multiplies
+// only the rows that can carry probability mass. The window is a sorted
+// list of disjoint, non-adjacent row intervals that holds the support of
+// the current iterate. A step grows it by the generator's index offsets,
+// computes the next iterate on the grown rows only, and trims each
+// interval's ends while their entries fall below θ, tallying exactly the
+// mass it drops.
+
+// maxShiftRanges caps the number of offset ranges that grow a window per
+// step. Nearby offsets are merged until at most this many remain, so a
+// chain of arbitrary structure degrades towards the full row range
+// instead of an unbounded merge.
+const maxShiftRanges = 8
+
+// trimFactor sets the trimming threshold θ = trimFactor·ε. θ depends on
+// nothing but ε, so every drop decision depends only on ε and the
+// history of the iterate: solves that share an iterate sequence (one
+// chain, one α) make identical decisions whatever their time points.
+const trimFactor = 1e-8
+
+// shiftRanges returns the index offsets r − c of the nonzeros of pt
+// (transition c → r of the chain) as at most maxShiftRanges ascending
+// inclusive ranges, flattened as a0, b0, a1, b1, …. One range always
+// holds 0, even where Pᵀ's diagonal entry is zero, so a grown window
+// covers the one it grew from.
+func shiftRanges(pt *sparse.CSR) []int {
+	// addShift grows the list by at most one range past the cap before
+	// merging, so this capacity is never exceeded.
+	rs := addShift(make([]int, 0, 2*maxShiftRanges+2), 0)
+	for r := 0; r < pt.Rows(); r++ {
+		pt.Row(r, func(c int, _ float64) { rs = addShift(rs, r-c) })
+	}
+	return rs
+}
+
+// addShift adds offset d to the sorted ranges rs, coalescing touching
+// ranges and, past maxShiftRanges, merging the two neighbours with the
+// smallest gap.
+func addShift(rs []int, d int) []int {
+	i := 0
+	for i < len(rs) && rs[i+1] < d {
+		i += 2
+	}
+	if i < len(rs) && rs[i] <= d {
+		return rs
+	}
+	rs = slices.Insert(rs, i, d, d)
+	if i > 0 && rs[i-1]+1 == d {
+		rs = slices.Delete(rs, i-1, i+1)
+		i -= 2
+	}
+	if i+2 < len(rs) && rs[i+2] == rs[i+1]+1 {
+		rs = slices.Delete(rs, i+1, i+3)
+	}
+	if len(rs)/2 > maxShiftRanges {
+		best := 1
+		for k := 3; k+1 < len(rs); k += 2 {
+			if rs[k+1]-rs[k] < rs[best+1]-rs[best] {
+				best = k
+			}
+		}
+		rs = slices.Delete(rs, best, best+2)
+	}
+	return rs
+}
+
+// window tracks the active rows of the uniformisation loop. cur is the
+// window of the current iterate, prev the window the other iteration
+// buffer was last written on, and grown the rows the next product
+// computes. Each is a list of [lo, hi) pairs flattened as lo0, hi0, ….
+type window struct {
+	cur, prev, grown []int32
+	shifts           []int
+	n                int
+
+	theta, budget float64
+	dropped       float64
+	trimming      bool
+	rows          int // rows computed over all products
+}
+
+func newWindow(alpha []float64, shifts []int, eps float64) *window {
+	// One backing array for the three lists; a list that outgrows its
+	// share moves out on append.
+	buf := make([]int32, 3*64)
+	w := &window{
+		cur:      buf[0:0:64],
+		prev:     buf[64:64:128],
+		grown:    buf[128:128:192],
+		shifts:   shifts,
+		n:        len(alpha),
+		theta:    trimFactor * eps,
+		budget:   eps,
+		trimming: true,
+	}
+	for i := 0; i < len(alpha); {
+		if alpha[i] == 0 {
+			i++
+			continue
+		}
+		lo := i
+		for i < len(alpha) && alpha[i] != 0 {
+			i++
+		}
+		w.cur = append(w.cur, int32(lo), int32(i))
+	}
+	return w
+}
+
+// grow sets grown to cur shifted by every offset range, clipped to the
+// chain and merged. Each shift keeps cur's order, so this is a k-way
+// merge of sorted lists: no sort.
+func (w *window) grow() {
+	var heads [maxShiftRanges]int
+	k := len(w.shifts) / 2
+	w.grown = w.grown[:0]
+	for {
+		best, bestLo := -1, 0
+		for s := 0; s < k; s++ {
+			if h := heads[s]; h < len(w.cur) {
+				if lo := int(w.cur[h]) + w.shifts[2*s]; best < 0 || lo < bestLo {
+					best, bestLo = s, lo
+				}
+			}
+		}
+		if best < 0 {
+			break
+		}
+		hi := min(int(w.cur[heads[best]+1])+w.shifts[2*best+1], w.n)
+		heads[best] += 2
+		lo := max(bestLo, 0)
+		if lo >= hi {
+			continue
+		}
+		if l := len(w.grown); l > 0 && lo <= int(w.grown[l-1]) {
+			w.grown[l-1] = max(w.grown[l-1], int32(hi))
+			continue
+		}
+		w.grown = append(w.grown, int32(lo), int32(hi))
+	}
+	for i := 0; i < len(w.grown); i += 2 {
+		w.rows += int(w.grown[i+1] - w.grown[i])
+	}
+}
+
+// zeroStale clears the rows of buf that prev left behind outside grown,
+// so buf is zero off the rows the product just wrote.
+func (w *window) zeroStale(buf []float64) {
+	cur := w.grown
+	j := 0
+	for i := 0; i < len(w.prev); i += 2 {
+		lo, hi := w.prev[i], w.prev[i+1]
+		for lo < hi {
+			for j < len(cur) && cur[j+1] <= lo {
+				j += 2
+			}
+			if j >= len(cur) || cur[j] >= hi {
+				clear(buf[lo:hi])
+				break
+			}
+			if cur[j] > lo {
+				clear(buf[lo:cur[j]])
+			}
+			lo = cur[j+1]
+		}
+	}
+}
+
+// trim cuts both ends of every grown interval while their entries are
+// below θ, zeroing each dropped entry and adding it to the tally.
+// Trimming stops for good once the tally would pass the budget ε.
+func (w *window) trim(v []float64) {
+	out := w.grown[:0]
+	for i := 0; i < len(w.grown); i += 2 {
+		lo, hi := w.grown[i], w.grown[i+1]
+		for lo < hi && w.drop(v, lo) {
+			lo++
+		}
+		for hi > lo && w.drop(v, hi-1) {
+			hi--
+		}
+		if lo < hi {
+			out = append(out, lo, hi)
+		}
+	}
+	w.grown = out
+}
+
+// drop zeroes v[i] and tallies it when it is below θ and the budget
+// allows; it reports whether the entry was dropped.
+func (w *window) drop(v []float64, i int32) bool {
+	a := math.Abs(v[i])
+	if !w.trimming || a >= w.theta {
+		return false
+	}
+	if w.dropped+a > w.budget {
+		w.trimming = false
+		return false
+	}
+	w.dropped += a
+	v[i] = 0
+	return true
+}
+
+// advance makes the trimmed grown window current once the iteration
+// buffers have swapped: the old current window now describes the other
+// buffer.
+func (w *window) advance() {
+	w.cur, w.prev, w.grown = w.grown, w.cur, w.prev
+}

@@ -15,18 +15,21 @@ import (
 // inner loop.
 type spawnPool struct {
 	workers int
+	j       spmvJob // partition scratch only; never dispatched
 }
 
 func (p *spawnPool) mulVec(m *CSR, dst, x []float64) {
-	part := m.rowPartition(p.workers)
-	bounds := part.bounds
+	all := [2]int32{0, int32(m.rows)}
+	p.j.partition(m, all[:], p.workers, int64(m.NNZ()+m.rows))
 	var wg sync.WaitGroup
-	for c := 0; c+1 < len(bounds); c++ {
+	for c := 0; c+1 < len(p.j.starts); c++ {
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func(from, to int32) {
 			defer wg.Done()
-			m.mulRows(dst, x, lo, hi)
-		}(int(bounds[c]), int(bounds[c+1]))
+			for i := from; i < to; i++ {
+				m.mulRows(dst, x, int(p.j.pieces[2*i]), int(p.j.pieces[2*i+1]))
+			}
+		}(p.j.starts[c], p.j.starts[c+1])
 	}
 	wg.Wait()
 }

@@ -8,7 +8,8 @@ import (
 )
 
 // buildStressCSR assembles a deterministic pseudo-random matrix large
-// enough (rows > 4096) to take the parallel path in Pool.MulVec.
+// enough (rows·(nnzPerRow+1) above parallelMinWeight) to take the
+// parallel path in Pool.MulVec.
 func buildStressCSR(t testing.TB, rows, nnzPerRow int) *CSR {
 	t.Helper()
 	b := NewBuilder(rows, rows, rows*nnzPerRow)
@@ -40,7 +41,7 @@ func buildStressCSR(t testing.TB, rows, nnzPerRow int) *CSR {
 // certify the pool has no hidden shared state.
 func TestPoolMulVecConcurrentSharing(t *testing.T) {
 	const (
-		rows       = 5000
+		rows       = 13000
 		goroutines = 8
 		iterations = 25
 	)
@@ -89,7 +90,7 @@ func TestPoolMulVecConcurrentSharing(t *testing.T) {
 // one immutable CSR, ensuring the matrix itself is safe for concurrent
 // readers.
 func TestPoolMulVecConcurrentPools(t *testing.T) {
-	const rows = 4200
+	const rows = 16800
 	m := buildStressCSR(t, rows, 3)
 	x := make([]float64, rows)
 	for i := range x {
@@ -119,6 +120,51 @@ func TestPoolMulVecConcurrentPools(t *testing.T) {
 				}
 			}
 		}(g%4 + 1)
+	}
+	wg.Wait()
+}
+
+// TestPoolMulVecRangesConcurrent drives one pool from several goroutines
+// with different windowed products at once, so dispatch records are
+// reused across products and callers while stale worker announcements
+// are still in flight. Every result must match the serial kernel; run
+// with -race to certify the generation-tagged job reuse.
+func TestPoolMulVecRangesConcurrent(t *testing.T) {
+	const rows = 16000
+	m := buildStressCSR(t, rows, 4)
+	pool := NewPool(3)
+	defer pool.Close()
+	x := make([]float64, rows)
+	for i := range x {
+		x[i] = math.Sin(float64(i) / 5)
+	}
+	want := make([]float64, rows)
+	if err := m.MulVec(want, x); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			lo := int32(g * 1000)
+			ranges := []int32{lo, lo + 9000, lo + 9100, rows}
+			dst := make([]float64, rows)
+			for it := 0; it < 30; it++ {
+				if err := pool.MulVecRanges(m, ranges, dst, x, nil, 0); err != nil {
+					t.Errorf("goroutine %d: %v", g, err)
+					return
+				}
+				for i := 0; i < len(ranges); i += 2 {
+					for r := ranges[i]; r < ranges[i+1]; r++ {
+						if dst[r] != want[r] {
+							t.Errorf("goroutine %d iter %d: dst[%d] = %v, want %v", g, it, r, dst[r], want[r])
+							return
+						}
+					}
+				}
+			}
+		}(g)
 	}
 	wg.Wait()
 }

@@ -59,10 +59,14 @@ func PoolMetricsFrom(reg *obs.Registry) PoolMetrics {
 	}
 }
 
-// parallelThreshold is the matrix size below which products stay on the
-// calling goroutine: the fork cost of a parallel dispatch only pays for
-// itself once a product is a few hundred microseconds of work.
-const parallelThreshold = 4096
+// parallelMinWeight is the product size below which products stay on
+// the calling goroutine, in partition weight (nnz + rows of the rows
+// the product computes, once per right-hand side): the fork cost of a
+// parallel dispatch only pays for itself once a product is a few
+// hundred microseconds of work. It is judged per product, so a
+// windowed product over a few active rows of a large matrix stays
+// serial. Paired runs behind the value are in docs/PERFORMANCE.md.
+const parallelMinWeight = 65536
 
 // Pool executes parallel matrix-vector products over a set of
 // long-lived worker goroutines and recycles iteration-scratch vectors.
@@ -80,8 +84,15 @@ type Pool struct {
 	m       PoolMetrics
 	vecs    sync.Pool // of *[]float64
 
+	// jobs is the free list of dispatch records. A parallel product
+	// borrows one and returns it, so steady-state products allocate
+	// nothing; the list grows to the number of products ever in flight
+	// at once.
+	jobsMu sync.Mutex
+	jobs   []*spmvJob
+
 	startOnce sync.Once
-	tasks     chan *spmvJob
+	tasks     chan task
 	quit      chan struct{}
 	workerWG  sync.WaitGroup
 	closed    atomic.Bool
@@ -146,7 +157,10 @@ func (p *Pool) start() bool {
 		// product, so workers-1 persistent goroutines give `workers`
 		// concurrent strands per product.
 		n := p.workers - 1
-		p.tasks = make(chan *spmvJob, 2*p.workers)
+		// Room for the announcements of two products per worker: enough
+		// that concurrent callers rarely find it full, and a full channel
+		// only keeps a product's chunks on its caller.
+		p.tasks = make(chan task, 2*p.workers)
 		p.quit = make(chan struct{})
 		p.workerWG.Add(n)
 		for i := 0; i < n; i++ {
@@ -159,36 +173,31 @@ func (p *Pool) start() bool {
 	return !p.closed.Load()
 }
 
-// worker is the body of one persistent pool goroutine: pick up a
-// dispatched product, drain row chunks from its cursor, repeat.
+// worker is the body of one persistent pool goroutine: pick up an
+// announced product, drain row chunks from its cursor, repeat.
 func (p *Pool) worker() {
 	defer p.workerWG.Done()
 	for {
 		select {
 		case <-p.quit:
 			return
-		case j := <-p.tasks:
-			j.observeWait(&p.m)
+		case t := <-p.tasks:
 			p.m.WorkersBusy.Add(1)
-			j.run()
+			t.j.run(t.gen, &p.m)
 			p.m.WorkersBusy.Add(-1)
 		}
 	}
 }
 
-// Kernel opcodes of a dispatched job.
+// Kernel opcodes.
 const (
 	opMul = iota
 	opAccum
 	opMulti
 )
 
-// spmvJob is one parallel product: an immutable task description plus a
-// work-stealing cursor over the matrix's nnz-balanced row chunks.
-// Workers and the dispatching caller all drain the cursor, so a
-// straggling chunk never serialises the product and a closed pool
-// degrades to the caller doing every chunk itself.
-type spmvJob struct {
+// kernel describes what one product computes on each row range.
+type kernel struct {
 	op     uint8
 	m      *CSR
 	x, dst []float64
@@ -196,16 +205,95 @@ type spmvJob struct {
 	w      float64   // opAccum
 	xs     [][]float64
 	dsts   [][]float64 // opMulti
-	bounds []int32     // row chunk boundaries, len = chunks+1
+}
 
-	next    atomic.Int32
+// rows executes the kernel over rows [lo, hi).
+func (k *kernel) rows(lo, hi int) {
+	switch k.op {
+	case opMul:
+		k.m.mulRows(k.dst, k.x, lo, hi)
+	case opAccum:
+		k.m.mulAccumRows(k.dst, k.x, k.acc, k.w, lo, hi)
+	case opMulti:
+		k.m.mulMultiRows(k.dsts, k.xs, lo, hi)
+	}
+}
+
+// ranges executes the kernel over every [lo, hi) pair of ranges on the
+// calling goroutine — the serial row-range product.
+//
+//numlint:hotpath
+func (k *kernel) ranges(ranges []int32) {
+	for i := 0; i+1 < len(ranges); i += 2 {
+		k.rows(int(ranges[i]), int(ranges[i+1]))
+	}
+}
+
+// task announces generation gen of a job to a worker. It travels by
+// value, so announcing allocates nothing.
+type task struct {
+	j   *spmvJob
+	gen uint32
+}
+
+// spmvJob is the reusable dispatch record of one parallel product: the
+// kernel, its nnz-balanced row chunks, and a work-stealing cursor.
+// Workers and the dispatching caller all drain the cursor, so a
+// straggling chunk never serialises the product and a closed pool
+// degrades to the caller doing every chunk itself.
+//
+// A job is reused product after product, while a worker may still hold
+// a stale announcement of an earlier one. The cursor therefore carries
+// the product's generation: state packs gen<<32 | chunks<<16 | next. A
+// participant touches the other fields only after a compare-and-swap
+// has claimed a chunk of its own generation, and the dispatcher
+// rewrites them only once every chunk of the previous generation is
+// done — so a stale worker sees a foreign generation and leaves.
+type spmvJob struct {
+	state   atomic.Uint64
 	pending sync.WaitGroup // one count per chunk
+	gen     uint32         // dispatcher-owned
+
+	k kernel
+	// pieces holds the product's row ranges, split at chunk boundaries,
+	// as lo, hi pairs; chunk i covers pieces starts[i] to starts[i+1].
+	pieces []int32
+	starts []int32
 
 	enqueuedNanos int64 // 0 when task-wait recording is off
 	waitObserved  atomic.Bool
 }
 
-// observeWait records the enqueue-to-pickup latency once per job.
+// maxChunks bounds the chunk count the packed cursor can address.
+const maxChunks = 1<<16 - 1
+
+// run claims and executes chunks of generation gen until none remain
+// or the job has moved on to a later product. m, when non-nil, receives
+// the task-wait observation (workers only).
+func (j *spmvJob) run(gen uint32, m *PoolMetrics) {
+	for {
+		s := j.state.Load()
+		if uint32(s>>32) != gen {
+			return
+		}
+		next, chunks := uint16(s), uint16(s>>16)
+		if next >= chunks {
+			return
+		}
+		if !j.state.CompareAndSwap(s, s+1) {
+			continue
+		}
+		if m != nil {
+			j.observeWait(m)
+		}
+		for i := j.starts[next]; i < j.starts[next+1]; i++ {
+			j.k.rows(int(j.pieces[2*i]), int(j.pieces[2*i+1]))
+		}
+		j.pending.Done()
+	}
+}
+
+// observeWait records the enqueue-to-pickup latency once per product.
 func (j *spmvJob) observeWait(m *PoolMetrics) {
 	if j.enqueuedNanos == 0 || j.waitObserved.Swap(true) {
 		return
@@ -213,73 +301,142 @@ func (j *spmvJob) observeWait(m *PoolMetrics) {
 	m.TaskWait.Observe(float64(time.Now().UnixNano()-j.enqueuedNanos) / 1e9)
 }
 
-// run drains row chunks from the job's cursor until none remain.
-func (j *spmvJob) run() {
-	nChunks := int32(len(j.bounds) - 1)
-	for {
-		i := j.next.Add(1) - 1
-		if i >= nChunks {
-			return
+// partition splits ranges into at most chunks pieces lists of near-equal
+// weight (nnz + rows), cutting inside a range where a boundary falls,
+// and reports the heaviest chunk's weight over the ideal. A cut never
+// splits a row, so every parallel product stays bit-identical to the
+// serial kernel.
+func (j *spmvJob) partition(m *CSR, ranges []int32, chunks int, total int64) float64 {
+	rowPtr := m.rowPtr
+	weight := func(lo, hi int32) int64 { return int64(rowPtr[hi]-rowPtr[lo]) + int64(hi-lo) }
+	ideal := float64(total) / float64(chunks)
+	j.pieces = j.pieces[:0]
+	j.starts = append(j.starts[:0], 0)
+	var acc, chunkStart, maxChunk int64
+	cut := 1 // the current chunk ends once acc reaches cut*ideal
+	endChunk := func() {
+		j.starts = append(j.starts, int32(len(j.pieces)/2))
+		maxChunk = max(maxChunk, acc-chunkStart)
+		chunkStart = acc
+	}
+	for i := 0; i+1 < len(ranges); i += 2 {
+		lo, hi := ranges[i], ranges[i+1]
+		for lo < hi {
+			target := float64(cut) * ideal
+			if cut >= chunks || float64(acc+weight(lo, hi)) < target {
+				j.pieces = append(j.pieces, lo, hi)
+				acc += weight(lo, hi)
+				break
+			}
+			// The smallest r in (lo, hi] whose prefix reaches the target.
+			a, b := lo+1, hi
+			for a < b {
+				mid := a + (b-a)/2
+				if float64(acc+weight(lo, mid)) >= target {
+					b = mid
+				} else {
+					a = mid + 1
+				}
+			}
+			j.pieces = append(j.pieces, lo, a)
+			acc += weight(lo, a)
+			endChunk()
+			for cut < chunks && float64(acc) >= float64(cut)*ideal {
+				cut++
+			}
+			lo = a
 		}
-		j.chunk(int(i))
-		j.pending.Done()
 	}
+	if int(j.starts[len(j.starts)-1]) < len(j.pieces)/2 {
+		endChunk()
+	}
+	return float64(maxChunk) / ideal
 }
 
-// chunk executes the job's kernel over one row range.
-func (j *spmvJob) chunk(i int) {
-	m := j.m
-	lo, hi := int(j.bounds[i]), int(j.bounds[i+1])
-	switch j.op {
-	case opMul:
-		m.mulRows(j.dst, j.x, lo, hi)
-	case opAccum:
-		m.mulAccumRows(j.dst, j.x, j.acc, j.w, lo, hi)
-	case opMulti:
-		m.mulMultiRows(j.dsts, j.xs, lo, hi)
+// getJob borrows a dispatch record from the free list.
+func (p *Pool) getJob() *spmvJob {
+	p.jobsMu.Lock()
+	defer p.jobsMu.Unlock()
+	if n := len(p.jobs); n > 0 {
+		j := p.jobs[n-1]
+		p.jobs = p.jobs[:n-1]
+		return j
 	}
+	return new(spmvJob)
 }
 
-// dispatch fans a job out over the persistent workers and participates
-// until every chunk is done. It never blocks on the task channel: if
-// the channel is full (or the workers are gone), the caller simply
-// drains the cursor itself, so dispatch is deadlock-free even when it
-// races Close.
+// putJob returns a finished dispatch record to the free list, dropping
+// its references to the product's vectors.
+func (p *Pool) putJob(j *spmvJob) {
+	j.k = kernel{}
+	p.jobsMu.Lock()
+	p.jobs = append(p.jobs, j)
+	p.jobsMu.Unlock()
+}
+
+// product runs k over the rows of ranges: fanned out over the workers
+// when the rows carry enough work, on the calling goroutine otherwise.
+func (p *Pool) product(k kernel, ranges []int32) {
+	if p.workers == 1 || p.closed.Load() {
+		k.ranges(ranges)
+		return
+	}
+	rowPtr := k.m.rowPtr
+	var total int64
+	for i := 0; i+1 < len(ranges); i += 2 {
+		lo, hi := ranges[i], ranges[i+1]
+		total += int64(rowPtr[hi]-rowPtr[lo]) + int64(hi-lo)
+	}
+	work := total
+	if k.op == opMulti {
+		work *= int64(len(k.xs)) // one sweep of the rows per right-hand side
+	}
+	if work < parallelMinWeight {
+		k.ranges(ranges)
+		return
+	}
+	p.m.SpMVParallel.Add(1)
+	j := p.getJob()
+	j.k = k
+	imbalance := j.partition(k.m, ranges, min(p.workers, maxChunks), total)
+	p.m.PartitionImbalance.Set(imbalance)
+	p.dispatch(j)
+	p.putJob(j)
+}
+
+// dispatch publishes the job's next generation, announces it to the
+// persistent workers and participates until every chunk is done. It
+// never blocks on the task channel: if the channel is full (or the
+// workers are gone), the caller simply drains the cursor itself, so
+// dispatch is deadlock-free even when it races Close.
 func (p *Pool) dispatch(j *spmvJob) {
-	chunks := len(j.bounds) - 1
+	chunks := len(j.starts) - 1
 	j.pending.Add(chunks)
-	if p.start() {
-		if p.m.TaskWait != nil {
-			j.enqueuedNanos = time.Now().UnixNano()
-		}
+	j.gen++
+	j.waitObserved.Store(false)
+	j.enqueuedNanos = 0
+	started := p.start()
+	if started && p.m.TaskWait != nil {
+		j.enqueuedNanos = time.Now().UnixNano()
+	}
+	// Every field above is written before this store; a participant
+	// reads them only after claiming a chunk of this generation.
+	j.state.Store(uint64(j.gen)<<32 | uint64(chunks)<<16)
+	if started {
 		// The caller takes chunks too, so at most chunks-1 workers can
 		// contribute.
-		announce := chunks - 1
-		if announce > p.workers-1 {
-			announce = p.workers - 1
-		}
+		announce := min(chunks-1, p.workers-1)
 	announcing:
 		for i := 0; i < announce; i++ {
 			select {
-			case p.tasks <- j:
+			case p.tasks <- task{j: j, gen: j.gen}:
 			default:
 				break announcing // workers saturated; keep the rest local
 			}
 		}
 	}
-	j.run()
+	j.run(j.gen, nil)
 	j.pending.Wait()
-}
-
-// parallel reports whether a product over m should be fanned out, and
-// returns the row chunk boundaries to use if so.
-func (p *Pool) parallel(m *CSR) ([]int32, bool) {
-	if m.rows < parallelThreshold || p.workers == 1 || p.closed.Load() {
-		return nil, false
-	}
-	part := m.rowPartition(p.workers)
-	p.m.PartitionImbalance.Set(part.imbalance)
-	return part.bounds, true
 }
 
 // GetVec returns a length-n scratch vector, zeroed, reusing a previously
@@ -316,22 +473,18 @@ func (p *Pool) MulVec(m *CSR, dst, x []float64) error {
 			m.rows, m.cols, len(x), len(dst), ErrShape)
 	}
 	p.m.SpMV.Add(1)
-	bounds, ok := p.parallel(m)
-	if !ok {
-		return m.MulVec(dst, x)
-	}
-	p.m.SpMVParallel.Add(1)
-	p.dispatch(&spmvJob{op: opMul, m: m, x: x, dst: dst, bounds: bounds})
+	all := [2]int32{0, int32(m.rows)}
+	p.product(kernel{op: opMul, m: m, x: x, dst: dst}, all[:])
 	check.FiniteVec("sparse.Pool.MulVec", dst)
 	return nil
 }
 
 // MulVecAccum computes dst = m·x and, when w != 0, acc += w·dst in the
 // same pass over the matrix — the fused kernel of the uniformisation
-// inner loop, which otherwise pays a second O(rows) sweep to fold each
-// iterate into its accumulator. dst, x and acc must not alias. The
-// result is bit-identical to MulVec followed by an element-wise
-// acc[i] += w*dst[i] loop.
+// inner loop, which otherwise pays a second sweep to fold each iterate
+// into its accumulator. dst, x and acc must not alias. The result is
+// bit-identical to MulVec followed by an element-wise acc[i] += w*dst[i]
+// loop.
 func (p *Pool) MulVecAccum(m *CSR, dst, x, acc []float64, w float64) error {
 	if len(x) != m.cols || len(dst) != m.rows || len(acc) != m.rows {
 		return fmt.Errorf("sparse: MulVecAccum %dx%d with |x|=%d |dst|=%d |acc|=%d: %w",
@@ -339,13 +492,48 @@ func (p *Pool) MulVecAccum(m *CSR, dst, x, acc []float64, w float64) error {
 	}
 	p.m.SpMV.Add(1)
 	p.m.SpMVFused.Add(1)
-	bounds, ok := p.parallel(m)
-	if !ok {
-		return m.MulVecAccum(dst, x, acc, w)
-	}
-	p.m.SpMVParallel.Add(1)
-	p.dispatch(&spmvJob{op: opAccum, m: m, x: x, dst: dst, acc: acc, w: w, bounds: bounds})
+	all := [2]int32{0, int32(m.rows)}
+	p.product(kernel{op: opAccum, m: m, x: x, dst: dst, acc: acc, w: w}, all[:])
 	check.FiniteVec("sparse.Pool.MulVecAccum", dst)
+	return nil
+}
+
+// MulVecRanges computes dst[r] = m[r,:]·x for every row r of ranges and
+// leaves every other row of dst untouched. ranges lists ascending,
+// disjoint row intervals [lo, hi) flattened as lo0, hi0, lo1, hi1, … —
+// the active window of a uniformisation step. When acc is non-nil it
+// also folds acc[r] += w·dst[r] in the same pass, like MulVecAccum. The
+// product runs in parallel when the rows of ranges, not of the whole
+// matrix, carry enough work. dst, x and acc must not alias; every
+// computed row is bit-identical to MulVec's.
+func (p *Pool) MulVecRanges(m *CSR, ranges []int32, dst, x, acc []float64, w float64) error {
+	if len(x) != m.cols || len(dst) != m.rows || (acc != nil && len(acc) != m.rows) {
+		return fmt.Errorf("sparse: MulVecRanges %dx%d with |x|=%d |dst|=%d |acc|=%d: %w",
+			m.rows, m.cols, len(x), len(dst), len(acc), ErrShape)
+	}
+	if len(ranges)%2 != 0 {
+		return fmt.Errorf("sparse: MulVecRanges with %d range bounds: %w", len(ranges), ErrShape)
+	}
+	prev := int32(0)
+	for i := 0; i < len(ranges); i += 2 {
+		if ranges[i] < prev || ranges[i] >= ranges[i+1] || int(ranges[i+1]) > m.rows {
+			return fmt.Errorf("sparse: MulVecRanges range [%d,%d) after %d in %d rows: %w",
+				ranges[i], ranges[i+1], prev, m.rows, ErrShape)
+		}
+		prev = ranges[i+1]
+	}
+	p.m.SpMV.Add(1)
+	k := kernel{op: opMul, m: m, x: x, dst: dst}
+	if acc != nil {
+		p.m.SpMVFused.Add(1)
+		k.op, k.acc, k.w = opAccum, acc, w
+	}
+	p.product(k, ranges)
+	if check.Enabled {
+		for i := 0; i < len(ranges); i += 2 {
+			check.FiniteVec("sparse.Pool.MulVecRanges", dst[ranges[i]:ranges[i+1]])
+		}
+	}
 	return nil
 }
 
@@ -370,16 +558,8 @@ func (p *Pool) MulVecMulti(m *CSR, dsts, xs [][]float64) error {
 	}
 	p.m.SpMV.Add(int64(len(xs)))
 	p.m.SpMVBatched.Add(1)
-	bounds, ok := p.parallel(m)
-	if !ok {
-		m.mulMultiRows(dsts, xs, 0, m.rows)
-		for k := range dsts {
-			check.FiniteVec("sparse.Pool.MulVecMulti", dsts[k])
-		}
-		return nil
-	}
-	p.m.SpMVParallel.Add(1)
-	p.dispatch(&spmvJob{op: opMulti, m: m, xs: xs, dsts: dsts, bounds: bounds})
+	all := [2]int32{0, int32(m.rows)}
+	p.product(kernel{op: opMulti, m: m, xs: xs, dsts: dsts}, all[:])
 	for k := range dsts {
 		check.FiniteVec("sparse.Pool.MulVecMulti", dsts[k])
 	}

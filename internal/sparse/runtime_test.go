@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"batlife/internal/obs"
 )
 
 // waitForGoroutines polls until the process goroutine count drops to at
@@ -34,12 +36,12 @@ func waitForGoroutines(t *testing.T, want int) {
 // was vacuous (goroutines were per-call); now it is the contract that
 // lets TransientOptions.pool() hand out per-solve pools safely.
 func TestPoolCloseReleasesWorkers(t *testing.T) {
-	m := buildStressCSR(t, 5000, 4)
-	x := make([]float64, 5000)
+	m := buildStressCSR(t, 16000, 4)
+	x := make([]float64, 16000)
 	for i := range x {
 		x[i] = 1 / float64(i+1)
 	}
-	dst := make([]float64, 5000)
+	dst := make([]float64, 16000)
 
 	before := runtime.NumGoroutine()
 	pool := NewPool(4)
@@ -57,18 +59,18 @@ func TestPoolCloseReleasesWorkers(t *testing.T) {
 // concurrently; every call must return, and the pool must stay usable
 // as a serial executor afterwards.
 func TestPoolCloseIdempotent(t *testing.T) {
-	m := buildStressCSR(t, 4500, 3)
-	x := make([]float64, 4500)
+	m := buildStressCSR(t, 17000, 3)
+	x := make([]float64, 17000)
 	for i := range x {
 		x[i] = math.Cos(float64(i))
 	}
-	want := make([]float64, 4500)
+	want := make([]float64, 17000)
 	if err := m.MulVec(want, x); err != nil {
 		t.Fatal(err)
 	}
 
 	pool := NewPool(3)
-	dst := make([]float64, 4500)
+	dst := make([]float64, 17000)
 	if err := pool.MulVec(m, dst, x); err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +131,7 @@ func TestPoolCloseNeverStartedNoGoroutines(t *testing.T) {
 // bit-identical to the serial kernel (in-flight chunks are finished by
 // their callers; later calls fall back to serial).
 func TestPoolCloseRacesInflight(t *testing.T) {
-	const rows = 5000
+	const rows = 16000
 	m := buildStressCSR(t, rows, 4)
 	x := make([]float64, rows)
 	for i := range x {
@@ -184,7 +186,7 @@ func TestDefaultPoolShared(t *testing.T) {
 // definition — MulVec then acc[i] += w·dst[i] — for the serial and the
 // parallel paths, bit for bit, including the w = 0 accumulate skip.
 func TestMulVecAccumMatchesUnfused(t *testing.T) {
-	const rows = 5200
+	const rows = 13200
 	m := buildStressCSR(t, rows, 5)
 	x := make([]float64, rows)
 	accInit := make([]float64, rows)
@@ -236,7 +238,7 @@ func TestMulVecAccumMatchesUnfused(t *testing.T) {
 // MulVec calls, bit for bit, on serial and parallel paths and for batch
 // sizes around the kernel's unrolling decisions.
 func TestMulVecMultiMatchesSolo(t *testing.T) {
-	const rows = 4800
+	const rows = 14800
 	m := buildStressCSR(t, rows, 4)
 	for _, batch := range []int{1, 2, 3, 7} {
 		xs := make([][]float64, batch)
@@ -290,7 +292,7 @@ func TestMulVecMultiMatchesSolo(t *testing.T) {
 // daemon produces when batched sweeps and solo solves overlap. Run
 // under -race.
 func TestPoolMulVecMultiConcurrent(t *testing.T) {
-	const rows = 4600
+	const rows = 14600
 	m := buildStressCSR(t, rows, 4)
 	x := make([]float64, rows)
 	for i := range x {
@@ -410,10 +412,12 @@ func buildSkewedCSR(t testing.TB, rows, heavy, heavyNNZ int) *CSR {
 }
 
 // TestRowPartitionProperties is the property test for the nnz-balanced
-// partition: for a range of chunk counts over a heavily skewed matrix,
-// the bounds must cover every row exactly once in order, and every
-// chunk's weight (nnz + rows, the kernel's actual work) must stay below
-// ideal + the heaviest single row — the greedy cut's guarantee.
+// partition of a product's row ranges: for a range of chunk counts over
+// a heavily skewed matrix, both for all rows and for a scattered window
+// of row ranges, the chunks must cover every row of the ranges exactly
+// once in order, and every chunk's weight (nnz + rows, the kernel's
+// actual work) must stay below ideal + the heaviest single row — the
+// greedy cut's guarantee.
 func TestRowPartitionProperties(t *testing.T) {
 	const rows = 6000
 	m := buildSkewedCSR(t, rows, 64, 300)
@@ -424,61 +428,61 @@ func TestRowPartitionProperties(t *testing.T) {
 			maxRowW = w
 		}
 	}
-	total := m.NNZ() + rows
-
-	for _, chunks := range []int{1, 2, 3, 4, 7, 8, 16, 61} {
-		part := m.rowPartition(chunks)
-		bounds := part.bounds
-		if len(bounds) < 2 || bounds[0] != 0 || int(bounds[len(bounds)-1]) != rows {
-			t.Fatalf("chunks=%d: bounds %v do not span [0,%d]", chunks, bounds, rows)
-		}
-		if len(bounds)-1 > chunks {
-			t.Fatalf("chunks=%d: %d chunks produced", chunks, len(bounds)-1)
-		}
-		ideal := float64(total) / float64(chunks)
-		maxW := 0
-		for c := 0; c+1 < len(bounds); c++ {
-			lo, hi := int(bounds[c]), int(bounds[c+1])
-			if hi <= lo {
-				t.Fatalf("chunks=%d: empty or inverted chunk [%d,%d)", chunks, lo, hi)
+	windows := map[string][]int32{
+		"all rows": {0, rows},
+		"window":   {0, 40, 50, 51, 63, 900, 2000, 2001, 3500, 5990},
+	}
+	for name, ranges := range windows {
+		var want []int32
+		total := 0
+		for i := 0; i < len(ranges); i += 2 {
+			for r := ranges[i]; r < ranges[i+1]; r++ {
+				want = append(want, r)
 			}
-			w := int(m.rowPtr[hi]-m.rowPtr[lo]) + (hi - lo)
-			if w > maxW {
-				maxW = w
+			total += int(m.rowPtr[ranges[i+1]]-m.rowPtr[ranges[i]]) + int(ranges[i+1]-ranges[i])
+		}
+		for _, chunks := range []int{1, 2, 3, 4, 7, 8, 16, 61} {
+			var j spmvJob
+			imbalance := j.partition(m, ranges, chunks, int64(total))
+			if got := len(j.starts) - 1; got < 1 || got > chunks {
+				t.Fatalf("%s, chunks=%d: %d chunks produced", name, chunks, got)
 			}
-			if float64(w) >= ideal+float64(maxRowW)+1 {
-				t.Errorf("chunks=%d: chunk [%d,%d) weight %d exceeds ideal %.1f + max row %d",
-					chunks, lo, hi, w, ideal, maxRowW)
+			ideal := float64(total) / float64(chunks)
+			var got []int32
+			maxW := 0
+			for c := 0; c+1 < len(j.starts); c++ {
+				if j.starts[c] >= j.starts[c+1] {
+					t.Fatalf("%s, chunks=%d: empty chunk %d", name, chunks, c)
+				}
+				w := 0
+				for i := j.starts[c]; i < j.starts[c+1]; i++ {
+					lo, hi := j.pieces[2*i], j.pieces[2*i+1]
+					if hi <= lo {
+						t.Fatalf("%s, chunks=%d: empty or inverted piece [%d,%d)", name, chunks, lo, hi)
+					}
+					for r := lo; r < hi; r++ {
+						got = append(got, r)
+					}
+					w += int(m.rowPtr[hi]-m.rowPtr[lo]) + int(hi-lo)
+				}
+				maxW = max(maxW, w)
+				if float64(w) >= ideal+float64(maxRowW)+1 {
+					t.Errorf("%s, chunks=%d: chunk %d weight %d exceeds ideal %.1f + max row %d",
+						name, chunks, c, w, ideal, maxRowW)
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s, chunks=%d: chunks cover %d rows, want %d", name, chunks, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s, chunks=%d: row %d of the cover is %d, want %d", name, chunks, i, got[i], want[i])
+				}
+			}
+			if math.Abs(imbalance-float64(maxW)/ideal) > 1e-9 {
+				t.Errorf("%s, chunks=%d: imbalance %v, want %v", name, chunks, imbalance, float64(maxW)/ideal)
 			}
 		}
-		if got := part.imbalance; math.Abs(got-float64(maxW)/ideal) > 1e-9 {
-			t.Errorf("chunks=%d: imbalance %v, want %v", chunks, got, float64(maxW)/ideal)
-		}
-	}
-}
-
-// TestRowPartitionCacheAndInvalidation pins the caching contract: the
-// partition for a given chunk count is computed once and shared, a
-// different chunk count recomputes, and Validate drops the cache (it is
-// the designated mutation barrier).
-func TestRowPartitionCacheAndInvalidation(t *testing.T) {
-	m := buildStressCSR(t, 5000, 3)
-	p4 := m.rowPartition(4)
-	if again := m.rowPartition(4); again != p4 {
-		t.Error("same chunk count did not reuse the cached partition")
-	}
-	p2 := m.rowPartition(2)
-	if p2 == p4 || p2.chunks != 2 {
-		t.Errorf("chunk-count change returned %+v", p2)
-	}
-	if err := m.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-	if m.part.Load() != nil {
-		t.Error("Validate did not invalidate the cached partition")
-	}
-	if p := m.rowPartition(2); p == p2 {
-		t.Error("post-Validate partition was not recomputed")
 	}
 }
 
@@ -513,5 +517,135 @@ func TestFusedKernelsZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("fused kernels allocate %v per run, want 0", allocs)
+	}
+}
+
+// TestPoolZeroAllocParallel pins the reusable dispatch record: once a
+// pool has run one product, parallel products — full, fused, windowed,
+// with and without pool metrics — allocate nothing. Before, every
+// parallel product heap-allocated its job and WaitGroup.
+func TestPoolZeroAllocParallel(t *testing.T) {
+	const rows = 16000
+	m := buildStressCSR(t, rows, 4)
+	x := make([]float64, rows)
+	for i := range x {
+		x[i] = 1 / float64(i+1)
+	}
+	dst := make([]float64, rows)
+	acc := make([]float64, rows)
+	window := []int32{0, 9000, 9500, rows}
+	for _, reg := range []*obs.Registry{nil, obs.NewRegistry()} {
+		pool := NewPoolObs(2, reg)
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := pool.MulVec(m, dst, x); err != nil {
+				t.Fatal(err)
+			}
+			if err := pool.MulVecAccum(m, dst, x, acc, 0.5); err != nil {
+				t.Fatal(err)
+			}
+			if err := pool.MulVecRanges(m, window, dst, x, nil, 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := pool.MulVecRanges(m, window, dst, x, acc, 0.25); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if reg != nil {
+			if n := reg.Counter("sparse_pool_spmv_parallel_total").Value(); n == 0 {
+				t.Error("no product took the parallel path")
+			}
+		}
+		pool.Close()
+		if allocs != 0 {
+			t.Errorf("metrics=%v: parallel products allocate %v per run, want 0", reg != nil, allocs)
+		}
+	}
+}
+
+// TestMulVecRangesMatchesMulVec: a windowed product computes exactly
+// MulVec's rows (and MulVecAccum's fold) on the rows of its ranges and
+// leaves every other row untouched, serially and in parallel, for
+// windows from a single row to the whole matrix.
+func TestMulVecRangesMatchesMulVec(t *testing.T) {
+	const rows = 16000
+	m := buildStressCSR(t, rows, 4)
+	x := make([]float64, rows)
+	accInit := make([]float64, rows)
+	for i := range x {
+		x[i] = math.Cos(float64(i)/7) + 1.25
+		accInit[i] = float64(i % 3)
+	}
+	want := make([]float64, rows)
+	if err := m.MulVec(want, x); err != nil {
+		t.Fatal(err)
+	}
+	windows := [][]int32{
+		{0, rows},
+		{4242, 4243},
+		{0, 10, 11, 12, 500, 7000, 7001, 15000, 15999, rows},
+		{100, 14000},
+		{},
+	}
+	for _, workers := range []int{1, 2, 3} {
+		pool := NewPool(workers)
+		for _, ranges := range windows {
+			for _, w := range []float64{0, 0.75} {
+				dst := make([]float64, rows)
+				for i := range dst {
+					dst[i] = -1 // sentinel: rows off the window keep it
+				}
+				var acc []float64
+				if w != 0 {
+					acc = append([]float64(nil), accInit...)
+				}
+				if err := pool.MulVecRanges(m, ranges, dst, x, acc, w); err != nil {
+					t.Fatal(err)
+				}
+				in := make([]bool, rows)
+				for i := 0; i < len(ranges); i += 2 {
+					for r := ranges[i]; r < ranges[i+1]; r++ {
+						in[r] = true
+					}
+				}
+				for r := range dst {
+					wantDst, wantAcc := -1.0, accInit[r]
+					if in[r] {
+						wantDst, wantAcc = want[r], accInit[r]+w*want[r]
+					}
+					if dst[r] != wantDst {
+						t.Fatalf("workers=%d ranges=%v w=%v: dst[%d] = %v, want %v", workers, ranges, w, r, dst[r], wantDst)
+					}
+					if acc != nil && acc[r] != wantAcc {
+						t.Fatalf("workers=%d ranges=%v w=%v: acc[%d] = %v, want %v", workers, ranges, w, r, acc[r], wantAcc)
+					}
+				}
+			}
+		}
+		pool.Close()
+	}
+}
+
+// TestMulVecRangesShapeErrors: malformed windows fail with ErrShape
+// before any row is computed.
+func TestMulVecRangesShapeErrors(t *testing.T) {
+	m := buildStressCSR(t, 100, 2)
+	x, dst := make([]float64, 100), make([]float64, 100)
+	pool := NewPool(2)
+	defer pool.Close()
+	for _, ranges := range [][]int32{
+		{0},            // odd bound count
+		{5, 5},         // empty range
+		{7, 3},         // inverted
+		{0, 101},       // past the last row
+		{-1, 4},        // before the first row
+		{0, 10, 5, 20}, // overlapping
+		{10, 20, 0, 5}, // descending
+	} {
+		if err := pool.MulVecRanges(m, ranges, dst, x, nil, 0); !errors.Is(err, ErrShape) {
+			t.Errorf("ranges %v: err = %v, want ErrShape", ranges, err)
+		}
+	}
+	if err := pool.MulVecRanges(m, []int32{0, 100}, dst, x, make([]float64, 99), 1); !errors.Is(err, ErrShape) {
+		t.Errorf("short acc: err = %v, want ErrShape", err)
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
 
 	"batlife/internal/check"
 )
@@ -124,12 +123,6 @@ type CSR struct {
 	rowPtr     []int32
 	colIdx     []int32
 	vals       []float64
-
-	// part caches the most recently computed nnz-balanced row partition
-	// (one entry suffices: a matrix is nearly always driven by one pool
-	// with a fixed worker count). Validate invalidates it, so hand-built
-	// matrices that mutate and re-validate get fresh chunk boundaries.
-	part atomic.Pointer[rowPartition]
 }
 
 // Validate performs a structural self-check: row-pointer monotonicity
@@ -139,10 +132,6 @@ type CSR struct {
 // debugchecks invariant layer (internal/check) and is cheap enough to
 // call directly in tests.
 func (m *CSR) Validate() error {
-	// Validation is the designated entry point after any out-of-band
-	// mutation of a hand-built matrix, so drop the cached row partition:
-	// its chunk boundaries were balanced for the old sparsity pattern.
-	m.part.Store(nil)
 	if len(m.rowPtr) != m.rows+1 {
 		return fmt.Errorf("sparse: rowPtr has %d entries for %d rows", len(m.rowPtr), m.rows)
 	}
@@ -259,7 +248,7 @@ func (m *CSR) Transpose() *CSR {
 }
 
 // MulVec computes dst = m·x (matrix times column vector). dst and x must
-// not alias. It runs serially; see ParallelMulVec for large matrices.
+// not alias. It runs serially; see Pool.MulVec for large matrices.
 //
 //numlint:hotpath
 func (m *CSR) MulVec(dst, x []float64) error {
@@ -417,72 +406,4 @@ func (m *CSR) mulMultiRows(dsts, xs [][]float64, lo, hi int) {
 	for k := range xs {
 		m.mulRows(dsts[k], xs[k], lo, hi)
 	}
-}
-
-// rowPartition is a precomputed nnz-balanced split of a matrix's rows
-// into chunks: bounds[i]..bounds[i+1] is chunk i. imbalance is the
-// heaviest chunk's weight relative to the ideal (total/chunks); 1.0 is
-// perfect balance.
-type rowPartition struct {
-	chunks    int
-	bounds    []int32
-	imbalance float64
-}
-
-// rowPartition returns the cached nnz-balanced partition of the rows
-// into at most `chunks` contiguous chunks, computing and caching it on
-// first use (or when the requested chunk count changes). Row weight is
-// nnz(row)+1 so empty-row regions still split, and a chunk never ends
-// mid-row, so every parallel product remains bit-identical to the
-// serial kernel. The greedy cut guarantees every chunk's weight is
-// below ideal + the heaviest single row.
-func (m *CSR) rowPartition(chunks int) *rowPartition {
-	if p := m.part.Load(); p != nil && p.chunks == chunks {
-		return p
-	}
-	p := computePartition(m.rowPtr, m.rows, chunks)
-	m.part.Store(p)
-	return p
-}
-
-// computePartition greedily cuts rows into nnz-balanced chunks.
-func computePartition(rowPtr []int32, rows, chunks int) *rowPartition {
-	if chunks < 1 {
-		chunks = 1
-	}
-	if chunks > rows {
-		chunks = rows
-	}
-	total := int64(rowPtr[rows]) + int64(rows) // Σ (nnz(r) + 1)
-	ideal := float64(total) / float64(chunks)
-	bounds := make([]int32, 1, chunks+1)
-	var acc, maxChunk int64
-	var cut int64 = 1 // cut after the chunk's weight reaches cut*ideal
-	for r := 0; r < rows; r++ {
-		acc += int64(rowPtr[r+1]-rowPtr[r]) + 1
-		// Cut as soon as the cumulative weight crosses the next ideal
-		// boundary, but leave enough rows for the remaining chunks.
-		if float64(acc) >= float64(cut)*ideal && len(bounds) < chunks && rows-r-1 >= chunks-len(bounds) {
-			bounds = append(bounds, int32(r+1))
-			cut++
-		}
-	}
-	bounds = append(bounds, int32(rows))
-	// Measure the realised balance.
-	for i := 0; i+1 < len(bounds); i++ {
-		w := chunkWeight(rowPtr, int(bounds[i]), int(bounds[i+1]))
-		if w > maxChunk {
-			maxChunk = w
-		}
-	}
-	imb := 1.0
-	if ideal > 0 {
-		imb = float64(maxChunk) / ideal
-	}
-	return &rowPartition{chunks: len(bounds) - 1, bounds: bounds, imbalance: imb}
-}
-
-// chunkWeight is the partition weight (nnz + row count) of rows [lo,hi).
-func chunkWeight(rowPtr []int32, lo, hi int) int64 {
-	return int64(rowPtr[hi]-rowPtr[lo]) + int64(hi-lo)
 }

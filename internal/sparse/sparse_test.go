@@ -207,8 +207,8 @@ func TestTransposeVecMulEquivalence(t *testing.T) {
 
 func TestParallelMulVecMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	// Above the serial cutoff (4096 rows) so the parallel path runs.
-	rows, cols := 5000, 300
+	// Above the serial cutoff (parallelMinWeight) so the parallel path runs.
+	rows, cols := 17000, 300
 	b := NewBuilder(rows, cols, rows*3)
 	for r := 0; r < rows; r++ {
 		for k := 0; k < 3; k++ {

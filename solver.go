@@ -73,7 +73,9 @@ type AnalysisOptions struct {
 	// ignored by ExactCDF, which needs no grid.
 	Delta float64
 	// Epsilon bounds the truncated Poisson tail mass of the transient
-	// solve; zero selects 1e-12.
+	// solve, and separately the probability mass its windowed iteration
+	// may drop: a CDF value is at most 2·Epsilon below the exact
+	// uniformisation value. Zero selects 1e-12.
 	Epsilon float64
 	// MaxIterations caps the number of uniformisation steps. A solve
 	// whose Fox–Glynn window needs more fails up front with an error
