@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race checks lint lint-flow fuzz gen-checks bench bench-gate bench-baseline bench-harness serve ci
+.PHONY: all build test race checks lint lint-flow fuzz gen-checks bench bench-harness serve ci
 
 all: build test lint
 
@@ -60,39 +60,11 @@ gen-checks:
 	$(GO) run ./tools/numlint -gen-checks
 
 ## bench: run every benchmark once (smoke); pass BENCHTIME for real runs.
-## The Solver benchmarks (cached reuse, parallel sweep) additionally land
-## in BENCH_solver.json, the telemetry overhead benchmark (instrumented
-## vs uninstrumented solves) in BENCH_obs.json, and the request-scoped
-## tracing overhead benchmark (disabled / enabled / traced-context warm
-## solves) in BENCH_trace.json, for machine comparison across commits.
-## The SpMV runtime benchmarks (persistent pool vs spawn-per-product,
-## fused and batched kernels) land in BENCH_spmv.json; BENCHCOUNT > 1
-## repeats each benchmark so the gate's min-of-N filters scheduler noise.
+## Work and allocation counts are gated by TestWorkCounts in `make test`;
+## timing claims go through `bash bench/run.sh -compare`.
 BENCHTIME ?= 1x
-BENCHCOUNT ?= 1
 bench:
 	$(GO) test -bench=. -benchtime=$(BENCHTIME) -run='^$$' ./...
-	$(GO) test -bench='BenchmarkSolverCachedReuse|BenchmarkSweepParallel' \
-		-benchtime=$(BENCHTIME) -run='^$$' -json . > BENCH_solver.json
-	$(GO) test -bench='^BenchmarkObsOverhead$$' \
-		-benchtime=$(BENCHTIME) -run='^$$' -json . > BENCH_obs.json
-	$(GO) test -bench='^BenchmarkTraceOverhead$$' \
-		-benchtime=$(BENCHTIME) -run='^$$' -json . > BENCH_trace.json
-	$(GO) test -bench='^BenchmarkUniformizedSpMV' -count=$(BENCHCOUNT) \
-		-benchtime=$(BENCHTIME) -run='^$$' -json ./internal/sparse > BENCH_spmv.json
-
-## bench-gate: fail if the SpMV benchmarks regressed against the
-## committed BENCH_BASELINE.json (tolerance lives in the baseline;
-## override per-run with `go run ./tools/benchgate -tolerance 0.2 ...`).
-## Run `make bench` first (or let this target's dependency do it).
-bench-gate: bench
-	$(GO) run ./tools/benchgate -baseline BENCH_BASELINE.json BENCH_spmv.json
-
-## bench-baseline: refresh the committed benchmark baseline from a fresh
-## measurement on this machine. Use real repetitions, then commit the
-## result: `make bench-baseline BENCHTIME=2s BENCHCOUNT=5`.
-bench-baseline: bench
-	$(GO) run ./tools/benchgate -baseline BENCH_BASELINE.json -write-baseline BENCH_spmv.json
 
 ## bench-harness: vet and test the end-to-end benchmark harness. bench/
 ## is a module of its own, so the ./... patterns above do not reach it,

@@ -16,8 +16,6 @@ import (
 //   - "warm-model": cached expanded CTMC, fresh transient solve — where
 //     the iteration counters and the ctmc.transient span amortise over
 //     thousands of SpMVs.
-//
-// `make bench` records this benchmark's output as BENCH_obs.json.
 func BenchmarkObsOverhead(b *testing.B) {
 	battery := Battery{CapacityAs: 7200, AvailableFraction: 0.625, FlowRate: 4.5e-5}
 	w, err := OnOffWorkload(1, 1, 0.96)

@@ -21,8 +21,6 @@ import (
 //   - "traced": live registry plus an inbound request span carried by
 //     the context, the shape every daemon request has — the solve span
 //     becomes a child and context propagation is exercised end to end.
-//
-// `make bench` records this benchmark's output as BENCH_trace.json.
 func BenchmarkTraceOverhead(b *testing.B) {
 	battery := Battery{CapacityAs: 7200, AvailableFraction: 0.625, FlowRate: 4.5e-5}
 	w, err := OnOffWorkload(1, 1, 0.96)

@@ -10,10 +10,10 @@ import (
 )
 
 // obsFlags registers the shared observability flags: -metrics-addr
-// serves live metrics (expvar-style JSON at /metrics and /debug/vars)
-// plus net/http/pprof while the command runs, and -trace-out writes the
-// solve spans as a JSON array on exit. Either flag enables telemetry;
-// with neither, recording is disabled entirely.
+// serves live metrics (OpenMetrics text at /metrics, expvar-style JSON
+// at /metrics.json) plus net/http/pprof while the command runs, and
+// -trace-out writes the solve spans as a JSON array on exit. Either
+// flag enables telemetry; with neither, recording is disabled entirely.
 type obsFlags struct {
 	metricsAddr *string
 	traceOut    *string

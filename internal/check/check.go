@@ -136,26 +136,33 @@ func GeneratorRows(site string, g Generator) {
 	if !Enabled {
 		return
 	}
-	for r := 0; r < g.Rows(); r++ {
-		sum, scale := 0.0, 1.0
-		bad := false
-		g.Row(r, func(col int, v float64) {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
+	// One visitor for every row: a closure per row would put its
+	// captured state on the heap once per row of the chain.
+	var (
+		r          int
+		sum, scale float64
+		bad        bool
+	)
+	visit := func(col int, v float64) {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			bad = true
+			return
+		}
+		if col == r {
+			if v > 0 {
 				bad = true
-				return
 			}
-			if col == r {
-				if v > 0 {
-					bad = true
-				}
-			} else if v < 0 {
-				bad = true
-			}
-			sum += v
-			if a := math.Abs(v); a > scale {
-				scale = a
-			}
-		})
+		} else if v < 0 {
+			bad = true
+		}
+		sum += v
+		if a := math.Abs(v); a > scale {
+			scale = a
+		}
+	}
+	for r = 0; r < g.Rows(); r++ {
+		sum, scale, bad = 0, 1, false
+		g.Row(r, visit)
 		if bad {
 			failf(site, "row %d has an invalid generator entry", r)
 		}

@@ -294,9 +294,10 @@ func absorbingCycle(t *testing.T) *Chain {
 }
 
 // TestTransientFusedMatchesUnfused: a single-time distribution solve
-// folds each iterate inside the product (MulVecAccum); a solve over the
-// same point twice takes the unfused product-then-fold path. The fused
-// kernel must not change a single bit of the answer.
+// folds each iterate inside the product (MulVecRanges with an
+// accumulator); a solve over the same point twice takes the unfused
+// product-then-fold path. The fused kernel must not change a single bit
+// of the answer.
 func TestTransientFusedMatchesUnfused(t *testing.T) {
 	c := absorbingCycle(t)
 	u, err := NewUniformized(c.Generator(), TransientOptions{})

@@ -411,25 +411,33 @@ func TestServeHandler(t *testing.T) {
 	srv := httptest.NewServer(Handler(reg))
 	defer srv.Close()
 
-	for _, path := range []string{"/metrics.json", "/debug/vars"} {
-		resp, err := srv.Client().Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != 200 {
-			t.Fatalf("%s: status %d", path, resp.StatusCode)
-		}
-		var snap map[string]any
-		if err := json.Unmarshal(body, &snap); err != nil {
-			t.Fatalf("%s: not JSON: %v", path, err)
-		}
-		counters, _ := snap["counters"].(map[string]any)
-		//numlint:ignore floatcmp JSON numbers decode to float64; 5 is exact
-		if counters["hits"] != float64(5) {
-			t.Errorf("%s: hits = %v, want 5", path, counters["hits"])
-		}
+	respJSON, err := srv.Client().Get(srv.URL + "/metrics.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(respJSON.Body)
+	respJSON.Body.Close()
+	if respJSON.StatusCode != 200 {
+		t.Fatalf("/metrics.json: status %d", respJSON.StatusCode)
+	}
+	var snap map[string]any
+	if err := json.Unmarshal(body, &snap); err != nil {
+		t.Fatalf("/metrics.json: not JSON: %v", err)
+	}
+	counters, _ := snap["counters"].(map[string]any)
+	//numlint:ignore floatcmp JSON numbers decode to float64; 5 is exact
+	if counters["hits"] != float64(5) {
+		t.Errorf("/metrics.json: hits = %v, want 5", counters["hits"])
+	}
+
+	// /metrics.json is the only JSON view; /debug/vars is not served.
+	respVars, err := srv.Client().Get(srv.URL + "/debug/vars")
+	if err != nil {
+		t.Fatal(err)
+	}
+	respVars.Body.Close()
+	if respVars.StatusCode != 404 {
+		t.Errorf("/debug/vars: status %d, want 404", respVars.StatusCode)
 	}
 
 	// /metrics now serves the Prometheus text exposition.

@@ -10,8 +10,8 @@ import (
 
 // Handler returns the HTTP handler behind Serve: Prometheus/OpenMetrics
 // text exposition at /metrics, the expvar-style metrics JSON at
-// /metrics.json and /debug/vars, per-trace span trees at /debug/traces
-// (?fmt=text for a waterfall), and the net/http/pprof suite under
+// /metrics.json, per-trace span trees at /debug/traces (?fmt=text for
+// a waterfall), and the net/http/pprof suite under
 // /debug/pprof/. Exposed separately so tests can drive it through
 // httptest without opening a socket, and so the service router can
 // mount the same endpoints.
@@ -23,8 +23,8 @@ func Handler(reg *Registry) http.Handler {
 
 // RegisterDebugRoutes mounts the observability endpoints on an existing
 // mux — the daemon router reuses this so /metrics, /metrics.json,
-// /debug/vars, /debug/traces and /debug/pprof/* behave identically on
-// the service port and the standalone metrics port.
+// /debug/traces and /debug/pprof/* behave identically on the service
+// port and the standalone metrics port.
 func RegisterDebugRoutes(mux *http.ServeMux, reg *Registry) {
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
@@ -32,14 +32,12 @@ func RegisterDebugRoutes(mux *http.ServeMux, reg *Registry) {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
-	metricsJSON := func(w http.ResponseWriter, _ *http.Request) {
+	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		if err := reg.WriteJSON(w); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
-	}
-	mux.HandleFunc("/metrics.json", metricsJSON)
-	mux.HandleFunc("/debug/vars", metricsJSON)
+	})
 	mux.Handle("/debug/traces", TracesHandler(reg))
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

@@ -14,11 +14,11 @@ import (
 
 // Routes returns the daemon's HTTP handler: the v1 API, health probes,
 // and — when the service has a telemetry registry — the Prometheus
-// /metrics exposition plus the /metrics.json, /debug/vars,
-// /debug/traces and /debug/pprof/ suite. The whole tree sits behind
-// obs.TraceMiddleware, so every request runs under an "http.request"
-// span that honours an inbound W3C traceparent header and echoes its
-// trace ID in the X-Batlife-Trace-Id response header.
+// /metrics exposition plus the /metrics.json, /debug/traces and
+// /debug/pprof/ suite. The whole tree sits behind obs.TraceMiddleware,
+// so every request runs under an "http.request" span that honours an
+// inbound W3C traceparent header and echoes its trace ID in the
+// X-Batlife-Trace-Id response header.
 func (s *Service) Routes() http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("POST /"+api.Version+"/solve", s.instrument("solve", http.HandlerFunc(s.handleSolve)))

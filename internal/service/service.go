@@ -64,7 +64,8 @@ type Config struct {
 	SweepWorkers int
 	// Obs, when non-nil, records service metrics (queue wait, inflight,
 	// per-endpoint latency, rejections, coalesced hits) and is mounted
-	// at /metrics, /debug/vars and /debug/pprof/ by Routes.
+	// at /metrics, /metrics.json, /debug/traces and /debug/pprof/ by
+	// Routes.
 	Obs *obs.Registry
 }
 

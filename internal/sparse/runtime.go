@@ -479,33 +479,15 @@ func (p *Pool) MulVec(m *CSR, dst, x []float64) error {
 	return nil
 }
 
-// MulVecAccum computes dst = m·x and, when w != 0, acc += w·dst in the
-// same pass over the matrix — the fused kernel of the uniformisation
-// inner loop, which otherwise pays a second sweep to fold each iterate
-// into its accumulator. dst, x and acc must not alias. The result is
-// bit-identical to MulVec followed by an element-wise acc[i] += w*dst[i]
-// loop.
-func (p *Pool) MulVecAccum(m *CSR, dst, x, acc []float64, w float64) error {
-	if len(x) != m.cols || len(dst) != m.rows || len(acc) != m.rows {
-		return fmt.Errorf("sparse: MulVecAccum %dx%d with |x|=%d |dst|=%d |acc|=%d: %w",
-			m.rows, m.cols, len(x), len(dst), len(acc), ErrShape)
-	}
-	p.m.SpMV.Add(1)
-	p.m.SpMVFused.Add(1)
-	all := [2]int32{0, int32(m.rows)}
-	p.product(kernel{op: opAccum, m: m, x: x, dst: dst, acc: acc, w: w}, all[:])
-	check.FiniteVec("sparse.Pool.MulVecAccum", dst)
-	return nil
-}
-
 // MulVecRanges computes dst[r] = m[r,:]·x for every row r of ranges and
 // leaves every other row of dst untouched. ranges lists ascending,
 // disjoint row intervals [lo, hi) flattened as lo0, hi0, lo1, hi1, … —
 // the active window of a uniformisation step. When acc is non-nil it
-// also folds acc[r] += w·dst[r] in the same pass, like MulVecAccum. The
-// product runs in parallel when the rows of ranges, not of the whole
-// matrix, carry enough work. dst, x and acc must not alias; every
-// computed row is bit-identical to MulVec's.
+// also folds acc[r] += w·dst[r] in the same pass, bit-identical to an
+// element-wise fold after the product. The product runs in parallel
+// when the rows of ranges, not of the whole matrix, carry enough work.
+// dst, x and acc must not alias; every computed row is bit-identical to
+// MulVec's.
 func (p *Pool) MulVecRanges(m *CSR, ranges []int32, dst, x, acc []float64, w float64) error {
 	if len(x) != m.cols || len(dst) != m.rows || (acc != nil && len(acc) != m.rows) {
 		return fmt.Errorf("sparse: MulVecRanges %dx%d with |x|=%d |dst|=%d |acc|=%d: %w",

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -182,10 +183,11 @@ func TestDefaultPoolShared(t *testing.T) {
 	}
 }
 
-// TestMulVecAccumMatchesUnfused checks the fused kernel against its
-// definition — MulVec then acc[i] += w·dst[i] — for the serial and the
-// parallel paths, bit for bit, including the w = 0 accumulate skip.
-func TestMulVecAccumMatchesUnfused(t *testing.T) {
+// TestMulVecRangesFoldMatchesUnfused checks the fused fold of
+// MulVecRanges over all rows against its definition — MulVec then
+// acc[i] += w·dst[i] — on a serial and a parallel pool, bit for bit,
+// including the w = 0 accumulate skip.
+func TestMulVecRangesFoldMatchesUnfused(t *testing.T) {
 	const rows = 13200
 	m := buildStressCSR(t, rows, 5)
 	x := make([]float64, rows)
@@ -223,14 +225,13 @@ func TestMulVecAccumMatchesUnfused(t *testing.T) {
 				}
 			}
 		}
-		check("serial", func(dst, acc []float64) error {
-			return m.MulVecAccum(dst, x, acc, w)
-		})
-		pool := NewPool(4)
-		defer pool.Close()
-		check("parallel", func(dst, acc []float64) error {
-			return pool.MulVecAccum(m, dst, x, acc, w)
-		})
+		for _, workers := range []int{1, 4} {
+			pool := NewPool(workers)
+			check(fmt.Sprintf("workers=%d", workers), func(dst, acc []float64) error {
+				return pool.MulVecRanges(m, []int32{0, rows}, dst, x, acc, w)
+			})
+			pool.Close()
+		}
 	}
 }
 
@@ -331,9 +332,10 @@ func TestPoolMulVecMultiConcurrent(t *testing.T) {
 			}
 			dst := make([]float64, rows)
 			acc := make([]float64, rows)
+			all := []int32{0, rows}
 			for it := 0; it < 20; it++ {
-				if err := pool.MulVecAccum(m, dst, x, acc, 0); err != nil {
-					t.Errorf("MulVecAccum: %v", err)
+				if err := pool.MulVecRanges(m, all, dst, x, acc, 0); err != nil {
+					t.Errorf("MulVecRanges: %v", err)
 					return
 				}
 				for i := range dst {
@@ -361,13 +363,13 @@ func TestKernelShapeErrors(t *testing.T) {
 	defer pool.Close()
 	good := make([]float64, 4)
 	bad := make([]float64, 3)
+	all := []int32{0, 4}
 	cases := []struct {
 		name string
 		err  error
 	}{
-		{"serial accum dst", m.MulVecAccum(bad, good, good, 1)},
-		{"serial accum acc", m.MulVecAccum(good, good, bad, 1)},
-		{"pool accum x", pool.MulVecAccum(m, good, bad, good, 1)},
+		{"pool accum dst", pool.MulVecRanges(m, all, bad, good, good, 1)},
+		{"pool accum x", pool.MulVecRanges(m, all, good, bad, good, 1)},
 		{"serial multi ragged", m.MulVecMulti([][]float64{good}, [][]float64{bad})},
 		{"serial multi arity", m.MulVecMulti([][]float64{good, good}, [][]float64{good})},
 		{"pool multi ragged", pool.MulVecMulti(m, [][]float64{good}, [][]float64{bad})},
@@ -486,9 +488,8 @@ func TestRowPartitionProperties(t *testing.T) {
 	}
 }
 
-// TestFusedKernelsZeroAlloc backs the //numlint:hotpath annotations on
-// the new serial kernels: MulVecAccum and MulVecMulti must not allocate
-// per call — they run once per uniformisation step.
+// TestFusedKernelsZeroAlloc backs the //numlint:hotpath annotation on
+// the serial batched kernel: MulVecMulti must not allocate per call.
 func TestFusedKernelsZeroAlloc(t *testing.T) {
 	b := NewBuilder(64, 64, 0)
 	for i := 0; i < 64; i++ {
@@ -500,17 +501,12 @@ func TestFusedKernelsZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := make([]float64, 64)
-	dst := make([]float64, 64)
-	acc := make([]float64, 64)
 	for i := range x {
 		x[i] = float64(i%5) + 0.25
 	}
 	dsts := [][]float64{make([]float64, 64), make([]float64, 64)}
 	xs := [][]float64{x, x}
 	allocs := testing.AllocsPerRun(200, func() {
-		if err := m.MulVecAccum(dst, x, acc, 0.5); err != nil {
-			t.Fatal(err)
-		}
 		if err := m.MulVecMulti(dsts, xs); err != nil {
 			t.Fatal(err)
 		}
@@ -521,9 +517,9 @@ func TestFusedKernelsZeroAlloc(t *testing.T) {
 }
 
 // TestPoolZeroAllocParallel pins the reusable dispatch record: once a
-// pool has run one product, parallel products — full, fused, windowed,
-// with and without pool metrics — allocate nothing. Before, every
-// parallel product heap-allocated its job and WaitGroup.
+// pool has run one product, products — full, windowed, fused, with and
+// without pool metrics, on 1 to 8 workers — allocate nothing. Before,
+// every parallel product heap-allocated its job and WaitGroup.
 func TestPoolZeroAllocParallel(t *testing.T) {
 	const rows = 16000
 	m := buildStressCSR(t, rows, 4)
@@ -534,36 +530,35 @@ func TestPoolZeroAllocParallel(t *testing.T) {
 	dst := make([]float64, rows)
 	acc := make([]float64, rows)
 	window := []int32{0, 9000, 9500, rows}
-	for _, reg := range []*obs.Registry{nil, obs.NewRegistry()} {
-		pool := NewPoolObs(2, reg)
-		allocs := testing.AllocsPerRun(100, func() {
-			if err := pool.MulVec(m, dst, x); err != nil {
-				t.Fatal(err)
+	for _, workers := range []int{1, 2, 4, 8} {
+		for _, reg := range []*obs.Registry{nil, obs.NewRegistry()} {
+			pool := NewPoolObs(workers, reg)
+			allocs := testing.AllocsPerRun(100, func() {
+				if err := pool.MulVec(m, dst, x); err != nil {
+					t.Fatal(err)
+				}
+				if err := pool.MulVecRanges(m, window, dst, x, nil, 0); err != nil {
+					t.Fatal(err)
+				}
+				if err := pool.MulVecRanges(m, window, dst, x, acc, 0.25); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if reg != nil && workers > 1 {
+				if n := reg.Counter("sparse_pool_spmv_parallel_total").Value(); n == 0 {
+					t.Errorf("workers=%d: no product took the parallel path", workers)
+				}
 			}
-			if err := pool.MulVecAccum(m, dst, x, acc, 0.5); err != nil {
-				t.Fatal(err)
+			pool.Close()
+			if allocs != 0 {
+				t.Errorf("workers=%d metrics=%v: products allocate %v per run, want 0", workers, reg != nil, allocs)
 			}
-			if err := pool.MulVecRanges(m, window, dst, x, nil, 0); err != nil {
-				t.Fatal(err)
-			}
-			if err := pool.MulVecRanges(m, window, dst, x, acc, 0.25); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if reg != nil {
-			if n := reg.Counter("sparse_pool_spmv_parallel_total").Value(); n == 0 {
-				t.Error("no product took the parallel path")
-			}
-		}
-		pool.Close()
-		if allocs != 0 {
-			t.Errorf("metrics=%v: parallel products allocate %v per run, want 0", reg != nil, allocs)
 		}
 	}
 }
 
 // TestMulVecRangesMatchesMulVec: a windowed product computes exactly
-// MulVec's rows (and MulVecAccum's fold) on the rows of its ranges and
+// MulVec's rows (and their fold into acc) on the rows of its ranges and
 // leaves every other row untouched, serially and in parallel, for
 // windows from a single row to the whole matrix.
 func TestMulVecRangesMatchesMulVec(t *testing.T) {

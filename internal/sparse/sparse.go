@@ -310,24 +310,6 @@ func (m *CSR) Dense() [][]float64 {
 	return d
 }
 
-// MulVecAccum computes dst = m·x and, when w != 0, acc[r] += w·dst[r]
-// in the same pass — the serial fused kernel behind Pool.MulVecAccum.
-// dst, x and acc must not alias. Bit-identical to MulVec followed by an
-// element-wise accumulate: each element sees the same multiply-add in
-// the same order.
-//
-//numlint:hotpath
-func (m *CSR) MulVecAccum(dst, x, acc []float64, w float64) error {
-	if len(x) != m.cols || len(dst) != m.rows || len(acc) != m.rows {
-		//numlint:ignore hotalloc cold shape-error path, never taken per SpMV iteration
-		return fmt.Errorf("sparse: MulVecAccum %dx%d with |x|=%d |dst|=%d |acc|=%d: %w",
-			m.rows, m.cols, len(x), len(dst), len(acc), ErrShape)
-	}
-	m.mulAccumRows(dst, x, acc, w, 0, m.rows)
-	check.FiniteVec("sparse.CSR.MulVecAccum", dst)
-	return nil
-}
-
 // MulVecMulti computes dsts[k] = m·xs[k] for every right-hand side in a
 // single traversal of the matrix — the serial batched kernel behind
 // Pool.MulVecMulti. Row data (column indices and values) is loaded once
