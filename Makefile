@@ -47,12 +47,14 @@ lint-flow:
 	$(GO) run ./tools/numlint -baseline .numlint-baseline.json ./...
 
 ## fuzz: short fuzzing smoke over the directive, contract-grammar, and
-## traceparent parsers; raise FUZZTIME for a real session.
+## traceparent parsers and the banded-against-CSR product check; raise
+## FUZZTIME for a real session.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz='^FuzzParseDirective$$' -fuzztime=$(FUZZTIME) -run='^$$' ./tools/numlint
 	$(GO) test -fuzz='^FuzzParseContract$$' -fuzztime=$(FUZZTIME) -run='^$$' ./tools/numlint/internal/summary
 	$(GO) test -fuzz='^FuzzParseTraceparent$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/obs
+	$(GO) test -fuzz='^FuzzBandedMatchesCSR$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/sparse
 
 ## gen-checks: regenerate the runtime contract shims from //numlint:
 ## requires/ensures directives (see docs/STATIC_ANALYSIS.md).

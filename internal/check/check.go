@@ -39,8 +39,8 @@ type Generator interface {
 	Row(r int, fn func(col int, v float64))
 }
 
-// Validator is anything with a structural self-check; *sparse.CSR
-// satisfies it.
+// Validator is anything with a structural self-check; *sparse.CSR and
+// *sparse.Banded satisfy it.
 type Validator interface {
 	Validate() error
 }
@@ -172,7 +172,8 @@ func GeneratorRows(site string, g Generator) {
 	}
 }
 
-// CSRWellFormed asserts the matrix passes its structural self-check.
+// CSRWellFormed asserts the matrix (CSR or banded) passes its
+// structural self-check.
 func CSRWellFormed(site string, m Validator) {
 	if !Enabled {
 		return

@@ -1,0 +1,248 @@
+package ctmc_test
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"batlife/internal/core"
+	"batlife/internal/ctmc"
+	"batlife/internal/kibam"
+	"batlife/internal/mrm"
+	"batlife/internal/obs"
+	"batlife/internal/sparse"
+	"batlife/internal/units"
+	"batlife/internal/workload"
+)
+
+// layoutModel is one expanded chain of the layout comparison.
+type layoutModel struct {
+	name  string
+	bands int // Pᵀ's band count
+	x     *core.Expanded
+	alpha []float64
+	times []float64
+}
+
+// paperModels expands the paper's Fig. 7–11 models, the harvesting
+// example's charging model and a Fig. 8 model with empty-battery
+// recovery, at step sizes small enough for a unit test.
+func paperModels(t *testing.T) []layoutModel {
+	t.Helper()
+	fromWorkload := func(m *workload.Model, err error) mrm.KiBaMRM {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mrm.KiBaMRM{Workload: m.Chain, Currents: m.Currents, Initial: m.Initial}
+	}
+	withBattery := func(m mrm.KiBaMRM, capacityAs, c, k float64) mrm.KiBaMRM {
+		m.Battery = kibam.Params{Capacity: capacityAs, C: c, K: k}
+		return m
+	}
+	onOff := fromWorkload(workload.OnOff(1, 1, units.Amperes(0.96)))
+	erlang4 := fromWorkload(workload.OnOff(1, 4, units.Amperes(0.96)))
+	simple := fromWorkload(workload.Simple(workload.SimpleConfig{}))
+	burst := fromWorkload(workload.Burst(workload.BurstConfig{}))
+	mah := func(v float64) float64 { return units.MilliampHours(v).AmpereSeconds() }
+	hours := []float64{5 * 3600, 15 * 3600}
+
+	models := []struct {
+		name  string
+		bands int
+		m     mrm.KiBaMRM
+		delta float64
+		opts  core.Options
+		times []float64
+	}{
+		{"fig7", 4, withBattery(onOff, 7200, 1, 0), 100, core.Options{}, []float64{1500, 3000}},
+		{"fig8", 5, withBattery(onOff, 7200, 0.625, 4.5e-5), 100, core.Options{}, []float64{1500, 3000}},
+		{"fig9-erlang4", 5, withBattery(erlang4, 7200, 0.625, 4.5e-5), 150, core.Options{}, []float64{1000}},
+		{"fig10", 6, withBattery(simple, mah(800), 0.625, 4.5e-5), mah(20), core.Options{}, hours},
+		{"fig11", 8, withBattery(burst, mah(800), 0.625, 4.5e-5), mah(20), core.Options{}, hours},
+		{"harvesting", 8, withBattery(gateway(t), mah(3000), 0.625, 4.5e-5), 270, core.Options{}, hours},
+		{"empty-recovery", 5, withBattery(onOff, 7200, 0.625, 4.5e-5), 100, core.Options{AllowEmptyRecovery: true}, []float64{1500, 3000}},
+	}
+	out := make([]layoutModel, len(models))
+	for i, m := range models {
+		x, err := core.Build(m.m, m.delta, m.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", m.name, err)
+		}
+		// Start full, as core does: workload state i at levels
+		// (n1−2, n2−2) is state (j1·n2 + j2)·n + i.
+		n1, n2 := x.Levels()
+		n := len(m.m.Initial)
+		j2 := max(n2-2, 0)
+		alpha := make([]float64, x.NumStates())
+		copy(alpha[((n1-2)*n2+j2)*n:], m.m.Initial)
+		out[i] = layoutModel{name: m.name, bands: m.bands, x: x, alpha: alpha, times: m.times}
+	}
+	return out
+}
+
+// gateway is the harvesting example's four-state sun/cloud workload
+// with a 0.1 A panel: its sunny states charge the battery.
+func gateway(t *testing.T) mrm.KiBaMRM {
+	t.Helper()
+	var b ctmc.Builder
+	const relayEnd, relayStart, sky = 1.0 / (20 * 60), 1.0 / (40 * 60), 1.0 / (90 * 60)
+	b.Transition("relay/sun", "standby/sun", relayEnd)
+	b.Transition("relay/cloud", "standby/cloud", relayEnd)
+	b.Transition("standby/sun", "relay/sun", relayStart)
+	b.Transition("standby/cloud", "relay/cloud", relayStart)
+	for _, mode := range []string{"relay", "standby"} {
+		b.Transition(mode+"/sun", mode+"/cloud", sky)
+		b.Transition(mode+"/cloud", mode+"/sun", sky)
+	}
+	c, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	currents := make([]float64, c.NumStates())
+	for name, a := range map[string]float64{"relay/sun": 0.05, "relay/cloud": 0.15, "standby/sun": -0.08, "standby/cloud": 0.02} {
+		currents[c.Index(name)] = a
+	}
+	return mrm.KiBaMRM{Workload: c, Currents: currents, Initial: c.PointDistribution(c.Index("standby/cloud")), AllowCharging: true}
+}
+
+// sameResult fails unless the two results agree bit for bit in every
+// answer and in the work and trimming they report.
+func sameResult(t *testing.T, label string, banded, csr *ctmc.Result) {
+	t.Helper()
+	if banded.Iterations != csr.Iterations || banded.SpMVs != csr.SpMVs || banded.WindowRows != csr.WindowRows ||
+		math.Float64bits(banded.DroppedMass) != math.Float64bits(csr.DroppedMass) {
+		t.Fatalf("%s: banded iterations/SpMVs/rows/dropped %d/%d/%d/%v, CSR %d/%d/%d/%v", label,
+			banded.Iterations, banded.SpMVs, banded.WindowRows, banded.DroppedMass,
+			csr.Iterations, csr.SpMVs, csr.WindowRows, csr.DroppedMass)
+	}
+	for k := range banded.Values {
+		if math.Float64bits(banded.Values[k]) != math.Float64bits(csr.Values[k]) {
+			t.Fatalf("%s: value %d banded %v, CSR %v", label, k, banded.Values[k], csr.Values[k])
+		}
+	}
+	for k := range banded.Distributions {
+		for i := range banded.Distributions[k] {
+			if math.Float64bits(banded.Distributions[k][i]) != math.Float64bits(csr.Distributions[k][i]) {
+				t.Fatalf("%s: π(t%d)[%d] banded %v, CSR %v", label, k, i, banded.Distributions[k][i], csr.Distributions[k][i])
+			}
+		}
+	}
+	if len(banded.Values) != len(csr.Values) || len(banded.Distributions) != len(csr.Distributions) {
+		t.Fatalf("%s: result shapes differ", label)
+	}
+}
+
+// TestBandedOperatorMatchesCSR solves the paper's models with Pᵀ as
+// bands and as CSR: functionals over several time points, a fused
+// single-point distribution solve, and a multi-point distribution solve
+// must agree bit for bit, along with iterations, SpMVs, window rows and
+// dropped mass. Each expanded model has at most 8 offsets, so the
+// default operator is banded.
+func TestBandedOperatorMatchesCSR(t *testing.T) {
+	for _, m := range paperModels(t) {
+		t.Run(m.name, func(t *testing.T) {
+			gen := m.x.Generator()
+			banded, err := ctmc.NewUniformized(gen, ctmc.TransientOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if banded.Bands() != m.bands {
+				t.Fatalf("Pᵀ has %d bands, want %d", banded.Bands(), m.bands)
+			}
+			csr, err := ctmc.NewUniformizedCSR(gen, ctmc.TransientOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if csr.Bands() != 0 {
+				t.Fatalf("CSR operator reports %d bands", csr.Bands())
+			}
+			alpha := m.alpha
+			rng := rand.New(rand.NewSource(9))
+			w := make([]float64, len(alpha))
+			for i := range w {
+				if rng.Intn(3) == 0 {
+					w[i] = rng.Float64()
+				}
+			}
+			for _, tc := range []struct {
+				name  string
+				w     []float64
+				times []float64
+			}{
+				{"functional", w, m.times},
+				{"fused distribution", nil, m.times[:1]},
+				{"distributions", nil, m.times},
+			} {
+				solve := func(u *ctmc.Uniformized) *ctmc.Result {
+					res, err := u.Transient(alpha, tc.w, tc.times, ctmc.TransientOptions{Workers: 1})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return res
+				}
+				sameResult(t, tc.name, solve(banded), solve(csr))
+			}
+		})
+	}
+}
+
+// TestBandedParallelMatchesCSR runs a birth-death chain large enough
+// for the pool's parallel path through both layouts on a two-worker
+// pool: the chunked banded products must match the CSR ones bit for
+// bit.
+func TestBandedParallelMatchesCSR(t *testing.T) {
+	const n = 30000
+	var b ctmc.Builder
+	name := func(i int) string { return fmt.Sprint(i) }
+	for i := 0; i+1 < n; i++ {
+		b.Transition(name(i), name(i+1), 1+float64(i%7)/10)
+		b.Transition(name(i+1), name(i), 0.5+float64(i%5)/10)
+	}
+	c, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	alpha := make([]float64, n)
+	for i := range alpha {
+		alpha[i] = 1 / float64(n)
+	}
+	w := make([]float64, n)
+	for i := range w {
+		w[i] = float64(i % 3)
+	}
+	banded, err := ctmc.NewUniformized(c.Generator(), ctmc.TransientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if banded.Bands() != 3 {
+		t.Fatalf("birth-death Pᵀ has %d bands, want 3", banded.Bands())
+	}
+	csr, err := ctmc.NewUniformizedCSR(c.Generator(), ctmc.TransientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	pool := sparse.NewPoolObs(2, reg)
+	defer pool.Close()
+	solve := func(u *ctmc.Uniformized) *ctmc.Result {
+		res, err := u.Transient(alpha, w, []float64{1, 4}, ctmc.TransientOptions{Pool: pool, Obs: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	sameResult(t, "birth-death", solve(banded), solve(csr))
+	if reg.Counter("sparse_pool_spmv_parallel_total").Value() == 0 {
+		t.Error("no product took the pool's parallel path")
+	}
+	var bands []string
+	for _, s := range reg.Tracer().Spans() {
+		if s.Name == "ctmc.transient" {
+			bands = append(bands, s.Attrs["bands"])
+		}
+	}
+	if len(bands) != 2 || bands[0] != "3" || bands[1] != "0" {
+		t.Errorf("ctmc.transient spans have bands %q, want [3 0]", bands)
+	}
+}

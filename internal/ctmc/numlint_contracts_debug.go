@@ -24,6 +24,13 @@ func numlintContract_Chain_UniformDistribution_ensures(ret0 []float64) {
 	}
 }
 
+// numlintContract_uniformizedBands re-checks the requires contract of uniformizedBands at runtime.
+//
+//numlint:asserts positive(q)
+func numlintContract_uniformizedBands(q float64) {
+	check.Positive("ctmc.uniformizedBands requires positive(q)", q)
+}
+
 // numlintContract_uniformizedTransposed re-checks the requires contract of uniformizedTransposed at runtime.
 //
 //numlint:asserts positive(q)

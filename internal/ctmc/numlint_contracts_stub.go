@@ -20,6 +20,12 @@ func numlintContract_Chain_PointDistribution_ensures(ret0 []float64) {
 func numlintContract_Chain_UniformDistribution_ensures(ret0 []float64) {
 }
 
+// numlintContract_uniformizedBands re-checks the requires contract of uniformizedBands at runtime.
+//
+//numlint:asserts positive(q)
+func numlintContract_uniformizedBands(q float64) {
+}
+
 // numlintContract_uniformizedTransposed re-checks the requires contract of uniformizedTransposed at runtime.
 //
 //numlint:asserts positive(q)

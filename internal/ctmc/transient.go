@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -131,21 +132,36 @@ type Result struct {
 
 // Uniformized is a reusable uniformisation operator for one generator:
 // the uniformisation constant q, the transposed probabilistic matrix
-// Pᵀ = (I + Q/q)ᵀ, and a cache of Fox–Glynn weight tables keyed on
-// (q·t, ε). Building Pᵀ costs a full transpose-and-scale pass over the
-// generator, so callers issuing many transient queries against the same
-// chain should construct the operator once and call Transient
-// repeatedly. A Uniformized is immutable apart from the internally
-// synchronised weight cache and is safe for concurrent use.
+// Pᵀ = (I + Q/q)ᵀ, and a cache of the most recent Fox–Glynn weight
+// tables keyed on (q·t, ε). Building Pᵀ costs a full transpose-and-scale
+// pass over the generator, so callers issuing many transient queries
+// against the same chain should construct the operator once and call
+// Transient repeatedly. A Uniformized is immutable apart from the
+// internally synchronised weight cache and is safe for concurrent use.
 type Uniformized struct {
-	gen    *sparse.CSR
-	q      float64
-	pt     *sparse.CSR // nil when q == 0 (no transitions anywhere)
-	shifts []int       // Pᵀ's index offset ranges (see shiftRanges)
+	gen *sparse.CSR
+	q   float64
+	// pt is Pᵀ: a *sparse.Banded when it has at most sparse.MaxBands
+	// distinct index offsets (every expanded battery chain), a
+	// *sparse.CSR otherwise; nil when q == 0 (no transitions anywhere).
+	pt     sparse.Operator
+	bands  int   // pt's band count, 0 for a CSR
+	shifts []int // Pᵀ's index offset ranges (see shiftRanges)
 
 	mu      sync.RWMutex
 	weights map[weightKey]*foxglynn.Weights
+	// order is the ring of cached keys in insertion order; once the
+	// cache is full, order[next] is the oldest.
+	order [maxWeightTables]weightKey
+	next  int
 }
+
+// maxWeightTables caps the Fox–Glynn tables one operator keeps; past it
+// the oldest is dropped. A table holds one weight per Poisson term
+// (about 25k on Fig. 8 at t = 20,000 s), so an unbounded cache on a
+// long-lived model grows with every new time point a client asks for.
+// One request's grid rarely needs more than a dozen tables.
+const maxWeightTables = 64
 
 // weightKey identifies one Fox–Glynn table by the exact bit patterns of
 // its Poisson rate q·t and truncation epsilon.
@@ -168,12 +184,19 @@ func NewUniformized(gen *sparse.CSR, opts TransientOptions) (*Uniformized, error
 		weights: make(map[weightKey]*foxglynn.Weights),
 	}
 	if q > 0 {
+		bands, err := uniformizedBands(gen, q)
+		if err != nil {
+			return nil, err
+		}
+		if bands != nil {
+			u.pt, u.bands, u.shifts = bands, bands.Bands(), bandShifts(bands.Offsets())
+			return u, nil
+		}
 		pt, err := uniformizedTransposed(gen, q)
 		if err != nil {
 			return nil, err
 		}
-		u.pt = pt
-		u.shifts = shiftRanges(pt)
+		u.pt, u.shifts = pt, shiftRanges(pt)
 	}
 	return u, nil
 }
@@ -185,7 +208,8 @@ func (u *Uniformized) Rate() float64 { return u.q }
 func (u *Uniformized) NumStates() int { return u.gen.Rows() }
 
 // weightsFor returns the Fox–Glynn table for time t and truncation eps,
-// computing and caching it on first use.
+// computing and caching it on first use. Past maxWeightTables the
+// oldest table is dropped; a recomputed table is identical.
 func (u *Uniformized) weightsFor(t, eps float64) (*foxglynn.Weights, error) {
 	key := weightKey{qt: math.Float64bits(u.q * t), eps: math.Float64bits(eps)}
 	u.mu.RLock()
@@ -199,8 +223,16 @@ func (u *Uniformized) weightsFor(t, eps float64) (*foxglynn.Weights, error) {
 		return nil, err
 	}
 	u.mu.Lock()
+	defer u.mu.Unlock()
+	if cached, ok := u.weights[key]; ok {
+		return cached, nil // a concurrent solve computed it first
+	}
+	if len(u.weights) == maxWeightTables {
+		delete(u.weights, u.order[u.next])
+	}
 	u.weights[key] = fw
-	u.mu.Unlock()
+	u.order[u.next] = key
+	u.next = (u.next + 1) % maxWeightTables
 	return fw, nil
 }
 
@@ -275,7 +307,8 @@ func (u *Uniformized) Transient(alpha, w, times []float64, opts TransientOptions
 	}
 	_, span := obs.StartSpan(opts.Context, reg, "ctmc.transient",
 		obs.Int("states", int64(u.gen.Rows())),
-		obs.Int("time_points", int64(len(times))))
+		obs.Int("time_points", int64(len(times))),
+		obs.Int("bands", int64(u.bands)))
 	res, err := u.transient(alpha, w, times, opts)
 	if err != nil {
 		reg.Counter("ctmc_solve_errors_total").Inc()
@@ -547,6 +580,62 @@ func frozenResult(res *Result, alpha, w, times []float64) *Result {
 		res.Values[k] = s
 	}
 	return res
+}
+
+// uniformizedBands returns (I + Q/q) transposed as diagonal bands, in
+// one pass over the generator for its offsets and one for its values,
+// or nil when Pᵀ has more than sparse.MaxBands distinct offsets. The
+// diagonal band is always present. Every value is computed exactly as
+// uniformizedTransposed computes it, so the two layouts hold the same
+// bits.
+//
+//numlint:requires positive(q)
+func uniformizedBands(gen *sparse.CSR, q float64) (*sparse.Banded, error) {
+	numlintContract_uniformizedBands(q)
+	n := gen.Rows()
+	// Generator entry (i, j) is entry (j, i) of Pᵀ: offset i − j.
+	offs := make([]int, 1, sparse.MaxBands)
+	fits := true
+	for i := 0; i < n && fits; i++ {
+		gen.Row(i, func(j int, _ float64) {
+			k, ok := slices.BinarySearch(offs, i-j)
+			switch {
+			case ok:
+			case len(offs) == sparse.MaxBands:
+				fits = false
+			default:
+				offs = slices.Insert(offs, k, i-j)
+			}
+		})
+	}
+	if !fits {
+		return nil, nil
+	}
+	buf := make([]float64, len(offs)*n)
+	vals := make([][]float64, len(offs))
+	for k := range vals {
+		vals[k] = buf[k*n : (k+1)*n : (k+1)*n]
+	}
+	d, _ := slices.BinarySearch(offs, 0)
+	diag := vals[d]
+	for i := range diag {
+		diag[i] = 1
+	}
+	for i := 0; i < n; i++ {
+		gen.Row(i, func(j int, v float64) {
+			if j == i {
+				diag[i] = 1 + v/q
+				return
+			}
+			k, _ := slices.BinarySearch(offs, i-j)
+			vals[k][j] = v / q
+		})
+	}
+	pt, err := sparse.NewBanded(n, offs, vals)
+	if err != nil {
+		return nil, fmt.Errorf("ctmc: build uniformised bands: %w", err)
+	}
+	return pt, nil
 }
 
 // uniformizedTransposed returns (I + Q/q) transposed, in CSR form.

@@ -43,6 +43,16 @@ func shiftRanges(pt *sparse.CSR) []int {
 	return rs
 }
 
+// bandShifts returns the window shift ranges of a banded Pᵀ: its band
+// offsets c − r, negated and coalesced as shiftRanges coalesces them.
+func bandShifts(offsets []int) []int {
+	rs := addShift(make([]int, 0, 2*maxShiftRanges+2), 0)
+	for _, o := range offsets {
+		rs = addShift(rs, -o)
+	}
+	return rs
+}
+
 // addShift adds offset d to the sorted ranges rs, coalescing touching
 // ranges and, past maxShiftRanges, merging the two neighbours with the
 // smallest gap.

@@ -175,7 +175,7 @@ func TestWindowManyOffsets(t *testing.T) {
 	}
 	distinct := map[int]bool{}
 	for r := 0; r < n; r++ {
-		u.pt.Row(r, func(col int, _ float64) {
+		u.pt.(*sparse.CSR).Row(r, func(col int, _ float64) {
 			d := r - col
 			distinct[d] = true
 			for i := 0; i < len(u.shifts); i += 2 {

@@ -3,6 +3,7 @@ package sparse
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -125,21 +126,26 @@ func TestPoolMulVecConcurrentPools(t *testing.T) {
 }
 
 // TestPoolMulVecRangesConcurrent drives one pool from several goroutines
-// with different windowed products at once, so dispatch records are
-// reused across products and callers while stale worker announcements
-// are still in flight. Every result must match the serial kernel; run
-// with -race to certify the generation-tagged job reuse.
+// with different windowed products at once, on a CSR and on a banded
+// operator, so dispatch records are reused across products, layouts and
+// callers while stale worker announcements are still in flight. Every
+// result must match the serial CSR kernel; run with -race to certify the
+// generation-tagged job reuse.
 func TestPoolMulVecRangesConcurrent(t *testing.T) {
 	const rows = 16000
 	m := buildStressCSR(t, rows, 4)
+	bm, bc := bandedPair(t, rand.New(rand.NewSource(8)), rows, fig8Offsets)
 	pool := NewPool(3)
 	defer pool.Close()
 	x := make([]float64, rows)
 	for i := range x {
 		x[i] = math.Sin(float64(i) / 5)
 	}
-	want := make([]float64, rows)
+	want, wantBanded := make([]float64, rows), make([]float64, rows)
 	if err := m.MulVec(want, x); err != nil {
+		t.Fatal(err)
+	}
+	if err := bc.MulVec(wantBanded, x); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -147,6 +153,11 @@ func TestPoolMulVecRangesConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			var m Operator = m
+			want := want
+			if g%2 == 1 {
+				m, want = bm, wantBanded
+			}
 			lo := int32(g * 1000)
 			ranges := []int32{lo, lo + 9000, lo + 9100, rows}
 			dst := make([]float64, rows)

@@ -196,10 +196,23 @@ const (
 	opMulti
 )
 
+// Operator is a matrix the pool's row-range products accept: a *CSR or
+// a *Banded. Its row-range kernels are unexported, so no other type
+// satisfies it.
+type Operator interface {
+	Rows() int
+	Cols() int
+	mulRows(dst, x []float64, lo, hi int)
+	mulAccumRows(dst, x, acc []float64, w float64, lo, hi int)
+	// weight is the partition weight of rows [lo, hi), about the work
+	// of computing them.
+	weight(lo, hi int32) int64
+}
+
 // kernel describes what one product computes on each row range.
 type kernel struct {
 	op     uint8
-	m      *CSR
+	m      Operator // a *CSR for opMulti
 	x, dst []float64
 	acc    []float64 // opAccum
 	w      float64   // opAccum
@@ -215,7 +228,7 @@ func (k *kernel) rows(lo, hi int) {
 	case opAccum:
 		k.m.mulAccumRows(k.dst, k.x, k.acc, k.w, lo, hi)
 	case opMulti:
-		k.m.mulMultiRows(k.dsts, k.xs, lo, hi)
+		k.m.(*CSR).mulMultiRows(k.dsts, k.xs, lo, hi)
 	}
 }
 
@@ -302,13 +315,12 @@ func (j *spmvJob) observeWait(m *PoolMetrics) {
 }
 
 // partition splits ranges into at most chunks pieces lists of near-equal
-// weight (nnz + rows), cutting inside a range where a boundary falls,
-// and reports the heaviest chunk's weight over the ideal. A cut never
-// splits a row, so every parallel product stays bit-identical to the
-// serial kernel.
-func (j *spmvJob) partition(m *CSR, ranges []int32, chunks int, total int64) float64 {
-	rowPtr := m.rowPtr
-	weight := func(lo, hi int32) int64 { return int64(rowPtr[hi]-rowPtr[lo]) + int64(hi-lo) }
+// weight (nnz + rows for a CSR, rows·(bands+1) for a Banded), cutting
+// inside a range where a boundary falls, and reports the heaviest
+// chunk's weight over the ideal. A cut never splits a row, so every
+// parallel product stays bit-identical to the serial kernel.
+func (j *spmvJob) partition(m Operator, ranges []int32, chunks int, total int64) float64 {
+	weight := m.weight
 	ideal := float64(total) / float64(chunks)
 	j.pieces = j.pieces[:0]
 	j.starts = append(j.starts[:0], 0)
@@ -381,11 +393,9 @@ func (p *Pool) product(k kernel, ranges []int32) {
 		k.ranges(ranges)
 		return
 	}
-	rowPtr := k.m.rowPtr
 	var total int64
 	for i := 0; i+1 < len(ranges); i += 2 {
-		lo, hi := ranges[i], ranges[i+1]
-		total += int64(rowPtr[hi]-rowPtr[lo]) + int64(hi-lo)
+		total += k.m.weight(ranges[i], ranges[i+1])
 	}
 	work := total
 	if k.op == opMulti {
@@ -480,27 +490,27 @@ func (p *Pool) MulVec(m *CSR, dst, x []float64) error {
 }
 
 // MulVecRanges computes dst[r] = m[r,:]·x for every row r of ranges and
-// leaves every other row of dst untouched. ranges lists ascending,
-// disjoint row intervals [lo, hi) flattened as lo0, hi0, lo1, hi1, … —
-// the active window of a uniformisation step. When acc is non-nil it
+// leaves every other row of dst untouched; m is a *CSR or a *Banded.
+// ranges lists ascending, disjoint row intervals [lo, hi) flattened as
+// lo0, hi0, lo1, hi1, … — the active window of a uniformisation step. When acc is non-nil it
 // also folds acc[r] += w·dst[r] in the same pass, bit-identical to an
 // element-wise fold after the product. The product runs in parallel
 // when the rows of ranges, not of the whole matrix, carry enough work.
 // dst, x and acc must not alias; every computed row is bit-identical to
-// MulVec's.
-func (p *Pool) MulVecRanges(m *CSR, ranges []int32, dst, x, acc []float64, w float64) error {
-	if len(x) != m.cols || len(dst) != m.rows || (acc != nil && len(acc) != m.rows) {
+// MulVec's on the CSR of the same entries.
+func (p *Pool) MulVecRanges(m Operator, ranges []int32, dst, x, acc []float64, w float64) error {
+	if len(x) != m.Cols() || len(dst) != m.Rows() || (acc != nil && len(acc) != m.Rows()) {
 		return fmt.Errorf("sparse: MulVecRanges %dx%d with |x|=%d |dst|=%d |acc|=%d: %w",
-			m.rows, m.cols, len(x), len(dst), len(acc), ErrShape)
+			m.Rows(), m.Cols(), len(x), len(dst), len(acc), ErrShape)
 	}
 	if len(ranges)%2 != 0 {
 		return fmt.Errorf("sparse: MulVecRanges with %d range bounds: %w", len(ranges), ErrShape)
 	}
 	prev := int32(0)
 	for i := 0; i < len(ranges); i += 2 {
-		if ranges[i] < prev || ranges[i] >= ranges[i+1] || int(ranges[i+1]) > m.rows {
+		if ranges[i] < prev || ranges[i] >= ranges[i+1] || int(ranges[i+1]) > m.Rows() {
 			return fmt.Errorf("sparse: MulVecRanges range [%d,%d) after %d in %d rows: %w",
-				ranges[i], ranges[i+1], prev, m.rows, ErrShape)
+				ranges[i], ranges[i+1], prev, m.Rows(), ErrShape)
 		}
 		prev = ranges[i+1]
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -422,17 +423,22 @@ func buildSkewedCSR(t testing.TB, rows, heavy, heavyNNZ int) *CSR {
 // greedy cut's guarantee.
 func TestRowPartitionProperties(t *testing.T) {
 	const rows = 6000
-	m := buildSkewedCSR(t, rows, 64, 300)
+	banded, _ := bandedPair(t, rand.New(rand.NewSource(6)), rows, fig8Offsets)
+	for opName, m := range map[string]Operator{"csr": buildSkewedCSR(t, rows, 64, 300), "banded": banded} {
+		checkPartition(t, opName, m)
+	}
+}
 
+// checkPartition runs the partition properties on one operator.
+func checkPartition(t *testing.T, opName string, m Operator) {
+	rows := int32(m.Rows())
 	maxRowW := 0
-	for r := 0; r < rows; r++ {
-		if w := int(m.rowPtr[r+1]-m.rowPtr[r]) + 1; w > maxRowW {
-			maxRowW = w
-		}
+	for r := int32(0); r < rows; r++ {
+		maxRowW = max(maxRowW, int(m.weight(r, r+1)))
 	}
 	windows := map[string][]int32{
-		"all rows": {0, rows},
-		"window":   {0, 40, 50, 51, 63, 900, 2000, 2001, 3500, 5990},
+		opName + " all rows": {0, rows},
+		opName + " window":   {0, 40, 50, 51, 63, 900, 2000, 2001, 3500, 5990},
 	}
 	for name, ranges := range windows {
 		var want []int32
@@ -441,7 +447,7 @@ func TestRowPartitionProperties(t *testing.T) {
 			for r := ranges[i]; r < ranges[i+1]; r++ {
 				want = append(want, r)
 			}
-			total += int(m.rowPtr[ranges[i+1]]-m.rowPtr[ranges[i]]) + int(ranges[i+1]-ranges[i])
+			total += int(m.weight(ranges[i], ranges[i+1]))
 		}
 		for _, chunks := range []int{1, 2, 3, 4, 7, 8, 16, 61} {
 			var j spmvJob
@@ -465,7 +471,7 @@ func TestRowPartitionProperties(t *testing.T) {
 					for r := lo; r < hi; r++ {
 						got = append(got, r)
 					}
-					w += int(m.rowPtr[hi]-m.rowPtr[lo]) + int(hi-lo)
+					w += int(m.weight(lo, hi))
 				}
 				maxW = max(maxW, w)
 				if float64(w) >= ideal+float64(maxRowW)+1 {
@@ -517,12 +523,14 @@ func TestFusedKernelsZeroAlloc(t *testing.T) {
 }
 
 // TestPoolZeroAllocParallel pins the reusable dispatch record: once a
-// pool has run one product, products — full, windowed, fused, with and
-// without pool metrics, on 1 to 8 workers — allocate nothing. Before,
-// every parallel product heap-allocated its job and WaitGroup.
+// pool has run one product, products — full, windowed, fused, on CSR
+// and banded operators, with and without pool metrics, on 1 to 8
+// workers — allocate nothing. Before, every parallel product
+// heap-allocated its job and WaitGroup.
 func TestPoolZeroAllocParallel(t *testing.T) {
 	const rows = 16000
 	m := buildStressCSR(t, rows, 4)
+	bm, _ := bandedPair(t, rand.New(rand.NewSource(7)), rows, fig8Offsets)
 	x := make([]float64, rows)
 	for i := range x {
 		x[i] = 1 / float64(i+1)
@@ -541,6 +549,12 @@ func TestPoolZeroAllocParallel(t *testing.T) {
 					t.Fatal(err)
 				}
 				if err := pool.MulVecRanges(m, window, dst, x, acc, 0.25); err != nil {
+					t.Fatal(err)
+				}
+				if err := pool.MulVecRanges(bm, window, dst, x, nil, 0); err != nil {
+					t.Fatal(err)
+				}
+				if err := pool.MulVecRanges(bm, window, dst, x, acc, 0.25); err != nil {
 					t.Fatal(err)
 				}
 			})

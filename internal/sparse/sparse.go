@@ -6,7 +6,10 @@
 // nonzeros per row, so a compressed sparse row (CSR) representation with
 // 32-bit column indices is used. Matrices are assembled through a
 // coordinate (COO) Builder and then frozen into an immutable CSR matrix
-// whose vector products can run in parallel.
+// whose vector products can run in parallel. A square operator with at
+// most MaxBands distinct index offsets, such as the uniformised Q*, can
+// instead be stored as diagonal bands (Banded), whose row-range products
+// are bit-identical to the CSR ones and cheaper.
 package sparse
 
 import (
@@ -308,6 +311,11 @@ func (m *CSR) Dense() [][]float64 {
 		}
 	}
 	return d
+}
+
+// weight is the partition weight of rows [lo, hi): nnz + rows.
+func (m *CSR) weight(lo, hi int32) int64 {
+	return int64(m.rowPtr[hi]-m.rowPtr[lo]) + int64(hi-lo)
 }
 
 // MulVecMulti computes dsts[k] = m·xs[k] for every right-hand side in a

@@ -3,7 +3,9 @@ package batlife
 import "testing"
 
 // TestWorkCounts is the count gate: it pins the exact work one cold
-// solve does on the paper's on/off model — the states and transitions
+// solve does on the paper's on/off models (Fig. 7, Fig. 8) and on its
+// simple wireless model (Fig. 10, whose Pᵀ has 6 bands against the on/off
+// models' 4 and 5) — the states and transitions
 // of Q*, the uniformisation steps and products, the Fox–Glynn window,
 // and the rows the windowed loop multiplies — plus a ceiling on the
 // allocations of that solve. Each count is an integer the numerics fix
@@ -11,36 +13,53 @@ import "testing"
 // that legitimately moves a count updates its pin here and says why in
 // CHANGES.md.
 func TestWorkCounts(t *testing.T) {
-	w, err := OnOffWorkload(1, 1, 0.96)
+	onOff, err := OnOffWorkload(1, 1, 0.96)
 	if err != nil {
 		t.Fatal(err)
 	}
-	times := []float64{10000, 15000, 20000}
+	wireless, err := SimpleWireless()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name       string
 		battery    Battery
+		workload   *Workload
+		delta      float64
+		times      []float64
 		want       SolveReport
 		windowRows int64
 		// allocs is the measured count for one cold solve; the
-		// ceiling is 1.5× that, far below the ~42k a single
-		// allocation per uniformisation step would add.
+		// ceiling is 1.5× that, far below the 1,476 to 42,768 a
+		// single allocation per uniformisation step would add.
 		allocs float64
 	}{
 		{
-			name:    "fig7",
-			battery: Battery{CapacityAs: 7200, AvailableFraction: 1},
+			name:     "fig7",
+			battery:  Battery{CapacityAs: 7200, AvailableFraction: 1},
+			workload: onOff, delta: 100, times: []float64{10000, 15000, 20000},
 			want: SolveReport{States: 146, Transitions: 360, Iterations: 42702, SpMVs: 42702,
 				FoxGlynnLeft: 19316, FoxGlynnRight: 42702},
 			windowRows: 5273918,
-			allocs:     248,
+			allocs:     247,
 		},
 		{
-			name:    "fig8",
-			battery: Battery{CapacityAs: 7200, AvailableFraction: 0.625, FlowRate: 4.5e-5},
+			name:     "fig8",
+			battery:  Battery{CapacityAs: 7200, AvailableFraction: 0.625, FlowRate: 4.5e-5},
+			workload: onOff, delta: 100, times: []float64{10000, 15000, 20000},
 			want: SolveReport{States: 2576, Transitions: 7524, Iterations: 42768, SpMVs: 42768,
 				FoxGlynnLeft: 19347, FoxGlynnRight: 42768},
 			windowRows: 75023141,
-			allocs:     246,
+			allocs:     245,
+		},
+		{
+			name:     "fig10",
+			battery:  Battery{CapacityAs: MilliampHours(800), AvailableFraction: 0.625, FlowRate: 4.5e-5},
+			workload: wireless, delta: MilliampHours(10), times: []float64{36000, 72000, 108000},
+			want: SolveReport{States: 4743, Transitions: 16215, Iterations: 1476, SpMVs: 1476,
+				FoxGlynnLeft: 245, FoxGlynnRight: 1476},
+			windowRows: 6341544,
+			allocs:     225,
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -55,8 +74,8 @@ func TestWorkCounts(t *testing.T) {
 				reg = NewTelemetry()
 				s := NewSolver(SolverOptions{Telemetry: reg})
 				defer s.Close()
-				opts := AnalysisOptions{Delta: 100, Report: &rep}
-				if _, err := s.LifetimeDistribution(tc.battery, w, times, opts); err != nil {
+				opts := AnalysisOptions{Delta: tc.delta, Report: &rep}
+				if _, err := s.LifetimeDistribution(tc.battery, tc.workload, tc.times, opts); err != nil {
 					t.Fatal(err)
 				}
 			})
