@@ -236,13 +236,23 @@ func TestBandedParallelMatchesCSR(t *testing.T) {
 	if reg.Counter("sparse_pool_spmv_parallel_total").Value() == 0 {
 		t.Error("no product took the pool's parallel path")
 	}
-	var bands []string
+	var bands, kernels []string
 	for _, s := range reg.Tracer().Spans() {
 		if s.Name == "ctmc.transient" {
 			bands = append(bands, s.Attrs["bands"])
+			kernels = append(kernels, s.Attrs["kernel"])
 		}
 	}
 	if len(bands) != 2 || bands[0] != "3" || bands[1] != "0" {
 		t.Errorf("ctmc.transient spans have bands %q, want [3 0]", bands)
+	}
+	// The banded kernel is "bands" or "bands-avx2" by machine; any
+	// Banded reports the one this build runs.
+	probe, err := sparse.NewBanded(1, []int{0}, [][]float64{{1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := probe.Kernel(); len(kernels) != 2 || kernels[0] != want || kernels[1] != "csr" {
+		t.Errorf("ctmc.transient spans have kernel %q, want [%s csr]", kernels, want)
 	}
 }

@@ -308,7 +308,8 @@ func (u *Uniformized) Transient(alpha, w, times []float64, opts TransientOptions
 	_, span := obs.StartSpan(opts.Context, reg, "ctmc.transient",
 		obs.Int("states", int64(u.gen.Rows())),
 		obs.Int("time_points", int64(len(times))),
-		obs.Int("bands", int64(u.bands)))
+		obs.Int("bands", int64(u.bands)),
+		obs.String("kernel", u.pt.Kernel()))
 	res, err := u.transient(alpha, w, times, opts)
 	if err != nil {
 		reg.Counter("ctmc_solve_errors_total").Inc()

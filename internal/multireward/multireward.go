@@ -74,15 +74,15 @@ func (s Spec) validate() error {
 	if len(s.Levels) == 0 {
 		return fmt.Errorf("%w: no reward dimensions", ErrBadSpec)
 	}
-	total := 1
+	total := int64(1) // int64 so the bound also compiles where int is 32 bits
 	for d, l := range s.Levels {
 		if l < 1 {
 			return fmt.Errorf("%w: dimension %d has %d levels", ErrBadSpec, d, l)
 		}
-		if total > (1<<31)/l {
+		if total > (1<<31)/int64(l) {
 			return fmt.Errorf("%w: grid exceeds 2^31 cells", ErrBadSpec)
 		}
-		total *= l
+		total *= int64(l)
 	}
 	n := s.Chain.NumStates()
 	if len(s.Initial) != n {

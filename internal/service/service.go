@@ -425,16 +425,17 @@ func (s *Service) execute(j *job, run runFunc) {
 	s.retire(j, payload, err)
 }
 
-// retire publishes a job outcome and applies retention: the finished
-// job stays addressable (and coalescable) until JobRetention newer
-// finishes push it out.
+// retire applies retention and then publishes a job outcome: the
+// finished job stays addressable (and coalescable) until JobRetention
+// newer finishes push it out. Retention comes first so a caller woken
+// by the job's done channel already sees every eviction this finish
+// causes.
 func (s *Service) retire(j *job, payload any, err error) {
 	if err != nil {
 		j.span.End(obs.String("error", err.Error()))
 	} else {
 		j.span.End()
 	}
-	j.finish(payload, err)
 	s.mu.Lock()
 	s.finished = append(s.finished, j.id)
 	for len(s.finished) > s.cfg.JobRetention {
@@ -443,6 +444,7 @@ func (s *Service) retire(j *job, payload any, err error) {
 		delete(s.jobs, evict)
 	}
 	s.mu.Unlock()
+	j.finish(payload, err)
 }
 
 // lookup returns a live or retained job.

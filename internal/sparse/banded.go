@@ -169,13 +169,36 @@ func (b *Banded) edgeRows(dst, x, acc []float64, w float64, lo, hi int) {
 	}
 }
 
-// interiorRows computes rows [lo, hi), all interior, in passes of two
+// Kernel names the row kernel the banded products run: "bands-avx2"
+// where the vectorised interior kernel is built and the CPU has AVX2,
+// "bands" otherwise.
+func (b *Banded) Kernel() string {
+	if useAVX2 {
+		return "bands-avx2"
+	}
+	return "bands"
+}
+
+// interiorRows computes rows [lo, hi), all interior: on the AVX2 kernel
+// where it runs (banded_amd64.go), else on the Go passes. The two are
+// bit-identical.
+//
+//numlint:hotpath
+func (b *Banded) interiorRows(dst, x []float64, lo, hi int) {
+	if useAVX2 {
+		b.interiorRowsAVX2(dst, x, lo, hi)
+		return
+	}
+	b.interiorRowsGo(dst, x, lo, hi)
+}
+
+// interiorRowsGo computes rows [lo, hi), all interior, in passes of two
 // to four unrolled bands (one for a single-band matrix). The first pass
 // sets dst, each later pass adds its bands on top, so a row still sums
 // its bands in ascending order.
 //
 //numlint:hotpath
-func (b *Banded) interiorRows(dst, x []float64, lo, hi int) {
+func (b *Banded) interiorRowsGo(dst, x []float64, lo, hi int) {
 	d := dst[lo:hi]
 	var v, xs [MaxBands][]float64
 	for k, o := range b.offs {

@@ -15,6 +15,10 @@ import (
 // at Δ = 50 (10,010 states).
 var fig8Offsets = []int{-108, -1, 0, 1, 110}
 
+// fig10Offsets are the band offsets of the uniformised Fig. 10 operator
+// at Δ = 2 mAh (113,703 states).
+var fig10Offsets = []int{-450, -2, -1, 0, 1, 453}
+
 // bandedPair returns an n×n banded matrix with the given offsets and
 // the CSR of the same entries. A band is left empty (all zero) with
 // probability 1/6; otherwise each in-range entry is nonzero with
@@ -196,7 +200,131 @@ func FuzzBandedMatchesCSR(f *testing.F) {
 			checkBandedMatchesCSR(t, pool, b, c, ranges, x, nil, 0)
 			checkBandedMatchesCSR(t, pool, b, c, ranges, x, slices.Clone(acc), w)
 		}
+		checkKernelsMatchCSR(t, b, c, x)
 	})
+}
+
+// checkKernelsMatchCSR runs both interior kernels, the Go passes and,
+// where it runs, the AVX2 kernel, directly over b's interior rows and
+// compares each row bit for bit with c's product. The products above
+// go through interiorRows, which runs one kernel per machine; this
+// drives the other one too.
+func checkKernelsMatchCSR(t testing.TB, b *Banded, c *CSR, x []float64) {
+	t.Helper()
+	if b.lo >= b.hi {
+		return // no interior rows
+	}
+	want := make([]float64, b.n)
+	if err := c.MulVec(want, x); err != nil {
+		t.Fatal(err)
+	}
+	kernels := map[string]func(dst, x []float64, lo, hi int){"go": b.interiorRowsGo}
+	if useAVX2 {
+		kernels["avx2"] = b.interiorRowsAVX2
+	}
+	for name, kernel := range kernels {
+		dst := make([]float64, b.n)
+		kernel(dst, x, b.lo, b.hi)
+		for r := b.lo; r < b.hi; r++ {
+			if math.Float64bits(dst[r]) != math.Float64bits(want[r]) {
+				t.Fatalf("%s kernel, offsets %v, %d rows: dst[%d] = %v, CSR %v", name, b.offs, b.n, r, dst[r], want[r])
+			}
+		}
+	}
+}
+
+// kernelVec returns a vector for the kernel bit-identity test: ±0,
+// negative and positive normals, subnormals, and magnitudes near the
+// top of the range, so that products against kernelBands' values
+// underflow to subnormals or zero and overflow to ±Inf, and sums of
+// opposite infinities give NaN.
+func kernelVec(rng *rand.Rand, n int) []float64 {
+	x := make([]float64, n)
+	for i := range x {
+		sign := float64(1 - 2*rng.Intn(2))
+		switch rng.Intn(8) {
+		case 0:
+			x[i] = math.Copysign(0, sign)
+		case 1:
+			x[i] = sign * math.SmallestNonzeroFloat64 * float64(1+rng.Intn(1<<20))
+		case 2:
+			x[i] = sign * math.MaxFloat64 * rng.Float64()
+		default:
+			x[i] = sign * rng.ExpFloat64() * math.Pow(10, float64(rng.Intn(9)-4))
+		}
+	}
+	return x
+}
+
+// kernelBands returns the n-entry bands of offs for the kernel
+// bit-identity test, mixing zeros with values of either sign whose
+// magnitudes run from subnormal to 1e10, so their products with
+// kernelVec's entries cover ±0, subnormals and ±Inf. Entries whose
+// column leaves the matrix stay zero, as NewBanded requires.
+func kernelBands(rng *rand.Rand, n int, offs []int) [][]float64 {
+	vals := make([][]float64, len(offs))
+	for k, o := range offs {
+		vals[k] = make([]float64, n)
+		for r := max(0, -o); r < min(n, n-o); r++ {
+			sign := float64(1 - 2*rng.Intn(2))
+			switch rng.Intn(6) {
+			case 0:
+			case 1:
+				vals[k][r] = sign * math.SmallestNonzeroFloat64 * float64(1+rng.Intn(1<<10))
+			case 2:
+				vals[k][r] = sign * 1e10 * rng.Float64()
+			default:
+				vals[k][r] = sign * rng.Float64()
+			}
+		}
+	}
+	return vals
+}
+
+// TestBandedAVX2MatchesGo checks the AVX2 interior kernel against the
+// Go passes bit for bit, calling both directly: 1–8 bands, tiles of 0
+// to 67 rows (so every mix of 8-row blocks, a 4-row block and the
+// scalar tail), every start row mod 8, and x and band values whose
+// products include ±0, subnormals and ±Inf. Rows outside the tile must
+// keep their sentinel.
+func TestBandedAVX2MatchesGo(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("the AVX2 band kernel does not run here (not amd64, no AVX2, or a race build)")
+	}
+	const n = 160
+	rng := rand.New(rand.NewSource(7))
+	for nb := 1; nb <= MaxBands; nb++ {
+		offs := randomOffsets(rng, 20, nb)
+		b, err := NewBanded(n, offs, kernelBands(rng, n, offs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.Kernel() != "bands-avx2" {
+			t.Fatalf("Kernel() = %q with AVX2 on", b.Kernel())
+		}
+		for length := 0; length <= 67; length++ {
+			for start := 0; start < 8; start++ {
+				lo := b.lo + start
+				hi := lo + length
+				if hi > b.hi {
+					t.Fatalf("offsets %v: tile [%d, %d) leaves the interior [%d, %d)", b.offs, lo, hi, b.lo, b.hi)
+				}
+				x := kernelVec(rng, n)
+				want, got := make([]float64, n), make([]float64, n)
+				for i := range want {
+					want[i], got[i] = -7, -7
+				}
+				b.interiorRowsGo(want, x, lo, hi)
+				b.interiorRowsAVX2(got, x, lo, hi)
+				for r := range want {
+					if math.Float64bits(got[r]) != math.Float64bits(want[r]) {
+						t.Fatalf("offsets %v, tile [%d, %d): row %d = %v (%#x), Go passes %v (%#x)",
+							b.offs, lo, hi, r, got[r], math.Float64bits(got[r]), want[r], math.Float64bits(want[r]))
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestNewBandedShapeErrors: malformed band layouts fail with ErrShape.
@@ -269,5 +397,35 @@ func BenchmarkWindowProduct(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkBandedKernel times one interior tile of bandTile rows on each
+// interior kernel, called directly, with Fig. 8's 5 band offsets and
+// Fig. 10's 6. The avx2 runs skip where that kernel does not run.
+func BenchmarkBandedKernel(b *testing.B) {
+	for _, fig := range []struct {
+		name string
+		offs []int
+	}{{"fig8", fig8Offsets}, {"fig10", fig10Offsets}} {
+		n := 2*bandTile + fig.offs[len(fig.offs)-1] - fig.offs[0]
+		rng := rand.New(rand.NewSource(8))
+		bm, _ := bandedPair(b, rng, n, fig.offs)
+		x, dst := randomVec(rng, n), make([]float64, n)
+		lo := bm.lo
+		for _, k := range []struct {
+			name   string
+			kernel func(dst, x []float64, lo, hi int)
+		}{{"go", bm.interiorRowsGo}, {"avx2", bm.interiorRowsAVX2}} {
+			b.Run(fig.name+"/"+k.name, func(b *testing.B) {
+				if k.name == "avx2" && !useAVX2 {
+					b.Skip("the AVX2 band kernel does not run here")
+				}
+				b.SetBytes(int64(bandTile * 8 * (2*len(fig.offs) + 1)))
+				for i := 0; i < b.N; i++ {
+					k.kernel(dst, x, lo, lo+bandTile)
+				}
+			})
+		}
 	}
 }

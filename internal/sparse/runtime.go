@@ -202,6 +202,9 @@ const (
 type Operator interface {
 	Rows() int
 	Cols() int
+	// Kernel names the row kernel the operator's products run: "csr",
+	// "bands" or "bands-avx2".
+	Kernel() string
 	mulRows(dst, x []float64, lo, hi int)
 	mulAccumRows(dst, x, acc []float64, w float64, lo, hi int)
 	// weight is the partition weight of rows [lo, hi), about the work

@@ -173,6 +173,9 @@ func (m *CSR) Cols() int { return m.cols }
 // NNZ reports the number of stored nonzeros.
 func (m *CSR) NNZ() int { return len(m.vals) }
 
+// Kernel names the row kernel the CSR products run: "csr".
+func (m *CSR) Kernel() string { return "csr" }
+
 // At returns the value at (row, col); absent entries are zero.
 func (m *CSR) At(row, col int) float64 {
 	if row < 0 || row >= m.rows || col < 0 || col >= m.cols {
