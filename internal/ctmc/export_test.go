@@ -14,9 +14,15 @@ func NewUniformizedCSR(gen *sparse.CSR, opts TransientOptions) (*Uniformized, er
 	if err != nil {
 		return nil, err
 	}
-	u.pt, u.bands, u.shifts = pt, 0, shiftRanges(pt)
+	u.pt, u.bands, u.periodic, u.shifts = pt, 0, 0, shiftRanges(pt)
 	return u, nil
 }
 
 // Bands reports Pᵀ's band count, 0 on the CSR layout.
 func (u *Uniformized) Bands() int { return u.bands }
+
+// Banded returns Pᵀ in band form, nil on the CSR layout.
+func (u *Uniformized) Banded() *sparse.Banded {
+	b, _ := u.pt.(*sparse.Banded)
+	return b
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"batlife/internal/core"
@@ -20,9 +21,13 @@ import (
 type layoutModel struct {
 	name  string
 	bands int // Pᵀ's band count
-	x     *core.Expanded
-	alpha []float64
-	times []float64
+	// periods is each band's period, 0 where the band is stored row by
+	// row, and stored the values the bands hold.
+	periods []int
+	stored  int
+	x       *core.Expanded
+	alpha   []float64
+	times   []float64
 }
 
 // paperModels expands the paper's Fig. 7–11 models, the harvesting
@@ -48,20 +53,22 @@ func paperModels(t *testing.T) []layoutModel {
 	hours := []float64{5 * 3600, 15 * 3600}
 
 	models := []struct {
-		name  string
-		bands int
-		m     mrm.KiBaMRM
-		delta float64
-		opts  core.Options
-		times []float64
+		name    string
+		bands   int
+		periods []int
+		stored  int
+		m       mrm.KiBaMRM
+		delta   float64
+		opts    core.Options
+		times   []float64
 	}{
-		{"fig7", 4, withBattery(onOff, 7200, 1, 0), 100, core.Options{}, []float64{1500, 3000}},
-		{"fig8", 5, withBattery(onOff, 7200, 0.625, 4.5e-5), 100, core.Options{}, []float64{1500, 3000}},
-		{"fig9-erlang4", 5, withBattery(erlang4, 7200, 0.625, 4.5e-5), 150, core.Options{}, []float64{1000}},
-		{"fig10", 6, withBattery(simple, mah(800), 0.625, 4.5e-5), mah(20), core.Options{}, hours},
-		{"fig11", 8, withBattery(burst, mah(800), 0.625, 4.5e-5), mah(20), core.Options{}, hours},
-		{"harvesting", 8, withBattery(gateway(t), mah(3000), 0.625, 4.5e-5), 270, core.Options{}, hours},
-		{"empty-recovery", 5, withBattery(onOff, 7200, 0.625, 4.5e-5), 100, core.Options{AllowEmptyRecovery: true}, []float64{1500, 3000}},
+		{"fig7", 4, []int{0, 0, 0, 0}, 584, withBattery(onOff, 7200, 1, 0), 100, core.Options{}, []float64{1500, 3000}},
+		{"fig8", 5, []int{0, 2, 0, 2, 2}, 7027, withBattery(onOff, 7200, 0.625, 4.5e-5), 100, core.Options{}, []float64{1500, 3000}},
+		{"fig9-erlang4", 5, []int{0, 8, 0, 8, 8}, 11881, withBattery(erlang4, 7200, 0.625, 4.5e-5), 150, core.Options{}, []float64{1000}},
+		{"fig10", 6, []int{0, 3, 3, 0, 3, 3}, 4935, withBattery(simple, mah(800), 0.625, 4.5e-5), mah(20), core.Options{}, hours},
+		{"fig11", 8, []int{0, 5, 5, 0, 5, 5, 5, 5}, 8205, withBattery(burst, mah(800), 0.625, 4.5e-5), mah(20), core.Options{}, hours},
+		{"harvesting", 8, []int{4, 0, 4, 2, 0, 2, 4, 4}, 7254, withBattery(gateway(t), mah(3000), 0.625, 4.5e-5), 270, core.Options{}, hours},
+		{"empty-recovery", 5, []int{0, 2, 0, 2, 2}, 7024, withBattery(onOff, 7200, 0.625, 4.5e-5), 100, core.Options{AllowEmptyRecovery: true}, []float64{1500, 3000}},
 	}
 	out := make([]layoutModel, len(models))
 	for i, m := range models {
@@ -76,9 +83,69 @@ func paperModels(t *testing.T) []layoutModel {
 		j2 := max(n2-2, 0)
 		alpha := make([]float64, x.NumStates())
 		copy(alpha[((n1-2)*n2+j2)*n:], m.m.Initial)
-		out[i] = layoutModel{name: m.name, bands: m.bands, x: x, alpha: alpha, times: m.times}
+		out[i] = layoutModel{name: m.name, bands: m.bands, periods: m.periods, stored: m.stored, x: x, alpha: alpha, times: m.times}
 	}
 	return out
+}
+
+// TestPeriodicBandLayout pins which of Pᵀ's bands are stored as a
+// period, with which period, and how many values the bands hold, on the
+// models of paperModels and on the benchmark's Fig. 8 (Δ = 50) and
+// Fig. 10 (Δ = 2 mAh) grids. A workload band and a consumption band
+// depend only on the workload state i = r mod n outside the absorbing
+// slice and the matrix ends, so they repeat with period n (2 on the
+// on/off models, 3 on Fig. 10's); the diagonal and the transfer band
+// depend on the levels too and stay row by row. Every periodic band's
+// table spans bandTile rows plus the lcm of the periods: 4 for the
+// harvesting model's periods 2 and 4.
+func TestPeriodicBandLayout(t *testing.T) {
+	models := paperModels(t)
+	mah := func(v float64) float64 { return units.MilliampHours(v).AmpereSeconds() }
+	for _, big := range []struct {
+		name    string
+		periods []int
+		stored  int
+		w       func() (*workload.Model, error)
+		battery kibam.Params
+		delta   float64
+	}{
+		{"fig8-delta50", []int{0, 2, 0, 2, 2}, 22219,
+			func() (*workload.Model, error) { return workload.OnOff(1, 1, units.Amperes(0.96)) },
+			kibam.Params{Capacity: 7200, C: 0.625, K: 4.5e-5}, 50},
+		{"fig10-delta2mAh", []int{0, 3, 3, 0, 3, 3}, 233085,
+			func() (*workload.Model, error) { return workload.Simple(workload.SimpleConfig{}) },
+			kibam.Params{Capacity: mah(800), C: 0.625, K: 4.5e-5}, mah(2)},
+	} {
+		w, err := big.w()
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, err := core.Build(mrm.KiBaMRM{Workload: w.Chain, Currents: w.Currents, Initial: w.Initial, Battery: big.battery}, big.delta, core.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", big.name, err)
+		}
+		models = append(models, layoutModel{name: big.name, periods: big.periods, stored: big.stored, x: x})
+	}
+	for _, m := range models {
+		u, err := ctmc.NewUniformized(m.x.Generator(), ctmc.TransientOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", m.name, err)
+		}
+		b := u.Banded()
+		if b == nil {
+			t.Fatalf("%s: Pᵀ is not banded", m.name)
+		}
+		periodic := 0
+		for _, p := range m.periods {
+			if p > 0 {
+				periodic++
+			}
+		}
+		if got := b.Periods(); !slices.Equal(got, m.periods) || b.PeriodicBands() != periodic || b.StoredValues() != m.stored {
+			t.Errorf("%s: offsets %v have periods %v (%d periodic), %d values stored; want %v (%d), %d",
+				m.name, b.Offsets(), got, b.PeriodicBands(), b.StoredValues(), m.periods, periodic, m.stored)
+		}
+	}
 }
 
 // gateway is the harvesting example's four-state sun/cloud workload
@@ -236,15 +303,21 @@ func TestBandedParallelMatchesCSR(t *testing.T) {
 	if reg.Counter("sparse_pool_spmv_parallel_total").Value() == 0 {
 		t.Error("no product took the pool's parallel path")
 	}
-	var bands, kernels []string
+	var bands, periodic, kernels []string
 	for _, s := range reg.Tracer().Spans() {
 		if s.Name == "ctmc.transient" {
 			bands = append(bands, s.Attrs["bands"])
+			periodic = append(periodic, s.Attrs["periodic_bands"])
 			kernels = append(kernels, s.Attrs["kernel"])
 		}
 	}
 	if len(bands) != 2 || bands[0] != "3" || bands[1] != "0" {
 		t.Errorf("ctmc.transient spans have bands %q, want [3 0]", bands)
+	}
+	// The rates repeat every 7 and 5 states, so the two off-diagonal
+	// bands are periodic and the diagonal, with period 35, is not.
+	if len(periodic) != 2 || periodic[0] != "2" || periodic[1] != "0" {
+		t.Errorf("ctmc.transient spans have periodic_bands %q, want [2 0]", periodic)
 	}
 	// The banded kernel is "bands" or "bands-avx2" by machine; any
 	// Banded reports the one this build runs.

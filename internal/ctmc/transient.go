@@ -144,9 +144,10 @@ type Uniformized struct {
 	// pt is Pᵀ: a *sparse.Banded when it has at most sparse.MaxBands
 	// distinct index offsets (every expanded battery chain), a
 	// *sparse.CSR otherwise; nil when q == 0 (no transitions anywhere).
-	pt     sparse.Operator
-	bands  int   // pt's band count, 0 for a CSR
-	shifts []int // Pᵀ's index offset ranges (see shiftRanges)
+	pt       sparse.Operator
+	bands    int   // pt's band count, 0 for a CSR
+	periodic int   // how many of pt's bands are stored as a period
+	shifts   []int // Pᵀ's index offset ranges (see shiftRanges)
 
 	mu      sync.RWMutex
 	weights map[weightKey]*foxglynn.Weights
@@ -189,7 +190,8 @@ func NewUniformized(gen *sparse.CSR, opts TransientOptions) (*Uniformized, error
 			return nil, err
 		}
 		if bands != nil {
-			u.pt, u.bands, u.shifts = bands, bands.Bands(), bandShifts(bands.Offsets())
+			u.pt, u.bands, u.periodic = bands, bands.Bands(), bands.PeriodicBands()
+			u.shifts = bandShifts(bands.Offsets())
 			return u, nil
 		}
 		pt, err := uniformizedTransposed(gen, q)
@@ -309,6 +311,7 @@ func (u *Uniformized) Transient(alpha, w, times []float64, opts TransientOptions
 		obs.Int("states", int64(u.gen.Rows())),
 		obs.Int("time_points", int64(len(times))),
 		obs.Int("bands", int64(u.bands)),
+		obs.Int("periodic_bands", int64(u.periodic)),
 		obs.String("kernel", u.pt.Kernel()))
 	res, err := u.transient(alpha, w, times, opts)
 	if err != nil {
@@ -612,10 +615,11 @@ func uniformizedBands(gen *sparse.CSR, q float64) (*sparse.Banded, error) {
 	if !fits {
 		return nil, nil
 	}
-	buf := make([]float64, len(offs)*n)
+	// One allocation per band: NewBanded releases a band it stores as a
+	// period, which a shared buffer would keep alive.
 	vals := make([][]float64, len(offs))
 	for k := range vals {
-		vals[k] = buf[k*n : (k+1)*n : (k+1)*n]
+		vals[k] = make([]float64, n)
 	}
 	d, _ := slices.BinarySearch(offs, 0)
 	diag := vals[d]

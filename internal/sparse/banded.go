@@ -3,6 +3,7 @@ package sparse
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"batlife/internal/check"
@@ -18,30 +19,65 @@ const MaxBands = 8
 const bandTile = 512
 
 // Banded is an immutable square matrix stored as diagonal bands. Band k
-// holds entry (r, r+offs[k]) at vals[k][r], with a zero wherever the
-// band has no entry, including every row where r+offs[k] falls outside
-// the matrix. The offsets ascend, so a row's bands run in ascending
-// column order.
+// holds entry (r, r+offs[k]) at row r, with a zero wherever the band
+// has no entry, including every row where r+offs[k] falls outside the
+// matrix. The offsets ascend, so a row's bands run in ascending column
+// order.
 //
 // The expanded chains of the paper give every state the same few
 // transition kinds, so their uniformised operators have at most a
 // handful of distinct offsets. Stored as bands, a row's product reads a
 // fixed number of values at fixed distances instead of a variable-length
 // list of gathered columns, and the kernel unrolls over the bands.
+//
+// The same chains give most bands only a few distinct values, repeating
+// with the workload-state count as period over nearly every row. A band
+// that repeats bit for bit with a short period stores that period once
+// (see band), so the kernel reads it from L1 instead of streaming it.
 type Banded struct {
-	n    int
-	offs []int
-	vals [][]float64
+	n     int
+	offs  []int
+	bands []band
 	// lo and hi delimit the interior rows, those where every band's
 	// column lies in [0, n); the rows outside take the checked edge path.
 	lo, hi int
+	// cuts are the ascending, distinct region bounds a and c of the
+	// periodic bands: an interior tile never straddles one.
+	cuts []int
+	// period is the least common multiple of the periodic bands' periods
+	// (1 when there are none), and pinv is ⌊(2⁶⁴−1)/period⌋ + 1, which
+	// turns r mod period into two multiplies (see phase).
+	period int
+	pinv   uint64
+}
+
+// maxPeriod is the longest period a band is searched for.
+const maxPeriod = 8
+
+// band holds one diagonal's values. Rows [0, a) are in head and rows
+// [c, n) in tail. A periodic band (p > 0) repeats bit for bit with
+// period p over rows [a, c), which it reads from table: the period
+// unrolled over bandTile + P values by row number, where P is the
+// matrix's period, a multiple of p. So table[j] holds the rows r ≡ j
+// (mod p), and table[r mod P:] holds rows r onwards for a whole tile:
+// one remainder per tile serves every band. A dense band has a = c = n,
+// every value in head and no table. NewBanded makes a band periodic
+// only when that stores fewer values than n, so a periodic band has
+// b.lo ≤ a and c − a > bandTile + P, and c ≤ b.hi: its edge rows are
+// all explicit.
+type band struct {
+	head, tail, table []float64
+	a, c, p           int
 }
 
 // NewBanded returns the n×n matrix with the given bands, taking
 // ownership of offsets and vals: vals[k][r] is entry (r, r+offsets[k]).
 // offsets must ascend strictly, lie in (−n, n) and number 1 to
-// MaxBands, and each band must have n entries. Under the debugchecks
-// tag the values are also checked (see Validate).
+// MaxBands, and each band must have n entries. A band whose interior
+// rows repeat bit for bit with a period of at most maxPeriod over more
+// rows than its table holds keeps only that period and its other rows,
+// and releases vals[k]. Under the debugchecks tag the values are also
+// checked (see Validate).
 func NewBanded(n int, offsets []int, vals [][]float64) (*Banded, error) {
 	if len(offsets) == 0 || len(offsets) > MaxBands || len(vals) != len(offsets) {
 		return nil, fmt.Errorf("sparse: %d offsets and %d bands (want 1..%d of each): %w",
@@ -54,40 +90,233 @@ func NewBanded(n int, offsets []int, vals [][]float64) (*Banded, error) {
 		}
 	}
 	b := &Banded{
-		n:    n,
-		offs: offsets,
-		vals: vals,
-		lo:   max(0, -offsets[0]),
-		hi:   min(n, n-offsets[len(offsets)-1]),
+		n:     n,
+		offs:  offsets,
+		bands: make([]band, len(offsets)),
+		lo:    max(0, -offsets[0]),
+		hi:    min(n, n-offsets[len(offsets)-1]),
 	}
 	b.hi = max(b.hi, b.lo) // no interior: the two edge ranges must not overlap
+	// A band's table spans bandTile + P rows, P the lcm of the periods,
+	// so a band keeps its run only if the run is longer. P is fixed from
+	// every run found first, which can only make it larger than the lcm
+	// of the runs kept: those stay longer than their tables.
+	var runs [MaxBands]struct{ a, c, p int }
+	period := 1
+	for k, v := range vals {
+		r := &runs[k]
+		if r.a, r.c, r.p = periodicRun(v, b.lo, b.hi); r.p > 0 {
+			period = lcm(period, r.p)
+		}
+	}
+	b.period = 1
+	for k := range vals {
+		if r := &runs[k]; r.p > 0 && r.c-r.a > bandTile+period {
+			b.period = lcm(b.period, r.p)
+			b.cuts = append(b.cuts, r.a, r.c)
+		} else {
+			r.p = 0
+		}
+	}
+	b.pinv = ^uint64(0)/uint64(b.period) + 1
+	for k, v := range vals {
+		r := runs[k]
+		b.bands[k] = newBand(v, r.a, r.c, r.p, b.period)
+		vals[k] = nil
+	}
+	slices.Sort(b.cuts)
+	b.cuts = slices.Compact(b.cuts)
 	check.CSRWellFormed("sparse.NewBanded", b)
 	return b, nil
 }
 
+// lcm returns the least common multiple of two positive integers.
+func lcm(x, y int) int {
+	g, r := x, y
+	for r != 0 {
+		g, r = r, g%r
+	}
+	return x / g * y
+}
+
+// newBand stores v as a band that repeats with period p over rows
+// [a, c), with a table of bandTile + period values, or as a dense band
+// on v when p = 0. A periodic band copies its head and tail rows out of
+// v, so it keeps nothing of v alive.
+func newBand(v []float64, a, c, p, period int) band {
+	n := len(v)
+	if p == 0 {
+		return band{head: v, a: n, c: n}
+	}
+	buf := make([]float64, a+n-c+bandTile+period)
+	bd := band{
+		head:  buf[:a:a],
+		tail:  buf[a : a+n-c : a+n-c],
+		table: buf[a+n-c:],
+		a:     a,
+		c:     c,
+		p:     p,
+	}
+	copy(bd.head, v[:a])
+	copy(bd.tail, v[c:])
+	for j := range bd.table {
+		bd.table[j] = v[a+(j+p-a%p)%p] // the row of [a, a+p) that is ≡ j
+	}
+	return bd
+}
+
+// periodicRun returns the longest run of rows [a, c) within [lo, hi)
+// over which v repeats bit for bit with some period p ≤ maxPeriod, of
+// those longer than bandTile+p rows, or p = 0 when there is none. Row r
+// repeats with period q when Float64bits(v[r]) == Float64bits(v[r−q]),
+// so +0 and −0 differ, and a run [a, c) of period q is one whose rows
+// [a+q, c) all repeat. Ties go to the shorter period.
+//
+// A qualifying run holds more than bandTile repeating rows, so it
+// covers a row of the stride bandTile/2 from lo. So for each period the
+// search grows the run of repeating rows about each stride row that
+// repeats, skipping the stride rows the run covers: about one look per
+// row in a long run, and a few per stride elsewhere. A run of a period
+// q that is a multiple of the best period p so far contains that run's
+// rows, since v[r] = v[r−p] = … = v[r−q] there; it grows from that run's
+// ends instead of again across it.
+func periodicRun(v []float64, lo, hi int) (a, c, p int) {
+	const stride = bandTile / 2
+	repeats := func(r, q int) bool { return math.Float64bits(v[r]) == math.Float64bits(v[r-q]) }
+	for q := 1; q <= maxPeriod; q++ {
+		for m := lo + stride; m < hi; m += stride {
+			if !repeats(m, q) {
+				continue
+			}
+			s, e := m, m+1 // rows [s, e) repeat
+			if p > 0 && q%p == 0 && m >= a+q && m < c {
+				s, e = a+q, c
+			}
+			for s > lo+q && repeats(s-1, q) {
+				s--
+			}
+			for e < hi && repeats(e, q) {
+				e++
+			}
+			if e-s > bandTile && e-s+q > c-a {
+				a, c, p = s-q, e, q
+			}
+			m = lo + (e-lo)/stride*stride // row e does not repeat
+		}
+	}
+	return a, c, p
+}
+
+// rows returns the band's values for rows [lo, hi) as one slice, given
+// ph = lo mod P, P the matrix's period. The rows must lie within one of
+// the band's regions, [0, a), [a, c) or [c, n), and span at most
+// bandTile rows within [a, c); lo < hi.
+//
+//numlint:hotpath
+func (bd *band) rows(lo, hi, ph int) []float64 {
+	switch {
+	case hi <= bd.a:
+		return bd.head[lo:hi]
+	case lo >= bd.c:
+		return bd.tail[lo-bd.c : hi-bd.c]
+	}
+	return bd.table[ph : ph+hi-lo]
+}
+
+// phase returns r mod b.period for 0 ≤ r < 2³² without a division: the
+// low 64 bits of pinv·r are the fraction r/period scaled by 2⁶⁴, and
+// times the period the high word is the remainder.
+//
+//numlint:hotpath
+func (b *Banded) phase(r int) int {
+	m, _ := bits.Mul64(b.pinv*uint64(r), uint64(b.period))
+	return int(m)
+}
+
+// tileRows sets v[k] to band k's values for rows [lo, hi), which must
+// lie within one region of every band and span at most bandTile rows
+// (see band.rows).
+//
+//numlint:hotpath
+func (b *Banded) tileRows(v *[MaxBands][]float64, lo, hi int) {
+	ph := b.phase(lo)
+	for k := range b.offs {
+		v[k] = b.bands[k].rows(lo, hi, ph)
+	}
+}
+
+// at returns entry (r, r+offs[k]).
+func (b *Banded) at(k, r int) float64 { return b.bands[k].rows(r, r+1, b.phase(r))[0] }
+
 // Validate performs the structural self-check of the band layout:
-// strictly ascending in-range offsets, one n-entry band per offset,
-// finite values, and a zero wherever a band's column leaves the matrix.
+// strictly ascending in-range offsets, one n-row band per offset,
+// finite values, a zero wherever a band's column leaves the matrix, a
+// matrix period that is the lcm of the band periods, and for a periodic
+// band, regions that lie in the interior and a table that repeats with
+// its period.
 // NewBanded checks the shape; Validate backs the debugchecks invariant
 // layer (internal/check) and is cheap enough to call directly in tests.
 func (b *Banded) Validate() error {
-	if len(b.offs) == 0 || len(b.offs) > MaxBands || len(b.vals) != len(b.offs) {
-		return fmt.Errorf("sparse: %d offsets and %d bands", len(b.offs), len(b.vals))
+	if len(b.offs) == 0 || len(b.offs) > MaxBands || len(b.bands) != len(b.offs) {
+		return fmt.Errorf("sparse: %d offsets and %d bands", len(b.offs), len(b.bands))
+	}
+	period := 1
+	for _, bd := range b.bands {
+		if bd.p < 0 || bd.p > maxPeriod {
+			return fmt.Errorf("sparse: band period %d outside [0, %d]", bd.p, maxPeriod)
+		}
+		if bd.p > 0 {
+			period = lcm(period, bd.p)
+		}
+	}
+	if b.period != period || b.pinv != ^uint64(0)/uint64(period)+1 {
+		return fmt.Errorf("sparse: matrix period %d (reciprocal %#x) for band periods %v", b.period, b.pinv, b.Periods())
 	}
 	for k, o := range b.offs {
 		if k > 0 && o <= b.offs[k-1] {
 			return fmt.Errorf("sparse: band offsets %v not strictly ascending", b.offs)
 		}
-		if o <= -b.n || o >= b.n || len(b.vals[k]) != b.n {
-			return fmt.Errorf("sparse: band %d (offset %d, %d values) in a %dx%d matrix", k, o, len(b.vals[k]), b.n, b.n)
+		bd := &b.bands[k]
+		if o <= -b.n || o >= b.n || len(bd.head) != bd.a || len(bd.tail) != b.n-bd.c {
+			return fmt.Errorf("sparse: band %d (offset %d, %d+%d explicit values for regions [0,%d) and [%d,%d)) in a %dx%d matrix",
+				k, o, len(bd.head), len(bd.tail), bd.a, bd.c, b.n, b.n, b.n)
 		}
-		for r, v := range b.vals[k] {
+		if err := bd.validatePeriod(b.lo, b.hi, b.n, b.period); err != nil {
+			return fmt.Errorf("sparse: band %d (offset %d): %w", k, o, err)
+		}
+		for r := 0; r < b.n; r++ {
+			v := b.at(k, r)
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				return fmt.Errorf("sparse: entry (%d,%d) is not finite: %v", r, r+o, v)
 			}
 			if c := r + o; (c < 0 || c >= b.n) && v != 0 {
 				return fmt.Errorf("sparse: band %d holds %v at row %d, column %d outside the matrix", k, v, r, c)
 			}
+		}
+	}
+	return nil
+}
+
+// validatePeriod checks a band's periodic layout against the interior
+// rows [lo, hi) of an n-row matrix with the given period: a dense band
+// has a = c = n, and a periodic one a run in the interior longer than
+// its table, which holds bandTile+period values repeating bit for bit
+// with the band's period.
+func (bd *band) validatePeriod(lo, hi, n, period int) error {
+	if bd.p == 0 {
+		if bd.a != n || bd.c != n || bd.table != nil {
+			return fmt.Errorf("dense band with regions [0,%d) and [%d,%d) and a %d-value table", bd.a, bd.c, n, len(bd.table))
+		}
+		return nil
+	}
+	if bd.a < lo || bd.c > hi || bd.c-bd.a <= bandTile+period || len(bd.table) != bandTile+period {
+		return fmt.Errorf("period %d over rows [%d,%d) of interior [%d,%d) with a %d-value table (matrix period %d)",
+			bd.p, bd.a, bd.c, lo, hi, len(bd.table), period)
+	}
+	for j := bd.p; j < len(bd.table); j++ {
+		if math.Float64bits(bd.table[j]) != math.Float64bits(bd.table[j-bd.p]) {
+			return fmt.Errorf("table entry %d is %v, %d entries earlier %v: not period %d",
+				j, bd.table[j], bd.p, bd.table[j-bd.p], bd.p)
 		}
 	}
 	return nil
@@ -104,6 +333,38 @@ func (b *Banded) Bands() int { return len(b.offs) }
 
 // Offsets returns the ascending band offsets, column minus row.
 func (b *Banded) Offsets() []int { return slices.Clone(b.offs) }
+
+// Periods returns each band's period, in offset order: 0 for a band
+// stored row by row.
+func (b *Banded) Periods() []int {
+	ps := make([]int, len(b.bands))
+	for k, bd := range b.bands {
+		ps[k] = bd.p
+	}
+	return ps
+}
+
+// PeriodicBands reports how many bands are stored as a period.
+func (b *Banded) PeriodicBands() int {
+	np := 0
+	for _, bd := range b.bands {
+		if bd.p > 0 {
+			np++
+		}
+	}
+	return np
+}
+
+// StoredValues reports how many float64 values the bands hold: n for a
+// dense band, and a+(n−c)+bandTile+P for a periodic one, P the lcm of
+// the band periods.
+func (b *Banded) StoredValues() int {
+	sum := 0
+	for _, bd := range b.bands {
+		sum += len(bd.head) + len(bd.tail) + len(bd.table)
+	}
+	return sum
+}
 
 // weight is the partition weight of rows [lo, hi): every row reads
 // every band, so the weight is uniform.
@@ -131,14 +392,22 @@ func (b *Banded) mulRows(dst, x []float64, lo, hi int) {
 // keeps the CSR kernel's per-element order. A w of 0 folds nothing, as
 // in CSR.mulAccumRows.
 //
+// The interior runs in tiles of at most bandTile rows, cut also at
+// every periodic band's region bounds, so each tile reads each band
+// from one region (see rows). Where a tile ends changes no row's value.
+//
 //numlint:hotpath
 func (b *Banded) mulAccumRows(dst, x, acc []float64, w float64, lo, hi int) {
 	if w == 0 {
 		acc = nil
 	}
-	b.edgeRows(dst, x, acc, w, lo, min(hi, b.lo))
-	for t, end := max(lo, b.lo), min(hi, b.hi); t < end; t += bandTile {
-		e := min(t+bandTile, end)
+	// Most ranges of a window have no edge rows: test here, where it
+	// inlines, not in edgeRows.
+	if lo < b.lo {
+		b.edgeRows(dst, x, acc, w, lo, min(hi, b.lo))
+	}
+	for t, end := max(lo, b.lo), min(hi, b.hi); t < end; {
+		e := b.tileEnd(t, end)
 		b.interiorRows(dst, x, t, e)
 		if acc != nil {
 			a, d := acc[t:e], dst[t:e]
@@ -146,20 +415,42 @@ func (b *Banded) mulAccumRows(dst, x, acc []float64, w float64, lo, hi int) {
 				a[i] += w * d[i]
 			}
 		}
+		t = e
 	}
-	b.edgeRows(dst, x, acc, w, max(lo, b.hi), hi)
+	if hi > b.hi {
+		b.edgeRows(dst, x, acc, w, max(lo, b.hi), hi)
+	}
+}
+
+// tileEnd returns where the interior tile that starts at row t ends:
+// bandTile rows on, at end, or at the next periodic band's region bound,
+// whichever comes first.
+//
+//numlint:hotpath
+func (b *Banded) tileEnd(t, end int) int {
+	e := min(t+bandTile, end)
+	for _, c := range b.cuts {
+		if c > t {
+			return min(e, c)
+		}
+	}
+	return e
 }
 
 // edgeRows is the checked path for rows where some band's column falls
 // outside the matrix: those bands are skipped (they hold zeros there).
+// The rows, at least one, lie below b.lo or at or above b.hi, so every
+// band reads them from its head or its tail.
 //
 //numlint:hotpath
 func (b *Banded) edgeRows(dst, x, acc []float64, w float64, lo, hi int) {
+	var v [MaxBands][]float64
+	b.tileRows(&v, lo, hi)
 	for r := lo; r < hi; r++ {
 		s := 0.0
 		for k, o := range b.offs {
 			if c := r + o; c >= 0 && c < b.n {
-				s += b.vals[k][r] * x[c]
+				s += v[k][r-lo] * x[c]
 			}
 		}
 		dst[r] = s
@@ -201,8 +492,9 @@ func (b *Banded) interiorRows(dst, x []float64, lo, hi int) {
 func (b *Banded) interiorRowsGo(dst, x []float64, lo, hi int) {
 	d := dst[lo:hi]
 	var v, xs [MaxBands][]float64
+	b.tileRows(&v, lo, hi)
 	for k, o := range b.offs {
-		v[k], xs[k] = b.vals[k][lo:hi], x[lo+o:hi+o]
+		xs[k] = x[lo+o : hi+o]
 	}
 	switch len(b.offs) {
 	case 1:

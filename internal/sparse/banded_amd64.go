@@ -49,8 +49,9 @@ func bandRowsAVX2(d *float64, n int, v, x *[MaxBands]*float64, nb int)
 
 // interiorRowsAVX2 is interiorRowsGo on the AVX2 kernel. It reslices
 // the tile of dst, every band and each band's window of x exactly as
-// interiorRowsGo does, so Go has bounds-checked every element before
-// the assembly reads or writes it.
+// interiorRowsGo does (tileRows, inlined here to pass base pointers), so
+// Go has bounds-checked every element before the assembly reads or
+// writes it.
 //
 //numlint:hotpath
 func (b *Banded) interiorRowsAVX2(dst, x []float64, lo, hi int) {
@@ -59,8 +60,9 @@ func (b *Banded) interiorRowsAVX2(dst, x []float64, lo, hi int) {
 		return
 	}
 	var v, xs [MaxBands]*float64
+	ph := b.phase(lo)
 	for k, o := range b.offs {
-		v[k], xs[k] = &b.vals[k][lo:hi][0], &x[lo+o : hi+o][0]
+		v[k], xs[k] = &b.bands[k].rows(lo, hi, ph)[0], &x[lo+o : hi+o][0]
 	}
 	bandRowsAVX2(&d[0], len(d), &v, &xs, len(b.offs))
 }

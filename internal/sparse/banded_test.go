@@ -21,24 +21,76 @@ var fig10Offsets = []int{-450, -2, -1, 0, 1, 453}
 
 // bandedPair returns an n×n banded matrix with the given offsets and
 // the CSR of the same entries. A band is left empty (all zero) with
-// probability 1/6; otherwise each in-range entry is nonzero with
-// probability 0.8, with values of either sign.
+// probability 1/6. A third of the others repeat a period of 1 to 8
+// values, some of them +0 or −0, between a random run of irregular head
+// rows and one of irregular tail rows (see periodicBand). Otherwise
+// each in-range entry is nonzero with probability 0.8, with values of
+// either sign. It checks that the banded matrix reads back every value
+// bit for bit.
 func bandedPair(t testing.TB, rng *rand.Rand, n int, offsets []int) (*Banded, *CSR) {
 	t.Helper()
 	vals := make([][]float64, len(offsets))
-	bld := NewBuilder(n, n, n*len(offsets))
 	for k, o := range offsets {
 		vals[k] = make([]float64, n)
-		if rng.Intn(6) == 0 {
-			continue
+		lo, hi := max(0, -o), min(n, n-o)
+		switch rng.Intn(6) {
+		case 0:
+		case 1, 2:
+			periodicBand(rng, vals[k], lo, hi)
+		default:
+			for r := lo; r < hi; r++ {
+				if rng.Float64() < 0.8 {
+					vals[k][r] = rng.NormFloat64()
+				}
+			}
 		}
-		for r := max(0, -o); r < min(n, n-o); r++ {
-			if rng.Float64() < 0.8 {
-				v := rng.NormFloat64()
-				vals[k][r] = v
+	}
+	return bandsOf(t, n, offsets, vals)
+}
+
+// periodicBand fills rows [lo, hi) of v with a period of 1 to 8 values,
+// each +0, −0 or a normal draw, preceded by up to hi−lo/8 irregular rows
+// and followed by as many: the shape of a uniformised band, whose
+// absorbing slice and matrix ends break the workload period.
+func periodicBand(rng *rand.Rand, v []float64, lo, hi int) {
+	period := make([]float64, 1+rng.Intn(maxPeriod))
+	for i := range period {
+		switch rng.Intn(4) {
+		case 0:
+		case 1:
+			period[i] = math.Copysign(0, -1)
+		default:
+			period[i] = rng.NormFloat64()
+		}
+	}
+	a := lo + rng.Intn(max(1, (hi-lo)/8))
+	c := hi - rng.Intn(max(1, (hi-lo)/8))
+	for r := lo; r < hi; r++ {
+		if r >= a && r < c {
+			v[r] = period[(r-a)%len(period)]
+		} else if rng.Intn(5) > 0 {
+			v[r] = rng.NormFloat64()
+		}
+	}
+}
+
+// bandsOf builds the banded matrix of vals and the CSR of its nonzero
+// entries, and checks that the banded matrix is valid, stores no more
+// values than its dense bands would, and reads back every value of vals
+// bit for bit, ±0 included.
+func bandsOf(t testing.TB, n int, offsets []int, vals [][]float64) (*Banded, *CSR) {
+	t.Helper()
+	bld := NewBuilder(n, n, n*len(offsets))
+	for k, o := range offsets {
+		for r, v := range vals[k] {
+			if v != 0 {
 				bld.Add(r, r+o, v)
 			}
 		}
+	}
+	want := make([][]float64, len(vals))
+	for k := range vals {
+		want[k] = slices.Clone(vals[k])
 	}
 	b, err := NewBanded(n, offsets, vals)
 	if err != nil {
@@ -46,6 +98,18 @@ func bandedPair(t testing.TB, rng *rand.Rand, n int, offsets []int) (*Banded, *C
 	}
 	if err := b.Validate(); err != nil {
 		t.Fatal(err)
+	}
+	if got := b.StoredValues(); got > n*len(offsets) {
+		t.Fatalf("offsets %v, %d rows, periods %v: %d values stored, more than the %d of dense bands",
+			offsets, n, b.Periods(), got, n*len(offsets))
+	}
+	for k := range want {
+		for r, v := range want[k] {
+			if got := b.at(k, r); math.Float64bits(got) != math.Float64bits(v) {
+				t.Fatalf("offsets %v, %d rows, band %d (period %d over [%d, %d)): row %d reads %v, stored %v",
+					offsets, n, k, b.bands[k].p, b.bands[k].a, b.bands[k].c, r, got, v)
+			}
+		}
 	}
 	c, err := bld.Freeze()
 	if err != nil {
@@ -105,6 +169,28 @@ func randomRanges(rng *rand.Rand, n int) []int32 {
 	return rs
 }
 
+// cutRanges returns a window of ascending disjoint ranges that start
+// at, end at or straddle the region bounds of b's periodic bands: one
+// range about each bound, reaching 0 to 700 rows to either side.
+func cutRanges(rng *rand.Rand, b *Banded) []int32 {
+	var rs []int32
+	for _, c := range b.cuts {
+		lo, hi := c, c
+		if rng.Intn(3) > 0 {
+			lo = max(0, c-1-rng.Intn(700))
+		}
+		if rng.Intn(3) > 0 || lo == hi {
+			hi = min(b.n, c+1+rng.Intn(700))
+		}
+		if k := len(rs); k > 0 && int(rs[k-1]) >= lo {
+			rs[k-1] = int32(max(int(rs[k-1]), hi))
+			continue
+		}
+		rs = append(rs, int32(lo), int32(hi))
+	}
+	return rs
+}
+
 // checkBandedMatchesCSR runs MulVecRanges on b and compares it bit for
 // bit with c.MulVec on the rows of ranges, folded into acc when acc is
 // non-nil; every other row must keep its sentinel.
@@ -149,14 +235,16 @@ func checkBandedMatchesCSR(t testing.TB, pool *Pool, b *Banded, c *CSR, ranges [
 }
 
 // TestBandedMatchesCSR is the property test of the banded kernel: on
-// random 1–8-band matrices with empty bands and edge rows, over the
-// whole matrix and scattered windows, with no accumulator and with
+// random 1–8-band matrices with empty bands, periodic bands and edge
+// rows, over the whole matrix, scattered windows and windows about the
+// periodic bands' region bounds, with no accumulator and with
 // w = 0 and w ≠ 0, on pools of 1, 2, 4 and 8 workers, every row and
 // every fold is bit-identical to the CSR product of the same entries.
 // The large sizes exceed the parallel threshold, and the registry
 // confirms that multi-worker pools took the parallel path.
 func TestBandedMatchesCSR(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
+	periodic := 0
 	for _, workers := range []int{1, 2, 4, 8} {
 		reg := obs.NewRegistry()
 		pool := NewPoolObs(workers, reg)
@@ -164,10 +252,15 @@ func TestBandedMatchesCSR(t *testing.T) {
 			n := []int{1, 2, 7, 90, 600, 1500, 20000}[trial%7]
 			b, c := bandedPair(t, rng, n, randomOffsets(rng, n, 1+trial%MaxBands))
 			x := randomVec(rng, n)
-			ranges := randomRanges(rng, n)
-			checkBandedMatchesCSR(t, pool, b, c, ranges, x, nil, 0)
-			for _, w := range []float64{0, 0.37, -2.5} {
-				checkBandedMatchesCSR(t, pool, b, c, ranges, x, randomVec(rng, n), w)
+			periodic += b.PeriodicBands()
+			for _, ranges := range [][]int32{randomRanges(rng, n), cutRanges(rng, b)} {
+				if len(ranges) == 0 {
+					continue
+				}
+				checkBandedMatchesCSR(t, pool, b, c, ranges, x, nil, 0)
+				for _, w := range []float64{0, 0.37, -2.5} {
+					checkBandedMatchesCSR(t, pool, b, c, ranges, x, randomVec(rng, n), w)
+				}
 			}
 		}
 		if got := reg.Counter("sparse_pool_spmv_parallel_total").Value(); (got > 0) != (workers > 1) {
@@ -175,15 +268,22 @@ func TestBandedMatchesCSR(t *testing.T) {
 		}
 		pool.Close()
 	}
+	if periodic < 20 {
+		t.Errorf("only %d bands stored as a period over the whole test", periodic)
+	}
 }
 
 // FuzzBandedMatchesCSR is the fuzzing form of TestBandedMatchesCSR: the
 // inputs pick the size, the band count and the fold weight, and seed
-// the offsets, values, vector and window.
+// the offsets, values, vector and windows.
 func FuzzBandedMatchesCSR(f *testing.F) {
 	f.Add(int64(1), uint16(90), uint8(5), 0.0)
 	f.Add(int64(2), uint16(3), uint8(8), 1.5)
 	f.Add(int64(3), uint16(1200), uint8(1), -0.25)
+	f.Add(int64(4), uint16(2500), uint8(6), 0.75)
+	f.Add(int64(5), uint16(1700), uint8(4), -1.0)
+	f.Add(int64(6), uint16(2999), uint8(7), 2.0)
+	f.Add(int64(9), uint16(2500), uint8(6), 0.5)
 	serial, parallel := NewPool(1), NewPool(2)
 	defer serial.Close()
 	defer parallel.Close()
@@ -195,17 +295,21 @@ func FuzzBandedMatchesCSR(f *testing.F) {
 		n := 1 + int(size)%3000
 		b, c := bandedPair(t, rng, n, randomOffsets(rng, n, 1+int(bands)%MaxBands))
 		x, acc := randomVec(rng, n), randomVec(rng, n)
-		ranges := randomRanges(rng, n)
-		for _, pool := range []*Pool{serial, parallel} {
-			checkBandedMatchesCSR(t, pool, b, c, ranges, x, nil, 0)
-			checkBandedMatchesCSR(t, pool, b, c, ranges, x, slices.Clone(acc), w)
+		for _, ranges := range [][]int32{randomRanges(rng, n), cutRanges(rng, b)} {
+			if len(ranges) == 0 {
+				continue
+			}
+			for _, pool := range []*Pool{serial, parallel} {
+				checkBandedMatchesCSR(t, pool, b, c, ranges, x, nil, 0)
+				checkBandedMatchesCSR(t, pool, b, c, ranges, x, slices.Clone(acc), w)
+			}
 		}
 		checkKernelsMatchCSR(t, b, c, x)
 	})
 }
 
 // checkKernelsMatchCSR runs both interior kernels, the Go passes and,
-// where it runs, the AVX2 kernel, directly over b's interior rows and
+// where it runs, the AVX2 kernel, directly over b's interior tiles and
 // compares each row bit for bit with c's product. The products above
 // go through interiorRows, which runs one kernel per machine; this
 // drives the other one too.
@@ -224,7 +328,9 @@ func checkKernelsMatchCSR(t testing.TB, b *Banded, c *CSR, x []float64) {
 	}
 	for name, kernel := range kernels {
 		dst := make([]float64, b.n)
-		kernel(dst, x, b.lo, b.hi)
+		for t := b.lo; t < b.hi; t = b.tileEnd(t, b.hi) {
+			kernel(dst, x, t, b.tileEnd(t, b.hi))
+		}
 		for r := b.lo; r < b.hi; r++ {
 			if math.Float64bits(dst[r]) != math.Float64bits(want[r]) {
 				t.Fatalf("%s kernel, offsets %v, %d rows: dst[%d] = %v, CSR %v", name, b.offs, b.n, r, dst[r], want[r])
@@ -286,14 +392,17 @@ func kernelBands(rng *rand.Rand, n int, offs []int) [][]float64 {
 // to 67 rows (so every mix of 8-row blocks, a 4-row block and the
 // scalar tail), every start row mod 8, and x and band values whose
 // products include ±0, subnormals and ±Inf. Rows outside the tile must
-// keep their sentinel.
+// keep their sentinel. The second half makes about half the bands
+// periodic, with periods of 1 to 8 of those values, and runs every
+// interior tile and tiles of 0 to 67 rows starting at each of the first
+// 8 rows of each periodic run, so the kernels read every table phase.
 func TestBandedAVX2MatchesGo(t *testing.T) {
 	if !useAVX2 {
 		t.Skip("the AVX2 band kernel does not run here (not amd64, no AVX2, or a race build)")
 	}
-	const n = 160
 	rng := rand.New(rand.NewSource(7))
 	for nb := 1; nb <= MaxBands; nb++ {
+		const n = 160
 		offs := randomOffsets(rng, 20, nb)
 		b, err := NewBanded(n, offs, kernelBands(rng, n, offs))
 		if err != nil {
@@ -309,20 +418,61 @@ func TestBandedAVX2MatchesGo(t *testing.T) {
 				if hi > b.hi {
 					t.Fatalf("offsets %v: tile [%d, %d) leaves the interior [%d, %d)", b.offs, lo, hi, b.lo, b.hi)
 				}
-				x := kernelVec(rng, n)
-				want, got := make([]float64, n), make([]float64, n)
-				for i := range want {
-					want[i], got[i] = -7, -7
-				}
-				b.interiorRowsGo(want, x, lo, hi)
-				b.interiorRowsAVX2(got, x, lo, hi)
-				for r := range want {
-					if math.Float64bits(got[r]) != math.Float64bits(want[r]) {
-						t.Fatalf("offsets %v, tile [%d, %d): row %d = %v (%#x), Go passes %v (%#x)",
-							b.offs, lo, hi, r, got[r], math.Float64bits(got[r]), want[r], math.Float64bits(want[r]))
-					}
+				checkAVX2MatchesGo(t, b, kernelVec(rng, n), lo, hi)
+			}
+		}
+	}
+	periodic := 0
+	for nb := 1; nb <= MaxBands; nb++ {
+		const n = 1400
+		offs := randomOffsets(rng, 20, nb)
+		vals := kernelBands(rng, n, offs)
+		for k, o := range offs {
+			if rng.Intn(2) == 0 {
+				continue
+			}
+			a, c, p := max(0, -o)+30, min(n, n-o)-30, 1+rng.Intn(maxPeriod)
+			for r := a + p; r < c; r++ {
+				vals[k][r] = vals[k][r-p]
+			}
+		}
+		b, _ := bandsOf(t, n, offs, vals)
+		periodic += b.PeriodicBands()
+		x := kernelVec(rng, n)
+		for lo := b.lo; lo < b.hi; lo = b.tileEnd(lo, b.hi) {
+			checkAVX2MatchesGo(t, b, x, lo, b.tileEnd(lo, b.hi))
+		}
+		for _, bd := range b.bands {
+			if bd.p == 0 {
+				continue
+			}
+			for length := 0; length <= 67; length++ {
+				for lo := bd.a; lo < bd.a+8; lo++ {
+					checkAVX2MatchesGo(t, b, x, lo, min(lo+length, b.tileEnd(lo, b.hi)))
 				}
 			}
+		}
+	}
+	if periodic == 0 {
+		t.Error("no band stored as a period")
+	}
+}
+
+// checkAVX2MatchesGo runs both interior kernels over the tile [lo, hi)
+// of b and compares every row bit for bit; rows outside the tile must
+// keep their sentinel.
+func checkAVX2MatchesGo(t *testing.T, b *Banded, x []float64, lo, hi int) {
+	t.Helper()
+	want, got := make([]float64, b.n), make([]float64, b.n)
+	for i := range want {
+		want[i], got[i] = -7, -7
+	}
+	b.interiorRowsGo(want, x, lo, hi)
+	b.interiorRowsAVX2(got, x, lo, hi)
+	for r := range want {
+		if math.Float64bits(got[r]) != math.Float64bits(want[r]) {
+			t.Fatalf("offsets %v, periods %v, tile [%d, %d): row %d = %v (%#x), Go passes %v (%#x)",
+				b.offs, b.Periods(), lo, hi, r, got[r], math.Float64bits(got[r]), want[r], math.Float64bits(want[r]))
 		}
 	}
 }
@@ -360,16 +510,161 @@ func TestBandedValidate(t *testing.T) {
 		t.Fatalf("well-formed: %v", err)
 	}
 	for name, corrupt := range map[string]func(b *Banded){
-		"NaN":             func(b *Banded) { b.vals[1][10] = math.NaN() },
-		"Inf":             func(b *Banded) { b.vals[0][20] = math.Inf(-1) },
-		"below column 0":  func(b *Banded) { b.vals[0][1] = 0.5 },
-		"past column n-1": func(b *Banded) { b.vals[2][48] = -0.5 },
+		"NaN":             func(b *Banded) { b.bands[1].head[10] = math.NaN() },
+		"Inf":             func(b *Banded) { b.bands[0].head[20] = math.Inf(-1) },
+		"below column 0":  func(b *Banded) { b.bands[0].head[1] = 0.5 },
+		"past column n-1": func(b *Banded) { b.bands[2].head[48] = -0.5 },
 		"not ascending":   func(b *Banded) { b.offs[0], b.offs[1] = b.offs[1], b.offs[0] },
 	} {
 		b := fresh()
 		corrupt(b)
 		if err := b.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted the corrupted layout", name)
+		}
+	}
+
+	// A matrix whose middle band repeats 0.5, −0, 2 over its interior.
+	periodic := func() *Banded {
+		const n = 2000
+		vals := [][]float64{make([]float64, n), make([]float64, n), make([]float64, n)}
+		for r := 2; r < n; r++ {
+			vals[0][r] = float64(r)
+		}
+		for r := range vals[1] {
+			vals[1][r] = []float64{0.5, math.Copysign(0, -1), 2}[r%3]
+		}
+		b, _ := bandsOf(t, n, []int{-2, 0, 3}, vals)
+		if b.bands[1].p != 3 {
+			t.Fatalf("middle band has period %d, want 3", b.bands[1].p)
+		}
+		return b
+	}
+	for name, corrupt := range map[string]func(b *Banded){
+		"table off period":  func(b *Banded) { b.bands[1].table[100] = math.Copysign(0, 1) },
+		"short table":       func(b *Banded) { b.bands[1].table = b.bands[1].table[:bandTile] },
+		"run past interior": func(b *Banded) { b.bands[1].c = b.hi + 1; b.bands[1].tail = b.bands[1].tail[1:] },
+		"run as long as its table": func(b *Banded) {
+			bd := &b.bands[1]
+			bd.tail = make([]float64, b.n-(bd.a+bandTile+b.period))
+			bd.c = bd.a + bandTile + b.period
+		},
+		"period past maxPeriod": func(b *Banded) { b.bands[1].p = maxPeriod + 1 },
+		"dense with a table":    func(b *Banded) { b.bands[0].table = b.bands[1].table },
+	} {
+		b := periodic()
+		if err := b.Validate(); err != nil {
+			t.Fatalf("well-formed periodic layout: %v", err)
+		}
+		corrupt(b)
+		if err := b.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted the corrupted layout", name)
+		}
+	}
+}
+
+// TestBandedPeriodBreak: one interior row that breaks a band's period,
+// by its value or by the sign of a zero, ends the periodic run there.
+// The band keeps the longer side, rows [0, row), as its period, reads
+// every row back bit for bit, the breaking row included, and its
+// products match the CSR over windows about the break.
+func TestBandedPeriodBreak(t *testing.T) {
+	const n, brk = 3000, 1800 // brk is a multiple of the period
+	period := []float64{0.25, 0, math.Copysign(0, -1)}
+	pool := NewPool(1)
+	defer pool.Close()
+	rng := rand.New(rand.NewSource(11))
+	for _, tc := range []struct {
+		name string
+		row  int
+		v    float64
+	}{
+		{"value", brk, 0.5},
+		{"+0 to -0", brk + 1, math.Copysign(0, -1)},
+		{"-0 to +0", brk + 2, 0},
+	} {
+		v := make([]float64, n)
+		for r := range v {
+			v[r] = period[r%len(period)]
+		}
+		v[tc.row] = tc.v
+		b, c := bandsOf(t, n, []int{0}, [][]float64{v})
+		if bd := b.bands[0]; bd.p != len(period) || bd.a != 0 || bd.c != tc.row {
+			t.Errorf("%s at row %d: period %d over rows [%d, %d), want %d over [0, %d)",
+				tc.name, tc.row, bd.p, bd.a, bd.c, len(period), tc.row)
+		}
+		x := randomVec(rng, n)
+		for _, ranges := range [][]int32{{0, n}, {brk - 5, brk + 5}, {brk, brk + 700}, {brk - 600, brk}} {
+			checkBandedMatchesCSR(t, pool, b, c, ranges, x, nil, 0)
+		}
+	}
+}
+
+// TestBandedCommonPeriod: the tables of a matrix's periodic bands span
+// bandTile + P rows, P the lcm of their periods, so one remainder per
+// tile serves them all. Bands of periods 2 and 3 share P = 6; a period-3
+// run too short for a 6-row period stays dense and leaves P = 2. Both
+// layouts read back every value and match the CSR.
+func TestBandedCommonPeriod(t *testing.T) {
+	const n = 2000
+	pool := NewPool(1)
+	defer pool.Close()
+	rng := rand.New(rand.NewSource(12))
+	for _, tc := range []struct {
+		name    string
+		run3    int // rows of the period-3 band's run
+		periods []int
+		period  int
+	}{
+		{"both periodic", n - 10, []int{2, 3}, 6},
+		{"period 3 run too short", bandTile + 5, []int{2, 0}, 2},
+	} {
+		vals := [][]float64{make([]float64, n), make([]float64, n)}
+		for r := 0; r < n; r++ {
+			vals[0][r] = []float64{0.5, -1}[r%2]
+			vals[1][r] = float64(r) // irregular outside the run
+		}
+		for r := 5; r < 5+tc.run3; r++ {
+			vals[1][r] = []float64{2, math.Copysign(0, -1), 0.25}[r%3]
+		}
+		vals[1][n-1] = 0 // column n is outside the matrix
+		b, c := bandsOf(t, n, []int{0, 1}, vals)
+		if got := b.Periods(); !slices.Equal(got, tc.periods) || b.period != tc.period {
+			t.Errorf("%s: periods %v, matrix period %d; want %v, %d", tc.name, got, b.period, tc.periods, tc.period)
+		}
+		for k, bd := range b.bands {
+			if bd.p > 0 && len(bd.table) != bandTile+tc.period {
+				t.Errorf("%s: band %d has a %d-value table, want %d", tc.name, k, len(bd.table), bandTile+tc.period)
+			}
+		}
+		x := randomVec(rng, n)
+		for _, ranges := range [][]int32{{0, n}, cutRanges(rng, b)} {
+			checkBandedMatchesCSR(t, pool, b, c, ranges, x, nil, 0)
+		}
+	}
+}
+
+// TestPeriodicRunThreshold: a band compacts only when its periodic run
+// is longer than the table that would replace it, bandTile+p rows, so
+// compaction never stores more values than the dense band.
+func TestPeriodicRunThreshold(t *testing.T) {
+	for p := 1; p <= maxPeriod; p++ {
+		for _, run := range []int{bandTile + p, bandTile + p + 1} {
+			n := run + 40
+			v := make([]float64, n)
+			for r := range v {
+				v[r] = float64(r + 1) // no period anywhere
+			}
+			for r := 20; r < 20+run; r++ {
+				v[r] = float64((r-20)%p) - 3
+			}
+			b, _ := bandsOf(t, n, []int{0}, [][]float64{v})
+			compact := run > bandTile+p
+			if bd := b.bands[0]; (bd.p > 0) != compact || (compact && (bd.p != p || bd.a != 20 || bd.c != 20+run)) {
+				t.Errorf("period %d over %d rows: stored with period %d over [%d, %d)", p, run, bd.p, bd.a, bd.c)
+			}
+			if got := b.StoredValues(); got > n || (compact && got != n-run+bandTile+p) {
+				t.Errorf("period %d over %d rows: %d values stored for %d rows", p, run, got, n)
+			}
 		}
 	}
 }
@@ -402,7 +697,8 @@ func BenchmarkWindowProduct(b *testing.B) {
 
 // BenchmarkBandedKernel times one interior tile of bandTile rows on each
 // interior kernel, called directly, with Fig. 8's 5 band offsets and
-// Fig. 10's 6. The avx2 runs skip where that kernel does not run.
+// Fig. 10's 6, every band dense. The avx2 runs skip where that kernel
+// does not run.
 func BenchmarkBandedKernel(b *testing.B) {
 	for _, fig := range []struct {
 		name string
@@ -410,7 +706,14 @@ func BenchmarkBandedKernel(b *testing.B) {
 	}{{"fig8", fig8Offsets}, {"fig10", fig10Offsets}} {
 		n := 2*bandTile + fig.offs[len(fig.offs)-1] - fig.offs[0]
 		rng := rand.New(rand.NewSource(8))
-		bm, _ := bandedPair(b, rng, n, fig.offs)
+		vals := make([][]float64, len(fig.offs))
+		for k, o := range fig.offs {
+			vals[k] = make([]float64, n)
+			for r := max(0, -o); r < min(n, n-o); r++ {
+				vals[k][r] = rng.NormFloat64()
+			}
+		}
+		bm, _ := bandsOf(b, n, fig.offs, vals)
 		x, dst := randomVec(rng, n), make([]float64, n)
 		lo := bm.lo
 		for _, k := range []struct {
