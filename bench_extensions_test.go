@@ -5,6 +5,7 @@ package batlife
 // experiments of cmd/paperfigs.
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -69,30 +70,40 @@ func BenchmarkBaselineComparison(b *testing.B) {
 	b.ReportMetric(modMin, "modified_min")
 }
 
-// BenchmarkMeanLifetimeSolver measures the Gauss–Seidel absorption-time
-// solve on the expanded two-well chain and reports the mean.
+// BenchmarkMeanLifetimeSolver measures the absorption-time solve for
+// E[L] on already-built expanded chains of Fig. 8 (Δ = 50) and Fig. 10
+// (Δ = 2 mAh) and reports the mean.
 func BenchmarkMeanLifetimeSolver(b *testing.B) {
-	w, err := workload.OnOff(1, 1, units.Amperes(0.96))
+	simple, err := workload.Simple(workload.SimpleConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	model := mrm.KiBaMRM{
-		Workload: w.Chain, Currents: w.Currents, Initial: w.Initial, Battery: benchPaperBattery,
+	fig10Battery := kibam.Params{Capacity: units.MilliampHours(800).AmpereSeconds(), C: 0.625, K: 4.5e-5}
+	for _, bc := range []struct {
+		name  string
+		model mrm.KiBaMRM
+		delta float64
+	}{
+		{"fig8/delta=50", benchOnOffModel(b, benchPaperBattery), 50},
+		{"fig10/delta=2mAh", benchWireless(b, simple, fig10Battery), units.MilliampHours(2).AmpereSeconds()},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			e, err := core.Build(bc.model, bc.delta, core.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			var mean float64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				mean, err = e.MeanLifetime(context.Background())
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(mean, "mean_lifetime_s")
+			b.ReportMetric(float64(e.NumStates()), "states")
+		})
 	}
-	e, err := core.Build(model, 50, core.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var mean float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mean, err = e.MeanLifetime()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(mean, "mean_lifetime_s")
-	b.ReportMetric(float64(e.NumStates()), "states")
 }
 
 // BenchmarkWastedCharge measures the stranded-charge distribution of

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math"
@@ -38,7 +39,7 @@ func cmdMean(args []string) error {
 	if err != nil {
 		return err
 	}
-	mean, err := e.MeanLifetime()
+	mean, err := e.MeanLifetime(context.Background())
 	if err != nil {
 		return err
 	}

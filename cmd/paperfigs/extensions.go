@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -107,7 +108,7 @@ func runStranded(w io.Writer, cfg config) error {
 		if err != nil {
 			return err
 		}
-		mean, err := e.MeanLifetime()
+		mean, err := e.MeanLifetime(context.Background())
 		if err != nil {
 			return err
 		}

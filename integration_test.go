@@ -8,6 +8,7 @@ package batlife
 // strongest correctness evidence the repository has.
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -95,7 +96,7 @@ func TestApproximationAgreesWithSimulationOnRandomModels(t *testing.T) {
 		// at 60 grid levels the phase-type approximation visibly smears
 		// the CDF (the paper's Figure 7 effect), but its mean is only
 		// biased by O(Δ), a few percent here.
-		mean, err := e.MeanLifetime()
+		mean, err := e.MeanLifetime(context.Background())
 		if err != nil {
 			t.Logf("seed %d: mean: %v", seed, err)
 			return false

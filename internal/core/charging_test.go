@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
+	"time"
 
 	"batlife/internal/ctmc"
 	"batlife/internal/kibam"
@@ -128,14 +130,21 @@ func TestChargingSurvivalWithStrongHarvest(t *testing.T) {
 	if res.EmptyProb[0] > 0.05 {
 		t.Errorf("strong harvesting: Pr[empty at 20000] = %v", res.EmptyProb[0])
 	}
-	// No MeanLifetime check here: with net-positive harvesting the mean
-	// absorption time is astronomically large (exponential in the level
-	// count) and the linear solve rightly fails to converge.
+	// With net-positive harvesting the mean absorption time is
+	// astronomically large (exponential in the level count), so the
+	// repeated sweeps of the mean solve creep upward for their whole
+	// budget. A deadline must stop them.
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if _, err := e.MeanLifetime(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("strong harvesting mean under a 50 ms deadline: err = %v, want DeadlineExceeded", err)
+	}
 }
 
-func TestChargingTwoWellGrid(t *testing.T) {
-	// Charging must compose with the two-well battery: bound-charge
-	// transfer keeps flowing while the harvest state refills y1.
+// twoWellChargingModel alternates a 0.96 A drain with a 0.3 A charge on
+// the two-well battery of Fig. 8.
+func twoWellChargingModel(t *testing.T) mrm.KiBaMRM {
+	t.Helper()
 	var b ctmc.Builder
 	b.Transition("drain", "charge", 1)
 	b.Transition("charge", "drain", 1)
@@ -143,14 +152,19 @@ func TestChargingTwoWellGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := mrm.KiBaMRM{
+	return mrm.KiBaMRM{
 		Workload:      chain,
 		Currents:      []float64{0.96, -0.3},
 		Initial:       chain.PointDistribution(0),
 		Battery:       kibam.Params{Capacity: 7200, C: 0.625, K: 4.5e-5},
 		AllowCharging: true,
 	}
-	e, err := Build(m, 300, Options{})
+}
+
+func TestChargingTwoWellGrid(t *testing.T) {
+	// Charging must compose with the two-well battery: bound-charge
+	// transfer keeps flowing while the harvest state refills y1.
+	e, err := Build(twoWellChargingModel(t), 300, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 
 	"batlife/internal/core"
@@ -68,7 +69,7 @@ func ExampleExpanded_MeanLifetime() {
 		fmt.Println("error:", err)
 		return
 	}
-	mean, err := expanded.MeanLifetime()
+	mean, err := expanded.MeanLifetime(context.Background())
 	if err != nil {
 		fmt.Println("error:", err)
 		return

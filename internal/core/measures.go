@@ -1,29 +1,39 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
-	"batlife/internal/sparse"
+	"batlife/internal/linalg"
 )
 
 // ErrNoAbsorption reports a chain whose battery can never empty, so
 // absorption-based measures diverge.
 var ErrNoAbsorption = errors.New("core: battery never empties under this model")
 
+// meanTolerance and meanMaxSweeps stop a charging model's sweeps.
+const meanTolerance, meanMaxSweeps = 1e-12, 200000
+
 // MeanLifetime returns the expected battery lifetime E[L] in seconds:
-// the expected absorption time of the expanded chain into the empty
-// (j1 = 0) slice, obtained by solving the linear system
+// the expected absorption time m of the expanded chain into the empty
+// (j1 = 0) slice: (−Q*)·m = 1 on the live states, m = 0 on the empty.
 //
-//	q_s·m_s − Σ_{s′ live} rate(s→s′)·m_{s′} = 1
+// It solves the n×n system of each block — the n workload states of one
+// grid cell (j1, j2) — by LU, in ascending (j1+j2, j2). Consumption
+// lowers j1+j2 and transfer keeps it but lowers j2, so every transition
+// out of a block reaches a block already solved, and one sweep is
+// exact. Charging (negative current) raises j1, so those models repeat
+// the sweep on the stored factors until the largest change is at most
+// 1e-12 of the largest mean, within 200,000 sweeps. ctx is checked
+// between sweeps, and its error is returned wrapped.
 //
-// over the live states with Gauss–Seidel sweeps. The sweep order follows
-// the state indexing (ascending j1), which propagates values upward from
-// the empty boundary and converges in a number of sweeps far below the
-// state count. Models built with AllowEmptyRecovery (no absorbing
-// states) have no finite mean lifetime and return ErrNoAbsorption.
-func (e *Expanded) MeanLifetime() (float64, error) {
+// ErrNoAbsorption reports no finite mean: AllowEmptyRecovery (nothing
+// absorbs), a closed class of live states (a block some of whose states
+// cannot leave it), or charging sweeps that do not settle.
+func (e *Expanded) MeanLifetime(ctx context.Context) (float64, error) {
 	if e.opts.AllowEmptyRecovery {
 		return 0, fmt.Errorf("%w: empty states are not absorbing", ErrNoAbsorption)
 	}
@@ -31,55 +41,93 @@ func (e *Expanded) MeanLifetime() (float64, error) {
 		return 0, fmt.Errorf("%w: no state draws current", ErrNoAbsorption)
 	}
 	n := e.model.Workload.NumStates()
-	total := e.NumStates()
-
-	// Live states are those with j1 > 0; they occupy the contiguous
-	// index range [n·n2, total).
-	offset := n * e.n2
-	live := total - offset
-
-	b := sparse.NewBuilder(live, live, e.gen.NNZ())
-	for s := offset; s < total; s++ {
-		e.gen.Row(s, func(col int, v float64) {
-			if col == s {
-				b.Add(s-offset, s-offset, -v) // diagonal: q_s
-				return
-			}
-			if col >= offset {
-				b.Add(s-offset, col-offset, -v)
-			}
-			// Transitions into the empty slice leave the system (their
-			// target has mean 0).
-		})
+	upward := slices.ContainsFunc(e.model.Currents, func(c float64) bool { return c < 0 })
+	// One sweep needs one block's factors at a time; repeated sweeps
+	// keep every live block's, in slot first/n − n2.
+	slots := 1
+	if upward {
+		slots = (e.n1 - 1) * e.n2
 	}
-	a, err := b.Freeze()
-	if err != nil {
-		return 0, fmt.Errorf("core: mean lifetime system: %w", err)
-	}
-	m := make([]float64, live)
-	ones := make([]float64, live)
-	for i := range ones {
-		ones[i] = 1
-	}
-	if _, err := sparse.GaussSeidel(a, m, ones, sparse.GaussSeidelOptions{
-		MaxIterations: 200000,
-		Tolerance:     1e-12,
-	}); err != nil {
-		if errors.Is(err, sparse.ErrZeroDiagonal) || errors.Is(err, sparse.ErrNoConvergence) {
-			return 0, fmt.Errorf("%w: %v", ErrNoAbsorption, err)
+	lu := make([]float64, slots*n*n)
+	piv := make([]int, slots*n)
+	exits := make([]bool, n)
+	x := make([]float64, n)
+	m := make([]float64, e.NumStates())
+	for sweep := 1; ; sweep++ {
+		if err := ctx.Err(); err != nil {
+			return 0, fmt.Errorf("core: mean lifetime: %w", err)
 		}
-		return 0, fmt.Errorf("core: mean lifetime: %w", err)
+		change, scale := 0.0, 0.0
+		for sum := 1; sum <= e.n1+e.n2-2; sum++ {
+			for j2 := max(0, sum-e.n1+1); j2 <= min(sum-1, e.n2-1); j2++ {
+				j1 := sum - j2
+				first := e.index(0, j1, j2)
+				slot := (first/n - e.n2) % slots
+				a, p := lu[slot*n*n:(slot+1)*n*n], piv[slot*n:(slot+1)*n]
+				if sweep == 1 {
+					clear(a)
+					clear(exits)
+				}
+				for i := range x {
+					x[i] = 1
+					e.gen.Row(first+i, func(col int, v float64) {
+						if k := col - first; k >= 0 && k < n {
+							if sweep == 1 {
+								a[i*n+k] = -v
+							}
+							return
+						}
+						x[i] += v * m[col]
+						exits[i] = true
+					})
+				}
+				if sweep == 1 {
+					if err := factorBlock(a, p, exits); err != nil {
+						return 0, fmt.Errorf("%w: block (j1=%d, j2=%d): %v", ErrNoAbsorption, j1, j2, err)
+					}
+				}
+				linalg.SolveLU(a, p, x)
+				for i, v := range x {
+					change = max(change, math.Abs(v-m[first+i]))
+					scale = max(scale, math.Abs(v))
+					m[first+i] = v
+				}
+			}
+		}
+		if !upward || change <= meanTolerance*scale {
+			break
+		}
+		if sweep == meanMaxSweeps {
+			return 0, fmt.Errorf("%w: mean did not settle within %d sweeps", ErrNoAbsorption, meanMaxSweeps)
+		}
 	}
 	mean := 0.0
 	for s, p := range e.alpha {
-		if p > 0 {
-			if s < offset {
-				continue // initial mass already in the empty slice
-			}
-			mean += p * m[s-offset]
-		}
+		mean += p * m[s]
 	}
 	return mean, nil
+}
+
+// factorBlock LU-factors a block's matrix a = −Q*_BB in place, after
+// checking that every state can leave the block, directly (exits) or
+// via the block's own transitions. Otherwise it lies in a closed class,
+// whose singular block could round to a tiny nonzero pivot.
+func factorBlock(a []float64, piv []int, exits []bool) error {
+	n := len(piv)
+	for grown := true; grown; {
+		grown = false
+		for i := range n {
+			for k := 0; k < n && !exits[i]; k++ {
+				if exits[k] && a[i*n+k] < 0 {
+					exits[i], grown = true, true
+				}
+			}
+		}
+	}
+	if i := slices.Index(exits, false); i >= 0 {
+		return fmt.Errorf("workload state %d cannot leave it", i)
+	}
+	return linalg.FactorLU(a, piv)
 }
 
 // ChargeMoments holds summary statistics of the remaining charge at one

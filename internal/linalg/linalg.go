@@ -1,12 +1,14 @@
 // Package linalg provides the small dense linear-algebra kernels the
 // battery solvers need: LU decomposition with partial pivoting for
-// steady-state equations, and a complex matrix exponential for the
+// steady-state equations and for the n×n workload blocks of the mean
+// lifetime solve, and a complex matrix exponential for the
 // transform-domain performability solver.
 //
 // Workload CTMCs in the paper have at most a handful of states, so these
 // routines are written for clarity and numerical robustness rather than
 // blocked performance. Large systems (the expanded CTMC Q*) never pass
-// through this package — they are handled sparsely by internal/sparse.
+// through this package whole — they are handled sparsely by
+// internal/sparse, or block by block.
 package linalg
 
 import (
@@ -29,52 +31,83 @@ func SolveReal(a [][]float64, b []float64) ([]float64, error) {
 	if n == 0 || len(b) != n {
 		return nil, fmt.Errorf("solve %dx? with |b|=%d: %w", n, len(b), ErrShape)
 	}
-	// Working copy.
-	lu := make([][]float64, n)
-	for i := range lu {
+	lu := make([]float64, 0, n*n)
+	for i := range a {
 		if len(a[i]) != n {
 			return nil, fmt.Errorf("row %d has %d columns, want %d: %w", i, len(a[i]), n, ErrShape)
 		}
-		lu[i] = append([]float64(nil), a[i]...)
+		lu = append(lu, a[i]...)
+	}
+	piv := make([]int, n)
+	if err := FactorLU(lu, piv); err != nil {
+		return nil, err
 	}
 	x := append([]float64(nil), b...)
+	SolveLU(lu, piv, x)
+	return x, nil
+}
 
+// FactorLU factors the row-major n×n matrix lu, n = len(piv), in place
+// into P·A = L·U with partial pivoting: U on and above the diagonal,
+// L's unit-diagonal multipliers below it, and piv[k] the row swapped
+// with row k at step k. It allocates nothing. An exactly zero pivot
+// column fails with ErrSingular.
+func FactorLU(lu []float64, piv []int) error {
+	n := len(piv)
+	if len(lu) != n*n {
+		return fmt.Errorf("factor %d entries as %dx%d: %w", len(lu), n, n, ErrShape)
+	}
 	for col := 0; col < n; col++ {
-		// Partial pivot.
-		pivot, maxAbs := col, math.Abs(lu[col][col])
+		pivot, maxAbs := col, math.Abs(lu[col*n+col])
 		for r := col + 1; r < n; r++ {
-			if abs := math.Abs(lu[r][col]); abs > maxAbs {
+			if abs := math.Abs(lu[r*n+col]); abs > maxAbs {
 				pivot, maxAbs = r, abs
 			}
 		}
 		if maxAbs == 0 {
-			return nil, fmt.Errorf("pivot column %d: %w", col, ErrSingular)
+			return fmt.Errorf("pivot column %d: %w", col, ErrSingular)
 		}
-		lu[col], lu[pivot] = lu[pivot], lu[col]
-		x[col], x[pivot] = x[pivot], x[col]
-
-		inv := 1 / lu[col][col]
+		piv[col] = pivot
+		for c := 0; c < n; c++ {
+			lu[col*n+c], lu[pivot*n+c] = lu[pivot*n+c], lu[col*n+c]
+		}
+		inv := 1 / lu[col*n+col]
 		for r := col + 1; r < n; r++ {
-			f := lu[r][col] * inv
+			f := lu[r*n+col] * inv
+			lu[r*n+col] = f
 			if f == 0 {
 				continue
 			}
-			lu[r][col] = 0
 			for c := col + 1; c < n; c++ {
-				lu[r][c] -= f * lu[col][c]
+				lu[r*n+c] -= f * lu[col*n+c]
 			}
-			x[r] -= f * x[col]
 		}
 	}
-	// Back substitution.
+	return nil
+}
+
+// SolveLU solves A·x = b in place, given FactorLU's factors of A: x
+// holds b on entry and the solution on return. Like FactorLU it
+// allocates nothing.
+func SolveLU(lu []float64, piv []int, x []float64) {
+	n := len(piv)
+	for col, p := range piv {
+		x[col], x[p] = x[p], x[col]
+	}
+	for col := 0; col < n; col++ {
+		for r := col + 1; r < n; r++ {
+			if f := lu[r*n+col]; f != 0 {
+				x[r] -= f * x[col]
+			}
+		}
+	}
 	for r := n - 1; r >= 0; r-- {
 		sum := x[r]
 		for c := r + 1; c < n; c++ {
-			sum -= lu[r][c] * x[c]
+			sum -= lu[r*n+c] * x[c]
 		}
-		x[r] = sum / lu[r][r]
+		x[r] = sum / lu[r*n+r]
 	}
-	return x, nil
 }
 
 // MatC is a dense square complex matrix stored row-major.

@@ -76,6 +76,44 @@ func TestSolveRealDoesNotModifyInputs(t *testing.T) {
 	}
 }
 
+// TestFactorLUReusedAcrossRightHandSides factors once and solves two
+// right-hand sides; each must match SolveReal bit for bit, without an
+// allocation per solve.
+func TestFactorLUReusedAcrossRightHandSides(t *testing.T) {
+	a := [][]float64{{1, 2, 0}, {3, -1, 4}, {0, 5, 2}} // needs pivoting
+	lu := []float64{1, 2, 0, 3, -1, 4, 0, 5, 2}
+	piv := make([]int, 3)
+	if err := FactorLU(lu, piv); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range [][]float64{{1, 2, 3}, {-4, 0, 7}} {
+		want, err := SolveReal(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := append([]float64(nil), b...)
+		SolveLU(lu, piv, x)
+		for i := range want {
+			if math.Float64bits(x[i]) != math.Float64bits(want[i]) {
+				t.Errorf("b=%v: x[%d] = %v, SolveReal gives %v", b, i, x[i], want[i])
+			}
+		}
+	}
+	x := make([]float64, 3)
+	if n := testing.AllocsPerRun(10, func() { SolveLU(lu, piv, x) }); n != 0 {
+		t.Errorf("SolveLU allocates %v times", n)
+	}
+}
+
+func TestFactorLUErrors(t *testing.T) {
+	if err := FactorLU(make([]float64, 3), make([]int, 2)); !errors.Is(err, ErrShape) {
+		t.Errorf("3 entries as 2x2: err = %v, want ErrShape", err)
+	}
+	if err := FactorLU([]float64{1, 2, 2, 4}, make([]int, 2)); !errors.Is(err, ErrSingular) {
+		t.Errorf("rank-1 matrix: err = %v, want ErrSingular", err)
+	}
+}
+
 func TestSolveRealResidualProperty(t *testing.T) {
 	// For random well-conditioned systems, the residual A·x - b must be
 	// tiny relative to b.

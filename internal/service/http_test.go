@@ -432,6 +432,42 @@ func TestHTTPDeadlineExpiry(t *testing.T) {
 	}
 }
 
+// TestHTTPMeanDeadline runs a "mean" job whose solve never settles: the
+// harvest state charges faster than the drain state discharges, so the
+// mean solve would sweep for its whole budget. The job's deadline must
+// stop it and free the run slot.
+func TestHTTPMeanDeadline(t *testing.T) {
+	svc := New(Config{Solver: batlife.NewSolver(batlife.SolverOptions{}), MaxInflight: 1})
+	ts := httptest.NewServer(svc.Routes())
+	defer ts.Close()
+
+	w, err := batlife.NewWorkload(
+		[]batlife.StateSpec{{Name: "drain", CurrentA: 0.96}, {Name: "harvest", CurrentA: -2}},
+		[]batlife.TransitionSpec{
+			{From: "drain", To: "harvest", RatePerSec: 0.5},
+			{From: "harvest", To: "drain", RatePerSec: 0.5},
+		},
+		"drain")
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := api.SolveRequest{
+		Analysis:       api.AnalysisMean,
+		Battery:        batlife.Battery{CapacityAs: 7200, AvailableFraction: 1},
+		Workload:       w,
+		Options:        batlife.AnalysisOptions{Delta: 25},
+		TimeoutSeconds: 0.05,
+	}
+	start := time.Now()
+	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/solve", &req)
+	if resp.StatusCode != http.StatusGatewayTimeout || errCode(t, body) != "deadline_exceeded" {
+		t.Errorf("mean past its deadline: status %d body %s", resp.StatusCode, body)
+	}
+	if took := time.Since(start); took > 5*time.Second {
+		t.Errorf("mean job held its slot %v past a 50 ms deadline", took)
+	}
+}
+
 func TestHTTPDrain(t *testing.T) {
 	// The SIGTERM semantics, driven through BeginDrain (cmd/batlifed
 	// wires the signal to exactly this call): inflight jobs complete and

@@ -618,8 +618,9 @@ func (s *Solver) PhasedLifetimeDistribution(b Battery, phases []WorkloadPhase, t
 
 // ExpectedLifetime computes E[L] on the expanded chain by solving the
 // absorption-time equations (no time grid needed); see the package
-// function of the same name. Epsilon, MaxIterations, Context and
-// Progress do not apply to the direct linear solve and are ignored.
+// function of the same name. Context is checked between the solve's
+// block sweeps, and its error is returned wrapped. Epsilon,
+// MaxIterations and Progress do not apply to the solve and are ignored.
 func (s *Solver) ExpectedLifetime(b Battery, w *Workload, opts AnalysisOptions) (mean float64, err error) {
 	s.solves.Inc()
 	e, modelKey, hit, buildDur, err := s.expanded(b, w, opts)
@@ -635,19 +636,22 @@ func (s *Solver) ExpectedLifetime(b Battery, w *Workload, opts AnalysisOptions) 
 			return entry.val.(float64), nil
 		}
 	}
-	_, span := s.solveSpan(opts.Context, "mean")
+	ctx, span := s.solveSpan(opts.Context, "mean")
 	if span != nil {
 		defer func() { endSolveSpan(span, err) }()
+	}
+	if ctx == nil {
+		ctx = context.Background()
 	}
 	var start time.Time
 	if opts.Report != nil {
 		start = time.Now()
 	}
-	mean, err = e.MeanLifetime()
+	mean, err = e.MeanLifetime(ctx)
 	if err != nil {
 		return 0, wrapErr(err)
 	}
-	// The mean solve is a direct linear system: no uniformisation
+	// The mean solve is a block linear solve: no uniformisation
 	// statistics to report beyond the chain size.
 	rep := SolveReport{
 		States:        e.NumStates(),

@@ -76,7 +76,7 @@ func TestSolverGoldenExpectedLifetime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := e.MeanLifetime()
+	direct, err := e.MeanLifetime(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

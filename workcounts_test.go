@@ -8,7 +8,8 @@ import "testing"
 // models' 4 and 5) — the states and transitions
 // of Q*, the uniformisation steps and products, the Fox–Glynn window,
 // and the rows the windowed loop multiplies — plus a ceiling on the
-// allocations of that solve. Each count is an integer the numerics fix
+// allocations of that solve. A cold mean solve on Fig. 8 pins the chain
+// size and its own allocation ceiling. Each count is an integer the numerics fix
 // exactly, so unlike a timing it does not move with the host. A change
 // that legitimately moves a count updates its pin here and says why in
 // CHANGES.md.
@@ -94,4 +95,26 @@ func TestWorkCounts(t *testing.T) {
 			}
 		})
 	}
+	// A cold mean solve on Fig. 8: one pass over Q*'s 1,288 live blocks.
+	// Its ceiling is far below the 1,288 allocations that one per block
+	// would add.
+	t.Run("fig8-mean", func(t *testing.T) {
+		const measured = 42
+		var rep SolveReport
+		allocs := testing.AllocsPerRun(1, func() {
+			s := NewSolver(SolverOptions{})
+			defer s.Close()
+			opts := AnalysisOptions{Delta: 100, Report: &rep}
+			if _, err := s.ExpectedLifetime(PaperBattery(), onOff, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if rep.States != 2576 || rep.Transitions != 7524 {
+			t.Errorf("mean solve on %d states and %d transitions, want 2576 and 7524", rep.States, rep.Transitions)
+		}
+		if ceiling := 1.5 * measured; allocs > ceiling {
+			t.Errorf("a cold mean solve allocates %v times, ceiling %v (1.5× the measured %v)",
+				allocs, ceiling, measured)
+		}
+	})
 }
