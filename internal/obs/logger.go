@@ -19,9 +19,6 @@ func (discardHandler) WithGroup(string) slog.Handler             { return discar
 // nopLogger is shared by every disabled path so Logger never allocates.
 var nopLogger = slog.New(discardHandler{})
 
-// NopLogger returns a logger that discards every record at every level.
-func NopLogger() *slog.Logger { return nopLogger }
-
 // NewLogger returns a JSON structured logger writing to w at the given
 // level — the logger the CLI threads through the solver when -log is
 // set. The handler is trace-aware: records logged with a context-taking

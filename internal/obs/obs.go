@@ -182,14 +182,6 @@ func (r *Registry) CounterWith(name string, labels ...Attr) *Counter {
 	return r.Counter(metricKey(name, labels))
 }
 
-// GaugeWith returns the gauge for the labeled series.
-func (r *Registry) GaugeWith(name string, labels ...Attr) *Gauge {
-	if r == nil {
-		return nil
-	}
-	return r.Gauge(metricKey(name, labels))
-}
-
 // HistogramWith returns the histogram for the labeled series.
 func (r *Registry) HistogramWith(name string, labels ...Attr) *Histogram {
 	if r == nil {

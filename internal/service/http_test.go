@@ -345,6 +345,26 @@ func TestHTTPErrorMapping(t *testing.T) {
 		t.Errorf("invalid request: status %d code %q", resp2.StatusCode, errCode(t, body))
 	}
 
+	// A model whose battery never empties has no finite mean: the
+	// request, not the server, is at fault.
+	closed, err := batlife.NewWorkload(
+		[]batlife.StateSpec{{Name: "on", CurrentA: 0.96}, {Name: "a"}, {Name: "b"}},
+		[]batlife.TransitionSpec{
+			{From: "on", To: "a", RatePerSec: 0.5},
+			{From: "a", To: "b", RatePerSec: 0.3},
+			{From: "b", To: "a", RatePerSec: 0.7},
+		},
+		"on")
+	if err != nil {
+		t.Fatal(err)
+	}
+	req = validSolveReq(t)
+	req.Analysis, req.Workload, req.Times = api.AnalysisMean, closed, nil
+	resp2, body = postJSON(t, ts.Client(), ts.URL+"/v1/solve", &req)
+	if resp2.StatusCode != http.StatusBadRequest || errCode(t, body) != "bad_argument" {
+		t.Errorf("never-empty mean: status %d code %q body %s", resp2.StatusCode, errCode(t, body), body)
+	}
+
 	// A solve refused by the iteration budget is 422 iteration_limit.
 	req = validSolveReq(t)
 	req.Options = batlife.AnalysisOptions{Delta: 100, MaxIterations: 1}

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"batlife/internal/core"
 )
 
 func TestExpectedLifetimeMatchesSimulation(t *testing.T) {
@@ -39,6 +41,23 @@ func TestExpectedLifetimeErrors(t *testing.T) {
 	}
 	if _, err := ExpectedLifetime(PaperBattery(), w, 7); err == nil {
 		t.Error("non-divisor delta accepted")
+	}
+	// After one draw the workload enters a closed zero-current pair, so
+	// the battery may never empty: no finite mean, and the model is at
+	// fault.
+	closed, err := NewWorkload(
+		[]StateSpec{{Name: "on", CurrentA: 0.96}, {Name: "a"}, {Name: "b"}},
+		[]TransitionSpec{
+			{From: "on", To: "a", RatePerSec: 0.5},
+			{From: "a", To: "b", RatePerSec: 0.3},
+			{From: "b", To: "a", RatePerSec: 0.7},
+		},
+		"on")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ExpectedLifetime(PaperBattery(), closed, 100); !errors.Is(err, ErrBadArgument) || !errors.Is(err, core.ErrNoAbsorption) {
+		t.Errorf("never-empty model: err = %v, want ErrBadArgument wrapping core.ErrNoAbsorption", err)
 	}
 }
 

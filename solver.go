@@ -249,11 +249,11 @@ func (d *Distribution) clone() *Distribution {
 }
 
 // wrapErr normalises internal errors for the facade: argument-class
-// failures (bad grid step, malformed model, bad query ranges) become
-// errors.Is-matchable against ErrBadArgument, iteration-budget refusals
-// against ErrIterationLimit, and everything else keeps the "batlife:"
-// prefix with the cause chain intact (so context.Canceled and friends
-// still match through it).
+// failures (bad grid step, malformed model, bad query ranges, a model
+// whose battery never empties) become errors.Is-matchable against
+// ErrBadArgument, iteration-budget refusals against ErrIterationLimit,
+// and everything else keeps the "batlife:" prefix with the cause chain
+// intact (so context.Canceled and friends still match through it).
 func wrapErr(err error) error {
 	if err == nil {
 		return nil
@@ -262,7 +262,7 @@ func wrapErr(err error) error {
 		return err
 	}
 	if errors.Is(err, core.ErrBadGrid) || errors.Is(err, mrm.ErrBadModel) ||
-		errors.Is(err, core.ErrPhaseMismatch) ||
+		errors.Is(err, core.ErrPhaseMismatch) || errors.Is(err, core.ErrNoAbsorption) ||
 		errors.Is(err, ctmc.ErrBadInput) || errors.Is(err, performability.ErrBadQuery) {
 		return fmt.Errorf("%w: %w", ErrBadArgument, err)
 	}
