@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race checks lint lint-flow fuzz gen-checks bench bench-harness serve ci
+.PHONY: all build test race checks lint lint-flow fuzz fuzz-banded gen-checks bench bench-harness serve ci
 
 all: build test lint
 
@@ -16,13 +16,17 @@ build:
 test: build
 	$(GO) test ./...
 
-## race: full test suite under the race detector, then the SpMV pool
-## and the windowed uniformisation loop (reused dispatch records, per-
-## product parallel dispatch) a second time. Race builds leave out the
-## amd64 assembly band kernel, so every band access goes through the
-## instrumented Go passes.
+## race: full test suite under the race detector, then a second roll of
+## the most concurrency-dense packages: the observability layer (tracer
+## ring, exemplar CAS), the service stack (admission, coalesced waiters,
+## drain), and the SpMV pool with the windowed uniformisation loop
+## (reused dispatch records, per-product parallel dispatch). Race builds
+## leave out the amd64 assembly band kernel, so every band access goes
+## through the instrumented Go passes.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=2 ./internal/obs
+	$(GO) test -race -count=2 ./internal/api ./internal/service ./cmd/batlifed
 	$(GO) test -race -count=2 ./internal/sparse ./internal/ctmc
 
 ## checks: full test suite with the runtime invariant layer compiled in
@@ -86,5 +90,11 @@ ADDR ?= :8418
 serve:
 	$(GO) run ./cmd/batlifed -addr $(ADDR)
 
-## ci: everything the CI workflow gates on
-ci: lint lint-flow build test race checks bench-harness
+## fuzz-banded: the CI fuzz step — 20 s of generated inputs for the
+## banded-against-CSR product check.
+fuzz-banded:
+	$(GO) test -run='^$$' -fuzz='^FuzzBandedMatchesCSR$$' -fuzztime=20s ./internal/sparse
+
+## ci: everything the CI workflow gates on, including its one-iteration
+## benchmark smoke (`make bench` at the default BENCHTIME)
+ci: lint lint-flow build test race checks fuzz-banded bench-harness bench

@@ -167,7 +167,8 @@ func BenchmarkErlangKOnOff(b *testing.B) {
 }
 
 // BenchmarkPhasedDayNight measures the piecewise time-inhomogeneous
-// solver: a light night phase followed by a heavy day phase.
+// solver from cold: building a light night phase and a heavy day phase,
+// then solving the schedule on their operators.
 func BenchmarkPhasedDayNight(b *testing.B) {
 	w, err := workload.OnOff(1, 1, units.Amperes(0.96))
 	if err != nil {
@@ -179,13 +180,18 @@ func BenchmarkPhasedDayNight(b *testing.B) {
 	}
 	light := heavy
 	light.Currents = []float64{0.24, 0}
-	phases := []core.ModelPhase{
-		{Model: light, Duration: 8000},
-		{Model: heavy, Duration: math.Inf(1)},
-	}
+	durations := []float64{8000, math.Inf(1)}
 	var probe float64
 	for i := 0; i < b.N; i++ {
-		res, err := core.PhasedLifetimeCDF(phases, 100, []float64{20000}, core.Options{})
+		night, err := core.Build(light, 100, core.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		day, err := core.Build(heavy, 100, core.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := core.PhasedLifetimeCDFExpanded([]*core.Expanded{night, day}, durations, []float64{20000}, core.SolveOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

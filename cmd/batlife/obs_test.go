@@ -1,12 +1,13 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"batlife"
@@ -119,7 +120,7 @@ func TestLiveMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resp, err := http.Get("http://" + run.srv.Addr() + "/metrics.json")
+	resp, err := http.Get("http://" + run.srv.Addr() + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,20 +129,37 @@ func TestLiveMetricsEndpoint(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	var snap struct {
-		Counters map[string]int64 `json:"counters"`
+	// Counter samples are "name value" lines of the text exposition.
+	counters := map[string]int64{}
+	for _, line := range strings.Split(string(body), "\n") {
+		name, value, ok := strings.Cut(line, " ")
+		if !ok || strings.HasPrefix(line, "#") || !strings.HasSuffix(name, "_total") {
+			continue
+		}
+		n, err := strconv.ParseInt(value, 10, 64)
+		if err != nil {
+			t.Fatalf("counter line %q: %v", line, err)
+		}
+		counters[name] = n
 	}
-	if err := json.Unmarshal(body, &snap); err != nil {
-		t.Fatalf("metrics not JSON: %v\n%s", err, body)
+	if counters["engine_cache_misses_total"] != 1 {
+		t.Errorf("engine_cache_misses_total = %d, want 1", counters["engine_cache_misses_total"])
 	}
-	if snap.Counters["engine_cache_misses_total"] != 1 {
-		t.Errorf("engine_cache_misses_total = %d, want 1", snap.Counters["engine_cache_misses_total"])
+	if counters["engine_cache_hits_total"] != 1 {
+		t.Errorf("engine_cache_hits_total = %d, want 1", counters["engine_cache_hits_total"])
 	}
-	if snap.Counters["engine_cache_hits_total"] != 1 {
-		t.Errorf("engine_cache_hits_total = %d, want 1", snap.Counters["engine_cache_hits_total"])
-	}
-	if snap.Counters["ctmc_uniformization_iterations_total"] <= 0 {
+	if counters["ctmc_uniformization_iterations_total"] <= 0 {
 		t.Errorf("ctmc_uniformization_iterations_total = %d, want > 0",
-			snap.Counters["ctmc_uniformization_iterations_total"])
+			counters["ctmc_uniformization_iterations_total"])
+	}
+
+	// The JSON exposition is gone: /metrics is the one metrics view.
+	resp, err = http.Get("http://" + run.srv.Addr() + "/metrics.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 404 {
+		t.Errorf("/metrics.json: status %d, want 404", resp.StatusCode)
 	}
 }

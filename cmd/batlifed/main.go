@@ -12,7 +12,6 @@
 //	GET  /healthz       liveness (always ok while serving)
 //	GET  /readyz        readiness (503 once draining)
 //	GET  /metrics       Prometheus/OpenMetrics text exposition
-//	GET  /metrics.json  expvar-style metrics JSON
 //	GET  /debug/traces  recent request traces (JSON span trees;
 //	                    ?fmt=text renders a waterfall), with
 //	                    net/http/pprof under /debug/pprof/

@@ -44,16 +44,8 @@ import (
 // ErrBadGrid reports an unusable discretisation step.
 var ErrBadGrid = errors.New("core: invalid discretisation")
 
-// Options tunes the construction and solution of the expanded CTMC.
+// Options tunes the construction of the expanded CTMC.
 type Options struct {
-	// Epsilon bounds the truncated Poisson tail mass of the transient
-	// solve, and separately the mass the windowed solve may drop
-	// (Result.DroppedMass ≤ Epsilon): every probability is at most
-	// Epsilon + DroppedMass below the exact uniformisation value. Zero
-	// selects 1e-12.
-	Epsilon float64
-	// Workers sets the SpMV parallelism; zero selects runtime.NumCPU().
-	Workers int
 	// AllowEmptyRecovery keeps the j1 = 0 states live instead of
 	// absorbing. The paper makes them absorbing (lifetime = first
 	// passage) but notes "the recovery transitions could easily be
@@ -67,12 +59,10 @@ type Options struct {
 	// no transition are not consulted; return the given base rate to
 	// leave a transition unchanged.
 	TransitionRate func(from, to int, y1, y2, base float64) float64
-	// OnIteration is forwarded to the uniformisation engine.
-	OnIteration func(done, total int)
 	// Obs, when non-nil, receives expansion telemetry (state/NNZ counts,
-	// build timing, a "core.build" span) and becomes the default
-	// registry for solves on the built model. It does not affect the
-	// result and is excluded from engine fingerprints.
+	// build timing, a "core.build" span). It does not affect the result
+	// and is excluded from engine fingerprints. Solves record into the
+	// registry in their own SolveOptions.Obs.
 	Obs *obs.Registry
 	// Context, when non-nil, carries the request-scoped trace: the
 	// "core.build" span is parented under the span the context carries
@@ -82,31 +72,11 @@ type Options struct {
 	Context context.Context
 }
 
-// SolveOptions tunes one transient solve on an already-built Expanded.
-// Zero fields fall back to the Options the model was built with (and
-// from there to the engine defaults), so an Expanded built once can be
-// queried under many numerical settings — the substrate of the cached
-// Solver facade.
-type SolveOptions struct {
-	// Epsilon bounds the truncated Poisson tail mass and the dropped
-	// mass, as in Options; zero falls back to the build Options, then to
-	// 1e-12.
-	Epsilon float64
-	// Workers sets the SpMV parallelism; ignored when Pool is set.
-	Workers int
-	// Pool, when non-nil, supplies a shared SpMV worker pool.
-	Pool *sparse.Pool
-	// MaxIterations caps uniformisation steps; exceeding it fails the
-	// solve with ctmc.ErrIterationBudget. Zero is unlimited.
-	MaxIterations int
-	// Context cancels the iteration loop between steps.
-	Context context.Context
-	// OnIteration is forwarded to the uniformisation engine.
-	OnIteration func(done, total int)
-	// Obs is forwarded to the uniformisation engine; nil falls back to
-	// the build Options.
-	Obs *obs.Registry
-}
+// SolveOptions tunes one transient solve on an already-built Expanded:
+// the uniformisation engine's own options, passed through unchanged, so
+// an Expanded built once can be queried under many numerical settings —
+// the substrate of the cached Solver facade.
+type SolveOptions = ctmc.TransientOptions
 
 // Expanded is the derived pure CTMC Q* for one model and step size. It
 // is immutable after Build apart from the lazily-constructed, internally
@@ -320,7 +290,7 @@ func (e *Expanded) Generator() *sparse.CSR { return e.gen }
 // transient solve on this model.
 func (e *Expanded) Operator() (*ctmc.Uniformized, error) {
 	e.uniOnce.Do(func() {
-		e.uni, e.uniErr = ctmc.NewUniformized(e.gen, ctmc.TransientOptions{})
+		e.uni, e.uniErr = ctmc.NewUniformized(e.gen)
 	})
 	if e.uniErr != nil {
 		return nil, fmt.Errorf("core: uniformised operator: %w", e.uniErr)
@@ -328,32 +298,47 @@ func (e *Expanded) Operator() (*ctmc.Uniformized, error) {
 	return e.uni, nil
 }
 
-// transientOpts merges per-solve options with the build-time defaults.
-func (e *Expanded) transientOpts(so SolveOptions) ctmc.TransientOptions {
-	eps := so.Epsilon
-	if eps <= 0 {
-		eps = e.opts.Epsilon
+// solve runs one transient solve from α* on the model's cached operator:
+// the distributions when w is nil, the functional w·π(t) otherwise.
+func (e *Expanded) solve(w, times []float64, so SolveOptions) (*ctmc.Result, error) {
+	u, err := e.Operator()
+	if err != nil {
+		return nil, err
 	}
-	workers := so.Workers
-	if workers == 0 {
-		workers = e.opts.Workers
-	}
-	onIter := so.OnIteration
-	if onIter == nil {
-		onIter = e.opts.OnIteration
-	}
-	reg := so.Obs
-	if reg == nil {
-		reg = e.opts.Obs
-	}
-	return ctmc.TransientOptions{
-		Epsilon:       eps,
-		Workers:       workers,
-		Pool:          so.Pool,
-		MaxIterations: so.MaxIterations,
-		Context:       so.Context,
-		OnIteration:   onIter,
-		Obs:           reg,
+	return u.Transient(e.alpha, w, times, so)
+}
+
+// Stats describes the transient solve behind an answer: the size of the
+// expanded chain and the work uniformisation did. See ctmc.Result for
+// the exact semantics of each count.
+type Stats struct {
+	// States and NNZ echo the expanded chain size.
+	States, NNZ int
+	// Iterations is the number of uniformisation steps performed and
+	// SpMVs the matrix-vector products.
+	Iterations, SpMVs int
+	// Rate is the uniformisation constant of the expanded chain.
+	Rate float64
+	// FoxGlynnLeft and FoxGlynnRight delimit the Poisson truncation
+	// window the solve committed to.
+	FoxGlynnLeft, FoxGlynnRight int
+	// DroppedMass is the probability mass the windowed solve trimmed
+	// from its iterates, at most Epsilon: each probability is at most
+	// Epsilon + DroppedMass below the exact uniformisation value.
+	DroppedMass float64
+}
+
+// stats reports a transient solve on this model.
+func (e *Expanded) stats(res *ctmc.Result) Stats {
+	return Stats{
+		States:        e.NumStates(),
+		NNZ:           e.NNZ(),
+		Iterations:    res.Iterations,
+		SpMVs:         res.SpMVs,
+		Rate:          res.Rate,
+		FoxGlynnLeft:  res.FoxGlynnLeft,
+		FoxGlynnRight: res.FoxGlynnRight,
+		DroppedMass:   res.DroppedMass,
 	}
 }
 
@@ -363,22 +348,7 @@ type Result struct {
 	Times []float64
 	// EmptyProb[k] approximates Pr{battery empty at Times[k]}.
 	EmptyProb []float64
-	// Iterations is the number of uniformisation steps performed.
-	Iterations int
-	// Rate is the uniformisation constant of the expanded chain.
-	Rate float64
-	// States and NNZ echo the expanded chain size.
-	States, NNZ int
-	// FoxGlynnLeft and FoxGlynnRight delimit the Poisson truncation
-	// window the solve committed to; SpMVs counts matrix-vector
-	// products. See ctmc.Result for the exact semantics.
-	FoxGlynnLeft, FoxGlynnRight int
-	SpMVs                       int
-	// DroppedMass is the probability mass the windowed solve trimmed
-	// from its iterates, at most Epsilon: each EmptyProb is at most
-	// Epsilon + DroppedMass below the exact uniformisation value. See
-	// ctmc.Result.
-	DroppedMass float64
+	Stats
 }
 
 // LifetimeCDF computes Pr{battery empty at t} — the approximation of
@@ -387,31 +357,15 @@ func (e *Expanded) LifetimeCDF(times []float64) (*Result, error) {
 	return e.LifetimeCDFOpts(times, SolveOptions{})
 }
 
-// LifetimeCDFOpts is LifetimeCDF with per-solve options; zero fields
-// fall back to the build Options. The solve reuses the model's cached
-// uniformisation operator, so repeated queries pay only the iteration
-// loop.
+// LifetimeCDFOpts is LifetimeCDF with per-solve options. The solve
+// reuses the model's cached uniformisation operator, so repeated queries
+// pay only the iteration loop.
 func (e *Expanded) LifetimeCDFOpts(times []float64, so SolveOptions) (*Result, error) {
-	u, err := e.Operator()
-	if err != nil {
-		return nil, err
-	}
-	res, err := u.Transient(e.alpha, e.emptyIndicator(), times, e.transientOpts(so))
+	res, err := e.solve(e.emptyIndicator(), times, so)
 	if err != nil {
 		return nil, fmt.Errorf("core: lifetime CDF: %w", err)
 	}
-	return &Result{
-		Times:         res.Times,
-		EmptyProb:     clampProbs(res.Values),
-		Iterations:    res.Iterations,
-		Rate:          res.Rate,
-		States:        e.NumStates(),
-		NNZ:           e.NNZ(),
-		FoxGlynnLeft:  res.FoxGlynnLeft,
-		FoxGlynnRight: res.FoxGlynnRight,
-		SpMVs:         res.SpMVs,
-		DroppedMass:   res.DroppedMass,
-	}, nil
+	return &Result{Times: res.Times, EmptyProb: clampProbs(res.Values), Stats: e.stats(res)}, nil
 }
 
 // LifetimeCDFBatchOpts evaluates the lifetime CDF on several time grids
@@ -446,12 +400,7 @@ func (e *Expanded) LifetimeCDFBatchOpts(grids [][]float64, so SolveOptions) ([]*
 	sort.Float64s(union)
 	union = slices.Compact(union)
 
-	u, err := e.Operator()
-	if err != nil {
-		return nil, err
-	}
-	topts := e.transientOpts(so)
-	res, err := u.Transient(e.alpha, e.emptyIndicator(), union, topts)
+	res, err := e.solve(e.emptyIndicator(), union, so)
 	if err != nil {
 		return nil, fmt.Errorf("core: batched lifetime CDF: %w", err)
 	}
@@ -460,21 +409,17 @@ func (e *Expanded) LifetimeCDFBatchOpts(grids [][]float64, so SolveOptions) ([]*
 	out := make([]*Result, len(grids))
 	charged := false
 	for k, grid := range grids {
-		left, right, err := u.Window(grid, topts)
+		left, right, err := e.uni.Window(grid, so)
 		if err != nil {
 			return nil, fmt.Errorf("core: batched lifetime CDF: %w", err)
 		}
 		r := &Result{
-			Times:         append([]float64(nil), grid...),
-			EmptyProb:     make([]float64, len(grid)),
-			Iterations:    min(res.Iterations, right),
-			Rate:          res.Rate,
-			States:        e.NumStates(),
-			NNZ:           e.NNZ(),
-			FoxGlynnLeft:  left,
-			FoxGlynnRight: right,
-			DroppedMass:   res.DroppedMass,
+			Times:     append([]float64(nil), grid...),
+			EmptyProb: make([]float64, len(grid)),
+			Stats:     e.stats(res),
 		}
+		r.Iterations, r.SpMVs = min(res.Iterations, right), 0
+		r.FoxGlynnLeft, r.FoxGlynnRight = left, right
 		// Both slices ascend and the union holds every grid point, so
 		// one forward walk finds each point's value.
 		j := 0
@@ -520,11 +465,7 @@ func clampProbs(ps []float64) []float64 {
 // charge levels at time t: out[j1] = Pr{Y1(t) ∈ level j1}. Useful for
 // inspecting how probability mass drains toward the empty slice.
 func (e *Expanded) StateDistribution(t float64) ([]float64, error) {
-	u, err := e.Operator()
-	if err != nil {
-		return nil, err
-	}
-	res, err := u.Transient(e.alpha, nil, []float64{t}, e.transientOpts(SolveOptions{}))
+	res, err := e.solve(nil, []float64{t}, SolveOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("core: state distribution: %w", err)
 	}

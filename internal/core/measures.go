@@ -147,11 +147,7 @@ type ChargeMoments struct {
 // probability mass drains down the grid over time — the distributional
 // view behind the lifetime CDF.
 func (e *Expanded) ChargeAt(t float64) (*ChargeMoments, error) {
-	u, err := e.Operator()
-	if err != nil {
-		return nil, err
-	}
-	res, err := u.Transient(e.alpha, nil, []float64{t}, e.transientOpts(SolveOptions{}))
+	res, err := e.solve(nil, []float64{t}, SolveOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("core: charge moments: %w", err)
 	}
@@ -203,6 +199,8 @@ type WastedCharge struct {
 	// AbsorbedMass is the unconditional probability that the battery is
 	// empty at the evaluation time.
 	AbsorbedMass float64
+	// Stats describes the transient solve at the evaluation time.
+	Stats
 }
 
 // Mean returns the expected stranded bound charge in ampere-seconds
@@ -224,13 +222,9 @@ func (e *Expanded) WastedChargeDistribution(t float64) (*WastedCharge, error) {
 }
 
 // WastedChargeDistributionOpts is WastedChargeDistribution with
-// per-solve options; zero fields fall back to the build Options.
+// per-solve options.
 func (e *Expanded) WastedChargeDistributionOpts(t float64, so SolveOptions) (*WastedCharge, error) {
-	u, err := e.Operator()
-	if err != nil {
-		return nil, err
-	}
-	res, err := u.Transient(e.alpha, nil, []float64{t}, e.transientOpts(so))
+	res, err := e.solve(nil, []float64{t}, so)
 	if err != nil {
 		return nil, fmt.Errorf("core: wasted charge: %w", err)
 	}
@@ -238,6 +232,7 @@ func (e *Expanded) WastedChargeDistributionOpts(t float64, so SolveOptions) (*Wa
 	wc := &WastedCharge{
 		Levels: make([]float64, e.n2),
 		Delta:  e.delta,
+		Stats:  e.stats(res),
 	}
 	pi := res.Distributions[0]
 	for j2 := 0; j2 < e.n2; j2++ {

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"batlife/internal/ctmc"
 	"batlife/internal/mrm"
@@ -12,60 +11,18 @@ import (
 // ErrPhaseMismatch reports phased models that cannot be chained.
 var ErrPhaseMismatch = errors.New("core: phased models are incompatible")
 
-// ModelPhase is one segment of a time-inhomogeneous battery scenario: a
-// KiBaMRM in force for Duration seconds. Successive phases must share
-// the workload state space and the battery, so that the expanded chains
-// have identical grids and the probability vector can be handed from
-// one phase to the next — e.g. a device with a heavy daytime and a
-// light nighttime profile.
-type ModelPhase struct {
-	// Model is the workload/battery coupling during this phase. Only
-	// the workload rates and currents may differ between phases.
-	Model mrm.KiBaMRM
-	// Duration is the phase length in seconds; the final phase may be
-	// +Inf.
-	Duration float64
-}
-
-// PhasedLifetimeCDF computes Pr{battery empty at t} for a scenario that
-// switches between workload models at fixed instants (the paper's
-// time-inhomogeneous MRMs of Section 4.1, in piecewise-constant form).
-// All phases are discretised with the same step delta.
-func PhasedLifetimeCDF(phases []ModelPhase, delta float64, times []float64, opts Options) (*Result, error) {
-	if len(phases) == 0 {
-		return nil, fmt.Errorf("%w: no phases", ErrPhaseMismatch)
-	}
-	xs := make([]*Expanded, len(phases))
-	durations := make([]float64, len(phases))
-	for i, ph := range phases {
-		if i > 0 {
-			if err := checkPhaseCompat(phases[0].Model, ph.Model); err != nil {
-				return nil, fmt.Errorf("phase %d: %w", i, err)
-			}
-		}
-		e, err := Build(ph.Model, delta, opts)
-		if err != nil {
-			if i > 0 {
-				err = fmt.Errorf("phase %d: %w", i, err)
-			}
-			return nil, err
-		}
-		xs[i], durations[i] = e, ph.Duration
-	}
-	return PhasedLifetimeCDFExpanded(xs, durations, times, SolveOptions{
-		Epsilon:     opts.Epsilon,
-		Workers:     opts.Workers,
-		OnIteration: opts.OnIteration,
-	})
-}
-
-// PhasedLifetimeCDFExpanded runs the piecewise transient solve over
-// already-expanded phases — e.g. instances served by an engine cache —
-// with full SolveOptions threading (shared pool, iteration budget,
-// cancellation, telemetry). Phase i's chain is in force for
-// durations[i] seconds; the final duration may be +Inf. All phases must
-// share the battery, the workload state count and the step Δ, so the
-// probability vector can be handed across phase boundaries.
+// PhasedLifetimeCDFExpanded computes Pr{battery empty at t} for a
+// scenario that switches between workload models at fixed instants (the
+// paper's time-inhomogeneous MRMs of Section 4.1, in piecewise-constant
+// form): phase i's chain is in force for durations[i] seconds, and the
+// final duration may be +Inf. All phases must share the battery, the
+// workload state count and the step Δ, so the probability vector can be
+// handed across phase boundaries. Each phase runs on its model's cached
+// operator (see Expanded.Operator), so phases that share a model, and
+// repeated queries, reuse one Pᵀ and its Fox–Glynn tables.
+//
+// Iterations, SpMVs and DroppedMass sum over the phases; the Fox–Glynn
+// window is left unset, since each phase has one of its own.
 func PhasedLifetimeCDFExpanded(phases []*Expanded, durations []float64, times []float64, so SolveOptions) (*Result, error) {
 	if len(phases) == 0 {
 		return nil, fmt.Errorf("%w: no phases", ErrPhaseMismatch)
@@ -75,41 +32,27 @@ func PhasedLifetimeCDFExpanded(phases []*Expanded, durations []float64, times []
 	}
 	first := phases[0]
 	chainPhases := make([]ctmc.Phase, len(phases))
-	chainPhases[0] = ctmc.Phase{Generator: first.gen, Duration: durations[0]}
-	for i, e := range phases[1:] {
-		if err := checkPhaseCompat(first.model, e.model); err != nil {
-			return nil, fmt.Errorf("phase %d: %w", i+1, err)
+	for i, e := range phases {
+		if i > 0 {
+			if err := checkPhaseCompat(first.model, e.model); err != nil {
+				return nil, fmt.Errorf("phase %d: %w", i, err)
+			}
+			//numlint:ignore floatcmp the grid step is a configuration constant shared verbatim across phases, not a computed value
+			if e.delta != first.delta {
+				return nil, fmt.Errorf("%w: phase %d step %v vs %v", ErrPhaseMismatch, i, e.delta, first.delta)
+			}
 		}
-		//numlint:ignore floatcmp the grid step is a configuration constant shared verbatim across phases, not a computed value
-		if e.delta != first.delta {
-			return nil, fmt.Errorf("%w: phase %d step %v vs %v", ErrPhaseMismatch, i+1, e.delta, first.delta)
+		u, err := e.Operator()
+		if err != nil {
+			return nil, err
 		}
-		chainPhases[i+1] = ctmc.Phase{Generator: e.gen, Duration: durations[i+1]}
+		chainPhases[i] = ctmc.Phase{Operator: u, Duration: durations[i]}
 	}
-
-	n := first.model.Workload.NumStates()
-	w := make([]float64, first.NumStates())
-	for j2 := 0; j2 < first.n2; j2++ {
-		for i := 0; i < n; i++ {
-			w[first.index(i, 0, j2)] = 1
-		}
-	}
-	res, err := ctmc.PiecewiseTransientFunctional(chainPhases, first.alpha, w, times, first.transientOpts(so))
+	res, err := ctmc.PiecewiseTransient(chainPhases, first.alpha, first.emptyIndicator(), times, so)
 	if err != nil {
 		return nil, fmt.Errorf("core: phased lifetime CDF: %w", err)
 	}
-	probs := res.Values
-	for k, p := range probs {
-		probs[k] = math.Min(1, math.Max(0, p))
-	}
-	return &Result{
-		Times:      res.Times,
-		EmptyProb:  probs,
-		Iterations: res.Iterations,
-		Rate:       res.Rate,
-		States:     first.NumStates(),
-		NNZ:        first.NNZ(),
-	}, nil
+	return &Result{Times: res.Times, EmptyProb: clampProbs(res.Values), Stats: first.stats(res)}, nil
 }
 
 // checkPhaseCompat checks that two phase models share the structure the grid

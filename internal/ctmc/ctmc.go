@@ -6,9 +6,15 @@
 // of the paper) have a handful of states and are handled through the
 // Chain type. The expanded chains produced by the Markovian
 // approximation (Section 5) have up to millions of states; for those the
-// transient engine operates directly on sparse generators — see
-// TransientFunctional and TransientDistributions — and is shared by both
-// scales.
+// transient engine operates directly on sparse generators and is shared
+// by both scales. NewUniformized builds a chain's reusable operator —
+// the uniformisation constant q = 1.02·max exit rate and Pᵀ — once, and
+// Uniformized.Transient solves on it; TransientFunctional and
+// TransientDistributions are the one-shot forms, and PiecewiseTransient
+// chains operators over the phases of a time-inhomogeneous schedule.
+// Every TransientOptions field is per call: the truncation bound
+// Epsilon, the SpMV Pool, an iteration budget, a cancelling Context,
+// steady-state detection, a progress callback and a telemetry registry.
 package ctmc
 
 import (

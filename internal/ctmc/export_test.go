@@ -5,8 +5,8 @@ import "batlife/internal/sparse"
 // NewUniformizedCSR is NewUniformized with Pᵀ kept in CSR form whatever
 // its offset count, so tests can hold the banded operator against the
 // CSR one.
-func NewUniformizedCSR(gen *sparse.CSR, opts TransientOptions) (*Uniformized, error) {
-	u, err := NewUniformized(gen, opts)
+func NewUniformizedCSR(gen *sparse.CSR) (*Uniformized, error) {
+	u, err := NewUniformized(gen)
 	if err != nil || u.q == 0 {
 		return u, err
 	}

@@ -127,7 +127,7 @@ func TestPeriodicBandLayout(t *testing.T) {
 		models = append(models, layoutModel{name: big.name, periods: big.periods, stored: big.stored, x: x})
 	}
 	for _, m := range models {
-		u, err := ctmc.NewUniformized(m.x.Generator(), ctmc.TransientOptions{})
+		u, err := ctmc.NewUniformized(m.x.Generator())
 		if err != nil {
 			t.Fatalf("%s: %v", m.name, err)
 		}
@@ -210,14 +210,14 @@ func TestBandedOperatorMatchesCSR(t *testing.T) {
 	for _, m := range paperModels(t) {
 		t.Run(m.name, func(t *testing.T) {
 			gen := m.x.Generator()
-			banded, err := ctmc.NewUniformized(gen, ctmc.TransientOptions{})
+			banded, err := ctmc.NewUniformized(gen)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if banded.Bands() != m.bands {
 				t.Fatalf("Pᵀ has %d bands, want %d", banded.Bands(), m.bands)
 			}
-			csr, err := ctmc.NewUniformizedCSR(gen, ctmc.TransientOptions{})
+			csr, err := ctmc.NewUniformizedCSR(gen)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -232,6 +232,8 @@ func TestBandedOperatorMatchesCSR(t *testing.T) {
 					w[i] = rng.Float64()
 				}
 			}
+			pool := sparse.NewPool(1)
+			defer pool.Close()
 			for _, tc := range []struct {
 				name  string
 				w     []float64
@@ -242,7 +244,7 @@ func TestBandedOperatorMatchesCSR(t *testing.T) {
 				{"distributions", nil, m.times},
 			} {
 				solve := func(u *ctmc.Uniformized) *ctmc.Result {
-					res, err := u.Transient(alpha, tc.w, tc.times, ctmc.TransientOptions{Workers: 1})
+					res, err := u.Transient(alpha, tc.w, tc.times, ctmc.TransientOptions{Pool: pool})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -278,14 +280,14 @@ func TestBandedParallelMatchesCSR(t *testing.T) {
 	for i := range w {
 		w[i] = float64(i % 3)
 	}
-	banded, err := ctmc.NewUniformized(c.Generator(), ctmc.TransientOptions{})
+	banded, err := ctmc.NewUniformized(c.Generator())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if banded.Bands() != 3 {
 		t.Fatalf("birth-death Pᵀ has %d bands, want 3", banded.Bands())
 	}
-	csr, err := ctmc.NewUniformizedCSR(c.Generator(), ctmc.TransientOptions{})
+	csr, err := ctmc.NewUniformizedCSR(c.Generator())
 	if err != nil {
 		t.Fatal(err)
 	}

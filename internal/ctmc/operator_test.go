@@ -45,7 +45,7 @@ func TestOperatorLayoutByOffsetCount(t *testing.T) {
 		{[]int{-30, -7, -1, 1, 2, 9, 40, 55}, 0}, // 9 offsets: CSR
 	} {
 		gen := offsetChain(t, 200, tc.diffs)
-		u, err := NewUniformized(gen, TransientOptions{})
+		u, err := NewUniformized(gen)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +56,7 @@ func TestOperatorLayoutByOffsetCount(t *testing.T) {
 		if !banded {
 			continue
 		}
-		twin, err := NewUniformizedCSR(gen, TransientOptions{})
+		twin, err := NewUniformizedCSR(gen)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func TestOperatorLayoutByOffsetCount(t *testing.T) {
 // for bit.
 func TestWeightCacheBounded(t *testing.T) {
 	c := absorbingCycle(t)
-	u, err := NewUniformized(c.Generator(), TransientOptions{})
+	u, err := NewUniformized(c.Generator())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,36 +3,44 @@ package ctmc
 import (
 	"fmt"
 	"math"
-
-	"batlife/internal/sparse"
 )
 
 // Phase is one segment of a piecewise-constant time-inhomogeneous CTMC:
-// the generator that is in force for Duration seconds. The paper's
-// Section 4.1 allows fully time-inhomogeneous models Q(t); piecewise-
-// constant phases are the computationally tractable subclass — each
-// phase is solved by ordinary uniformisation and the phase-end
-// distribution seeds the next phase.
+// the chain that is in force for Duration seconds, given by its
+// uniformised operator. The paper's Section 4.1 allows fully
+// time-inhomogeneous models Q(t); piecewise-constant phases are the
+// computationally tractable subclass — each phase is solved by ordinary
+// uniformisation and the phase-end distribution seeds the next phase.
+// Operators are reused as they are, with their cached Pᵀ and Fox–Glynn
+// tables, so one operator may serve several phases and solves.
 type Phase struct {
-	// Generator is the infinitesimal generator during this phase.
-	Generator *sparse.CSR
+	// Operator is the uniformised chain during this phase.
+	Operator *Uniformized
 	// Duration is the phase length in seconds; the final phase may be
 	// +Inf.
 	Duration float64
 }
 
-// PiecewiseTransient computes the state distribution of the
-// time-inhomogeneous chain at each requested time (ascending). Times
-// beyond the total phase span are rejected unless the last phase is
-// infinite.
-func PiecewiseTransient(phases []Phase, alpha, times []float64, opts TransientOptions) (*Result, error) {
+// PiecewiseTransient solves the time-inhomogeneous chain at each
+// requested time (ascending): the full distribution π(t) when w is nil,
+// or the functional w·π(t) otherwise, formed from the distribution each
+// phase's solve returns. Times beyond the total phase span are rejected
+// unless the last phase is infinite.
+//
+// Iterations, SpMVs, WindowRows and DroppedMass sum over the phases'
+// solves and Rate is the largest phase rate; FoxGlynnLeft and
+// FoxGlynnRight stay 0, since each phase has a window of its own.
+func PiecewiseTransient(phases []Phase, alpha, w, times []float64, opts TransientOptions) (*Result, error) {
 	if len(phases) == 0 {
 		return nil, fmt.Errorf("%w: no phases", ErrBadInput)
 	}
 	n := len(alpha)
+	if w != nil && len(w) != n {
+		return nil, fmt.Errorf("%w: |w|=%d for %d states", ErrBadInput, len(w), n)
+	}
 	for i, ph := range phases {
-		if ph.Generator == nil || ph.Generator.Rows() != n || ph.Generator.Cols() != n {
-			return nil, fmt.Errorf("%w: phase %d generator does not match %d states", ErrBadInput, i, n)
+		if ph.Operator == nil || ph.Operator.NumStates() != n {
+			return nil, fmt.Errorf("%w: phase %d operator does not match %d states", ErrBadInput, i, n)
 		}
 		if ph.Duration <= 0 || math.IsNaN(ph.Duration) {
 			return nil, fmt.Errorf("%w: phase %d duration %v", ErrBadInput, i, ph.Duration)
@@ -79,14 +87,15 @@ func PiecewiseTransient(phases []Phase, alpha, times []float64, opts TransientOp
 			phaseStart = phaseEnd
 			continue
 		}
-		res, err := TransientDistributions(ph.Generator, current, solveTimes, opts)
+		res, err := ph.Operator.Transient(current, nil, solveTimes, opts)
 		if err != nil {
 			return nil, fmt.Errorf("ctmc: phase %d: %w", pi, err)
 		}
 		out.Iterations += res.Iterations
-		if res.Rate > out.Rate {
-			out.Rate = res.Rate
-		}
+		out.SpMVs += res.SpMVs
+		out.WindowRows += res.WindowRows
+		out.DroppedMass += res.DroppedMass
+		out.Rate = math.Max(out.Rate, res.Rate)
 		for k := range rel {
 			out.Distributions[ti] = res.Distributions[k]
 			ti++
@@ -102,29 +111,17 @@ func PiecewiseTransient(phases []Phase, alpha, times []float64, opts TransientOp
 	if ti != len(times) {
 		return nil, fmt.Errorf("%w: time %v beyond the total phase span", ErrBadInput, times[ti])
 	}
-	return out, nil
-}
-
-// PiecewiseTransientFunctional computes w·π(t) for the piecewise chain.
-func PiecewiseTransientFunctional(phases []Phase, alpha, w, times []float64, opts TransientOptions) (*Result, error) {
 	if w == nil {
-		return nil, fmt.Errorf("%w: nil functional", ErrBadInput)
+		return out, nil
 	}
-	if len(alpha) != len(w) {
-		return nil, fmt.Errorf("%w: |w|=%d for %d states", ErrBadInput, len(w), len(alpha))
-	}
-	res, err := PiecewiseTransient(phases, alpha, times, opts)
-	if err != nil {
-		return nil, err
-	}
-	res.Values = make([]float64, len(times))
-	for k, d := range res.Distributions {
+	out.Values = make([]float64, len(times))
+	for k, d := range out.Distributions {
 		s := 0.0
 		for i, wi := range w {
 			s += wi * d[i]
 		}
-		res.Values[k] = s
+		out.Values[k] = s
 	}
-	res.Distributions = nil
-	return res, nil
+	out.Distributions = nil
+	return out, nil
 }

@@ -16,14 +16,19 @@ func TestPiecewiseMatchesHomogeneous(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// One operator serves every phase, as cached operators do.
+	u := operator(t, c)
 	phases := []Phase{
-		{Generator: c.Generator(), Duration: 0.5},
-		{Generator: c.Generator(), Duration: 1.0},
-		{Generator: c.Generator(), Duration: math.Inf(1)},
+		{Operator: u, Duration: 0.5},
+		{Operator: u, Duration: 1.0},
+		{Operator: u, Duration: math.Inf(1)},
 	}
-	pw, err := PiecewiseTransient(phases, alpha, times, TransientOptions{})
+	pw, err := PiecewiseTransient(phases, alpha, nil, times, TransientOptions{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if pw.Iterations <= 0 || pw.SpMVs != pw.Iterations {
+		t.Errorf("Iterations = %d, SpMVs = %d; want equal and positive sums over the phases", pw.Iterations, pw.SpMVs)
 	}
 	for k := range times {
 		for i := range alpha {
@@ -47,12 +52,12 @@ func TestPiecewiseTwoPhaseClosedForm(t *testing.T) {
 	c2 := twoState(t, 5.0, 0.5)
 	const d = 0.7
 	phases := []Phase{
-		{Generator: c1.Generator(), Duration: d},
-		{Generator: c2.Generator(), Duration: math.Inf(1)},
+		{Operator: operator(t, c1), Duration: d},
+		{Operator: operator(t, c2), Duration: math.Inf(1)},
 	}
 	alpha := []float64{1, 0}
 	times := []float64{0.2, d, 1.0, 3.0}
-	res, err := PiecewiseTransient(phases, alpha, times, TransientOptions{})
+	res, err := PiecewiseTransient(phases, alpha, nil, times, TransientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,17 +79,17 @@ func TestPiecewiseFunctionalMatchesDistributions(t *testing.T) {
 	c1 := twoState(t, 1, 2)
 	c2 := twoState(t, 4, 1)
 	phases := []Phase{
-		{Generator: c1.Generator(), Duration: 1},
-		{Generator: c2.Generator(), Duration: math.Inf(1)},
+		{Operator: operator(t, c1), Duration: 1},
+		{Operator: operator(t, c2), Duration: math.Inf(1)},
 	}
 	alpha := []float64{0.5, 0.5}
 	w := []float64{2, -3}
 	times := []float64{0.5, 1.5, 4}
-	full, err := PiecewiseTransient(phases, alpha, times, TransientOptions{})
+	full, err := PiecewiseTransient(phases, alpha, nil, times, TransientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fn, err := PiecewiseTransientFunctional(phases, alpha, w, times, TransientOptions{})
+	fn, err := PiecewiseTransient(phases, alpha, w, times, TransientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,23 +107,23 @@ func TestPiecewiseFunctionalMatchesDistributions(t *testing.T) {
 func TestPiecewiseValidation(t *testing.T) {
 	c := twoState(t, 1, 1)
 	alpha := c.PointDistribution(0)
-	good := Phase{Generator: c.Generator(), Duration: 1}
+	good := Phase{Operator: operator(t, c), Duration: 1}
 
-	if _, err := PiecewiseTransient(nil, alpha, []float64{1}, TransientOptions{}); !errors.Is(err, ErrBadInput) {
+	if _, err := PiecewiseTransient(nil, alpha, nil, []float64{1}, TransientOptions{}); !errors.Is(err, ErrBadInput) {
 		t.Errorf("no phases: err = %v", err)
 	}
-	if _, err := PiecewiseTransient([]Phase{good}, alpha, nil, TransientOptions{}); !errors.Is(err, ErrBadInput) {
+	if _, err := PiecewiseTransient([]Phase{good}, alpha, nil, nil, TransientOptions{}); !errors.Is(err, ErrBadInput) {
 		t.Errorf("no times: err = %v", err)
 	}
-	if _, err := PiecewiseTransient([]Phase{{Generator: c.Generator(), Duration: 0}}, alpha, []float64{1}, TransientOptions{}); !errors.Is(err, ErrBadInput) {
+	if _, err := PiecewiseTransient([]Phase{{Operator: operator(t, c), Duration: 0}}, alpha, nil, []float64{1}, TransientOptions{}); !errors.Is(err, ErrBadInput) {
 		t.Errorf("zero duration: err = %v", err)
 	}
-	inf := Phase{Generator: c.Generator(), Duration: math.Inf(1)}
-	if _, err := PiecewiseTransient([]Phase{inf, good}, alpha, []float64{1}, TransientOptions{}); !errors.Is(err, ErrBadInput) {
+	inf := Phase{Operator: operator(t, c), Duration: math.Inf(1)}
+	if _, err := PiecewiseTransient([]Phase{inf, good}, alpha, nil, []float64{1}, TransientOptions{}); !errors.Is(err, ErrBadInput) {
 		t.Errorf("infinite non-final phase: err = %v", err)
 	}
 	// Time beyond the span of finite phases.
-	if _, err := PiecewiseTransient([]Phase{good}, alpha, []float64{5}, TransientOptions{}); !errors.Is(err, ErrBadInput) {
+	if _, err := PiecewiseTransient([]Phase{good}, alpha, nil, []float64{5}, TransientOptions{}); !errors.Is(err, ErrBadInput) {
 		t.Errorf("time beyond span: err = %v", err)
 	}
 	// Mismatched generator size.
@@ -130,11 +135,14 @@ func TestPiecewiseValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := PiecewiseTransient([]Phase{{Generator: c3.Generator(), Duration: 1}}, alpha, []float64{0.5}, TransientOptions{}); !errors.Is(err, ErrBadInput) {
+	if _, err := PiecewiseTransient([]Phase{{Operator: operator(t, c3), Duration: 1}}, alpha, nil, []float64{0.5}, TransientOptions{}); !errors.Is(err, ErrBadInput) {
 		t.Errorf("size mismatch: err = %v", err)
 	}
-	if _, err := PiecewiseTransientFunctional([]Phase{good}, alpha, nil, []float64{0.5}, TransientOptions{}); !errors.Is(err, ErrBadInput) {
-		t.Errorf("nil functional: err = %v", err)
+	if _, err := PiecewiseTransient([]Phase{good}, alpha, []float64{1}, []float64{0.5}, TransientOptions{}); !errors.Is(err, ErrBadInput) {
+		t.Errorf("functional size mismatch: err = %v", err)
+	}
+	if _, err := PiecewiseTransient([]Phase{{Duration: 1}}, alpha, nil, []float64{0.5}, TransientOptions{}); !errors.Is(err, ErrBadInput) {
+		t.Errorf("nil operator: err = %v", err)
 	}
 }
 
@@ -144,22 +152,32 @@ func TestPiecewisePhaseWithNoQueries(t *testing.T) {
 	c1 := twoState(t, 1, 3)
 	c2 := twoState(t, 3, 1)
 	phases := []Phase{
-		{Generator: c1.Generator(), Duration: 1},
-		{Generator: c2.Generator(), Duration: 1},
-		{Generator: c1.Generator(), Duration: math.Inf(1)},
+		{Operator: operator(t, c1), Duration: 1},
+		{Operator: operator(t, c2), Duration: 1},
+		{Operator: operator(t, c1), Duration: math.Inf(1)},
 	}
 	alpha := []float64{1, 0}
 	// Only query inside phases 1 and 3.
-	res, err := PiecewiseTransient(phases, alpha, []float64{0.5, 2.5}, TransientOptions{})
+	res, err := PiecewiseTransient(phases, alpha, nil, []float64{0.5, 2.5}, TransientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Compare against a run that also queries the boundaries.
-	ref, err := PiecewiseTransient(phases, alpha, []float64{0.5, 1, 2, 2.5}, TransientOptions{})
+	ref, err := PiecewiseTransient(phases, alpha, nil, []float64{0.5, 1, 2, 2.5}, TransientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(res.Distributions[1][1]-ref.Distributions[3][1]) > 1e-10 {
 		t.Errorf("skipped-phase run %v vs reference %v", res.Distributions[1][1], ref.Distributions[3][1])
 	}
+}
+
+// operator uniformises a test chain for use as a phase.
+func operator(t *testing.T, c *Chain) *Uniformized {
+	t.Helper()
+	u, err := NewUniformized(c.Generator())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return u
 }

@@ -31,12 +31,10 @@ type TransientOptions struct {
 	// DroppedMass below it (a functional w·π(t) at most that times
 	// max|w|). Zero selects 1e-12.
 	Epsilon float64
-	// Workers sets the SpMV parallelism; zero selects runtime.NumCPU().
-	// Ignored when Pool is set.
-	Workers int
-	// Pool, when non-nil, supplies the SpMV worker pool. Sharing one
-	// Pool across concurrent solves (e.g. a scenario sweep) keeps the
-	// total parallelism bounded instead of multiplying per solve.
+	// Pool, when non-nil, supplies the SpMV worker pool; nil selects the
+	// process-wide sparse.DefaultPool. Sharing one Pool across concurrent
+	// solves (e.g. a scenario sweep) keeps the total parallelism bounded
+	// instead of multiplying per solve.
 	Pool *sparse.Pool
 	// MaxIterations caps the number of uniformisation steps. When the
 	// Fox–Glynn window of the largest time point needs more, the solve
@@ -45,11 +43,6 @@ type TransientOptions struct {
 	// Context, when non-nil, cancels the iteration loop between steps;
 	// the returned error wraps Context.Err().
 	Context context.Context
-	// UniformizationSlack multiplies the maximal exit rate to obtain the
-	// uniformisation constant q. Zero selects 1.02; the slack guarantees
-	// strictly positive self-loop probabilities, which improves the
-	// convergence behaviour of periodic chains.
-	UniformizationSlack float64
 	// DisableSteadyStateDetection turns off the early-termination check:
 	// when the iteration vector v_n stops changing (the uniformised DTMC
 	// has converged — e.g. all probability mass has been absorbed), the
@@ -72,29 +65,6 @@ func (o TransientOptions) epsilon() float64 {
 		return 1e-12
 	}
 	return o.Epsilon
-}
-
-func (o TransientOptions) slack() float64 {
-	if o.UniformizationSlack <= 0 {
-		return 1.02
-	}
-	return o.UniformizationSlack
-}
-
-// pool resolves the SpMV pool for one solve. The second result reports
-// ownership: an owned pool was created for this solve and must be
-// closed when the solve finishes. The nil-Pool, default-Workers path
-// shares the process-wide sparse.DefaultPool — with persistent worker
-// goroutines, constructing a pool per solve would leak a worker set
-// every call.
-func (o TransientOptions) pool() (*sparse.Pool, bool) {
-	if o.Pool != nil {
-		return o.Pool, false
-	}
-	if o.Workers == 0 {
-		return sparse.DefaultPool(), false
-	}
-	return sparse.NewPool(o.Workers), true
 }
 
 // Result is the output of a transient solve.
@@ -170,15 +140,19 @@ type weightKey struct {
 	qt, eps uint64
 }
 
-// NewUniformized builds the reusable operator for the generator. Only
-// UniformizationSlack is consulted from opts; the remaining fields are
-// per-solve and passed to Transient.
-func NewUniformized(gen *sparse.CSR, opts TransientOptions) (*Uniformized, error) {
+// slack multiplies the maximal exit rate to obtain the uniformisation
+// constant q. It guarantees strictly positive self-loop probabilities,
+// which improves the convergence behaviour of periodic chains.
+const slack = 1.02
+
+// NewUniformized builds the reusable operator for the generator; the
+// solve options are per call and passed to Transient.
+func NewUniformized(gen *sparse.CSR) (*Uniformized, error) {
 	n := gen.Rows()
 	if gen.Cols() != n {
 		return nil, fmt.Errorf("%w: generator is %dx%d", ErrBadInput, gen.Rows(), gen.Cols())
 	}
-	q := gen.MaxAbsDiagonal() * opts.slack()
+	q := gen.MaxAbsDiagonal() * slack
 	u := &Uniformized{
 		gen:     gen,
 		q:       q,
@@ -274,7 +248,7 @@ func (u *Uniformized) Window(times []float64, opts TransientOptions) (left, righ
 // with absorbing states; validity is the caller's responsibility at this
 // level (Chain validates on construction).
 func TransientDistributions(gen *sparse.CSR, alpha, times []float64, opts TransientOptions) (*Result, error) {
-	u, err := NewUniformized(gen, opts)
+	u, err := NewUniformized(gen)
 	if err != nil {
 		return nil, err
 	}
@@ -289,7 +263,7 @@ func TransientFunctional(gen *sparse.CSR, alpha, w, times []float64, opts Transi
 	if w == nil {
 		return nil, fmt.Errorf("%w: nil functional", ErrBadInput)
 	}
-	u, err := NewUniformized(gen, opts)
+	u, err := NewUniformized(gen)
 	if err != nil {
 		return nil, err
 	}
@@ -299,9 +273,7 @@ func TransientFunctional(gen *sparse.CSR, alpha, w, times []float64, opts Transi
 // Transient runs one uniformisation solve on the prebuilt operator: the
 // full distribution π(t) at each time point when w is nil, or the
 // functional w·π(t) otherwise. The operator's cached Pᵀ and Fox–Glynn
-// tables are reused across calls; Epsilon, Workers/Pool, MaxIterations,
-// Context, Obs and the callbacks are per-call (UniformizationSlack is
-// fixed at construction and ignored here).
+// tables are reused across calls; every option is per call.
 func (u *Uniformized) Transient(alpha, w, times []float64, opts TransientOptions) (*Result, error) {
 	reg := opts.Obs
 	if reg == nil {
@@ -389,9 +361,9 @@ func (u *Uniformized) transient(alpha, w, times []float64, opts TransientOptions
 			ErrIterationBudget, maxRight, opts.MaxIterations)
 	}
 
-	pool, ownedPool := opts.pool()
-	if ownedPool {
-		defer pool.Close()
+	pool := opts.Pool
+	if pool == nil {
+		pool = sparse.DefaultPool()
 	}
 
 	// Accumulators.

@@ -300,7 +300,7 @@ func absorbingCycle(t *testing.T) *Chain {
 // of the answer.
 func TestTransientFusedMatchesUnfused(t *testing.T) {
 	c := absorbingCycle(t)
-	u, err := NewUniformized(c.Generator(), TransientOptions{})
+	u, err := NewUniformized(c.Generator())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +345,7 @@ func TestTransientCancellation(t *testing.T) {
 // the same points commits to, and 0, 0 for a chain without transitions.
 func TestUniformizedWindow(t *testing.T) {
 	c := absorbingCycle(t)
-	u, err := NewUniformized(c.Generator(), TransientOptions{})
+	u, err := NewUniformized(c.Generator())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +367,7 @@ func TestUniformizedWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frozen, err := NewUniformized(gen, TransientOptions{})
+	frozen, err := NewUniformized(gen)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 // DroppedMass (+1e-15 rounding) below the reference.
 func checkWindowAgainstReference(t *testing.T, gen *sparse.CSR, alpha, w, times []float64, opts TransientOptions) *Result {
 	t.Helper()
-	u, err := NewUniformized(gen, opts)
+	u, err := NewUniformized(gen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestWindowManyOffsets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, err := NewUniformized(c.Generator(), TransientOptions{})
+	u, err := NewUniformized(c.Generator())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestWindowSteadyStateInTrimmedWindow(t *testing.T) {
 // per-step allocation would add hundreds.
 func TestTransientAllocsIndependentOfHorizon(t *testing.T) {
 	c := birthChain(t, 300, 2)
-	u, err := NewUniformized(c.Generator(), TransientOptions{})
+	u, err := NewUniformized(c.Generator())
 	if err != nil {
 		t.Fatal(err)
 	}

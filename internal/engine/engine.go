@@ -142,11 +142,11 @@ func (e *Engine) Stats() Stats {
 type Key [sha256.Size]byte
 
 // Fingerprint computes the cache key for (model, delta, build). The
-// second result reports cacheability: build hooks are functions and
-// cannot be fingerprinted, so models using TransitionRate or OnIteration
-// bypass the cache.
+// second result reports cacheability: a TransitionRate hook is a
+// function and cannot be fingerprinted, so models using one bypass the
+// cache.
 func Fingerprint(m mrm.KiBaMRM, delta float64, build core.Options) (Key, bool) {
-	if build.TransitionRate != nil || build.OnIteration != nil {
+	if build.TransitionRate != nil {
 		return Key{}, false
 	}
 	h := sha256.New()
@@ -171,10 +171,6 @@ func Fingerprint(m mrm.KiBaMRM, delta float64, build core.Options) (Key, bool) {
 		flags |= 2
 	}
 	writeU(flags)
-	// Build-time numerical defaults live on the Expanded and seed later
-	// solves, so they are part of the identity.
-	writeF(build.Epsilon)
-	writeU(uint64(int64(build.Workers)))
 
 	if m.Workload == nil {
 		// Invalid model: let core.Build produce the error. Still

@@ -80,7 +80,6 @@ func TestFingerprintContentAddressing(t *testing.T) {
 		{"battery-c", onOffModel(t, kibam.Params{Capacity: 7200, C: 0.5, K: 4.5e-5}), 100, core.Options{}},
 		{"battery-k", onOffModel(t, kibam.Params{Capacity: 7200, C: 0.625, K: 9e-5}), 100, core.Options{}},
 		{"recovery", m1, 100, core.Options{AllowEmptyRecovery: true}},
-		{"epsilon", m1, 100, core.Options{Epsilon: 1e-9}},
 	}
 	for _, tc := range cases {
 		k, ok := Fingerprint(tc.model, tc.delta, tc.build)
@@ -128,11 +127,6 @@ func TestFingerprintHooksNotCacheable(t *testing.T) {
 		TransitionRate: func(from, to int, y1, y2, base float64) float64 { return base },
 	}); ok {
 		t.Error("TransitionRate hook fingerprinted")
-	}
-	if _, ok := Fingerprint(m, 100, core.Options{
-		OnIteration: func(done, total int) {},
-	}); ok {
-		t.Error("OnIteration hook fingerprinted")
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package obs is the stdlib-only observability layer for the solver
 // stack: atomic counters and gauges, lock-free histograms with quantile
 // snapshots, span-style tracing with JSON export, structured logging via
-// log/slog, and an HTTP server exposing expvar-style metrics JSON plus
-// net/http/pprof.
+// log/slog, and an HTTP server exposing the Prometheus/OpenMetrics text
+// exposition plus net/http/pprof.
 //
 // The design centres on one rule: a nil *Registry disables everything at
 // zero cost. Every accessor on a nil Registry returns a nil handle, and
@@ -21,9 +21,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
 	"log/slog"
 	"sort"
 	"strings"
@@ -196,80 +193,4 @@ func (r *Registry) Tracer() *Tracer {
 		return nil
 	}
 	return r.tracer
-}
-
-// histogramJSON is the serialised form of one histogram snapshot.
-type histogramJSON struct {
-	Count int64   `json:"count"`
-	Sum   float64 `json:"sum"`
-	Min   float64 `json:"min"`
-	Max   float64 `json:"max"`
-	P50   float64 `json:"p50"`
-	P90   float64 `json:"p90"`
-	P99   float64 `json:"p99"`
-}
-
-// snapshotJSON is the serialised form of a whole registry.
-type snapshotJSON struct {
-	Counters   map[string]int64         `json:"counters"`
-	Gauges     map[string]float64       `json:"gauges"`
-	Histograms map[string]histogramJSON `json:"histograms"`
-}
-
-// WriteJSON writes the registry's current state as one JSON object in
-// expvar style: {"counters": {...}, "gauges": {...}, "histograms":
-// {...}}. Keys are sorted (encoding/json sorts map keys), so the output
-// is deterministic for a deterministic workload. A nil Registry writes
-// an empty object.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	if r == nil {
-		_, err := io.WriteString(w, "{}\n")
-		return err
-	}
-	snap := snapshotJSON{
-		Counters:   make(map[string]int64),
-		Gauges:     make(map[string]float64),
-		Histograms: make(map[string]histogramJSON),
-	}
-	r.mu.RLock()
-	for name, c := range r.counters {
-		snap.Counters[name] = c.Value()
-	}
-	for name, g := range r.gauges {
-		snap.Gauges[name] = g.Value()
-	}
-	for name, h := range r.hists {
-		s := h.Snapshot()
-		snap.Histograms[name] = histogramJSON{
-			Count: s.Count, Sum: s.Sum, Min: s.Min, Max: s.Max,
-			P50: s.Quantile(0.5), P90: s.Quantile(0.9), P99: s.Quantile(0.99),
-		}
-	}
-	r.mu.RUnlock()
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(snap)
-}
-
-// Dump returns a sorted, human-readable listing of every metric — one
-// "name value" line per counter and gauge — for log output and tests.
-func (r *Registry) Dump() string {
-	if r == nil {
-		return ""
-	}
-	r.mu.RLock()
-	lines := make([]string, 0, len(r.counters)+len(r.gauges))
-	for name, c := range r.counters {
-		lines = append(lines, fmt.Sprintf("%s %d", name, c.Value()))
-	}
-	for name, g := range r.gauges {
-		lines = append(lines, fmt.Sprintf("%s %g", name, g.Value()))
-	}
-	r.mu.RUnlock()
-	sort.Strings(lines)
-	out := ""
-	for _, l := range lines {
-		out += l + "\n"
-	}
-	return out
 }

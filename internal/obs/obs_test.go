@@ -200,15 +200,12 @@ func TestNilRegistryDisabled(t *testing.T) {
 	r.Counter("x").Inc()
 	r.Histogram("x").Observe(1)
 	r.Tracer().Start("span").End()
-	if r.Dump() != "" {
-		t.Errorf("nil Dump = %q", r.Dump())
-	}
 	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
+	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if strings.TrimSpace(buf.String()) != "{}" {
-		t.Errorf("nil WriteJSON = %q", buf.String())
+	if buf.String() != "# EOF\n" {
+		t.Errorf("nil WritePrometheus = %q", buf.String())
 	}
 }
 
@@ -327,57 +324,6 @@ func TestTracerBoundedRetention(t *testing.T) {
 	}
 }
 
-func TestRegistryWriteJSON(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("solves_total").Add(3)
-	r.Gauge("load").Set(0.5)
-	for i := 1; i <= 100; i++ {
-		r.Histogram("iters").Observe(float64(i))
-	}
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var snap struct {
-		Counters   map[string]int64   `json:"counters"`
-		Gauges     map[string]float64 `json:"gauges"`
-		Histograms map[string]struct {
-			Count int64   `json:"count"`
-			Min   float64 `json:"min"`
-			Max   float64 `json:"max"`
-			P50   float64 `json:"p50"`
-		} `json:"histograms"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
-		t.Fatalf("WriteJSON output not valid JSON: %v\n%s", err, buf.String())
-	}
-	if snap.Counters["solves_total"] != 3 {
-		t.Errorf("counter = %d, want 3", snap.Counters["solves_total"])
-	}
-	//numlint:ignore floatcmp 0.5 round-trips exactly through JSON
-	if snap.Gauges["load"] != 0.5 {
-		t.Errorf("gauge = %v, want 0.5", snap.Gauges["load"])
-	}
-	h := snap.Histograms["iters"]
-	if h.Count != 100 {
-		t.Errorf("histogram count = %d, want 100", h.Count)
-	}
-	if h.P50 < 40 || h.P50 > 60 {
-		t.Errorf("p50 = %v, want ≈50", h.P50)
-	}
-}
-
-func TestDump(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("b").Add(2)
-	r.Counter("a").Add(1)
-	r.Gauge("c").Set(3)
-	want := "a 1\nb 2\nc 3\n"
-	if got := r.Dump(); got != want {
-		t.Errorf("Dump = %q, want %q", got, want)
-	}
-}
-
 func TestLogger(t *testing.T) {
 	var r *Registry
 	if r.Logger() == nil {
@@ -411,36 +357,20 @@ func TestServeHandler(t *testing.T) {
 	srv := httptest.NewServer(Handler(reg))
 	defer srv.Close()
 
-	respJSON, err := srv.Client().Get(srv.URL + "/metrics.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(respJSON.Body)
-	respJSON.Body.Close()
-	if respJSON.StatusCode != 200 {
-		t.Fatalf("/metrics.json: status %d", respJSON.StatusCode)
-	}
-	var snap map[string]any
-	if err := json.Unmarshal(body, &snap); err != nil {
-		t.Fatalf("/metrics.json: not JSON: %v", err)
-	}
-	counters, _ := snap["counters"].(map[string]any)
-	//numlint:ignore floatcmp JSON numbers decode to float64; 5 is exact
-	if counters["hits"] != float64(5) {
-		t.Errorf("/metrics.json: hits = %v, want 5", counters["hits"])
+	// /metrics is the only metrics view: neither the JSON exposition
+	// nor its old /debug/vars alias is served.
+	for _, path := range []string{"/metrics.json", "/debug/vars"} {
+		resp, err := srv.Client().Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != 404 {
+			t.Errorf("%s: status %d, want 404", path, resp.StatusCode)
+		}
 	}
 
-	// /metrics.json is the only JSON view; /debug/vars is not served.
-	respVars, err := srv.Client().Get(srv.URL + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	respVars.Body.Close()
-	if respVars.StatusCode != 404 {
-		t.Errorf("/debug/vars: status %d, want 404", respVars.StatusCode)
-	}
-
-	// /metrics now serves the Prometheus text exposition.
+	// /metrics serves the Prometheus text exposition.
 	resp0, err := srv.Client().Get(srv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)

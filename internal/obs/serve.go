@@ -9,9 +9,8 @@ import (
 )
 
 // Handler returns the HTTP handler behind Serve: Prometheus/OpenMetrics
-// text exposition at /metrics, the expvar-style metrics JSON at
-// /metrics.json, per-trace span trees at /debug/traces (?fmt=text for
-// a waterfall), and the net/http/pprof suite under
+// text exposition at /metrics, per-trace span trees at /debug/traces
+// (?fmt=text for a waterfall), and the net/http/pprof suite under
 // /debug/pprof/. Exposed separately so tests can drive it through
 // httptest without opening a socket, and so the service router can
 // mount the same endpoints.
@@ -22,19 +21,13 @@ func Handler(reg *Registry) http.Handler {
 }
 
 // RegisterDebugRoutes mounts the observability endpoints on an existing
-// mux — the daemon router reuses this so /metrics, /metrics.json,
-// /debug/traces and /debug/pprof/* behave identically on the service
-// port and the standalone metrics port.
+// mux — the daemon router reuses this so /metrics, /debug/traces and
+// /debug/pprof/* behave identically on the service port and the
+// standalone metrics port.
 func RegisterDebugRoutes(mux *http.ServeMux, reg *Registry) {
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
 		if err := reg.WritePrometheus(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		if err := reg.WriteJSON(w); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})

@@ -14,8 +14,7 @@ import (
 
 // Routes returns the daemon's HTTP handler: the v1 API, health probes,
 // and — when the service has a telemetry registry — the Prometheus
-// /metrics exposition plus the /metrics.json, /debug/traces and
-// /debug/pprof/ suite. The whole tree sits behind obs.TraceMiddleware,
+// /metrics exposition plus the /debug/traces and /debug/pprof/ suite. The whole tree sits behind obs.TraceMiddleware,
 // so every request runs under an "http.request" span that honours an
 // inbound W3C traceparent header and echoes its trace ID in the
 // X-Batlife-Trace-Id response header.
@@ -29,7 +28,6 @@ func (s *Service) Routes() http.Handler {
 	if s.reg != nil {
 		oh := obs.Handler(s.reg)
 		mux.Handle("GET /metrics", oh)
-		mux.Handle("GET /metrics.json", oh)
 		mux.Handle("GET /debug/", oh)
 	}
 	return obs.TraceMiddleware(s.reg, mux)

@@ -45,11 +45,14 @@ type SolveReport struct {
 	// States and Transitions describe the expanded CTMC.
 	States, Transitions int
 	// Iterations counts uniformisation steps; SpMVs sparse
-	// matrix-vector products (equal for a full solve).
+	// matrix-vector products (equal for a full solve). A phased solve
+	// sums both over its phases; ExactCDF counts transform evaluations
+	// as Iterations; ExpectedLifetime reports neither.
 	Iterations, SpMVs int
 	// FoxGlynnLeft and FoxGlynnRight delimit the Poisson truncation
 	// window the transient solve committed to — with Iterations, the
-	// cost drivers of uniformisation on large chains.
+	// cost drivers of uniformisation on large chains. They stay 0 for a
+	// phased solve, whose phases each have a window of their own.
 	FoxGlynnLeft, FoxGlynnRight int
 	// UniformizationRate is the uniformisation constant q.
 	UniformizationRate float64
@@ -69,8 +72,9 @@ type SolveReport struct {
 type AnalysisOptions struct {
 	// Delta is the charge discretisation step in ampere-seconds; it
 	// must divide both well capacities. Required by the approximate
-	// analyses (LifetimeDistribution, ExpectedLifetime, StrandedCharge);
-	// ignored by ExactCDF, which needs no grid.
+	// analyses (LifetimeDistribution, PhasedLifetimeDistribution,
+	// ExpectedLifetime, StrandedCharge); ignored by ExactCDF, which
+	// needs no grid.
 	Delta float64
 	// Epsilon bounds the truncated Poisson tail mass of the transient
 	// solve, and separately the probability mass its windowed iteration
@@ -119,12 +123,17 @@ type SolverOptions struct {
 // keyed on (battery, workload, Δ) — together with their uniformised
 // operators and Fox–Glynn weight tables, and memoises full analysis
 // results, so repeated queries against the same model skip construction
-// entirely. All methods are safe for concurrent use; Sweep evaluates
-// whole scenario grids in parallel on top of the shared cache.
+// entirely. Its five analyses — LifetimeDistribution,
+// PhasedLifetimeDistribution, ExpectedLifetime, StrandedCharge and
+// ExactCDF — share one memo, one "solver.solve" span and one
+// SolveReport path. All methods are safe for concurrent use; Sweep
+// evaluates whole scenario grids in parallel on top of the shared
+// cache.
 //
-// The free functions LifetimeDistribution, ExpectedLifetime,
-// ExpectedStrandedCharge and ExactLifetimeCDF are thin deprecated
-// wrappers over a process-wide default Solver (see DefaultSolver).
+// The free functions LifetimeDistribution, PhasedLifetimeDistribution,
+// ExpectedLifetime, ExpectedStrandedCharge and ExactLifetimeCDF are
+// thin deprecated wrappers over a process-wide default Solver (see
+// DefaultSolver).
 type Solver struct {
 	eng     *engine.Engine
 	results *engine.Cache[resultKey, any]
@@ -186,7 +195,8 @@ func DefaultSolver() *Solver { return defaultSolver() }
 // retains — an observability hook for cache sizing.
 func (s *Solver) CachedModels() int { return s.eng.CachedModels() }
 
-// analysis kinds for result memoisation.
+// analysis kinds for result memoisation; analyses names each kind in
+// the "solver.solve" span's analysis attribute.
 const (
 	kindCDF = iota + 1
 	kindMean
@@ -195,15 +205,21 @@ const (
 	kindPhased
 )
 
+var analyses = [...]string{
+	kindCDF:      "cdf",
+	kindMean:     "mean",
+	kindStranded: "stranded",
+	kindExact:    "exact",
+	kindPhased:   "phased",
+}
+
 // resultKey identifies one memoised analysis result.
 type resultKey struct {
-	model    engine.Key
-	query    [sha256.Size]byte // hash of times / horizon
-	kind     uint8
-	epsBits  uint64
-	maxIter  int
-	capBits  uint64 // ExactCDF: capacity (its model key has no grid)
-	exactCDF bool
+	model   engine.Key
+	query   [sha256.Size]byte // hash of times / horizon
+	kind    uint8
+	epsBits uint64
+	maxIter int
 }
 
 // hashFloats digests a float64 slice by exact bit patterns.
@@ -272,45 +288,63 @@ func wrapErr(err error) error {
 	return fmt.Errorf("batlife: %w", err)
 }
 
-// solveSpan begins the facade-level "solver.solve" span for one
-// analysis, returning the context the rest of the solve should run
-// under so the engine/core/ctmc stage spans nest beneath it. When
-// tracing is off (no registry and no span in ctx) it returns (ctx, nil)
-// without building the attribute slice, keeping the disabled path
-// allocation-free. Callers start it only after a result-memo miss:
-// a memo hit is a sub-microsecond lookup already covered by the
-// request-level span, and recording it would put span allocation on
-// the solver's hottest path (BenchmarkTraceOverhead pins the warm-path
-// overhead).
-func (s *Solver) solveSpan(ctx context.Context, analysis string) (context.Context, *obs.Span) {
+// traced runs solve under the facade-level "solver.solve" span for one
+// analysis, handing it the context the engine/core/ctmc stage spans
+// nest beneath. When tracing is off (no registry and no span in ctx) it
+// calls solve with ctx as is and records nothing, keeping the disabled
+// path allocation-free. Callers trace only a result-memo miss: a memo
+// hit is a sub-microsecond lookup already covered by the request-level
+// span, and recording it would put span allocation on the solver's
+// hottest path (BenchmarkTraceOverhead pins the warm-path overhead).
+func (s *Solver) traced(ctx context.Context, analysis string, solve func(context.Context) error) error {
 	if s.obs == nil && obs.SpanFromContext(ctx) == nil {
-		return ctx, nil
+		return solve(ctx)
 	}
-	return obs.StartSpan(ctx, s.obs, "solver.solve", obs.String("analysis", analysis))
-}
-
-// endSolveSpan completes a facade span, recording the failure if any.
-func endSolveSpan(span *obs.Span, err error) {
-	if span == nil {
-		return
-	}
-	if err != nil {
+	ctx, span := obs.StartSpan(ctx, s.obs, "solver.solve", obs.String("analysis", analysis))
+	if err := solve(ctx); err != nil {
 		span.End(obs.String("error", err.Error()))
-		return
+		return err
 	}
 	span.End()
+	return nil
 }
 
-// solveOptions translates facade options into core solve options.
-func (s *Solver) solveOptions(opts AnalysisOptions, pool *sparse.Pool) core.SolveOptions {
+// solveOptions translates facade options into core solve options that
+// run under ctx.
+func (s *Solver) solveOptions(ctx context.Context, opts AnalysisOptions, pool *sparse.Pool) core.SolveOptions {
 	return core.SolveOptions{
 		Epsilon:       opts.Epsilon,
 		Pool:          pool,
 		MaxIterations: opts.MaxIterations,
-		Context:       opts.Context,
+		Context:       ctx,
 		OnIteration:   opts.Progress,
 		Obs:           s.obs,
 	}
+}
+
+// report is the SolveReport of a solve with the given statistics.
+func report(st core.Stats) SolveReport {
+	return SolveReport{
+		States:             st.States,
+		Transitions:        st.NNZ,
+		Iterations:         st.Iterations,
+		SpMVs:              st.SpMVs,
+		FoxGlynnLeft:       st.FoxGlynnLeft,
+		FoxGlynnRight:      st.FoxGlynnRight,
+		UniformizationRate: st.Rate,
+	}
+}
+
+// answer converts a core result into the facade's distribution and the
+// report of the solve that produced it.
+func answer(res *core.Result) (*Distribution, SolveReport) {
+	return &Distribution{
+		Times:       res.Times,
+		EmptyProb:   res.EmptyProb,
+		States:      res.States,
+		Transitions: res.NNZ,
+		Iterations:  res.Iterations,
+	}, report(res.Stats)
 }
 
 // memoEntry pairs a memoised analysis result with the SolveReport of
@@ -320,50 +354,112 @@ type memoEntry struct {
 	rep SolveReport
 }
 
-// replayReport fills opts.Report on a memo hit: the original solve's
-// model statistics with ResultMemoHit set, the current call's cache
-// outcome, and a zero SolveDuration (no iterations ran).
-func replayReport(opts AnalysisOptions, entry memoEntry, hit bool, buildDur time.Duration) {
-	if opts.Report == nil {
-		return
+// recall looks a result up in the memo.
+func (s *Solver) recall(key resultKey) (memoEntry, bool) {
+	v, ok := s.results.Get(key)
+	if !ok {
+		return memoEntry{}, false
 	}
-	rep := entry.rep
-	rep.ResultMemoHit = true
-	rep.ModelCacheHit = hit
-	rep.BuildDuration = buildDur
-	rep.SolveDuration = 0
-	*opts.Report = rep
+	return v.(memoEntry), true
+}
+
+// remember memoises a result with the report of its solve. Durations
+// are per call, so the memo keeps only the solve's statistics.
+func (s *Solver) remember(key resultKey, val any, rep SolveReport) {
+	rep.BuildDuration, rep.SolveDuration = 0, 0
+	s.results.Put(key, memoEntry{val: val, rep: rep})
+}
+
+// model is the expanded CTMC an analysis runs on, as the result memo
+// and the SolveReport see it.
+type model struct {
+	x   *core.Expanded
+	key engine.Key
+	// hit reports whether the engine cache served the model; build is
+	// the time spent obtaining it, measured only when a Report is
+	// requested so the warm path stays clock-free.
+	hit   bool
+	build time.Duration
+}
+
+// memoised runs one analysis of the given kind on m through the result
+// memo. A hit returns the memoised answer and replays the report of the
+// solve that produced it, with ResultMemoHit set, this call's cache
+// outcome and a zero SolveDuration (no iterations ran). A miss runs
+// solve under a "solver.solve" span, fills opts.Report, and memoises the
+// answer with its report. copyOut, when non-nil, copies an answer on its
+// way into and out of the memo, so no caller holds a memoised one.
+func memoised[T any](s *Solver, kind uint8, m model, query []float64, opts AnalysisOptions,
+	solve func(context.Context) (T, SolveReport, error), copyOut func(T) T) (out T, err error) {
+	if copyOut == nil {
+		copyOut = func(v T) T { return v }
+	}
+	key, memoable := memoKey(kind, m.key, query, opts)
+	if memoable {
+		if entry, ok := s.recall(key); ok {
+			s.memoHits.Inc()
+			if opts.Report != nil {
+				rep := entry.rep
+				rep.ResultMemoHit, rep.ModelCacheHit, rep.BuildDuration = true, m.hit, m.build
+				*opts.Report = rep
+			}
+			return copyOut(entry.val.(T)), nil
+		}
+	}
+	var (
+		start time.Time
+		rep   SolveReport
+	)
+	if opts.Report != nil {
+		start = time.Now()
+	}
+	err = s.traced(opts.Context, analyses[kind], func(ctx context.Context) (err error) {
+		out, rep, err = solve(ctx)
+		return err
+	})
+	if err != nil {
+		var zero T
+		return zero, wrapErr(err)
+	}
+	rep.ModelCacheHit = m.hit
+	if opts.Report != nil {
+		rep.BuildDuration, rep.SolveDuration = m.build, time.Since(start)
+		*opts.Report = rep
+	}
+	if memoable {
+		s.remember(key, copyOut(out), rep)
+	}
+	return out, nil
 }
 
 // expanded validates the (battery, workload, delta) triple and returns
-// the — possibly cached — expanded CTMC plus its cache key, whether the
-// model came from the cache, and the time spent obtaining it (measured
-// only when opts.Report is set; the warm path stays clock-free).
-func (s *Solver) expanded(b Battery, w *Workload, opts AnalysisOptions) (*core.Expanded, engine.Key, bool, time.Duration, error) {
+// the — possibly cached — expanded CTMC.
+func (s *Solver) expanded(b Battery, w *Workload, opts AnalysisOptions) (model, error) {
 	if w == nil {
-		return nil, engine.Key{}, false, 0, fmt.Errorf("%w: nil workload", ErrBadArgument)
+		return model{}, fmt.Errorf("%w: nil workload", ErrBadArgument)
 	}
 	if opts.Delta <= 0 || math.IsNaN(opts.Delta) {
-		return nil, engine.Key{}, false, 0, fmt.Errorf("%w: discretisation step Delta %v (set AnalysisOptions.Delta to a positive divisor of the well capacities)",
+		return model{}, fmt.Errorf("%w: discretisation step Delta %v (set AnalysisOptions.Delta to a positive divisor of the well capacities)",
 			ErrBadArgument, opts.Delta)
 	}
-	model := w.kibamrm(b)
-	key, _ := engine.Fingerprint(model, opts.Delta, core.Options{})
+	km := w.kibamrm(b)
+	var m model
+	m.key, _ = engine.Fingerprint(km, opts.Delta, core.Options{})
 	var start time.Time
 	if opts.Report != nil {
 		start = time.Now()
 	}
 	// Context rides along for span parenting only; it is not part of the
 	// fingerprint, so cache identity is unchanged.
-	e, hit, err := s.eng.Expanded(model, opts.Delta, core.Options{Context: opts.Context})
-	var buildDur time.Duration
-	if opts.Report != nil {
-		buildDur = time.Since(start)
-	}
+	x, hit, err := s.eng.Expanded(km, opts.Delta, core.Options{Context: opts.Context})
 	if err != nil {
-		return nil, engine.Key{}, false, 0, wrapErr(err)
+		return model{}, wrapErr(err)
 	}
-	return e, key, hit, buildDur, nil
+	if opts.Report != nil {
+		m.build = time.Since(start)
+	}
+	m.x, m.hit = x, hit
+	return m, nil
 }
 
 // LifetimeDistribution computes the paper's Markovian approximation of
@@ -375,63 +471,20 @@ func (s *Solver) LifetimeDistribution(b Battery, w *Workload, times []float64, o
 	return s.lifetimeDistribution(b, w, times, opts, s.eng.Pool())
 }
 
-func (s *Solver) lifetimeDistribution(b Battery, w *Workload, times []float64, opts AnalysisOptions, pool *sparse.Pool) (d *Distribution, err error) {
+func (s *Solver) lifetimeDistribution(b Battery, w *Workload, times []float64, opts AnalysisOptions, pool *sparse.Pool) (*Distribution, error) {
 	s.solves.Inc()
-	e, modelKey, hit, buildDur, err := s.expanded(b, w, opts)
+	m, err := s.expanded(b, w, opts)
 	if err != nil {
 		return nil, err
 	}
-	key, memoable := memoKey(kindCDF, modelKey, times, opts)
-	if memoable {
-		if v, ok := s.results.Get(key); ok {
-			s.memoHits.Inc()
-			entry := v.(memoEntry)
-			replayReport(opts, entry, hit, buildDur)
-			return entry.val.(*Distribution).clone(), nil
+	return memoised(s, kindCDF, m, times, opts, func(ctx context.Context) (*Distribution, SolveReport, error) {
+		res, err := m.x.LifetimeCDFOpts(times, s.solveOptions(ctx, opts, pool))
+		if err != nil {
+			return nil, SolveReport{}, err
 		}
-	}
-	ctx, span := s.solveSpan(opts.Context, "cdf")
-	if span != nil {
-		opts.Context = ctx
-		defer func() { endSolveSpan(span, err) }()
-	}
-	var start time.Time
-	if opts.Report != nil {
-		start = time.Now()
-	}
-	res, err := e.LifetimeCDFOpts(times, s.solveOptions(opts, pool))
-	if err != nil {
-		return nil, wrapErr(err)
-	}
-	d = &Distribution{
-		Times:       res.Times,
-		EmptyProb:   res.EmptyProb,
-		States:      res.States,
-		Transitions: res.NNZ,
-		Iterations:  res.Iterations,
-	}
-	rep := SolveReport{
-		States:             res.States,
-		Transitions:        res.NNZ,
-		Iterations:         res.Iterations,
-		SpMVs:              res.SpMVs,
-		FoxGlynnLeft:       res.FoxGlynnLeft,
-		FoxGlynnRight:      res.FoxGlynnRight,
-		UniformizationRate: res.Rate,
-		ModelCacheHit:      hit,
-	}
-	if opts.Report != nil {
-		rep.BuildDuration = buildDur
-		rep.SolveDuration = time.Since(start)
-		*opts.Report = rep
-	}
-	if memoable {
-		// Durations are per-call; the memo stores only the model stats.
-		stored := rep
-		stored.BuildDuration, stored.SolveDuration = 0, 0
-		s.results.Put(key, memoEntry{val: d.clone(), rep: stored})
-	}
-	return d, nil
+		d, rep := answer(res)
+		return d, rep, nil
+	}, (*Distribution).clone)
 }
 
 // lifetimeDistributionBatch solves the lifetime CDF for several time
@@ -448,7 +501,7 @@ func (s *Solver) lifetimeDistribution(b Battery, w *Workload, times []float64, o
 // so the caller (Sweep) falls back to solo solves, which re-run the
 // counting and report exact per-scenario errors.
 func (s *Solver) lifetimeDistributionBatch(b Battery, w *Workload, grids [][]float64, opts AnalysisOptions, pool *sparse.Pool) []*Distribution {
-	e, modelKey, hit, _, err := s.expanded(b, w, opts)
+	m, err := s.expanded(b, w, opts)
 	if err != nil {
 		return nil
 	}
@@ -460,10 +513,10 @@ func (s *Solver) lifetimeDistributionBatch(b Battery, w *Workload, grids [][]flo
 		memoHits  int64
 	)
 	for k, grid := range grids {
-		key, _ := memoKey(kindCDF, modelKey, grid, opts) // Sweep sets no Progress: always memoable
-		if v, ok := s.results.Get(key); ok {
+		key, _ := memoKey(kindCDF, m.key, grid, opts) // Sweep sets no Progress: always memoable
+		if entry, ok := s.recall(key); ok {
 			memoHits++
-			dists[k] = v.(memoEntry).val.(*Distribution).clone()
+			dists[k] = entry.val.(*Distribution).clone()
 			continue
 		}
 		missKeys = append(missKeys, key)
@@ -471,31 +524,17 @@ func (s *Solver) lifetimeDistributionBatch(b Battery, w *Workload, grids [][]flo
 		missAt = append(missAt, k)
 	}
 	if len(missGrids) > 0 {
-		ctx, span := s.solveSpan(opts.Context, "cdf_batch")
-		opts.Context = ctx
-		ress, err := e.LifetimeCDFBatchOpts(missGrids, s.solveOptions(opts, pool))
-		endSolveSpan(span, err)
-		if err != nil {
+		var ress []*core.Result
+		if err := s.traced(opts.Context, "cdf_batch", func(ctx context.Context) (err error) {
+			ress, err = m.x.LifetimeCDFBatchOpts(missGrids, s.solveOptions(ctx, opts, pool))
+			return err
+		}); err != nil {
 			return nil
 		}
 		for i, res := range ress {
-			d := &Distribution{
-				Times:       res.Times,
-				EmptyProb:   res.EmptyProb,
-				States:      res.States,
-				Transitions: res.NNZ,
-				Iterations:  res.Iterations,
-			}
-			s.results.Put(missKeys[i], memoEntry{val: d.clone(), rep: SolveReport{
-				States:             res.States,
-				Transitions:        res.NNZ,
-				Iterations:         res.Iterations,
-				SpMVs:              res.SpMVs,
-				FoxGlynnLeft:       res.FoxGlynnLeft,
-				FoxGlynnRight:      res.FoxGlynnRight,
-				UniformizationRate: res.Rate,
-				ModelCacheHit:      hit,
-			}})
+			d, rep := answer(res)
+			rep.ModelCacheHit = m.hit
+			s.remember(missKeys[i], d.clone(), rep)
 			dists[missAt[i]] = d
 		}
 	}
@@ -526,94 +565,41 @@ func phasedKey(keys []engine.Key, durations []float64) engine.Key {
 // night-time profile followed by a heavy daytime one. All phases run on
 // the same battery, are discretised with opts.Delta, and must have the
 // same number of workload states. Each phase's expanded CTMC is served
-// by the solver's model cache (a day/night schedule over two workloads
-// expands each exactly once, however many queries follow), and whole
-// results are memoised like every other analysis.
-func (s *Solver) PhasedLifetimeDistribution(b Battery, phases []WorkloadPhase, times []float64, opts AnalysisOptions) (d *Distribution, err error) {
+// by the solver's model cache together with its uniformised operator (a
+// day/night schedule over two workloads expands each exactly once,
+// however many queries follow), and whole results are memoised like
+// every other analysis. The report's Iterations and SpMVs sum over the
+// phases; its Fox–Glynn window is left unset (see SolveReport).
+func (s *Solver) PhasedLifetimeDistribution(b Battery, phases []WorkloadPhase, times []float64, opts AnalysisOptions) (*Distribution, error) {
 	if len(phases) == 0 {
 		return nil, fmt.Errorf("%w: no phases", ErrBadArgument)
 	}
-	if opts.Delta <= 0 || math.IsNaN(opts.Delta) {
-		return nil, fmt.Errorf("%w: discretisation step Delta %v (set AnalysisOptions.Delta to a positive divisor of the well capacities)",
-			ErrBadArgument, opts.Delta)
-	}
 	s.solves.Inc()
-	var start time.Time
-	if opts.Report != nil {
-		start = time.Now()
-	}
 	xs := make([]*core.Expanded, len(phases))
 	keys := make([]engine.Key, len(phases))
 	durations := make([]float64, len(phases))
-	allHit := true
+	all := model{hit: true}
 	for i, ph := range phases {
-		if ph.Workload == nil {
-			return nil, fmt.Errorf("%w: nil workload in phase %d", ErrBadArgument, i)
-		}
-		d := ph.DurationSeconds
-		if d <= 0 && !math.IsInf(d, 1) {
+		if d := ph.DurationSeconds; d <= 0 && !math.IsInf(d, 1) {
 			return nil, fmt.Errorf("%w: phase %d duration %v", ErrBadArgument, i, d)
 		}
-		model := ph.Workload.kibamrm(b)
-		keys[i], _ = engine.Fingerprint(model, opts.Delta, core.Options{})
-		e, hit, err := s.eng.Expanded(model, opts.Delta, core.Options{Context: opts.Context})
+		m, err := s.expanded(b, ph.Workload, opts)
 		if err != nil {
-			return nil, wrapErr(err)
+			return nil, fmt.Errorf("phase %d: %w", i, err)
 		}
-		xs[i], durations[i] = e, d
-		allHit = allHit && hit
+		xs[i], keys[i], durations[i] = m.x, m.key, ph.DurationSeconds
+		all.hit = all.hit && m.hit
+		all.build += m.build
 	}
-	var buildDur time.Duration
-	if opts.Report != nil {
-		buildDur = time.Since(start)
-	}
-	key, memoable := memoKey(kindPhased, phasedKey(keys, durations), times, opts)
-	if memoable {
-		if v, ok := s.results.Get(key); ok {
-			s.memoHits.Inc()
-			entry := v.(memoEntry)
-			replayReport(opts, entry, allHit, buildDur)
-			return entry.val.(*Distribution).clone(), nil
+	all.key = phasedKey(keys, durations)
+	return memoised(s, kindPhased, all, times, opts, func(ctx context.Context) (*Distribution, SolveReport, error) {
+		res, err := core.PhasedLifetimeCDFExpanded(xs, durations, times, s.solveOptions(ctx, opts, s.eng.Pool()))
+		if err != nil {
+			return nil, SolveReport{}, err
 		}
-	}
-	ctx, span := s.solveSpan(opts.Context, "phased")
-	if span != nil {
-		opts.Context = ctx
-		defer func() { endSolveSpan(span, err) }()
-	}
-	if opts.Report != nil {
-		start = time.Now()
-	}
-	res, err := core.PhasedLifetimeCDFExpanded(xs, durations, times, s.solveOptions(opts, s.eng.Pool()))
-	if err != nil {
-		return nil, wrapErr(err)
-	}
-	d = &Distribution{
-		Times:       res.Times,
-		EmptyProb:   res.EmptyProb,
-		States:      res.States,
-		Transitions: res.NNZ,
-		Iterations:  res.Iterations,
-	}
-	rep := SolveReport{
-		States:             res.States,
-		Transitions:        res.NNZ,
-		Iterations:         res.Iterations,
-		SpMVs:              res.SpMVs,
-		UniformizationRate: res.Rate,
-		ModelCacheHit:      allHit,
-	}
-	if opts.Report != nil {
-		rep.BuildDuration = buildDur
-		rep.SolveDuration = time.Since(start)
-		*opts.Report = rep
-	}
-	if memoable {
-		stored := rep
-		stored.BuildDuration, stored.SolveDuration = 0, 0
-		s.results.Put(key, memoEntry{val: d.clone(), rep: stored})
-	}
-	return d, nil
+		d, rep := answer(res)
+		return d, rep, nil
+	}, (*Distribution).clone)
 }
 
 // ExpectedLifetime computes E[L] on the expanded chain by solving the
@@ -621,54 +607,21 @@ func (s *Solver) PhasedLifetimeDistribution(b Battery, phases []WorkloadPhase, t
 // function of the same name. Context is checked between the solve's
 // block sweeps, and its error is returned wrapped. Epsilon,
 // MaxIterations and Progress do not apply to the solve and are ignored.
-func (s *Solver) ExpectedLifetime(b Battery, w *Workload, opts AnalysisOptions) (mean float64, err error) {
+func (s *Solver) ExpectedLifetime(b Battery, w *Workload, opts AnalysisOptions) (float64, error) {
 	s.solves.Inc()
-	e, modelKey, hit, buildDur, err := s.expanded(b, w, opts)
+	m, err := s.expanded(b, w, opts)
 	if err != nil {
 		return 0, err
 	}
-	key, memoable := memoKey(kindMean, modelKey, nil, opts)
-	if memoable {
-		if v, ok := s.results.Get(key); ok {
-			s.memoHits.Inc()
-			entry := v.(memoEntry)
-			replayReport(opts, entry, hit, buildDur)
-			return entry.val.(float64), nil
+	return memoised(s, kindMean, m, nil, opts, func(ctx context.Context) (float64, SolveReport, error) {
+		if ctx == nil {
+			ctx = context.Background()
 		}
-	}
-	ctx, span := s.solveSpan(opts.Context, "mean")
-	if span != nil {
-		defer func() { endSolveSpan(span, err) }()
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	var start time.Time
-	if opts.Report != nil {
-		start = time.Now()
-	}
-	mean, err = e.MeanLifetime(ctx)
-	if err != nil {
-		return 0, wrapErr(err)
-	}
-	// The mean solve is a block linear solve: no uniformisation
-	// statistics to report beyond the chain size.
-	rep := SolveReport{
-		States:        e.NumStates(),
-		Transitions:   e.NNZ(),
-		ModelCacheHit: hit,
-	}
-	if opts.Report != nil {
-		rep.BuildDuration = buildDur
-		rep.SolveDuration = time.Since(start)
-		*opts.Report = rep
-	}
-	if memoable {
-		stored := rep
-		stored.BuildDuration, stored.SolveDuration = 0, 0
-		s.results.Put(key, memoEntry{val: mean, rep: stored})
-	}
-	return mean, nil
+		mean, err := m.x.MeanLifetime(ctx)
+		// The mean solve is a block linear solve: no uniformisation
+		// statistics to report beyond the chain size.
+		return mean, report(core.Stats{States: m.x.NumStates(), NNZ: m.x.NNZ()}), err
+	}, nil)
 }
 
 // StrandedCharge computes the stranded-charge summary at a horizon far
@@ -676,7 +629,7 @@ func (s *Solver) ExpectedLifetime(b Battery, w *Workload, opts AnalysisOptions) 
 // measure's semantics. The horizon must leave at least 99% of the
 // probability mass depleted, or an error matching ErrBadArgument is
 // returned.
-func (s *Solver) StrandedCharge(b Battery, w *Workload, horizonSeconds float64, opts AnalysisOptions) (out *StrandedCharge, err error) {
+func (s *Solver) StrandedCharge(b Battery, w *Workload, horizonSeconds float64, opts AnalysisOptions) (*StrandedCharge, error) {
 	if w == nil {
 		return nil, fmt.Errorf("%w: nil workload", ErrBadArgument)
 	}
@@ -684,56 +637,24 @@ func (s *Solver) StrandedCharge(b Battery, w *Workload, horizonSeconds float64, 
 		return &StrandedCharge{}, nil // no bound well, nothing to strand
 	}
 	s.solves.Inc()
-	e, modelKey, hit, buildDur, err := s.expanded(b, w, opts)
+	m, err := s.expanded(b, w, opts)
 	if err != nil {
 		return nil, err
 	}
-	key, memoable := memoKey(kindStranded, modelKey, []float64{horizonSeconds}, opts)
-	if memoable {
-		if v, ok := s.results.Get(key); ok {
-			s.memoHits.Inc()
-			entry := v.(memoEntry)
-			replayReport(opts, entry, hit, buildDur)
-			sc := entry.val.(StrandedCharge)
-			return &sc, nil
+	sc, err := memoised(s, kindStranded, m, []float64{horizonSeconds}, opts, func(ctx context.Context) (StrandedCharge, SolveReport, error) {
+		wc, err := m.x.WastedChargeDistributionOpts(horizonSeconds, s.solveOptions(ctx, opts, s.eng.Pool()))
+		if err != nil {
+			return StrandedCharge{}, SolveReport{}, err
 		}
-	}
-	ctx, span := s.solveSpan(opts.Context, "stranded")
-	if span != nil {
-		opts.Context = ctx
-		defer func() { endSolveSpan(span, err) }()
-	}
-	var start time.Time
-	if opts.Report != nil {
-		start = time.Now()
-	}
-	wc, err := e.WastedChargeDistributionOpts(horizonSeconds, s.solveOptions(opts, s.eng.Pool()))
+		if wc.AbsorbedMass < 0.99 {
+			return StrandedCharge{}, SolveReport{}, fmt.Errorf("%w: only %.1f%% of runs depleted by the horizon; increase horizonSeconds",
+				ErrBadArgument, 100*wc.AbsorbedMass)
+		}
+		bound := (1 - b.AvailableFraction) * b.CapacityAs
+		return StrandedCharge{MeanAs: wc.Mean(), FractionOfBound: wc.Mean() / bound}, report(wc.Stats), nil
+	}, nil)
 	if err != nil {
-		return nil, wrapErr(err)
-	}
-	if wc.AbsorbedMass < 0.99 {
-		return nil, fmt.Errorf("%w: only %.1f%% of runs depleted by the horizon; increase horizonSeconds",
-			ErrBadArgument, 100*wc.AbsorbedMass)
-	}
-	bound := (1 - b.AvailableFraction) * b.CapacityAs
-	sc := StrandedCharge{
-		MeanAs:          wc.Mean(),
-		FractionOfBound: wc.Mean() / bound,
-	}
-	rep := SolveReport{
-		States:        e.NumStates(),
-		Transitions:   e.NNZ(),
-		ModelCacheHit: hit,
-	}
-	if opts.Report != nil {
-		rep.BuildDuration = buildDur
-		rep.SolveDuration = time.Since(start)
-		*opts.Report = rep
-	}
-	if memoable {
-		stored := rep
-		stored.BuildDuration, stored.SolveDuration = 0, 0
-		s.results.Put(key, memoEntry{val: sc, rep: stored})
+		return nil, err
 	}
 	return &sc, nil
 }
@@ -747,7 +668,7 @@ func (s *Solver) StrandedCharge(b Battery, w *Workload, horizonSeconds float64, 
 // downstream. Delta, Epsilon and Progress are ignored (the transform
 // needs no grid and reports no step-wise progress); Context cancels
 // between time points.
-func (s *Solver) ExactCDF(b Battery, w *Workload, times []float64, opts AnalysisOptions) (d *Distribution, err error) {
+func (s *Solver) ExactCDF(b Battery, w *Workload, times []float64, opts AnalysisOptions) (*Distribution, error) {
 	if w == nil {
 		return nil, fmt.Errorf("%w: nil workload", ErrBadArgument)
 	}
@@ -759,61 +680,25 @@ func (s *Solver) ExactCDF(b Battery, w *Workload, times []float64, opts Analysis
 		return nil, fmt.Errorf("%w: exact solution requires AvailableFraction = 1, got %v",
 			ErrBadArgument, b.AvailableFraction)
 	}
-	model := mrm.ConstantReward{
-		Chain:   w.model.Chain,
-		Rates:   w.model.Currents,
-		Initial: w.model.Initial,
-	}
-	// The exact path has no expanded model; key on the workload chain
-	// (via the KiBaMRM fingerprint at a dummy Δ) plus the capacity.
-	modelKey, _ := engine.Fingerprint(w.kibamrm(b), 1, core.Options{})
-	key, memoable := memoKey(kindExact, modelKey, times, opts)
-	key.capBits = math.Float64bits(b.CapacityAs)
-	key.exactCDF = true
 	s.solves.Inc()
-	if memoable {
-		if v, ok := s.results.Get(key); ok {
-			s.memoHits.Inc()
-			entry := v.(memoEntry)
-			replayReport(opts, entry, false, 0)
-			return entry.val.(*Distribution).clone(), nil
+	// The exact path expands no CTMC; key on the workload chain and the
+	// capacity via the KiBaMRM fingerprint at a dummy Δ.
+	var m model
+	m.key, _ = engine.Fingerprint(w.kibamrm(b), 1, core.Options{})
+	return memoised(s, kindExact, m, times, opts, func(ctx context.Context) (*Distribution, SolveReport, error) {
+		cr := mrm.ConstantReward{Chain: w.model.Chain, Rates: w.model.Currents, Initial: w.model.Initial}
+		probs, stats, err := performability.EnergyDepletionCDFStats(cr, b.CapacityAs, times, ctx)
+		if err != nil {
+			return nil, SolveReport{}, err
 		}
-	}
-	ctx, span := s.solveSpan(opts.Context, "exact")
-	if span != nil {
-		opts.Context = ctx
-		defer func() { endSolveSpan(span, err) }()
-	}
-	var start time.Time
-	if opts.Report != nil {
-		start = time.Now()
-	}
-	probs, stats, err := performability.EnergyDepletionCDFStats(model, b.CapacityAs, times, opts.Context)
-	if err != nil {
-		return nil, wrapErr(err)
-	}
-	d = &Distribution{
-		Times:       append([]float64(nil), times...),
-		EmptyProb:   probs,
-		States:      stats.States,
-		Transitions: stats.Transitions,
-		Iterations:  stats.TransformEvals,
-	}
-	// The exact transform expands no CTMC; Iterations here counts
-	// transform evaluations.
-	rep := SolveReport{
-		States:      stats.States,
-		Transitions: stats.Transitions,
-		Iterations:  stats.TransformEvals,
-	}
-	if opts.Report != nil {
-		rep.SolveDuration = time.Since(start)
-		*opts.Report = rep
-	}
-	if memoable {
-		s.results.Put(key, memoEntry{val: d.clone(), rep: rep})
-	}
-	return d, nil
+		// Iterations here counts transform evaluations.
+		d, rep := answer(&core.Result{
+			Times:     append([]float64(nil), times...),
+			EmptyProb: probs,
+			Stats:     core.Stats{States: stats.States, NNZ: stats.Transitions, Iterations: stats.TransformEvals},
+		})
+		return d, rep, nil
+	}, (*Distribution).clone)
 }
 
 // Scenario is one cell of a Sweep grid: a battery/workload pair, the

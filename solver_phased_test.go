@@ -3,6 +3,7 @@ package batlife
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 
 	"batlife/internal/core"
@@ -28,17 +29,22 @@ func dayNight(t *testing.T) (Battery, []WorkloadPhase) {
 }
 
 func TestSolverGoldenPhasedLifetimeDistribution(t *testing.T) {
-	// The deprecated free function, a fresh Solver, and the pre-redesign
-	// direct core path must produce bit-identical curves.
+	// The deprecated free function, a fresh Solver, and the direct core
+	// path must produce bit-identical curves.
 	b, phases := dayNight(t)
 	times := []float64{8000, 16000, 32000}
 	const delta = 100
 
-	mps := make([]core.ModelPhase, len(phases))
+	xs := make([]*core.Expanded, len(phases))
+	durations := make([]float64, len(phases))
 	for i, ph := range phases {
-		mps[i] = core.ModelPhase{Model: ph.Workload.kibamrm(b), Duration: ph.DurationSeconds}
+		e, err := core.Build(ph.Workload.kibamrm(b), delta, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		xs[i], durations[i] = e, ph.DurationSeconds
 	}
-	direct, err := core.PhasedLifetimeCDF(mps, delta, times, core.Options{})
+	direct, err := core.PhasedLifetimeCDFExpanded(xs, durations, times, core.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,6 +64,37 @@ func TestSolverGoldenPhasedLifetimeDistribution(t *testing.T) {
 		t.Errorf("metadata: solver {%d %d %d} vs core {%d %d %d}",
 			viaSolver.States, viaSolver.Transitions, viaSolver.Iterations,
 			direct.States, direct.NNZ, direct.Iterations)
+	}
+}
+
+// TestSolverGoldenBits pins the day/night phased CDF and the Fig. 8
+// stranded charge bit for bit, as the solver computed them when each
+// phase re-uniformised its generator and every analysis had its own
+// memo and report code.
+func TestSolverGoldenBits(t *testing.T) {
+	s := NewSolver(SolverOptions{})
+	b, phases := dayNight(t)
+	times := []float64{8000, 16000, 32000}
+	d, err := s.PhasedLifetimeDistribution(b, phases, times, AnalysisOptions{Delta: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, want := range []uint64{0x3ebbd303068d69f5, 0x3f9a26dc3d26a8cf, 0x3fe6d0c4e429877c} {
+		if got := math.Float64bits(d.EmptyProb[k]); got != want {
+			t.Errorf("phased t=%v: %v (%#x), want %v (%#x)", times[k], d.EmptyProb[k], got, math.Float64frombits(want), want)
+		}
+	}
+	w, err := OnOffWorkload(1, 1, 0.96)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := s.StrandedCharge(PaperBattery(), w, 60000, AnalysisOptions{Delta: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = 0x4096f795ff55bdf2
+	if got := math.Float64bits(sc.MeanAs); got != want {
+		t.Errorf("stranded MeanAs = %v (%#x), want %v (%#x)", sc.MeanAs, got, math.Float64frombits(want), uint64(want))
 	}
 }
 

@@ -6,68 +6,128 @@ import (
 	"testing"
 )
 
-// TestSolveReportFirstSolve pins the report of a cold solve: a fresh
-// model build, no memo hit, and the uniformisation statistics of the
-// actual iteration.
-func TestSolveReportFirstSolve(t *testing.T) {
+// reportCase runs one of the solver's five analyses with a Report.
+type reportCase struct {
+	name string
+	run  func(t *testing.T, s *Solver, rep *SolveReport)
+	// uniformised analyses report Iterations == SpMVs > 0; expanded ones
+	// obtain an expanded CTMC from the engine cache (the exact CDF needs
+	// none).
+	uniformised, expanded bool
+}
+
+// reportCases covers every analysis the facade memoises.
+func reportCases(t *testing.T) []reportCase {
 	b, w := onOffC1(t)
 	times := []float64{10000, 15000}
-	s := NewSolver(SolverOptions{})
-	var rep SolveReport
-	d, err := s.LifetimeDistribution(b, w, times, AnalysisOptions{Delta: 50, Report: &rep})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.ModelCacheHit || rep.ResultMemoHit {
-		t.Errorf("cold solve reported hits: %+v", rep)
-	}
-	if rep.States != d.States || rep.Transitions != d.Transitions || rep.Iterations != d.Iterations {
-		t.Errorf("report stats %+v disagree with distribution %d/%d/%d",
-			rep, d.States, d.Transitions, d.Iterations)
-	}
-	if rep.Iterations <= 0 || rep.SpMVs != rep.Iterations {
-		t.Errorf("Iterations = %d, SpMVs = %d; want equal and positive", rep.Iterations, rep.SpMVs)
-	}
-	if rep.FoxGlynnRight <= 0 || rep.FoxGlynnLeft > rep.FoxGlynnRight {
-		t.Errorf("Fox–Glynn window [%d, %d] implausible", rep.FoxGlynnLeft, rep.FoxGlynnRight)
-	}
-	if rep.UniformizationRate <= 0 {
-		t.Errorf("UniformizationRate = %v", rep.UniformizationRate)
-	}
-	if rep.BuildDuration <= 0 || rep.SolveDuration <= 0 {
-		t.Errorf("durations %v/%v, want positive on a cold solve", rep.BuildDuration, rep.SolveDuration)
+	nb, phases := dayNight(t)
+	return []reportCase{
+		{"cdf", func(t *testing.T, s *Solver, rep *SolveReport) {
+			d, err := s.LifetimeDistribution(b, w, times, AnalysisOptions{Delta: 50, Report: rep})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.States != d.States || rep.Transitions != d.Transitions || rep.Iterations != d.Iterations {
+				t.Errorf("report stats %+v disagree with distribution %d/%d/%d",
+					rep, d.States, d.Transitions, d.Iterations)
+			}
+		}, true, true},
+		{"phased", func(t *testing.T, s *Solver, rep *SolveReport) {
+			d, err := s.PhasedLifetimeDistribution(nb, phases, []float64{8000, 16000}, AnalysisOptions{Delta: 100, Report: rep})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.States != d.States || rep.Transitions != d.Transitions || rep.Iterations != d.Iterations {
+				t.Errorf("report stats %+v disagree with distribution %d/%d/%d",
+					rep, d.States, d.Transitions, d.Iterations)
+			}
+		}, true, true},
+		{"mean", func(t *testing.T, s *Solver, rep *SolveReport) {
+			if _, err := s.ExpectedLifetime(b, w, AnalysisOptions{Delta: 100, Report: rep}); err != nil {
+				t.Fatal(err)
+			}
+		}, false, true},
+		{"stranded", func(t *testing.T, s *Solver, rep *SolveReport) {
+			if _, err := s.StrandedCharge(PaperBattery(), w, 40000, AnalysisOptions{Delta: 100, Report: rep}); err != nil {
+				t.Fatal(err)
+			}
+		}, true, true},
+		{"exact", func(t *testing.T, s *Solver, rep *SolveReport) {
+			d, err := s.ExactCDF(b, w, times, AnalysisOptions{Report: rep})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.States != d.States || rep.Transitions != d.Transitions || rep.Iterations != d.Iterations {
+				t.Errorf("report stats %+v disagree with distribution %d/%d/%d",
+					rep, d.States, d.Transitions, d.Iterations)
+			}
+		}, false, false},
 	}
 }
 
-// TestSolveReportMemoReplay pins the memo-hit contract: the answer comes
-// from the memo, the statistics replay those of the original solve, and
-// ResultMemoHit/ModelCacheHit are set.
+// TestSolveReportFirstSolve pins the report of a cold solve of every
+// analysis: a fresh model build, no memo hit, and the statistics of the
+// actual solve — for the uniformised ones equal, positive Iterations and
+// SpMVs, summed over the phases of a phased solve.
+func TestSolveReportFirstSolve(t *testing.T) {
+	for _, tc := range reportCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			var rep SolveReport
+			tc.run(t, NewSolver(SolverOptions{}), &rep)
+			if rep.ModelCacheHit || rep.ResultMemoHit {
+				t.Errorf("cold solve reported hits: %+v", rep)
+			}
+			if rep.States <= 0 || rep.Transitions <= 0 {
+				t.Errorf("chain size %d/%d, want positive", rep.States, rep.Transitions)
+			}
+			if rep.SolveDuration <= 0 || tc.expanded != (rep.BuildDuration > 0) {
+				t.Errorf("durations %v/%v on a cold solve", rep.BuildDuration, rep.SolveDuration)
+			}
+			switch {
+			case !tc.uniformised:
+				if rep.SpMVs != 0 || rep.UniformizationRate != 0 {
+					t.Errorf("SpMVs = %d, rate = %v; want 0 without uniformisation", rep.SpMVs, rep.UniformizationRate)
+				}
+			case rep.Iterations <= 0 || rep.SpMVs != rep.Iterations:
+				t.Errorf("Iterations = %d, SpMVs = %d; want equal and positive", rep.Iterations, rep.SpMVs)
+			case rep.UniformizationRate <= 0:
+				t.Errorf("UniformizationRate = %v", rep.UniformizationRate)
+			case tc.name == "phased":
+				if rep.FoxGlynnLeft != 0 || rep.FoxGlynnRight != 0 {
+					t.Errorf("phased Fox–Glynn window [%d, %d], want unset", rep.FoxGlynnLeft, rep.FoxGlynnRight)
+				}
+			case rep.FoxGlynnRight <= 0 || rep.FoxGlynnLeft > rep.FoxGlynnRight:
+				t.Errorf("Fox–Glynn window [%d, %d] implausible", rep.FoxGlynnLeft, rep.FoxGlynnRight)
+			}
+		})
+	}
+}
+
+// TestSolveReportMemoReplay pins the memo-hit contract of every
+// analysis: the answer comes from the memo, the statistics replay those
+// of the original solve, and ResultMemoHit is set (ModelCacheHit too
+// where the analysis expands a model).
 func TestSolveReportMemoReplay(t *testing.T) {
-	b, w := onOffC1(t)
-	times := []float64{10000, 15000}
-	s := NewSolver(SolverOptions{})
-	var first SolveReport
-	if _, err := s.LifetimeDistribution(b, w, times, AnalysisOptions{Delta: 50, Report: &first}); err != nil {
-		t.Fatal(err)
-	}
-	var second SolveReport
-	d2, err := s.LifetimeDistribution(b, w, times, AnalysisOptions{Delta: 50, Report: &second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !second.ResultMemoHit || !second.ModelCacheHit {
-		t.Errorf("repeat solve: ResultMemoHit=%v ModelCacheHit=%v, want both true",
-			second.ResultMemoHit, second.ModelCacheHit)
-	}
-	if second.SolveDuration != 0 {
-		t.Errorf("memo hit SolveDuration = %v, want 0", second.SolveDuration)
-	}
-	if second.States != first.States || second.Iterations != first.Iterations ||
-		second.SpMVs != first.SpMVs || second.FoxGlynnRight != first.FoxGlynnRight {
-		t.Errorf("memo replay stats %+v != original %+v", second, first)
-	}
-	if d2.Iterations != first.Iterations {
-		t.Errorf("memoised distribution Iterations = %d, want %d", d2.Iterations, first.Iterations)
+	for _, tc := range reportCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewSolver(SolverOptions{})
+			var first, second SolveReport
+			tc.run(t, s, &first)
+			tc.run(t, s, &second)
+			if !second.ResultMemoHit || second.ModelCacheHit != tc.expanded {
+				t.Errorf("repeat solve: ResultMemoHit=%v ModelCacheHit=%v, want true/%v",
+					second.ResultMemoHit, second.ModelCacheHit, tc.expanded)
+			}
+			if second.SolveDuration != 0 {
+				t.Errorf("memo hit SolveDuration = %v, want 0", second.SolveDuration)
+			}
+			want := first
+			want.ResultMemoHit, want.ModelCacheHit = true, tc.expanded
+			want.BuildDuration, want.SolveDuration = second.BuildDuration, 0
+			if second != want {
+				t.Errorf("memo replay %+v, want the original's statistics %+v", second, first)
+			}
+		})
 	}
 }
 
