@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"io"
 	"net/http"
@@ -32,8 +33,8 @@ func TestCmdSweepTraceOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	spans, err := obs.ReadSpans(f)
-	if err != nil {
+	var spans []obs.SpanRecord
+	if err := json.NewDecoder(f).Decode(&spans); err != nil {
 		t.Fatalf("trace file is not valid span JSON: %v", err)
 	}
 	byName := map[string]int{}
@@ -70,8 +71,8 @@ func TestCmdCDFTraceOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	spans, err := obs.ReadSpans(f)
-	if err != nil {
+	var spans []obs.SpanRecord
+	if err := json.NewDecoder(f).Decode(&spans); err != nil {
 		t.Fatalf("trace file is not valid span JSON: %v", err)
 	}
 	byName := map[string]int{}

@@ -53,6 +53,7 @@ func failf(site, format string, args ...any) {
 // Finite asserts every x is neither NaN nor ±Inf.
 //
 //numlint:asserts finite(xs)
+//numlint:ignore testonly called only by the generated debugchecks contract shims
 func Finite(site string, xs ...float64) {
 	if !Enabled {
 		return

@@ -15,6 +15,7 @@ import "math"
 // Positive asserts every x is strictly greater than zero (NaN fails).
 //
 //numlint:asserts positive(xs)
+//numlint:ignore testonly called only by the generated debugchecks contract shims
 func Positive(site string, xs ...float64) {
 	if !Enabled {
 		return
@@ -29,6 +30,7 @@ func Positive(site string, xs ...float64) {
 // NonZero asserts every x is a usable divisor: neither zero nor NaN.
 //
 //numlint:asserts nonzero(xs)
+//numlint:ignore testonly called only by the generated debugchecks contract shims
 func NonZero(site string, xs ...float64) {
 	if !Enabled {
 		return
@@ -43,6 +45,7 @@ func NonZero(site string, xs ...float64) {
 // NonNegativeScalar asserts every x is >= 0 (NaN fails).
 //
 //numlint:asserts nonnegative(xs)
+//numlint:ignore testonly called only by the generated debugchecks contract shims
 func NonNegativeScalar(site string, xs ...float64) {
 	if !Enabled {
 		return

@@ -97,7 +97,7 @@ func TestChargingGeneratorStillValid(t *testing.T) {
 	}
 	g := e.Generator()
 	for r := 0; r < g.Rows(); r++ {
-		if s := g.RowSum(r); math.Abs(s) > 1e-9 {
+		if s := rowSum(g, r); math.Abs(s) > 1e-9 {
 			t.Fatalf("row %d sums to %v", r, s)
 		}
 	}

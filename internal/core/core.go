@@ -10,8 +10,9 @@
 // in (j1Δ, (j1+1)Δ] and the bound charge in (j2Δ, (j2+1)Δ]. Three kinds
 // of transitions arise (Section 5.2):
 //
-//   - workload transitions (i, j1, j2) → (i′, j1, j2) with the original
-//     rate Q_{i,i′}(j1Δ, j2Δ);
+//   - workload transitions (i, j1, j2) → (i′, j1, j2) with the workload
+//     rate Q_{i,i′} (the paper lets it depend on the rewards, evaluated
+//     at (j1Δ, j2Δ); every workload here has constant rates);
 //   - consumption (i, j1, j2) → (i, j1−1, j2) with rate I_i/Δ;
 //   - bound-to-available transfer (i, j1, j2) → (i, j1+1, j2−1) with
 //     rate k(h2 − h1)/Δ = k(j2/(1−c) − j1/c).
@@ -44,21 +45,8 @@ import (
 // ErrBadGrid reports an unusable discretisation step.
 var ErrBadGrid = errors.New("core: invalid discretisation")
 
-// Options tunes the construction of the expanded CTMC.
+// Options carries a build's telemetry. Neither field changes the chain.
 type Options struct {
-	// AllowEmptyRecovery keeps the j1 = 0 states live instead of
-	// absorbing. The paper makes them absorbing (lifetime = first
-	// passage) but notes "the recovery transitions could easily be
-	// included"; this flag includes them, turning the computed measure
-	// into Pr{battery empty at time t} without the first-passage
-	// interpretation.
-	AllowEmptyRecovery bool
-	// TransitionRate, when non-nil, overrides the workload generator
-	// with a reward-dependent rate Q_{i,i′}(y1, y2), evaluated at the
-	// grid point (j1Δ, j2Δ). Entries for which the underlying chain has
-	// no transition are not consulted; return the given base rate to
-	// leave a transition unchanged.
-	TransitionRate func(from, to int, y1, y2, base float64) float64
 	// Obs, when non-nil, receives expansion telemetry (state/NNZ counts,
 	// build timing, a "core.build" span). It does not affect the result
 	// and is excluded from engine fingerprints. Solves record into the
@@ -89,7 +77,6 @@ type Expanded struct {
 	n1, n2 int
 	gen    *sparse.CSR
 	alpha  []float64
-	opts   Options
 
 	// uniOnce guards the lazily-built uniformised operator shared by
 	// every transient solve on this model.
@@ -121,7 +108,6 @@ func Build(model mrm.KiBaMRM, delta float64, opts Options) (*Expanded, error) {
 		delta: delta,
 		n1:    m1 + 1,
 		n2:    m2 + 1,
-		opts:  opts,
 	}
 	var (
 		span  *obs.Span
@@ -198,10 +184,8 @@ func (e *Expanded) assemble() error {
 	workloadNNZ := e.model.Workload.Generator().NNZ()
 	b := sparse.NewBuilder(total, total, e.n1*e.n2*(workloadNNZ+2*n)+total)
 
-	for j1 := 0; j1 < e.n1; j1++ {
-		if j1 == 0 && !e.opts.AllowEmptyRecovery {
-			continue // battery empty: absorbing, no outgoing transitions
-		}
+	// j1 = 0 is the empty battery: absorbing, no outgoing transitions.
+	for j1 := 1; j1 < e.n1; j1++ {
 		y1 := float64(j1) * delta
 		for j2 := 0; j2 < e.n2; j2++ {
 			y2 := float64(j2) * delta
@@ -222,18 +206,8 @@ func (e *Expanded) assemble() error {
 					if col == i || v <= 0 {
 						return
 					}
-					rate := v
-					if e.opts.TransitionRate != nil {
-						rate = e.opts.TransitionRate(i, col, y1, y2, v)
-						if rate < 0 || math.IsNaN(rate) {
-							rate = 0
-						}
-					}
-					if rate == 0 {
-						return
-					}
-					b.Add(from, e.index(col, j1, j2), rate)
-					diag -= rate
+					b.Add(from, e.index(col, j1, j2), v)
+					diag -= v
 				})
 				// Consumption: one level down in the available well.
 				// Charging states (negative current, AllowCharging)
@@ -273,12 +247,6 @@ func (e *Expanded) NumStates() int {
 
 // NNZ reports the number of nonzero generator entries.
 func (e *Expanded) NNZ() int { return e.gen.NNZ() }
-
-// Levels reports the level counts (n1, n2) of the two reward grids.
-func (e *Expanded) Levels() (int, int) { return e.n1, e.n2 }
-
-// Delta reports the discretisation step.
-func (e *Expanded) Delta() float64 { return e.delta }
 
 // Generator exposes the expanded generator for inspection and ablation
 // experiments. Callers must not modify it.
@@ -459,27 +427,4 @@ func clampProbs(ps []float64) []float64 {
 	}
 	check.UnitInterval("core.clampProbs", ps)
 	return ps
-}
-
-// StateDistribution returns the marginal distribution over available-
-// charge levels at time t: out[j1] = Pr{Y1(t) ∈ level j1}. Useful for
-// inspecting how probability mass drains toward the empty slice.
-func (e *Expanded) StateDistribution(t float64) ([]float64, error) {
-	res, err := e.solve(nil, []float64{t}, SolveOptions{})
-	if err != nil {
-		return nil, fmt.Errorf("core: state distribution: %w", err)
-	}
-	n := e.model.Workload.NumStates()
-	out := make([]float64, e.n1)
-	for j1 := 0; j1 < e.n1; j1++ {
-		for j2 := 0; j2 < e.n2; j2++ {
-			for i := 0; i < n; i++ {
-				out[j1] += res.Distributions[0][e.index(i, j1, j2)]
-			}
-		}
-	}
-	// The marginal sums to the transient mass (1 minus truncation tail),
-	// so assert non-negativity rather than exact conservation.
-	check.NonNegative("core.StateDistribution", out)
-	return out, nil
 }

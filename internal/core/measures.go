@@ -30,13 +30,10 @@ const meanTolerance, meanMaxSweeps = 1e-12, 200000
 // 1e-12 of the largest mean, within 200,000 sweeps. ctx is checked
 // between sweeps, and its error is returned wrapped.
 //
-// ErrNoAbsorption reports no finite mean: AllowEmptyRecovery (nothing
-// absorbs), a closed class of live states (a block some of whose states
-// cannot leave it), or charging sweeps that do not settle.
+// ErrNoAbsorption reports no finite mean: no state draws current, a
+// closed class of live states (a block some of whose states cannot leave
+// it), or charging sweeps that do not settle.
 func (e *Expanded) MeanLifetime(ctx context.Context) (float64, error) {
-	if e.opts.AllowEmptyRecovery {
-		return 0, fmt.Errorf("%w: empty states are not absorbing", ErrNoAbsorption)
-	}
 	if e.model.MaxCurrent() == 0 {
 		return 0, fmt.Errorf("%w: no state draws current", ErrNoAbsorption)
 	}
@@ -128,61 +125,6 @@ func factorBlock(a []float64, piv []int, exits []bool) error {
 		return fmt.Errorf("workload state %d cannot leave it", i)
 	}
 	return linalg.FactorLU(a, piv)
-}
-
-// ChargeMoments holds summary statistics of the remaining charge at one
-// time instant.
-type ChargeMoments struct {
-	// MeanAvailable and MeanBound are the expected well contents in
-	// ampere-seconds (grid midpoints; the empty level counts as zero).
-	MeanAvailable, MeanBound float64
-	// StdAvailable is the standard deviation of the available charge.
-	StdAvailable float64
-	// EmptyProb is Pr{battery empty at t}.
-	EmptyProb float64
-}
-
-// ChargeAt returns the charge moments at time t, derived from the full
-// transient distribution of the expanded chain. It quantifies how the
-// probability mass drains down the grid over time — the distributional
-// view behind the lifetime CDF.
-func (e *Expanded) ChargeAt(t float64) (*ChargeMoments, error) {
-	res, err := e.solve(nil, []float64{t}, SolveOptions{})
-	if err != nil {
-		return nil, fmt.Errorf("core: charge moments: %w", err)
-	}
-	n := e.model.Workload.NumStates()
-	pi := res.Distributions[0]
-	m := &ChargeMoments{}
-	var second float64
-	for j1 := 0; j1 < e.n1; j1++ {
-		y1 := 0.0
-		if j1 > 0 {
-			y1 = (float64(j1) + 0.5) * e.delta
-		}
-		for j2 := 0; j2 < e.n2; j2++ {
-			y2 := 0.0
-			if j2 > 0 {
-				y2 = (float64(j2) + 0.5) * e.delta
-			}
-			for i := 0; i < n; i++ {
-				p := pi[e.index(i, j1, j2)]
-				if p == 0 {
-					continue
-				}
-				m.MeanAvailable += p * y1
-				m.MeanBound += p * y2
-				second += p * y1 * y1
-				if j1 == 0 {
-					m.EmptyProb += p
-				}
-			}
-		}
-	}
-	if v := second - m.MeanAvailable*m.MeanAvailable; v > 0 {
-		m.StdAvailable = math.Sqrt(v)
-	}
-	return m, nil
 }
 
 // WastedCharge is the distribution of the bound charge remaining when

@@ -10,9 +10,8 @@ import (
 
 // referenceQ builds Q* and α* of a discharge-only KiBaMRM straight from
 // §5.2, one grid state (i, j1, j2) at a time, in the documented layout
-// (j1·n2 + j2)·N + i. It covers no TransitionRate override, no charging
-// and no empty-state recovery; it exists only so Build has a second,
-// separately written construction to be compared against.
+// (j1·n2 + j2)·N + i. It covers no charging; it exists only so Build
+// has a second, separately written construction to be compared against.
 func referenceQ(t *testing.T, m mrm.KiBaMRM, delta float64) (*sparse.CSR, []float64) {
 	t.Helper()
 	c, k := m.Battery.C, m.Battery.K
@@ -35,12 +34,12 @@ func referenceQ(t *testing.T, m mrm.KiBaMRM, delta float64) (*sparse.CSR, []floa
 			for j2 := 0; j2 < n2; j2++ {
 				from := idx(i, j1, j2)
 				out := 0.0
-				for to := 0; to < n; to++ {
-					if r := m.Workload.Generator().At(i, to); to != i && r > 0 {
+				m.Workload.Generator().Row(i, func(to int, r float64) {
+					if to != i && r > 0 {
 						b.Add(from, idx(to, j1, j2), r)
 						out += r
 					}
-				}
+				})
 				if cur := m.Currents[i]; cur > 0 {
 					b.Add(from, idx(i, j1-1, j2), cur/delta)
 					out += cur / delta

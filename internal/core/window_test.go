@@ -87,21 +87,19 @@ func TestWindowedCDFWithinDroppedMass(t *testing.T) {
 		name  string
 		model mrm.KiBaMRM
 		delta float64
-		opts  Options
 		times []float64
 	}{
-		{"fig7", onOffModel(t, 1, 0), 100, Options{}, onOffTimes},
-		{"fig8", onOffModel(t, 0.625, 4.5e-5), 150, Options{}, onOffTimes},
-		{"fig9", fig9, 100, Options{}, onOffTimes},
-		{"fig10", wirelessModel(t, simple), units.MilliampHours(20).AmpereSeconds(), Options{}, wirelessTimes},
-		{"fig11", wirelessModel(t, burst), units.MilliampHours(20).AmpereSeconds(), Options{}, wirelessTimes},
-		{"harvesting", gatewayModel(t), units.MilliampHours(75).AmpereSeconds(), Options{}, timeGrid(86400, 3*86400, 86400)},
-		{"empty recovery", onOffModel(t, 0.625, 4.5e-5), 150, Options{AllowEmptyRecovery: true}, onOffTimes},
+		{"fig7", onOffModel(t, 1, 0), 100, onOffTimes},
+		{"fig8", onOffModel(t, 0.625, 4.5e-5), 150, onOffTimes},
+		{"fig9", fig9, 100, onOffTimes},
+		{"fig10", wirelessModel(t, simple), units.MilliampHours(20).AmpereSeconds(), wirelessTimes},
+		{"fig11", wirelessModel(t, burst), units.MilliampHours(20).AmpereSeconds(), wirelessTimes},
+		{"harvesting", gatewayModel(t), units.MilliampHours(75).AmpereSeconds(), timeGrid(86400, 3*86400, 86400)},
 	}
 	const eps = 1e-12
 	dropped := 0.0
 	for _, tc := range cases {
-		e, err := Build(tc.model, tc.delta, tc.opts)
+		e, err := Build(tc.model, tc.delta, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

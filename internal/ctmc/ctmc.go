@@ -9,8 +9,8 @@
 // transient engine operates directly on sparse generators and is shared
 // by both scales. NewUniformized builds a chain's reusable operator —
 // the uniformisation constant q = 1.02·max exit rate and Pᵀ — once, and
-// Uniformized.Transient solves on it; TransientFunctional and
-// TransientDistributions are the one-shot forms, and PiecewiseTransient
+// Uniformized.Transient solves on it; TransientFunctional is the
+// one-shot form of a functional solve, and PiecewiseTransient
 // chains operators over the phases of a time-inhomogeneous schedule.
 // Every TransientOptions field is per call: the truncation bound
 // Epsilon, the SpMV Pool, an iteration budget, a cancelling Context,
@@ -161,6 +161,8 @@ func (c *Chain) Generator() *sparse.CSR { return c.gen }
 func (c *Chain) ExitRate(i int) float64 { return c.exit[i] }
 
 // IsAbsorbing reports whether state i has no outgoing transitions.
+//
+//numlint:ignore testonly deletion deferred: its only tests go with it
 func (c *Chain) IsAbsorbing(i int) bool { return c.exit[i] == 0 }
 
 // SteadyState solves πQ = 0, Σπ = 1 for an irreducible chain using a
@@ -202,26 +204,6 @@ func (c *Chain) SteadyState() ([]float64, error) {
 	// negatives, non-negativity is the remaining invariant to assert.
 	check.NonNegative("ctmc.SteadyState", pi)
 	return pi, nil
-}
-
-// Transient returns the state distribution at each requested time,
-// starting from the initial distribution alpha.
-func (c *Chain) Transient(alpha []float64, times []float64, opts TransientOptions) (*Result, error) {
-	return TransientDistributions(c.gen, alpha, times, opts)
-}
-
-// UniformDistribution returns the uniform initial distribution: n
-// entries of 1/n sum to 1 by construction.
-//
-//numlint:ensures normalized
-func (c *Chain) UniformDistribution() []float64 {
-	n := c.NumStates()
-	alpha := make([]float64, n)
-	for i := range alpha {
-		alpha[i] = 1 / float64(n)
-	}
-	numlintContract_Chain_UniformDistribution_ensures(alpha)
-	return alpha
 }
 
 // PointDistribution returns the distribution concentrated on state i:

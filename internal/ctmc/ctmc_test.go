@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"batlife/internal/sparse"
 )
 
 // twoState builds the chain 0 --a--> 1, 1 --b--> 0.
@@ -45,7 +47,7 @@ func TestBuilderBasics(t *testing.T) {
 	if got := c.ExitRate(0); got != 2 {
 		t.Errorf("ExitRate(0) = %v", got)
 	}
-	if got := c.Generator().At(0, 0); got != -2 {
+	if got := entry(c.Generator(), 0, 0); got != -2 {
 		t.Errorf("Q[0][0] = %v", got)
 	}
 }
@@ -83,7 +85,7 @@ func TestBuilderMergesParallelTransitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Generator().At(0, 1); got != 3.5 {
+	if got := entry(c.Generator(), 0, 1); got != 3.5 {
 		t.Errorf("merged rate = %v, want 3.5", got)
 	}
 	if got := c.ExitRate(0); got != 3.5 {
@@ -192,8 +194,34 @@ func TestPointAndUniformDistributions(t *testing.T) {
 	if p[0] != 0 || p[1] != 1 {
 		t.Errorf("PointDistribution = %v", p)
 	}
-	u := c.UniformDistribution()
-	if u[0] != 0.5 || u[1] != 0.5 {
-		t.Errorf("UniformDistribution = %v", u)
+}
+
+// entry returns the value of g at (r, c); absent entries are zero.
+func entry(g *sparse.CSR, r, c int) float64 {
+	v := 0.0
+	g.Row(r, func(col int, x float64) {
+		if col == c {
+			v = x
+		}
+	})
+	return v
+}
+
+// transientDistributions computes the full state distribution of the
+// CTMC with the given generator at each time point via uniformisation.
+func transientDistributions(gen *sparse.CSR, alpha, times []float64, opts TransientOptions) (*Result, error) {
+	u, err := NewUniformized(gen)
+	if err != nil {
+		return nil, err
 	}
+	return u.Transient(alpha, nil, times, opts)
+}
+
+// uniform returns the uniform distribution over n states.
+func uniform(n int) []float64 {
+	alpha := make([]float64, n)
+	for i := range alpha {
+		alpha[i] = 1 / float64(n)
+	}
+	return alpha
 }

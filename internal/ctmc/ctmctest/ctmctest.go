@@ -30,6 +30,8 @@ type Result struct {
 // of the generator at each ascending time point, under the default
 // uniformisation slack (1.02). steadyState enables the same early stop
 // as ctmc's default.
+//
+//numlint:ignore testonly full-sweep reference of the windowed-solve tests
 func Reference(gen *sparse.CSR, alpha, w, times []float64, eps float64, steadyState bool) (*Result, error) {
 	n := gen.Rows()
 	res := &Result{}

@@ -30,9 +30,8 @@ type layoutModel struct {
 	times   []float64
 }
 
-// paperModels expands the paper's Fig. 7–11 models, the harvesting
-// example's charging model and a Fig. 8 model with empty-battery
-// recovery, at step sizes small enough for a unit test.
+// paperModels expands the paper's Fig. 7–11 models and the harvesting
+// example's charging model, at step sizes small enough for a unit test.
 func paperModels(t *testing.T) []layoutModel {
 	t.Helper()
 	fromWorkload := func(m *workload.Model, err error) mrm.KiBaMRM {
@@ -59,26 +58,27 @@ func paperModels(t *testing.T) []layoutModel {
 		stored  int
 		m       mrm.KiBaMRM
 		delta   float64
-		opts    core.Options
 		times   []float64
 	}{
-		{"fig7", 4, []int{0, 0, 0, 0}, 584, withBattery(onOff, 7200, 1, 0), 100, core.Options{}, []float64{1500, 3000}},
-		{"fig8", 5, []int{0, 2, 0, 2, 2}, 7027, withBattery(onOff, 7200, 0.625, 4.5e-5), 100, core.Options{}, []float64{1500, 3000}},
-		{"fig9-erlang4", 5, []int{0, 8, 0, 8, 8}, 11881, withBattery(erlang4, 7200, 0.625, 4.5e-5), 150, core.Options{}, []float64{1000}},
-		{"fig10", 6, []int{0, 3, 3, 0, 3, 3}, 4935, withBattery(simple, mah(800), 0.625, 4.5e-5), mah(20), core.Options{}, hours},
-		{"fig11", 8, []int{0, 5, 5, 0, 5, 5, 5, 5}, 8205, withBattery(burst, mah(800), 0.625, 4.5e-5), mah(20), core.Options{}, hours},
-		{"harvesting", 8, []int{4, 0, 4, 2, 0, 2, 4, 4}, 7254, withBattery(gateway(t), mah(3000), 0.625, 4.5e-5), 270, core.Options{}, hours},
-		{"empty-recovery", 5, []int{0, 2, 0, 2, 2}, 7024, withBattery(onOff, 7200, 0.625, 4.5e-5), 100, core.Options{AllowEmptyRecovery: true}, []float64{1500, 3000}},
+		{"fig7", 4, []int{0, 0, 0, 0}, 584, withBattery(onOff, 7200, 1, 0), 100, []float64{1500, 3000}},
+		{"fig8", 5, []int{0, 2, 0, 2, 2}, 7027, withBattery(onOff, 7200, 0.625, 4.5e-5), 100, []float64{1500, 3000}},
+		{"fig9-erlang4", 5, []int{0, 8, 0, 8, 8}, 11881, withBattery(erlang4, 7200, 0.625, 4.5e-5), 150, []float64{1000}},
+		{"fig10", 6, []int{0, 3, 3, 0, 3, 3}, 4935, withBattery(simple, mah(800), 0.625, 4.5e-5), mah(20), hours},
+		{"fig11", 8, []int{0, 5, 5, 0, 5, 5, 5, 5}, 8205, withBattery(burst, mah(800), 0.625, 4.5e-5), mah(20), hours},
+		{"harvesting", 8, []int{4, 0, 4, 2, 0, 2, 4, 4}, 7254, withBattery(gateway(t), mah(3000), 0.625, 4.5e-5), 270, hours},
 	}
 	out := make([]layoutModel, len(models))
 	for i, m := range models {
-		x, err := core.Build(m.m, m.delta, m.opts)
+		x, err := core.Build(m.m, m.delta, core.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", m.name, err)
 		}
 		// Start full, as core does: workload state i at levels
-		// (n1−2, n2−2) is state (j1·n2 + j2)·n + i.
-		n1, n2 := x.Levels()
+		// (n1−2, n2−2) is state (j1·n2 + j2)·n + i, with n1 and n2 the
+		// level counts u/Δ + 1 of the two wells.
+		bat := m.m.Battery
+		n1 := int(math.Round(bat.C*bat.Capacity/m.delta)) + 1
+		n2 := int(math.Round((1-bat.C)*bat.Capacity/m.delta)) + 1
 		n := len(m.m.Initial)
 		j2 := max(n2-2, 0)
 		alpha := make([]float64, x.NumStates())

@@ -14,12 +14,6 @@ package ctmc
 func numlintContract_Chain_PointDistribution_ensures(ret0 []float64) {
 }
 
-// numlintContract_Chain_UniformDistribution_ensures re-checks the ensures contract of Chain.UniformDistribution at runtime.
-//
-//numlint:asserts normalized(ret0)
-func numlintContract_Chain_UniformDistribution_ensures(ret0 []float64) {
-}
-
 // numlintContract_uniformizedBands re-checks the requires contract of uniformizedBands at runtime.
 //
 //numlint:asserts positive(q)

@@ -12,7 +12,7 @@ func TestPiecewiseMatchesHomogeneous(t *testing.T) {
 	c := twoState(t, 2, 6)
 	alpha := c.PointDistribution(0)
 	times := []float64{0.3, 0.9, 1.4, 2.5}
-	direct, err := c.Transient(alpha, times, TransientOptions{})
+	direct, err := transientDistributions(c.Generator(), alpha, times, TransientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,10 +83,6 @@ func (s *Sampler) InitialState(alpha []float64) int {
 	return len(alpha) - 1
 }
 
-// Rand exposes the sampler's random source for callers that need
-// auxiliary draws tied to the same seed (e.g. stochastic recovery).
-func (s *Sampler) Rand() *rand.Rand { return s.rng }
-
 // Step is one jump of a trajectory: the state occupied and for how long.
 type Step struct {
 	State   int
@@ -96,6 +92,8 @@ type Step struct {
 // Trajectory samples the chain from a state drawn from alpha until
 // horizon time has elapsed or an absorbing state is entered. The last
 // step is truncated at the horizon.
+//
+//numlint:ignore testonly Monte-Carlo reference of the performability tests
 func (s *Sampler) Trajectory(alpha []float64, horizon float64) []Step {
 	var steps []Step
 	state := s.InitialState(alpha)

@@ -53,11 +53,11 @@ func TestSteadyStateDetectionDistributions(t *testing.T) {
 	c := absorbingChain(t, 6, 3.0)
 	alpha := c.PointDistribution(0)
 	times := []float64{0.5, 50}
-	full, err := c.Transient(alpha, times, TransientOptions{DisableSteadyStateDetection: true})
+	full, err := transientDistributions(c.Generator(), alpha, times, TransientOptions{DisableSteadyStateDetection: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	det, err := c.Transient(alpha, times, TransientOptions{})
+	det, err := transientDistributions(c.Generator(), alpha, times, TransientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestSteadyStateDetectionErgodicChain(t *testing.T) {
 	// detection must return that distribution for late time points.
 	c := twoState(t, 2, 6)
 	alpha := c.PointDistribution(0)
-	res, err := c.Transient(alpha, []float64{500}, TransientOptions{})
+	res, err := transientDistributions(c.Generator(), alpha, []float64{500}, TransientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,11 +99,11 @@ func TestSteadyStateDetectionDoesNotTriggerEarly(t *testing.T) {
 	c := twoState(t, 1.5, 0.5)
 	alpha := c.PointDistribution(0)
 	times := []float64{0.1, 0.5, 1.2}
-	full, err := c.Transient(alpha, times, TransientOptions{DisableSteadyStateDetection: true})
+	full, err := transientDistributions(c.Generator(), alpha, times, TransientOptions{DisableSteadyStateDetection: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	det, err := c.Transient(alpha, times, TransientOptions{})
+	det, err := transientDistributions(c.Generator(), alpha, times, TransientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -242,19 +242,6 @@ func (u *Uniformized) Window(times []float64, opts TransientOptions) (left, righ
 	return left, right, err
 }
 
-// TransientDistributions computes the full state distribution of the
-// CTMC with the given generator at each time point via uniformisation.
-// The generator may be any valid infinitesimal generator, including ones
-// with absorbing states; validity is the caller's responsibility at this
-// level (Chain validates on construction).
-func TransientDistributions(gen *sparse.CSR, alpha, times []float64, opts TransientOptions) (*Result, error) {
-	u, err := NewUniformized(gen)
-	if err != nil {
-		return nil, err
-	}
-	return u.Transient(alpha, nil, times, opts)
-}
-
 // TransientFunctional computes w·π(t) — the probability-weighted sum of
 // the functional w over states — at each time point. It shares one
 // v_n = α·Pⁿ sequence across all time points, so the cost is that of

@@ -36,9 +36,9 @@ func TestTransientZeroUniformisationRate(t *testing.T) {
 	alpha := []float64{0.2, 0.5, 0.3}
 	times := []float64{0, 1, 1e6}
 
-	res, err := TransientDistributions(gen, alpha, times, TransientOptions{})
+	res, err := transientDistributions(gen, alpha, times, TransientOptions{})
 	if err != nil {
-		t.Fatalf("TransientDistributions: %v", err)
+		t.Fatalf("transient distributions: %v", err)
 	}
 	if res.Rate != 0 {
 		t.Fatalf("uniformisation rate %v, want 0", res.Rate)
@@ -81,7 +81,7 @@ func TestTransientAbsorbingOnlyChain(t *testing.T) {
 	alpha := chain.PointDistribution(chain.Index("on"))
 	times := []float64{0.1, 1, 100, 1e4}
 
-	res, err := chain.Transient(alpha, times, TransientOptions{})
+	res, err := transientDistributions(chain.Generator(), alpha, times, TransientOptions{})
 	if err != nil {
 		t.Fatalf("Transient: %v", err)
 	}
@@ -110,14 +110,14 @@ func TestTransientRejectsBadTimes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	alpha := chain.UniformDistribution()
+	alpha := uniform(chain.NumStates())
 	for _, times := range [][]float64{
 		{math.NaN()},
 		{math.Inf(1)},
 		{-1},
 		{},
 	} {
-		if _, err := chain.Transient(alpha, times, TransientOptions{}); err == nil {
+		if _, err := transientDistributions(chain.Generator(), alpha, times, TransientOptions{}); err == nil {
 			t.Fatalf("Transient(%v) accepted invalid time points", times)
 		}
 	}

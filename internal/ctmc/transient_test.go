@@ -30,7 +30,7 @@ func TestTransientTwoStateClosedForm(t *testing.T) {
 	a, b := 2.0, 6.0
 	c := twoState(t, a, b)
 	times := []float64{0, 0.01, 0.1, 0.5, 1, 5}
-	res, err := c.Transient(c.PointDistribution(0), times, TransientOptions{})
+	res, err := transientDistributions(c.Generator(), c.PointDistribution(0), times, TransientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,8 +86,8 @@ func TestTransientFunctionalMatchesDistributions(t *testing.T) {
 	}
 	w := []float64{0.2, -1.5, 3.0}
 	times := []float64{0.3, 1.7, 6.0}
-	alpha := c.UniformDistribution()
-	full, err := c.Transient(alpha, times, TransientOptions{})
+	alpha := uniform(c.NumStates())
+	full, err := transientDistributions(c.Generator(), alpha, times, TransientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestTransientZeroGenerator(t *testing.T) {
 		t.Fatal(err)
 	}
 	alpha := []float64{0.2, 0.3, 0.5}
-	res, err := TransientDistributions(gen, alpha, []float64{0, 10, 1e6}, TransientOptions{})
+	res, err := transientDistributions(gen, alpha, []float64{0, 10, 1e6}, TransientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestTransientInputValidation(t *testing.T) {
 			if tc.w != nil {
 				_, err = TransientFunctional(c.Generator(), tc.alpha, tc.w, tc.times, TransientOptions{})
 			} else {
-				_, err = TransientDistributions(c.Generator(), tc.alpha, tc.times, TransientOptions{})
+				_, err = transientDistributions(c.Generator(), tc.alpha, tc.times, TransientOptions{})
 			}
 			if !errors.Is(err, ErrBadInput) {
 				t.Errorf("err = %v, want ErrBadInput", err)
@@ -187,7 +187,7 @@ func TestTransientDistributionProperty(t *testing.T) {
 			return false
 		}
 		times := []float64{rng.Float64(), 1 + 4*rng.Float64()}
-		res, err := c.Transient(c.PointDistribution(rng.Intn(n)), times, TransientOptions{})
+		res, err := transientDistributions(c.Generator(), c.PointDistribution(rng.Intn(n)), times, TransientOptions{})
 		if err != nil {
 			return false
 		}
@@ -224,7 +224,7 @@ func TestTransientConvergesToSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Transient(c.PointDistribution(0), []float64{50}, TransientOptions{})
+	res, err := transientDistributions(c.Generator(), c.PointDistribution(0), []float64{50}, TransientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestTransientOnIterationCallback(t *testing.T) {
 		calls++
 		lastDone, lastTotal = done, total
 	}}
-	res, err := c.Transient(c.PointDistribution(0), []float64{3}, opts)
+	res, err := transientDistributions(c.Generator(), c.PointDistribution(0), []float64{3}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestTransientCancellation(t *testing.T) {
 	c := absorbingCycle(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := c.Transient(c.PointDistribution(0), []float64{5}, TransientOptions{Context: ctx})
+	_, err := transientDistributions(c.Generator(), c.PointDistribution(0), []float64{5}, TransientOptions{Context: ctx})
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
@@ -394,7 +394,7 @@ func BenchmarkTransientSmallChain(b *testing.B) {
 	times := []float64{1, 5, 10, 20, 30}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Transient(alpha, times, TransientOptions{}); err != nil {
+		if _, err := transientDistributions(c.Generator(), alpha, times, TransientOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -208,7 +208,7 @@ func TestWindowSingleTimePointFused(t *testing.T) {
 		if fused.DroppedMass == 0 {
 			t.Fatal("nothing dropped; the case must exercise trimming")
 		}
-		unfused, err := TransientDistributions(gen, alpha, []float64{90, 90}, opts)
+		unfused, err := transientDistributions(gen, alpha, []float64{90, 90}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

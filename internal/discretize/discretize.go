@@ -18,15 +18,12 @@
 package discretize
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"batlife/internal/check"
 	"batlife/internal/mrm"
-	"batlife/internal/obs"
 )
 
 // ErrNotScalable reports reward rates with no usable common unit.
@@ -95,54 +92,15 @@ func floatGCD(a, b float64) float64 {
 	return 0
 }
 
-// Options tunes one discretisation run.
-type Options struct {
-	// Obs, when non-nil, receives run telemetry: grid dimensions, step
-	// counts and a "discretize.run" span. Nil disables recording.
-	Obs *obs.Registry
-	// Context, when non-nil, carries the request-scoped trace: the
-	// "discretize.run" span nests under the span the context carries.
-	// It does not affect the computation.
-	Context context.Context
-}
-
 // EnergyDepletionCDF approximates Pr{Y(t) ≥ capacity} — the battery
 // lifetime CDF of a c = 1 battery — at the given times using the
 // discretisation scheme with time step. Times are snapped to the step
-// grid. All reward rates must be non-negative.
+// grid. All reward rates must be non-negative. The accumulated
+// absorption mass is clamped into [0, 1] at every recorded time point.
 //
 //numlint:ensures unitinterval
+//numlint:ignore testonly oracle: the reward discretisation, checked against the exact solver
 func EnergyDepletionCDF(m mrm.ConstantReward, capacity float64, times []float64, step float64) ([]float64, error) {
-	return EnergyDepletionCDFOpts(m, capacity, times, step, Options{})
-}
-
-// EnergyDepletionCDFOpts is EnergyDepletionCDF with observability.
-//
-//numlint:ensures unitinterval
-func EnergyDepletionCDFOpts(m mrm.ConstantReward, capacity float64, times []float64, step float64, opts Options) ([]float64, error) {
-	reg := opts.Obs
-	if reg == nil {
-		return energyDepletionCDF(m, capacity, times, step, nil)
-	}
-	_, span := obs.StartSpan(opts.Context, reg, "discretize.run", obs.Float("step", step))
-	start := time.Now()
-	out, err := energyDepletionCDF(m, capacity, times, step, reg)
-	if err != nil {
-		span.End(obs.String("error", err.Error()))
-		return nil, err
-	}
-	reg.Counter("discretize_runs_total").Inc()
-	reg.Histogram("discretize_run_seconds").ObserveDuration(time.Since(start).Seconds())
-	span.End()
-	return out, nil
-}
-
-// energyDepletionCDF runs the discretised transient recursion and
-// clamps the accumulated absorption mass into [0, 1] at every recorded
-// time point.
-//
-//numlint:ensures unitinterval
-func energyDepletionCDF(m mrm.ConstantReward, capacity float64, times []float64, step float64, reg *obs.Registry) ([]float64, error) {
 	if err := m.Validate(); err != nil {
 		return nil, fmt.Errorf("discretize: %w", err)
 	}
@@ -185,8 +143,6 @@ func energyDepletionCDF(m mrm.ConstantReward, capacity float64, times []float64,
 			ErrNotScalable, absorb)
 	}
 	maxSteps := int(math.Round(times[len(times)-1] / step))
-	reg.Histogram("discretize_levels").Observe(float64(absorb))
-	reg.Counter("discretize_steps_total").Add(int64(maxSteps))
 
 	// mass[i·(absorb) + l] for live levels l < absorb; dead collects the
 	// absorbed probability.

@@ -14,21 +14,3 @@ func numlintContract_EnergyDepletionCDF_ensures(ret0 []float64) {
 		check.UnitInterval("discretize.EnergyDepletionCDF ensures unitinterval(ret0)", ret0)
 	}
 }
-
-// numlintContract_EnergyDepletionCDFOpts_ensures re-checks the ensures contract of EnergyDepletionCDFOpts at runtime.
-//
-//numlint:asserts unitinterval(ret0)
-func numlintContract_EnergyDepletionCDFOpts_ensures(ret0 []float64) {
-	if ret0 != nil {
-		check.UnitInterval("discretize.EnergyDepletionCDFOpts ensures unitinterval(ret0)", ret0)
-	}
-}
-
-// numlintContract_energyDepletionCDF_ensures re-checks the ensures contract of energyDepletionCDF at runtime.
-//
-//numlint:asserts unitinterval(ret0)
-func numlintContract_energyDepletionCDF_ensures(ret0 []float64) {
-	if ret0 != nil {
-		check.UnitInterval("discretize.energyDepletionCDF ensures unitinterval(ret0)", ret0)
-	}
-}

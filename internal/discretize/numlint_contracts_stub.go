@@ -13,15 +13,3 @@ package discretize
 //numlint:asserts unitinterval(ret0)
 func numlintContract_EnergyDepletionCDF_ensures(ret0 []float64) {
 }
-
-// numlintContract_EnergyDepletionCDFOpts_ensures re-checks the ensures contract of EnergyDepletionCDFOpts at runtime.
-//
-//numlint:asserts unitinterval(ret0)
-func numlintContract_EnergyDepletionCDFOpts_ensures(ret0 []float64) {
-}
-
-// numlintContract_energyDepletionCDF_ensures re-checks the ensures contract of energyDepletionCDF at runtime.
-//
-//numlint:asserts unitinterval(ret0)
-func numlintContract_energyDepletionCDF_ensures(ret0 []float64) {
-}

@@ -96,6 +96,8 @@ func (e *ECDF) Mean() (float64, error) {
 }
 
 // Std returns the sample standard deviation over the finite samples.
+//
+//numlint:ignore testonly oracle tier: ECDF statistics that tests judge answers with
 func (e *ECDF) Std() (float64, error) {
 	mean, err := e.Mean()
 	if err != nil {
@@ -113,10 +115,14 @@ func (e *ECDF) Std() (float64, error) {
 }
 
 // Min returns the smallest sample.
+//
+//numlint:ignore testonly oracle tier: ECDF statistics that tests judge answers with
 func (e *ECDF) Min() float64 { return e.sorted[0] }
 
 // Max returns the largest finite sample, or +Inf if every sample is
 // censored.
+//
+//numlint:ignore testonly oracle tier: ECDF statistics that tests judge answers with
 func (e *ECDF) Max() float64 {
 	if e.finite == 0 {
 		return math.Inf(1)
@@ -130,6 +136,8 @@ func (e *ECDF) Censored() int { return len(e.sorted) - e.finite }
 // KSAgainst returns the Kolmogorov–Smirnov distance between the
 // empirical CDF and a reference CDF, evaluated at the sample points
 // (where the empirical CDF attains its sup deviations).
+//
+//numlint:ignore testonly oracle tier: ECDF statistics that tests judge answers with
 func (e *ECDF) KSAgainst(cdf func(float64) float64) float64 {
 	maxDev := 0.0
 	n := float64(len(e.sorted))
@@ -144,6 +152,8 @@ func (e *ECDF) KSAgainst(cdf func(float64) float64) float64 {
 
 // KSBetween returns the Kolmogorov–Smirnov distance between two
 // empirical CDFs.
+//
+//numlint:ignore testonly oracle tier: ECDF statistics that tests judge answers with
 func KSBetween(a, b *ECDF) float64 {
 	maxDev := 0.0
 	for _, x := range a.sorted[:a.finite] {
@@ -158,6 +168,8 @@ func KSBetween(a, b *ECDF) float64 {
 // ConfidenceBand returns the half-width of the Dvoretzky–Kiefer–
 // Wolfowitz confidence band for the empirical CDF at level 1−alpha:
 // with probability 1−alpha the true CDF lies within ±band everywhere.
+//
+//numlint:ignore testonly oracle tier: ECDF statistics that tests judge answers with
 func (e *ECDF) ConfidenceBand(alpha float64) (float64, error) {
 	if alpha <= 0 || alpha >= 1 {
 		return 0, fmt.Errorf("%w: alpha %v", ErrBadProbability, alpha)

@@ -86,6 +86,3 @@ func (c *Cache[K, V]) Len() int {
 	defer c.mu.Unlock()
 	return c.order.Len()
 }
-
-// Capacity reports the cache bound.
-func (c *Cache[K, V]) Capacity() int { return c.capacity }

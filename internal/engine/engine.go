@@ -4,11 +4,11 @@
 // capacities; every such query pays for expanding the CTMC Q* and
 // uniformising it before a single iteration runs. The engine amortises
 // that construction: expanded models are kept in a bounded LRU cache
-// keyed by a fingerprint of (battery constants, workload chain, step Δ,
-// build options), and each cached model carries its own uniformised
-// operator and Fox–Glynn tables (see core.Expanded.Operator), so a
-// repeated query skips straight to the transient iteration — or, one
-// layer up, to a memoised result.
+// keyed by a fingerprint of (battery constants, workload chain, step Δ),
+// and each cached model carries its own uniformised operator and
+// Fox–Glynn tables (see core.Expanded.Operator), so a repeated query
+// skips straight to the transient iteration — or, one layer up, to a
+// memoised result.
 //
 // The engine also owns the SpMV worker pool shared by every solve it
 // serves, so concurrent scenario sweeps draw from one bounded pool
@@ -136,19 +136,15 @@ func (e *Engine) Stats() Stats {
 
 // Key identifies one expanded model in the cache: a SHA-256 digest of
 // the model's full content (battery constants, workload generator,
-// currents, initial distribution, charging flag), the step Δ and the
-// build options. Content addressing makes structurally identical models
-// share an entry even when built through different Workload values.
+// currents, initial distribution, charging flag) and the step Δ.
+// Content addressing makes structurally identical models share an entry
+// even when built through different Workload values.
 type Key [sha256.Size]byte
 
-// Fingerprint computes the cache key for (model, delta, build). The
-// second result reports cacheability: a TransitionRate hook is a
-// function and cannot be fingerprinted, so models using one bypass the
-// cache.
-func Fingerprint(m mrm.KiBaMRM, delta float64, build core.Options) (Key, bool) {
-	if build.TransitionRate != nil {
-		return Key{}, false
-	}
+// Fingerprint computes the cache key for (model, delta). No field of
+// build changes the chain, so build is not hashed; the parameter stays
+// because the bench/ harness passes it.
+func Fingerprint(m mrm.KiBaMRM, delta float64, build core.Options) Key {
 	h := sha256.New()
 	var buf [8]byte
 	writeF := func(x float64) {
@@ -167,16 +163,13 @@ func Fingerprint(m mrm.KiBaMRM, delta float64, build core.Options) (Key, bool) {
 	if m.AllowCharging {
 		flags |= 1
 	}
-	if build.AllowEmptyRecovery {
-		flags |= 2
-	}
 	writeU(flags)
 
 	if m.Workload == nil {
 		// Invalid model: let core.Build produce the error. Still
 		// fingerprintable (all invalid-nil models alias one key that
 		// never reaches the cache because Build fails first).
-		return Key(sha256.Sum256([]byte("engine: nil workload"))), true
+		return Key(sha256.Sum256([]byte("engine: nil workload")))
 	}
 	n := m.Workload.NumStates()
 	writeU(uint64(int64(n)))
@@ -195,23 +188,19 @@ func Fingerprint(m mrm.KiBaMRM, delta float64, build core.Options) (Key, bool) {
 	}
 	var key Key
 	h.Sum(key[:0])
-	return key, true
+	return key
 }
 
-// Expanded returns the expanded CTMC for (model, delta, build), reusing
-// a cached instance when the fingerprint matches and building (and
-// caching) it otherwise. The second result reports whether the model
-// came from the cache (including waiting on another goroutine's
+// Expanded returns the expanded CTMC for (model, delta, build) stored
+// under key, which must be Fingerprint(m, delta, build): it reuses the
+// cached instance when there is one and builds (and caches) it
+// otherwise. The caller passes the key it has already computed, so a
+// request hashes its model once. The second result reports whether the
+// model came from the cache (including waiting on another goroutine's
 // in-flight build). Cached models are shared across callers and must be
 // treated as immutable — which core.Expanded guarantees for its public
 // API.
-func (e *Engine) Expanded(m mrm.KiBaMRM, delta float64, build core.Options) (*core.Expanded, bool, error) {
-	key, cacheable := Fingerprint(m, delta, build)
-	if !cacheable {
-		e.misses.Inc()
-		x, err := e.build(m, delta, build)
-		return x, false, err
-	}
+func (e *Engine) Expanded(key Key, m mrm.KiBaMRM, delta float64, build core.Options) (*core.Expanded, bool, error) {
 	e.mu.Lock()
 	if x, ok := e.models.Get(key); ok {
 		e.mu.Unlock()

@@ -57,15 +57,11 @@ func TestCacheLRU(t *testing.T) {
 
 func TestFingerprintContentAddressing(t *testing.T) {
 	// Two structurally identical models built independently must share
-	// a key; any change to battery, delta or options must separate them.
+	// a key; any change to battery or delta must separate them.
 	m1 := onOffModel(t, paperBattery)
 	m2 := onOffModel(t, paperBattery)
-	k1, ok1 := Fingerprint(m1, 100, core.Options{})
-	k2, ok2 := Fingerprint(m2, 100, core.Options{})
-	if !ok1 || !ok2 {
-		t.Fatal("plain models must be cacheable")
-	}
-	if k1 != k2 {
+	k1 := Fingerprint(m1, 100, core.Options{})
+	if k1 != Fingerprint(m2, 100, core.Options{}) {
 		t.Error("identical models fingerprint differently")
 	}
 	distinct := map[Key]string{k1: "base"}
@@ -73,19 +69,14 @@ func TestFingerprintContentAddressing(t *testing.T) {
 		name  string
 		model mrm.KiBaMRM
 		delta float64
-		build core.Options
 	}{
-		{"delta", m1, 50, core.Options{}},
-		{"battery-capacity", onOffModel(t, kibam.Params{Capacity: 3600, C: 0.625, K: 4.5e-5}), 100, core.Options{}},
-		{"battery-c", onOffModel(t, kibam.Params{Capacity: 7200, C: 0.5, K: 4.5e-5}), 100, core.Options{}},
-		{"battery-k", onOffModel(t, kibam.Params{Capacity: 7200, C: 0.625, K: 9e-5}), 100, core.Options{}},
-		{"recovery", m1, 100, core.Options{AllowEmptyRecovery: true}},
+		{"delta", m1, 50},
+		{"battery-capacity", onOffModel(t, kibam.Params{Capacity: 3600, C: 0.625, K: 4.5e-5}), 100},
+		{"battery-c", onOffModel(t, kibam.Params{Capacity: 7200, C: 0.5, K: 4.5e-5}), 100},
+		{"battery-k", onOffModel(t, kibam.Params{Capacity: 7200, C: 0.625, K: 9e-5}), 100},
 	}
 	for _, tc := range cases {
-		k, ok := Fingerprint(tc.model, tc.delta, tc.build)
-		if !ok {
-			t.Fatalf("%s: not cacheable", tc.name)
-		}
+		k := Fingerprint(tc.model, tc.delta, core.Options{})
 		if prev, dup := distinct[k]; dup {
 			t.Errorf("%s collides with %s", tc.name, prev)
 		}
@@ -103,8 +94,8 @@ func TestFingerprintWorkloadContent(t *testing.T) {
 			hot.Currents[i] *= 2
 		}
 	}
-	k1, _ := Fingerprint(base, 100, core.Options{})
-	k2, _ := Fingerprint(hot, 100, core.Options{})
+	k1 := Fingerprint(base, 100, core.Options{})
+	k2 := Fingerprint(hot, 100, core.Options{})
 	if k1 == k2 {
 		t.Error("changed currents share a fingerprint")
 	}
@@ -113,7 +104,7 @@ func TestFingerprintWorkloadContent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k3, _ := Fingerprint(mrm.KiBaMRM{
+	k3 := Fingerprint(mrm.KiBaMRM{
 		Workload: slow.Chain, Currents: slow.Currents, Initial: slow.Initial, Battery: paperBattery,
 	}, 100, core.Options{})
 	if k1 == k3 {
@@ -121,26 +112,44 @@ func TestFingerprintWorkloadContent(t *testing.T) {
 	}
 }
 
-func TestFingerprintHooksNotCacheable(t *testing.T) {
+// expand fetches the model through the engine under its own
+// fingerprint, as the solver does.
+func expand(e *Engine, m mrm.KiBaMRM, delta float64) (*core.Expanded, bool, error) {
+	return e.Expanded(Fingerprint(m, delta, core.Options{}), m, delta, core.Options{})
+}
+
+func TestExpandedServesGivenKey(t *testing.T) {
+	// Expanded looks the cache up under the key its caller computed and
+	// does not hash the model again: a stored entry is served for its
+	// key whatever model accompanies it.
+	e := New(Options{Capacity: 4, Workers: 1})
 	m := onOffModel(t, paperBattery)
-	if _, ok := Fingerprint(m, 100, core.Options{
-		TransitionRate: func(from, to int, y1, y2, base float64) float64 { return base },
-	}); ok {
-		t.Error("TransitionRate hook fingerprinted")
+	key := Fingerprint(m, 100, core.Options{})
+	a, hit, err := e.Expanded(key, m, 100, core.Options{})
+	if err != nil || hit {
+		t.Fatalf("first query: hit %v, err %v", hit, err)
+	}
+	other := onOffModel(t, kibam.Params{Capacity: 3600, C: 0.625, K: 4.5e-5})
+	b, hit, err := e.Expanded(key, other, 50, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hit || b != a {
+		t.Errorf("query under a stored key: hit %v, same model %v; want the stored entry", hit, b == a)
 	}
 }
 
 func TestEngineReusesExpanded(t *testing.T) {
 	e := New(Options{Capacity: 4, Workers: 1})
 	m := onOffModel(t, paperBattery)
-	a, hit, err := e.Expanded(m, 100, core.Options{})
+	a, hit, err := expand(e, m, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hit {
 		t.Error("first query reported a cache hit")
 	}
-	b, hit, err := e.Expanded(onOffModel(t, paperBattery), 100, core.Options{})
+	b, hit, err := expand(e, onOffModel(t, paperBattery), 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +162,7 @@ func TestEngineReusesExpanded(t *testing.T) {
 	if e.CachedModels() != 1 {
 		t.Errorf("CachedModels = %d, want 1", e.CachedModels())
 	}
-	c, hit, err := e.Expanded(m, 50, core.Options{})
+	c, hit, err := expand(e, m, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,14 +184,14 @@ func TestEngineReusesExpanded(t *testing.T) {
 func TestEngineEviction(t *testing.T) {
 	e := New(Options{Capacity: 1, Workers: 1})
 	m := onOffModel(t, paperBattery)
-	a, _, err := e.Expanded(m, 100, core.Options{})
+	a, _, err := expand(e, m, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := e.Expanded(m, 50, core.Options{}); err != nil {
+	if _, _, err := expand(e, m, 50); err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := e.Expanded(m, 100, core.Options{})
+	b, _, err := expand(e, m, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +209,7 @@ func TestEngineEviction(t *testing.T) {
 func TestEngineBuildErrorNotCached(t *testing.T) {
 	e := New(Options{Capacity: 4, Workers: 1})
 	m := onOffModel(t, paperBattery)
-	if _, _, err := e.Expanded(m, 7, core.Options{}); err == nil {
+	if _, _, err := expand(e, m, 7); err == nil {
 		t.Fatal("non-divisor delta accepted")
 	}
 	if e.CachedModels() != 0 {
@@ -230,7 +239,7 @@ func TestEngineConcurrentAccess(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		delta := []float64{100, 50}[g%2]
 		go func() {
-			x, _, err := e.Expanded(m, delta, core.Options{})
+			x, _, err := expand(e, m, delta)
 			if err != nil {
 				errc <- err
 				return
@@ -277,7 +286,7 @@ func TestEngineSingleflight(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			start.Wait()
-			x, hit, err := e.Expanded(m, 100, core.Options{})
+			x, hit, err := expand(e, m, 100)
 			if err != nil {
 				t.Error(err)
 				return

@@ -19,8 +19,8 @@ func assertFiniteWeights(t *testing.T, w *Weights) {
 			t.Fatalf("weight %d (n=%d) is %v", i, w.Left+i, p)
 		}
 	}
-	if mass := w.Mass(); math.Abs(mass-1) > 1e-9 {
-		t.Fatalf("mass %v, want 1", mass)
+	if m := mass(w); math.Abs(m-1) > 1e-9 {
+		t.Fatalf("mass %v, want 1", m)
 	}
 }
 
@@ -78,9 +78,9 @@ func TestComputeRejectsNonFinite(t *testing.T) {
 func TestLogPMFFinite(t *testing.T) {
 	for _, lambda := range []float64{1e-300, 1, 4.6e4, 1e7} {
 		n := int(math.Floor(lambda))
-		lp := LogPMF(n, lambda)
+		lp := logPMF(n, lambda)
 		if math.IsNaN(lp) || lp > 0 {
-			t.Fatalf("LogPMF(%d, %v) = %v", n, lambda, lp)
+			t.Fatalf("logPMF(%d, %v) = %v", n, lambda, lp)
 		}
 	}
 }

@@ -42,16 +42,6 @@ func (w *Weights) At(n int) float64 {
 	return w.Prob[n-w.Left]
 }
 
-// Mass returns the total weight inside the window (1 up to rounding,
-// because the window is renormalised).
-func (w *Weights) Mass() float64 {
-	sum := 0.0
-	for _, p := range w.Prob {
-		sum += p
-	}
-	return sum
-}
-
 // Compute returns Poisson(lambda) weights whose truncated tail mass is
 // at most eps. eps must be in (0, 1); values <= 0 default to 1e-12.
 func Compute(lambda, eps float64) (*Weights, error) {
@@ -125,19 +115,4 @@ func normalize(prob []float64) []float64 {
 	}
 	check.Probabilities("foxglynn.Compute weights", prob)
 	return prob
-}
-
-// LogPMF returns the exact log of the Poisson(lambda) pmf at n, used by
-// tests to validate the recursion anchor. Non-positive lambda is
-// treated as the degenerate rate-zero process.
-func LogPMF(n int, lambda float64) float64 {
-	if lambda <= 0 {
-		if n == 0 {
-			return 0
-		}
-		return math.Inf(-1)
-	}
-	nf := float64(n)
-	lg, _ := math.Lgamma(nf + 1)
-	return nf*math.Log(lambda) - lambda - lg
 }

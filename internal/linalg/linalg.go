@@ -130,9 +130,6 @@ func IdentityC(n int) *MatC {
 	return m
 }
 
-// N reports the dimension.
-func (m *MatC) N() int { return m.n }
-
 // At returns the (r, c) entry.
 func (m *MatC) At(r, c int) complex128 { return m.data[r*m.n+c] }
 

@@ -72,6 +72,8 @@ func (m ConstantReward) Validate() error {
 // integrating the expected reward rate E[r_X(s)] with uniformisation on
 // a fine grid. The grid has steps subintervals per requested interval
 // (zero selects 64).
+//
+//numlint:ignore testonly deletion deferred: its only tests go with it
 func (m ConstantReward) ExpectedReward(times []float64, steps int) ([]float64, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -179,6 +181,8 @@ func (m KiBaMRM) Validate() error {
 
 // RewardRates evaluates the two reward rates of state i at accumulated
 // charges (y1, y2), the equations of Section 4.2.
+//
+//numlint:ignore testonly deletion deferred: its only tests go with it
 func (m KiBaMRM) RewardRates(i int, y1, y2 float64) (r1, r2 float64) {
 	if y1 <= 0 {
 		// Battery empty: absorbing, no further consumption or transfer.
@@ -208,6 +212,8 @@ func (m KiBaMRM) MaxCurrent() float64 {
 // the total energy drawn (reward rate +I_i): the model the paper solves
 // exactly for the c = 1 case of Figure 10. The battery is then empty as
 // soon as Y(t) exceeds the capacity.
+//
+//numlint:ignore testonly deletion deferred: its only tests go with it
 func (m KiBaMRM) EnergyReward() ConstantReward {
 	return ConstantReward{
 		Chain:   m.Workload,

@@ -242,6 +242,8 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 
 // Mean returns the arithmetic mean of the observed samples, or 0 when
 // empty.
+//
+//numlint:ignore testonly deletion deferred: its only tests go with it
 func (s HistogramSnapshot) Mean() float64 {
 	if s.Count == 0 {
 		return 0
@@ -254,6 +256,8 @@ func (s HistogramSnapshot) Mean() float64 {
 // value of the bucket containing the rank, clamped to the exact [Min,
 // Max] envelope, so its relative error is bounded by the bucket growth
 // factor 2^(1/4) ≈ 19%.
+//
+//numlint:ignore testonly deletion deferred: its only tests go with it
 func (s HistogramSnapshot) Quantile(q float64) float64 {
 	if s.Count == 0 {
 		return 0

@@ -5,7 +5,6 @@ import (
 	"io"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -55,16 +54,14 @@ type SpanRecord struct {
 // most maxSpans completed spans are retained in a ring, and once the
 // ring is full each newly completed span evicts the oldest one — so a
 // long-running daemon always holds the most recent traces, and memory
-// cannot grow without bound. Dropped counts the evicted spans. A nil
-// Tracer is a no-op.
+// cannot grow without bound. A nil Tracer is a no-op.
 type Tracer struct {
-	mu      sync.Mutex
-	ring    []SpanRecord // ring storage; capacity fixed at max
-	head    int          // next write position
-	count   int          // live records, <= max
-	max     int
-	dropped atomic.Int64
-	now     func() time.Time
+	mu    sync.Mutex
+	ring  []SpanRecord // ring storage; capacity fixed at max
+	head  int          // next write position
+	count int          // live records, <= max
+	max   int
+	now   func() time.Time
 }
 
 // DefaultMaxSpans bounds how many completed spans a Tracer retains.
@@ -76,8 +73,7 @@ func NewTracer() *Tracer {
 }
 
 // SetMaxSpans adjusts the retention bound (values < 1 select 1). When
-// shrinking below the current population the oldest spans are evicted
-// and counted as dropped.
+// shrinking below the current population the oldest spans are evicted.
 func (t *Tracer) SetMaxSpans(n int) {
 	if t == nil {
 		return
@@ -93,7 +89,6 @@ func (t *Tracer) SetMaxSpans(n int) {
 	old := t.snapshotLocked()
 	if excess := len(old) - n; excess > 0 {
 		old = old[excess:]
-		t.dropped.Add(int64(excess))
 	}
 	t.ring = make([]SpanRecord, n)
 	copy(t.ring, old)
@@ -104,6 +99,8 @@ func (t *Tracer) SetMaxSpans(n int) {
 
 // SetClock replaces the tracer's time source — for tests that need
 // deterministic timestamps and durations.
+//
+//numlint:ignore testonly test seam: a deterministic clock
 func (t *Tracer) SetClock(now func() time.Time) {
 	if t == nil {
 		return
@@ -122,8 +119,8 @@ func (t *Tracer) clock() time.Time {
 
 // Span is an in-flight span; End completes it. A nil Span (from a nil
 // Tracer or a disabled StartSpan) ignores every method. A Span is owned
-// by the goroutine that started it — SetAttr and End must not race —
-// but Child may be called from any goroutine (the identity fields are
+// by the goroutine that started it, which alone calls End, but Child
+// may be called from any goroutine (the identity fields are
 // immutable), which is how concurrent waiters attach events to a shared
 // job span.
 type Span struct {
@@ -153,7 +150,7 @@ func (s *Span) SpanID() SpanID {
 }
 
 // Start begins a root span with a freshly minted trace ID. On a nil
-// Tracer it returns nil, making the whole Start/SetAttr/End chain free
+// Tracer it returns nil, making the whole Start/Child/End chain free
 // when tracing is disabled.
 func (t *Tracer) Start(name string, attrs ...Attr) *Span {
 	if t == nil {
@@ -197,14 +194,6 @@ func (s *Span) Child(name string, attrs ...Attr) *Span {
 	return s.tracer.startSpan(s.trace, s.id, name, attrs)
 }
 
-// SetAttr records an additional attribute on the span.
-func (s *Span) SetAttr(attrs ...Attr) {
-	if s == nil {
-		return
-	}
-	s.attrs = append(s.attrs, attrs...)
-}
-
 // End completes the span, appending any final attributes, and records it
 // with the tracer.
 func (s *Span) End(attrs ...Attr) {
@@ -238,11 +227,10 @@ func (s *Span) End(attrs ...Attr) {
 	}
 	t.ring[t.head] = rec
 	t.head = (t.head + 1) % t.max
+	// Once the ring is full, the write above evicted the oldest
+	// completed span.
 	if t.count < t.max {
 		t.count++
-	} else {
-		// Ring full: the write above evicted the oldest completed span.
-		t.dropped.Add(1)
 	}
 	t.mu.Unlock()
 }
@@ -296,15 +284,6 @@ func (t *Tracer) TraceSpans(id TraceID) []SpanRecord {
 	return out
 }
 
-// Dropped reports how many completed spans the retention ring has
-// evicted (or, before the ring existed, discarded).
-func (t *Tracer) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.dropped.Load()
-}
-
 // WriteJSON writes the retained spans as one JSON array. A nil Tracer
 // writes an empty array, so --trace-out always produces valid JSON.
 func (t *Tracer) WriteJSON(w io.Writer) error {
@@ -315,14 +294,4 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(spans)
-}
-
-// ReadSpans parses a span JSON array written by WriteJSON — the other
-// half of the round-trip, used by trace-reading tools and tests.
-func ReadSpans(r io.Reader) ([]SpanRecord, error) {
-	var spans []SpanRecord
-	if err := json.NewDecoder(r).Decode(&spans); err != nil {
-		return nil, err
-	}
-	return spans, nil
 }

@@ -146,9 +146,6 @@ func newSpanID() SpanID {
 // above 00 may carry additional "-"-separated fields, which are
 // ignored as the spec requires.
 
-// FlagSampled is the traceparent sampled flag bit.
-const FlagSampled byte = 0x01
-
 var (
 	errBadTraceparent = errors.New("obs: malformed traceparent")
 	errBadTraceID     = errors.New("obs: malformed trace id")
@@ -208,20 +205,6 @@ func hexNibble(c byte) (byte, bool) {
 		return c - 'a' + 10, true
 	}
 	return 0, false
-}
-
-// FormatTraceparent renders a version-00 traceparent header value.
-func FormatTraceparent(trace TraceID, span SpanID, flags byte) string {
-	var buf [traceparentLen]byte
-	buf[0], buf[1], buf[2] = '0', '0', '-'
-	hex.Encode(buf[3:35], trace[:])
-	buf[35] = '-'
-	hex.Encode(buf[36:52], span[:])
-	buf[52] = '-'
-	const digits = "0123456789abcdef"
-	buf[53] = digits[flags>>4]
-	buf[54] = digits[flags&0x0f]
-	return string(buf[:])
 }
 
 // spanKeyType keys the context span slot; the package-level spanKey

@@ -45,6 +45,8 @@ const (
 // reward of the model at time t. Rates may be any finite reals; y may be
 // any real. At atoms of Y(t) (e.g. y = r_i·t reachable by never leaving
 // state i) the inversion converges to the midpoint of the jump.
+//
+//numlint:ignore testonly oracle tier: the exact reward distribution
 func Distribution(m mrm.ConstantReward, t, y float64) (float64, error) {
 	if err := m.Validate(); err != nil {
 		return 0, fmt.Errorf("performability: %w", err)

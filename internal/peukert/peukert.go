@@ -25,6 +25,8 @@ type Ideal struct {
 }
 
 // Lifetime returns C/I, the ideal lifetime under constant load.
+//
+//numlint:ignore testonly deletion deferred: its only tests go with it
 func (b Ideal) Lifetime(current float64) (float64, error) {
 	if b.Capacity <= 0 {
 		return 0, fmt.Errorf("%w: capacity %v", ErrBadParams, b.Capacity)
@@ -68,6 +70,8 @@ func (l Law) Lifetime(current float64) (float64, error) {
 // LifetimeAverage applies Peukert's law to the average current of a duty
 // cycle — the (wrong for real batteries) prediction that all profiles
 // with the same mean behave alike.
+//
+//numlint:ignore testonly deletion deferred: its only tests go with it
 func (l Law) LifetimeAverage(onCurrent, duty float64) (float64, error) {
 	if duty <= 0 || duty > 1 {
 		return 0, fmt.Errorf("%w: duty %v", ErrBadParams, duty)
@@ -87,6 +91,8 @@ type Measurement struct {
 // FitSweep determines a and b from two or more measurements by ordinary
 // least squares on log L = log a − b·log I. With exactly two
 // measurements it coincides with Fit.
+//
+//numlint:ignore testonly deletion deferred: its only tests go with it
 func FitSweep(points []Measurement) (Law, error) {
 	if len(points) < 2 {
 		return Law{}, fmt.Errorf("%w: need at least two measurements, got %d", ErrBadParams, len(points))

@@ -48,6 +48,8 @@ func (t *Table) Validate() error {
 }
 
 // WriteTSV writes the table as tab-separated values with a header row.
+//
+//numlint:ignore testonly deletion deferred: its only tests go with it
 func (t *Table) WriteTSV(w io.Writer) error {
 	if err := t.Validate(); err != nil {
 		return err

@@ -157,12 +157,6 @@ func New(cfg Config) *Service {
 	return s
 }
 
-// Solver exposes the backing solver (for stats endpoints and tests).
-func (s *Service) Solver() *batlife.Solver { return s.solver }
-
-// Draining reports whether the service has stopped admitting work.
-func (s *Service) Draining() bool { return s.draining.Load() }
-
 // BeginDrain stops admitting new jobs: subsequent solve/sweep requests
 // fail with ErrDraining and /readyz turns not-ready. Inflight and
 // queued jobs keep running. Idempotent.

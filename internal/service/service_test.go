@@ -218,8 +218,8 @@ func TestDrainSemantics(t *testing.T) {
 	waitStarted(t, started)
 
 	s.BeginDrain()
-	if !s.Draining() {
-		t.Fatal("Draining() = false after BeginDrain")
+	if !s.draining.Load() {
+		t.Fatal("still admitting work after BeginDrain")
 	}
 	if _, _, _, err := s.admit(context.Background(), "new", "solve", time.Minute, stubRun(s, req)); !errors.Is(err, ErrDraining) {
 		t.Fatalf("admit during drain: err = %v, want ErrDraining", err)
@@ -262,7 +262,7 @@ func TestDrainClosesOwnedSolver(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := batlife.Battery{CapacityAs: 7200, AvailableFraction: 1}
-	if _, err := s.Solver().LifetimeDistribution(b, w, []float64{9000},
+	if _, err := s.solver.LifetimeDistribution(b, w, []float64{9000},
 		batlife.AnalysisOptions{Delta: 100}); err != nil {
 		t.Fatalf("solve after drain: %v", err)
 	}

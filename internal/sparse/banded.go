@@ -358,6 +358,8 @@ func (b *Banded) PeriodicBands() int {
 // StoredValues reports how many float64 values the bands hold: n for a
 // dense band, and a+(n−c)+bandTile+P for a periodic one, P the lcm of
 // the band periods.
+//
+//numlint:ignore testonly test seam: TestPeriodicBandLayout pins the stored layout
 func (b *Banded) StoredValues() int {
 	sum := 0
 	for _, bd := range b.bands {

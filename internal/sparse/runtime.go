@@ -123,9 +123,6 @@ var defaultPool = sync.OnceValue(func() *Pool { return NewPool(0) })
 // closed; close only pools you created.
 func DefaultPool() *Pool { return defaultPool() }
 
-// Workers reports the pool's parallelism.
-func (p *Pool) Workers() int { return p.workers }
-
 // Close shuts down the pool's persistent workers and waits for them to
 // exit. Products already dispatched complete (their calling goroutines
 // finish any chunks the workers abandoned), and later products run

@@ -179,8 +179,8 @@ func TestDefaultPoolShared(t *testing.T) {
 	if p1 != p2 {
 		t.Fatalf("DefaultPool returned distinct pools %p, %p", p1, p2)
 	}
-	if p1.Workers() < 1 {
-		t.Fatalf("DefaultPool workers = %d", p1.Workers())
+	if p1.workers < 1 {
+		t.Fatalf("DefaultPool workers = %d", p1.workers)
 	}
 }
 

@@ -49,16 +49,6 @@ func NewBuilder(rows, cols, sizeHint int) *Builder {
 	}
 }
 
-// Rows reports the number of rows of the matrix under construction.
-func (b *Builder) Rows() int { return b.rows }
-
-// Cols reports the number of columns of the matrix under construction.
-func (b *Builder) Cols() int { return b.cols }
-
-// NNZ reports the number of entries added so far (before duplicate
-// merging).
-func (b *Builder) NNZ() int { return len(b.entries) }
-
 // Add records v at position (row, col). Zero values are skipped.
 // Out-of-range coordinates are reported at Freeze time, so assembly
 // loops stay free of per-entry error handling.
@@ -176,33 +166,11 @@ func (m *CSR) NNZ() int { return len(m.vals) }
 // Kernel names the row kernel the CSR products run: "csr".
 func (m *CSR) Kernel() string { return "csr" }
 
-// At returns the value at (row, col); absent entries are zero.
-func (m *CSR) At(row, col int) float64 {
-	if row < 0 || row >= m.rows || col < 0 || col >= m.cols {
-		return 0
-	}
-	lo, hi := int(m.rowPtr[row]), int(m.rowPtr[row+1])
-	idx := lo + sort.Search(hi-lo, func(i int) bool { return m.colIdx[lo+i] >= int32(col) })
-	if idx < hi && m.colIdx[idx] == int32(col) {
-		return m.vals[idx]
-	}
-	return 0
-}
-
 // Row iterates over the nonzeros of one row.
 func (m *CSR) Row(row int, fn func(col int, v float64)) {
 	for i := m.rowPtr[row]; i < m.rowPtr[row+1]; i++ {
 		fn(int(m.colIdx[i]), m.vals[i])
 	}
-}
-
-// RowSum returns the sum of the entries in one row.
-func (m *CSR) RowSum(row int) float64 {
-	sum := 0.0
-	for i := m.rowPtr[row]; i < m.rowPtr[row+1]; i++ {
-		sum += m.vals[i]
-	}
-	return sum
 }
 
 // MaxAbsDiagonal returns max_i |m[i,i]|, the quantity a uniformisation
@@ -279,6 +247,7 @@ func (m *CSR) MulVec(dst, x []float64) error {
 // for repeated products transpose once and use MulVec.
 //
 //numlint:hotpath
+//numlint:ignore testonly deletion deferred: its only tests go with it
 func (m *CSR) VecMul(dst, x []float64) error {
 	if len(x) != m.rows || len(dst) != m.cols {
 		//numlint:ignore hotalloc cold shape-error path, never taken per SpMV iteration
@@ -301,21 +270,6 @@ func (m *CSR) VecMul(dst, x []float64) error {
 	return nil
 }
 
-// Dense returns the matrix as a dense row-major slice of rows, intended
-// for tests and small systems only.
-func (m *CSR) Dense() [][]float64 {
-	d := make([][]float64, m.rows)
-	for r := range d {
-		d[r] = make([]float64, m.cols)
-	}
-	for r := 0; r < m.rows; r++ {
-		for i := m.rowPtr[r]; i < m.rowPtr[r+1]; i++ {
-			d[r][m.colIdx[i]] = m.vals[i]
-		}
-	}
-	return d
-}
-
 // weight is the partition weight of rows [lo, hi): nnz + rows.
 func (m *CSR) weight(lo, hi int32) int64 {
 	return int64(m.rowPtr[hi]-m.rowPtr[lo]) + int64(hi-lo)
@@ -328,6 +282,7 @@ func (m *CSR) weight(lo, hi int32) int64 {
 // bit-identical to a solo MulVec(dsts[k], xs[k]).
 //
 //numlint:hotpath
+//numlint:ignore testonly goes with Pool.MulVecMulti once bench/ stops timing it
 func (m *CSR) MulVecMulti(dsts, xs [][]float64) error {
 	if len(dsts) != len(xs) {
 		//numlint:ignore hotalloc cold shape-error path, never taken per SpMV iteration

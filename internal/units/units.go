@@ -56,9 +56,6 @@ type Charge float64
 // Coulombs constructs a Charge from a value in ampere-seconds.
 func Coulombs(as float64) Charge { return Charge(as) }
 
-// AmpereSeconds is an alias constructor matching the paper's "As" unit.
-func AmpereSeconds(as float64) Charge { return Charge(as) }
-
 // MilliampHours constructs a Charge from a value in mAh.
 func MilliampHours(mah float64) Charge { return Charge(mah * coulombsPerMAh) }
 
@@ -119,17 +116,11 @@ func (d Duration) String() string {
 // Rate is a transition or flow rate in events per second.
 type Rate float64
 
-// PerSecond constructs a Rate from a value in 1/s.
-func PerSecond(r float64) Rate { return Rate(r) }
-
 // PerHour constructs a Rate from a value in 1/h.
 func PerHour(r float64) Rate { return Rate(r / secondsPerHour) }
 
 // PerSecond reports the rate in 1/s.
 func (r Rate) PerSecond() float64 { return float64(r) }
-
-// PerHour reports the rate in 1/h.
-func (r Rate) PerHour() float64 { return float64(r) * secondsPerHour }
 
 // ErrBadUnit reports an unparseable quantity string.
 var ErrBadUnit = errors.New("units: unrecognised unit suffix")

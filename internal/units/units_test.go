@@ -46,7 +46,7 @@ func TestChargeConversions(t *testing.T) {
 		{"cell phone", MilliampHours(800), 2880, 800},
 		{"small pack", MilliampHours(500), 1800, 500},
 		{"one Ah", AmpHours(1), 3600, 1000},
-		{"direct As", AmpereSeconds(4500), 4500, 1250},
+		{"direct As", Coulombs(4500), 4500, 1250},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -73,10 +73,9 @@ func TestDurationConversions(t *testing.T) {
 }
 
 func TestRateConversions(t *testing.T) {
-	// The paper's k = 4.5e-5 /s = 1.96e-2 /h (it rounds 0.162 to 1.96e-2
-	// after a factor; verify the exact conversion here: 4.5e-5*3600 = 0.162).
-	if got := PerSecond(4.5e-5).PerHour(); !almostEq(got, 0.162, 1e-12) {
-		t.Errorf("PerSecond(4.5e-5).PerHour() = %v, want 0.162", got)
+	// The paper's k = 4.5e-5 /s is 0.162 /h (4.5e-5·3600).
+	if got := PerHour(0.162).PerSecond(); !almostEq(got, 4.5e-5, 1e-12) {
+		t.Errorf("PerHour(0.162).PerSecond() = %v, want 4.5e-5", got)
 	}
 	if got := PerHour(6).PerSecond(); !almostEq(got, 6.0/3600, 1e-12) {
 		t.Errorf("PerHour(6).PerSecond() = %v", got)

@@ -36,6 +36,8 @@ type Model struct {
 }
 
 // Current returns the load current of the named state, in ampere.
+//
+//numlint:ignore testonly deletion deferred: its only tests go with it
 func (m *Model) Current(name string) (float64, error) {
 	i := m.Chain.Index(name)
 	if i < 0 {
@@ -110,6 +112,8 @@ func OnOff(freq float64, k int, onCurrent units.Current) (*Model, error) {
 // to [1, maxK]. The paper uses increasing K to approximate the
 // deterministic switching of its reference experiments (CV → 0); this
 // helper picks K from a measured CV instead of by eye.
+//
+//numlint:ignore testonly deletion deferred: its only tests go with it
 func ErlangOrderForCV(cv float64, maxK int) (int, error) {
 	if cv <= 0 || math.IsNaN(cv) {
 		return 0, fmt.Errorf("%w: coefficient of variation %v", ErrBadWorkload, cv)

@@ -239,17 +239,17 @@ func hashFloats(xs []float64) [sha256.Size]byte {
 
 // memoKey builds the result-cache key for a query. The second result
 // reports whether memoisation applies (a Progress callback opts out).
+// The mean and exact analyses read neither Epsilon nor MaxIterations,
+// so their keys leave both out.
 func memoKey(kind uint8, model engine.Key, query []float64, opts AnalysisOptions) (resultKey, bool) {
 	if opts.Progress != nil {
 		return resultKey{}, false
 	}
-	return resultKey{
-		model:   model,
-		query:   hashFloats(query),
-		kind:    kind,
-		epsBits: math.Float64bits(opts.Epsilon),
-		maxIter: opts.MaxIterations,
-	}, true
+	key := resultKey{model: model, query: hashFloats(query), kind: kind}
+	if kind != kindMean && kind != kindExact {
+		key.epsBits, key.maxIter = math.Float64bits(opts.Epsilon), opts.MaxIterations
+	}
+	return key, true
 }
 
 // clone deep-copies a Distribution so cached results stay immutable
@@ -443,15 +443,14 @@ func (s *Solver) expanded(b Battery, w *Workload, opts AnalysisOptions) (model, 
 			ErrBadArgument, opts.Delta)
 	}
 	km := w.kibamrm(b)
-	var m model
-	m.key, _ = engine.Fingerprint(km, opts.Delta, core.Options{})
+	m := model{key: engine.Fingerprint(km, opts.Delta, core.Options{})}
 	var start time.Time
 	if opts.Report != nil {
 		start = time.Now()
 	}
 	// Context rides along for span parenting only; it is not part of the
 	// fingerprint, so cache identity is unchanged.
-	x, hit, err := s.eng.Expanded(km, opts.Delta, core.Options{Context: opts.Context})
+	x, hit, err := s.eng.Expanded(m.key, km, opts.Delta, core.Options{Context: opts.Context})
 	if err != nil {
 		return model{}, wrapErr(err)
 	}
@@ -665,9 +664,10 @@ func (s *Solver) StrandedCharge(b Battery, w *Workload, horizonSeconds float64, 
 // returned as a *Distribution whose States, Transitions and Iterations
 // reflect the workload chain and the number of transform evaluations,
 // making the exact path interchangeable with the approximate ones
-// downstream. Delta, Epsilon and Progress are ignored (the transform
-// needs no grid and reports no step-wise progress); Context cancels
-// between time points.
+// downstream. Delta, Epsilon, MaxIterations and Progress are ignored
+// (the transform needs no grid, no truncation and no iteration budget,
+// and reports no step-wise progress); Context cancels between time
+// points.
 func (s *Solver) ExactCDF(b Battery, w *Workload, times []float64, opts AnalysisOptions) (*Distribution, error) {
 	if w == nil {
 		return nil, fmt.Errorf("%w: nil workload", ErrBadArgument)
@@ -683,8 +683,7 @@ func (s *Solver) ExactCDF(b Battery, w *Workload, times []float64, opts Analysis
 	s.solves.Inc()
 	// The exact path expands no CTMC; key on the workload chain and the
 	// capacity via the KiBaMRM fingerprint at a dummy Δ.
-	var m model
-	m.key, _ = engine.Fingerprint(w.kibamrm(b), 1, core.Options{})
+	m := model{key: engine.Fingerprint(w.kibamrm(b), 1, core.Options{})}
 	return memoised(s, kindExact, m, times, opts, func(ctx context.Context) (*Distribution, SolveReport, error) {
 		cr := mrm.ConstantReward{Chain: w.model.Chain, Rates: w.model.Currents, Initial: w.model.Initial}
 		probs, stats, err := performability.EnergyDepletionCDFStats(cr, b.CapacityAs, times, ctx)
@@ -762,11 +761,7 @@ func sweepGroups(scenarios []Scenario) [][]int {
 			groups = append(groups, []int{i})
 			continue
 		}
-		key, ok := engine.Fingerprint(sc.Workload.kibamrm(sc.Battery), sc.DeltaAs, core.Options{})
-		if !ok {
-			groups = append(groups, []int{i})
-			continue
-		}
+		key := engine.Fingerprint(sc.Workload.kibamrm(sc.Battery), sc.DeltaAs, core.Options{})
 		if g, dup := at[key]; dup {
 			groups[g] = append(groups[g], i)
 			continue

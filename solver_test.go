@@ -179,6 +179,37 @@ func TestSolverCachesModelsAndResults(t *testing.T) {
 	}
 }
 
+// TestMemoKeyIgnoresUnreadOptions: the mean and exact analyses read
+// neither Epsilon nor MaxIterations, so a repeat that differs only in
+// those is a memo hit; the CDF reads Epsilon, so there it is a miss.
+func TestMemoKeyIgnoresUnreadOptions(t *testing.T) {
+	b, w := onOffC1(t)
+	times := []float64{10000, 15000}
+	for _, tc := range []struct {
+		name string
+		run  func(*Solver, AnalysisOptions) (any, error)
+		hit  bool
+	}{
+		{"mean", func(s *Solver, o AnalysisOptions) (any, error) { return s.ExpectedLifetime(b, w, o) }, true},
+		{"exact", func(s *Solver, o AnalysisOptions) (any, error) { return s.ExactCDF(b, w, times, o) }, true},
+		{"cdf", func(s *Solver, o AnalysisOptions) (any, error) { return s.LifetimeDistribution(b, w, times, o) }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewSolver(SolverOptions{})
+			if _, err := tc.run(s, AnalysisOptions{Delta: 100}); err != nil {
+				t.Fatal(err)
+			}
+			var rep SolveReport
+			if _, err := tc.run(s, AnalysisOptions{Delta: 100, Epsilon: 1e-9, MaxIterations: 1 << 20, Report: &rep}); err != nil {
+				t.Fatal(err)
+			}
+			if rep.ResultMemoHit != tc.hit {
+				t.Errorf("repeat with another Epsilon and MaxIterations: ResultMemoHit = %v, want %v", rep.ResultMemoHit, tc.hit)
+			}
+		})
+	}
+}
+
 func TestSolverCacheIsolationAcrossSolvers(t *testing.T) {
 	// Two solvers with different batteries must not share entries: each
 	// result must match a fresh single-use computation of its own model.

@@ -23,14 +23,20 @@ type interState struct {
 	// bodies caches the per-function solved lattices so divguard and
 	// contract don't each re-solve every body.
 	bodies map[*ast.FuncDecl]*summary.AnalyzerBody
+
+	// uses counts each function's non-test uses and ifaces indexes
+	// interfaces by method name, both for testonly.
+	uses   map[*types.Func]int
+	ifaces map[string][]*types.Interface
 }
 
 // buildInter computes the interprocedural state over everything the
 // loader has pulled in (requested patterns plus transitive deps, so
 // summaries exist for out-of-pattern callees too).
 func buildInter(l *loader) *interState {
+	loaded := l.loaded()
 	var pkgs []*callgraph.Package
-	for _, pi := range l.loaded() {
+	for _, pi := range loaded {
 		pkgs = append(pkgs, &callgraph.Package{
 			Path:  pi.path,
 			Fset:  pi.fset,
@@ -54,6 +60,8 @@ func buildInter(l *loader) *interState {
 		sums:   sums,
 		issues: issues,
 		bodies: map[*ast.FuncDecl]*summary.AnalyzerBody{},
+		uses:   countUses(loaded),
+		ifaces: collectInterfaces(loaded),
 	}
 }
 

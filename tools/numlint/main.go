@@ -1,7 +1,7 @@
 // Command numlint is the repository's numeric-safety and dataflow
 // linter.
 //
-// It runs ten custom analyzers tuned to the battery-lifetime pipeline
+// It runs eleven custom analyzers tuned to the battery-lifetime pipeline
 // over module-local packages. Four are the per-expression checks from
 // PR 1:
 //
@@ -25,6 +25,12 @@
 //	contract      //numlint:requires / ensures verification: bodies must
 //	              discharge declared ensures, call sites must satisfy
 //	              declared requires
+//
+// One counts uses module-wide, so every module package is loaded even
+// when the patterns name fewer:
+//
+//	testonly      exported functions and methods of internal packages
+//	              that only _test.go files use
 //
 // The same summaries feed naninf, divguard, and probconserve, so a
 // guard in every caller (or a callee's ensures) discharges obligations
@@ -71,6 +77,7 @@ var analyzers = []*Analyzer{
 	sharedcaptureAnalyzer,
 	hotallocAnalyzer,
 	contractAnalyzer,
+	testonlyAnalyzer,
 }
 
 func main() {
@@ -152,6 +159,19 @@ func run(args []string, stdout, stderr *os.File) int {
 			return 2
 		}
 		pis = append(pis, pi)
+	}
+	// testonly counts uses module-wide, so the importers of a requested
+	// package must be loaded too.
+	all, err := l.expandPatterns([]string{modPath + "/..."})
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
+	for _, path := range all {
+		if _, err := l.load(path); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 2
+		}
 	}
 	inter := buildInter(l)
 

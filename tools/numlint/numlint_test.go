@@ -9,8 +9,9 @@ import (
 )
 
 // loadFixture type-checks one testdata package through the real loader
-// and returns its unsuppressed diagnostics.
-func loadFixture(t *testing.T, name string) []Diagnostic {
+// and returns its unsuppressed diagnostics. Any further packages named
+// are loaded first, so their uses of the fixture count module-wide.
+func loadFixture(t *testing.T, name string, users ...string) []Diagnostic {
 	t.Helper()
 	cwd, err := os.Getwd()
 	if err != nil {
@@ -21,9 +22,11 @@ func loadFixture(t *testing.T, name string) []Diagnostic {
 		t.Fatal(err)
 	}
 	l := newLoader(modDir, modPath, nil)
-	pi, err := l.load(modPath + "/tools/numlint/testdata/" + name)
-	if err != nil {
-		t.Fatalf("load fixture %s: %v", name, err)
+	var pi *packageInfo
+	for _, p := range append(users, name) {
+		if pi, err = l.load(modPath + "/tools/numlint/testdata/" + p); err != nil {
+			t.Fatalf("load fixture %s: %v", p, err)
+		}
 	}
 	return runAnalyzers(pi, modPath, buildInter(l))
 }
@@ -122,6 +125,17 @@ func TestHotallocFixture(t *testing.T) {
 		"hotalloc:24", // append
 		"hotalloc:33", // fmt.Sprintf
 		"hotalloc:40", // string concatenation
+	})
+}
+
+// TestTestonlyFixture loads the fixture's internal package after its
+// parent, which calls some of its API: the rest is flagged, except a
+// method that satisfies fmt.Stringer and anything unexported.
+func TestTestonlyFixture(t *testing.T) {
+	assertFindings(t, loadFixture(t, "testonly/internal/lib", "testonly"), []string{
+		"testonly:11", // TestOnly: called from lib_test.go alone
+		"testonly:14", // Recursive: only its own body calls it
+		"testonly:29", // T.Unused: no caller
 	})
 }
 
