@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race checks lint lint-flow fuzz fuzz-banded gen-checks bench bench-harness serve ci
+.PHONY: all build test race checks lint lint-flow fuzz fuzz-banded fuzz-rows gen-checks bench bench-harness serve ci
 
 all: build test lint
 
@@ -57,14 +57,15 @@ lint-flow:
 	$(GO) run ./tools/numlint -baseline .numlint-baseline.json ./...
 
 ## fuzz: short fuzzing smoke over the directive, contract-grammar, and
-## traceparent parsers and the banded-against-CSR product check; raise
-## FUZZTIME for a real session.
+## traceparent parsers, the banded-against-CSR product check and the
+## Q* rows-against-reference check; raise FUZZTIME for a longer run.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz='^FuzzParseDirective$$' -fuzztime=$(FUZZTIME) -run='^$$' ./tools/numlint
 	$(GO) test -fuzz='^FuzzParseContract$$' -fuzztime=$(FUZZTIME) -run='^$$' ./tools/numlint/internal/summary
 	$(GO) test -fuzz='^FuzzParseTraceparent$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/obs
 	$(GO) test -fuzz='^FuzzBandedMatchesCSR$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/sparse
+	$(GO) test -fuzz='^FuzzRowsMatchReference$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/core
 
 ## gen-checks: regenerate the runtime contract shims from //numlint:
 ## requires/ensures directives (see docs/STATIC_ANALYSIS.md).
@@ -90,11 +91,15 @@ ADDR ?= :8418
 serve:
 	$(GO) run ./cmd/batlifed -addr $(ADDR)
 
-## fuzz-banded: the CI fuzz step — 20 s of generated inputs for the
-## banded-against-CSR product check.
+## fuzz-banded, fuzz-rows: the CI fuzz step — 20 s of generated inputs
+## for the banded-against-CSR product check and 10 s for Q*'s closed-form
+## rows against the reference builder.
 fuzz-banded:
 	$(GO) test -run='^$$' -fuzz='^FuzzBandedMatchesCSR$$' -fuzztime=20s ./internal/sparse
 
+fuzz-rows:
+	$(GO) test -run='^$$' -fuzz='^FuzzRowsMatchReference$$' -fuzztime=10s ./internal/core
+
 ## ci: everything the CI workflow gates on, including its one-iteration
 ## benchmark smoke (`make bench` at the default BENCHTIME)
-ci: lint lint-flow build test race checks fuzz-banded bench-harness bench
+ci: lint lint-flow build test race checks fuzz-banded fuzz-rows bench-harness bench

@@ -116,7 +116,11 @@ func TestLoadSpec(t *testing.T) {
 		],
 		"initial": "idle"
 	}`)
-	m, err := loadSpec(path)
+	w, err := loadPublicSpec(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := internalModel(w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +142,7 @@ func TestLoadSpec(t *testing.T) {
 func TestLoadSpecCanonicalCodecForm(t *testing.T) {
 	// The CLI accepts the canonical v1 codec form (versioned, numeric
 	// currents) — one wire schema shared with the batlifed daemon — and
-	// loadSpec/loadPublicSpec agree on the decoded model.
+	// the internal model rebuilt from it agrees with the public one.
 	path := writeTempSpec(t, `{
 		"version": 1,
 		"states": [
@@ -151,11 +155,11 @@ func TestLoadSpecCanonicalCodecForm(t *testing.T) {
 		],
 		"initial": "idle"
 	}`)
-	m, err := loadSpec(path)
+	w, err := loadPublicSpec(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := loadPublicSpec(path)
+	m, err := internalModel(w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +180,7 @@ func TestLoadSpecCanonicalCodecForm(t *testing.T) {
 		"transitions": [{"from": "a", "to": "ghost", "rate_per_second": 1}],
 		"initial": "a"
 	}`)
-	if _, err := loadSpec(bad); err == nil {
+	if _, err := loadPublicSpec(bad); err == nil {
 		t.Error("undeclared endpoint accepted")
 	}
 }
@@ -198,12 +202,12 @@ func TestLoadSpecErrors(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			path := writeTempSpec(t, tc.json)
-			if _, err := loadSpec(path); err == nil {
+			if _, err := loadPublicSpec(path); err == nil {
 				t.Error("invalid spec accepted")
 			}
 		})
 	}
-	if _, err := loadSpec(filepath.Join(t.TempDir(), "missing.json")); err == nil {
+	if _, err := loadPublicSpec(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Error("missing file accepted")
 	}
 }

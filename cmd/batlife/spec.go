@@ -102,17 +102,6 @@ func loadPublicSpec(path string) (*batlife.Workload, error) {
 	return &w, nil
 }
 
-// loadSpec loads a spec file for the internal-model commands; it
-// decodes through the public codec and decompiles the result, so both
-// paths accept exactly one schema.
-func loadSpec(path string) (*workload.Model, error) {
-	w, err := loadPublicSpec(path)
-	if err != nil {
-		return nil, err
-	}
-	return internalModel(w)
-}
-
 // internalModel rebuilds the internal workload model from a public
 // Workload via its decompiled specification.
 func internalModel(w *batlife.Workload) (*workload.Model, error) {

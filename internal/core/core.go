@@ -23,6 +23,11 @@
 // probability mass on the j1 = 0 slice, obtained by uniformisation. The
 // approximation is a phase-type distribution that converges to the true
 // lifetime distribution as Δ → 0.
+//
+// Q* is a closed-form row source, not a stored matrix: Expanded.Row
+// computes any row from the three rates above, the uniformised operator
+// and the mean-lifetime solve read their rows from it, and a CSR copy
+// exists only when Generator builds one on demand.
 package core
 
 import (
@@ -66,17 +71,20 @@ type Options struct {
 // the substrate of the cached Solver facade.
 type SolveOptions = ctmc.TransientOptions
 
-// Expanded is the derived pure CTMC Q* for one model and step size. It
-// is immutable after Build apart from the lazily-constructed, internally
-// synchronised uniformisation operator, so one Expanded may serve
-// concurrent solves (e.g. parallel scenario sweeps sharing a cache).
+// Expanded is the derived pure CTMC Q* for one model and step size,
+// whose rows Row computes on demand. It is immutable after Build apart
+// from the lazily-constructed, internally synchronised uniformisation
+// operator, so one Expanded may serve concurrent solves (e.g. parallel
+// scenario sweeps sharing a cache).
 type Expanded struct {
 	model mrm.KiBaMRM
 	delta float64
 	// n1, n2 are the level counts of the two reward dimensions.
 	n1, n2 int
-	gen    *sparse.CSR
-	alpha  []float64
+	// workload holds each workload state's row, which Row reads.
+	workload []workloadRow
+	nnz      int
+	alpha    []float64
 
 	// uniOnce guards the lazily-built uniformised operator shared by
 	// every transient solve on this model.
@@ -86,8 +94,8 @@ type Expanded struct {
 }
 
 // Build discretises the model's reward space with step delta (in
-// ampere-seconds) and assembles the expanded generator. The step must
-// divide both well capacities c·C and (1−c)·C.
+// ampere-seconds) and prepares the expanded generator's rows. The step
+// must divide both well capacities c·C and (1−c)·C.
 func Build(model mrm.KiBaMRM, delta float64, opts Options) (*Expanded, error) {
 	if err := model.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -120,7 +128,7 @@ func Build(model mrm.KiBaMRM, delta float64, opts Options) (*Expanded, error) {
 			obs.Int("n1", int64(e.n1)),
 			obs.Int("n2", int64(e.n2)))
 	}
-	if err := e.assemble(); err != nil {
+	if err := e.prepare(); err != nil {
 		span.End(obs.String("error", err.Error()))
 		return nil, err
 	}
@@ -155,14 +163,23 @@ func (e *Expanded) index(i, j1, j2 int) int {
 	return (j1*e.n2+j2)*n + i
 }
 
-// assemble builds the generator Q* and the initial distribution α*.
-func (e *Expanded) assemble() error {
-	n := e.model.Workload.NumStates()
-	total := n * e.n1 * e.n2
-	k := e.model.Battery.K
-	c := e.model.Battery.C
-	delta := e.delta
+// workloadRow is one workload state's outgoing transitions: the positive
+// off-diagonal rates in column order, and the diagonal they contribute,
+// accumulated in that order.
+type workloadRow struct {
+	out  []workloadRate
+	diag float64
+}
 
+type workloadRate struct {
+	col  int
+	rate float64
+}
+
+// prepare fills in α* and the workload rows Row reads, then counts Q*'s
+// nonzeros in one pass over its rows, checking each is finite.
+func (e *Expanded) prepare() error {
+	n := e.model.Workload.NumStates()
 	// Initial distribution: the battery starts full, a1 = c·C falls in
 	// the interval (j1Δ, (j1+1)Δ] with j1 = u1/Δ − 1, and likewise for
 	// the bound well (j2 = 0 when there is no bound well).
@@ -174,70 +191,106 @@ func (e *Expanded) assemble() error {
 	if e.n2 == 1 {
 		j2init = 0
 	}
-	e.alpha = make([]float64, total)
+	e.alpha = make([]float64, e.NumStates())
 	for i := 0; i < n; i++ {
 		e.alpha[e.index(i, j1init, j2init)] = e.model.Initial[i]
 	}
 
-	// Estimate nonzeros: per live state one consumption, one transfer,
-	// the workload row and a diagonal.
-	workloadNNZ := e.model.Workload.Generator().NNZ()
-	b := sparse.NewBuilder(total, total, e.n1*e.n2*(workloadNNZ+2*n)+total)
+	gen := e.model.Workload.Generator()
+	rates := make([]workloadRate, 0, gen.NNZ())
+	e.workload = make([]workloadRow, n)
+	for i := range e.workload {
+		w, start := &e.workload[i], len(rates)
+		gen.Row(i, func(col int, v float64) {
+			if col == i || v <= 0 {
+				return
+			}
+			rates = append(rates, workloadRate{col, v})
+			w.diag -= v
+		})
+		w.out = rates[start:]
+	}
 
-	// j1 = 0 is the empty battery: absorbing, no outgoing transitions.
-	for j1 := 1; j1 < e.n1; j1++ {
-		y1 := float64(j1) * delta
-		for j2 := 0; j2 < e.n2; j2++ {
-			y2 := float64(j2) * delta
-			// Transfer rate between wells at this grid point, the
-			// paper's k(j2/(1−c) − j1/c).
-			transfer := 0.0
-			if k > 0 && c < 1 && j2 > 0 {
-				transfer = k * (y2/(1-c) - y1/c) / delta
-				if transfer < 0 {
-					transfer = 0
-				}
-			}
-			for i := 0; i < n; i++ {
-				from := e.index(i, j1, j2)
-				diag := 0.0
-				// Workload transitions at fixed reward levels.
-				e.model.Workload.Generator().Row(i, func(col int, v float64) {
-					if col == i || v <= 0 {
-						return
-					}
-					b.Add(from, e.index(col, j1, j2), v)
-					diag -= v
-				})
-				// Consumption: one level down in the available well.
-				// Charging states (negative current, AllowCharging)
-				// instead move one level up; surplus at the top level
-				// is discarded.
-				if current := e.model.Currents[i]; current > 0 && j1 > 0 {
-					b.Add(from, e.index(i, j1-1, j2), current/delta)
-					diag -= current / delta
-				} else if current < 0 && j1 < e.n1-1 {
-					b.Add(from, e.index(i, j1+1, j2), -current/delta)
-					diag -= -current / delta
-				}
-				// Transfer: up in the available well, down in the bound
-				// well.
-				if transfer > 0 && j1 < e.n1-1 {
-					b.Add(from, e.index(i, j1+1, j2-1), transfer)
-					diag -= transfer
-				}
-				if diag != 0 {
-					b.Add(from, from, diag)
-				}
-			}
+	var (
+		r   int
+		bad error
+	)
+	count := func(col int, v float64) {
+		if bad == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+			bad = fmt.Errorf("core: Q* entry (%d,%d) is not finite: %v", r, col, v)
+		}
+		e.nnz++
+	}
+	for r = 0; r < e.Rows(); r++ {
+		e.Row(r, count)
+	}
+	return bad
+}
+
+// Rows reports the number of rows of Q*, its state count.
+func (e *Expanded) Rows() int { return e.NumStates() }
+
+// Row visits the nonzeros of row r of Q* in ascending column order,
+// computed from §5.2's closed form: the row of state (i, j1, j2) holds
+//
+//   - workload transitions (i′, j1, j2) at the workload rate Q_{i,i′};
+//   - consumption (i, j1−1, j2) at I_i/Δ, or for a charging state
+//     (negative current) (i, j1+1, j2) at −I_i/Δ below the top level —
+//     surplus at the top level is discarded;
+//   - the transfer (i, j1+1, j2−1) at k(j2/(1−c) − j1/c) when positive
+//     and j1 is below the top level;
+//   - the diagonal, minus the row's other entries summed in that order.
+//
+// Rows with j1 = 0 — the empty battery — are absorbing and have none.
+// The diagonal's summation order fixes its bits, and with them q, Pᵀ
+// and every answer; TestRowsPinned pins them.
+func (e *Expanded) Row(r int, fn func(col int, v float64)) {
+	n := len(e.workload)
+	i, cell := r%n, r/n
+	j1, j2 := cell/e.n2, cell%e.n2
+	if j1 == 0 {
+		return
+	}
+	w := &e.workload[i]
+	diag := w.diag
+	var down, up, transfer float64
+	if current := e.model.Currents[i]; current > 0 {
+		down = current / e.delta
+		diag -= down
+	} else if current < 0 && j1 < e.n1-1 {
+		up = -current / e.delta
+		diag -= up
+	}
+	if k, c := e.model.Battery.K, e.model.Battery.C; k > 0 && c < 1 && j2 > 0 && j1 < e.n1-1 {
+		// The paper's k(j2/(1−c) − j1/c); a negative rate is no
+		// transition.
+		y1, y2 := float64(j1)*e.delta, float64(j2)*e.delta
+		if transfer = k * (y2/(1-c) - y1/c) / e.delta; transfer > 0 {
+			diag -= transfer
+		} else {
+			transfer = 0
 		}
 	}
-	gen, err := b.Freeze()
-	if err != nil {
-		return fmt.Errorf("core: assemble Q*: %w", err)
+
+	if down != 0 {
+		fn(r-e.n2*n, down)
 	}
-	e.gen = gen
-	return nil
+	base, t := r-i, 0
+	for ; t < len(w.out) && w.out[t].col < i; t++ {
+		fn(base+w.out[t].col, w.out[t].rate)
+	}
+	if diag != 0 {
+		fn(r, diag)
+	}
+	for ; t < len(w.out); t++ {
+		fn(base+w.out[t].col, w.out[t].rate)
+	}
+	if transfer != 0 {
+		fn(r+(e.n2-1)*n, transfer)
+	}
+	if up != 0 {
+		fn(r+e.n2*n, up)
+	}
 }
 
 // NumStates reports the size of the expanded state space N·n1·n2.
@@ -246,11 +299,29 @@ func (e *Expanded) NumStates() int {
 }
 
 // NNZ reports the number of nonzero generator entries.
-func (e *Expanded) NNZ() int { return e.gen.NNZ() }
+func (e *Expanded) NNZ() int { return e.nnz }
 
-// Generator exposes the expanded generator for inspection and ablation
-// experiments. Callers must not modify it.
-func (e *Expanded) Generator() *sparse.CSR { return e.gen }
+// Generator builds Q* as a CSR matrix from Row, for inspection and
+// ablation experiments. Each call builds a new matrix, which the
+// Expanded does not keep: the solves read the rows straight from Row.
+//
+//numlint:ignore testonly bench/ times the CSR product on it, and tests hold Pᵀ from Row against Pᵀ from it
+func (e *Expanded) Generator() *sparse.CSR {
+	n := e.Rows()
+	b := sparse.NewBuilder(n, n, e.nnz)
+	var r int
+	add := func(col int, v float64) { b.Add(r, col, v) }
+	for r = 0; r < n; r++ {
+		e.Row(r, add)
+	}
+	gen, err := b.Freeze()
+	if err != nil {
+		// Unreachable: Build checked that every entry is finite, and
+		// Row emits columns inside the chain.
+		panic(fmt.Sprintf("core: Q* as CSR: %v", err))
+	}
+	return gen
+}
 
 // Operator returns the uniformised transposed operator (I + Q*/q)ᵀ of
 // the expanded chain, building it on first use and reusing it — together
@@ -258,7 +329,7 @@ func (e *Expanded) Generator() *sparse.CSR { return e.gen }
 // transient solve on this model.
 func (e *Expanded) Operator() (*ctmc.Uniformized, error) {
 	e.uniOnce.Do(func() {
-		e.uni, e.uniErr = ctmc.NewUniformized(e.gen)
+		e.uni, e.uniErr = ctmc.NewUniformized(e)
 	})
 	if e.uniErr != nil {
 		return nil, fmt.Errorf("core: uniformised operator: %w", e.uniErr)

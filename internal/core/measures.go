@@ -50,7 +50,25 @@ func (e *Expanded) MeanLifetime(ctx context.Context) (float64, error) {
 	exits := make([]bool, n)
 	x := make([]float64, n)
 	m := make([]float64, e.NumStates())
+	// One visitor for every row: it reads state first+i of the block at
+	// first, whose matrix is a.
+	var (
+		first, i int
+		a        []float64
+		fill     bool // the first sweep fills in the blocks' matrices
+	)
+	visit := func(col int, v float64) {
+		if k := col - first; k >= 0 && k < n {
+			if fill {
+				a[i*n+k] = -v
+			}
+			return
+		}
+		x[i] += v * m[col]
+		exits[i] = true
+	}
 	for sweep := 1; ; sweep++ {
+		fill = sweep == 1
 		if err := ctx.Err(); err != nil {
 			return 0, fmt.Errorf("core: mean lifetime: %w", err)
 		}
@@ -58,27 +76,19 @@ func (e *Expanded) MeanLifetime(ctx context.Context) (float64, error) {
 		for sum := 1; sum <= e.n1+e.n2-2; sum++ {
 			for j2 := max(0, sum-e.n1+1); j2 <= min(sum-1, e.n2-1); j2++ {
 				j1 := sum - j2
-				first := e.index(0, j1, j2)
+				first = e.index(0, j1, j2)
 				slot := (first/n - e.n2) % slots
-				a, p := lu[slot*n*n:(slot+1)*n*n], piv[slot*n:(slot+1)*n]
-				if sweep == 1 {
+				a = lu[slot*n*n : (slot+1)*n*n]
+				p := piv[slot*n : (slot+1)*n]
+				if fill {
 					clear(a)
 					clear(exits)
 				}
-				for i := range x {
+				for i = range x {
 					x[i] = 1
-					e.gen.Row(first+i, func(col int, v float64) {
-						if k := col - first; k >= 0 && k < n {
-							if sweep == 1 {
-								a[i*n+k] = -v
-							}
-							return
-						}
-						x[i] += v * m[col]
-						exits[i] = true
-					})
+					e.Row(first+i, visit)
 				}
-				if sweep == 1 {
+				if fill {
 					if err := factorBlock(a, p, exits); err != nil {
 						return 0, fmt.Errorf("%w: block (j1=%d, j2=%d): %v", ErrNoAbsorption, j1, j2, err)
 					}

@@ -68,10 +68,6 @@ func referenceQ(t *testing.T, m mrm.KiBaMRM, delta float64) (*sparse.CSR, []floa
 // battery at three steps, on the one-well battery (n2 = 1), and
 // without diffusion (k = 0).
 func TestBuildMatchesReference(t *testing.T) {
-	type entry struct {
-		col int
-		v   float64
-	}
 	for _, tc := range []struct {
 		name     string
 		c, k     float64
@@ -90,29 +86,44 @@ func TestBuildMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			q, alpha := referenceQ(t, m, tc.delta)
-			if e.gen.Rows() != tc.wantRows || q.Rows() != tc.wantRows || e.NNZ() != q.NNZ() {
-				t.Fatalf("Build %d states, %d nnz; reference %d states, %d nnz; want %d states",
-					e.gen.Rows(), e.NNZ(), q.Rows(), q.NNZ(), tc.wantRows)
+			if e.Rows() != tc.wantRows {
+				t.Fatalf("Build %d states, want %d", e.Rows(), tc.wantRows)
 			}
-			for r := 0; r < q.Rows(); r++ {
-				var got, want []entry
-				e.gen.Row(r, func(col int, v float64) { got = append(got, entry{col, v}) })
-				q.Row(r, func(col int, v float64) { want = append(want, entry{col, v}) })
-				if len(got) != len(want) {
-					t.Fatalf("row %d: Build %v, reference %v", r, got, want)
-				}
-				for p := range want {
-					if got[p].col != want[p].col || math.Float64bits(got[p].v) != math.Float64bits(want[p].v) {
-						t.Fatalf("row %d: Build %v, reference %v", r, got, want)
-					}
-				}
-			}
-			for s := range alpha {
-				if math.Float64bits(e.alpha[s]) != math.Float64bits(alpha[s]) {
-					t.Fatalf("α*[%d] = %v, reference %v", s, e.alpha[s], alpha[s])
-				}
-			}
+			matchesReference(t, e, m, tc.delta)
 		})
+	}
+}
+
+// matchesReference fails unless Build's Q* — its rows as Row visits
+// them — and α* equal referenceQ's bit for bit, entry by entry.
+func matchesReference(t *testing.T, e *Expanded, m mrm.KiBaMRM, delta float64) {
+	t.Helper()
+	type entry struct {
+		col int
+		v   float64
+	}
+	q, alpha := referenceQ(t, m, delta)
+	if e.Rows() != q.Rows() || e.NNZ() != q.NNZ() {
+		t.Fatalf("Build %d states, %d nnz; reference %d states, %d nnz",
+			e.Rows(), e.NNZ(), q.Rows(), q.NNZ())
+	}
+	var got, want []entry
+	for r := 0; r < q.Rows(); r++ {
+		got, want = got[:0], want[:0]
+		e.Row(r, func(col int, v float64) { got = append(got, entry{col, v}) })
+		q.Row(r, func(col int, v float64) { want = append(want, entry{col, v}) })
+		if len(got) != len(want) {
+			t.Fatalf("row %d: Build %v, reference %v", r, got, want)
+		}
+		for p := range want {
+			if got[p].col != want[p].col || math.Float64bits(got[p].v) != math.Float64bits(want[p].v) {
+				t.Fatalf("row %d: Build %v, reference %v", r, got, want)
+			}
+		}
+	}
+	for s := range alpha {
+		if math.Float64bits(e.alpha[s]) != math.Float64bits(alpha[s]) {
+			t.Fatalf("α*[%d] = %v, reference %v", s, e.alpha[s], alpha[s])
+		}
 	}
 }

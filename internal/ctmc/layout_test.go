@@ -331,3 +331,94 @@ func TestBandedParallelMatchesCSR(t *testing.T) {
 		t.Errorf("ctmc.transient spans have kernel %q, want [%s csr]", kernels, want)
 	}
 }
+
+// TestOperatorFromRowsMatchesCSR builds Pᵀ twice for each model: from
+// the expanded chain's closed-form rows, which is how solves build it,
+// and from the CSR that Generator assembles from those rows. q, the
+// offsets, the periods, the stored value count and every band value
+// must agree bit for bit. A band value is read back through products
+// with probe vectors: x is 1 on the columns congruent to s modulo a
+// stride wider than the band span, so each row's product picks out
+// exactly one entry.
+func TestOperatorFromRowsMatchesCSR(t *testing.T) {
+	mah := func(v float64) float64 { return units.MilliampHours(v).AmpereSeconds() }
+	onOff, err := workload.OnOff(1, 1, units.Amperes(0.96))
+	if err != nil {
+		t.Fatal(err)
+	}
+	simple, err := workload.Simple(workload.SimpleConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := func(w *workload.Model, capacityAs, c, k float64) mrm.KiBaMRM {
+		return mrm.KiBaMRM{Workload: w.Chain, Currents: w.Currents, Initial: w.Initial,
+			Battery: kibam.Params{Capacity: capacityAs, C: c, K: k}}
+	}
+	charging := gateway(t)
+	charging.Battery = kibam.Params{Capacity: mah(3000), C: 0.625, K: 4.5e-5}
+	pool := sparse.NewPool(1)
+	defer pool.Close()
+	for _, tc := range []struct {
+		name  string
+		m     mrm.KiBaMRM
+		delta float64
+	}{
+		{"fig7", model(onOff, 7200, 1, 0), 100},
+		{"fig8-delta100", model(onOff, 7200, 0.625, 4.5e-5), 100},
+		{"fig8-delta50", model(onOff, 7200, 0.625, 4.5e-5), 50},
+		{"fig8-k0", model(onOff, 7200, 0.625, 0), 100},
+		{"fig10-delta10mAh", model(simple, mah(800), 0.625, 4.5e-5), mah(10)},
+		{"harvesting", charging, 270},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			x, err := core.Build(tc.m, tc.delta, core.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fromRows, err := ctmc.NewUniformized(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fromCSR, err := ctmc.NewUniformized(x.Generator())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(fromRows.Rate()) != math.Float64bits(fromCSR.Rate()) {
+				t.Fatalf("q from rows %v, from CSR %v", fromRows.Rate(), fromCSR.Rate())
+			}
+			a, b := fromRows.Banded(), fromCSR.Banded()
+			if a == nil || b == nil {
+				t.Fatal("Pᵀ is not banded")
+			}
+			offs := a.Offsets()
+			if !slices.Equal(offs, b.Offsets()) || !slices.Equal(a.Periods(), b.Periods()) || a.StoredValues() != b.StoredValues() {
+				t.Fatalf("from rows: offsets %v, periods %v, %d values; from CSR: %v, %v, %d",
+					offs, a.Periods(), a.StoredValues(), b.Offsets(), b.Periods(), b.StoredValues())
+			}
+			n := x.NumStates()
+			stride := offs[len(offs)-1] - offs[0] + 1
+			probe := make([]float64, n)
+			got, want := make([]float64, n), make([]float64, n)
+			all := []int32{0, int32(n)}
+			for s := 0; s < stride; s++ {
+				for j := range probe {
+					probe[j] = 0
+					if j%stride == s {
+						probe[j] = 1
+					}
+				}
+				if err := pool.MulVecRanges(a, all, got, probe, nil, 0); err != nil {
+					t.Fatal(err)
+				}
+				if err := pool.MulVecRanges(b, all, want, probe, nil, 0); err != nil {
+					t.Fatal(err)
+				}
+				for r := range got {
+					if math.Float64bits(got[r]) != math.Float64bits(want[r]) {
+						t.Fatalf("Pᵀ row %d, column ≡ %d mod %d: from rows %v, from CSR %v", r, s, stride, got[r], want[r])
+					}
+				}
+			}
+		})
+	}
+}

@@ -109,8 +109,8 @@ type Result struct {
 // Transient repeatedly. A Uniformized is immutable apart from the
 // internally synchronised weight cache and is safe for concurrent use.
 type Uniformized struct {
-	gen *sparse.CSR
-	q   float64
+	n int // the chain's state count
+	q float64
 	// pt is Pᵀ: a *sparse.Banded when it has at most sparse.MaxBands
 	// distinct index offsets (every expanded battery chain), a
 	// *sparse.CSR otherwise; nil when q == 0 (no transitions anywhere).
@@ -145,25 +145,36 @@ type weightKey struct {
 // which improves the convergence behaviour of periodic chains.
 const slack = 1.02
 
+// Generator is a square generator matrix that can be read row by row:
+// a *sparse.CSR, or a chain that computes its rows, such as an expanded
+// battery chain. Row visits the nonzeros of row r in ascending column
+// order.
+type Generator interface {
+	Rows() int
+	Row(r int, fn func(col int, v float64))
+}
+
 // NewUniformized builds the reusable operator for the generator; the
-// solve options are per call and passed to Transient.
-func NewUniformized(gen *sparse.CSR) (*Uniformized, error) {
-	n := gen.Rows()
-	if gen.Cols() != n {
-		return nil, fmt.Errorf("%w: generator is %dx%d", ErrBadInput, gen.Rows(), gen.Cols())
+// solve options are per call and passed to Transient. The operator
+// reads gen only while it is built and keeps no reference to it.
+func NewUniformized(gen Generator) (*Uniformized, error) {
+	check.GeneratorRows("ctmc.NewUniformized generator", gen)
+	scan, err := scanRows(gen)
+	if err != nil {
+		return nil, err
 	}
-	q := gen.MaxAbsDiagonal() * slack
+	q := scan.maxDiag * slack
 	u := &Uniformized{
-		gen:     gen,
+		n:       scan.n,
 		q:       q,
 		weights: make(map[weightKey]*foxglynn.Weights),
 	}
 	if q > 0 {
-		bands, err := uniformizedBands(gen, q)
-		if err != nil {
-			return nil, err
-		}
-		if bands != nil {
+		if scan.fits {
+			bands, err := uniformizedBands(gen, q, scan.offs)
+			if err != nil {
+				return nil, err
+			}
 			u.pt, u.bands, u.periodic = bands, bands.Bands(), bands.PeriodicBands()
 			u.shifts = bandShifts(bands.Offsets())
 			return u, nil
@@ -181,7 +192,7 @@ func NewUniformized(gen *sparse.CSR) (*Uniformized, error) {
 func (u *Uniformized) Rate() float64 { return u.q }
 
 // NumStates reports the dimension of the underlying chain.
-func (u *Uniformized) NumStates() int { return u.gen.Rows() }
+func (u *Uniformized) NumStates() int { return u.n }
 
 // weightsFor returns the Fox–Glynn table for time t and truncation eps,
 // computing and caching it on first use. Past maxWeightTables the
@@ -246,7 +257,7 @@ func (u *Uniformized) Window(times []float64, opts TransientOptions) (left, righ
 // the functional w over states — at each time point. It shares one
 // v_n = α·Pⁿ sequence across all time points, so the cost is that of
 // solving only the largest one.
-func TransientFunctional(gen *sparse.CSR, alpha, w, times []float64, opts TransientOptions) (*Result, error) {
+func TransientFunctional(gen Generator, alpha, w, times []float64, opts TransientOptions) (*Result, error) {
 	if w == nil {
 		return nil, fmt.Errorf("%w: nil functional", ErrBadInput)
 	}
@@ -267,7 +278,7 @@ func (u *Uniformized) Transient(alpha, w, times []float64, opts TransientOptions
 		return u.transient(alpha, w, times, opts)
 	}
 	_, span := obs.StartSpan(opts.Context, reg, "ctmc.transient",
-		obs.Int("states", int64(u.gen.Rows())),
+		obs.Int("states", int64(u.n)),
 		obs.Int("time_points", int64(len(times))),
 		obs.Int("bands", int64(u.bands)),
 		obs.Int("periodic_bands", int64(u.periodic)),
@@ -297,7 +308,7 @@ func (u *Uniformized) Transient(alpha, w, times []float64, opts TransientOptions
 
 // transient is the uninstrumented solve behind Transient.
 func (u *Uniformized) transient(alpha, w, times []float64, opts TransientOptions) (*Result, error) {
-	n := u.gen.Rows()
+	n := u.n
 	if len(alpha) != n {
 		return nil, fmt.Errorf("%w: |alpha|=%d for %d states", ErrBadInput, len(alpha), n)
 	}
@@ -326,7 +337,6 @@ func (u *Uniformized) transient(alpha, w, times []float64, opts TransientOptions
 		return nil, fmt.Errorf("%w: time points must be ascending", ErrBadInput)
 	}
 
-	check.GeneratorRows("ctmc.transient generator", u.gen)
 	check.Probabilities("ctmc.transient initial distribution", alpha)
 
 	res := &Result{Times: append([]float64(nil), times...)}
@@ -545,35 +555,66 @@ func frozenResult(res *Result, alpha, w, times []float64) *Result {
 	return res
 }
 
-// uniformizedBands returns (I + Q/q) transposed as diagonal bands, in
-// one pass over the generator for its offsets and one for its values,
-// or nil when Pᵀ has more than sparse.MaxBands distinct offsets. The
-// diagonal band is always present. Every value is computed exactly as
+// rowScan is what one pass over a generator's rows finds: the largest
+// |diagonal| entry, which q must dominate, and Pᵀ's distinct index
+// offsets while there are at most sparse.MaxBands of them. Generator
+// entry (r, c) is entry (c, r) of Pᵀ: offset r − c.
+type rowScan struct {
+	n, r    int
+	maxDiag float64
+	offs    []int // ascending; the diagonal's 0 is always present
+	fits    bool
+	badCol  int // a column outside the chain, or -1
+}
+
+// scanRows makes the rowScan pass over gen, failing on a column
+// outside the chain.
+func scanRows(gen Generator) (*rowScan, error) {
+	s := &rowScan{n: gen.Rows(), offs: make([]int, 1, sparse.MaxBands), fits: true, badCol: -1}
+	// One visitor for every row: a closure passed through the interface
+	// escapes, so one per row would cost an allocation per row.
+	visit := s.visit
+	for s.r = 0; s.r < s.n; s.r++ {
+		if gen.Row(s.r, visit); s.badCol >= 0 {
+			return nil, fmt.Errorf("%w: generator row %d has column %d of %d", ErrBadInput, s.r, s.badCol, s.n)
+		}
+	}
+	return s, nil
+}
+
+func (s *rowScan) visit(col int, v float64) {
+	if col < 0 || col >= s.n {
+		s.badCol = col
+		return
+	}
+	if col == s.r {
+		if a := math.Abs(v); a > s.maxDiag {
+			s.maxDiag = a
+		}
+	}
+	if !s.fits {
+		return
+	}
+	k, ok := slices.BinarySearch(s.offs, s.r-col)
+	switch {
+	case ok:
+	case len(s.offs) == sparse.MaxBands:
+		s.fits = false
+	default:
+		s.offs = slices.Insert(s.offs, k, s.r-col)
+	}
+}
+
+// uniformizedBands returns (I + Q/q) transposed as diagonal bands with
+// the given ascending offsets, which must hold every offset of Pᵀ and 0,
+// in one pass over the generator. Every value is computed exactly as
 // uniformizedTransposed computes it, so the two layouts hold the same
 // bits.
 //
 //numlint:requires positive(q)
-func uniformizedBands(gen *sparse.CSR, q float64) (*sparse.Banded, error) {
+func uniformizedBands(gen Generator, q float64, offs []int) (*sparse.Banded, error) {
 	numlintContract_uniformizedBands(q)
 	n := gen.Rows()
-	// Generator entry (i, j) is entry (j, i) of Pᵀ: offset i − j.
-	offs := make([]int, 1, sparse.MaxBands)
-	fits := true
-	for i := 0; i < n && fits; i++ {
-		gen.Row(i, func(j int, _ float64) {
-			k, ok := slices.BinarySearch(offs, i-j)
-			switch {
-			case ok:
-			case len(offs) == sparse.MaxBands:
-				fits = false
-			default:
-				offs = slices.Insert(offs, k, i-j)
-			}
-		})
-	}
-	if !fits {
-		return nil, nil
-	}
 	// One allocation per band: NewBanded releases a band it stores as a
 	// period, which a shared buffer would keep alive.
 	vals := make([][]float64, len(offs))
@@ -585,15 +626,17 @@ func uniformizedBands(gen *sparse.CSR, q float64) (*sparse.Banded, error) {
 	for i := range diag {
 		diag[i] = 1
 	}
-	for i := 0; i < n; i++ {
-		gen.Row(i, func(j int, v float64) {
-			if j == i {
-				diag[i] = 1 + v/q
-				return
-			}
-			k, _ := slices.BinarySearch(offs, i-j)
-			vals[k][j] = v / q
-		})
+	var i int
+	value := func(j int, v float64) {
+		if j == i {
+			diag[i] = 1 + v/q
+			return
+		}
+		k, _ := slices.BinarySearch(offs, i-j)
+		vals[k][j] = v / q
+	}
+	for i = 0; i < n; i++ {
+		gen.Row(i, value)
 	}
 	pt, err := sparse.NewBanded(n, offs, vals)
 	if err != nil {
@@ -605,21 +648,31 @@ func uniformizedBands(gen *sparse.CSR, q float64) (*sparse.Banded, error) {
 // uniformizedTransposed returns (I + Q/q) transposed, in CSR form.
 //
 //numlint:requires positive(q)
-func uniformizedTransposed(gen *sparse.CSR, q float64) (*sparse.CSR, error) {
+func uniformizedTransposed(gen Generator, q float64) (*sparse.CSR, error) {
 	numlintContract_uniformizedTransposed(q)
 	n := gen.Rows()
-	b := sparse.NewBuilder(n, n, gen.NNZ()+n)
-	for r := 0; r < n; r++ {
-		diagSeen := false
-		gen.Row(r, func(c int, v float64) {
-			if c == r {
-				// Transposed: entry (c, r) of Pᵀ.
-				b.Add(r, r, 1+v/q)
-				diagSeen = true
-				return
-			}
-			b.Add(c, r, v/q)
-		})
+	var (
+		r        int
+		nnz      int
+		diagSeen bool
+	)
+	count := func(int, float64) { nnz++ }
+	for r = 0; r < n; r++ {
+		gen.Row(r, count)
+	}
+	b := sparse.NewBuilder(n, n, nnz+n)
+	add := func(c int, v float64) {
+		if c == r {
+			// Transposed: entry (c, r) of Pᵀ.
+			b.Add(r, r, 1+v/q)
+			diagSeen = true
+			return
+		}
+		b.Add(c, r, v/q)
+	}
+	for r = 0; r < n; r++ {
+		diagSeen = false
+		gen.Row(r, add)
 		if !diagSeen {
 			b.Add(r, r, 1)
 		}

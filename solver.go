@@ -432,9 +432,14 @@ func memoised[T any](s *Solver, kind uint8, m model, query []float64, opts Analy
 	return out, nil
 }
 
+// fingerprint is engine.Fingerprint, the one place the solver hashes a
+// model; it is a variable so tests can count the hashes.
+var fingerprint = engine.Fingerprint
+
 // expanded validates the (battery, workload, delta) triple and returns
-// the — possibly cached — expanded CTMC.
-func (s *Solver) expanded(b Battery, w *Workload, opts AnalysisOptions) (model, error) {
+// the — possibly cached — expanded CTMC. key, when non-nil, is the
+// model's fingerprint, which the caller has already computed.
+func (s *Solver) expanded(b Battery, w *Workload, opts AnalysisOptions, key *engine.Key) (model, error) {
 	if w == nil {
 		return model{}, fmt.Errorf("%w: nil workload", ErrBadArgument)
 	}
@@ -443,7 +448,12 @@ func (s *Solver) expanded(b Battery, w *Workload, opts AnalysisOptions) (model, 
 			ErrBadArgument, opts.Delta)
 	}
 	km := w.kibamrm(b)
-	m := model{key: engine.Fingerprint(km, opts.Delta, core.Options{})}
+	var m model
+	if key != nil {
+		m.key = *key
+	} else {
+		m.key = fingerprint(km, opts.Delta, core.Options{})
+	}
 	var start time.Time
 	if opts.Report != nil {
 		start = time.Now()
@@ -467,12 +477,14 @@ func (s *Solver) expanded(b Battery, w *Workload, opts AnalysisOptions) (model, 
 // exists. See the package-level LifetimeDistribution for the numerical
 // trade-offs of the Δ grid.
 func (s *Solver) LifetimeDistribution(b Battery, w *Workload, times []float64, opts AnalysisOptions) (*Distribution, error) {
-	return s.lifetimeDistribution(b, w, times, opts, s.eng.Pool())
+	return s.lifetimeDistribution(b, w, times, opts, s.eng.Pool(), nil)
 }
 
-func (s *Solver) lifetimeDistribution(b Battery, w *Workload, times []float64, opts AnalysisOptions, pool *sparse.Pool) (*Distribution, error) {
+// lifetimeDistribution is LifetimeDistribution on the given SpMV pool;
+// key, when non-nil, is the model's fingerprint (see expanded).
+func (s *Solver) lifetimeDistribution(b Battery, w *Workload, times []float64, opts AnalysisOptions, pool *sparse.Pool, key *engine.Key) (*Distribution, error) {
 	s.solves.Inc()
-	m, err := s.expanded(b, w, opts)
+	m, err := s.expanded(b, w, opts, key)
 	if err != nil {
 		return nil, err
 	}
@@ -499,8 +511,8 @@ func (s *Solver) lifetimeDistribution(b Battery, w *Workload, times []float64, o
 // exceeds MaxIterations fails although its shorter grids would pass),
 // so the caller (Sweep) falls back to solo solves, which re-run the
 // counting and report exact per-scenario errors.
-func (s *Solver) lifetimeDistributionBatch(b Battery, w *Workload, grids [][]float64, opts AnalysisOptions, pool *sparse.Pool) []*Distribution {
-	m, err := s.expanded(b, w, opts)
+func (s *Solver) lifetimeDistributionBatch(b Battery, w *Workload, grids [][]float64, opts AnalysisOptions, pool *sparse.Pool, key *engine.Key) []*Distribution {
+	m, err := s.expanded(b, w, opts, key)
 	if err != nil {
 		return nil
 	}
@@ -582,7 +594,7 @@ func (s *Solver) PhasedLifetimeDistribution(b Battery, phases []WorkloadPhase, t
 		if d := ph.DurationSeconds; d <= 0 && !math.IsInf(d, 1) {
 			return nil, fmt.Errorf("%w: phase %d duration %v", ErrBadArgument, i, d)
 		}
-		m, err := s.expanded(b, ph.Workload, opts)
+		m, err := s.expanded(b, ph.Workload, opts, nil)
 		if err != nil {
 			return nil, fmt.Errorf("phase %d: %w", i, err)
 		}
@@ -608,7 +620,7 @@ func (s *Solver) PhasedLifetimeDistribution(b Battery, phases []WorkloadPhase, t
 // MaxIterations and Progress do not apply to the solve and are ignored.
 func (s *Solver) ExpectedLifetime(b Battery, w *Workload, opts AnalysisOptions) (float64, error) {
 	s.solves.Inc()
-	m, err := s.expanded(b, w, opts)
+	m, err := s.expanded(b, w, opts, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -636,7 +648,7 @@ func (s *Solver) StrandedCharge(b Battery, w *Workload, horizonSeconds float64, 
 		return &StrandedCharge{}, nil // no bound well, nothing to strand
 	}
 	s.solves.Inc()
-	m, err := s.expanded(b, w, opts)
+	m, err := s.expanded(b, w, opts, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -683,7 +695,7 @@ func (s *Solver) ExactCDF(b Battery, w *Workload, times []float64, opts Analysis
 	s.solves.Inc()
 	// The exact path expands no CTMC; key on the workload chain and the
 	// capacity via the KiBaMRM fingerprint at a dummy Δ.
-	m := model{key: engine.Fingerprint(w.kibamrm(b), 1, core.Options{})}
+	m := model{key: fingerprint(w.kibamrm(b), 1, core.Options{})}
 	return memoised(s, kindExact, m, times, opts, func(ctx context.Context) (*Distribution, SolveReport, error) {
 		cr := mrm.ConstantReward{Chain: w.model.Chain, Rates: w.model.Currents, Initial: w.model.Initial}
 		probs, stats, err := performability.EnergyDepletionCDFStats(cr, b.CapacityAs, times, ctx)
@@ -746,28 +758,38 @@ type SweepOptions struct {
 	Progress func(done, total int)
 }
 
+// sweepGroup is the scenario indexes that share one expanded CTMC, and
+// that model's fingerprint; keyed is false for a scenario that cannot be
+// fingerprinted.
+type sweepGroup struct {
+	idx   []int
+	key   engine.Key
+	keyed bool
+}
+
 // sweepGroups partitions scenario indexes by expanded-model identity
 // (the engine fingerprint over battery, workload and Δ): scenarios in
 // one group share an expanded CTMC and are solved as one union-grid
-// transient. Scenarios that cannot be fingerprinted (nil workload,
+// transient, under the key computed here, so each scenario's model is
+// hashed once. Scenarios that cannot be fingerprinted (nil workload,
 // non-positive Δ) become singleton groups so the solo path reports
 // their errors exactly. Group order follows first appearance,
 // and indexes within a group stay in input order.
-func sweepGroups(scenarios []Scenario) [][]int {
-	groups := make([][]int, 0, len(scenarios))
+func sweepGroups(scenarios []Scenario) []sweepGroup {
+	groups := make([]sweepGroup, 0, len(scenarios))
 	at := make(map[engine.Key]int, len(scenarios))
 	for i, sc := range scenarios {
 		if sc.Workload == nil || !(sc.DeltaAs > 0) {
-			groups = append(groups, []int{i})
+			groups = append(groups, sweepGroup{idx: []int{i}})
 			continue
 		}
-		key := engine.Fingerprint(sc.Workload.kibamrm(sc.Battery), sc.DeltaAs, core.Options{})
+		key := fingerprint(sc.Workload.kibamrm(sc.Battery), sc.DeltaAs, core.Options{})
 		if g, dup := at[key]; dup {
-			groups[g] = append(groups[g], i)
+			groups[g].idx = append(groups[g].idx, i)
 			continue
 		}
 		at[key] = len(groups)
-		groups = append(groups, []int{i})
+		groups = append(groups, sweepGroup{idx: []int{i}, key: key, keyed: true})
 	}
 	return groups
 }
@@ -833,7 +855,11 @@ func (s *Solver) Sweep(scenarios []Scenario, opts SweepOptions) ([]SweepResult, 
 		go func() {
 			defer wg.Done()
 			for gi := range jobs {
-				group := groups[gi]
+				group := groups[gi].idx
+				var key *engine.Key
+				if groups[gi].keyed {
+					key = &groups[gi].key
+				}
 				// Per-scenario spans parent from the sweep caller's
 				// context (so daemon sweeps nest under their request
 				// trace); solo solves run under their scenario's span.
@@ -862,7 +888,7 @@ func (s *Solver) Sweep(scenarios []Scenario, opts SweepOptions) ([]SweepResult, 
 						Epsilon:       opts.Epsilon,
 						MaxIterations: opts.MaxIterations,
 						Context:       ctx,
-					}, pool)
+					}, pool, key)
 				}
 				for j, idx := range group {
 					sc := scenarios[idx]
@@ -878,7 +904,7 @@ func (s *Solver) Sweep(scenarios []Scenario, opts SweepOptions) ([]SweepResult, 
 							Epsilon:       opts.Epsilon,
 							MaxIterations: opts.MaxIterations,
 							Context:       scCtxs[j],
-						}, pool)
+						}, pool, key)
 					}
 					span := spans[j]
 					switch {

@@ -2,7 +2,12 @@ package batlife
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
+
+	"batlife/internal/core"
+	"batlife/internal/engine"
+	"batlife/internal/mrm"
 )
 
 // TestSweepBatchedGroupMatchesSolo forces the grouped sweep path —
@@ -166,4 +171,44 @@ func TestSolverCloseKeepsSolving(t *testing.T) {
 		t.Fatalf("solve after Close: %v", err)
 	}
 	sameCurve(t, "post-close prefix", after.EmptyProb[:2], before.EmptyProb)
+}
+
+// TestSweepHashesEachModelOnce counts the model hashes of a sweep: a
+// group of two scenarios on one model (the batched path), a scenario
+// alone on another (the solo path), and a scenario whose union-grid
+// batch fails and falls back to solo solves. Each scenario's model is
+// hashed once, when the sweep groups it; the solves reuse the group's
+// key.
+func TestSweepHashesEachModelOnce(t *testing.T) {
+	var hashes atomic.Int64
+	defer func(f func(mrm.KiBaMRM, float64, core.Options) engine.Key) { fingerprint = f }(fingerprint)
+	fingerprint = func(m mrm.KiBaMRM, delta float64, build core.Options) engine.Key {
+		hashes.Add(1)
+		return engine.Fingerprint(m, delta, build)
+	}
+	b, w := onOffC1(t)
+	scenarios := []Scenario{
+		{Name: "batched-a", Battery: b, Workload: w, DeltaAs: 100, Times: []float64{2000}},
+		{Name: "batched-b", Battery: b, Workload: w, DeltaAs: 100, Times: []float64{5000}},
+		{Name: "solo", Battery: b, Workload: w, DeltaAs: 50, Times: []float64{5000}},
+		{Name: "fallback-a", Battery: b, Workload: w, DeltaAs: 200, Times: []float64{1000}},
+		{Name: "fallback-b", Battery: b, Workload: w, DeltaAs: 200, Times: []float64{20000}},
+	}
+	s := NewSolver(SolverOptions{})
+	defer s.Close()
+	results, err := s.Sweep(scenarios, SweepOptions{Workers: 2, MaxIterations: 15000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range results[:4] {
+		if r.Err != nil {
+			t.Fatalf("scenario %q: %v", r.Name, r.Err)
+		}
+	}
+	if r := results[4]; !errors.Is(r.Err, ErrIterationLimit) {
+		t.Fatalf("scenario %q: err = %v, want ErrIterationLimit", r.Name, r.Err)
+	}
+	if n := hashes.Load(); n != int64(len(scenarios)) {
+		t.Errorf("the sweep hashed models %d times, want %d (once per scenario)", n, len(scenarios))
+	}
 }

@@ -1,6 +1,9 @@
 package batlife
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // TestWorkCounts is the count gate: it pins the exact work one cold
 // solve does on the paper's on/off models (Fig. 7, Fig. 8) and on its
@@ -117,4 +120,85 @@ func TestWorkCounts(t *testing.T) {
 				allocs, ceiling, measured)
 		}
 	})
+}
+
+// TestMemoryCounts is the memory gate: for one cold solve on a fresh
+// Solver it bounds the bytes the solve allocates and the heap the
+// Solver still holds after garbage collection, with the model and its
+// operator in the cache. Each ceiling is 1.5× the measured value. The
+// solver keeps α*, Pᵀ, the Fox–Glynn tables and its two caches; a CSR
+// copy of Q* kept next to them (101 kB on Fig. 8 at Δ = 100 and 213 kB
+// on Fig. 10 at Δ = 10 mAh: 12 bytes per nonzero and 4 per row) breaks
+// the retained ceiling, as does building it on each cold solve the
+// allocated one.
+func TestMemoryCounts(t *testing.T) {
+	onOff, err := OnOffWorkload(1, 1, 0.96)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wireless, err := SimpleWireless()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		battery  Battery
+		workload *Workload
+		delta    float64
+		times    []float64
+		// allocBytes and retainedBytes are the measured values.
+		allocBytes, retainedBytes float64
+	}{
+		{
+			name:     "fig8",
+			battery:  Battery{CapacityAs: 7200, AvailableFraction: 0.625, FlowRate: 4.5e-5},
+			workload: onOff, delta: 100, times: []float64{10000, 15000, 20000},
+			allocBytes: 515_400, retainedBytes: 172_000,
+		},
+		{
+			name:     "fig10",
+			battery:  Battery{CapacityAs: MilliampHours(800), AvailableFraction: 0.625, FlowRate: 4.5e-5},
+			workload: wireless, delta: MilliampHours(10), times: []float64{36000, 72000, 108000},
+			allocBytes: 501_500, retainedBytes: 177_600,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			solve := func(s *Solver) {
+				if _, err := s.LifetimeDistribution(tc.battery, tc.workload, tc.times, AnalysisOptions{Delta: tc.delta}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// A first solve on a throwaway solver allocates what every
+			// solve shares (the default SpMV pool and the like).
+			warm := NewSolver(SolverOptions{})
+			solve(warm)
+			warm.Close()
+
+			// Two collections before and after: the first moves
+			// sync.Pool scratch to the victim cache and the second
+			// frees it.
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			s := NewSolver(SolverOptions{})
+			defer s.Close()
+			solve(s)
+			runtime.GC()
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			if n := s.CachedModels(); n != 1 {
+				t.Fatalf("%d cached models, want 1", n)
+			}
+			alloc := float64(after.TotalAlloc - before.TotalAlloc)
+			retained := float64(after.HeapAlloc) - float64(before.HeapAlloc)
+			t.Logf("cold solve allocated %.0f B; the solver retains %.0f B", alloc, retained)
+			if ceiling := 1.5 * tc.allocBytes; alloc > ceiling {
+				t.Errorf("a cold solve allocates %.0f B, ceiling %.0f (1.5× the measured %.0f)", alloc, ceiling, tc.allocBytes)
+			}
+			if ceiling := 1.5 * tc.retainedBytes; retained > ceiling {
+				t.Errorf("the solver retains %.0f B after the solve, ceiling %.0f (1.5× the measured %.0f)", retained, ceiling, tc.retainedBytes)
+			}
+		})
+	}
 }
