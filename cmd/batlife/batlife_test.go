@@ -77,11 +77,11 @@ func TestWorkloadFlagsBuiltins(t *testing.T) {
 		if err := fs.Parse([]string{"-workload", name}); err != nil {
 			t.Fatal(err)
 		}
-		m, err := wf.model()
+		w, err := wf.public()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if m.Chain.NumStates() == 0 {
+		if len(w.States()) == 0 {
 			t.Errorf("%s: empty chain", name)
 		}
 	}
@@ -90,7 +90,7 @@ func TestWorkloadFlagsBuiltins(t *testing.T) {
 	if err := fs.Parse([]string{"-workload", "quantum"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wf.model(); err == nil {
+	if _, err := wf.public(); err == nil {
 		t.Error("unknown workload accepted")
 	}
 }
@@ -120,29 +120,26 @@ func TestLoadSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := internalModel(w)
-	if err != nil {
-		t.Fatal(err)
+	states, transitions, initial := w.Spec()
+	if len(states) != 2 {
+		t.Fatalf("states = %d", len(states))
 	}
-	if m.Chain.NumStates() != 2 {
-		t.Fatalf("states = %d", m.Chain.NumStates())
+	if states[0].Name != "idle" || states[0].CurrentA != 0.008 {
+		t.Errorf("idle state = %+v", states[0])
 	}
-	idle := m.Chain.Index("idle")
-	if m.Currents[idle] != 0.008 {
-		t.Errorf("idle current = %v", m.Currents[idle])
+	for _, tr := range transitions {
+		if tr.From == "idle" && math.Abs(tr.RatePerSec-2.0/3600) > 1e-12 {
+			t.Errorf("idle rate = %v, want 2/h", tr.RatePerSec)
+		}
 	}
-	if got := m.Chain.ExitRate(idle); math.Abs(got-2.0/3600) > 1e-12 {
-		t.Errorf("idle rate = %v, want 2/h", got)
-	}
-	if m.Initial[idle] != 1 {
-		t.Error("initial distribution not on idle")
+	if initial != "idle" {
+		t.Errorf("initial = %q, want idle", initial)
 	}
 }
 
 func TestLoadSpecCanonicalCodecForm(t *testing.T) {
 	// The CLI accepts the canonical v1 codec form (versioned, numeric
-	// currents) — one wire schema shared with the batlifed daemon — and
-	// the internal model rebuilt from it agrees with the public one.
+	// currents) — one wire schema shared with the batlifed daemon.
 	path := writeTempSpec(t, `{
 		"version": 1,
 		"states": [
@@ -159,19 +156,12 @@ func TestLoadSpecCanonicalCodecForm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := internalModel(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Chain.NumStates() != 2 {
-		t.Fatalf("states = %d", m.Chain.NumStates())
-	}
-	if got := m.Currents[m.Chain.Index("send")]; got != 0.2 {
-		t.Errorf("send current = %v", got)
-	}
 	states, _, initial := w.Spec()
 	if len(states) != 2 || initial != "idle" {
-		t.Errorf("public spec: %d states, initial %q", len(states), initial)
+		t.Fatalf("public spec: %d states, initial %q", len(states), initial)
+	}
+	if got := states[1]; got.Name != "send" || got.CurrentA != 0.2 {
+		t.Errorf("send state = %+v", got)
 	}
 
 	// An undeclared transition endpoint is now a loud spec error.

@@ -5,10 +5,9 @@ import (
 	"fmt"
 	"os"
 
-	"batlife/internal/core"
+	"batlife"
 	"batlife/internal/kibam"
 	"batlife/internal/report"
-	"batlife/internal/sim"
 	"batlife/internal/units"
 )
 
@@ -37,6 +36,15 @@ func (bf batteryFlags) params() (kibam.Params, error) {
 		return kibam.Params{}, err
 	}
 	return p, nil
+}
+
+// battery is params as the facade's Battery.
+func (bf batteryFlags) battery() (batlife.Battery, error) {
+	p, err := bf.params()
+	if err != nil {
+		return batlife.Battery{}, err
+	}
+	return batlife.Battery{CapacityAs: p.Capacity, AvailableFraction: p.C, FlowRate: p.K}, nil
 }
 
 // timeGrid builds an evaluation grid from -until and -points.
@@ -129,12 +137,11 @@ func cmdCDF(args []string) (retErr error) {
 			retErr = err
 		}
 	}()
-	reg := run.reg
-	p, err := bf.params()
+	b, err := bf.battery()
 	if err != nil {
 		return err
 	}
-	model, err := wf.kibamrm(p)
+	w, err := wf.public()
 	if err != nil {
 		return err
 	}
@@ -146,15 +153,14 @@ func cmdCDF(args []string) (retErr error) {
 	if err != nil {
 		return err
 	}
-	e, err := core.Build(model, d.AmpereSeconds(), core.Options{Obs: reg})
+	solver := batlife.NewSolver(batlife.SolverOptions{Telemetry: run.reg})
+	defer solver.Close()
+	var rep batlife.SolveReport
+	res, err := solver.LifetimeDistribution(b, w, times, batlife.AnalysisOptions{Delta: d.AmpereSeconds(), Report: &rep})
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "expanded CTMC: %d states, %d transitions\n", e.NumStates(), e.NNZ())
-	res, err := e.LifetimeCDFOpts(times, core.SolveOptions{Obs: reg})
-	if err != nil {
-		return err
-	}
+	fmt.Fprintf(os.Stderr, "expanded CTMC: %d states, %d transitions\n", rep.States, rep.Transitions)
 	if *plot {
 		hours := make([]float64, len(res.Times))
 		for i, t := range res.Times {
@@ -177,7 +183,7 @@ func cmdCDF(args []string) (retErr error) {
 			fmt.Printf("%.1f\t%.3f\t%.6f\n", t, t/3600, res.EmptyProb[i])
 		}
 	}
-	fmt.Fprintf(os.Stderr, "%d uniformisation iterations (rate %.4g)\n", res.Iterations, res.Rate)
+	fmt.Fprintf(os.Stderr, "%d uniformisation iterations (rate %.4g)\n", rep.Iterations, rep.UniformizationRate)
 	return nil
 }
 
@@ -192,11 +198,11 @@ func cmdSimulate(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	p, err := bf.params()
+	b, err := bf.battery()
 	if err != nil {
 		return err
 	}
-	model, err := wf.kibamrm(p)
+	w, err := wf.public()
 	if err != nil {
 		return err
 	}
@@ -204,19 +210,19 @@ func cmdSimulate(args []string) error {
 	if err != nil {
 		return err
 	}
-	ecdf, err := sim.Lifetimes(model, *seed, sim.Options{Runs: *runs})
+	samples, err := batlife.Simulate(b, w, batlife.SimulateOptions{Runs: *runs, Seed: *seed})
 	if err != nil {
 		return err
 	}
-	mean, err := ecdf.Mean()
+	mean, err := samples.Mean()
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "%d runs: mean lifetime %.1f s (%.2f h), %d censored\n",
-		ecdf.N(), mean, mean/3600, ecdf.Censored())
+		samples.N(), mean, mean/3600, samples.Censored())
 	fmt.Println("t_s\tt_h\tPr_empty")
-	for _, t := range times {
-		fmt.Printf("%.1f\t%.3f\t%.6f\n", t, t/3600, ecdf.At(t))
+	for i, pr := range samples.CDF(times) {
+		fmt.Printf("%.1f\t%.3f\t%.6f\n", times[i], times[i]/3600, pr)
 	}
 	return nil
 }

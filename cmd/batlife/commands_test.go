@@ -1,6 +1,9 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -55,6 +58,52 @@ func TestCmdTrace(t *testing.T) {
 	}
 }
 
+// chargingSpec is a workload with a harvesting (negative-current) mode.
+const chargingSpec = `{
+  "states": [
+    {"name": "idle", "current": "8mA"},
+    {"name": "send", "current": "200mA"},
+    {"name": "harvest", "current": "-20mA"}
+  ],
+  "transitions": [
+    {"from": "idle", "to": "send", "rate_per_hour": 2},
+    {"from": "send", "to": "idle", "rate_per_hour": 6},
+    {"from": "idle", "to": "harvest", "rate_per_hour": 1},
+    {"from": "harvest", "to": "idle", "rate_per_hour": 2}
+  ],
+  "initial": "idle"
+}`
+
+// captureStdout runs cmd with os.Stdout redirected to a file and
+// returns what it printed.
+func captureStdout(t *testing.T, cmd func() error) (string, error) {
+	t.Helper()
+	f, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	old := os.Stdout
+	os.Stdout = f
+	cmdErr := cmd()
+	os.Stdout = old
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out), cmdErr
+}
+
+// column returns the given tab-separated column of every line after the
+// header.
+func column(out string, col int) []string {
+	var vals []string
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n")[1:] {
+		vals = append(vals, strings.Split(line, "\t")[col])
+	}
+	return vals
+}
+
 func TestCmdCDF(t *testing.T) {
 	args := []string{
 		"-workload", "onoff", "-capacity", "7200As", "-c", "1", "-k", "0",
@@ -68,6 +117,22 @@ func TestCmdCDF(t *testing.T) {
 	}
 	if err := cmdCDF([]string{"-delta", "7As"}); err == nil {
 		t.Error("non-divisor delta accepted")
+	}
+
+	// A charging spec solves, and agrees with sweep on the same flags.
+	spec := writeTempSpec(t, chargingSpec)
+	flags := []string{"-spec", spec, "-capacity", "800mAh", "-until", "30h", "-points", "4"}
+	cdfOut, err := captureStdout(t, func() error { return cmdCDF(append(flags, "-delta", "10mAh")) })
+	if err != nil {
+		t.Fatalf("cdf charging spec: %v", err)
+	}
+	sweepOut, err := captureStdout(t, func() error { return cmdSweep(append(flags, "-deltas", "10mAh")) })
+	if err != nil {
+		t.Fatalf("sweep charging spec: %v", err)
+	}
+	got, want := column(cdfOut, 2), column(sweepOut, 2)
+	if strings.Join(got, " ") != strings.Join(want, " ") || len(got) != 4 {
+		t.Errorf("cdf Pr_empty = %v, sweep = %v", got, want)
 	}
 }
 
@@ -90,6 +155,10 @@ func TestCmdMean(t *testing.T) {
 	}
 	if err := cmdMean([]string{"-delta", "nonsense"}); err == nil {
 		t.Error("bad delta accepted")
+	}
+	spec := writeTempSpec(t, chargingSpec)
+	if err := cmdMean([]string{"-spec", spec, "-capacity", "800mAh", "-delta", "10mAh"}); err != nil {
+		t.Errorf("mean charging spec: %v", err)
 	}
 }
 

@@ -1,16 +1,12 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"math"
 	"os"
 
-	"batlife/internal/core"
-	"batlife/internal/mrm"
-	"batlife/internal/performability"
-	"batlife/internal/sim"
+	"batlife"
 	"batlife/internal/units"
 )
 
@@ -23,11 +19,11 @@ func cmdMean(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	p, err := bf.params()
+	b, err := bf.battery()
 	if err != nil {
 		return err
 	}
-	model, err := wf.kibamrm(p)
+	w, err := wf.public()
 	if err != nil {
 		return err
 	}
@@ -35,17 +31,15 @@ func cmdMean(args []string) error {
 	if err != nil {
 		return err
 	}
-	e, err := core.Build(model, d.AmpereSeconds(), core.Options{})
-	if err != nil {
-		return err
-	}
-	mean, err := e.MeanLifetime(context.Background())
+	solver := batlife.DefaultSolver()
+	opts := batlife.AnalysisOptions{Delta: d.AmpereSeconds()}
+	mean, err := solver.ExpectedLifetime(b, w, opts)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("mean_lifetime\t%.1fs\t%.2fmin\t%.4fh\n", mean, mean/60, mean/3600)
 
-	if p.C < 1 {
+	if b.AvailableFraction < 1 {
 		h := 5 * mean
 		if *horizon != "" {
 			hd, err := units.ParseDuration(*horizon)
@@ -54,17 +48,12 @@ func cmdMean(args []string) error {
 			}
 			h = hd.Seconds()
 		}
-		wc, err := e.WastedChargeDistribution(h)
+		sc, err := solver.StrandedCharge(b, w, h, opts)
 		if err != nil {
 			return err
 		}
-		if wc.AbsorbedMass < 0.99 {
-			fmt.Fprintf(os.Stderr, "warning: only %.1f%% depleted by the horizon; stranded figures are conditional\n",
-				100*wc.AbsorbedMass)
-		}
-		bound := (1 - p.C) * p.Capacity
 		fmt.Printf("stranded_charge\t%.1fAs\t%.1fmAh\t(%.1f%% of the bound well)\n",
-			wc.Mean(), units.Coulombs(wc.Mean()).MilliampHours(), 100*wc.Mean()/bound)
+			sc.MeanAs, units.Coulombs(sc.MeanAs).MilliampHours(), 100*sc.FractionOfBound)
 	}
 	return nil
 }
@@ -81,11 +70,11 @@ func cmdCompare(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	p, err := bf.params()
+	b, err := bf.battery()
 	if err != nil {
 		return err
 	}
-	model, err := wf.kibamrm(p)
+	w, err := wf.public()
 	if err != nil {
 		return err
 	}
@@ -98,25 +87,21 @@ func cmdCompare(args []string) error {
 		return err
 	}
 
-	e, err := core.Build(model, d.AmpereSeconds(), core.Options{})
+	solver := batlife.DefaultSolver()
+	approx, err := solver.LifetimeDistribution(b, w, times, batlife.AnalysisOptions{Delta: d.AmpereSeconds()})
 	if err != nil {
 		return err
 	}
-	approx, err := e.LifetimeCDF(times)
+	samples, err := batlife.Simulate(b, w, batlife.SimulateOptions{Runs: *runs, Seed: *seed})
 	if err != nil {
 		return err
 	}
-	ecdf, err := sim.Lifetimes(model, *seed, sim.Options{Runs: *runs})
-	if err != nil {
-		return err
-	}
-	simCurve := ecdf.Eval(times)
+	simCurve := samples.CDF(times)
 
-	var exact []float64
+	var exact *batlife.Distribution
 	//numlint:ignore floatcmp c = 1 is an exact spec-file sentinel selecting the exact solver
-	if p.C == 1 {
-		cr := mrm.ConstantReward{Chain: model.Workload, Rates: model.Currents, Initial: model.Initial}
-		exact, err = performability.EnergyDepletionCDF(cr, p.Capacity, times)
+	if b.AvailableFraction == 1 {
+		exact, err = solver.ExactCDF(b, w, times, batlife.AnalysisOptions{})
 		if err != nil {
 			return err
 		}
@@ -129,13 +114,13 @@ func cmdCompare(args []string) error {
 	}
 	for i, t := range times {
 		if exact != nil {
-			fmt.Printf("%.3f\t%.6f\t%.6f\t%.6f\n", t/3600, approx.EmptyProb[i], simCurve[i], exact[i])
+			fmt.Printf("%.3f\t%.6f\t%.6f\t%.6f\n", t/3600, approx.EmptyProb[i], simCurve[i], exact.EmptyProb[i])
 		} else {
 			fmt.Printf("%.3f\t%.6f\t%.6f\n", t/3600, approx.EmptyProb[i], simCurve[i])
 		}
 	}
 	fmt.Fprintf(os.Stderr, "approximation: %d states, %d iterations; simulation: %d runs (DKW 95%% band ±%.3f)\n",
-		approx.States, approx.Iterations, ecdf.N(), dkwBand(ecdf.N()))
+		approx.States, approx.Iterations, samples.N(), dkwBand(samples.N()))
 	return nil
 }
 

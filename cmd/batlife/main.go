@@ -41,6 +41,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"strings"
 
 	"batlife"
 )
@@ -90,7 +91,8 @@ func run(args []string, stderr *os.File) int {
 		return exitUsage
 	}
 	if err != nil {
-		fmt.Fprintln(stderr, "batlife:", err)
+		// Facade errors already carry the prefix; print it once.
+		fmt.Fprintln(stderr, "batlife:", strings.TrimPrefix(err.Error(), "batlife: "))
 	}
 	return exitCode(err)
 }

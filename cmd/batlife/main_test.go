@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"batlife"
@@ -77,5 +79,35 @@ func TestRunBadArgumentExitCode(t *testing.T) {
 		"-deltas", "0mAh", "-until", "30h", "-points", "4"}, devnull)
 	if got != exitUsage {
 		t.Errorf("run(sweep -deltas 0mAh) = %d, want %d", got, exitUsage)
+	}
+	// 7 mAh does not divide 800 mAh's wells: every solving command
+	// reports it as a usage error, as sweep does.
+	for _, cmd := range []string{"cdf", "mean", "compare"} {
+		if got := run([]string{cmd, "-capacity", "800mAh", "-delta", "7mAh"}, devnull); got != exitUsage {
+			t.Errorf("run(%s -delta 7mAh) = %d, want %d", cmd, got, exitUsage)
+		}
+	}
+}
+
+// TestRunErrorPrefixOnce checks a facade error, which already starts
+// with "batlife: ", is printed with the prefix once.
+func TestRunErrorPrefixOnce(t *testing.T) {
+	stderr, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stderr.Close()
+	// The simulator refuses charging workloads with ErrBadArgument.
+	spec := writeTempSpec(t, chargingSpec)
+	if got := run([]string{"simulate", "-spec", spec, "-runs", "10"}, stderr); got != exitUsage {
+		t.Fatalf("run(simulate -spec charging) = %d, want %d", got, exitUsage)
+	}
+	out, err := os.ReadFile(stderr.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := string(out)
+	if !strings.HasPrefix(msg, "batlife: invalid argument: ") || strings.Contains(msg, "batlife: batlife:") {
+		t.Errorf("stderr = %q, want one \"batlife: \" prefix", msg)
 	}
 }

@@ -47,15 +47,15 @@ func TestCmdSweepTraceOut(t *testing.T) {
 	if byName["sweep.scenario"] != 2 {
 		t.Errorf("sweep.scenario spans = %d, want 2", byName["sweep.scenario"])
 	}
-	for _, stage := range []string{"engine.build", "core.build", "ctmc.transient"} {
+	for _, stage := range []string{"engine.build", "ctmc.transient"} {
 		if byName[stage] != 2 {
 			t.Errorf("%s spans = %d, want 2 (one per Δ); got %v", stage, byName[stage], byName)
 		}
 	}
 }
 
-// TestCmdCDFTraceOut checks the cdf command writes build and transient
-// spans too.
+// TestCmdCDFTraceOut checks the cdf command writes the Solver's solve,
+// build and transient spans too.
 func TestCmdCDFTraceOut(t *testing.T) {
 	trace := filepath.Join(t.TempDir(), "trace.json")
 	args := []string{
@@ -79,8 +79,8 @@ func TestCmdCDFTraceOut(t *testing.T) {
 	for _, s := range spans {
 		byName[s.Name]++
 	}
-	if byName["core.build"] != 1 || byName["ctmc.transient"] != 1 {
-		t.Errorf("spans = %v, want one core.build and one ctmc.transient", byName)
+	if byName["solver.solve"] != 1 || byName["engine.build"] != 1 || byName["ctmc.transient"] != 1 || byName["core.build"] != 0 {
+		t.Errorf("spans = %v, want one solver.solve, engine.build and ctmc.transient each", byName)
 	}
 }
 

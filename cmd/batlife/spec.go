@@ -7,11 +7,7 @@ import (
 	"os"
 
 	"batlife"
-	"batlife/internal/ctmc"
-	"batlife/internal/kibam"
-	"batlife/internal/mrm"
 	"batlife/internal/units"
-	"batlife/internal/workload"
 )
 
 // workloadFlags selects a built-in workload or a JSON specification.
@@ -33,41 +29,27 @@ func addWorkloadFlags(fs *flag.FlagSet) workloadFlags {
 	}
 }
 
-func (wf workloadFlags) model() (*workload.Model, error) {
+// public builds the selected workload as a public batlife.Workload:
+// every analysis command runs on the facade, so the Solver path the
+// library users take is the one the CLI exercises.
+func (wf workloadFlags) public() (*batlife.Workload, error) {
 	if *wf.spec != "" {
-		w, err := loadPublicSpec(*wf.spec)
-		if err != nil {
-			return nil, err
-		}
-		return internalModel(w)
+		return loadPublicSpec(*wf.spec)
 	}
 	switch *wf.name {
 	case "simple":
-		return workload.Simple(workload.SimpleConfig{})
+		return batlife.SimpleWireless()
 	case "burst":
-		return workload.Burst(workload.BurstConfig{})
+		return batlife.BurstWireless()
 	case "onoff":
 		cur, err := units.ParseCurrent(*wf.on)
 		if err != nil {
 			return nil, err
 		}
-		return workload.OnOff(*wf.freq, *wf.k, cur)
+		return batlife.OnOffWorkload(*wf.freq, *wf.k, cur.Amperes())
 	default:
 		return nil, fmt.Errorf("unknown workload %q (want simple, burst or onoff)", *wf.name)
 	}
-}
-
-func (wf workloadFlags) kibamrm(battery kibam.Params) (mrm.KiBaMRM, error) {
-	m, err := wf.model()
-	if err != nil {
-		return mrm.KiBaMRM{}, err
-	}
-	return mrm.KiBaMRM{
-		Workload: m.Chain,
-		Currents: m.Currents,
-		Initial:  m.Initial,
-		Battery:  battery,
-	}, nil
 }
 
 // loadPublicSpec reads a workload specification through the public
@@ -100,30 +82,4 @@ func loadPublicSpec(path string) (*batlife.Workload, error) {
 		return nil, fmt.Errorf("spec %s: %w", path, err)
 	}
 	return &w, nil
-}
-
-// internalModel rebuilds the internal workload model from a public
-// Workload via its decompiled specification.
-func internalModel(w *batlife.Workload) (*workload.Model, error) {
-	states, transitions, initial := w.Spec()
-	var b ctmc.Builder
-	for _, s := range states {
-		b.State(s.Name)
-	}
-	for _, tr := range transitions {
-		b.Transition(tr.From, tr.To, tr.RatePerSec)
-	}
-	chain, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	currents := make([]float64, chain.NumStates())
-	for _, s := range states {
-		currents[chain.Index(s.Name)] = s.CurrentA
-	}
-	return &workload.Model{
-		Chain:    chain,
-		Currents: currents,
-		Initial:  chain.PointDistribution(chain.Index(initial)),
-	}, nil
 }

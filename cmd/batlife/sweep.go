@@ -39,7 +39,7 @@ func cmdSweep(args []string) (retErr error) {
 		}
 	}()
 	reg := run.reg
-	p, err := bf.params()
+	b, err := bf.battery()
 	if err != nil {
 		return err
 	}
@@ -77,8 +77,8 @@ func cmdSweep(args []string) (retErr error) {
 				Name: name,
 				Battery: batlife.Battery{
 					CapacityAs:        cap_.AmpereSeconds(),
-					AvailableFraction: p.C,
-					FlowRate:          p.K,
+					AvailableFraction: b.AvailableFraction,
+					FlowRate:          b.FlowRate,
 				},
 				Workload: w,
 				DeltaAs:  d.AmpereSeconds(),
@@ -142,27 +142,4 @@ func cmdSweep(args []string) (retErr error) {
 			st.Hits, st.Misses, st.Evictions, st.Entries)
 	}
 	return nil
-}
-
-// public builds the workload as a public batlife.Workload — the sweep
-// command runs entirely on the facade so the Solver path the library
-// users take is the one the CLI exercises.
-func (wf workloadFlags) public() (*batlife.Workload, error) {
-	if *wf.spec != "" {
-		return loadPublicSpec(*wf.spec)
-	}
-	switch *wf.name {
-	case "simple":
-		return batlife.SimpleWireless()
-	case "burst":
-		return batlife.BurstWireless()
-	case "onoff":
-		cur, err := units.ParseCurrent(*wf.on)
-		if err != nil {
-			return nil, err
-		}
-		return batlife.OnOffWorkload(*wf.freq, *wf.k, cur.Amperes())
-	default:
-		return nil, fmt.Errorf("unknown workload %q (want simple, burst or onoff)", *wf.name)
-	}
 }

@@ -31,39 +31,27 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
 	"slices"
 	"sort"
 	"sync"
-	"time"
 
 	"batlife/internal/check"
 	"batlife/internal/ctmc"
 	"batlife/internal/mrm"
-	"batlife/internal/obs"
 	"batlife/internal/sparse"
 )
 
 // ErrBadGrid reports an unusable discretisation step.
 var ErrBadGrid = errors.New("core: invalid discretisation")
 
-// Options carries a build's telemetry. Neither field changes the chain.
-type Options struct {
-	// Obs, when non-nil, receives expansion telemetry (state/NNZ counts,
-	// build timing, a "core.build" span). It does not affect the result
-	// and is excluded from engine fingerprints. Solves record into the
-	// registry in their own SolveOptions.Obs.
-	Obs *obs.Registry
-	// Context, when non-nil, carries the request-scoped trace: the
-	// "core.build" span is parented under the span the context carries
-	// (see obs.StartSpan), so daemon builds appear inside their
-	// request's trace. Like Obs it does not affect the result and is
-	// excluded from engine fingerprints.
-	Context context.Context
-}
+// Options has no fields: a build is fully determined by the model and
+// Δ. The type stays because the bench/ harness passes core.Options{}.
+// Build telemetry is recorded one level up, by the engine that owns
+// the build.
+type Options struct{}
 
 // SolveOptions tunes one transient solve on an already-built Expanded:
 // the uniformisation engine's own options, passed through unchanged, so
@@ -96,7 +84,7 @@ type Expanded struct {
 // Build discretises the model's reward space with step delta (in
 // ampere-seconds) and prepares the expanded generator's rows. The step
 // must divide both well capacities c·C and (1−c)·C.
-func Build(model mrm.KiBaMRM, delta float64, opts Options) (*Expanded, error) {
+func Build(model mrm.KiBaMRM, delta float64, _ Options) (*Expanded, error) {
 	if err := model.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -117,29 +105,8 @@ func Build(model mrm.KiBaMRM, delta float64, opts Options) (*Expanded, error) {
 		n1:    m1 + 1,
 		n2:    m2 + 1,
 	}
-	var (
-		span  *obs.Span
-		start time.Time
-	)
-	if reg := opts.Obs; reg != nil {
-		start = time.Now()
-		_, span = obs.StartSpan(opts.Context, reg, "core.build",
-			obs.Float("delta", delta),
-			obs.Int("n1", int64(e.n1)),
-			obs.Int("n2", int64(e.n2)))
-	}
 	if err := e.prepare(); err != nil {
-		span.End(obs.String("error", err.Error()))
 		return nil, err
-	}
-	if reg := opts.Obs; reg != nil {
-		reg.Counter("core_expansions_total").Inc()
-		reg.Histogram("core_expanded_states").Observe(float64(e.NumStates()))
-		reg.Histogram("core_expanded_nnz").Observe(float64(e.NNZ()))
-		reg.Histogram("core_build_seconds").ObserveDuration(time.Since(start).Seconds())
-		span.End(
-			obs.Int("states", int64(e.NumStates())),
-			obs.Int("nnz", int64(e.NNZ())))
 	}
 	return e, nil
 }

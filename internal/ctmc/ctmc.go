@@ -9,9 +9,9 @@
 // transient engine operates directly on sparse generators and is shared
 // by both scales. NewUniformized builds a chain's reusable operator —
 // the uniformisation constant q = 1.02·max exit rate and Pᵀ — once, and
-// Uniformized.Transient solves on it; TransientFunctional is the
-// one-shot form of a functional solve, and PiecewiseTransient
-// chains operators over the phases of a time-inhomogeneous schedule.
+// Uniformized.Transient solves on it, for the full distribution or a
+// functional w·π(t); PiecewiseTransient chains operators over the
+// phases of a time-inhomogeneous schedule.
 // Every TransientOptions field is per call: the truncation bound
 // Epsilon, the SpMV Pool, an iteration budget, a cancelling Context,
 // steady-state detection, a progress callback and a telemetry registry.
@@ -159,11 +159,6 @@ func (c *Chain) Generator() *sparse.CSR { return c.gen }
 
 // ExitRate returns q_i, the total rate out of state i.
 func (c *Chain) ExitRate(i int) float64 { return c.exit[i] }
-
-// IsAbsorbing reports whether state i has no outgoing transitions.
-//
-//numlint:ignore testonly deletion deferred: its only tests go with it
-func (c *Chain) IsAbsorbing(i int) bool { return c.exit[i] == 0 }
 
 // SteadyState solves πQ = 0, Σπ = 1 for an irreducible chain using a
 // dense LU solve; it is intended for workload-scale models.

@@ -100,11 +100,11 @@ func TestAbsorbingState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !c.IsAbsorbing(c.Index("dead")) {
-		t.Error("dead state not absorbing")
+	if got := c.ExitRate(c.Index("dead")); got != 0 {
+		t.Errorf("dead state exit rate = %v, want 0 (absorbing)", got)
 	}
-	if c.IsAbsorbing(c.Index("live")) {
-		t.Error("live state reported absorbing")
+	if got := c.ExitRate(c.Index("live")); got != 1 {
+		t.Errorf("live state exit rate = %v, want 1", got)
 	}
 }
 
@@ -170,7 +170,7 @@ func TestSteadyStateBalanceProperty(t *testing.T) {
 		t.Errorf("steady state sums to %v", sum)
 	}
 	flow := make([]float64, c.NumStates())
-	if err := c.Generator().VecMul(flow, pi); err != nil {
+	if err := c.Generator().Transpose().MulVec(flow, pi); err != nil {
 		t.Fatal(err)
 	}
 	for i, f := range flow {
@@ -215,6 +215,15 @@ func transientDistributions(gen *sparse.CSR, alpha, times []float64, opts Transi
 		return nil, err
 	}
 	return u.Transient(alpha, nil, times, opts)
+}
+
+// transientFunctional solves the functional w·π(t) on a fresh operator.
+func transientFunctional(gen Generator, alpha, w, times []float64, opts TransientOptions) (*Result, error) {
+	u, err := NewUniformized(gen)
+	if err != nil {
+		return nil, err
+	}
+	return u.Transient(alpha, w, times, opts)
 }
 
 // uniform returns the uniform distribution over n states.

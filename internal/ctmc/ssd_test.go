@@ -28,12 +28,12 @@ func TestSteadyStateDetectionMatchesFullRun(t *testing.T) {
 	w[c.NumStates()-1] = 1
 	times := []float64{200} // absorption happens around t ≈ 5
 
-	full, err := TransientFunctional(c.Generator(), alpha, w, times,
+	full, err := transientFunctional(c.Generator(), alpha, w, times,
 		TransientOptions{DisableSteadyStateDetection: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	detected, err := TransientFunctional(c.Generator(), alpha, w, times, TransientOptions{})
+	detected, err := transientFunctional(c.Generator(), alpha, w, times, TransientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

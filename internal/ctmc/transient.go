@@ -253,21 +253,6 @@ func (u *Uniformized) Window(times []float64, opts TransientOptions) (left, righ
 	return left, right, err
 }
 
-// TransientFunctional computes w·π(t) — the probability-weighted sum of
-// the functional w over states — at each time point. It shares one
-// v_n = α·Pⁿ sequence across all time points, so the cost is that of
-// solving only the largest one.
-func TransientFunctional(gen Generator, alpha, w, times []float64, opts TransientOptions) (*Result, error) {
-	if w == nil {
-		return nil, fmt.Errorf("%w: nil functional", ErrBadInput)
-	}
-	u, err := NewUniformized(gen)
-	if err != nil {
-		return nil, err
-	}
-	return u.Transient(alpha, w, times, opts)
-}
-
 // Transient runs one uniformisation solve on the prebuilt operator: the
 // full distribution π(t) at each time point when w is nil, or the
 // functional w·π(t) otherwise. The operator's cached Pᵀ and Fox–Glynn

@@ -55,9 +55,9 @@ func TestTransientZeroUniformisationRate(t *testing.T) {
 
 	// The functional path through the same corner.
 	w := []float64{1, 10, 100}
-	fres, err := TransientFunctional(gen, alpha, w, times, TransientOptions{})
+	fres, err := transientFunctional(gen, alpha, w, times, TransientOptions{})
 	if err != nil {
-		t.Fatalf("TransientFunctional: %v", err)
+		t.Fatalf("functional solve: %v", err)
 	}
 	want := 0.2*1 + 0.5*10 + 0.3*100
 	for k, v := range fres.Values {

@@ -62,7 +62,7 @@ func TestTransientErlangAbsorption(t *testing.T) {
 	w := make([]float64, c.NumStates())
 	w[c.Index(stateName(k))] = 1
 	times := []float64{0.1, 0.5, 1, 2, 4}
-	res, err := TransientFunctional(c.Generator(), c.PointDistribution(0), w, times, TransientOptions{})
+	res, err := transientFunctional(c.Generator(), c.PointDistribution(0), w, times, TransientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestTransientFunctionalMatchesDistributions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fn, err := TransientFunctional(c.Generator(), alpha, w, times, TransientOptions{})
+	fn, err := transientFunctional(c.Generator(), alpha, w, times, TransientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestTransientInputValidation(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var err error
 			if tc.w != nil {
-				_, err = TransientFunctional(c.Generator(), tc.alpha, tc.w, tc.times, TransientOptions{})
+				_, err = transientFunctional(c.Generator(), tc.alpha, tc.w, tc.times, TransientOptions{})
 			} else {
 				_, err = transientDistributions(c.Generator(), tc.alpha, tc.times, TransientOptions{})
 			}
@@ -159,9 +159,6 @@ func TestTransientInputValidation(t *testing.T) {
 				t.Errorf("err = %v, want ErrBadInput", err)
 			}
 		})
-	}
-	if _, err := TransientFunctional(c.Generator(), alpha, nil, []float64{1}, TransientOptions{}); !errors.Is(err, ErrBadInput) {
-		t.Errorf("nil functional: err = %v, want ErrBadInput", err)
 	}
 }
 
@@ -241,12 +238,12 @@ func TestTransientSharedSequenceConsistency(t *testing.T) {
 	alpha := c.PointDistribution(0)
 	w := []float64{0, 1}
 	times := []float64{0.5, 2, 8}
-	joint, err := TransientFunctional(c.Generator(), alpha, w, times, TransientOptions{})
+	joint, err := transientFunctional(c.Generator(), alpha, w, times, TransientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for k, tm := range times {
-		single, err := TransientFunctional(c.Generator(), alpha, w, []float64{tm}, TransientOptions{})
+		single, err := transientFunctional(c.Generator(), alpha, w, []float64{tm}, TransientOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

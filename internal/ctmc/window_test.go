@@ -235,7 +235,7 @@ func TestWindowSteadyStateInTrimmedWindow(t *testing.T) {
 	w := make([]float64, c.NumStates())
 	w[len(w)-1] = 1
 	times := []float64{30, 400}
-	res, err := TransientFunctional(c.Generator(), alpha, w, times, TransientOptions{})
+	res, err := transientFunctional(c.Generator(), alpha, w, times, TransientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,7 @@
 package engine
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"math"
@@ -38,9 +39,9 @@ type Options struct {
 	// select runtime.NumCPU().
 	Workers int
 	// Obs, when non-nil, is the observability registry the engine (and
-	// the pool and builds it owns) records into: cache hit/miss/eviction
-	// counters, build timing, "engine.build" spans. The engine's Stats
-	// counters work with or without a registry.
+	// the pool it owns) records into: cache hit/miss/eviction counters,
+	// build timing and expanded sizes, "engine.build" spans. The
+	// engine's Stats counters work with or without a registry.
 	Obs *obs.Registry
 }
 
@@ -141,9 +142,9 @@ func (e *Engine) Stats() Stats {
 // even when built through different Workload values.
 type Key [sha256.Size]byte
 
-// Fingerprint computes the cache key for (model, delta). No field of
-// build changes the chain, so build is not hashed; the parameter stays
-// because the bench/ harness passes it.
+// Fingerprint computes the cache key for (model, delta). core.Options
+// has no fields, so build is not hashed; the parameter stays because
+// the bench/ harness passes it.
 func Fingerprint(m mrm.KiBaMRM, delta float64, build core.Options) Key {
 	h := sha256.New()
 	var buf [8]byte
@@ -191,16 +192,17 @@ func Fingerprint(m mrm.KiBaMRM, delta float64, build core.Options) Key {
 	return key
 }
 
-// Expanded returns the expanded CTMC for (model, delta, build) stored
-// under key, which must be Fingerprint(m, delta, build): it reuses the
-// cached instance when there is one and builds (and caches) it
+// Expanded returns the expanded CTMC for (model, delta) stored under
+// key, which must be Fingerprint(m, delta, core.Options{}): it reuses
+// the cached instance when there is one and builds (and caches) it
 // otherwise. The caller passes the key it has already computed, so a
-// request hashes its model once. The second result reports whether the
-// model came from the cache (including waiting on another goroutine's
-// in-flight build). Cached models are shared across callers and must be
-// treated as immutable — which core.Expanded guarantees for its public
-// API.
-func (e *Engine) Expanded(key Key, m mrm.KiBaMRM, delta float64, build core.Options) (*core.Expanded, bool, error) {
+// request hashes its model once. ctx, which may be nil, carries the
+// request's trace: the "engine.build" span of a miss is parented under
+// the span it holds. The second result reports whether the model came
+// from the cache (including waiting on another goroutine's in-flight
+// build). Cached models are shared across callers and must be treated
+// as immutable — which core.Expanded guarantees for its public API.
+func (e *Engine) Expanded(ctx context.Context, key Key, m mrm.KiBaMRM, delta float64) (*core.Expanded, bool, error) {
 	e.mu.Lock()
 	if x, ok := e.models.Get(key); ok {
 		e.mu.Unlock()
@@ -222,7 +224,7 @@ func (e *Engine) Expanded(key Key, m mrm.KiBaMRM, delta float64, build core.Opti
 	e.mu.Unlock()
 
 	e.misses.Inc()
-	c.x, c.err = e.build(m, delta, build)
+	c.x, c.err = e.build(ctx, m, delta)
 	e.mu.Lock()
 	if c.err == nil {
 		e.models.Put(key, c.x)
@@ -233,28 +235,23 @@ func (e *Engine) Expanded(key Key, m mrm.KiBaMRM, delta float64, build core.Opti
 	return c.x, false, c.err
 }
 
-// build runs one model expansion, recording timing and a span when the
-// engine has a registry. The engine's registry is injected into the
-// build options (unless the caller set one) so core's expansion
-// telemetry flows into the same place, and the "engine.build" span is
-// parented under the span carried by build.Context — threading the
-// request trace through to the nested "core.build" span.
-func (e *Engine) build(m mrm.KiBaMRM, delta float64, build core.Options) (*core.Expanded, error) {
-	if build.Obs == nil {
-		build.Obs = e.obs
-	}
+// build runs one model expansion. With a registry it records the
+// build's time and the expanded chain's size, under an "engine.build"
+// span parented beneath the span ctx carries.
+func (e *Engine) build(ctx context.Context, m mrm.KiBaMRM, delta float64) (*core.Expanded, error) {
 	if e.obs == nil {
-		return core.Build(m, delta, build)
+		return core.Build(m, delta, core.Options{})
 	}
-	ctx, span := obs.StartSpan(build.Context, e.obs, "engine.build", obs.Float("delta", delta))
-	build.Context = ctx
+	_, span := obs.StartSpan(ctx, e.obs, "engine.build", obs.Float("delta", delta))
 	start := time.Now()
-	x, err := core.Build(m, delta, build)
+	x, err := core.Build(m, delta, core.Options{})
 	if err != nil {
 		span.End(obs.String("error", err.Error()))
 		return nil, err
 	}
 	e.buildSeconds.ObserveDuration(time.Since(start).Seconds())
+	e.obs.Histogram("core_expanded_states").Observe(float64(x.NumStates()))
+	e.obs.Histogram("core_expanded_nnz").Observe(float64(x.NNZ()))
 	span.End(obs.Int("states", int64(x.NumStates())), obs.Int("nnz", int64(x.NNZ())))
 	return x, nil
 }

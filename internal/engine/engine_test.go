@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -115,7 +116,7 @@ func TestFingerprintWorkloadContent(t *testing.T) {
 // expand fetches the model through the engine under its own
 // fingerprint, as the solver does.
 func expand(e *Engine, m mrm.KiBaMRM, delta float64) (*core.Expanded, bool, error) {
-	return e.Expanded(Fingerprint(m, delta, core.Options{}), m, delta, core.Options{})
+	return e.Expanded(context.Background(), Fingerprint(m, delta, core.Options{}), m, delta)
 }
 
 func TestExpandedServesGivenKey(t *testing.T) {
@@ -125,12 +126,12 @@ func TestExpandedServesGivenKey(t *testing.T) {
 	e := New(Options{Capacity: 4, Workers: 1})
 	m := onOffModel(t, paperBattery)
 	key := Fingerprint(m, 100, core.Options{})
-	a, hit, err := e.Expanded(key, m, 100, core.Options{})
+	a, hit, err := e.Expanded(context.Background(), key, m, 100)
 	if err != nil || hit {
 		t.Fatalf("first query: hit %v, err %v", hit, err)
 	}
 	other := onOffModel(t, kibam.Params{Capacity: 3600, C: 0.625, K: 4.5e-5})
-	b, hit, err := e.Expanded(key, other, 50, core.Options{})
+	b, hit, err := e.Expanded(context.Background(), key, other, 50)
 	if err != nil {
 		t.Fatal(err)
 	}

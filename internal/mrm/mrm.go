@@ -90,7 +90,11 @@ func (m ConstantReward) ExpectedReward(times []float64, steps int) ([]float64, e
 	for i := 0; i <= steps; i++ {
 		grid = append(grid, last*float64(i)/float64(steps))
 	}
-	res, err := ctmc.TransientFunctional(m.Chain.Generator(), m.Initial, m.Rates, grid, ctmc.TransientOptions{})
+	u, err := ctmc.NewUniformized(m.Chain.Generator())
+	if err != nil {
+		return nil, fmt.Errorf("mrm: expected reward: %w", err)
+	}
+	res, err := u.Transient(m.Initial, m.Rates, grid, ctmc.TransientOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("mrm: expected reward: %w", err)
 	}

@@ -1,14 +1,11 @@
-// Package report renders computed curves for humans: tab-separated
-// tables for downstream tooling and ASCII charts for terminals. The
-// experiment driver (cmd/paperfigs) and the CLI (cmd/batlife) share it.
+// Package report renders computed curves as ASCII charts for
+// terminals; the CLI's cdf -plot uses it.
 package report
 
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math"
-	"strconv"
 	"strings"
 )
 
@@ -42,30 +39,6 @@ func (t *Table) Validate() error {
 		if len(s) != len(t.X) {
 			return fmt.Errorf("%w: series %q has %d points for %d axis values",
 				ErrBadTable, t.Names[i], len(s), len(t.X))
-		}
-	}
-	return nil
-}
-
-// WriteTSV writes the table as tab-separated values with a header row.
-//
-//numlint:ignore testonly deletion deferred: its only tests go with it
-func (t *Table) WriteTSV(w io.Writer) error {
-	if err := t.Validate(); err != nil {
-		return err
-	}
-	cols := append([]string{t.XName}, t.Names...)
-	if _, err := fmt.Fprintln(w, strings.Join(cols, "\t")); err != nil {
-		return err
-	}
-	for i, x := range t.X {
-		row := make([]string, 0, len(cols))
-		row = append(row, strconv.FormatFloat(x, 'g', 8, 64))
-		for _, s := range t.Series {
-			row = append(row, strconv.FormatFloat(s[i], 'f', 6, 64))
-		}
-		if _, err := fmt.Fprintln(w, strings.Join(row, "\t")); err != nil {
-			return err
 		}
 	}
 	return nil

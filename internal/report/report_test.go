@@ -39,32 +39,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestWriteTSV(t *testing.T) {
-	var sb strings.Builder
-	if err := validTable().WriteTSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if len(lines) != 5 {
-		t.Fatalf("got %d lines:\n%s", len(lines), sb.String())
-	}
-	if lines[0] != "t_s\tapprox\tsim" {
-		t.Errorf("header = %q", lines[0])
-	}
-	if lines[2] != "10\t0.200000\t0.100000" {
-		t.Errorf("row = %q", lines[2])
-	}
-}
-
-func TestWriteTSVInvalid(t *testing.T) {
-	tb := validTable()
-	tb.X = nil
-	var sb strings.Builder
-	if err := tb.WriteTSV(&sb); !errors.Is(err, ErrBadTable) {
-		t.Errorf("err = %v, want ErrBadTable", err)
-	}
-}
-
 func TestChartBasics(t *testing.T) {
 	chart, err := validTable().Chart(ChartOptions{Width: 40, Height: 10})
 	if err != nil {

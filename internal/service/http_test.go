@@ -825,7 +825,7 @@ func TestHTTPTracePropagationEndToEnd(t *testing.T) {
 		}
 	}
 	walk(trees[0].Spans)
-	for _, want := range []string{"service.job", "service.queue", "solver.solve", "engine.build", "core.build", "ctmc.transient"} {
+	for _, want := range []string{"service.job", "service.queue", "solver.solve", "engine.build", "ctmc.transient"} {
 		if !names[want] {
 			t.Errorf("span tree missing %q (have %v)", want, names)
 		}

@@ -242,34 +242,6 @@ func (m *CSR) MulVec(dst, x []float64) error {
 	return nil
 }
 
-// VecMul computes dst = x·m (row vector times matrix) without
-// transposing. It is a gather-free scatter loop and therefore serial;
-// for repeated products transpose once and use MulVec.
-//
-//numlint:hotpath
-//numlint:ignore testonly deletion deferred: its only tests go with it
-func (m *CSR) VecMul(dst, x []float64) error {
-	if len(x) != m.rows || len(dst) != m.cols {
-		//numlint:ignore hotalloc cold shape-error path, never taken per SpMV iteration
-		return fmt.Errorf("sparse: VecMul %dx%d with |x|=%d |dst|=%d: %w",
-			m.rows, m.cols, len(x), len(dst), ErrShape)
-	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	for r := 0; r < m.rows; r++ {
-		xr := x[r]
-		if xr == 0 {
-			continue
-		}
-		for i := m.rowPtr[r]; i < m.rowPtr[r+1]; i++ {
-			dst[m.colIdx[i]] += m.vals[i] * xr
-		}
-	}
-	check.FiniteVec("sparse.CSR.VecMul", dst)
-	return nil
-}
-
 // weight is the partition weight of rows [lo, hi): nnz + rows.
 func (m *CSR) weight(lo, hi int32) int64 {
 	return int64(m.rowPtr[hi]-m.rowPtr[lo]) + int64(hi-lo)

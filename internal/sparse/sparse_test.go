@@ -167,31 +167,6 @@ func TestMulVecAgainstDense(t *testing.T) {
 	}
 }
 
-func TestVecMulAgainstDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 20; trial++ {
-		rows, cols := 1+rng.Intn(40), 1+rng.Intn(40)
-		m, dense := buildRandom(t, rng, rows, cols, 0.3)
-		x := make([]float64, rows)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		got := make([]float64, cols)
-		if err := m.VecMul(got, x); err != nil {
-			t.Fatalf("VecMul: %v", err)
-		}
-		for c := 0; c < cols; c++ {
-			want := 0.0
-			for r := 0; r < rows; r++ {
-				want += x[r] * dense[r][c]
-			}
-			if math.Abs(got[c]-want) > 1e-10 {
-				t.Fatalf("trial %d col %d: got %v, want %v", trial, c, got[c], want)
-			}
-		}
-	}
-}
-
 func TestTransposeIsInvolution(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	m, dense := buildRandom(t, rng, 17, 23, 0.25)
@@ -210,25 +185,27 @@ func TestTransposeIsInvolution(t *testing.T) {
 
 func TestTransposeVecMulEquivalence(t *testing.T) {
 	// x·M must equal Transpose(M)·x — this identity is what the
-	// uniformisation engine relies on.
+	// uniformisation engine relies on. x·M is computed densely.
 	rng := rand.New(rand.NewSource(4))
-	m, _ := buildRandom(t, rng, 31, 29, 0.2)
-	mt := m.Transpose()
-	x := make([]float64, m.Rows())
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	a := make([]float64, m.Cols())
-	bv := make([]float64, m.Cols())
-	if err := m.VecMul(a, x); err != nil {
-		t.Fatal(err)
-	}
-	if err := mt.MulVec(bv, x); err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if math.Abs(a[i]-bv[i]) > 1e-12 {
-			t.Fatalf("mismatch at %d: %v vs %v", i, a[i], bv[i])
+	for trial := 0; trial < 20; trial++ {
+		rows, cols := 1+rng.Intn(40), 1+rng.Intn(40)
+		m, dense := buildRandom(t, rng, rows, cols, 0.3)
+		x := make([]float64, rows)
+		for i := range x {
+			x[i] = rng.NormFloat64()
+		}
+		got := make([]float64, cols)
+		if err := m.Transpose().MulVec(got, x); err != nil {
+			t.Fatal(err)
+		}
+		for c := 0; c < cols; c++ {
+			want := 0.0
+			for r := 0; r < rows; r++ {
+				want += x[r] * dense[r][c]
+			}
+			if math.Abs(got[c]-want) > 1e-10 {
+				t.Fatalf("trial %d col %d: got %v, want %v", trial, c, got[c], want)
+			}
 		}
 	}
 }
@@ -275,9 +252,6 @@ func TestMulVecShapeErrors(t *testing.T) {
 	}
 	if err := m.MulVec(make([]float64, 3), make([]float64, 5)); !errors.Is(err, ErrShape) {
 		t.Errorf("MulVec wrong x len: %v, want ErrShape", err)
-	}
-	if err := m.VecMul(make([]float64, 4), make([]float64, 5)); !errors.Is(err, ErrShape) {
-		t.Errorf("VecMul wrong x len: %v, want ErrShape", err)
 	}
 	if err := NewPool(2).MulVec(m, make([]float64, 2), make([]float64, 4)); !errors.Is(err, ErrShape) {
 		t.Errorf("Pool.MulVec wrong dst len: %v, want ErrShape", err)
@@ -421,9 +395,9 @@ func benchmarkMulVec(b *testing.B, workers int) {
 	}
 }
 
-// TestMulVecZeroAlloc backs the //numlint:hotpath annotations on MulVec
-// and VecMul: the serial SpMV kernels must not allocate per call, since
-// uniformisation drives them once per Taylor term per time point.
+// TestMulVecZeroAlloc backs the //numlint:hotpath annotation on MulVec:
+// the serial SpMV kernel must not allocate per call, since
+// uniformisation drives it once per Taylor term per time point.
 func TestMulVecZeroAlloc(t *testing.T) {
 	b := NewBuilder(64, 64, 0)
 	for i := 0; i < 64; i++ {
@@ -443,11 +417,8 @@ func TestMulVecZeroAlloc(t *testing.T) {
 		if err := m.MulVec(dst, x); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.VecMul(dst, x); err != nil {
-			t.Fatal(err)
-		}
 	})
 	if allocs != 0 {
-		t.Errorf("MulVec+VecMul allocate %v per run, want 0", allocs)
+		t.Errorf("MulVec allocates %v per run, want 0", allocs)
 	}
 }

@@ -35,17 +35,6 @@ type Model struct {
 	Initial []float64
 }
 
-// Current returns the load current of the named state, in ampere.
-//
-//numlint:ignore testonly deletion deferred: its only tests go with it
-func (m *Model) Current(name string) (float64, error) {
-	i := m.Chain.Index(name)
-	if i < 0 {
-		return 0, fmt.Errorf("%w: no state %q", ErrBadWorkload, name)
-	}
-	return m.Currents[i], nil
-}
-
 // MeanCurrent returns the steady-state average current draw, in ampere.
 func (m *Model) MeanCurrent() (float64, error) {
 	pi, err := m.Chain.SteadyState()
@@ -105,31 +94,6 @@ func OnOff(freq float64, k int, onCurrent units.Current) (*Model, error) {
 		Currents: currents,
 		Initial:  chain.PointDistribution(chain.Index("on0")),
 	}, nil
-}
-
-// ErlangOrderForCV returns the Erlang order K whose coefficient of
-// variation 1/√K best matches the given target (in log scale), clamped
-// to [1, maxK]. The paper uses increasing K to approximate the
-// deterministic switching of its reference experiments (CV → 0); this
-// helper picks K from a measured CV instead of by eye.
-//
-//numlint:ignore testonly deletion deferred: its only tests go with it
-func ErlangOrderForCV(cv float64, maxK int) (int, error) {
-	if cv <= 0 || math.IsNaN(cv) {
-		return 0, fmt.Errorf("%w: coefficient of variation %v", ErrBadWorkload, cv)
-	}
-	if maxK < 1 {
-		return 0, fmt.Errorf("%w: maxK %d", ErrBadWorkload, maxK)
-	}
-	ideal := 1 / (cv * cv)
-	k := int(math.Round(ideal))
-	if k < 1 {
-		k = 1
-	}
-	if k > maxK {
-		k = maxK
-	}
-	return k, nil
 }
 
 // SimpleConfig parameterises the simple wireless-device model. The zero

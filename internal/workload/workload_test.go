@@ -8,6 +8,16 @@ import (
 	"batlife/internal/units"
 )
 
+// current returns the load current of the named state.
+func current(t *testing.T, m *Model, name string) float64 {
+	t.Helper()
+	i := m.Chain.Index(name)
+	if i < 0 {
+		t.Fatalf("no state %q", name)
+	}
+	return m.Currents[i]
+}
+
 func TestOnOffStructure(t *testing.T) {
 	m, err := OnOff(1, 1, units.Amperes(0.96))
 	if err != nil {
@@ -20,13 +30,11 @@ func TestOnOffStructure(t *testing.T) {
 	if got := m.Chain.ExitRate(m.Chain.Index("on0")); math.Abs(got-2) > 1e-12 {
 		t.Errorf("on-state rate = %v, want 2", got)
 	}
-	c, err := m.Current("on0")
-	if err != nil || c != 0.96 {
-		t.Errorf("on current = %v (%v)", c, err)
+	if c := current(t, m, "on0"); c != 0.96 {
+		t.Errorf("on current = %v", c)
 	}
-	c, err = m.Current("off0")
-	if err != nil || c != 0 {
-		t.Errorf("off current = %v (%v)", c, err)
+	if c := current(t, m, "off0"); c != 0 {
+		t.Errorf("off current = %v", c)
 	}
 	if m.Initial[m.Chain.Index("on0")] != 1 {
 		t.Error("on/off model must start in on0")
@@ -97,47 +105,25 @@ func TestOnOffErrors(t *testing.T) {
 	}
 }
 
-func TestErlangOrderForCV(t *testing.T) {
-	tests := []struct {
-		cv    float64
-		maxK  int
-		want  int
-		isErr bool
-	}{
-		{1, 64, 1, false},     // exponential
-		{0.5, 64, 4, false},   // CV 1/2 → K=4
-		{0.25, 64, 16, false}, // CV 1/4 → K=16
-		{0.01, 64, 64, false}, // near-deterministic, clamped
-		{2, 64, 1, false},     // hyper-variable: best Erlang is K=1
-		{0, 64, 0, true},
-		{-1, 64, 0, true},
-		{0.5, 0, 0, true},
-	}
-	for _, tt := range tests {
-		got, err := ErlangOrderForCV(tt.cv, tt.maxK)
-		if (err != nil) != tt.isErr {
-			t.Errorf("cv=%v: err = %v", tt.cv, err)
-			continue
-		}
-		if err == nil && got != tt.want {
-			t.Errorf("cv=%v: K = %d, want %d", tt.cv, got, tt.want)
-		}
-	}
-}
-
 func TestErlangOrderMatchesEmpiricalCV(t *testing.T) {
-	// Sanity: the CV of an Erlang-K on-phase in the built model equals
-	// 1/√K (sum of K exponentials at rate 2fK: mean K/(2fK), var
-	// K/(2fK)²).
-	k, err := ErlangOrderForCV(1/math.Sqrt(9), 64)
+	// The on-phase of an Erlang-K model is K exponential stages in
+	// series, at rate 2fK each: mean K/(2fK), variance K/(2fK)², so its
+	// coefficient of variation is 1/√K.
+	const k = 9
+	m, err := OnOff(1, k, units.Amperes(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k != 9 {
-		t.Fatalf("K = %d, want 9", k)
+	var mean, variance float64
+	for i := 0; i < m.Chain.NumStates(); i++ {
+		if m.Currents[i] > 0 {
+			rate := m.Chain.ExitRate(i)
+			mean += 1 / rate
+			variance += 1 / (rate * rate)
+		}
 	}
-	if _, err := OnOff(1, k, units.Amperes(1)); err != nil {
-		t.Fatalf("building the fitted model: %v", err)
+	if cv := math.Sqrt(variance) / mean; math.Abs(cv-1/math.Sqrt(k)) > 1e-12 {
+		t.Errorf("on-phase CV = %v, want 1/√%d", cv, k)
 	}
 }
 
@@ -162,11 +148,7 @@ func TestSimpleModelMatchesPaper(t *testing.T) {
 	}
 	// Currents 8 / 200 / 0 mA.
 	for name, ma := range map[string]float64{"idle": 8, "send": 200, "sleep": 0} {
-		c, err := m.Current(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(c*1000-ma) > 1e-9 {
+		if c := current(t, m, name); math.Abs(c*1000-ma) > 1e-9 {
 			t.Errorf("current(%s) = %v mA, want %v", name, c*1000, ma)
 		}
 	}
@@ -187,14 +169,7 @@ func TestSimpleModelTheoreticalEndurance(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := units.MilliampHours(800)
-	send, err := m.Current("send")
-	if err != nil {
-		t.Fatal(err)
-	}
-	idle, err := m.Current("idle")
-	if err != nil {
-		t.Fatal(err)
-	}
+	send, idle := current(t, m, "send"), current(t, m, "idle")
 	if h := c.AmpereSeconds() / send / 3600; math.Abs(h-4) > 1e-9 {
 		t.Errorf("send endurance = %v h, want 4", h)
 	}
@@ -224,9 +199,8 @@ func TestBurstModelStructure(t *testing.T) {
 	}
 	// Sending states draw 200 mA in both flow conditions.
 	for _, name := range []string{"on-send", "off-send"} {
-		c, err := m.Current(name)
-		if err != nil || math.Abs(c-0.2) > 1e-12 {
-			t.Errorf("current(%s) = %v (%v)", name, c, err)
+		if c := current(t, m, name); math.Abs(c-0.2) > 1e-12 {
+			t.Errorf("current(%s) = %v", name, c)
 		}
 	}
 	if m.Initial[m.Chain.Index("off-idle")] != 1 {
@@ -318,16 +292,6 @@ func TestCalibrateBurstErrors(t *testing.T) {
 
 func TestBurstBadConfig(t *testing.T) {
 	if _, err := Burst(BurstConfig{Mu: -3}); !errors.Is(err, ErrBadWorkload) {
-		t.Errorf("err = %v, want ErrBadWorkload", err)
-	}
-}
-
-func TestCurrentUnknownState(t *testing.T) {
-	m, err := Simple(SimpleConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Current("warp-drive"); !errors.Is(err, ErrBadWorkload) {
 		t.Errorf("err = %v, want ErrBadWorkload", err)
 	}
 }

@@ -460,7 +460,7 @@ func (s *Solver) expanded(b Battery, w *Workload, opts AnalysisOptions, key *eng
 	}
 	// Context rides along for span parenting only; it is not part of the
 	// fingerprint, so cache identity is unchanged.
-	x, hit, err := s.eng.Expanded(m.key, km, opts.Delta, core.Options{Context: opts.Context})
+	x, hit, err := s.eng.Expanded(opts.Context, m.key, km, opts.Delta)
 	if err != nil {
 		return model{}, wrapErr(err)
 	}

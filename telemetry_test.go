@@ -152,13 +152,18 @@ func TestTelemetryExactCounts(t *testing.T) {
 		"solver_result_memo_hits_total":        1,
 		"engine_cache_misses_total":            1,
 		"engine_cache_hits_total":              1,
-		"core_expansions_total":                1,
 		"ctmc_solves_total":                    1,
 		"ctmc_uniformization_iterations_total": int64(rep.Iterations),
 		"ctmc_spmv_total":                      int64(rep.SpMVs),
 	} {
 		if got := reg.Counter(name).Value(); got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	// The engine records each build's size once, next to its time.
+	for _, name := range []string{"engine_build_seconds", "core_expanded_states", "core_expanded_nnz"} {
+		if got := reg.Histogram(name).Snapshot().Count; got != 1 {
+			t.Errorf("%s count = %d, want 1", name, got)
 		}
 	}
 	st := s.Stats()
@@ -247,10 +252,10 @@ func TestSweepTelemetrySpans(t *testing.T) {
 		t.Errorf("sweep.scenario spans = %d, want %d (got %v)", byName["sweep.scenario"], len(scenarios), byName)
 	}
 	// All three scenarios are cache misses, so three engine.build spans
-	// (the bad Δ ends with an error attr); core.build rejects the bad Δ
-	// in validation, before its span starts.
-	if byName["engine.build"] != 3 || byName["core.build"] != 2 {
-		t.Errorf("build spans engine=%d core=%d, want 3/2", byName["engine.build"], byName["core.build"])
+	// (the bad Δ ends with an error attr). The engine's span is the only
+	// build span: core.Build records nothing.
+	if byName["engine.build"] != 3 || byName["core.build"] != 0 {
+		t.Errorf("build spans engine=%d core=%d, want 3/0", byName["engine.build"], byName["core.build"])
 	}
 	if byName["ctmc.transient"] != 2 {
 		t.Errorf("ctmc.transient spans = %d, want 2", byName["ctmc.transient"])

@@ -21,5 +21,5 @@ func Drop(m *sparse.CSR, dst, x []float64) {
 	}
 	fmt.Println("stdlib errors are out of scope") // no finding
 	//numlint:ignore errchecklite fixture demonstrates suppression
-	m.VecMul(x, dst) // suppressed
+	m.MulVec(x, dst) // suppressed
 }
