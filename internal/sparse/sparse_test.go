@@ -183,10 +183,10 @@ func TestTransposeIsInvolution(t *testing.T) {
 	}
 }
 
-func TestTransposeVecMulEquivalence(t *testing.T) {
-	// x·M must equal Transpose(M)·x — this identity is what the
-	// uniformisation engine relies on. x·M is computed densely.
-	rng := rand.New(rand.NewSource(4))
+func TestVecMulAgainstDense(t *testing.T) {
+	// x·M, the row vector times matrix product, is formed as
+	// Transpose(M)·x and checked against the dense product.
+	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 20; trial++ {
 		rows, cols := 1+rng.Intn(40), 1+rng.Intn(40)
 		m, dense := buildRandom(t, rng, rows, cols, 0.3)
@@ -206,6 +206,31 @@ func TestTransposeVecMulEquivalence(t *testing.T) {
 			if math.Abs(got[c]-want) > 1e-10 {
 				t.Fatalf("trial %d col %d: got %v, want %v", trial, c, got[c], want)
 			}
+		}
+	}
+}
+
+func TestTransposeVecMulEquivalence(t *testing.T) {
+	// x·M must equal Transpose(M)·x — this identity is what the
+	// uniformisation engine relies on. x·M is scattered over M's rows.
+	rng := rand.New(rand.NewSource(4))
+	m, _ := buildRandom(t, rng, 31, 29, 0.2)
+	mt := m.Transpose()
+	x := make([]float64, m.Rows())
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	a := make([]float64, m.Cols())
+	for r := 0; r < m.Rows(); r++ {
+		m.Row(r, func(c int, v float64) { a[c] += v * x[r] })
+	}
+	bv := make([]float64, m.Cols())
+	if err := mt.MulVec(bv, x); err != nil {
+		t.Fatal(err)
+	}
+	for i := range a {
+		if math.Abs(a[i]-bv[i]) > 1e-12 {
+			t.Fatalf("mismatch at %d: %v vs %v", i, a[i], bv[i])
 		}
 	}
 }
