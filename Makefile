@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race checks lint lint-flow fuzz fuzz-banded fuzz-rows gen-checks bench bench-harness serve ci
+.PHONY: all build test race checks lint lint-flow fuzz fuzz-banded fuzz-rows gen-checks bench bench-harness examples serve ci
 
 all: build test lint
 
@@ -85,6 +85,16 @@ bench:
 bench-harness:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
+## examples: run every program under examples/ to completion (about
+## 10 s in all on 2 vCPUs); each must exit 0. Besides cmd/, they are the
+## only whole programs that use the public API, and `build` only
+## compiles them.
+examples:
+	@for d in examples/*/; do \
+		echo "$(GO) run ./$$d"; \
+		$(GO) run ./$$d > /dev/null || exit 1; \
+	done
+
 ## serve: run the batlifed HTTP daemon locally (override the listen
 ## address with ADDR, e.g. `make serve ADDR=:9000`). See docs/SERVICE.md.
 ADDR ?= :8418
@@ -102,4 +112,4 @@ fuzz-rows:
 
 ## ci: everything the CI workflow gates on, including its one-iteration
 ## benchmark smoke (`make bench` at the default BENCHTIME)
-ci: lint lint-flow build test race checks fuzz-banded fuzz-rows bench-harness bench
+ci: lint lint-flow build test race checks fuzz-banded fuzz-rows bench-harness examples bench

@@ -12,28 +12,26 @@
 //
 // Three complementary analyses are provided:
 //
-//   - LifetimeDistribution: the paper's Markovian approximation. The
-//     joint (workload state, charge) space is discretised with step Δ
-//     and the lifetime CDF Pr{battery empty at t} is computed as the
+//   - Solver.LifetimeDistribution: the paper's Markovian approximation.
+//     The joint (workload state, charge) space is discretised with step
+//     Δ and the lifetime CDF Pr{battery empty at t} is computed as the
 //     transient solution of the expanded CTMC via uniformisation.
-//   - SimulateLifetimes: Monte-Carlo estimation — workload trajectories
-//     are sampled and the battery follows the exact analytic KiBaM
-//     between jumps.
-//   - ExactLifetimeCDF: for batteries with all charge available (c = 1),
+//   - Simulate: Monte-Carlo estimation — workload trajectories are
+//     sampled and the battery follows the exact analytic KiBaM between
+//     jumps.
+//   - Solver.ExactCDF: for batteries with all charge available (c = 1),
 //     the exact distribution via the performability transform.
 //
 // Deterministic (non-stochastic) load profiles are served by the Battery
 // methods Lifetime and LifetimeSquareWave directly on the analytic
 // model.
 //
-// Repeated-query workloads are served by the Solver engine: a Solver
-// caches expanded CTMCs — keyed on (battery, workload, Δ) — together
-// with their uniformised operators, Fox–Glynn weight tables and
-// memoised results, accepts per-call AnalysisOptions (epsilon,
-// iteration budget, cancellation, progress), and evaluates whole
-// scenario grids in parallel via Solver.Sweep. The package-level
-// analysis functions remain as thin deprecated wrappers over a
-// process-wide default Solver.
+// The stochastic analyses run on a Solver: it caches expanded CTMCs —
+// keyed on (battery, workload, Δ) — together with their uniformised
+// operators, Fox–Glynn weight tables and memoised results, accepts
+// per-call AnalysisOptions (epsilon, iteration budget, cancellation,
+// progress), and evaluates whole scenario grids in parallel via
+// Solver.Sweep.
 //
 // The paper's experiments are regenerated by cmd/paperfigs; runnable
 // introductions live under examples/.
@@ -269,36 +267,15 @@ type Distribution struct {
 	States, Transitions, Iterations int
 }
 
-// LifetimeDistribution runs the paper's Markovian approximation: the
-// battery's charge space is discretised with step deltaAs
-// (ampere-seconds; it must divide both well capacities) and the lifetime
-// CDF is evaluated at the given times (seconds, ascending). Smaller
-// deltas are more accurate and more expensive — cost grows with Δ^-2 per
-// step and Δ^-3 overall once the uniformisation rate is dominated by
-// consumption.
-//
-// Deprecated: Use [Solver.LifetimeDistribution], which caches the
-// expanded CTMC across queries and accepts per-call options (epsilon,
-// iteration budget, cancellation, progress). This wrapper delegates to
-// [DefaultSolver] and produces identical output.
-func LifetimeDistribution(b Battery, w *Workload, deltaAs float64, times []float64) (*Distribution, error) {
-	return DefaultSolver().LifetimeDistribution(b, w, times, AnalysisOptions{Delta: deltaAs})
-}
-
 // Samples holds simulated lifetime draws.
 type Samples struct {
 	ecdf *dist.ECDF
 }
 
-// SimulateLifetimes draws runs independent lifetime samples (seed makes
-// them reproducible). runs = 0 selects 1000, the paper's choice.
-func SimulateLifetimes(b Battery, w *Workload, runs int, seed int64) (*Samples, error) {
-	return Simulate(b, w, SimulateOptions{Runs: runs, Seed: seed})
-}
-
 // SimulateOptions tunes Simulate.
 type SimulateOptions struct {
-	// Runs is the number of independent samples; 0 selects 1000.
+	// Runs is the number of independent samples; 0 selects 1000, the
+	// paper's choice.
 	Runs int
 	// Seed makes the samples reproducible.
 	Seed int64
@@ -310,14 +287,16 @@ type SimulateOptions struct {
 	MaxTimeSeconds float64
 }
 
-// Simulate draws independent lifetime samples with full control over
-// run count, seed and censoring horizon.
+// Simulate draws independent lifetime samples by Monte-Carlo
+// simulation of the workload, with the battery following the analytic
+// KiBaM between jumps; opts sets the run count, the seed that makes the
+// samples reproducible, and the censoring horizon.
 func Simulate(b Battery, w *Workload, opts SimulateOptions) (*Samples, error) {
 	if w == nil {
 		return nil, fmt.Errorf("%w: nil workload", ErrBadArgument)
 	}
 	if w.charging {
-		return nil, fmt.Errorf("%w: the simulator does not support charging workloads; use LifetimeDistribution", ErrBadArgument)
+		return nil, fmt.Errorf("%w: the simulator does not support charging workloads; use Solver.LifetimeDistribution", ErrBadArgument)
 	}
 	e, err := sim.Lifetimes(w.kibamrm(b), opts.Seed, sim.Options{
 		Runs:    opts.Runs,

@@ -137,7 +137,7 @@ func TestNewWorkloadErrors(t *testing.T) {
 	if err != nil {
 		t.Fatalf("charging workload rejected: %v", err)
 	}
-	if _, err := SimulateLifetimes(Battery{CapacityAs: 100, AvailableFraction: 1}, wNeg, 10, 1); !errors.Is(err, ErrBadArgument) {
+	if _, err := Simulate(Battery{CapacityAs: 100, AvailableFraction: 1}, wNeg, SimulateOptions{Runs: 10, Seed: 1}); !errors.Is(err, ErrBadArgument) {
 		t.Errorf("simulating charging workload: err = %v", err)
 	}
 	bad := []StateSpec{{Name: "a"}, {Name: "b"}}
@@ -154,7 +154,7 @@ func TestLifetimeDistributionEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	times := []float64{10000, 15000, 20000}
-	res, err := LifetimeDistribution(b, w, 50, times)
+	res, err := NewSolver(SolverOptions{}).LifetimeDistribution(b, w, times, AnalysisOptions{Delta: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,25 +180,27 @@ func TestThreeMethodsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	times := []float64{6 * 3600, 9 * 3600, 12 * 3600, 15 * 3600}
-	exact, err := ExactLifetimeCDF(b, w, times)
+	s := NewSolver(SolverOptions{})
+	defer s.Close()
+	exact, err := s.ExactCDF(b, w, times, AnalysisOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx, err := LifetimeDistribution(b, w, MilliampHours(2), times)
+	approx, err := s.LifetimeDistribution(b, w, times, AnalysisOptions{Delta: MilliampHours(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	samples, err := SimulateLifetimes(b, w, 1000, 1)
+	samples, err := Simulate(b, w, SimulateOptions{Runs: 1000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	simCurve := samples.CDF(times)
 	for k := range times {
-		if math.Abs(approx.EmptyProb[k]-exact[k]) > 0.05 {
-			t.Errorf("t=%vh: approximation %v vs exact %v", times[k]/3600, approx.EmptyProb[k], exact[k])
+		if math.Abs(approx.EmptyProb[k]-exact.EmptyProb[k]) > 0.05 {
+			t.Errorf("t=%vh: approximation %v vs exact %v", times[k]/3600, approx.EmptyProb[k], exact.EmptyProb[k])
 		}
-		if math.Abs(simCurve[k]-exact[k]) > 0.06 { // ±4σ at n=1000 ≈ 0.06
-			t.Errorf("t=%vh: simulation %v vs exact %v", times[k]/3600, simCurve[k], exact[k])
+		if math.Abs(simCurve[k]-exact.EmptyProb[k]) > 0.06 { // ±4σ at n=1000 ≈ 0.06
+			t.Errorf("t=%vh: simulation %v vs exact %v", times[k]/3600, simCurve[k], exact.EmptyProb[k])
 		}
 	}
 }
@@ -208,10 +210,12 @@ func TestExactRequiresCOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ExactLifetimeCDF(PaperBattery(), w, []float64{3600}); !errors.Is(err, ErrBadArgument) {
+	s := NewSolver(SolverOptions{})
+	defer s.Close()
+	if _, err := s.ExactCDF(PaperBattery(), w, []float64{3600}, AnalysisOptions{}); !errors.Is(err, ErrBadArgument) {
 		t.Errorf("c<1: err = %v", err)
 	}
-	if _, err := ExactLifetimeCDF(Battery{CapacityAs: 1, AvailableFraction: 1}, nil, []float64{1}); !errors.Is(err, ErrBadArgument) {
+	if _, err := s.ExactCDF(Battery{CapacityAs: 1, AvailableFraction: 1}, nil, []float64{1}, AnalysisOptions{}); !errors.Is(err, ErrBadArgument) {
 		t.Errorf("nil workload: err = %v", err)
 	}
 }
@@ -222,7 +226,7 @@ func TestSimulateLifetimesStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := SimulateLifetimes(b, w, 200, 5)
+	s, err := Simulate(b, w, SimulateOptions{Runs: 200, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,14 +254,16 @@ func TestSimulateLifetimesStats(t *testing.T) {
 
 func TestLifetimeDistributionErrors(t *testing.T) {
 	b := PaperBattery()
-	if _, err := LifetimeDistribution(b, nil, 25, []float64{1}); !errors.Is(err, ErrBadArgument) {
+	s := NewSolver(SolverOptions{})
+	defer s.Close()
+	if _, err := s.LifetimeDistribution(b, nil, []float64{1}, AnalysisOptions{Delta: 25}); !errors.Is(err, ErrBadArgument) {
 		t.Errorf("nil workload: err = %v", err)
 	}
 	w, err := OnOffWorkload(1, 1, 0.96)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LifetimeDistribution(b, w, 7, []float64{1}); err == nil {
+	if _, err := s.LifetimeDistribution(b, w, []float64{1}, AnalysisOptions{Delta: 7}); err == nil {
 		t.Error("non-divisor delta accepted")
 	}
 }
@@ -277,12 +283,14 @@ func TestBurstOutlivesSimple(t *testing.T) {
 		t.Fatal(err)
 	}
 	times := []float64{20 * 3600}
-	delta := MilliampHours(10)
-	rs, err := LifetimeDistribution(b, simple, delta, times)
+	s := NewSolver(SolverOptions{})
+	defer s.Close()
+	opts := AnalysisOptions{Delta: MilliampHours(10)}
+	rs, err := s.LifetimeDistribution(b, simple, times, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := LifetimeDistribution(b, burst, delta, times)
+	rb, err := s.LifetimeDistribution(b, burst, times, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -456,8 +456,10 @@ func BenchmarkPublicAPI(b *testing.B) {
 	times := []float64{15 * 3600, 20 * 3600}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := LifetimeDistribution(battery, w, MilliampHours(10), times); err != nil {
+		s := NewSolver(SolverOptions{})
+		if _, err := s.LifetimeDistribution(battery, w, times, AnalysisOptions{Delta: MilliampHours(10)}); err != nil {
 			b.Fatal(err)
 		}
+		s.Close()
 	}
 }

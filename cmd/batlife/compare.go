@@ -31,7 +31,8 @@ func cmdMean(args []string) error {
 	if err != nil {
 		return err
 	}
-	solver := batlife.DefaultSolver()
+	solver := batlife.NewSolver(batlife.SolverOptions{})
+	defer solver.Close()
 	opts := batlife.AnalysisOptions{Delta: d.AmpereSeconds()}
 	mean, err := solver.ExpectedLifetime(b, w, opts)
 	if err != nil {
@@ -87,7 +88,8 @@ func cmdCompare(args []string) error {
 		return err
 	}
 
-	solver := batlife.DefaultSolver()
+	solver := batlife.NewSolver(batlife.SolverOptions{})
+	defer solver.Close()
 	approx, err := solver.LifetimeDistribution(b, w, times, batlife.AnalysisOptions{Delta: d.AmpereSeconds()})
 	if err != nil {
 		return err

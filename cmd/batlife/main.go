@@ -91,11 +91,19 @@ func run(args []string, stderr *os.File) int {
 		return exitUsage
 	}
 	if err != nil {
-		// Facade errors already carry the prefix; print it once.
-		fmt.Fprintln(stderr, "batlife:", strings.TrimPrefix(err.Error(), "batlife: "))
+		fmt.Fprintln(stderr, "batlife:", bare{err})
 	}
 	return exitCode(err)
 }
+
+// bare prints an error without the "batlife: " prefix facade errors
+// carry, for messages that already start with it or that continue a
+// line; errors.Is and errors.As see through it.
+type bare struct{ error }
+
+func (b bare) Error() string { return strings.TrimPrefix(b.error.Error(), "batlife: ") }
+
+func (b bare) Unwrap() error { return b.error }
 
 // exitCode maps a subcommand error to the exit status: invalid
 // arguments land with usage errors, iteration-budget refusals get their

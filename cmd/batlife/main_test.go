@@ -89,25 +89,80 @@ func TestRunBadArgumentExitCode(t *testing.T) {
 	}
 }
 
-// TestRunErrorPrefixOnce checks a facade error, which already starts
-// with "batlife: ", is printed with the prefix once.
+// TestRunErrorPrefixOnce checks that each error line a failing command
+// prints starts with "batlife: " and carries it once, though facade
+// errors already start with it, and that ErrBadArgument's exit code
+// survives.
 func TestRunErrorPrefixOnce(t *testing.T) {
+	spec := writeTempSpec(t, chargingSpec)
+	for _, tc := range []struct {
+		name string
+		args []string
+		want []string // the prefix of each error line, in order
+		deny string   // a substring no error line may contain
+	}{
+		// The simulator refuses charging workloads with ErrBadArgument.
+		{"simulate charging", []string{"simulate", "-spec", spec, "-runs", "10"},
+			[]string{"batlife: invalid argument: "}, ""},
+		// 7 mAh does not divide 800 mAh's wells: a line for the scenario
+		// and the all-failed summary.
+		{"sweep", []string{"sweep", "-capacity", "800mAh", "-deltas", "7mAh", "-points", "4"},
+			[]string{"batlife: scenario Δ=7mAh: invalid argument: ", "batlife: all 1 scenarios failed: invalid argument: "}, ""},
+		// A stranded-charge horizon that leaves most runs alive: the
+		// message names the setting as the CLI does, not by the
+		// library's parameter name.
+		{"mean early horizon", []string{"mean", "-capacity", "800mAh", "-delta", "10mAh", "-horizon", "1h"},
+			[]string{"batlife: invalid argument: "}, "horizonSeconds"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			code, stderr := runCaptured(t, tc.args...)
+			if code != exitUsage {
+				t.Errorf("exit code %d, want %d", code, exitUsage)
+			}
+			var lines []string
+			for _, line := range strings.Split(stderr, "\n") {
+				if strings.Contains(line, "invalid argument") {
+					lines = append(lines, line)
+				}
+			}
+			if len(lines) != len(tc.want) {
+				t.Fatalf("error lines %q, want %d", lines, len(tc.want))
+			}
+			for i, line := range lines {
+				if !strings.HasPrefix(line, tc.want[i]) || strings.Count(line, "batlife: ") != 1 {
+					t.Errorf("error line %q, want prefix %q and one \"batlife: \"", line, tc.want[i])
+				}
+				if tc.deny != "" && strings.Contains(line, tc.deny) {
+					t.Errorf("error line %q names %s", line, tc.deny)
+				}
+			}
+		})
+	}
+}
+
+// runCaptured runs a subcommand with stdout discarded and both stderr
+// streams — run's and the os.Stderr the subcommands write progress and
+// per-scenario lines to — captured, and returns the exit code and
+// stderr.
+func runCaptured(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer devnull.Close()
 	stderr, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer stderr.Close()
-	// The simulator refuses charging workloads with ErrBadArgument.
-	spec := writeTempSpec(t, chargingSpec)
-	if got := run([]string{"simulate", "-spec", spec, "-runs", "10"}, stderr); got != exitUsage {
-		t.Fatalf("run(simulate -spec charging) = %d, want %d", got, exitUsage)
-	}
+	oldStdout, oldStderr := os.Stdout, os.Stderr
+	os.Stdout, os.Stderr = devnull, stderr
+	defer func() { os.Stdout, os.Stderr = oldStdout, oldStderr }()
+	code := run(args, stderr)
 	out, err := os.ReadFile(stderr.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
-	msg := string(out)
-	if !strings.HasPrefix(msg, "batlife: invalid argument: ") || strings.Contains(msg, "batlife: batlife:") {
-		t.Errorf("stderr = %q, want one \"batlife: \" prefix", msg)
-	}
+	return code, string(out)
 }

@@ -111,13 +111,13 @@ func cmdSweep(args []string) (retErr error) {
 			if firstErr == nil {
 				firstErr = r.Err
 			}
-			fmt.Fprintf(os.Stderr, "scenario %s: %v\n", r.Name, r.Err)
+			fmt.Fprintf(os.Stderr, "batlife: scenario %s: %v\n", r.Name, bare{r.Err})
 		}
 	}
 	if failed == len(results) {
 		// Wrap the first failure so sentinel classes (ErrBadArgument,
 		// ErrIterationLimit) survive into the process exit code.
-		return fmt.Errorf("all %d scenarios failed: %w", failed, firstErr)
+		return fmt.Errorf("all %d scenarios failed: %w", failed, bare{firstErr})
 	}
 
 	header := []string{"t_s", "t_h"}

@@ -29,7 +29,7 @@ func ExampleBattery_Lifetime() {
 
 // Computing a lifetime distribution for the paper's simple wireless
 // device.
-func ExampleLifetimeDistribution() {
+func ExampleSolver_LifetimeDistribution() {
 	battery := batlife.Battery{
 		CapacityAs:        batlife.MilliampHours(800),
 		AvailableFraction: 0.625,
@@ -40,8 +40,10 @@ func ExampleLifetimeDistribution() {
 		fmt.Println("error:", err)
 		return
 	}
-	res, err := batlife.LifetimeDistribution(battery, device,
-		batlife.MilliampHours(5), []float64{10 * 3600, 20 * 3600})
+	solver := batlife.NewSolver(batlife.SolverOptions{})
+	defer solver.Close()
+	res, err := solver.LifetimeDistribution(battery, device, []float64{10 * 3600, 20 * 3600},
+		batlife.AnalysisOptions{Delta: batlife.MilliampHours(5)})
 	if err != nil {
 		fmt.Println("error:", err)
 		return

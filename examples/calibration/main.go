@@ -93,7 +93,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	samples, err := batlife.SimulateLifetimes(fitted, w, 500, 3)
+	samples, err := batlife.Simulate(fitted, w, batlife.SimulateOptions{Runs: 500, Seed: 3})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -71,6 +71,9 @@ func main() {
 	window := 3 * 24 * 3600.0 // three-day autonomy target
 	times := []float64{window / 3, 2 * window / 3, window}
 
+	solver := batlife.NewSolver(batlife.SolverOptions{})
+	defer solver.Close()
+	opts := batlife.AnalysisOptions{Delta: batlife.MilliampHours(15)}
 	fmt.Println("panel current   mean net draw   Pr[dead in 1d]  Pr[dead in 2d]  Pr[dead in 3d]")
 	for _, panel := range []float64{0, 0.050, 0.100, 0.150, 0.200} {
 		w, err := gateway(panel)
@@ -81,7 +84,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := batlife.LifetimeDistribution(battery, w, batlife.MilliampHours(15), times)
+		res, err := solver.LifetimeDistribution(battery, w, times, opts)
 		if err != nil {
 			log.Fatal(err)
 		}

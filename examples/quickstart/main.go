@@ -54,7 +54,10 @@ func main() {
 	for h := 5.0; h <= 25; h += 2.5 {
 		times = append(times, h*3600)
 	}
-	result, err := batlife.LifetimeDistribution(phone, device, batlife.MilliampHours(5), times)
+	solver := batlife.NewSolver(batlife.SolverOptions{})
+	defer solver.Close()
+	result, err := solver.LifetimeDistribution(phone, device, times,
+		batlife.AnalysisOptions{Delta: batlife.MilliampHours(5)})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -61,6 +61,8 @@ func main() {
 	base.FlowRate = k
 	fmt.Printf("battery: 2600 mAh, c = %.2f, fitted k = %.2e /s\n\n", base.AvailableFraction, k)
 
+	solver := batlife.NewSolver(batlife.SolverOptions{})
+	defer solver.Close()
 	fmt.Println("sessions/h   mean draw    mean life    p10 life   Pr[dead in 60 days]")
 	for _, rate := range []float64{1, 2, 4, 8} {
 		w, err := node(rate)
@@ -90,7 +92,8 @@ func main() {
 		}
 		// Cross-check one point with the Markovian approximation.
 		day60 := 60 * 24 * 3600.0
-		res, err := batlife.LifetimeDistribution(base, w, batlife.MilliampHours(26), []float64{day60})
+		res, err := solver.LifetimeDistribution(base, w, []float64{day60},
+			batlife.AnalysisOptions{Delta: batlife.MilliampHours(26)})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -78,5 +78,5 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nexpected lifetime (delta=25As): %.0f s (%.1f h), %d model(s) cached\n",
-		mean, mean/3600, solver.CachedModels())
+		mean, mean/3600, solver.Stats().Entries)
 }

@@ -53,12 +53,14 @@ func main() {
 	for h := 10.0; h <= 27.5; h += 2.5 {
 		times = append(times, h*3600)
 	}
-	delta := batlife.MilliampHours(5)
-	ds, err := batlife.LifetimeDistribution(battery, simple, delta, times)
+	solver := batlife.NewSolver(batlife.SolverOptions{})
+	defer solver.Close()
+	opts := batlife.AnalysisOptions{Delta: batlife.MilliampHours(5)}
+	ds, err := solver.LifetimeDistribution(battery, simple, times, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	db, err := batlife.LifetimeDistribution(battery, burst, delta, times)
+	db, err := solver.LifetimeDistribution(battery, burst, times, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -69,11 +71,11 @@ func main() {
 	}
 
 	// Method 2: Monte-Carlo simulation, 1000 runs each.
-	ss, err := batlife.SimulateLifetimes(battery, simple, 1000, 1)
+	ss, err := batlife.Simulate(battery, simple, batlife.SimulateOptions{Runs: 1000, Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
-	sb, err := batlife.SimulateLifetimes(battery, burst, 1000, 2)
+	sb, err := batlife.Simulate(battery, burst, batlife.SimulateOptions{Runs: 1000, Seed: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -104,17 +106,17 @@ func main() {
 	ideal := battery
 	ideal.AvailableFraction = 1
 	ideal.FlowRate = 0
-	es, err := batlife.ExactLifetimeCDF(ideal, simple, times)
+	es, err := solver.ExactCDF(ideal, simple, times, batlife.AnalysisOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	eb, err := batlife.ExactLifetimeCDF(ideal, burst, times)
+	eb, err := solver.ExactCDF(ideal, burst, times, batlife.AnalysisOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\nexact CDF with all charge available (c = 1):")
 	fmt.Println("    t       simple    burst")
 	for i, t := range times {
-		fmt.Printf("  %5.1f h   %6.2f%%  %6.2f%%\n", t/3600, 100*es[i], 100*eb[i])
+		fmt.Printf("  %5.1f h   %6.2f%%  %6.2f%%\n", t/3600, 100*es.EmptyProb[i], 100*eb.EmptyProb[i])
 	}
 }

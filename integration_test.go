@@ -148,19 +148,21 @@ func TestExactAgreesWithApproximationOnRandomIdealModels(t *testing.T) {
 		}
 		scale := model.Battery.Capacity / meanI
 		times := []float64{scale * 0.6, scale, scale * 1.4}
-		exact, err := ExactLifetimeCDF(b, w, times)
+		s := NewSolver(SolverOptions{})
+		defer s.Close()
+		exact, err := s.ExactCDF(b, w, times, AnalysisOptions{})
 		if err != nil {
 			t.Logf("seed %d: exact: %v", seed, err)
 			return false
 		}
-		approx, err := LifetimeDistribution(b, w, 1800.0/300, times)
+		approx, err := s.LifetimeDistribution(b, w, times, AnalysisOptions{Delta: 1800.0 / 300})
 		if err != nil {
 			t.Logf("seed %d: approx: %v", seed, err)
 			return false
 		}
 		for k := range times {
-			if diff := math.Abs(exact[k] - approx.EmptyProb[k]); diff > 0.05 {
-				t.Logf("seed %d t=%v: exact %v vs approx %v", seed, times[k], exact[k], approx.EmptyProb[k])
+			if diff := math.Abs(exact.EmptyProb[k] - approx.EmptyProb[k]); diff > 0.05 {
+				t.Logf("seed %d t=%v: exact %v vs approx %v", seed, times[k], exact.EmptyProb[k], approx.EmptyProb[k])
 				return false
 			}
 		}

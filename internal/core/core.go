@@ -378,8 +378,10 @@ func (e *Expanded) LifetimeCDFOpts(times []float64, so SolveOptions) (*Result, e
 // with one transient solve over the sorted, de-duplicated union of
 // their time points. The iterate sequence α·Pⁿ does not depend on t —
 // only the Poisson weights do — so the whole group costs one sweep out
-// to its largest horizon. This is how Solver.Sweep amortises scenarios
-// that share one expanded CTMC.
+// to its largest horizon. Every lifetime CDF the Solver computes runs
+// through it: a single query as a one-grid call, and a Sweep group of
+// scenarios that share one expanded CTMC as one call over all of their
+// grids.
 //
 // Results[k] matches a solo LifetimeCDFOpts(grids[k], so): EmptyProb
 // bit for bit (each point's accumulator sees the same weighted iterates
@@ -394,12 +396,12 @@ func (e *Expanded) LifetimeCDFOpts(times []float64, so SolveOptions) (*Result, e
 // its shorter grids alone would pass.
 func (e *Expanded) LifetimeCDFBatchOpts(grids [][]float64, so SolveOptions) ([]*Result, error) {
 	if len(grids) == 0 {
-		return nil, fmt.Errorf("core: batched lifetime CDF: %w: no time grids", ctmc.ErrBadInput)
+		return nil, fmt.Errorf("core: lifetime CDF: %w: no time grids", ctmc.ErrBadInput)
 	}
 	var union []float64
 	for k, grid := range grids {
 		if len(grid) == 0 || !sort.Float64sAreSorted(grid) {
-			return nil, fmt.Errorf("core: batched lifetime CDF: %w: grid %d is empty or not ascending", ctmc.ErrBadInput, k)
+			return nil, fmt.Errorf("core: lifetime CDF: %w: grid %d is empty or not ascending", ctmc.ErrBadInput, k)
 		}
 		union = append(union, grid...)
 	}
@@ -408,7 +410,7 @@ func (e *Expanded) LifetimeCDFBatchOpts(grids [][]float64, so SolveOptions) ([]*
 
 	res, err := e.solve(e.emptyIndicator(), union, so)
 	if err != nil {
-		return nil, fmt.Errorf("core: batched lifetime CDF: %w", err)
+		return nil, fmt.Errorf("core: lifetime CDF: %w", err)
 	}
 	probs := clampProbs(res.Values)
 
@@ -417,7 +419,7 @@ func (e *Expanded) LifetimeCDFBatchOpts(grids [][]float64, so SolveOptions) ([]*
 	for k, grid := range grids {
 		left, right, err := e.uni.Window(grid, so)
 		if err != nil {
-			return nil, fmt.Errorf("core: batched lifetime CDF: %w", err)
+			return nil, fmt.Errorf("core: lifetime CDF: %w", err)
 		}
 		r := &Result{
 			Times:     append([]float64(nil), grid...),

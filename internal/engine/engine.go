@@ -106,9 +106,6 @@ func (e *Engine) Pool() *sparse.Pool { return e.pool }
 // Close is a resource release, not a poison pill. Idempotent.
 func (e *Engine) Close() { e.pool.Close() }
 
-// CachedModels reports how many expanded models are currently retained.
-func (e *Engine) CachedModels() int { return e.models.Len() }
-
 // Stats is a point-in-time view of the engine's cache behaviour.
 type Stats struct {
 	// Hits counts queries answered from the cache, including waiter-hits

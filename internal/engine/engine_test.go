@@ -160,8 +160,8 @@ func TestEngineReusesExpanded(t *testing.T) {
 	if a != b {
 		t.Error("identical queries expanded the model twice")
 	}
-	if e.CachedModels() != 1 {
-		t.Errorf("CachedModels = %d, want 1", e.CachedModels())
+	if n := e.Stats().Entries; n != 1 {
+		t.Errorf("Stats().Entries = %d, want 1", n)
 	}
 	c, hit, err := expand(e, m, 50)
 	if err != nil {
@@ -173,8 +173,8 @@ func TestEngineReusesExpanded(t *testing.T) {
 	if c == a {
 		t.Error("different delta reused the cached model")
 	}
-	if e.CachedModels() != 2 {
-		t.Errorf("CachedModels = %d, want 2", e.CachedModels())
+	if n := e.Stats().Entries; n != 2 {
+		t.Errorf("Stats().Entries = %d, want 2", n)
 	}
 	st := e.Stats()
 	if st.Hits != 1 || st.Misses != 2 || st.Entries != 2 {
@@ -199,8 +199,8 @@ func TestEngineEviction(t *testing.T) {
 	if a == b {
 		t.Error("evicted model came back from the cache")
 	}
-	if e.CachedModels() != 1 {
-		t.Errorf("CachedModels = %d, want 1", e.CachedModels())
+	if n := e.Stats().Entries; n != 1 {
+		t.Errorf("Stats().Entries = %d, want 1", n)
 	}
 	if st := e.Stats(); st.Evictions != 2 {
 		t.Errorf("Stats.Evictions = %d, want 2", st.Evictions)
@@ -213,8 +213,8 @@ func TestEngineBuildErrorNotCached(t *testing.T) {
 	if _, _, err := expand(e, m, 7); err == nil {
 		t.Fatal("non-divisor delta accepted")
 	}
-	if e.CachedModels() != 0 {
-		t.Errorf("failed build left %d cache entries", e.CachedModels())
+	if n := e.Stats().Entries; n != 0 {
+		t.Errorf("failed build left %d cache entries", n)
 	}
 }
 

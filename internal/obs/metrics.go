@@ -77,9 +77,10 @@ func (g *Gauge) Value() float64 {
 // Histogram bucket layout: log-linear with histSub sub-buckets per power
 // of two, covering [2^histMinExp, 2^histMaxExp). Values outside the
 // range land in saturated edge buckets. With histSub = 4 the bucket
-// boundaries grow by 2^(1/4) ≈ 1.19, so a reported quantile is within
-// ~19% (relative) of the exact order statistic — tight enough to size
-// iteration counts, window widths and durations, at 8 bytes per bucket.
+// boundaries grow by 2^(1/4) ≈ 1.19, so a quantile estimated from the
+// exposed buckets is within ~19% (relative) of the exact order
+// statistic — tight enough to size iteration counts, window widths and
+// durations, at 8 bytes per bucket.
 const (
 	histSub    = 4
 	histMinExp = -30 // ≈ 1e-9: nanosecond-scale durations in seconds
@@ -134,18 +135,6 @@ func bucketIndex(v float64) int {
 		return numBuckets + 1
 	}
 	return idx + 1
-}
-
-// bucketValue returns the representative value of bucket i — the
-// geometric midpoint of its bounds — used when reporting quantiles.
-func bucketValue(i int) float64 {
-	switch {
-	case i <= 0:
-		return math.Exp2(float64(histMinExp))
-	case i > numBuckets:
-		return math.Exp2(float64(histMaxExp))
-	}
-	return math.Exp2((float64(i-1)+0.5)/histSub + float64(histMinExp))
 }
 
 // Observe records one sample. No-op on a nil Histogram.
@@ -220,8 +209,7 @@ type HistogramSnapshot struct {
 
 // Snapshot copies the histogram's current state. On a nil Histogram it
 // returns an empty snapshot. Concurrent Observes may tear between count
-// and buckets by at most the in-flight samples; quantiles remain valid
-// bounds.
+// and buckets by at most the in-flight samples.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	if h == nil {
 		return HistogramSnapshot{}
@@ -238,47 +226,4 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		s.exemplars[i] = h.exemplars[i].Load()
 	}
 	return s
-}
-
-// Mean returns the arithmetic mean of the observed samples, or 0 when
-// empty.
-//
-//numlint:ignore testonly deletion deferred: its only tests go with it
-func (s HistogramSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / float64(s.Count)
-}
-
-// Quantile returns an estimate of the q-th quantile (q in [0, 1]) by
-// walking the cumulative bucket counts; the result is the representative
-// value of the bucket containing the rank, clamped to the exact [Min,
-// Max] envelope, so its relative error is bounded by the bucket growth
-// factor 2^(1/4) ≈ 19%.
-//
-//numlint:ignore testonly deletion deferred: its only tests go with it
-func (s HistogramSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := int64(math.Ceil(q * float64(s.Count)))
-	if rank < 1 {
-		rank = 1
-	}
-	cum := int64(0)
-	for i, n := range s.buckets {
-		cum += n
-		if cum >= rank {
-			v := bucketValue(i)
-			return math.Min(s.Max, math.Max(s.Min, v))
-		}
-	}
-	return s.Max
 }

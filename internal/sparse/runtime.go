@@ -118,7 +118,7 @@ var defaultPool = sync.OnceValue(func() *Pool { return NewPool(0) })
 
 // DefaultPool returns the process-wide shared pool (NumCPU workers).
 // Callers that need SpMV parallelism but own no pool — one-shot
-// transient solves, tests, the deprecated free functions — share this
+// transient solves, tests — share this
 // instance instead of spawning worker sets per solve. It is never
 // closed; close only pools you created.
 func DefaultPool() *Pool { return defaultPool() }

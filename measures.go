@@ -1,19 +1,5 @@
 package batlife
 
-// ExpectedLifetime returns E[L], the mean battery lifetime in seconds,
-// computed on the Markovian approximation's expanded chain by solving
-// the absorption-time equations directly (no time grid needed). The
-// same grid-step trade-off as LifetimeDistribution applies: the value
-// converges to the true mean as deltaAs shrinks, approaching from
-// below.
-//
-// Deprecated: Use [Solver.ExpectedLifetime], which caches the expanded
-// CTMC across queries. This wrapper delegates to [DefaultSolver] and
-// produces identical output.
-func ExpectedLifetime(b Battery, w *Workload, deltaAs float64) (float64, error) {
-	return DefaultSolver().ExpectedLifetime(b, w, AnalysisOptions{Delta: deltaAs})
-}
-
 // StrandedCharge describes the bound charge left in the battery at the
 // moment it empties — capacity that was paid for but never delivered.
 type StrandedCharge struct {
@@ -25,34 +11,9 @@ type StrandedCharge struct {
 	FractionOfBound float64
 }
 
-// ExpectedStrandedCharge computes the stranded-charge summary for the
-// battery under the workload, evaluated at a horizon far past the
-// lifetime's upper tail (horizonSeconds; it must be late enough that
-// depletion is near-certain, or an error is returned).
-//
-// Deprecated: Use [Solver.StrandedCharge], which caches the expanded
-// CTMC across queries. This wrapper delegates to [DefaultSolver] and
-// produces identical output.
-func ExpectedStrandedCharge(b Battery, w *Workload, deltaAs, horizonSeconds float64) (*StrandedCharge, error) {
-	return DefaultSolver().StrandedCharge(b, w, horizonSeconds, AnalysisOptions{Delta: deltaAs})
-}
-
 // WorkloadPhase is one segment of a time-varying usage scenario: the
 // workload in force for DurationSeconds (the final phase may be +Inf).
 type WorkloadPhase struct {
 	Workload        *Workload
 	DurationSeconds float64
-}
-
-// PhasedLifetimeDistribution computes the lifetime CDF for a scenario
-// that switches workloads at fixed instants — for example a light
-// night-time profile followed by a heavy daytime one. All phases run on
-// the same battery and must have the same number of workload states.
-//
-// Deprecated: Use [Solver.PhasedLifetimeDistribution], which serves
-// each phase's expanded CTMC from the model cache and accepts per-call
-// options (epsilon, iteration budget, cancellation, progress). This
-// wrapper delegates to [DefaultSolver] and produces identical output.
-func PhasedLifetimeDistribution(b Battery, phases []WorkloadPhase, deltaAs float64, times []float64) (*Distribution, error) {
-	return DefaultSolver().PhasedLifetimeDistribution(b, phases, times, AnalysisOptions{Delta: deltaAs})
 }

@@ -14,11 +14,11 @@ func TestExpectedLifetimeMatchesSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mean, err := ExpectedLifetime(b, w, 100)
+	mean, err := NewSolver(SolverOptions{}).ExpectedLifetime(b, w, AnalysisOptions{Delta: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := SimulateLifetimes(b, w, 300, 3)
+	s, err := Simulate(b, w, SimulateOptions{Runs: 300, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,14 +32,16 @@ func TestExpectedLifetimeMatchesSimulation(t *testing.T) {
 }
 
 func TestExpectedLifetimeErrors(t *testing.T) {
-	if _, err := ExpectedLifetime(PaperBattery(), nil, 100); !errors.Is(err, ErrBadArgument) {
+	s := NewSolver(SolverOptions{})
+	defer s.Close()
+	if _, err := s.ExpectedLifetime(PaperBattery(), nil, AnalysisOptions{Delta: 100}); !errors.Is(err, ErrBadArgument) {
 		t.Errorf("nil workload: err = %v", err)
 	}
 	w, err := OnOffWorkload(1, 1, 0.96)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ExpectedLifetime(PaperBattery(), w, 7); err == nil {
+	if _, err := s.ExpectedLifetime(PaperBattery(), w, AnalysisOptions{Delta: 7}); err == nil {
 		t.Error("non-divisor delta accepted")
 	}
 	// After one draw the workload enters a closed zero-current pair, so
@@ -56,7 +58,7 @@ func TestExpectedLifetimeErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ExpectedLifetime(PaperBattery(), closed, 100); !errors.Is(err, ErrBadArgument) || !errors.Is(err, core.ErrNoAbsorption) {
+	if _, err := s.ExpectedLifetime(PaperBattery(), closed, AnalysisOptions{Delta: 100}); !errors.Is(err, ErrBadArgument) || !errors.Is(err, core.ErrNoAbsorption) {
 		t.Errorf("never-empty model: err = %v, want ErrBadArgument wrapping core.ErrNoAbsorption", err)
 	}
 }
@@ -67,7 +69,9 @@ func TestExpectedStrandedCharge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := ExpectedStrandedCharge(b, w, 100, 40000)
+	s := NewSolver(SolverOptions{})
+	defer s.Close()
+	sc, err := s.StrandedCharge(b, w, 40000, AnalysisOptions{Delta: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +83,7 @@ func TestExpectedStrandedCharge(t *testing.T) {
 	}
 	// c = 1: nothing can be stranded.
 	ideal := Battery{CapacityAs: 7200, AvailableFraction: 1}
-	sc1, err := ExpectedStrandedCharge(ideal, w, 100, 40000)
+	sc1, err := s.StrandedCharge(ideal, w, 40000, AnalysisOptions{Delta: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +99,7 @@ func TestExpectedStrandedChargeEarlyHorizon(t *testing.T) {
 		t.Fatal(err)
 	}
 	// At t = 5000 s almost no run has depleted: must refuse.
-	if _, err := ExpectedStrandedCharge(b, w, 100, 5000); !errors.Is(err, ErrBadArgument) {
+	if _, err := NewSolver(SolverOptions{}).StrandedCharge(b, w, 5000, AnalysisOptions{Delta: 100}); !errors.Is(err, ErrBadArgument) {
 		t.Errorf("early horizon: err = %v", err)
 	}
 }
@@ -111,14 +115,17 @@ func TestPhasedLifetimeDistribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	times := []float64{20000}
-	phased, err := PhasedLifetimeDistribution(b, []WorkloadPhase{
+	s := NewSolver(SolverOptions{})
+	defer s.Close()
+	opts := AnalysisOptions{Delta: 100}
+	phased, err := s.PhasedLifetimeDistribution(b, []WorkloadPhase{
 		{Workload: light, DurationSeconds: 8000},
 		{Workload: heavy, DurationSeconds: math.Inf(1)},
-	}, 100, times)
+	}, times, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	heavyOnly, err := LifetimeDistribution(b, heavy, 100, times)
+	heavyOnly, err := s.LifetimeDistribution(b, heavy, times, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,13 +141,16 @@ func TestPhasedLifetimeDistributionErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := PhasedLifetimeDistribution(b, nil, 100, []float64{1}); !errors.Is(err, ErrBadArgument) {
+	s := NewSolver(SolverOptions{})
+	defer s.Close()
+	opts := AnalysisOptions{Delta: 100}
+	if _, err := s.PhasedLifetimeDistribution(b, nil, []float64{1}, opts); !errors.Is(err, ErrBadArgument) {
 		t.Errorf("no phases: err = %v", err)
 	}
-	if _, err := PhasedLifetimeDistribution(b, []WorkloadPhase{{Workload: nil, DurationSeconds: 1}}, 100, []float64{1}); !errors.Is(err, ErrBadArgument) {
+	if _, err := s.PhasedLifetimeDistribution(b, []WorkloadPhase{{Workload: nil, DurationSeconds: 1}}, []float64{1}, opts); !errors.Is(err, ErrBadArgument) {
 		t.Errorf("nil workload: err = %v", err)
 	}
-	if _, err := PhasedLifetimeDistribution(b, []WorkloadPhase{{Workload: w, DurationSeconds: -1}}, 100, []float64{1}); !errors.Is(err, ErrBadArgument) {
+	if _, err := s.PhasedLifetimeDistribution(b, []WorkloadPhase{{Workload: w, DurationSeconds: -1}}, []float64{1}, opts); !errors.Is(err, ErrBadArgument) {
 		t.Errorf("negative duration: err = %v", err)
 	}
 	// Mismatched phase workloads (different state counts).
@@ -148,10 +158,10 @@ func TestPhasedLifetimeDistributionErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := PhasedLifetimeDistribution(b, []WorkloadPhase{
+	if _, err := s.PhasedLifetimeDistribution(b, []WorkloadPhase{
 		{Workload: w, DurationSeconds: 10},
 		{Workload: simple, DurationSeconds: math.Inf(1)},
-	}, 100, []float64{5}); err == nil {
+	}, []float64{5}, opts); err == nil {
 		t.Error("mismatched phases accepted")
 	}
 }

@@ -129,11 +129,6 @@ type SolverOptions struct {
 // SolveReport path. All methods are safe for concurrent use; Sweep
 // evaluates whole scenario grids in parallel on top of the shared
 // cache.
-//
-// The free functions LifetimeDistribution, PhasedLifetimeDistribution,
-// ExpectedLifetime, ExpectedStrandedCharge and ExactLifetimeCDF are
-// thin deprecated wrappers over a process-wide default Solver (see
-// DefaultSolver).
 type Solver struct {
 	eng     *engine.Engine
 	results *engine.Cache[resultKey, any]
@@ -179,22 +174,6 @@ func (s *Solver) Stats() engine.Stats { return s.eng.Stats() }
 // concurrently with in-flight solves (they finish normally).
 func (s *Solver) Close() { s.eng.Close() }
 
-var defaultSolver = sync.OnceValue(func() *Solver {
-	// The deprecated free functions previously built and discarded one
-	// expanded model per call; a small model cache keeps their memory
-	// footprint modest while still serving repeated-query workloads.
-	return NewSolver(SolverOptions{ModelCacheCapacity: 2})
-})
-
-// DefaultSolver returns the process-wide Solver that backs the
-// deprecated free functions. Use a dedicated NewSolver to size caches
-// for heavy workloads.
-func DefaultSolver() *Solver { return defaultSolver() }
-
-// CachedModels reports how many expanded CTMCs the solver currently
-// retains — an observability hook for cache sizing.
-func (s *Solver) CachedModels() int { return s.eng.CachedModels() }
-
 // analysis kinds for result memoisation; analyses names each kind in
 // the "solver.solve" span's analysis attribute.
 const (
@@ -237,19 +216,15 @@ func hashFloats(xs []float64) [sha256.Size]byte {
 	return out
 }
 
-// memoKey builds the result-cache key for a query. The second result
-// reports whether memoisation applies (a Progress callback opts out).
-// The mean and exact analyses read neither Epsilon nor MaxIterations,
-// so their keys leave both out.
-func memoKey(kind uint8, model engine.Key, query []float64, opts AnalysisOptions) (resultKey, bool) {
-	if opts.Progress != nil {
-		return resultKey{}, false
-	}
+// memoKey builds the result-cache key for a query. The mean and exact
+// analyses read neither Epsilon nor MaxIterations, so their keys leave
+// both out.
+func memoKey(kind uint8, model engine.Key, query []float64, opts AnalysisOptions) resultKey {
 	key := resultKey{model: model, query: hashFloats(query), kind: kind}
 	if kind != kindMean && kind != kindExact {
 		key.epsBits, key.maxIter = math.Float64bits(opts.Epsilon), opts.MaxIterations
 	}
-	return key, true
+	return key
 }
 
 // clone deep-copies a Distribution so cached results stay immutable
@@ -363,10 +338,9 @@ func (s *Solver) recall(key resultKey) (memoEntry, bool) {
 	return v.(memoEntry), true
 }
 
-// remember memoises a result with the report of its solve. Durations
-// are per call, so the memo keeps only the solve's statistics.
+// remember memoises a result with the report of its solve, which
+// carries no durations: they are per call.
 func (s *Solver) remember(key resultKey, val any, rep SolveReport) {
-	rep.BuildDuration, rep.SolveDuration = 0, 0
 	s.results.Put(key, memoEntry{val: val, rep: rep})
 }
 
@@ -383,53 +357,95 @@ type model struct {
 }
 
 // memoised runs one analysis of the given kind on m through the result
-// memo. A hit returns the memoised answer and replays the report of the
-// solve that produced it, with ResultMemoHit set, this call's cache
-// outcome and a zero SolveDuration (no iterations ran). A miss runs
-// solve under a "solver.solve" span, fills opts.Report, and memoises the
-// answer with its report. copyOut, when non-nil, copies an answer on its
-// way into and out of the memo, so no caller holds a memoised one.
-func memoised[T any](s *Solver, kind uint8, m model, query []float64, opts AnalysisOptions,
-	solve func(context.Context) (T, SolveReport, error), copyOut func(T) T) (out T, err error) {
+// memo, once for each query (a time grid, or the horizon) and returns
+// the answers in query order. The memo answers what it holds; solve
+// runs once, under one "solver.solve" span, on the queries that missed,
+// in order, and returns an answer and a report for each, which are
+// memoised together. Memo hits are counted only once the call has
+// succeeded, so a caller that retries a failed call query by query
+// (Sweep) counts each hit once.
+//
+// opts.Report, when non-nil, is filled for queries[0], the only query of
+// every caller that asks for one. A hit replays the report of the solve
+// that produced the answer, with ResultMemoHit set, this call's cache
+// outcome and a zero SolveDuration (no iterations ran). copyOut, when
+// non-nil, copies an answer on its way into and out of the memo, so no
+// caller holds a memoised one.
+func memoised[T any](s *Solver, kind uint8, m model, queries [][]float64, opts AnalysisOptions,
+	solve func(ctx context.Context, missed [][]float64) ([]T, []SolveReport, error), copyOut func(T) T) ([]T, error) {
 	if copyOut == nil {
 		copyOut = func(v T) T { return v }
 	}
-	key, memoable := memoKey(kind, m.key, query, opts)
-	if memoable {
-		if entry, ok := s.recall(key); ok {
-			s.memoHits.Inc()
-			if opts.Report != nil {
-				rep := entry.rep
-				rep.ResultMemoHit, rep.ModelCacheHit, rep.BuildDuration = true, m.hit, m.build
-				*opts.Report = rep
+	// A Progress callback opts out of the memo: a memoised answer
+	// performs no iterations, so replaying progress would be a lie.
+	memoable := opts.Progress == nil
+	out := make([]T, len(queries))
+	var (
+		keys   []resultKey
+		missed [][]float64
+		at     []int // query position of each miss
+		hits   int64
+		first  SolveReport // the report of queries[0]
+	)
+	for k, q := range queries {
+		var key resultKey
+		if memoable {
+			key = memoKey(kind, m.key, q, opts)
+			if entry, ok := s.recall(key); ok {
+				hits++
+				out[k] = copyOut(entry.val.(T))
+				if k == 0 {
+					first = entry.rep
+					first.ResultMemoHit = true
+				}
+				continue
 			}
-			return copyOut(entry.val.(T)), nil
+		}
+		keys, missed, at = append(keys, key), append(missed, q), append(at, k)
+	}
+	if len(missed) > 0 {
+		var (
+			start time.Time
+			vals  []T
+			reps  []SolveReport
+		)
+		if opts.Report != nil {
+			start = time.Now()
+		}
+		if err := s.traced(opts.Context, analyses[kind], func(ctx context.Context) (err error) {
+			vals, reps, err = solve(ctx, missed)
+			return err
+		}); err != nil {
+			return nil, wrapErr(err)
+		}
+		if at[0] == 0 {
+			first = reps[0]
+			if opts.Report != nil {
+				first.SolveDuration = time.Since(start)
+			}
+		}
+		for i, k := range at {
+			out[k] = vals[i]
+			if memoable {
+				s.remember(keys[i], copyOut(vals[i]), reps[i])
+			}
 		}
 	}
-	var (
-		start time.Time
-		rep   SolveReport
-	)
+	s.memoHits.Add(hits)
 	if opts.Report != nil {
-		start = time.Now()
-	}
-	err = s.traced(opts.Context, analyses[kind], func(ctx context.Context) (err error) {
-		out, rep, err = solve(ctx)
-		return err
-	})
-	if err != nil {
-		var zero T
-		return zero, wrapErr(err)
-	}
-	rep.ModelCacheHit = m.hit
-	if opts.Report != nil {
-		rep.BuildDuration, rep.SolveDuration = m.build, time.Since(start)
-		*opts.Report = rep
-	}
-	if memoable {
-		s.remember(key, copyOut(out), rep)
+		first.ModelCacheHit, first.BuildDuration = m.hit, m.build
+		*opts.Report = first
 	}
 	return out, nil
+}
+
+// only returns the one answer of a single-query call.
+func only[T any](answers []T, err error) (T, error) {
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return answers[0], nil
 }
 
 // fingerprint is engine.Fingerprint, the one place the solver hashes a
@@ -471,89 +487,44 @@ func (s *Solver) expanded(b Battery, w *Workload, opts AnalysisOptions, key *eng
 	return m, nil
 }
 
-// LifetimeDistribution computes the paper's Markovian approximation of
-// the lifetime CDF at the given times (seconds, ascending), reusing the
-// cached expanded CTMC for (battery, workload, opts.Delta) when one
-// exists. See the package-level LifetimeDistribution for the numerical
-// trade-offs of the Δ grid.
+// LifetimeDistribution runs the paper's Markovian approximation: the
+// battery's charge space is discretised with step opts.Delta
+// (ampere-seconds; it must divide both well capacities) and the
+// lifetime CDF is evaluated at the given times (seconds, ascending),
+// reusing the cached expanded CTMC for (battery, workload, opts.Delta)
+// when one exists. Smaller deltas are more accurate and more expensive
+// — cost grows with Δ^-2 per step and Δ^-3 overall once the
+// uniformisation rate is dominated by consumption.
 func (s *Solver) LifetimeDistribution(b Battery, w *Workload, times []float64, opts AnalysisOptions) (*Distribution, error) {
-	return s.lifetimeDistribution(b, w, times, opts, s.eng.Pool(), nil)
+	s.solves.Inc()
+	return only(s.lifetimeCDFs(b, w, [][]float64{times}, opts, s.eng.Pool(), nil))
 }
 
-// lifetimeDistribution is LifetimeDistribution on the given SpMV pool;
-// key, when non-nil, is the model's fingerprint (see expanded).
-func (s *Solver) lifetimeDistribution(b Battery, w *Workload, times []float64, opts AnalysisOptions, pool *sparse.Pool, key *engine.Key) (*Distribution, error) {
-	s.solves.Inc()
+// lifetimeCDFs computes the lifetime CDF on each of the time grids
+// against one (battery, workload, Δ) model on the given SpMV pool; key,
+// when non-nil, is the model's fingerprint (see expanded). The grids the
+// memo does not hold are solved as one transient over the union of
+// their time points (core.LifetimeCDFBatchOpts): the chain is swept once
+// out to the largest horizon, and each grid's answer is bit-identical to
+// a solve of that grid alone. An error is the group's as a whole (a
+// union past MaxIterations fails although its shorter grids would pass);
+// Sweep retries a failed group one grid at a time for exact errors.
+func (s *Solver) lifetimeCDFs(b Battery, w *Workload, grids [][]float64, opts AnalysisOptions, pool *sparse.Pool, key *engine.Key) ([]*Distribution, error) {
 	m, err := s.expanded(b, w, opts, key)
 	if err != nil {
 		return nil, err
 	}
-	return memoised(s, kindCDF, m, times, opts, func(ctx context.Context) (*Distribution, SolveReport, error) {
-		res, err := m.x.LifetimeCDFOpts(times, s.solveOptions(ctx, opts, pool))
+	return memoised(s, kindCDF, m, grids, opts, func(ctx context.Context, missed [][]float64) ([]*Distribution, []SolveReport, error) {
+		ress, err := m.x.LifetimeCDFBatchOpts(missed, s.solveOptions(ctx, opts, pool))
 		if err != nil {
-			return nil, SolveReport{}, err
+			return nil, nil, err
 		}
-		d, rep := answer(res)
-		return d, rep, nil
-	}, (*Distribution).clone)
-}
-
-// lifetimeDistributionBatch solves the lifetime CDF for several time
-// grids against one (battery, workload, Δ) model as one union-grid
-// transient (core.LifetimeCDFBatchOpts), after answering what it can
-// from the result memo: the grids' time points are merged, the chain is
-// swept once out to the largest horizon, and each grid's values are
-// scattered back. Each returned distribution is bit-identical to a solo
-// LifetimeDistribution call.
-//
-// On any failure it returns nil without touching the solve counters or
-// the memo: a group error has no per-grid attribution (a union that
-// exceeds MaxIterations fails although its shorter grids would pass),
-// so the caller (Sweep) falls back to solo solves, which re-run the
-// counting and report exact per-scenario errors.
-func (s *Solver) lifetimeDistributionBatch(b Battery, w *Workload, grids [][]float64, opts AnalysisOptions, pool *sparse.Pool, key *engine.Key) []*Distribution {
-	m, err := s.expanded(b, w, opts, key)
-	if err != nil {
-		return nil
-	}
-	dists := make([]*Distribution, len(grids))
-	var (
-		missKeys  []resultKey
-		missGrids [][]float64
-		missAt    []int // batch position of each miss
-		memoHits  int64
-	)
-	for k, grid := range grids {
-		key, _ := memoKey(kindCDF, m.key, grid, opts) // Sweep sets no Progress: always memoable
-		if entry, ok := s.recall(key); ok {
-			memoHits++
-			dists[k] = entry.val.(*Distribution).clone()
-			continue
-		}
-		missKeys = append(missKeys, key)
-		missGrids = append(missGrids, grid)
-		missAt = append(missAt, k)
-	}
-	if len(missGrids) > 0 {
-		var ress []*core.Result
-		if err := s.traced(opts.Context, "cdf_batch", func(ctx context.Context) (err error) {
-			ress, err = m.x.LifetimeCDFBatchOpts(missGrids, s.solveOptions(ctx, opts, pool))
-			return err
-		}); err != nil {
-			return nil
-		}
+		ds, reps := make([]*Distribution, len(ress)), make([]SolveReport, len(ress))
 		for i, res := range ress {
-			d, rep := answer(res)
-			rep.ModelCacheHit = m.hit
-			s.remember(missKeys[i], d.clone(), rep)
-			dists[missAt[i]] = d
+			ds[i], reps[i] = answer(res)
 		}
-	}
-	// Counters commit only once the whole group is known good, so the
-	// solo fallback after a failed solve does not double-count.
-	s.solves.Add(int64(len(grids)))
-	s.memoHits.Add(memoHits)
-	return dists
+		return ds, reps, nil
+	}, (*Distribution).clone)
 }
 
 // phasedKey folds the per-phase model keys and durations into one
@@ -603,43 +574,48 @@ func (s *Solver) PhasedLifetimeDistribution(b Battery, phases []WorkloadPhase, t
 		all.build += m.build
 	}
 	all.key = phasedKey(keys, durations)
-	return memoised(s, kindPhased, all, times, opts, func(ctx context.Context) (*Distribution, SolveReport, error) {
+	return only(memoised(s, kindPhased, all, [][]float64{times}, opts, func(ctx context.Context, _ [][]float64) ([]*Distribution, []SolveReport, error) {
 		res, err := core.PhasedLifetimeCDFExpanded(xs, durations, times, s.solveOptions(ctx, opts, s.eng.Pool()))
 		if err != nil {
-			return nil, SolveReport{}, err
+			return nil, nil, err
 		}
 		d, rep := answer(res)
-		return d, rep, nil
-	}, (*Distribution).clone)
+		return []*Distribution{d}, []SolveReport{rep}, nil
+	}, (*Distribution).clone))
 }
 
-// ExpectedLifetime computes E[L] on the expanded chain by solving the
-// absorption-time equations (no time grid needed); see the package
-// function of the same name. Context is checked between the solve's
-// block sweeps, and its error is returned wrapped. Epsilon,
-// MaxIterations and Progress do not apply to the solve and are ignored.
+// ExpectedLifetime returns E[L], the mean battery lifetime in seconds,
+// computed on the Markovian approximation's expanded chain by solving
+// the absorption-time equations directly (no time grid needed). The
+// same grid-step trade-off as LifetimeDistribution applies: the value
+// converges to the true mean as opts.Delta shrinks, approaching from
+// below. Context is checked between the solve's block sweeps, and its
+// error is returned wrapped. Epsilon, MaxIterations and Progress do not
+// apply to the solve and are ignored.
 func (s *Solver) ExpectedLifetime(b Battery, w *Workload, opts AnalysisOptions) (float64, error) {
 	s.solves.Inc()
 	m, err := s.expanded(b, w, opts, nil)
 	if err != nil {
 		return 0, err
 	}
-	return memoised(s, kindMean, m, nil, opts, func(ctx context.Context) (float64, SolveReport, error) {
+	// The mean has no query: its one memo key is the model's.
+	return only(memoised(s, kindMean, m, [][]float64{nil}, opts, func(ctx context.Context, _ [][]float64) ([]float64, []SolveReport, error) {
 		if ctx == nil {
 			ctx = context.Background()
 		}
 		mean, err := m.x.MeanLifetime(ctx)
 		// The mean solve is a block linear solve: no uniformisation
 		// statistics to report beyond the chain size.
-		return mean, report(core.Stats{States: m.x.NumStates(), NNZ: m.x.NNZ()}), err
-	}, nil)
+		return []float64{mean}, []SolveReport{report(core.Stats{States: m.x.NumStates(), NNZ: m.x.NNZ()})}, err
+	}, nil))
 }
 
-// StrandedCharge computes the stranded-charge summary at a horizon far
-// past the lifetime's upper tail; see ExpectedStrandedCharge for the
-// measure's semantics. The horizon must leave at least 99% of the
-// probability mass depleted, or an error matching ErrBadArgument is
-// returned.
+// StrandedCharge computes the stranded-charge summary for the battery
+// under the workload: the bound charge left at the moment the battery
+// empties. It is evaluated at horizonSeconds, which must lie far past
+// the lifetime's upper tail: a horizon that leaves less than 99% of the
+// probability mass depleted is refused with an error matching
+// ErrBadArgument.
 func (s *Solver) StrandedCharge(b Battery, w *Workload, horizonSeconds float64, opts AnalysisOptions) (*StrandedCharge, error) {
 	if w == nil {
 		return nil, fmt.Errorf("%w: nil workload", ErrBadArgument)
@@ -652,34 +628,39 @@ func (s *Solver) StrandedCharge(b Battery, w *Workload, horizonSeconds float64, 
 	if err != nil {
 		return nil, err
 	}
-	sc, err := memoised(s, kindStranded, m, []float64{horizonSeconds}, opts, func(ctx context.Context) (StrandedCharge, SolveReport, error) {
+	sc, err := only(memoised(s, kindStranded, m, [][]float64{{horizonSeconds}}, opts, func(ctx context.Context, _ [][]float64) ([]StrandedCharge, []SolveReport, error) {
 		wc, err := m.x.WastedChargeDistributionOpts(horizonSeconds, s.solveOptions(ctx, opts, s.eng.Pool()))
 		if err != nil {
-			return StrandedCharge{}, SolveReport{}, err
+			return nil, nil, err
 		}
 		if wc.AbsorbedMass < 0.99 {
-			return StrandedCharge{}, SolveReport{}, fmt.Errorf("%w: only %.1f%% of runs depleted by the horizon; increase horizonSeconds",
+			return nil, nil, fmt.Errorf("%w: only %.1f%% of runs depleted by the horizon; increase the horizon",
 				ErrBadArgument, 100*wc.AbsorbedMass)
 		}
 		bound := (1 - b.AvailableFraction) * b.CapacityAs
-		return StrandedCharge{MeanAs: wc.Mean(), FractionOfBound: wc.Mean() / bound}, report(wc.Stats), nil
-	}, nil)
+		return []StrandedCharge{{MeanAs: wc.Mean(), FractionOfBound: wc.Mean() / bound}}, []SolveReport{report(wc.Stats)}, nil
+	}, nil))
 	if err != nil {
 		return nil, err
 	}
 	return &sc, nil
 }
 
-// ExactCDF computes the exact lifetime CDF for a battery with all
-// charge available (AvailableFraction = 1) via the performability
-// transform — the same quantity as the deprecated ExactLifetimeCDF, but
-// returned as a *Distribution whose States, Transitions and Iterations
-// reflect the workload chain and the number of transform evaluations,
-// making the exact path interchangeable with the approximate ones
-// downstream. Delta, Epsilon, MaxIterations and Progress are ignored
-// (the transform needs no grid, no truncation and no iteration budget,
-// and reports no step-wise progress); Context cancels between time
-// points.
+// ExactCDF computes the exact lifetime CDF Pr{battery empty at t} for
+// a battery with all charge available (AvailableFraction = 1, where the
+// battery empties exactly when the accumulated energy reaches the
+// capacity) under the stochastic workload. It evaluates the
+// performability distribution of the accumulated-energy Markov reward
+// model through the transform domain, accurate to roughly 1e-8. For
+// two-well batteries (AvailableFraction < 1) there is no exact method;
+// use LifetimeDistribution with a small delta instead.
+//
+// The Distribution's States, Transitions and Iterations reflect the
+// workload chain and the number of transform evaluations, making the
+// exact path interchangeable with the approximate ones downstream.
+// Delta, Epsilon, MaxIterations and Progress are ignored (the transform
+// needs no grid, no truncation and no iteration budget, and reports no
+// step-wise progress); Context cancels between time points.
 func (s *Solver) ExactCDF(b Battery, w *Workload, times []float64, opts AnalysisOptions) (*Distribution, error) {
 	if w == nil {
 		return nil, fmt.Errorf("%w: nil workload", ErrBadArgument)
@@ -696,11 +677,11 @@ func (s *Solver) ExactCDF(b Battery, w *Workload, times []float64, opts Analysis
 	// The exact path expands no CTMC; key on the workload chain and the
 	// capacity via the KiBaMRM fingerprint at a dummy Δ.
 	m := model{key: fingerprint(w.kibamrm(b), 1, core.Options{})}
-	return memoised(s, kindExact, m, times, opts, func(ctx context.Context) (*Distribution, SolveReport, error) {
+	return only(memoised(s, kindExact, m, [][]float64{times}, opts, func(ctx context.Context, _ [][]float64) ([]*Distribution, []SolveReport, error) {
 		cr := mrm.ConstantReward{Chain: w.model.Chain, Rates: w.model.Currents, Initial: w.model.Initial}
 		probs, stats, err := performability.EnergyDepletionCDFStats(cr, b.CapacityAs, times, ctx)
 		if err != nil {
-			return nil, SolveReport{}, err
+			return nil, nil, err
 		}
 		// Iterations here counts transform evaluations.
 		d, rep := answer(&core.Result{
@@ -708,8 +689,8 @@ func (s *Solver) ExactCDF(b Battery, w *Workload, times []float64, opts Analysis
 			EmptyProb: probs,
 			Stats:     core.Stats{States: stats.States, NNZ: stats.Transitions, Iterations: stats.TransformEvals},
 		})
-		return d, rep, nil
-	}, (*Distribution).clone)
+		return []*Distribution{d}, []SolveReport{rep}, nil
+	}, (*Distribution).clone))
 }
 
 // Scenario is one cell of a Sweep grid: a battery/workload pair, the
@@ -876,19 +857,31 @@ func (s *Solver) Sweep(scenarios []Scenario, opts SweepOptions) ([]SweepResult, 
 					}
 				}
 				cancelled := ctx != nil && ctx.Err() != nil
-				var batched []*Distribution
-				if !cancelled && len(group) > 1 {
-					first := scenarios[group[0]]
+				first := scenarios[group[0]]
+				solve := func(sctx context.Context, grids [][]float64) ([]*Distribution, error) {
+					return s.lifetimeCDFs(first.Battery, first.Workload, grids, AnalysisOptions{
+						Delta:         first.DeltaAs,
+						Epsilon:       opts.Epsilon,
+						MaxIterations: opts.MaxIterations,
+						Context:       sctx,
+					}, pool, key)
+				}
+				var (
+					dists    []*Distribution
+					groupErr error
+				)
+				if !cancelled {
+					s.solves.Add(int64(len(group)))
 					grids := make([][]float64, len(group))
 					for j, idx := range group {
 						grids[j] = scenarios[idx].Times
 					}
-					batched = s.lifetimeDistributionBatch(first.Battery, first.Workload, grids, AnalysisOptions{
-						Delta:         first.DeltaAs,
-						Epsilon:       opts.Epsilon,
-						MaxIterations: opts.MaxIterations,
-						Context:       ctx,
-					}, pool, key)
+					// A lone scenario solves under its own span.
+					gctx := ctx
+					if len(group) == 1 {
+						gctx = scCtxs[0]
+					}
+					dists, groupErr = solve(gctx, grids)
 				}
 				for j, idx := range group {
 					sc := scenarios[idx]
@@ -896,15 +889,15 @@ func (s *Solver) Sweep(scenarios []Scenario, opts SweepOptions) ([]SweepResult, 
 					switch {
 					case cancelled:
 						r.Err = ctx.Err()
-					case batched != nil:
-						r.Distribution = batched[j]
+					case groupErr == nil:
+						r.Distribution = dists[j]
+					case len(group) == 1:
+						r.Err = groupErr
 					default:
-						r.Distribution, r.Err = s.lifetimeDistribution(sc.Battery, sc.Workload, sc.Times, AnalysisOptions{
-							Delta:         sc.DeltaAs,
-							Epsilon:       opts.Epsilon,
-							MaxIterations: opts.MaxIterations,
-							Context:       scCtxs[j],
-						}, pool, key)
+						// A group error has no per-grid attribution, so
+						// each grid is retried alone for its exact answer
+						// or error.
+						r.Distribution, r.Err = only(solve(scCtxs[j], [][]float64{sc.Times}))
 					}
 					span := spans[j]
 					switch {

@@ -29,8 +29,8 @@ func dayNight(t *testing.T) (Battery, []WorkloadPhase) {
 }
 
 func TestSolverGoldenPhasedLifetimeDistribution(t *testing.T) {
-	// The deprecated free function, a fresh Solver, and the direct core
-	// path must produce bit-identical curves.
+	// A fresh Solver and the direct core path must produce bit-identical
+	// curves.
 	b, phases := dayNight(t)
 	times := []float64{8000, 16000, 32000}
 	const delta = 100
@@ -49,16 +49,11 @@ func TestSolverGoldenPhasedLifetimeDistribution(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	viaFree, err := PhasedLifetimeDistribution(b, phases, delta, times)
-	if err != nil {
-		t.Fatal(err)
-	}
 	viaSolver, err := NewSolver(SolverOptions{}).PhasedLifetimeDistribution(b, phases, times, AnalysisOptions{Delta: delta})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	sameCurve(t, "free function vs core", viaFree.EmptyProb, direct.EmptyProb)
 	sameCurve(t, "Solver vs core", viaSolver.EmptyProb, direct.EmptyProb)
 	if viaSolver.States != direct.States || viaSolver.Transitions != direct.NNZ || viaSolver.Iterations != direct.Iterations {
 		t.Errorf("metadata: solver {%d %d %d} vs core {%d %d %d}",

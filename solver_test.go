@@ -36,8 +36,8 @@ func sameCurve(t *testing.T, label string, got, want []float64) {
 }
 
 func TestSolverGoldenLifetimeDistribution(t *testing.T) {
-	// The deprecated free function, a fresh Solver, and the pre-redesign
-	// direct core path must produce bit-identical curves.
+	// A fresh Solver and the pre-redesign direct core path must produce
+	// bit-identical curves.
 	b, w := onOffC1(t)
 	times := []float64{10000, 15000, 20000}
 	const delta = 50
@@ -51,16 +51,11 @@ func TestSolverGoldenLifetimeDistribution(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	viaFree, err := LifetimeDistribution(b, w, delta, times)
-	if err != nil {
-		t.Fatal(err)
-	}
 	viaSolver, err := NewSolver(SolverOptions{}).LifetimeDistribution(b, w, times, AnalysisOptions{Delta: delta})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	sameCurve(t, "free function vs core", viaFree.EmptyProb, direct.EmptyProb)
 	sameCurve(t, "Solver vs core", viaSolver.EmptyProb, direct.EmptyProb)
 	if viaSolver.States != direct.States || viaSolver.Transitions != direct.NNZ || viaSolver.Iterations != direct.Iterations {
 		t.Errorf("metadata: solver {%d %d %d} vs core {%d %d %d}",
@@ -80,17 +75,13 @@ func TestSolverGoldenExpectedLifetime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaFree, err := ExpectedLifetime(b, w, delta)
-	if err != nil {
-		t.Fatal(err)
-	}
 	viaSolver, err := NewSolver(SolverOptions{}).ExpectedLifetime(b, w, AnalysisOptions{Delta: delta})
 	if err != nil {
 		t.Fatal(err)
 	}
 	//numlint:ignore floatcmp golden equivalence demands bit-identical output
-	if viaFree != direct || viaSolver != direct {
-		t.Errorf("E[L]: free %v, solver %v, core %v — must be bit-identical", viaFree, viaSolver, direct)
+	if viaSolver != direct {
+		t.Errorf("E[L]: solver %v, core %v — must be bit-identical", viaSolver, direct)
 	}
 }
 
@@ -112,17 +103,13 @@ func TestSolverGoldenStrandedCharge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaFree, err := ExpectedStrandedCharge(b, w, delta, horizon)
-	if err != nil {
-		t.Fatal(err)
-	}
 	viaSolver, err := NewSolver(SolverOptions{}).StrandedCharge(b, w, horizon, AnalysisOptions{Delta: delta})
 	if err != nil {
 		t.Fatal(err)
 	}
 	//numlint:ignore floatcmp golden equivalence demands bit-identical output
-	if viaFree.MeanAs != wc.Mean() || viaSolver.MeanAs != wc.Mean() {
-		t.Errorf("stranded mean: free %v, solver %v, core %v", viaFree.MeanAs, viaSolver.MeanAs, wc.Mean())
+	if viaSolver.MeanAs != wc.Mean() {
+		t.Errorf("stranded mean: solver %v, core %v", viaSolver.MeanAs, wc.Mean())
 	}
 }
 
@@ -134,15 +121,10 @@ func TestSolverGoldenExactCDF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaFree, err := ExactLifetimeCDF(b, w, times)
-	if err != nil {
-		t.Fatal(err)
-	}
 	d, err := NewSolver(SolverOptions{}).ExactCDF(b, w, times, AnalysisOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameCurve(t, "ExactLifetimeCDF vs performability", viaFree, direct)
 	sameCurve(t, "Solver.ExactCDF vs performability", d.EmptyProb, direct)
 	if d.States != 2 || d.Transitions == 0 || d.Iterations == 0 {
 		t.Errorf("exact metadata not filled: %+v", d)
@@ -159,8 +141,8 @@ func TestSolverCachesModelsAndResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.CachedModels() != 1 {
-		t.Errorf("CachedModels = %d after one query", s.CachedModels())
+	if n := s.Stats().Entries; n != 1 {
+		t.Errorf("Stats().Entries = %d after one query", n)
 	}
 	second, err := s.LifetimeDistribution(b, w, times, opts)
 	if err != nil {
@@ -174,8 +156,8 @@ func TestSolverCachesModelsAndResults(t *testing.T) {
 	if _, err := s.ExpectedLifetime(b, w, opts); err != nil {
 		t.Fatal(err)
 	}
-	if s.CachedModels() != 1 {
-		t.Errorf("CachedModels = %d after mixed analyses on one model", s.CachedModels())
+	if n := s.Stats().Entries; n != 1 {
+		t.Errorf("Stats().Entries = %d after mixed analyses on one model", n)
 	}
 }
 
@@ -385,7 +367,7 @@ func TestStrandedChargeNoBoundWell(t *testing.T) {
 
 func TestSweepMatchesSequential(t *testing.T) {
 	// A parallel sweep must return results in input order, bit-identical
-	// to the sequential free-function path.
+	// to solving each scenario alone on a fresh Solver.
 	b, w := onOffC1(t)
 	simple, err := SimpleWireless()
 	if err != nil {
@@ -423,7 +405,7 @@ func TestSweepMatchesSequential(t *testing.T) {
 			t.Fatalf("scenario %q: %v", r.Name, r.Err)
 		}
 		sc := scenarios[i]
-		seq, err := LifetimeDistribution(sc.Battery, sc.Workload, sc.DeltaAs, sc.Times)
+		seq, err := NewSolver(SolverOptions{}).LifetimeDistribution(sc.Battery, sc.Workload, sc.Times, AnalysisOptions{Delta: sc.DeltaAs})
 		if err != nil {
 			t.Fatal(err)
 		}

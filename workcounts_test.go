@@ -187,7 +187,7 @@ func TestMemoryCounts(t *testing.T) {
 			runtime.GC()
 			runtime.GC()
 			runtime.ReadMemStats(&after)
-			if n := s.CachedModels(); n != 1 {
+			if n := s.Stats().Entries; n != 1 {
 				t.Fatalf("%d cached models, want 1", n)
 			}
 			alloc := float64(after.TotalAlloc - before.TotalAlloc)
