@@ -19,14 +19,17 @@ test: build
 ## race: full test suite under the race detector, then a second roll of
 ## the most concurrency-dense packages: the observability layer (tracer
 ## ring, exemplar CAS), the service stack (admission, coalesced waiters,
-## drain), and the SpMV pool with the windowed uniformisation loop
-## (reused dispatch records, per-product parallel dispatch). Race builds
+## drain; an abandoned job's capacity must be free before its waiters
+## wake, rolled ten times), and the SpMV pool with the windowed
+## uniformisation loop (reused dispatch records and window plans,
+## per-product parallel dispatch). Race builds
 ## leave out the amd64 assembly band kernel, so every band access goes
 ## through the instrumented Go passes.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=2 ./internal/obs
 	$(GO) test -race -count=2 ./internal/api ./internal/service ./cmd/batlifed
+	$(GO) test -race -count=10 -run 'TestAbandonedJobIsCancelled$$' ./internal/service
 	$(GO) test -race -count=2 ./internal/sparse ./internal/ctmc
 
 ## checks: full test suite with the runtime invariant layer compiled in

@@ -400,6 +400,13 @@ func TestOperatorFromRowsMatchesCSR(t *testing.T) {
 			probe := make([]float64, n)
 			got, want := make([]float64, n), make([]float64, n)
 			all := []int32{0, int32(n)}
+			var planA, planB sparse.Plan
+			if err := pool.Plan(&planA, a, all); err != nil {
+				t.Fatal(err)
+			}
+			if err := pool.Plan(&planB, b, all); err != nil {
+				t.Fatal(err)
+			}
 			for s := 0; s < stride; s++ {
 				for j := range probe {
 					probe[j] = 0
@@ -407,10 +414,10 @@ func TestOperatorFromRowsMatchesCSR(t *testing.T) {
 						probe[j] = 1
 					}
 				}
-				if err := pool.MulVecRanges(a, all, got, probe, nil, 0); err != nil {
+				if err := pool.MulVecPlan(&planA, got, probe, nil, 0); err != nil {
 					t.Fatal(err)
 				}
-				if err := pool.MulVecRanges(b, all, want, probe, nil, 0); err != nil {
+				if err := pool.MulVecPlan(&planB, want, probe, nil, 0); err != nil {
 					t.Fatal(err)
 				}
 				for r := range got {

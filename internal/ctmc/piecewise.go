@@ -27,9 +27,9 @@ type Phase struct {
 // phase's solve returns. Times beyond the total phase span are rejected
 // unless the last phase is infinite.
 //
-// Iterations, SpMVs, WindowRows and DroppedMass sum over the phases'
-// solves and Rate is the largest phase rate; FoxGlynnLeft and
-// FoxGlynnRight stay 0, since each phase has a window of its own.
+// Iterations, SpMVs, WindowRows, WindowPlans and DroppedMass sum over
+// the phases' solves and Rate is the largest phase rate; FoxGlynnLeft
+// and FoxGlynnRight stay 0, since each phase has a window of its own.
 func PiecewiseTransient(phases []Phase, alpha, w, times []float64, opts TransientOptions) (*Result, error) {
 	if len(phases) == 0 {
 		return nil, fmt.Errorf("%w: no phases", ErrBadInput)
@@ -94,6 +94,7 @@ func PiecewiseTransient(phases []Phase, alpha, w, times []float64, opts Transien
 		out.Iterations += res.Iterations
 		out.SpMVs += res.SpMVs
 		out.WindowRows += res.WindowRows
+		out.WindowPlans += res.WindowPlans
 		out.DroppedMass += res.DroppedMass
 		out.Rate = math.Max(out.Rate, res.Rate)
 		for k := range rel {

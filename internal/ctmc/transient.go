@@ -93,6 +93,10 @@ type Result struct {
 	// runs on the active window only, so WindowRows / (SpMVs · states)
 	// is the fraction of the chain the solve actually swept.
 	WindowRows int
+	// WindowPlans counts the product plans the solve built: one for
+	// every step whose active window differs from the step before's, so
+	// 1 − WindowPlans/SpMVs is the share of products that reused one.
+	WindowPlans int
 	// DroppedMass is the probability mass the window trimmed from the
 	// iterates (entries below 1e-8·Epsilon), at most Epsilon by
 	// construction. Every value is at most Epsilon + DroppedMass below
@@ -278,6 +282,7 @@ func (u *Uniformized) Transient(alpha, w, times []float64, opts TransientOptions
 	reg.Counter("ctmc_uniformization_iterations_total").Add(int64(res.Iterations))
 	reg.Counter("ctmc_spmv_total").Add(int64(res.SpMVs))
 	reg.Counter("ctmc_window_rows_total").Add(int64(res.WindowRows))
+	reg.Counter("ctmc_window_plans_total").Add(int64(res.WindowPlans))
 	if res.FoxGlynnRight > 0 {
 		reg.Histogram("ctmc_foxglynn_window").Observe(float64(res.FoxGlynnRight - res.FoxGlynnLeft + 1))
 	}
@@ -287,6 +292,7 @@ func (u *Uniformized) Transient(alpha, w, times []float64, opts TransientOptions
 		obs.Int("foxglynn_right", int64(res.FoxGlynnRight)),
 		obs.Float("rate", res.Rate),
 		obs.Int("window_rows", int64(res.WindowRows)),
+		obs.Int("window_plans", int64(res.WindowPlans)),
 		obs.Float("dropped_mass", res.DroppedMass))
 	return res, nil
 }
@@ -428,9 +434,9 @@ func (u *Uniformized) transient(alpha, w, times []float64, opts TransientOptions
 		pool.PutVec(v)
 		pool.PutVec(next)
 	}()
-	win := newWindow(alpha, u.shifts, opts.epsilon())
+	win := newWindow(pool, u.pt, alpha, u.shifts, opts.epsilon())
 	done := func() *Result {
-		res.WindowRows, res.DroppedMass = win.rows, win.dropped
+		res.WindowRows, res.WindowPlans, res.DroppedMass = win.rows, win.plans, win.dropped
 		check.UnitScalar("ctmc.transient dropped mass over epsilon", win.dropped/win.budget)
 		return validatedResult(res)
 	}
@@ -459,23 +465,18 @@ func (u *Uniformized) transient(alpha, w, times []float64, opts TransientOptions
 		if fuseNow {
 			acc, p = res.Distributions[0], weights[0].At(it+1)
 		}
-		win.grow()
-		if err := pool.MulVecRanges(u.pt, win.grown, next, v, acc, p); err != nil {
+		plan, err := win.prepare()
+		if err == nil {
+			err = pool.MulVecPlan(plan, next, v, acc, p)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("ctmc: uniformisation step %d: %w", it, err)
 		}
 		win.zeroStale(next)
 		res.Iterations++
 		res.SpMVs++
 		if ssdNow {
-			maxDelta := 0.0
-			for r := 0; r < len(win.grown); r += 2 {
-				for i := win.grown[r]; i < win.grown[r+1]; i++ {
-					if d := math.Abs(next[i] - v[i]); d > maxDelta {
-						maxDelta = d
-					}
-				}
-			}
-			if maxDelta <= ssdTol {
+			if win.settled(next, v, ssdTol) {
 				// Fold the remaining window mass (> it) in one shot.
 				foldIn(it+1, next, win.grown, true)
 				return done(), nil

@@ -291,7 +291,7 @@ func absorbingCycle(t *testing.T) *Chain {
 }
 
 // TestTransientFusedMatchesUnfused: a single-time distribution solve
-// folds each iterate inside the product (MulVecRanges with an
+// folds each iterate inside the product (MulVecPlan with an
 // accumulator); a solve over the same point twice takes the unfused
 // product-then-fold path. The fused kernel must not change a single bit
 // of the answer.

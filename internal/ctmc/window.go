@@ -86,12 +86,26 @@ func addShift(rs []int, d int) []int {
 
 // window tracks the active rows of the uniformisation loop. cur is the
 // window of the current iterate, prev the window the other iteration
-// buffer was last written on, and grown the rows the next product
-// computes. Each is a list of [lo, hi) pairs flattened as lo0, hi0, ….
+// buffer was last written on, grown the rows the next product computes
+// and trimmed the grown rows left after trimming. Each is a list of
+// [lo, hi) pairs flattened as lo0, hi0, ….
+//
+// grown depends on cur alone, so while trimming leaves cur as it was,
+// grown and the product plan built over it stay valid: the window
+// regrows and replans only after a step that changed cur.
 type window struct {
-	cur, prev, grown []int32
-	shifts           []int
-	n                int
+	cur, prev, grown, trimmed []int32
+	shifts                    []int
+	n                         int
+	pool                      *sparse.Pool
+	m                         sparse.Operator
+
+	// planned reports that grown and plan are those of cur; steady
+	// that the last step left cur unchanged, so prev equals cur.
+	planned, steady bool
+	plan            sparse.Plan
+	plans           int // plans built over the solve
+	grownRows       int // rows of grown
 
 	theta, budget float64
 	dropped       float64
@@ -99,20 +113,35 @@ type window struct {
 	rows          int // rows computed over all products
 }
 
-func newWindow(alpha []float64, shifts []int, eps float64) *window {
-	// One backing array for the three lists; a list that outgrows its
-	// share moves out on append.
-	buf := make([]int32, 3*64)
+// newWindow returns the window of alpha's support, whose products run
+// m on pool.
+//
+// The lists and the plan start with room for ⌈√n⌉ intervals, n the
+// state count. An expanded battery chain's window holds about one
+// interval per level of available charge, and those number about √n:
+// at most 46 on Fig. 8 at Δ = 100 (2,576 states), 91 at Δ = 50 (10,010)
+// and 253 on Fig. 10 at Δ = 2 mAh (113,703). Sized so, they never
+// regrow there; on a chain whose window outgrows them, a list moves out
+// of the shared buffer on append and the plan grows its own.
+func newWindow(pool *sparse.Pool, m sparse.Operator, alpha []float64, shifts []int, eps float64) *window {
+	n := len(alpha)
+	iv := int(math.Ceil(math.Sqrt(float64(n))))
+	share := 2 * iv
+	buf := make([]int32, 4*share)
 	w := &window{
-		cur:      buf[0:0:64],
-		prev:     buf[64:64:128],
-		grown:    buf[128:128:192],
+		cur:      buf[0:0:share],
+		prev:     buf[share : share : 2*share],
+		grown:    buf[2*share : 2*share : 3*share],
+		trimmed:  buf[3*share : 3*share : 4*share],
 		shifts:   shifts,
-		n:        len(alpha),
+		n:        n,
+		pool:     pool,
+		m:        m,
 		theta:    trimFactor * eps,
 		budget:   eps,
 		trimming: true,
 	}
+	pool.Reserve(&w.plan, m, iv)
 	for i := 0; i < len(alpha); {
 		if alpha[i] == 0 {
 			i++
@@ -125,6 +154,22 @@ func newWindow(alpha []float64, shifts []int, eps float64) *window {
 		w.cur = append(w.cur, int32(lo), int32(i))
 	}
 	return w
+}
+
+// prepare returns the plan of the next product, over grown: the one
+// already built while cur has not changed since, else a new one that
+// grows cur first. It counts the product's rows.
+func (w *window) prepare() (*sparse.Plan, error) {
+	if !w.planned {
+		w.grow()
+		if err := w.pool.Plan(&w.plan, w.m, w.grown); err != nil {
+			return nil, err
+		}
+		w.planned = true
+		w.plans++
+	}
+	w.rows += w.grownRows
+	return &w.plan, nil
 }
 
 // grow sets grown to cur shifted by every offset range, clipped to the
@@ -158,14 +203,20 @@ func (w *window) grow() {
 		}
 		w.grown = append(w.grown, int32(lo), int32(hi))
 	}
+	w.grownRows = 0
 	for i := 0; i < len(w.grown); i += 2 {
-		w.rows += int(w.grown[i+1] - w.grown[i])
+		w.grownRows += int(w.grown[i+1] - w.grown[i])
 	}
 }
 
 // zeroStale clears the rows of buf that prev left behind outside grown,
-// so buf is zero off the rows the product just wrote.
+// so buf is zero off the rows the product just wrote. After a step that
+// left the window unchanged prev is cur, which grown covers (one shift
+// range holds 0): there is nothing to clear.
 func (w *window) zeroStale(buf []float64) {
+	if w.steady {
+		return
+	}
 	cur := w.grown
 	j := 0
 	for i := 0; i < len(w.prev); i += 2 {
@@ -186,11 +237,26 @@ func (w *window) zeroStale(buf []float64) {
 	}
 }
 
-// trim cuts both ends of every grown interval while their entries are
-// below θ, zeroing each dropped entry and adding it to the tally.
-// Trimming stops for good once the tally would pass the budget ε.
+// settled reports whether no row of grown moved by more than tol from v
+// to next. It stops at the first row that did; a NaN difference counts
+// as no move, as in a running maximum of the differences.
+func (w *window) settled(next, v []float64, tol float64) bool {
+	for r := 0; r < len(w.grown); r += 2 {
+		for i := w.grown[r]; i < w.grown[r+1]; i++ {
+			if math.Abs(next[i]-v[i]) > tol {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// trim sets trimmed to grown with both ends of every interval cut while
+// their entries are below θ, zeroing each dropped entry and adding it to
+// the tally. Trimming stops for good once the tally would pass the
+// budget ε.
 func (w *window) trim(v []float64) {
-	out := w.grown[:0]
+	out := w.trimmed[:0]
 	for i := 0; i < len(w.grown); i += 2 {
 		lo, hi := w.grown[i], w.grown[i+1]
 		for lo < hi && w.drop(v, lo) {
@@ -203,7 +269,7 @@ func (w *window) trim(v []float64) {
 			out = append(out, lo, hi)
 		}
 	}
-	w.grown = out
+	w.trimmed = out
 }
 
 // drop zeroes v[i] and tallies it when it is below θ and the budget
@@ -222,9 +288,15 @@ func (w *window) drop(v []float64, i int32) bool {
 	return true
 }
 
-// advance makes the trimmed grown window current once the iteration
-// buffers have swapped: the old current window now describes the other
-// buffer.
+// advance makes the trimmed window current once the iteration buffers
+// have swapped: the old current window now describes the other buffer.
+// A trimmed window equal to cur keeps cur, grown and the plan.
 func (w *window) advance() {
-	w.cur, w.prev, w.grown = w.grown, w.cur, w.prev
+	w.steady = slices.Equal(w.trimmed, w.cur)
+	if w.steady {
+		w.prev, w.trimmed = w.trimmed, w.prev
+		return
+	}
+	w.cur, w.prev, w.trimmed = w.trimmed, w.cur, w.prev
+	w.planned = false
 }

@@ -3,6 +3,7 @@ package ctmc
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"batlife/internal/ctmc/ctmctest"
@@ -285,4 +286,111 @@ func TestTransientAllocsIndependentOfHorizon(t *testing.T) {
 	if math.Abs(two-one) >= 0.5 {
 		t.Errorf("a solve allocates %v times at 1× the horizon and %v at 2×", one, two)
 	}
+}
+
+// TestWindowReuseMatchesFreshGrow is the property test of the window's
+// plan reuse. On random chain sizes, shift sets and supports, each step
+// runs a product on the rows prepare planned, writing a vector whose
+// growth rows mostly fall below θ and whose other rows mostly do not,
+// so trimming often leaves the window as it was and sometimes moves it.
+// The grown rows of every step, rebuilt or reused, must equal a fresh
+// grow of the current window, the plan must compute exactly those rows,
+// the buffer it wrote, which held the iterate before, must be zero off
+// them after zeroStale (which skips its pass on a window that did not
+// move) and off the trimmed window after trim, and the row tally must
+// match the fresh grows.
+func TestWindowReuseMatchesFreshGrow(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	pool := sparse.NewPool(1)
+	defer pool.Close()
+	reused, rebuilt := 0, 0
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(300)
+		shifts := addShift(make([]int, 0, 2*maxShiftRanges+2), 0)
+		for k := rng.Intn(12); k > 0; k-- {
+			shifts = addShift(shifts, rng.Intn(2*n-1)-(n-1))
+		}
+		ones := make([]float64, n)
+		for i := range ones {
+			ones[i] = 1
+		}
+		id, err := sparse.NewBanded(n, []int{0}, [][]float64{ones})
+		if err != nil {
+			t.Fatal(err)
+		}
+		alpha := make([]float64, n)
+		alpha[rng.Intn(n)] = 1
+		for i := range alpha {
+			if rng.Intn(10) == 0 {
+				alpha[i] = 1
+			}
+		}
+		w := newWindow(pool, id, alpha, shifts, 1)
+		v, next, vals := slices.Clone(alpha), make([]float64, n), make([]float64, n)
+		wantRows := 0
+		for step := 0; step < 60; step++ {
+			fresh := window{cur: slices.Clone(w.cur), shifts: shifts, n: n}
+			fresh.grow()
+			if w.planned {
+				reused++
+			} else {
+				rebuilt++
+			}
+			pl, err := w.prepare()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(w.grown, fresh.grown) {
+				t.Fatalf("trial %d step %d: grown %v, a fresh grow of %v gives %v", trial, step, w.grown, w.cur, fresh.grown)
+			}
+			wantRows += fresh.grownRows
+			in := rowSet(n, w.cur)
+			for i := range vals {
+				small := !in[i]
+				if rng.Intn(50) == 0 {
+					small = !small
+				}
+				vals[i] = 1 + rng.Float64()
+				if small {
+					vals[i] = 1e-12 * rng.Float64()
+				}
+			}
+			if err := pool.MulVecPlan(pl, next, vals, nil, 0); err != nil {
+				t.Fatal(err)
+			}
+			w.zeroStale(next)
+			grown := rowSet(n, w.grown)
+			for i, x := range next {
+				if want := vals[i]; (grown[i] && x != want) || (!grown[i] && x != 0) {
+					t.Fatalf("trial %d step %d: row %d (grown %v) holds %v after the product, want %v or 0", trial, step, i, grown[i], x, want)
+				}
+			}
+			w.trim(next)
+			kept := rowSet(n, w.trimmed)
+			for i, x := range next {
+				if !kept[i] && x != 0 {
+					t.Fatalf("trial %d step %d: row %d holds %v off the trimmed window %v", trial, step, i, x, w.trimmed)
+				}
+			}
+			v, next = next, v
+			w.advance()
+		}
+		if w.rows != wantRows {
+			t.Fatalf("trial %d: %d rows tallied, fresh grows cover %d", trial, w.rows, wantRows)
+		}
+	}
+	if reused < 1000 || rebuilt < 1000 {
+		t.Errorf("%d steps reused their plan and %d rebuilt it; want both often", reused, rebuilt)
+	}
+}
+
+// rowSet marks the rows of a window list of n rows.
+func rowSet(n int, list []int32) []bool {
+	in := make([]bool, n)
+	for i := 0; i < len(list); i += 2 {
+		for r := list[i]; r < list[i+1]; r++ {
+			in[r] = true
+		}
+	}
+	return in
 }

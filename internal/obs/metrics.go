@@ -151,15 +151,16 @@ func (h *Histogram) Observe(v float64) {
 			break
 		}
 	}
+	// A NaN sample compares false both ways: it moves neither extreme.
 	for {
 		old := h.minBits.Load()
-		if math.Float64frombits(old) <= v || h.minBits.CompareAndSwap(old, math.Float64bits(v)) {
+		if !(v < math.Float64frombits(old)) || h.minBits.CompareAndSwap(old, math.Float64bits(v)) {
 			break
 		}
 	}
 	for {
 		old := h.maxBits.Load()
-		if math.Float64frombits(old) >= v || h.maxBits.CompareAndSwap(old, math.Float64bits(v)) {
+		if !(v > math.Float64frombits(old)) || h.maxBits.CompareAndSwap(old, math.Float64bits(v)) {
 			break
 		}
 	}
@@ -201,7 +202,8 @@ type HistogramSnapshot struct {
 	// Count and Sum aggregate every observed sample.
 	Count int64
 	Sum   float64
-	// Min and Max are the exact extreme samples (0 when empty).
+	// Min and Max are the exact extreme samples (0 when empty); NaN
+	// samples count in Count and Sum but not here.
 	Min, Max  float64
 	buckets   [numBuckets + 2]int64
 	exemplars [numBuckets + 2]*exemplar

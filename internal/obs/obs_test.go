@@ -107,6 +107,12 @@ func TestHistogramEdgeSamples(t *testing.T) {
 	if s.Count != 6 {
 		t.Errorf("Count = %d, want 6", s.Count)
 	}
+	// A NaN sample leaves Min and Max as they were, and the samples
+	// after it still update them.
+	//numlint:ignore floatcmp exact sample values survive Observe unchanged
+	if s.Min != -1 || s.Max != 1e300 {
+		t.Errorf("Min/Max = %v/%v after a NaN sample, want -1/1e300", s.Min, s.Max)
+	}
 	// Min and Max are the exact extreme samples of a random stream.
 	rng := rand.New(rand.NewSource(7))
 	h = NewHistogram()

@@ -392,7 +392,6 @@ func (s *Service) admit(ctx context.Context, id, kind string, timeout time.Durat
 // and hand back the slot and admission token.
 func (s *Service) execute(j *job, run runFunc) {
 	defer s.inflight.Done()
-	defer func() { <-s.tokens }()
 
 	enqueued := time.Now()
 	queueSpan := j.span.Child("service.queue")
@@ -402,19 +401,23 @@ func (s *Service) execute(j *job, run runFunc) {
 		// Abandoned while queued; surface the cancellation so a later
 		// GET /v1/jobs/{id} reports a failed job, not a vanished one.
 		queueSpan.End(obs.String("error", j.ctx.Err().Error()))
+		<-s.tokens
 		s.retire(j, nil, j.ctx.Err())
 		return
 	}
-	defer func() { <-s.slots }()
 	queueSpan.End()
 	s.queueWait.ObserveDuration(time.Since(enqueued).Seconds())
 
 	s.inflightGauge.Add(1)
-	defer s.inflightGauge.Add(-1)
-
 	ctx, cancel := context.WithTimeout(j.ctx, j.timeout)
-	defer cancel()
 	payload, err := run(ctx, j.setProgress)
+	cancel()
+	s.inflightGauge.Add(-1)
+	// The run slot and admission token go back before retire publishes
+	// the outcome: a caller woken by the job's done channel may admit
+	// new work at once and must find the capacity this job held.
+	<-s.slots
+	<-s.tokens
 	s.retire(j, payload, err)
 }
 

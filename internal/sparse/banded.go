@@ -39,10 +39,12 @@ type Banded struct {
 	offs  []int
 	bands []band
 	// lo and hi delimit the interior rows, those where every band's
-	// column lies in [0, n); the rows outside take the checked edge path.
+	// column lies in [0, n).
 	lo, hi int
-	// cuts are the ascending, distinct region bounds a and c of the
-	// periodic bands: an interior tile never straddles one.
+	// cuts are the ascending, distinct rows in (0, n) where a row's
+	// layout changes: the region bounds a and c of the periodic bands,
+	// and the rows where a band's column enters or leaves the matrix. A
+	// segment never straddles one (see segments).
 	cuts []int
 	// period is the least common multiple of the periodic bands' periods
 	// (1 when there are none), and pinv is ⌊(2⁶⁴−1)/period⌋ + 1, which
@@ -123,6 +125,13 @@ func NewBanded(n int, offsets []int, vals [][]float64) (*Banded, error) {
 		r := runs[k]
 		b.bands[k] = newBand(v, r.a, r.c, r.p, b.period)
 		vals[k] = nil
+	}
+	for _, o := range offsets {
+		for _, c := range [2]int{-o, n - o} {
+			if c > 0 && c < n {
+				b.cuts = append(b.cuts, c)
+			}
+		}
 	}
 	slices.Sort(b.cuts)
 	b.cuts = slices.Compact(b.cuts)
@@ -231,18 +240,6 @@ func (bd *band) rows(lo, hi, ph int) []float64 {
 func (b *Banded) phase(r int) int {
 	m, _ := bits.Mul64(b.pinv*uint64(r), uint64(b.period))
 	return int(m)
-}
-
-// tileRows sets v[k] to band k's values for rows [lo, hi), which must
-// lie within one region of every band and span at most bandTile rows
-// (see band.rows).
-//
-//numlint:hotpath
-func (b *Banded) tileRows(v *[MaxBands][]float64, lo, hi int) {
-	ph := b.phase(lo)
-	for k := range b.offs {
-		v[k] = b.bands[k].rows(lo, hi, ph)
-	}
 }
 
 // at returns entry (r, r+offs[k]).
@@ -374,61 +371,37 @@ func (b *Banded) weight(lo, hi int32) int64 {
 	return int64(hi-lo) * int64(len(b.offs)+1)
 }
 
-// mulRows computes dst[r] = Σ_k vals[k][r]·x[r+offs[k]] over rows
-// [lo, hi).
-//
-//numlint:hotpath
-func (b *Banded) mulRows(dst, x []float64, lo, hi int) {
-	b.mulAccumRows(dst, x, nil, 0, lo, hi)
-}
-
-// mulAccumRows is the banded row-range kernel: dst[r] = Σ_k
-// vals[k][r]·x[r+offs[k]] and, when w != 0, acc[r] += w·dst[r].
-//
-// Each row sums its bands from 0.0 in ascending column order, the
-// order CSR.mulRows visits the row's nonzeros. A padded zero adds
-// 0·x = ±0, which leaves any sum other than −0 unchanged, and a sum that
-// starts at +0 never becomes −0 (only −0 + −0 is −0). So for finite x
-// every row is bit-identical to the CSR product of the same entries,
-// and the fold, one element-wise multiply-add after the row is done,
-// keeps the CSR kernel's per-element order. A w of 0 folds nothing, as
-// in CSR.mulAccumRows.
-//
-// The interior runs in tiles of at most bandTile rows, cut also at
-// every periodic band's region bounds, so each tile reads each band
-// from one region (see rows). Where a tile ends changes no row's value.
-//
-//numlint:hotpath
-func (b *Banded) mulAccumRows(dst, x, acc []float64, w float64, lo, hi int) {
-	if w == 0 {
-		acc = nil
-	}
-	// Most ranges of a window have no edge rows: test here, where it
-	// inlines, not in edgeRows.
-	if lo < b.lo {
-		b.edgeRows(dst, x, acc, w, lo, min(hi, b.lo))
-	}
-	for t, end := max(lo, b.lo), min(hi, b.hi); t < end; {
-		e := b.tileEnd(t, end)
-		b.interiorRows(dst, x, t, e)
-		if acc != nil {
-			a, d := acc[t:e], dst[t:e]
-			for i := range d {
-				a[i] += w * d[i]
-			}
+// segments appends the segments of rows [lo, hi) to segs. A segment
+// ends bandTile rows on, at hi, or at the next cut, whichever comes
+// first, so it reads each band from one region (see band.rows) and the
+// same bands have their column in the matrix on every one of its rows:
+// bands [k0, k1), contiguous because the offsets ascend. Each such band
+// contributes the base of its values for the segment's rows; the other
+// bands hold zeros there and are skipped. Where a segment ends changes
+// no row's value.
+func (b *Banded) segments(segs []segment, lo, hi int) []segment {
+	for t := lo; t < hi; {
+		e := b.tileEnd(t, hi)
+		s := segment{lo: int32(t), hi: int32(e), ph: int32(b.phase(t))}
+		k0, k1 := 0, len(b.offs)
+		for k0 < k1 && t+b.offs[k0] < 0 {
+			k0++
 		}
+		for k1 > k0 && t+b.offs[k1-1] >= b.n {
+			k1--
+		}
+		s.k0, s.k1 = uint8(k0), uint8(k1)
+		for k := k0; k < k1; k++ {
+			s.v[k-k0] = &b.bands[k].rows(t, e, int(s.ph))[0]
+		}
+		segs = append(segs, s)
 		t = e
 	}
-	if hi > b.hi {
-		b.edgeRows(dst, x, acc, w, max(lo, b.hi), hi)
-	}
+	return segs
 }
 
-// tileEnd returns where the interior tile that starts at row t ends:
-// bandTile rows on, at end, or at the next periodic band's region bound,
-// whichever comes first.
-//
-//numlint:hotpath
+// tileEnd returns where the segment that starts at row t ends: bandTile
+// rows on, at end, or at the next cut, whichever comes first.
 func (b *Banded) tileEnd(t, end int) int {
 	e := min(t+bandTile, end)
 	for _, c := range b.cuts {
@@ -439,32 +412,38 @@ func (b *Banded) tileEnd(t, end int) int {
 	return e
 }
 
-// edgeRows is the checked path for rows where some band's column falls
-// outside the matrix: those bands are skipped (they hold zeros there).
-// The rows, at least one, lie below b.lo or at or above b.hi, so every
-// band reads them from its head or its tail.
+// mulSegment is the banded kernel over one segment: dst[r] = Σ_k
+// vals[k][r]·x[r+offs[k]] over the segment's bands and, when acc is
+// non-nil, acc[r] += w·dst[r].
+//
+// Each row sums its bands from 0.0 in ascending column order, the
+// order CSR.mulRows visits the row's nonzeros. A padded zero adds
+// 0·x = ±0, which leaves any sum other than −0 unchanged, and a sum that
+// starts at +0 never becomes −0 (only −0 + −0 is −0). A band whose
+// column leaves the matrix is not read at all. So for finite x every
+// row is bit-identical to the CSR product of the same entries, and the
+// fold, one element-wise multiply-add after the row is done, keeps the
+// CSR kernel's per-element order.
 //
 //numlint:hotpath
-func (b *Banded) edgeRows(dst, x, acc []float64, w float64, lo, hi int) {
-	var v [MaxBands][]float64
-	b.tileRows(&v, lo, hi)
-	for r := lo; r < hi; r++ {
-		s := 0.0
-		for k, o := range b.offs {
-			if c := r + o; c >= 0 && c < b.n {
-				s += v[k][r-lo] * x[c]
-			}
-		}
-		dst[r] = s
-		if acc != nil {
-			acc[r] += w * s
+func (b *Banded) mulSegment(s *segment, dst, x, acc []float64, w float64) {
+	if useAVX2 {
+		b.segmentRowsAVX2(s, dst, x)
+	} else {
+		b.segmentRowsGo(s, dst, x)
+	}
+	if acc != nil {
+		d := dst[s.lo:s.hi]
+		a := acc[s.lo:s.hi][:len(d)]
+		for i := range d {
+			a[i] += w * d[i]
 		}
 	}
 }
 
 // Kernel names the row kernel the banded products run: "bands-avx2"
-// where the vectorised interior kernel is built and the CPU has AVX2,
-// "bands" otherwise.
+// where the vectorised kernel is built and the CPU has AVX2, "bands"
+// otherwise.
 func (b *Banded) Kernel() string {
 	if useAVX2 {
 		return "bands-avx2"
@@ -472,33 +451,26 @@ func (b *Banded) Kernel() string {
 	return "bands"
 }
 
-// interiorRows computes rows [lo, hi), all interior: on the AVX2 kernel
-// where it runs (banded_amd64.go), else on the Go passes. The two are
-// bit-identical.
+// segmentRowsGo computes the rows of s on the Go passes: passes of two
+// to four unrolled bands (one for a single band, none for a segment
+// where no band's column lies in the matrix). The first pass sets dst,
+// each later pass adds its bands on top, so a row still sums its bands
+// in ascending order. It slices each band's values afresh from the
+// segment's phase, so every element it reads is bounds-checked against
+// the band itself.
 //
 //numlint:hotpath
-func (b *Banded) interiorRows(dst, x []float64, lo, hi int) {
-	if useAVX2 {
-		b.interiorRowsAVX2(dst, x, lo, hi)
-		return
-	}
-	b.interiorRowsGo(dst, x, lo, hi)
-}
-
-// interiorRowsGo computes rows [lo, hi), all interior, in passes of two
-// to four unrolled bands (one for a single-band matrix). The first pass
-// sets dst, each later pass adds its bands on top, so a row still sums
-// its bands in ascending order.
-//
-//numlint:hotpath
-func (b *Banded) interiorRowsGo(dst, x []float64, lo, hi int) {
+func (b *Banded) segmentRowsGo(s *segment, dst, x []float64) {
+	lo, hi := int(s.lo), int(s.hi)
 	d := dst[lo:hi]
 	var v, xs [MaxBands][]float64
-	b.tileRows(&v, lo, hi)
-	for k, o := range b.offs {
-		xs[k] = x[lo+o : hi+o]
+	for k := int(s.k0); k < int(s.k1); k++ {
+		o := b.offs[k]
+		v[k-int(s.k0)], xs[k-int(s.k0)] = b.bands[k].rows(lo, hi, int(s.ph)), x[lo+o:hi+o]
 	}
-	switch len(b.offs) {
+	switch s.k1 - s.k0 {
+	case 0:
+		clear(d)
 	case 1:
 		bandSet1(d, v[0], xs[0])
 	case 2:

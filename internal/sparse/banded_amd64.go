@@ -2,7 +2,7 @@
 
 package sparse
 
-// useAVX2 selects the AVX2 interior kernel. It is probed once, from the
+// useAVX2 selects the AVX2 band kernel. It is probed once, from the
 // CPU alone. The race detector cannot see the assembly's memory
 // accesses, so race builds compile banded_noasm.go instead and keep
 // every band access on the instrumented Go passes.
@@ -47,22 +47,25 @@ func xgetbv() (eax, edx uint32)
 //go:noescape
 func bandRowsAVX2(d *float64, n int, v, x *[MaxBands]*float64, nb int)
 
-// interiorRowsAVX2 is interiorRowsGo on the AVX2 kernel. It reslices
-// the tile of dst, every band and each band's window of x exactly as
-// interiorRowsGo does (tileRows, inlined here to pass base pointers), so
-// Go has bounds-checked every element before the assembly reads or
-// writes it.
+// segmentRowsAVX2 is segmentRowsGo on the AVX2 kernel. The band bases
+// come from the segment, sliced and bounds-checked when the plan was
+// built against the bands' own storage, which never changes; dst and
+// each band's window of x are resliced here exactly as segmentRowsGo
+// reslices them, so Go has bounds-checked every element of those before
+// the assembly reads or writes it.
 //
 //numlint:hotpath
-func (b *Banded) interiorRowsAVX2(dst, x []float64, lo, hi int) {
+func (b *Banded) segmentRowsAVX2(s *segment, dst, x []float64) {
+	lo, hi := int(s.lo), int(s.hi)
 	d := dst[lo:hi]
-	if len(d) == 0 {
+	nb := int(s.k1 - s.k0)
+	if nb == 0 || len(d) == 0 {
+		clear(d)
 		return
 	}
-	var v, xs [MaxBands]*float64
-	ph := b.phase(lo)
-	for k, o := range b.offs {
-		v[k], xs[k] = &b.bands[k].rows(lo, hi, ph)[0], &x[lo+o : hi+o][0]
+	var xs [MaxBands]*float64
+	for k, o := range b.offs[s.k0:s.k1] {
+		xs[k] = &x[lo+o : hi+o][0]
 	}
-	bandRowsAVX2(&d[0], len(d), &v, &xs, len(b.offs))
+	bandRowsAVX2(&d[0], len(d), &s.v, &xs, nb)
 }

@@ -3,10 +3,10 @@
 package sparse
 
 // useAVX2 is false off amd64 and under the race detector: the Go passes
-// are the only interior kernel.
+// are the only band kernel.
 const useAVX2 = false
 
-// interiorRowsAVX2 is never called where useAVX2 is false.
-func (b *Banded) interiorRowsAVX2(dst, x []float64, lo, hi int) {
+// segmentRowsAVX2 is never called where useAVX2 is false.
+func (b *Banded) segmentRowsAVX2(s *segment, dst, x []float64) {
 	panic("sparse: AVX2 band kernel not built")
 }

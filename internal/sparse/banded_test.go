@@ -169,9 +169,21 @@ func randomRanges(rng *rand.Rand, n int) []int32 {
 	return rs
 }
 
+// edgeRanges returns a window of two ranges, one from row 0 and one to
+// row n, each 1 to 300 rows long, or the whole row range when they
+// would meet: the rows where a band's column leaves the matrix.
+func edgeRanges(rng *rand.Rand, n int) []int32 {
+	a, c := 1+rng.Intn(300), n-1-rng.Intn(300)
+	if a >= c {
+		return []int32{0, int32(n)}
+	}
+	return []int32{0, int32(a), int32(c), int32(n)}
+}
+
 // cutRanges returns a window of ascending disjoint ranges that start
-// at, end at or straddle the region bounds of b's periodic bands: one
-// range about each bound, reaching 0 to 700 rows to either side.
+// at, end at or straddle b's cuts, the region bounds of its periodic
+// bands and the rows where a band's column enters or leaves the matrix:
+// one range about each cut, reaching 0 to 700 rows to either side.
 func cutRanges(rng *rand.Rand, b *Banded) []int32 {
 	var rs []int32
 	for _, c := range b.cuts {
@@ -194,10 +206,21 @@ func cutRanges(rng *rand.Rand, b *Banded) []int32 {
 	return rs
 }
 
-// checkBandedMatchesCSR runs MulVecRanges on b and compares it bit for
-// bit with c.MulVec on the rows of ranges, folded into acc when acc is
-// non-nil; every other row must keep its sentinel.
-func checkBandedMatchesCSR(t testing.TB, pool *Pool, b *Banded, c *CSR, ranges []int32, x, acc []float64, w float64) {
+// planBanded plans b's products over ranges on pool.
+func planBanded(t testing.TB, pool *Pool, b *Banded, ranges []int32) *Plan {
+	t.Helper()
+	pl := new(Plan)
+	if err := pool.Plan(pl, b, ranges); err != nil {
+		t.Fatal(err)
+	}
+	return pl
+}
+
+// checkBandedMatchesCSR runs the product of pl, a plan of b over ranges,
+// and compares it bit for bit with c.MulVec on the rows of ranges,
+// folded into acc when acc is non-nil; every other row must keep its
+// sentinel.
+func checkBandedMatchesCSR(t testing.TB, pool *Pool, pl *Plan, b *Banded, c *CSR, ranges []int32, x, acc []float64, w float64) {
 	t.Helper()
 	n := b.Rows()
 	want := make([]float64, n)
@@ -218,7 +241,7 @@ func checkBandedMatchesCSR(t testing.TB, pool *Pool, b *Banded, c *CSR, ranges [
 			}
 		}
 	}
-	if err := pool.MulVecRanges(b, ranges, dst, x, acc, w); err != nil {
+	if err := pool.MulVecPlan(pl, dst, x, acc, w); err != nil {
 		t.Fatal(err)
 	}
 	for r := range dst {
@@ -239,12 +262,13 @@ func checkBandedMatchesCSR(t testing.TB, pool *Pool, b *Banded, c *CSR, ranges [
 
 // TestBandedMatchesCSR is the property test of the banded kernel: on
 // random 1–8-band matrices with empty bands, periodic bands and edge
-// rows, over the whole matrix, scattered windows and windows about the
-// periodic bands' region bounds, with no accumulator and with
-// w = 0 and w ≠ 0, on pools of 1, 2, 4 and 8 workers, every row and
-// every fold is bit-identical to the CSR product of the same entries.
-// The large sizes exceed the parallel threshold, and the registry
-// confirms that multi-worker pools took the parallel path.
+// rows, over the whole matrix, scattered windows, windows at both
+// matrix edges and windows about the cuts, with no accumulator and
+// with w = 0 and w ≠ 0 on one plan per window, on pools of 1, 2, 4 and
+// 8 workers, every row and every fold is bit-identical to the CSR
+// product of the same entries. The large sizes exceed the parallel
+// threshold, and the registry confirms that multi-worker pools took the
+// parallel path.
 func TestBandedMatchesCSR(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	periodic := 0
@@ -256,13 +280,14 @@ func TestBandedMatchesCSR(t *testing.T) {
 			b, c := bandedPair(t, rng, n, randomOffsets(rng, n, 1+trial%MaxBands))
 			x := randomVec(rng, n)
 			periodic += b.PeriodicBands()
-			for _, ranges := range [][]int32{randomRanges(rng, n), cutRanges(rng, b)} {
+			for _, ranges := range [][]int32{randomRanges(rng, n), edgeRanges(rng, n), cutRanges(rng, b)} {
 				if len(ranges) == 0 {
 					continue
 				}
-				checkBandedMatchesCSR(t, pool, b, c, ranges, x, nil, 0)
+				pl := planBanded(t, pool, b, ranges)
+				checkBandedMatchesCSR(t, pool, pl, b, c, ranges, x, nil, 0)
 				for _, w := range []float64{0, 0.37, -2.5} {
-					checkBandedMatchesCSR(t, pool, b, c, ranges, x, randomVec(rng, n), w)
+					checkBandedMatchesCSR(t, pool, pl, b, c, ranges, x, randomVec(rng, n), w)
 				}
 			}
 		}
@@ -278,7 +303,9 @@ func TestBandedMatchesCSR(t *testing.T) {
 
 // FuzzBandedMatchesCSR is the fuzzing form of TestBandedMatchesCSR: the
 // inputs pick the size, the band count and the fold weight, and seed
-// the offsets, values, vector and windows.
+// the offsets, values, vectors and windows. Each window's plan, one per
+// pool, runs the products of two different x and acc pairs; one window
+// touches both matrix edges.
 func FuzzBandedMatchesCSR(f *testing.F) {
 	f.Add(int64(1), uint16(90), uint8(5), 0.0)
 	f.Add(int64(2), uint16(3), uint8(8), 1.5)
@@ -297,44 +324,46 @@ func FuzzBandedMatchesCSR(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + int(size)%3000
 		b, c := bandedPair(t, rng, n, randomOffsets(rng, n, 1+int(bands)%MaxBands))
-		x, acc := randomVec(rng, n), randomVec(rng, n)
-		for _, ranges := range [][]int32{randomRanges(rng, n), cutRanges(rng, b)} {
+		xs := [][]float64{randomVec(rng, n), randomVec(rng, n)}
+		accs := [][]float64{randomVec(rng, n), randomVec(rng, n)}
+		for _, ranges := range [][]int32{randomRanges(rng, n), edgeRanges(rng, n), cutRanges(rng, b)} {
 			if len(ranges) == 0 {
 				continue
 			}
 			for _, pool := range []*Pool{serial, parallel} {
-				checkBandedMatchesCSR(t, pool, b, c, ranges, x, nil, 0)
-				checkBandedMatchesCSR(t, pool, b, c, ranges, x, slices.Clone(acc), w)
+				pl := planBanded(t, pool, b, ranges)
+				for i, x := range xs {
+					checkBandedMatchesCSR(t, pool, pl, b, c, ranges, x, nil, 0)
+					checkBandedMatchesCSR(t, pool, pl, b, c, ranges, x, slices.Clone(accs[i]), w)
+				}
 			}
 		}
-		checkKernelsMatchCSR(t, b, c, x)
+		checkKernelsMatchCSR(t, b, c, xs[0])
 	})
 }
 
-// checkKernelsMatchCSR runs both interior kernels, the Go passes and,
-// where it runs, the AVX2 kernel, directly over b's interior tiles and
-// compares each row bit for bit with c's product. The products above
-// go through interiorRows, which runs one kernel per machine; this
-// drives the other one too.
+// checkKernelsMatchCSR runs both band kernels, the Go passes and, where
+// it runs, the AVX2 kernel, directly over every segment of b's rows,
+// edge rows included, and compares each row bit for bit with c's
+// product. The products above go through mulSegment, which runs one
+// kernel per machine; this drives the other one too.
 func checkKernelsMatchCSR(t testing.TB, b *Banded, c *CSR, x []float64) {
 	t.Helper()
-	if b.lo >= b.hi {
-		return // no interior rows
-	}
 	want := make([]float64, b.n)
 	if err := c.MulVec(want, x); err != nil {
 		t.Fatal(err)
 	}
-	kernels := map[string]func(dst, x []float64, lo, hi int){"go": b.interiorRowsGo}
+	kernels := map[string]func(s *segment, dst, x []float64){"go": b.segmentRowsGo}
 	if useAVX2 {
-		kernels["avx2"] = b.interiorRowsAVX2
+		kernels["avx2"] = b.segmentRowsAVX2
 	}
+	segs := b.segments(nil, 0, b.n)
 	for name, kernel := range kernels {
 		dst := make([]float64, b.n)
-		for t := b.lo; t < b.hi; t = b.tileEnd(t, b.hi) {
-			kernel(dst, x, t, b.tileEnd(t, b.hi))
+		for i := range segs {
+			kernel(&segs[i], dst, x)
 		}
-		for r := b.lo; r < b.hi; r++ {
+		for r := range dst {
 			if math.Float64bits(dst[r]) != math.Float64bits(want[r]) {
 				t.Fatalf("%s kernel, offsets %v, %d rows: dst[%d] = %v, CSR %v", name, b.offs, b.n, r, dst[r], want[r])
 			}
@@ -390,15 +419,18 @@ func kernelBands(rng *rand.Rand, n int, offs []int) [][]float64 {
 	return vals
 }
 
-// TestBandedAVX2MatchesGo checks the AVX2 interior kernel against the
-// Go passes bit for bit, calling both directly: 1–8 bands, tiles of 0
+// TestBandedAVX2MatchesGo checks the AVX2 band kernel against the Go
+// passes bit for bit, calling both directly: 1–8 bands, segments of 0
 // to 67 rows (so every mix of 8-row blocks, a 4-row block and the
-// scalar tail), every start row mod 8, and x and band values whose
-// products include ±0, subnormals and ±Inf. Rows outside the tile must
-// keep their sentinel. The second half makes about half the bands
-// periodic, with periods of 1 to 8 of those values, and runs every
-// interior tile and tiles of 0 to 67 rows starting at each of the first
-// 8 rows of each periodic run, so the kernels read every table phase.
+// scalar tail), every start row mod 8, band subsets that skip the first
+// band, the last or both, and x and band values whose products include
+// ±0, subnormals and ±Inf. Rows outside the segment must keep their
+// sentinel. Every segment of the whole matrix runs too, so the edge
+// rows' subsets, where the first or last bands leave the matrix, are
+// covered. The second half makes about half the bands periodic, with
+// periods of 1 to 8 of those values, and runs every segment and
+// segments of 0 to 67 rows starting at each of the first 8 rows of each
+// periodic run, so the kernels read every table phase.
 func TestBandedAVX2MatchesGo(t *testing.T) {
 	if !useAVX2 {
 		t.Skip("the AVX2 band kernel does not run here (not amd64, no AVX2, or a race build)")
@@ -421,8 +453,17 @@ func TestBandedAVX2MatchesGo(t *testing.T) {
 				if hi > b.hi {
 					t.Fatalf("offsets %v: tile [%d, %d) leaves the interior [%d, %d)", b.offs, lo, hi, b.lo, b.hi)
 				}
-				checkAVX2MatchesGo(t, b, kernelVec(rng, n), lo, hi)
+				for _, ks := range [][2]int{{0, nb}, {1, nb}, {0, nb - 1}, {1, nb - 1}} {
+					if ks[0] <= ks[1] {
+						s := segmentOf(b, lo, hi, ks[0], ks[1])
+						checkAVX2MatchesGo(t, b, kernelVec(rng, n), &s)
+					}
+				}
 			}
+		}
+		x := kernelVec(rng, n)
+		for _, s := range b.segments(nil, 0, n) {
+			checkAVX2MatchesGo(t, b, x, &s)
 		}
 	}
 	periodic := 0
@@ -442,8 +483,8 @@ func TestBandedAVX2MatchesGo(t *testing.T) {
 		b, _ := bandsOf(t, n, offs, vals)
 		periodic += b.PeriodicBands()
 		x := kernelVec(rng, n)
-		for lo := b.lo; lo < b.hi; lo = b.tileEnd(lo, b.hi) {
-			checkAVX2MatchesGo(t, b, x, lo, b.tileEnd(lo, b.hi))
+		for _, s := range b.segments(nil, 0, n) {
+			checkAVX2MatchesGo(t, b, x, &s)
 		}
 		for _, bd := range b.bands {
 			if bd.p == 0 {
@@ -451,7 +492,8 @@ func TestBandedAVX2MatchesGo(t *testing.T) {
 			}
 			for length := 0; length <= 67; length++ {
 				for lo := bd.a; lo < bd.a+8; lo++ {
-					checkAVX2MatchesGo(t, b, x, lo, min(lo+length, b.tileEnd(lo, b.hi)))
+					s := segmentOf(b, lo, min(lo+length, b.tileEnd(lo, b.hi)), 0, nb)
+					checkAVX2MatchesGo(t, b, x, &s)
 				}
 			}
 		}
@@ -461,21 +503,32 @@ func TestBandedAVX2MatchesGo(t *testing.T) {
 	}
 }
 
-// checkAVX2MatchesGo runs both interior kernels over the tile [lo, hi)
-// of b and compares every row bit for bit; rows outside the tile must
-// keep their sentinel.
-func checkAVX2MatchesGo(t *testing.T, b *Banded, x []float64, lo, hi int) {
+// segmentOf returns the segment of b's rows [lo, hi) over bands
+// [k0, k1), as Banded.segments would cut it but with any band subset.
+// The rows must lie in one tile; lo = hi gives an empty segment.
+func segmentOf(b *Banded, lo, hi, k0, k1 int) segment {
+	s := segment{lo: int32(lo), hi: int32(hi), ph: int32(b.phase(lo)), k0: uint8(k0), k1: uint8(k1)}
+	for k := k0; k < k1 && lo < hi; k++ {
+		s.v[k-k0] = &b.bands[k].rows(lo, hi, int(s.ph))[0]
+	}
+	return s
+}
+
+// checkAVX2MatchesGo runs both band kernels over the segment s of b and
+// compares every row bit for bit; rows outside the segment must keep
+// their sentinel.
+func checkAVX2MatchesGo(t *testing.T, b *Banded, x []float64, s *segment) {
 	t.Helper()
 	want, got := make([]float64, b.n), make([]float64, b.n)
 	for i := range want {
 		want[i], got[i] = -7, -7
 	}
-	b.interiorRowsGo(want, x, lo, hi)
-	b.interiorRowsAVX2(got, x, lo, hi)
+	b.segmentRowsGo(s, want, x)
+	b.segmentRowsAVX2(s, got, x)
 	for r := range want {
 		if math.Float64bits(got[r]) != math.Float64bits(want[r]) {
-			t.Fatalf("offsets %v, periods %v, tile [%d, %d): row %d = %v (%#x), Go passes %v (%#x)",
-				b.offs, b.Periods(), lo, hi, r, got[r], math.Float64bits(got[r]), want[r], math.Float64bits(want[r]))
+			t.Fatalf("offsets %v, periods %v, segment [%d, %d) of bands [%d, %d): row %d = %v (%#x), Go passes %v (%#x)",
+				b.offs, b.Periods(), s.lo, s.hi, s.k0, s.k1, r, got[r], math.Float64bits(got[r]), want[r], math.Float64bits(want[r]))
 		}
 	}
 }
@@ -597,7 +650,7 @@ func TestBandedPeriodBreak(t *testing.T) {
 		}
 		x := randomVec(rng, n)
 		for _, ranges := range [][]int32{{0, n}, {brk - 5, brk + 5}, {brk, brk + 700}, {brk - 600, brk}} {
-			checkBandedMatchesCSR(t, pool, b, c, ranges, x, nil, 0)
+			checkBandedMatchesCSR(t, pool, planBanded(t, pool, b, ranges), b, c, ranges, x, nil, 0)
 		}
 	}
 }
@@ -641,7 +694,7 @@ func TestBandedCommonPeriod(t *testing.T) {
 		}
 		x := randomVec(rng, n)
 		for _, ranges := range [][]int32{{0, n}, cutRanges(rng, b)} {
-			checkBandedMatchesCSR(t, pool, b, c, ranges, x, nil, 0)
+			checkBandedMatchesCSR(t, pool, planBanded(t, pool, b, ranges), b, c, ranges, x, nil, 0)
 		}
 	}
 }
@@ -688,9 +741,13 @@ func BenchmarkWindowProduct(b *testing.B) {
 	pool := NewPool(1)
 	defer pool.Close()
 	for _, op := range []Operator{cm, bm} {
+		var pl Plan
+		if err := pool.Plan(&pl, op, ranges); err != nil {
+			b.Fatal(err)
+		}
 		b.Run(fmt.Sprintf("%T", op)[len("*sparse."):], func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if err := pool.MulVecRanges(op, ranges, dst, x, nil, 0); err != nil {
+				if err := pool.MulVecPlan(&pl, dst, x, nil, 0); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -699,7 +756,7 @@ func BenchmarkWindowProduct(b *testing.B) {
 }
 
 // BenchmarkBandedKernel times one interior tile of bandTile rows on each
-// interior kernel, called directly, with Fig. 8's 5 band offsets and
+// band kernel, called directly, with Fig. 8's 5 band offsets and
 // Fig. 10's 6, every band dense. The avx2 runs skip where that kernel
 // does not run.
 func BenchmarkBandedKernel(b *testing.B) {
@@ -718,18 +775,18 @@ func BenchmarkBandedKernel(b *testing.B) {
 		}
 		bm, _ := bandsOf(b, n, fig.offs, vals)
 		x, dst := randomVec(rng, n), make([]float64, n)
-		lo := bm.lo
+		s := segmentOf(bm, bm.lo, bm.lo+bandTile, 0, len(fig.offs))
 		for _, k := range []struct {
 			name   string
-			kernel func(dst, x []float64, lo, hi int)
-		}{{"go", bm.interiorRowsGo}, {"avx2", bm.interiorRowsAVX2}} {
+			kernel func(s *segment, dst, x []float64)
+		}{{"go", bm.segmentRowsGo}, {"avx2", bm.segmentRowsAVX2}} {
 			b.Run(fig.name+"/"+k.name, func(b *testing.B) {
 				if k.name == "avx2" && !useAVX2 {
 					b.Skip("the AVX2 band kernel does not run here")
 				}
 				b.SetBytes(int64(bandTile * 8 * (2*len(fig.offs) + 1)))
 				for i := 0; i < b.N; i++ {
-					k.kernel(dst, x, lo, lo+bandTile)
+					k.kernel(&s, dst, x)
 				}
 			})
 		}

@@ -126,11 +126,12 @@ func TestPoolMulVecConcurrentPools(t *testing.T) {
 }
 
 // TestPoolMulVecRangesConcurrent drives one pool from several goroutines
-// with different windowed products at once, on a CSR and on a banded
+// with different planned products at once, on a CSR and on a banded
 // operator, so dispatch records are reused across products, layouts and
-// callers while stale worker announcements are still in flight. Every
-// result must match the serial CSR kernel; run with -race to certify the
-// generation-tagged job reuse.
+// callers while stale worker announcements are still in flight, and
+// pairs of goroutines share one plan. Every result must match the
+// serial CSR kernel; run with -race to certify the generation-tagged
+// job reuse and the read-only plans.
 func TestPoolMulVecRangesConcurrent(t *testing.T) {
 	const rows = 16000
 	m := buildStressCSR(t, rows, 4)
@@ -148,21 +149,33 @@ func TestPoolMulVecRangesConcurrent(t *testing.T) {
 	if err := bc.MulVec(wantBanded, x); err != nil {
 		t.Fatal(err)
 	}
+	// Goroutines g and g+6 run the products of plans[g].
+	plans := make([]Plan, 6)
+	windows := make([][]int32, 6)
+	for g := range plans {
+		var m Operator = m
+		if g%2 == 1 {
+			m = bm
+		}
+		lo := int32(g * 1000)
+		windows[g] = []int32{lo, lo + 9000, lo + 9100, rows}
+		if err := pool.Plan(&plans[g], m, windows[g]); err != nil {
+			t.Fatal(err)
+		}
+	}
 	var wg sync.WaitGroup
-	for g := 0; g < 6; g++ {
+	for g := 0; g < 12; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			var m Operator = m
 			want := want
 			if g%2 == 1 {
-				m, want = bm, wantBanded
+				want = wantBanded
 			}
-			lo := int32(g * 1000)
-			ranges := []int32{lo, lo + 9000, lo + 9100, rows}
+			pl, ranges := &plans[g%6], windows[g%6]
 			dst := make([]float64, rows)
 			for it := 0; it < 30; it++ {
-				if err := pool.MulVecRanges(m, ranges, dst, x, nil, 0); err != nil {
+				if err := pool.MulVecPlan(pl, dst, x, nil, 0); err != nil {
 					t.Errorf("goroutine %d: %v", g, err)
 					return
 				}

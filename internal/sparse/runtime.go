@@ -186,15 +186,8 @@ func (p *Pool) worker() {
 	}
 }
 
-// Kernel opcodes.
-const (
-	opMul = iota
-	opAccum
-	opMulti
-)
-
-// Operator is a matrix the pool's row-range products accept: a *CSR or
-// a *Banded. Its row-range kernels are unexported, so no other type
+// Operator is a matrix the pool's planned products accept: a *CSR or a
+// *Banded. Its segment kernels are unexported, so no other type
 // satisfies it.
 type Operator interface {
 	Rows() int
@@ -202,44 +195,78 @@ type Operator interface {
 	// Kernel names the row kernel the operator's products run: "csr",
 	// "bands" or "bands-avx2".
 	Kernel() string
-	mulRows(dst, x []float64, lo, hi int)
-	mulAccumRows(dst, x, acc []float64, w float64, lo, hi int)
+	// segments appends the segments of rows [lo, hi) to segs, the
+	// pieces a product computes one kernel call each.
+	segments(segs []segment, lo, hi int) []segment
+	// mulSegment computes dst[r] = m[r,:]·x on the rows of s and, when
+	// acc is non-nil, folds acc[r] += w·dst[r].
+	mulSegment(s *segment, dst, x, acc []float64, w float64)
 	// weight is the partition weight of rows [lo, hi), about the work
 	// of computing them.
 	weight(lo, hi int32) int64
 }
 
-// kernel describes what one product computes on each row range.
+// segment is rows [lo, hi) of one product, computed in one kernel call.
+// A CSR reads only the rows. For a Banded (see Banded.segments) the
+// rows lie in one tile, bands [k0, k1) have their column in the matrix
+// on every row, v[k−k0] is the base of band k's values for the rows,
+// and ph is lo mod the matrix's period.
+type segment struct {
+	lo, hi, ph int32
+	k0, k1     uint8
+	v          [MaxBands]*float64
+}
+
+// Plan is the schedule of products over one list of row ranges of one
+// operator: the ranges cut into segments and, when they carry enough
+// work to fan out over the pool's workers, the segments' partition into
+// chunks of near-equal weight. Pool.Plan builds it once; Pool.MulVecPlan
+// runs it for as many products as the ranges stay the same, such as the
+// steps over which the uniformisation loop's active window does not
+// move. A Plan holds no vector, so products on any vectors of the right
+// shape may share it, concurrently too. The zero Plan is unbuilt.
+type Plan struct {
+	m    Operator
+	segs []segment
+	// starts delimits the chunks: chunk i runs segs[starts[i]:starts[i+1]].
+	starts []int32
+	// parallel reports that the products fan out over the workers;
+	// imbalance is the heaviest chunk's weight over the ideal.
+	parallel  bool
+	imbalance float64
+}
+
+// kernel describes what one product computes on each segment: dst = m·x
+// (folded into acc with weight w when acc is non-nil), or with xs set,
+// the batched dsts[k] = m·xs[k] of a *CSR.
 type kernel struct {
-	op     uint8
-	m      Operator // a *CSR for opMulti
-	x, dst []float64
-	acc    []float64 // opAccum
-	w      float64   // opAccum
-	xs     [][]float64
-	dsts   [][]float64 // opMulti
+	m        Operator
+	x, dst   []float64
+	acc      []float64
+	w        float64
+	xs, dsts [][]float64
 }
 
-// rows executes the kernel over rows [lo, hi).
-func (k *kernel) rows(lo, hi int) {
-	switch k.op {
-	case opMul:
-		k.m.mulRows(k.dst, k.x, lo, hi)
-	case opAccum:
-		k.m.mulAccumRows(k.dst, k.x, k.acc, k.w, lo, hi)
-	case opMulti:
-		k.m.(*CSR).mulMultiRows(k.dsts, k.xs, lo, hi)
-	}
-}
-
-// ranges executes the kernel over every [lo, hi) pair of ranges on the
-// calling goroutine — the serial row-range product.
+// run executes the kernel over one segment.
 //
 //numlint:hotpath
-func (k *kernel) ranges(ranges []int32) {
-	for i := 0; i+1 < len(ranges); i += 2 {
-		k.rows(int(ranges[i]), int(ranges[i+1]))
+func (k *kernel) run(s *segment) {
+	if k.xs != nil {
+		k.m.(*CSR).mulMultiRows(k.dsts, k.xs, int(s.lo), int(s.hi))
+		return
 	}
+	k.m.mulSegment(s, k.dst, k.x, k.acc, k.w)
+}
+
+// whole executes a whole-matrix kernel, whose operator is a *CSR, over
+// rows [lo, hi) on the calling goroutine.
+func (k *kernel) whole(lo, hi int) {
+	m := k.m.(*CSR)
+	if k.xs != nil {
+		m.mulMultiRows(k.dsts, k.xs, lo, hi)
+		return
+	}
+	m.mulRows(k.dst, k.x, lo, hi)
 }
 
 // task announces generation gen of a job to a worker. It travels by
@@ -250,7 +277,7 @@ type task struct {
 }
 
 // spmvJob is the reusable dispatch record of one parallel product: the
-// kernel, its nnz-balanced row chunks, and a work-stealing cursor.
+// kernel, the plan whose chunks it runs, and a work-stealing cursor.
 // Workers and the dispatching caller all drain the cursor, so a
 // straggling chunk never serialises the product and a closed pool
 // degrades to the caller doing every chunk itself.
@@ -267,11 +294,10 @@ type spmvJob struct {
 	pending sync.WaitGroup // one count per chunk
 	gen     uint32         // dispatcher-owned
 
-	k kernel
-	// pieces holds the product's row ranges, split at chunk boundaries,
-	// as lo, hi pairs; chunk i covers pieces starts[i] to starts[i+1].
-	pieces []int32
-	starts []int32
+	k  kernel
+	pl *Plan
+	// own is the plan of a whole-matrix product, rebuilt for each one.
+	own Plan
 
 	enqueuedNanos int64 // 0 when task-wait recording is off
 	waitObserved  atomic.Bool
@@ -299,8 +325,9 @@ func (j *spmvJob) run(gen uint32, m *PoolMetrics) {
 		if m != nil {
 			j.observeWait(m)
 		}
-		for i := j.starts[next]; i < j.starts[next+1]; i++ {
-			j.k.rows(int(j.pieces[2*i]), int(j.pieces[2*i+1]))
+		segs := j.pl.segs[j.pl.starts[next]:j.pl.starts[next+1]]
+		for i := range segs {
+			j.k.run(&segs[i])
 		}
 		j.pending.Done()
 	}
@@ -314,20 +341,49 @@ func (j *spmvJob) observeWait(m *PoolMetrics) {
 	m.TaskWait.Observe(float64(time.Now().UnixNano()-j.enqueuedNanos) / 1e9)
 }
 
-// partition splits ranges into at most chunks pieces lists of near-equal
+// checkRanges reports whether ranges is a valid range list of m: an
+// even number of bounds, each range [lo, hi) nonempty, within m's rows
+// and above the one before.
+func checkRanges(m Operator, ranges []int32) error {
+	if len(ranges)%2 != 0 {
+		return fmt.Errorf("sparse: plan with %d range bounds: %w", len(ranges), ErrShape)
+	}
+	prev := int32(0)
+	for i := 0; i < len(ranges); i += 2 {
+		if ranges[i] < prev || ranges[i] >= ranges[i+1] || int(ranges[i+1]) > m.Rows() {
+			return fmt.Errorf("sparse: plan range [%d,%d) after %d in %d rows: %w",
+				ranges[i], ranges[i+1], prev, m.Rows(), ErrShape)
+		}
+		prev = ranges[i+1]
+	}
+	return nil
+}
+
+// build sets pl to the plan of m over ranges, which checkRanges has
+// passed and whose rows weigh total, in at most chunks chunks. One chunk
+// holds every segment. More split the rows into chunks of near-equal
 // weight (nnz + rows for a CSR, rows·(bands+1) for a Banded), cutting
-// inside a range where a boundary falls, and reports the heaviest
-// chunk's weight over the ideal. A cut never splits a row, so every
-// parallel product stays bit-identical to the serial kernel.
-func (j *spmvJob) partition(m Operator, ranges []int32, chunks int, total int64) float64 {
+// inside a range where a boundary falls, and the plan records the
+// heaviest chunk's weight over the ideal. A cut never splits a row, so
+// every parallel product stays bit-identical to the serial kernel.
+func (pl *Plan) build(m Operator, ranges []int32, chunks int, total int64) {
+	pl.m = m
+	pl.segs = pl.segs[:0]
+	pl.starts = append(pl.starts[:0], 0)
+	pl.parallel, pl.imbalance = chunks > 1, 1
+	if chunks == 1 {
+		for i := 0; i+1 < len(ranges); i += 2 {
+			pl.segs = m.segments(pl.segs, int(ranges[i]), int(ranges[i+1]))
+		}
+		pl.starts = append(pl.starts, int32(len(pl.segs)))
+		return
+	}
 	weight := m.weight
 	ideal := float64(total) / float64(chunks)
-	j.pieces = j.pieces[:0]
-	j.starts = append(j.starts[:0], 0)
 	var acc, chunkStart, maxChunk int64
 	cut := 1 // the current chunk ends once acc reaches cut*ideal
 	endChunk := func() {
-		j.starts = append(j.starts, int32(len(j.pieces)/2))
+		pl.starts = append(pl.starts, int32(len(pl.segs)))
 		maxChunk = max(maxChunk, acc-chunkStart)
 		chunkStart = acc
 	}
@@ -336,7 +392,7 @@ func (j *spmvJob) partition(m Operator, ranges []int32, chunks int, total int64)
 		for lo < hi {
 			target := float64(cut) * ideal
 			if cut >= chunks || float64(acc+weight(lo, hi)) < target {
-				j.pieces = append(j.pieces, lo, hi)
+				pl.segs = m.segments(pl.segs, int(lo), int(hi))
 				acc += weight(lo, hi)
 				break
 			}
@@ -350,7 +406,7 @@ func (j *spmvJob) partition(m Operator, ranges []int32, chunks int, total int64)
 					a = mid + 1
 				}
 			}
-			j.pieces = append(j.pieces, lo, a)
+			pl.segs = m.segments(pl.segs, int(lo), int(a))
 			acc += weight(lo, a)
 			endChunk()
 			for cut < chunks && float64(acc) >= float64(cut)*ideal {
@@ -359,10 +415,10 @@ func (j *spmvJob) partition(m Operator, ranges []int32, chunks int, total int64)
 			lo = a
 		}
 	}
-	if int(j.starts[len(j.starts)-1]) < len(j.pieces)/2 {
+	if int(pl.starts[len(pl.starts)-1]) < len(pl.segs) {
 		endChunk()
 	}
-	return float64(maxChunk) / ideal
+	pl.imbalance = float64(maxChunk) / ideal
 }
 
 // getJob borrows a dispatch record from the free list.
@@ -380,36 +436,48 @@ func (p *Pool) getJob() *spmvJob {
 // putJob returns a finished dispatch record to the free list, dropping
 // its references to the product's vectors.
 func (p *Pool) putJob(j *spmvJob) {
-	j.k = kernel{}
+	j.k, j.pl = kernel{}, nil
 	p.jobsMu.Lock()
 	p.jobs = append(p.jobs, j)
 	p.jobsMu.Unlock()
 }
 
-// product runs k over the rows of ranges: fanned out over the workers
-// when the rows carry enough work, on the calling goroutine otherwise.
-func (p *Pool) product(k kernel, ranges []int32) {
-	if p.workers == 1 || p.closed.Load() {
-		k.ranges(ranges)
+// run runs k over the plan's segments: fanned out over the workers
+// when the plan says so, on the calling goroutine otherwise.
+func (p *Pool) run(k kernel, pl *Plan) {
+	if !pl.parallel || p.workers == 1 || p.closed.Load() {
+		for i := range pl.segs {
+			k.run(&pl.segs[i])
+		}
 		return
 	}
-	var total int64
-	for i := 0; i+1 < len(ranges); i += 2 {
-		total += k.m.weight(ranges[i], ranges[i+1])
-	}
-	work := total
-	if k.op == opMulti {
+	p.m.SpMVParallel.Add(1)
+	p.m.PartitionImbalance.Set(pl.imbalance)
+	j := p.getJob()
+	j.k, j.pl = k, pl
+	p.dispatch(j)
+	p.putJob(j)
+}
+
+// whole runs a whole-matrix kernel over every row of its *CSR: fanned
+// out over the workers when the rows carry enough work, once per
+// right-hand side, on the calling goroutine otherwise.
+func (p *Pool) whole(k kernel) {
+	m := k.m.(*CSR)
+	work := m.weight(0, int32(m.rows))
+	if k.xs != nil {
 		work *= int64(len(k.xs)) // one sweep of the rows per right-hand side
 	}
-	if work < parallelMinWeight {
-		k.ranges(ranges)
+	if p.workers == 1 || p.closed.Load() || work < parallelMinWeight {
+		k.whole(0, m.rows)
 		return
 	}
 	p.m.SpMVParallel.Add(1)
 	j := p.getJob()
-	j.k = k
-	imbalance := j.partition(k.m, ranges, min(p.workers, maxChunks), total)
-	p.m.PartitionImbalance.Set(imbalance)
+	all := [2]int32{0, int32(m.rows)}
+	j.own.build(m, all[:], min(p.workers, maxChunks), m.weight(0, int32(m.rows)))
+	p.m.PartitionImbalance.Set(j.own.imbalance)
+	j.k, j.pl = k, &j.own
 	p.dispatch(j)
 	p.putJob(j)
 }
@@ -420,7 +488,7 @@ func (p *Pool) product(k kernel, ranges []int32) {
 // workers are gone), the caller simply drains the cursor itself, so
 // dispatch is deadlock-free even when it races Close.
 func (p *Pool) dispatch(j *spmvJob) {
-	chunks := len(j.starts) - 1
+	chunks := len(j.pl.starts) - 1
 	j.pending.Add(chunks)
 	j.gen++
 	j.waitObserved.Store(false)
@@ -483,47 +551,80 @@ func (p *Pool) MulVec(m *CSR, dst, x []float64) error {
 			m.rows, m.cols, len(x), len(dst), ErrShape)
 	}
 	p.m.SpMV.Add(1)
-	all := [2]int32{0, int32(m.rows)}
-	p.product(kernel{op: opMul, m: m, x: x, dst: dst}, all[:])
+	p.whole(kernel{m: m, x: x, dst: dst})
 	check.FiniteVec("sparse.Pool.MulVec", dst)
 	return nil
 }
 
-// MulVecRanges computes dst[r] = m[r,:]·x for every row r of ranges and
-// leaves every other row of dst untouched; m is a *CSR or a *Banded.
-// ranges lists ascending, disjoint row intervals [lo, hi) flattened as
-// lo0, hi0, lo1, hi1, … — the active window of a uniformisation step. When acc is non-nil it
-// also folds acc[r] += w·dst[r] in the same pass, bit-identical to an
-// element-wise fold after the product. The product runs in parallel
-// when the rows of ranges, not of the whole matrix, carry enough work.
-// dst, x and acc must not alias; every computed row is bit-identical to
-// MulVec's on the CSR of the same entries.
-func (p *Pool) MulVecRanges(m Operator, ranges []int32, dst, x, acc []float64, w float64) error {
+// Plan checks ranges and builds pl into the plan of m's products over
+// them, reusing pl's storage; pl keeps no reference to ranges. ranges
+// lists ascending, disjoint, nonempty row intervals [lo, hi) flattened
+// as lo0, hi0, lo1, hi1, …, such as the active window of a
+// uniformisation step. The plan's products run in parallel when the
+// rows of ranges, not of the whole matrix, carry enough work for this
+// pool. On a bad range list pl is left unbuilt.
+func (p *Pool) Plan(pl *Plan, m Operator, ranges []int32) error {
+	if err := checkRanges(m, ranges); err != nil {
+		pl.m = nil
+		return err
+	}
+	var total int64
+	for i := 0; i < len(ranges); i += 2 {
+		total += m.weight(ranges[i], ranges[i+1])
+	}
+	chunks := 1
+	if p.workers > 1 && total >= parallelMinWeight {
+		chunks = min(p.workers, maxChunks)
+	}
+	pl.build(m, ranges, chunks, total)
+	return nil
+}
+
+// Reserve makes room in pl for the plan of m's products over up to
+// ranges row ranges, so that Plan builds any such plan without
+// allocating. A segment ends where its range does, and a Banded's also
+// at every cut and every bandTile rows, and each chunk boundary splits
+// one more.
+func (p *Pool) Reserve(pl *Plan, m Operator, ranges int) {
+	chunks := min(p.workers, maxChunks)
+	segs := ranges + chunks
+	if b, ok := m.(*Banded); ok {
+		segs += b.n/bandTile + len(b.cuts)
+	}
+	if cap(pl.segs) < segs {
+		pl.segs = make([]segment, 0, segs)
+	}
+	if cap(pl.starts) < chunks+1 {
+		pl.starts = make([]int32, 0, chunks+1)
+	}
+}
+
+// MulVecPlan computes dst[r] = m[r,:]·x for every row r of the plan's
+// ranges, m its operator, and leaves every other row of dst untouched.
+// When acc is non-nil it also folds acc[r] += w·dst[r] in the same pass,
+// bit-identical to an element-wise fold after the product; a w of 0
+// folds nothing. dst, x and acc must not alias; every computed row is
+// bit-identical to MulVec's on the CSR of the same entries.
+func (p *Pool) MulVecPlan(pl *Plan, dst, x, acc []float64, w float64) error {
+	m := pl.m
+	if m == nil {
+		return fmt.Errorf("sparse: MulVecPlan on an unbuilt plan: %w", ErrShape)
+	}
 	if len(x) != m.Cols() || len(dst) != m.Rows() || (acc != nil && len(acc) != m.Rows()) {
-		return fmt.Errorf("sparse: MulVecRanges %dx%d with |x|=%d |dst|=%d |acc|=%d: %w",
+		return fmt.Errorf("sparse: MulVecPlan %dx%d with |x|=%d |dst|=%d |acc|=%d: %w",
 			m.Rows(), m.Cols(), len(x), len(dst), len(acc), ErrShape)
 	}
-	if len(ranges)%2 != 0 {
-		return fmt.Errorf("sparse: MulVecRanges with %d range bounds: %w", len(ranges), ErrShape)
-	}
-	prev := int32(0)
-	for i := 0; i < len(ranges); i += 2 {
-		if ranges[i] < prev || ranges[i] >= ranges[i+1] || int(ranges[i+1]) > m.Rows() {
-			return fmt.Errorf("sparse: MulVecRanges range [%d,%d) after %d in %d rows: %w",
-				ranges[i], ranges[i+1], prev, m.Rows(), ErrShape)
-		}
-		prev = ranges[i+1]
-	}
 	p.m.SpMV.Add(1)
-	k := kernel{op: opMul, m: m, x: x, dst: dst}
 	if acc != nil {
 		p.m.SpMVFused.Add(1)
-		k.op, k.acc, k.w = opAccum, acc, w
+		if w == 0 {
+			acc = nil
+		}
 	}
-	p.product(k, ranges)
+	p.run(kernel{m: m, x: x, dst: dst, acc: acc, w: w}, pl)
 	if check.Enabled {
-		for i := 0; i < len(ranges); i += 2 {
-			check.FiniteVec("sparse.Pool.MulVecRanges", dst[ranges[i]:ranges[i+1]])
+		for _, s := range pl.segs {
+			check.FiniteVec("sparse.Pool.MulVecPlan", dst[s.lo:s.hi])
 		}
 	}
 	return nil
@@ -550,8 +651,7 @@ func (p *Pool) MulVecMulti(m *CSR, dsts, xs [][]float64) error {
 	}
 	p.m.SpMV.Add(int64(len(xs)))
 	p.m.SpMVBatched.Add(1)
-	all := [2]int32{0, int32(m.rows)}
-	p.product(kernel{op: opMulti, m: m, xs: xs, dsts: dsts}, all[:])
+	p.whole(kernel{m: m, xs: xs, dsts: dsts})
 	for k := range dsts {
 		check.FiniteVec("sparse.Pool.MulVecMulti", dsts[k])
 	}

@@ -184,10 +184,11 @@ func TestDefaultPoolShared(t *testing.T) {
 	}
 }
 
-// TestMulVecRangesFoldMatchesUnfused checks the fused fold of
-// MulVecRanges over all rows against its definition — MulVec then
+// TestMulVecRangesFoldMatchesUnfused checks the fused fold of a planned
+// product over all rows against its definition — MulVec then
 // acc[i] += w·dst[i] — on a serial and a parallel pool, bit for bit,
-// including the w = 0 accumulate skip.
+// including the w = 0 accumulate skip. Each pool plans the rows once
+// and runs every product on that plan.
 func TestMulVecRangesFoldMatchesUnfused(t *testing.T) {
 	const rows = 13200
 	m := buildStressCSR(t, rows, 5)
@@ -198,6 +199,17 @@ func TestMulVecRangesFoldMatchesUnfused(t *testing.T) {
 		accInit[i] = 1 / float64(i+1)
 	}
 
+	pools := map[int]*Pool{}
+	plans := map[int]*Plan{}
+	for _, workers := range []int{1, 4} {
+		pool := NewPool(workers)
+		defer pool.Close()
+		pl := new(Plan)
+		if err := pool.Plan(pl, m, []int32{0, rows}); err != nil {
+			t.Fatal(err)
+		}
+		pools[workers], plans[workers] = pool, pl
+	}
 	for _, w := range []float64{0, 1, 0.37, -2.25} {
 		wantDst := make([]float64, rows)
 		wantAcc := append([]float64(nil), accInit...)
@@ -227,11 +239,9 @@ func TestMulVecRangesFoldMatchesUnfused(t *testing.T) {
 			}
 		}
 		for _, workers := range []int{1, 4} {
-			pool := NewPool(workers)
 			check(fmt.Sprintf("workers=%d", workers), func(dst, acc []float64) error {
-				return pool.MulVecRanges(m, []int32{0, rows}, dst, x, acc, w)
+				return pools[workers].MulVecPlan(plans[workers], dst, x, acc, w)
 			})
-			pool.Close()
 		}
 	}
 }
@@ -333,10 +343,14 @@ func TestPoolMulVecMultiConcurrent(t *testing.T) {
 			}
 			dst := make([]float64, rows)
 			acc := make([]float64, rows)
-			all := []int32{0, rows}
+			var pl Plan
+			if err := pool.Plan(&pl, m, []int32{0, rows}); err != nil {
+				t.Errorf("Plan: %v", err)
+				return
+			}
 			for it := 0; it < 20; it++ {
-				if err := pool.MulVecRanges(m, all, dst, x, acc, 0); err != nil {
-					t.Errorf("MulVecRanges: %v", err)
+				if err := pool.MulVecPlan(&pl, dst, x, acc, 0); err != nil {
+					t.Errorf("MulVecPlan: %v", err)
 					return
 				}
 				for i := range dst {
@@ -364,13 +378,17 @@ func TestKernelShapeErrors(t *testing.T) {
 	defer pool.Close()
 	good := make([]float64, 4)
 	bad := make([]float64, 3)
-	all := []int32{0, 4}
+	var pl Plan
+	if err := pool.Plan(&pl, m, []int32{0, 4}); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		err  error
 	}{
-		{"pool accum dst", pool.MulVecRanges(m, all, bad, good, good, 1)},
-		{"pool accum x", pool.MulVecRanges(m, all, good, bad, good, 1)},
+		{"pool accum dst", pool.MulVecPlan(&pl, bad, good, good, 1)},
+		{"pool accum x", pool.MulVecPlan(&pl, good, bad, good, 1)},
+		{"unbuilt plan", pool.MulVecPlan(&Plan{}, good, good, nil, 0)},
 		{"serial multi ragged", m.MulVecMulti([][]float64{good}, [][]float64{bad})},
 		{"serial multi arity", m.MulVecMulti([][]float64{good, good}, [][]float64{good})},
 		{"pool multi ragged", pool.MulVecMulti(m, [][]float64{good}, [][]float64{bad})},
@@ -415,12 +433,12 @@ func buildSkewedCSR(t testing.TB, rows, heavy, heavyNNZ int) *CSR {
 }
 
 // TestRowPartitionProperties is the property test for the nnz-balanced
-// partition of a product's row ranges: for a range of chunk counts over
+// partition of a plan's row ranges: for a range of chunk counts over
 // a heavily skewed matrix, both for all rows and for a scattered window
-// of row ranges, the chunks must cover every row of the ranges exactly
-// once in order, and every chunk's weight (nnz + rows, the kernel's
-// actual work) must stay below ideal + the heaviest single row — the
-// greedy cut's guarantee.
+// of row ranges, the chunks' segments must cover every row of the
+// ranges exactly once in order, and every chunk's weight (nnz + rows,
+// the kernel's actual work) must stay below ideal + the heaviest single
+// row — the greedy cut's guarantee.
 func TestRowPartitionProperties(t *testing.T) {
 	const rows = 6000
 	banded, _ := bandedPair(t, rand.New(rand.NewSource(6)), rows, fig8Offsets)
@@ -450,21 +468,21 @@ func checkPartition(t *testing.T, opName string, m Operator) {
 			total += int(m.weight(ranges[i], ranges[i+1]))
 		}
 		for _, chunks := range []int{1, 2, 3, 4, 7, 8, 16, 61} {
-			var j spmvJob
-			imbalance := j.partition(m, ranges, chunks, int64(total))
-			if got := len(j.starts) - 1; got < 1 || got > chunks {
+			var pl Plan
+			pl.build(m, ranges, chunks, int64(total))
+			if got := len(pl.starts) - 1; got < 1 || got > chunks {
 				t.Fatalf("%s, chunks=%d: %d chunks produced", name, chunks, got)
 			}
 			ideal := float64(total) / float64(chunks)
 			var got []int32
 			maxW := 0
-			for c := 0; c+1 < len(j.starts); c++ {
-				if j.starts[c] >= j.starts[c+1] {
+			for c := 0; c+1 < len(pl.starts); c++ {
+				if pl.starts[c] >= pl.starts[c+1] {
 					t.Fatalf("%s, chunks=%d: empty chunk %d", name, chunks, c)
 				}
 				w := 0
-				for i := j.starts[c]; i < j.starts[c+1]; i++ {
-					lo, hi := j.pieces[2*i], j.pieces[2*i+1]
+				for _, s := range pl.segs[pl.starts[c]:pl.starts[c+1]] {
+					lo, hi := s.lo, s.hi
 					if hi <= lo {
 						t.Fatalf("%s, chunks=%d: empty or inverted piece [%d,%d)", name, chunks, lo, hi)
 					}
@@ -487,15 +505,16 @@ func checkPartition(t *testing.T, opName string, m Operator) {
 					t.Fatalf("%s, chunks=%d: row %d of the cover is %d, want %d", name, chunks, i, got[i], want[i])
 				}
 			}
-			if math.Abs(imbalance-float64(maxW)/ideal) > 1e-9 {
-				t.Errorf("%s, chunks=%d: imbalance %v, want %v", name, chunks, imbalance, float64(maxW)/ideal)
+			if math.Abs(pl.imbalance-float64(maxW)/ideal) > 1e-9 {
+				t.Errorf("%s, chunks=%d: imbalance %v, want %v", name, chunks, pl.imbalance, float64(maxW)/ideal)
 			}
 		}
 	}
 }
 
 // TestFusedKernelsZeroAlloc backs the //numlint:hotpath annotation on
-// the serial batched kernel: MulVecMulti must not allocate per call.
+// the serial batched kernel and the fused planned product: neither
+// MulVecMulti nor a fused MulVecPlan on a built plan allocates per call.
 func TestFusedKernelsZeroAlloc(t *testing.T) {
 	b := NewBuilder(64, 64, 0)
 	for i := 0; i < 64; i++ {
@@ -512,8 +531,18 @@ func TestFusedKernelsZeroAlloc(t *testing.T) {
 	}
 	dsts := [][]float64{make([]float64, 64), make([]float64, 64)}
 	xs := [][]float64{x, x}
+	pool := NewPool(1)
+	defer pool.Close()
+	var pl Plan
+	if err := pool.Plan(&pl, m, []int32{0, 10, 20, 64}); err != nil {
+		t.Fatal(err)
+	}
+	acc := make([]float64, 64)
 	allocs := testing.AllocsPerRun(200, func() {
 		if err := m.MulVecMulti(dsts, xs); err != nil {
+			t.Fatal(err)
+		}
+		if err := pool.MulVecPlan(&pl, dsts[0], x, acc, 0.5); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -523,10 +552,10 @@ func TestFusedKernelsZeroAlloc(t *testing.T) {
 }
 
 // TestPoolZeroAllocParallel pins the reusable dispatch record: once a
-// pool has run one product, products — full, windowed, fused, on CSR
-// and banded operators, with and without pool metrics, on 1 to 8
-// workers — allocate nothing. Before, every parallel product
-// heap-allocated its job and WaitGroup.
+// pool has run one product, products — full, and windowed and fused on
+// built plans, on CSR and banded operators, with and without pool
+// metrics, on 1 to 8 workers — allocate nothing. Before, every parallel
+// product heap-allocated its job and WaitGroup.
 func TestPoolZeroAllocParallel(t *testing.T) {
 	const rows = 16000
 	m := buildStressCSR(t, rows, 4)
@@ -541,20 +570,27 @@ func TestPoolZeroAllocParallel(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		for _, reg := range []*obs.Registry{nil, obs.NewRegistry()} {
 			pool := NewPoolObs(workers, reg)
+			var csrPlan, bandPlan Plan
+			if err := pool.Plan(&csrPlan, m, window); err != nil {
+				t.Fatal(err)
+			}
+			if err := pool.Plan(&bandPlan, bm, window); err != nil {
+				t.Fatal(err)
+			}
 			allocs := testing.AllocsPerRun(100, func() {
 				if err := pool.MulVec(m, dst, x); err != nil {
 					t.Fatal(err)
 				}
-				if err := pool.MulVecRanges(m, window, dst, x, nil, 0); err != nil {
+				if err := pool.MulVecPlan(&csrPlan, dst, x, nil, 0); err != nil {
 					t.Fatal(err)
 				}
-				if err := pool.MulVecRanges(m, window, dst, x, acc, 0.25); err != nil {
+				if err := pool.MulVecPlan(&csrPlan, dst, x, acc, 0.25); err != nil {
 					t.Fatal(err)
 				}
-				if err := pool.MulVecRanges(bm, window, dst, x, nil, 0); err != nil {
+				if err := pool.MulVecPlan(&bandPlan, dst, x, nil, 0); err != nil {
 					t.Fatal(err)
 				}
-				if err := pool.MulVecRanges(bm, window, dst, x, acc, 0.25); err != nil {
+				if err := pool.MulVecPlan(&bandPlan, dst, x, acc, 0.25); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -571,10 +607,11 @@ func TestPoolZeroAllocParallel(t *testing.T) {
 	}
 }
 
-// TestMulVecRangesMatchesMulVec: a windowed product computes exactly
+// TestMulVecRangesMatchesMulVec: a planned product computes exactly
 // MulVec's rows (and their fold into acc) on the rows of its ranges and
 // leaves every other row untouched, serially and in parallel, for
-// windows from a single row to the whole matrix.
+// windows from a single row to the whole matrix, each plan run with and
+// without a fold.
 func TestMulVecRangesMatchesMulVec(t *testing.T) {
 	const rows = 16000
 	m := buildStressCSR(t, rows, 4)
@@ -598,6 +635,10 @@ func TestMulVecRangesMatchesMulVec(t *testing.T) {
 	for _, workers := range []int{1, 2, 3} {
 		pool := NewPool(workers)
 		for _, ranges := range windows {
+			var pl Plan
+			if err := pool.Plan(&pl, m, ranges); err != nil {
+				t.Fatal(err)
+			}
 			for _, w := range []float64{0, 0.75} {
 				dst := make([]float64, rows)
 				for i := range dst {
@@ -607,7 +648,7 @@ func TestMulVecRangesMatchesMulVec(t *testing.T) {
 				if w != 0 {
 					acc = append([]float64(nil), accInit...)
 				}
-				if err := pool.MulVecRanges(m, ranges, dst, x, acc, w); err != nil {
+				if err := pool.MulVecPlan(&pl, dst, x, acc, w); err != nil {
 					t.Fatal(err)
 				}
 				in := make([]bool, rows)
@@ -634,8 +675,9 @@ func TestMulVecRangesMatchesMulVec(t *testing.T) {
 	}
 }
 
-// TestMulVecRangesShapeErrors: malformed windows fail with ErrShape
-// before any row is computed.
+// TestMulVecRangesShapeErrors: malformed windows fail to plan with
+// ErrShape, leaving the plan unbuilt, and a plan's product checks the
+// shape of every vector it is given.
 func TestMulVecRangesShapeErrors(t *testing.T) {
 	m := buildStressCSR(t, 100, 2)
 	x, dst := make([]float64, 100), make([]float64, 100)
@@ -650,11 +692,22 @@ func TestMulVecRangesShapeErrors(t *testing.T) {
 		{0, 10, 5, 20}, // overlapping
 		{10, 20, 0, 5}, // descending
 	} {
-		if err := pool.MulVecRanges(m, ranges, dst, x, nil, 0); !errors.Is(err, ErrShape) {
+		pl := new(Plan)
+		if err := pool.Plan(pl, m, []int32{0, 100}); err != nil {
+			t.Fatal(err)
+		}
+		if err := pool.Plan(pl, m, ranges); !errors.Is(err, ErrShape) {
 			t.Errorf("ranges %v: err = %v, want ErrShape", ranges, err)
 		}
+		if err := pool.MulVecPlan(pl, dst, x, nil, 0); !errors.Is(err, ErrShape) {
+			t.Errorf("ranges %v: product on the plan that failed: err = %v, want ErrShape", ranges, err)
+		}
 	}
-	if err := pool.MulVecRanges(m, []int32{0, 100}, dst, x, make([]float64, 99), 1); !errors.Is(err, ErrShape) {
+	var pl Plan
+	if err := pool.Plan(&pl, m, []int32{0, 100}); err != nil {
+		t.Fatal(err)
+	}
+	if err := pool.MulVecPlan(&pl, dst, x, make([]float64, 99), 1); !errors.Is(err, ErrShape) {
 		t.Errorf("short acc: err = %v, want ErrShape", err)
 	}
 }

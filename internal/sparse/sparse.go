@@ -291,17 +291,26 @@ func (m *CSR) mulRows(dst, x []float64, lo, hi int) {
 	}
 }
 
-// mulAccumRows is the fused multiply-accumulate kernel over one row
-// range: dst[r] = m[r,:]·x and, when w != 0, acc[r] += w·dst[r] while
-// the freshly computed sum is still in a register.
-func (m *CSR) mulAccumRows(dst, x, acc []float64, w float64, lo, hi int) {
-	if w == 0 {
-		// Matches the unfused path exactly: a zero Poisson weight folds
-		// nothing in (foldIn skips p <= 0), so skip the accumulate
-		// rather than adding +0.0 to every element.
-		m.mulRows(dst, x, lo, hi)
+// segments appends rows [lo, hi) to segs as one segment: a CSR row
+// range needs no tiling.
+func (m *CSR) segments(segs []segment, lo, hi int) []segment {
+	return append(segs, segment{lo: int32(lo), hi: int32(hi)})
+}
+
+// mulSegment computes the rows of s: dst[r] = m[r,:]·x and, when acc is
+// non-nil, acc[r] += w·dst[r].
+func (m *CSR) mulSegment(s *segment, dst, x, acc []float64, w float64) {
+	if acc == nil {
+		m.mulRows(dst, x, int(s.lo), int(s.hi))
 		return
 	}
+	m.mulAccumRows(dst, x, acc, w, int(s.lo), int(s.hi))
+}
+
+// mulAccumRows is the fused multiply-accumulate kernel over one row
+// range: dst[r] = m[r,:]·x and acc[r] += w·dst[r] while the freshly
+// computed sum is still in a register.
+func (m *CSR) mulAccumRows(dst, x, acc []float64, w float64, lo, hi int) {
 	rowPtr, vals, colIdx := m.rowPtr, m.vals, m.colIdx
 	for r := lo; r < hi; r++ {
 		sum := 0.0

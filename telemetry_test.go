@@ -2,6 +2,7 @@ package batlife
 
 import (
 	"sort"
+	"strconv"
 	"sync"
 	"testing"
 )
@@ -134,7 +135,10 @@ func TestSolveReportMemoReplay(t *testing.T) {
 // TestTelemetryExactCounts asserts exact deterministic counter values
 // after a known sequence of solves: two identical queries are one build,
 // one engine hit, one memo hit — and the iteration total matches the
-// report.
+// report. The window plans the one solve built are on its
+// ctmc.transient span and in ctmc_window_plans_total alike: at least
+// one, and fewer than its products, since most steps reuse the plan of
+// the step before.
 func TestTelemetryExactCounts(t *testing.T) {
 	b, w := onOffC1(t)
 	times := []float64{10000, 15000}
@@ -159,6 +163,19 @@ func TestTelemetryExactCounts(t *testing.T) {
 		if got := reg.Counter(name).Value(); got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
+	}
+	var plans []string
+	for _, span := range reg.Tracer().Spans() {
+		if span.Name == "ctmc.transient" {
+			plans = append(plans, span.Attrs["window_plans"])
+		}
+	}
+	n := reg.Counter("ctmc_window_plans_total").Value()
+	if len(plans) != 1 || plans[0] != strconv.FormatInt(n, 10) {
+		t.Errorf("ctmc.transient window_plans %v, ctmc_window_plans_total %d: want one span holding the counter's value", plans, n)
+	}
+	if n < 1 || n >= int64(rep.SpMVs) {
+		t.Errorf("ctmc_window_plans_total = %d for %d products, want at least 1 and fewer than the products", n, rep.SpMVs)
 	}
 	// The engine records each build's size once, next to its time.
 	for _, name := range []string{"engine_build_seconds", "core_expanded_states", "core_expanded_nnz"} {
