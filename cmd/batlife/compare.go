@@ -15,7 +15,6 @@ func cmdMean(args []string) error {
 	bf := addBatteryFlags(fs)
 	wf := addWorkloadFlags(fs)
 	delta := fs.String("delta", "5mAh", "discretisation step (charge units)")
-	horizon := fs.String("horizon", "", "stranded-charge horizon (default 5x the mean lifetime)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -41,15 +40,7 @@ func cmdMean(args []string) error {
 	fmt.Printf("mean_lifetime\t%.1fs\t%.2fmin\t%.4fh\n", mean, mean/60, mean/3600)
 
 	if b.AvailableFraction < 1 {
-		h := 5 * mean
-		if *horizon != "" {
-			hd, err := units.ParseDuration(*horizon)
-			if err != nil {
-				return err
-			}
-			h = hd.Seconds()
-		}
-		sc, err := solver.StrandedCharge(b, w, h, opts)
+		sc, err := solver.StrandedCharge(b, w, opts)
 		if err != nil {
 			return err
 		}

@@ -108,11 +108,9 @@ func TestRunErrorPrefixOnce(t *testing.T) {
 		// and the all-failed summary.
 		{"sweep", []string{"sweep", "-capacity", "800mAh", "-deltas", "7mAh", "-points", "4"},
 			[]string{"batlife: scenario Δ=7mAh: invalid argument: ", "batlife: all 1 scenarios failed: invalid argument: "}, ""},
-		// A stranded-charge horizon that leaves most runs alive: the
-		// message names the setting as the CLI does, not by the
-		// library's parameter name.
-		{"mean early horizon", []string{"mean", "-capacity", "800mAh", "-delta", "10mAh", "-horizon", "1h"},
-			[]string{"batlife: invalid argument: "}, "horizonSeconds"},
+		// The mean's grid step must divide the wells too.
+		{"mean", []string{"mean", "-capacity", "800mAh", "-delta", "7mAh"},
+			[]string{"batlife: invalid argument: "}, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			code, stderr := runCaptured(t, tc.args...)

@@ -75,10 +75,9 @@ func runStranded(w io.Writer, cfg config) error {
 	fmt.Fprintln(w, "workload\tk_per_s\tmean_lifetime_s\tstranded_mean_As\tstranded_frac_of_bound\tsim_stranded_mean_As")
 
 	type scenario struct {
-		label   string
-		model   mrm.KiBaMRM
-		horizon float64
-		delta   float64
+		label string
+		model mrm.KiBaMRM
+		delta float64
 	}
 	onoff := func(k float64) mrm.KiBaMRM {
 		wl, err := workload.OnOff(1, 1, units.Amperes(0.96))
@@ -98,10 +97,10 @@ func runStranded(w io.Writer, cfg config) error {
 		Capacity: units.MilliampHours(800).AmpereSeconds(), C: 0.625, K: 4.5e-5,
 	})
 	scenarios := []scenario{
-		{"onoff-1Hz", onoff(4.5e-5), 40000, 50},
-		{"onoff-1Hz", onoff(9e-5), 40000, 50},
-		{"onoff-1Hz", onoff(2.25e-5), 40000, 50},
-		{"simple-wireless", simpleRM, 40 * 3600, units.MilliampHours(5).AmpereSeconds()},
+		{"onoff-1Hz", onoff(4.5e-5), 50},
+		{"onoff-1Hz", onoff(9e-5), 50},
+		{"onoff-1Hz", onoff(2.25e-5), 50},
+		{"simple-wireless", simpleRM, units.MilliampHours(5).AmpereSeconds()},
 	}
 	for _, s := range scenarios {
 		e, err := core.Build(s.model, s.delta, core.Options{})
@@ -112,7 +111,7 @@ func runStranded(w io.Writer, cfg config) error {
 		if err != nil {
 			return err
 		}
-		wc, err := e.WastedChargeDistribution(s.horizon)
+		stranded, err := e.StrandedCharge(context.Background())
 		if err != nil {
 			return err
 		}
@@ -126,7 +125,7 @@ func runStranded(w io.Writer, cfg config) error {
 		}
 		bound := (1 - s.model.Battery.C) * s.model.Battery.Capacity
 		fmt.Fprintf(w, "%s\t%.3g\t%.0f\t%.0f\t%.3f\t%.0f\n",
-			s.label, s.model.Battery.K, mean, wc.Mean(), wc.Mean()/bound, simMean)
+			s.label, s.model.Battery.K, mean, stranded, stranded/bound, simMean)
 	}
 	return nil
 }

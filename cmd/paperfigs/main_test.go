@@ -71,7 +71,13 @@ func TestSmallExperimentsRun(t *testing.T) {
 	if err := runBaselines(&sb, cfg); err != nil {
 		t.Errorf("baselines: %v", err)
 	}
+	if err := runStranded(&sb, cfg); err != nil {
+		t.Errorf("stranded: %v", err)
+	}
 	if !strings.Contains(sb.String(), "lambda_burst_per_hour\t182.00") {
 		t.Error("calibration output missing the 182/h result")
+	}
+	if !strings.Contains(sb.String(), "simple-wireless\t4.5e-05\t49875\t244\t0.226\t") {
+		t.Error("stranded output missing the simple-wireless row")
 	}
 }

@@ -304,14 +304,14 @@ func (e *Expanded) Operator() (*ctmc.Uniformized, error) {
 	return e.uni, nil
 }
 
-// solve runs one transient solve from α* on the model's cached operator:
-// the distributions when w is nil, the functional w·π(t) otherwise.
-func (e *Expanded) solve(w, times []float64, so SolveOptions) (*ctmc.Result, error) {
+// solve runs one transient solve from α* on the model's cached
+// operator for the probability that the battery is empty at each time.
+func (e *Expanded) solve(times []float64, so SolveOptions) (*ctmc.Result, error) {
 	u, err := e.Operator()
 	if err != nil {
 		return nil, err
 	}
-	return u.Transient(e.alpha, w, times, so)
+	return u.Transient(e.alpha, e.emptyIndicator(), times, so)
 }
 
 // Stats describes the transient solve behind an answer: the size of the
@@ -367,7 +367,7 @@ func (e *Expanded) LifetimeCDF(times []float64) (*Result, error) {
 // reuses the model's cached uniformisation operator, so repeated queries
 // pay only the iteration loop.
 func (e *Expanded) LifetimeCDFOpts(times []float64, so SolveOptions) (*Result, error) {
-	res, err := e.solve(e.emptyIndicator(), times, so)
+	res, err := e.solve(times, so)
 	if err != nil {
 		return nil, fmt.Errorf("core: lifetime CDF: %w", err)
 	}
@@ -408,7 +408,7 @@ func (e *Expanded) LifetimeCDFBatchOpts(grids [][]float64, so SolveOptions) ([]*
 	sort.Float64s(union)
 	union = slices.Compact(union)
 
-	res, err := e.solve(e.emptyIndicator(), union, so)
+	res, err := e.solve(union, so)
 	if err != nil {
 		return nil, fmt.Errorf("core: lifetime CDF: %w", err)
 	}

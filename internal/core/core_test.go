@@ -288,16 +288,13 @@ func TestBoundChargeExtendsLifetime(t *testing.T) {
 // charge levels at time t: out[j1] = Pr{Y1(t) ∈ level j1}.
 func stateDistribution(t *testing.T, e *Expanded, tm float64) []float64 {
 	t.Helper()
-	res, err := e.solve(nil, []float64{tm}, SolveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pi := distributionAt(t, e, tm)
 	n := e.model.Workload.NumStates()
 	out := make([]float64, e.n1)
 	for j1 := 0; j1 < e.n1; j1++ {
 		for j2 := 0; j2 < e.n2; j2++ {
 			for i := 0; i < n; i++ {
-				out[j1] += res.Distributions[0][e.index(i, j1, j2)]
+				out[j1] += pi[e.index(i, j1, j2)]
 			}
 		}
 	}

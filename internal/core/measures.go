@@ -14,12 +14,33 @@ import (
 // absorption-based measures diverge.
 var ErrNoAbsorption = errors.New("core: battery never empties under this model")
 
-// meanTolerance and meanMaxSweeps stop a charging model's sweeps.
-const meanTolerance, meanMaxSweeps = 1e-12, 200000
+// sweepTolerance and maxSweeps stop a charging model's sweeps.
+const sweepTolerance, maxSweeps = 1e-12, 200000
 
 // MeanLifetime returns the expected battery lifetime E[L] in seconds:
 // the expected absorption time m of the expanded chain into the empty
 // (j1 = 0) slice: (−Q*)·m = 1 on the live states, m = 0 on the empty.
+// See absorb for the solve, its charging sweeps and its errors.
+func (e *Expanded) MeanLifetime(ctx context.Context) (float64, error) {
+	return e.absorb(ctx, "mean lifetime", 1, func(int) float64 { return 0 })
+}
+
+// StrandedCharge returns the expected bound charge, in ampere-seconds,
+// left in the battery at the moment it empties: the expected absorption
+// reward r of the expanded chain, (−Q*)·r = 0 on the live states and
+// r = (j2+½)Δ on the empty state of bound level j2 (the midpoint of
+// its interval). It needs no time horizon. See absorb for the solve,
+// its charging sweeps and its errors.
+func (e *Expanded) StrandedCharge(ctx context.Context) (float64, error) {
+	return e.absorb(ctx, "stranded charge", 0, func(j2 int) float64 {
+		return (float64(j2) + 0.5) * e.delta
+	})
+}
+
+// absorb returns α·m for the absorption measure m of the expanded
+// chain with constant right-hand side rhs on the live states and the
+// value empty(j2) on each empty (j1 = 0) state:
+// (−Q*_LL)·m = rhs + Q*_LE·m_E.
 //
 // It solves the n×n system of each block — the n workload states of one
 // grid cell (j1, j2) — by LU, in ascending (j1+j2, j2). Consumption
@@ -27,13 +48,13 @@ const meanTolerance, meanMaxSweeps = 1e-12, 200000
 // out of a block reaches a block already solved, and one sweep is
 // exact. Charging (negative current) raises j1, so those models repeat
 // the sweep on the stored factors until the largest change is at most
-// 1e-12 of the largest mean, within 200,000 sweeps. ctx is checked
+// 1e-12 of the largest value, within 200,000 sweeps. ctx is checked
 // between sweeps, and its error is returned wrapped.
 //
-// ErrNoAbsorption reports no finite mean: no state draws current, a
+// ErrNoAbsorption reports no finite measure: no state draws current, a
 // closed class of live states (a block some of whose states cannot leave
 // it), or charging sweeps that do not settle.
-func (e *Expanded) MeanLifetime(ctx context.Context) (float64, error) {
+func (e *Expanded) absorb(ctx context.Context, what string, rhs float64, empty func(j2 int) float64) (float64, error) {
 	if e.model.MaxCurrent() == 0 {
 		return 0, fmt.Errorf("%w: no state draws current", ErrNoAbsorption)
 	}
@@ -50,6 +71,11 @@ func (e *Expanded) MeanLifetime(ctx context.Context) (float64, error) {
 	exits := make([]bool, n)
 	x := make([]float64, n)
 	m := make([]float64, e.NumStates())
+	for j2 := range e.n2 {
+		for i := range n {
+			m[e.index(i, 0, j2)] = empty(j2)
+		}
+	}
 	// One visitor for every row: it reads state first+i of the block at
 	// first, whose matrix is a.
 	var (
@@ -70,7 +96,7 @@ func (e *Expanded) MeanLifetime(ctx context.Context) (float64, error) {
 	for sweep := 1; ; sweep++ {
 		fill = sweep == 1
 		if err := ctx.Err(); err != nil {
-			return 0, fmt.Errorf("core: mean lifetime: %w", err)
+			return 0, fmt.Errorf("core: %s: %w", what, err)
 		}
 		change, scale := 0.0, 0.0
 		for sum := 1; sum <= e.n1+e.n2-2; sum++ {
@@ -85,7 +111,7 @@ func (e *Expanded) MeanLifetime(ctx context.Context) (float64, error) {
 					clear(exits)
 				}
 				for i = range x {
-					x[i] = 1
+					x[i] = rhs
 					e.Row(first+i, visit)
 				}
 				if fill {
@@ -101,18 +127,18 @@ func (e *Expanded) MeanLifetime(ctx context.Context) (float64, error) {
 				}
 			}
 		}
-		if !upward || change <= meanTolerance*scale {
+		if !upward || change <= sweepTolerance*scale {
 			break
 		}
-		if sweep == meanMaxSweeps {
-			return 0, fmt.Errorf("%w: mean did not settle within %d sweeps", ErrNoAbsorption, meanMaxSweeps)
+		if sweep == maxSweeps {
+			return 0, fmt.Errorf("%w: %s did not settle within %d sweeps", ErrNoAbsorption, what, maxSweeps)
 		}
 	}
-	mean := 0.0
+	total := 0.0
 	for s, p := range e.alpha {
-		mean += p * m[s]
+		total += p * m[s]
 	}
-	return mean, nil
+	return total, nil
 }
 
 // factorBlock LU-factors a block's matrix a = −Q*_BB in place, after
@@ -135,71 +161,4 @@ func factorBlock(a []float64, piv []int, exits []bool) error {
 		return fmt.Errorf("workload state %d cannot leave it", i)
 	}
 	return linalg.FactorLU(a, piv)
-}
-
-// WastedCharge is the distribution of the bound charge remaining when
-// the battery empties — capacity that was paid for but never delivered.
-// The paper's Figure 10 discussion observes that a two-well battery can
-// in general not use its full capacity; this measure quantifies how
-// much is stranded.
-type WastedCharge struct {
-	// Levels[j2] is Pr{bound charge in (j2Δ, (j2+1)Δ] at depletion},
-	// conditioned on the battery being empty at the evaluation time.
-	Levels []float64
-	// Delta is the grid step in ampere-seconds.
-	Delta float64
-	// AbsorbedMass is the unconditional probability that the battery is
-	// empty at the evaluation time.
-	AbsorbedMass float64
-	// Stats describes the transient solve at the evaluation time.
-	Stats
-}
-
-// Mean returns the expected stranded bound charge in ampere-seconds
-// (midpoint rule over the grid intervals).
-func (wc *WastedCharge) Mean() float64 {
-	mean := 0.0
-	for j2, p := range wc.Levels {
-		mean += p * (float64(j2) + 0.5) * wc.Delta
-	}
-	return mean
-}
-
-// WastedChargeDistribution computes the stranded-charge distribution at
-// time t (choose t well past the lifetime's upper tail so that
-// AbsorbedMass ≈ 1 and the conditional distribution is the depletion
-// distribution proper).
-func (e *Expanded) WastedChargeDistribution(t float64) (*WastedCharge, error) {
-	return e.WastedChargeDistributionOpts(t, SolveOptions{})
-}
-
-// WastedChargeDistributionOpts is WastedChargeDistribution with
-// per-solve options.
-func (e *Expanded) WastedChargeDistributionOpts(t float64, so SolveOptions) (*WastedCharge, error) {
-	res, err := e.solve(nil, []float64{t}, so)
-	if err != nil {
-		return nil, fmt.Errorf("core: wasted charge: %w", err)
-	}
-	n := e.model.Workload.NumStates()
-	wc := &WastedCharge{
-		Levels: make([]float64, e.n2),
-		Delta:  e.delta,
-		Stats:  e.stats(res),
-	}
-	pi := res.Distributions[0]
-	for j2 := 0; j2 < e.n2; j2++ {
-		for i := 0; i < n; i++ {
-			wc.Levels[j2] += pi[e.index(i, 0, j2)]
-		}
-	}
-	for _, p := range wc.Levels {
-		wc.AbsorbedMass += p
-	}
-	if wc.AbsorbedMass > 0 {
-		inv := 1 / wc.AbsorbedMass
-		for j2 := range wc.Levels {
-			wc.Levels[j2] *= inv
-		}
-	}
-	return wc, nil
 }

@@ -223,17 +223,28 @@ type chargeMoments struct {
 	EmptyProb float64
 }
 
+// distributionAt returns the transient distribution π(t) of the
+// expanded chain.
+func distributionAt(t *testing.T, e *Expanded, tm float64) []float64 {
+	t.Helper()
+	u, err := e.Operator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := u.Transient(e.alpha, nil, []float64{tm}, SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Distributions[0]
+}
+
 // chargeAt returns the charge moments at time t, derived from the full
 // transient distribution of the expanded chain: how the probability
 // mass drains down the grid over time.
 func chargeAt(t *testing.T, e *Expanded, tm float64) *chargeMoments {
 	t.Helper()
-	res, err := e.solve(nil, []float64{tm}, SolveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pi := distributionAt(t, e, tm)
 	n := e.model.Workload.NumStates()
-	pi := res.Distributions[0]
 	m := &chargeMoments{}
 	var second float64
 	for j1 := 0; j1 < e.n1; j1++ {
@@ -313,15 +324,15 @@ func TestChargeAtLateTimes(t *testing.T) {
 		t.Errorf("available mean after depletion = %v", m.MeanAvailable)
 	}
 	// Stranded bound charge remains positive and consistent with the
-	// wasted-charge measure up to midpoint-vs-interval conventions
-	// (chargeAt places level j2 at its midpoint (j2+0.5)Δ, WastedCharge
-	// at (j2+0.5)Δ too, but the latter conditions on absorption).
-	wc, err := e.WastedChargeDistribution(40000)
+	// stranded-charge measure up to midpoint-vs-interval conventions
+	// (chargeAt places level j2 at its midpoint (j2+0.5)Δ, StrandedCharge
+	// at (j2+0.5)Δ too, but the latter is the value at absorption).
+	stranded, err := e.StrandedCharge(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(m.MeanBound-wc.Mean()*wc.AbsorbedMass) > e.delta {
-		t.Errorf("bound mean %v vs wasted mean %v", m.MeanBound, wc.Mean())
+	if math.Abs(m.MeanBound-stranded*m.EmptyProb) > e.delta {
+		t.Errorf("bound mean %v vs stranded mean %v", m.MeanBound, stranded)
 	}
 }
 
@@ -339,22 +350,73 @@ func TestChargeAtVariancePeaksMidLife(t *testing.T) {
 	}
 }
 
+// strandedAtHorizon is the horizon reference for the stranded mean: the
+// transient distribution at tm conditioned on the mass absorbed by then,
+// with each bound level at its midpoint (j2+½)Δ. It also returns the
+// unabsorbed mass, which bounds how far tm falls short of absorption.
+func strandedAtHorizon(t *testing.T, e *Expanded, tm float64) (mean, unabsorbed float64) {
+	t.Helper()
+	pi := distributionAt(t, e, tm)
+	absorbed := 0.0
+	for j2 := 0; j2 < e.n2; j2++ {
+		for i := 0; i < e.model.Workload.NumStates(); i++ {
+			p := pi[e.index(i, 0, j2)]
+			absorbed += p
+			mean += p * (float64(j2) + 0.5) * e.delta
+		}
+	}
+	return mean / absorbed, 1 - absorbed
+}
+
+// TestStrandedChargeMatchesHorizon holds the absorption sweep's stranded
+// mean against the transient distribution at a horizon that leaves at
+// most 1e-8 of the mass unabsorbed, on Fig. 8, Fig. 10 and a charging
+// model, whose sweep repeats until it settles.
+func TestStrandedChargeMatchesHorizon(t *testing.T) {
+	simple, err := workload.Simple(workload.SimpleConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name           string
+		model          mrm.KiBaMRM
+		delta, horizon float64
+	}{
+		{"fig8 delta=50", onOffModel(t, 0.625, 4.5e-5), 50, 30000},
+		{"fig10 delta=10mAh", wirelessModel(t, simple), units.MilliampHours(10).AmpereSeconds(), 100 * 3600},
+		{"two-well charging", twoWellChargingModel(t), 300, 200000},
+	} {
+		e, err := Build(tc.model, tc.delta, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		got, err := e.StrandedCharge(context.Background())
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		want, unabsorbed := strandedAtHorizon(t, e, tc.horizon)
+		if unabsorbed > 1e-8 {
+			t.Fatalf("%s: %v unabsorbed at t=%v; lengthen the horizon", tc.name, unabsorbed, tc.horizon)
+		}
+		if math.Abs(got-want) > 1e-7*want {
+			t.Errorf("%s: stranded mean %.9f, horizon reference %.9f (unabsorbed %.1e)", tc.name, got, want, unabsorbed)
+		}
+	}
+}
+
 func TestWastedChargeDegenerate(t *testing.T) {
-	// c = 1: there is no bound well; the stranded charge is the single
-	// level 0 with certainty.
+	// c = 1: there is no bound well; the battery empties on bound level
+	// 0 with certainty, whose midpoint is ½Δ.
 	e, err := Build(onOffModel(t, 1, 0), 100, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wc, err := e.WastedChargeDistribution(40000)
+	mean, err := e.StrandedCharge(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(wc.Levels) != 1 || math.Abs(wc.Levels[0]-1) > 1e-9 {
-		t.Errorf("levels = %v", wc.Levels)
-	}
-	if wc.AbsorbedMass < 0.999 {
-		t.Errorf("absorbed mass = %v at t=40000", wc.AbsorbedMass)
+	if math.Abs(mean-0.5*e.delta) > 1e-9*e.delta {
+		t.Errorf("stranded mean = %v, want ½Δ = %v", mean, 0.5*e.delta)
 	}
 }
 
@@ -364,24 +426,10 @@ func TestWastedChargeTwoWell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wc, err := e.WastedChargeDistribution(40000)
+	mean, err := e.StrandedCharge(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wc.AbsorbedMass < 0.999 {
-		t.Fatalf("absorbed mass = %v at t=40000", wc.AbsorbedMass)
-	}
-	sum := 0.0
-	for _, p := range wc.Levels {
-		if p < -1e-12 {
-			t.Fatalf("negative level probability %v", p)
-		}
-		sum += p
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("conditional distribution sums to %v", sum)
-	}
-	mean := wc.Mean()
 	if mean <= 0 || mean >= (1-0.625)*7200 {
 		t.Fatalf("mean stranded charge = %v As", mean)
 	}
@@ -415,15 +463,15 @@ func TestWastedChargeLessWithSlowerDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wh, err := eh.WastedChargeDistribution(60000)
+	wh, err := eh.StrandedCharge(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	wl, err := el.WastedChargeDistribution(200000)
+	wl, err := el.StrandedCharge(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wl.Mean() >= wh.Mean() {
-		t.Errorf("light-load stranded %v not below heavy-load %v", wl.Mean(), wh.Mean())
+	if wl >= wh {
+		t.Errorf("light-load stranded %v not below heavy-load %v", wl, wh)
 	}
 }

@@ -444,13 +444,14 @@ func (u *Uniformized) transient(alpha, w, times []float64, opts TransientOptions
 
 	// Each step computes next = Pᵀ·v on the grown window only, folds the
 	// untrimmed iterate into the answers, then trims the window. Single-
-	// time-point distribution solves (wasted-charge, charge moments,
-	// state snapshots) fold each iterate into exactly one accumulator,
-	// so the fold fuses into the product: dst = Pᵀ·v and acc += p·dst in
-	// one pass over the window. Iterations that run the steady-state
-	// check keep the unfused kernel — the tail fold on convergence must
-	// see an un-accumulated iterate. Every fold is an element-independent
-	// multiply-add, so fused and unfused paths are bit-identical.
+	// time-point distribution solves (a piecewise phase's hand-over,
+	// charge moments, state snapshots) fold each iterate into exactly one
+	// accumulator, so the fold fuses into the product: dst = Pᵀ·v and
+	// acc += p·dst in one pass over the window. Iterations that run the
+	// steady-state check keep the unfused kernel — the tail fold on
+	// convergence must see an un-accumulated iterate. Every fold is an
+	// element-independent multiply-add, so fused and unfused paths are
+	// bit-identical.
 	fused := w == nil && len(times) == 1
 	for it := 0; it < maxRight; it++ {
 		if ctx := opts.Context; ctx != nil {

@@ -68,58 +68,6 @@ func (m ConstantReward) Validate() error {
 	return nil
 }
 
-// ExpectedReward returns E[Y(t)] at each of the given times, computed by
-// integrating the expected reward rate E[r_X(s)] with uniformisation on
-// a fine grid. The grid has steps subintervals per requested interval
-// (zero selects 64).
-//
-//numlint:ignore testonly deletion deferred: its only tests go with it
-func (m ConstantReward) ExpectedReward(times []float64, steps int) ([]float64, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	if len(times) == 0 {
-		return nil, fmt.Errorf("%w: no time points", ErrBadModel)
-	}
-	if steps <= 0 {
-		steps = 64
-	}
-	// Build the integration grid: union of refined points up to each t.
-	last := times[len(times)-1]
-	grid := make([]float64, 0, steps+1)
-	for i := 0; i <= steps; i++ {
-		grid = append(grid, last*float64(i)/float64(steps))
-	}
-	u, err := ctmc.NewUniformized(m.Chain.Generator())
-	if err != nil {
-		return nil, fmt.Errorf("mrm: expected reward: %w", err)
-	}
-	res, err := u.Transient(m.Initial, m.Rates, grid, ctmc.TransientOptions{})
-	if err != nil {
-		return nil, fmt.Errorf("mrm: expected reward: %w", err)
-	}
-	// Cumulative trapezoid over the grid, then interpolate at times.
-	cum := make([]float64, len(grid))
-	for i := 1; i < len(grid); i++ {
-		cum[i] = cum[i-1] + (grid[i]-grid[i-1])*(res.Values[i]+res.Values[i-1])/2
-	}
-	out := make([]float64, len(times))
-	for k, t := range times {
-		if t < 0 {
-			return nil, fmt.Errorf("%w: negative time %v", ErrBadModel, t)
-		}
-		pos := t / last * float64(steps)
-		lo := int(pos)
-		if lo >= steps {
-			out[k] = cum[steps]
-			continue
-		}
-		frac := pos - float64(lo)
-		out[k] = cum[lo] + frac*(cum[lo+1]-cum[lo])
-	}
-	return out, nil
-}
-
 // KiBaMRM is the paper's Section 4.2 model: a workload CTMC whose state
 // i draws current I_i, coupled to a KiBaM battery. The two accumulated
 // rewards are the available-charge well Y1 and the bound-charge well Y2,
@@ -183,23 +131,6 @@ func (m KiBaMRM) Validate() error {
 	return nil
 }
 
-// RewardRates evaluates the two reward rates of state i at accumulated
-// charges (y1, y2), the equations of Section 4.2.
-//
-//numlint:ignore testonly deletion deferred: its only tests go with it
-func (m KiBaMRM) RewardRates(i int, y1, y2 float64) (r1, r2 float64) {
-	if y1 <= 0 {
-		// Battery empty: absorbing, no further consumption or transfer.
-		return 0, 0
-	}
-	s := kibam.State{Y1: y1, Y2: y2}
-	d := m.Battery.HeightDiff(s)
-	if d > 0 && m.Battery.K > 0 {
-		return -m.Currents[i] + m.Battery.K*d, -m.Battery.K * d
-	}
-	return -m.Currents[i], 0
-}
-
 // MaxCurrent returns the largest per-state current magnitude, used for
 // grid and rate bounds.
 func (m KiBaMRM) MaxCurrent() float64 {
@@ -210,18 +141,4 @@ func (m KiBaMRM) MaxCurrent() float64 {
 		}
 	}
 	return maxI
-}
-
-// EnergyReward derives the homogeneous MRM whose accumulated reward is
-// the total energy drawn (reward rate +I_i): the model the paper solves
-// exactly for the c = 1 case of Figure 10. The battery is then empty as
-// soon as Y(t) exceeds the capacity.
-//
-//numlint:ignore testonly deletion deferred: its only tests go with it
-func (m KiBaMRM) EnergyReward() ConstantReward {
-	return ConstantReward{
-		Chain:   m.Workload,
-		Rates:   append([]float64(nil), m.Currents...),
-		Initial: append([]float64(nil), m.Initial...),
-	}
 }

@@ -42,71 +42,6 @@ func TestConstantRewardValidate(t *testing.T) {
 	}
 }
 
-func TestExpectedRewardSingleState(t *testing.T) {
-	// One absorbing state with rate r: E[Y(t)] = r·t exactly.
-	var b ctmc.Builder
-	b.Transition("a", "b", 1e-12) // effectively frozen in a
-	chain, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := ConstantReward{Chain: chain, Rates: []float64{3, 3}, Initial: []float64{1, 0}}
-	times := []float64{0.5, 1, 2}
-	got, err := m.ExpectedReward(times, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, tm := range times {
-		if math.Abs(got[k]-3*tm) > 1e-6 {
-			t.Errorf("E[Y(%v)] = %v, want %v", tm, got[k], 3*tm)
-		}
-	}
-}
-
-func TestExpectedRewardConvergesToSteadyStateRate(t *testing.T) {
-	// For large t, E[Y(t)]/t approaches the steady-state mean rate.
-	chain := twoStateChain(t)
-	m := ConstantReward{Chain: chain, Rates: []float64{1, 0}, Initial: []float64{1, 0}}
-	got, err := m.ExpectedReward([]float64{200}, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rate := got[0] / 200; math.Abs(rate-0.5) > 1e-3 {
-		t.Errorf("long-run mean rate = %v, want 0.5", rate)
-	}
-}
-
-func TestExpectedRewardClosedFormTwoState(t *testing.T) {
-	// Starting in on (rate 1) with symmetric switching rate a:
-	// E[Y(t)] = t/2 + (1 − e^{−2at})/(4a).
-	a := 2.0
-	chain := twoStateChain(t)
-	m := ConstantReward{Chain: chain, Rates: []float64{1, 0}, Initial: []float64{1, 0}}
-	times := []float64{0.25, 0.5, 1, 3}
-	got, err := m.ExpectedReward(times, 2048)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, tm := range times {
-		want := tm/2 + (1-math.Exp(-2*a*tm))/(4*a)
-		if math.Abs(got[k]-want) > 1e-4 {
-			t.Errorf("E[Y(%v)] = %v, want %v", tm, got[k], want)
-		}
-	}
-}
-
-func TestExpectedRewardErrors(t *testing.T) {
-	chain := twoStateChain(t)
-	m := ConstantReward{Chain: chain, Rates: []float64{1, 0}, Initial: []float64{1, 0}}
-	if _, err := m.ExpectedReward(nil, 0); !errors.Is(err, ErrBadModel) {
-		t.Errorf("no times: err = %v", err)
-	}
-	bad := ConstantReward{Chain: chain, Rates: []float64{1}, Initial: []float64{1, 0}}
-	if _, err := bad.ExpectedReward([]float64{1}, 0); !errors.Is(err, ErrBadModel) {
-		t.Errorf("invalid model: err = %v", err)
-	}
-}
-
 func validKiBaMRM(t *testing.T) KiBaMRM {
 	t.Helper()
 	chain := twoStateChain(t)
@@ -145,66 +80,9 @@ func TestKiBaMRMValidate(t *testing.T) {
 	}
 }
 
-func TestKiBaMRMRewardRates(t *testing.T) {
-	m := validKiBaMRM(t)
-	k := m.Battery.K
-
-	// Full battery: heights equal, no transfer; the on-state drains at
-	// −I, the off-state rests.
-	r1, r2 := m.RewardRates(0, 4500, 2700)
-	if math.Abs(r1+0.96) > 1e-12 || r2 != 0 {
-		t.Errorf("full battery on-state rates = (%v, %v)", r1, r2)
-	}
-
-	// Unbalanced wells: transfer at k(h2 − h1) flows from bound to
-	// available.
-	y1, y2 := 2000.0, 2500.0
-	h1, h2 := y1/0.625, y2/0.375
-	r1, r2 = m.RewardRates(1, y1, y2)
-	if math.Abs(r1-k*(h2-h1)) > 1e-12 {
-		t.Errorf("off-state r1 = %v, want %v", r1, k*(h2-h1))
-	}
-	if math.Abs(r2+k*(h2-h1)) > 1e-12 {
-		t.Errorf("off-state r2 = %v, want %v", r2, -k*(h2-h1))
-	}
-	// Conservation: transfer terms cancel between the two rewards.
-	r1on, r2on := m.RewardRates(0, y1, y2)
-	if math.Abs((r1on+r2on)+0.96) > 1e-12 {
-		t.Errorf("rate sum = %v, want −I", r1on+r2on)
-	}
-
-	// Empty battery: everything stops.
-	r1, r2 = m.RewardRates(0, 0, 2700)
-	if r1 != 0 || r2 != 0 {
-		t.Errorf("empty battery rates = (%v, %v)", r1, r2)
-	}
-
-	// Bound well below available: no reverse flow (h2 < h1).
-	r1, r2 = m.RewardRates(1, 4000, 100)
-	if r1 != 0 || r2 != 0 {
-		t.Errorf("uphill rates = (%v, %v), want (0, 0) in the idle state", r1, r2)
-	}
-}
-
 func TestKiBaMRMMaxCurrent(t *testing.T) {
 	m := validKiBaMRM(t)
 	if got := m.MaxCurrent(); got != 0.96 {
 		t.Errorf("MaxCurrent = %v", got)
-	}
-}
-
-func TestEnergyRewardDerivation(t *testing.T) {
-	m := validKiBaMRM(t)
-	er := m.EnergyReward()
-	if err := er.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if er.Rates[0] != 0.96 || er.Rates[1] != 0 {
-		t.Errorf("energy rates = %v", er.Rates)
-	}
-	// Mutating the derived model must not touch the source.
-	er.Rates[0] = 99
-	if m.Currents[0] != 0.96 {
-		t.Error("EnergyReward aliases the current slice")
 	}
 }

@@ -71,7 +71,7 @@ func TestExpectedStrandedCharge(t *testing.T) {
 	}
 	s := NewSolver(SolverOptions{})
 	defer s.Close()
-	sc, err := s.StrandedCharge(b, w, 40000, AnalysisOptions{Delta: 100})
+	sc, err := s.StrandedCharge(b, w, AnalysisOptions{Delta: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestExpectedStrandedCharge(t *testing.T) {
 	}
 	// c = 1: nothing can be stranded.
 	ideal := Battery{CapacityAs: 7200, AvailableFraction: 1}
-	sc1, err := s.StrandedCharge(ideal, w, 40000, AnalysisOptions{Delta: 100})
+	sc1, err := s.StrandedCharge(ideal, w, AnalysisOptions{Delta: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,15 +92,25 @@ func TestExpectedStrandedCharge(t *testing.T) {
 	}
 }
 
-func TestExpectedStrandedChargeEarlyHorizon(t *testing.T) {
-	b := PaperBattery()
-	w, err := OnOffWorkload(1, 1, 0.96)
+// TestStrandedChargeNeverEmpty: a workload that may never empty the
+// battery has no stranded charge to report, and the model is at fault,
+// as for the mean.
+func TestStrandedChargeNeverEmpty(t *testing.T) {
+	closed, err := NewWorkload(
+		[]StateSpec{{Name: "on", CurrentA: 0.96}, {Name: "a"}, {Name: "b"}},
+		[]TransitionSpec{
+			{From: "on", To: "a", RatePerSec: 0.5},
+			{From: "a", To: "b", RatePerSec: 0.3},
+			{From: "b", To: "a", RatePerSec: 0.7},
+		},
+		"on")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// At t = 5000 s almost no run has depleted: must refuse.
-	if _, err := NewSolver(SolverOptions{}).StrandedCharge(b, w, 5000, AnalysisOptions{Delta: 100}); !errors.Is(err, ErrBadArgument) {
-		t.Errorf("early horizon: err = %v", err)
+	s := NewSolver(SolverOptions{})
+	defer s.Close()
+	if _, err := s.StrandedCharge(PaperBattery(), closed, AnalysisOptions{Delta: 100}); !errors.Is(err, ErrBadArgument) || !errors.Is(err, core.ErrNoAbsorption) {
+		t.Errorf("never-empty model: err = %v, want ErrBadArgument wrapping core.ErrNoAbsorption", err)
 	}
 }
 

@@ -195,7 +195,7 @@ var analyses = [...]string{
 // resultKey identifies one memoised analysis result.
 type resultKey struct {
 	model   engine.Key
-	query   [sha256.Size]byte // hash of times / horizon
+	query   [sha256.Size]byte // hash of the time grid, if the analysis has one
 	kind    uint8
 	epsBits uint64
 	maxIter int
@@ -216,12 +216,12 @@ func hashFloats(xs []float64) [sha256.Size]byte {
 	return out
 }
 
-// memoKey builds the result-cache key for a query. The mean and exact
-// analyses read neither Epsilon nor MaxIterations, so their keys leave
-// both out.
+// memoKey builds the result-cache key for a query. The mean, stranded
+// and exact analyses read neither Epsilon nor MaxIterations, so their
+// keys leave both out.
 func memoKey(kind uint8, model engine.Key, query []float64, opts AnalysisOptions) resultKey {
 	key := resultKey{model: model, query: hashFloats(query), kind: kind}
-	if kind != kindMean && kind != kindExact {
+	if kind != kindMean && kind != kindStranded && kind != kindExact {
 		key.epsBits, key.maxIter = math.Float64bits(opts.Epsilon), opts.MaxIterations
 	}
 	return key
@@ -310,6 +310,13 @@ func report(st core.Stats) SolveReport {
 	}
 }
 
+// chainReport is the SolveReport of an absorption solve on x (the mean
+// lifetime, the stranded charge): a block linear solve, with no
+// uniformisation statistics to report beyond the chain size.
+func chainReport(x *core.Expanded) SolveReport {
+	return report(core.Stats{States: x.NumStates(), NNZ: x.NNZ()})
+}
+
 // answer converts a core result into the facade's distribution and the
 // report of the solve that produced it.
 func answer(res *core.Result) (*Distribution, SolveReport) {
@@ -357,8 +364,8 @@ type model struct {
 }
 
 // memoised runs one analysis of the given kind on m through the result
-// memo, once for each query (a time grid, or the horizon) and returns
-// the answers in query order. The memo answers what it holds; solve
+// memo, once for each query (a time grid, or nil) and returns the
+// answers in query order. The memo answers what it holds; solve
 // runs once, under one "solver.solve" span, on the queries that missed,
 // in order, and returns an answer and a report for each, which are
 // memoised together. Memo hits are counted only once the call has
@@ -604,19 +611,17 @@ func (s *Solver) ExpectedLifetime(b Battery, w *Workload, opts AnalysisOptions) 
 			ctx = context.Background()
 		}
 		mean, err := m.x.MeanLifetime(ctx)
-		// The mean solve is a block linear solve: no uniformisation
-		// statistics to report beyond the chain size.
-		return []float64{mean}, []SolveReport{report(core.Stats{States: m.x.NumStates(), NNZ: m.x.NNZ()})}, err
+		return []float64{mean}, []SolveReport{chainReport(m.x)}, err
 	}, nil))
 }
 
 // StrandedCharge computes the stranded-charge summary for the battery
-// under the workload: the bound charge left at the moment the battery
-// empties. It is evaluated at horizonSeconds, which must lie far past
-// the lifetime's upper tail: a horizon that leaves less than 99% of the
-// probability mass depleted is refused with an error matching
-// ErrBadArgument.
-func (s *Solver) StrandedCharge(b Battery, w *Workload, horizonSeconds float64, opts AnalysisOptions) (*StrandedCharge, error) {
+// under the workload: the expected bound charge left at the moment the
+// battery empties, solved on the expanded chain as an expected
+// absorption reward (no time horizon needed). Context is checked between
+// the solve's block sweeps, and its error is returned wrapped. Epsilon,
+// MaxIterations and Progress do not apply to the solve and are ignored.
+func (s *Solver) StrandedCharge(b Battery, w *Workload, opts AnalysisOptions) (*StrandedCharge, error) {
 	if w == nil {
 		return nil, fmt.Errorf("%w: nil workload", ErrBadArgument)
 	}
@@ -628,22 +633,17 @@ func (s *Solver) StrandedCharge(b Battery, w *Workload, horizonSeconds float64, 
 	if err != nil {
 		return nil, err
 	}
-	sc, err := only(memoised(s, kindStranded, m, [][]float64{{horizonSeconds}}, opts, func(ctx context.Context, _ [][]float64) ([]StrandedCharge, []SolveReport, error) {
-		wc, err := m.x.WastedChargeDistributionOpts(horizonSeconds, s.solveOptions(ctx, opts, s.eng.Pool()))
-		if err != nil {
-			return nil, nil, err
+	mean, err := only(memoised(s, kindStranded, m, [][]float64{nil}, opts, func(ctx context.Context, _ [][]float64) ([]float64, []SolveReport, error) {
+		if ctx == nil {
+			ctx = context.Background()
 		}
-		if wc.AbsorbedMass < 0.99 {
-			return nil, nil, fmt.Errorf("%w: only %.1f%% of runs depleted by the horizon; increase the horizon",
-				ErrBadArgument, 100*wc.AbsorbedMass)
-		}
-		bound := (1 - b.AvailableFraction) * b.CapacityAs
-		return []StrandedCharge{{MeanAs: wc.Mean(), FractionOfBound: wc.Mean() / bound}}, []SolveReport{report(wc.Stats)}, nil
+		mean, err := m.x.StrandedCharge(ctx)
+		return []float64{mean}, []SolveReport{chainReport(m.x)}, err
 	}, nil))
 	if err != nil {
 		return nil, err
 	}
-	return &sc, nil
+	return &StrandedCharge{MeanAs: mean, FractionOfBound: mean / ((1 - b.AvailableFraction) * b.CapacityAs)}, nil
 }
 
 // ExactCDF computes the exact lifetime CDF Pr{battery empty at t} for

@@ -91,25 +91,22 @@ func TestSolverGoldenStrandedCharge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const (
-		delta   = 100.0
-		horizon = 60000.0
-	)
+	const delta = 100.0
 	e, err := core.Build(w.kibamrm(b), delta, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wc, err := e.WastedChargeDistribution(horizon)
+	direct, err := e.StrandedCharge(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaSolver, err := NewSolver(SolverOptions{}).StrandedCharge(b, w, horizon, AnalysisOptions{Delta: delta})
+	viaSolver, err := NewSolver(SolverOptions{}).StrandedCharge(b, w, AnalysisOptions{Delta: delta})
 	if err != nil {
 		t.Fatal(err)
 	}
 	//numlint:ignore floatcmp golden equivalence demands bit-identical output
-	if viaSolver.MeanAs != wc.Mean() {
-		t.Errorf("stranded mean: solver %v, core %v", viaSolver.MeanAs, wc.Mean())
+	if viaSolver.MeanAs != direct {
+		t.Errorf("stranded mean: solver %v, core %v", viaSolver.MeanAs, direct)
 	}
 }
 
@@ -161,9 +158,11 @@ func TestSolverCachesModelsAndResults(t *testing.T) {
 	}
 }
 
-// TestMemoKeyIgnoresUnreadOptions: the mean and exact analyses read
-// neither Epsilon nor MaxIterations, so a repeat that differs only in
-// those is a memo hit; the CDF reads Epsilon, so there it is a miss.
+// TestMemoKeyIgnoresUnreadOptions: the mean, stranded and exact analyses
+// read neither Epsilon nor MaxIterations, so a repeat that differs only
+// in those is a memo hit; the CDF reads Epsilon, so there it is a miss.
+// The stranded charge runs on the two-well battery: with c = 1 nothing
+// is stranded and it solves nothing.
 func TestMemoKeyIgnoresUnreadOptions(t *testing.T) {
 	b, w := onOffC1(t)
 	times := []float64{10000, 15000}
@@ -173,6 +172,7 @@ func TestMemoKeyIgnoresUnreadOptions(t *testing.T) {
 		hit  bool
 	}{
 		{"mean", func(s *Solver, o AnalysisOptions) (any, error) { return s.ExpectedLifetime(b, w, o) }, true},
+		{"stranded", func(s *Solver, o AnalysisOptions) (any, error) { return s.StrandedCharge(PaperBattery(), w, o) }, true},
 		{"exact", func(s *Solver, o AnalysisOptions) (any, error) { return s.ExactCDF(b, w, times, o) }, true},
 		{"cdf", func(s *Solver, o AnalysisOptions) (any, error) { return s.LifetimeDistribution(b, w, times, o) }, false},
 	} {
@@ -338,10 +338,6 @@ func TestSolverArgumentErrors(t *testing.T) {
 			_, err := s.ExactCDF(PaperBattery(), w, []float64{1}, AnalysisOptions{})
 			return err
 		}},
-		{"stranded horizon too early", func() error {
-			_, err := s.StrandedCharge(PaperBattery(), w, 100, AnalysisOptions{Delta: 100})
-			return err
-		}},
 		{"empty sweep", func() error {
 			_, err := s.Sweep(nil, SweepOptions{})
 			return err
@@ -356,7 +352,7 @@ func TestSolverArgumentErrors(t *testing.T) {
 
 func TestStrandedChargeNoBoundWell(t *testing.T) {
 	b, w := onOffC1(t) // AvailableFraction = 1
-	sc, err := NewSolver(SolverOptions{}).StrandedCharge(b, w, 60000, AnalysisOptions{Delta: 50})
+	sc, err := NewSolver(SolverOptions{}).StrandedCharge(b, w, AnalysisOptions{Delta: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
