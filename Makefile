@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race checks lint lint-flow fuzz fuzz-banded fuzz-rows gen-checks bench bench-harness examples serve ci
+.PHONY: all build test race checks lint lint-flow fuzz fuzz-banded fuzz-rows fuzz-window gen-checks bench bench-harness examples serve ci
 
 all: build test lint
 
@@ -60,8 +60,9 @@ lint-flow:
 	$(GO) run ./tools/numlint -baseline .numlint-baseline.json ./...
 
 ## fuzz: short fuzzing smoke over the directive, contract-grammar, and
-## traceparent parsers, the banded-against-CSR product check and the
-## Q* rows-against-reference check; raise FUZZTIME for a longer run.
+## traceparent parsers, the banded-against-CSR product check, the
+## Q* rows-against-reference check and the window's incremental
+## regrow-and-replan check; raise FUZZTIME for a longer run.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz='^FuzzParseDirective$$' -fuzztime=$(FUZZTIME) -run='^$$' ./tools/numlint
@@ -69,6 +70,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzParseTraceparent$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/obs
 	$(GO) test -fuzz='^FuzzBandedMatchesCSR$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/sparse
 	$(GO) test -fuzz='^FuzzRowsMatchReference$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/core
+	$(GO) test -fuzz='^FuzzWindowReplan$$' -fuzztime=$(FUZZTIME) -run='^$$' ./internal/ctmc
 
 ## gen-checks: regenerate the runtime contract shims from //numlint:
 ## requires/ensures directives (see docs/STATIC_ANALYSIS.md).
@@ -104,15 +106,19 @@ ADDR ?= :8418
 serve:
 	$(GO) run ./cmd/batlifed -addr $(ADDR)
 
-## fuzz-banded, fuzz-rows: the CI fuzz step — 20 s of generated inputs
-## for the banded-against-CSR product check and 10 s for Q*'s closed-form
-## rows against the reference builder.
+## fuzz-banded, fuzz-rows, fuzz-window: the CI fuzz step — 20 s of
+## generated inputs for the banded-against-CSR product check, 10 s for
+## Q*'s closed-form rows against the reference builder and 10 s for the
+## window's incremental regrow and replan against fresh ones.
 fuzz-banded:
 	$(GO) test -run='^$$' -fuzz='^FuzzBandedMatchesCSR$$' -fuzztime=20s ./internal/sparse
 
 fuzz-rows:
 	$(GO) test -run='^$$' -fuzz='^FuzzRowsMatchReference$$' -fuzztime=10s ./internal/core
 
+fuzz-window:
+	$(GO) test -run='^$$' -fuzz='^FuzzWindowReplan$$' -fuzztime=10s ./internal/ctmc
+
 ## ci: everything the CI workflow gates on, including its one-iteration
 ## benchmark smoke (`make bench` at the default BENCHTIME)
-ci: lint lint-flow build test race checks fuzz-banded fuzz-rows bench-harness examples bench
+ci: lint lint-flow build test race checks fuzz-banded fuzz-rows fuzz-window bench-harness examples bench

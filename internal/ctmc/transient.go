@@ -93,9 +93,10 @@ type Result struct {
 	// runs on the active window only, so WindowRows / (SpMVs · states)
 	// is the fraction of the chain the solve actually swept.
 	WindowRows int
-	// WindowPlans counts the product plans the solve built: one for
-	// every step whose active window differs from the step before's, so
-	// 1 − WindowPlans/SpMVs is the share of products that reused one.
+	// WindowPlans counts the products whose plan changed, in part or in
+	// full: one for every step whose active window differs from the
+	// step before's, so 1 − WindowPlans/SpMVs is the share of products
+	// that ran the plan of the step before unchanged.
 	WindowPlans int
 	// DroppedMass is the probability mass the window trimmed from the
 	// iterates (entries below 1e-8·Epsilon), at most Epsilon by

@@ -3,6 +3,7 @@ package ctmc
 import (
 	"math"
 	"slices"
+	"sort"
 
 	"batlife/internal/sparse"
 )
@@ -92,7 +93,8 @@ func addShift(rs []int, d int) []int {
 //
 // grown depends on cur alone, so while trimming leaves cur as it was,
 // grown and the product plan built over it stay valid: the window
-// regrows and replans only after a step that changed cur.
+// regrows and replans only after a step that changed cur, and then only
+// the rows the change can reach (see regrow and sparse.Pool.Plan).
 type window struct {
 	cur, prev, grown, trimmed []int32
 	shifts                    []int
@@ -104,7 +106,7 @@ type window struct {
 	// that the last step left cur unchanged, so prev equals cur.
 	planned, steady bool
 	plan            sparse.Plan
-	plans           int // plans built over the solve
+	plans           int // products whose plan changed, over the solve
 	grownRows       int // rows of grown
 
 	theta, budget float64
@@ -157,56 +159,200 @@ func newWindow(pool *sparse.Pool, m sparse.Operator, alpha []float64, shifts []i
 }
 
 // prepare returns the plan of the next product, over grown: the one
-// already built while cur has not changed since, else a new one that
-// grows cur first. It counts the product's rows.
+// already built while cur has not changed since, else the plan updated
+// to cur's grown rows, which regrow brings up to date first. A move of
+// cur that leaves the grown rows as they were leaves the plan as it
+// was too, except on the first step, which always builds one. It
+// counts the product's rows.
 func (w *window) prepare() (*sparse.Plan, error) {
 	if !w.planned {
-		w.grow()
-		if err := w.pool.Plan(&w.plan, w.m, w.grown); err != nil {
-			return nil, err
+		if w.regrow() || w.plans == 0 {
+			if err := w.pool.Plan(&w.plan, w.m, w.grown); err != nil {
+				return nil, err
+			}
+			w.plans++
 		}
 		w.planned = true
-		w.plans++
 	}
 	w.rows += w.grownRows
 	return &w.plan, nil
 }
 
-// grow sets grown to cur shifted by every offset range, clipped to the
-// chain and merged. Each shift keeps cur's order, so this is a k-way
-// merge of sorted lists: no sort.
-func (w *window) grow() {
-	var heads [maxShiftRanges]int
-	k := len(w.shifts) / 2
-	w.grown = w.grown[:0]
+// regrow sets grown, the rows of prev shifted by every offset range,
+// clipped to the chain and merged, to those of cur. A row r is grown
+// when r − s lies in the window for some shift s, so r can change only
+// if some r − s, s in [smin, smax], lies where prev and cur differ: in
+// a moved stretch [a, b) of rows, widened to [a + smin, b + smax). Off
+// those stretches grown keeps its intervals; on each, regrow merges the
+// shifted images of the cur intervals that reach it, and splices them
+// in. The result is exactly what a grow from nothing gives, which is
+// this same path with prev and grown empty, as on the first step. It
+// reports whether grown changed.
+func (w *window) regrow() bool {
+	smin, smax := w.shifts[0], w.shifts[len(w.shifts)-1]
+	sp := splice{out: w.trimmed[:0], old: w.grown}
+	d := rowDiff{a: w.prev, b: w.cur}
+	lo, hi := 0, 0 // the widened stretch being gathered; empty at first
 	for {
-		best, bestLo := -1, 0
-		for s := 0; s < k; s++ {
-			if h := heads[s]; h < len(w.cur) {
-				if lo := int(w.cur[h]) + w.shifts[2*s]; best < 0 || lo < bestLo {
-					best, bestLo = s, lo
-				}
+		a, b, ok := d.next()
+		if ok {
+			a, b = max(a+smin, 0), min(b+smax, w.n)
+			if a >= b {
+				continue
+			}
+			if lo < hi && a <= hi {
+				hi = max(hi, b)
+				continue
 			}
 		}
-		if best < 0 {
+		if lo < hi {
+			sp.keep(lo)
+			w.mergeShifted(&sp, lo, hi)
+			sp.skip(hi)
+		}
+		if !ok {
 			break
 		}
-		hi := min(int(w.cur[heads[best]+1])+w.shifts[2*best+1], w.n)
-		heads[best] += 2
-		lo := max(bestLo, 0)
-		if lo >= hi {
-			continue
-		}
-		if l := len(w.grown); l > 0 && lo <= int(w.grown[l-1]) {
-			w.grown[l-1] = max(w.grown[l-1], int32(hi))
-			continue
-		}
-		w.grown = append(w.grown, int32(lo), int32(hi))
+		lo, hi = a, b
 	}
+	sp.keep(w.n)
+	changed := !slices.Equal(sp.out, w.grown)
+	w.grown, w.trimmed = sp.out, w.grown[:0]
 	w.grownRows = 0
 	for i := 0; i < len(w.grown); i += 2 {
 		w.grownRows += int(w.grown[i+1] - w.grown[i])
 	}
+	return changed
+}
+
+// mergeShifted appends to sp the grown rows of cur within [lo, hi): the
+// cur intervals whose widened extent reaches [lo, hi), shifted by every
+// offset range and clipped to it. Each shift keeps cur's order, so this
+// is a k-way merge of sorted lists: no sort.
+func (w *window) mergeShifted(sp *splice, lo, hi int) {
+	smin, smax := w.shifts[0], w.shifts[len(w.shifts)-1]
+	cur := w.cur
+	first := sort.Search(len(cur)/2, func(i int) bool { return int(cur[2*i+1])+smax > lo })
+	end := first + sort.Search(len(cur)/2-first, func(i int) bool { return int(cur[2*(first+i)])+smin >= hi })
+	cur = cur[2*first : 2*end]
+	var heads [maxShiftRanges]int
+	k := len(w.shifts) / 2
+	for {
+		best, bestLo := -1, 0
+		for s := 0; s < k; s++ {
+			if h := heads[s]; h < len(cur) {
+				if l := int(cur[h]) + w.shifts[2*s]; best < 0 || l < bestLo {
+					best, bestLo = s, l
+				}
+			}
+		}
+		if best < 0 {
+			return
+		}
+		sp.push(max(bestLo, lo), min(int(cur[heads[best]+1])+w.shifts[2*best+1], hi))
+		heads[best] += 2
+	}
+}
+
+// splice builds a window list in out from the intervals of old and from
+// recomputed stretches, in ascending row order: keep copies old's rows
+// up to a row, push appends recomputed rows, and skip passes over old's
+// rows up to a row. Rows below pos are done.
+type splice struct {
+	out, old []int32
+	i, pos   int // the next interval of old, and the first row not done
+}
+
+// push appends rows [lo, hi) to out, merging them into the last
+// interval when the two touch or overlap; an empty range adds nothing.
+func (sp *splice) push(lo, hi int) {
+	if lo >= hi {
+		return
+	}
+	if l := len(sp.out); l > 0 && lo <= int(sp.out[l-1]) {
+		sp.out[l-1] = max(sp.out[l-1], int32(hi))
+		return
+	}
+	sp.out = append(sp.out, int32(lo), int32(hi))
+}
+
+// keep appends old's rows in [pos, to) to out, and makes to the first
+// row not done. Between the first and the last interval it copies, the
+// intervals are whole and apart, so they go in as one block.
+func (sp *splice) keep(to int) {
+	old := sp.old
+	if sp.i < len(old) && int(old[sp.i]) < to {
+		sp.push(max(int(old[sp.i]), sp.pos), min(int(old[sp.i+1]), to))
+		if int(old[sp.i+1]) <= to {
+			sp.i += 2
+			// old[i:j] lie whole below to; old[j] does not.
+			j := sp.i + 2*sort.Search((len(old)-sp.i)/2, func(k int) bool { return int(old[sp.i+2*k+1]) > to })
+			sp.out = append(sp.out, old[sp.i:j]...)
+			sp.i = j
+			if sp.i < len(old) && int(old[sp.i]) < to {
+				sp.push(int(old[sp.i]), to)
+			}
+		}
+	}
+	sp.pos = to
+}
+
+// skip passes over old's rows below to, which a recomputed stretch
+// replaced, and makes to the first row not done.
+func (sp *splice) skip(to int) {
+	for sp.i < len(sp.old) && int(sp.old[sp.i+1]) <= to {
+		sp.i += 2
+	}
+	sp.pos = to
+}
+
+// rowDiff walks two window lists a and b together and yields, in
+// ascending order, the maximal row ranges that lie in one and not the
+// other.
+type rowDiff struct {
+	a, b     []int32
+	i, j     int  // the next bound of a and of b
+	inA, inB bool // whether the rows at the last bound lie in a and in b
+}
+
+// next returns the next range [lo, hi) of rows that lie in exactly one
+// of a and b, or ok = false when there is none.
+func (d *rowDiff) next() (lo, hi int, ok bool) {
+	start := -1
+	for d.i < len(d.a) || d.j < len(d.b) {
+		if !d.inA && !d.inB {
+			// Intervals that both lists hold differ nowhere.
+			a, b := d.a, d.b
+			for d.i < len(a) && d.j < len(b) && a[d.i] == b[d.j] && a[d.i+1] == b[d.j+1] {
+				d.i, d.j = d.i+2, d.j+2
+			}
+			if d.i >= len(a) && d.j >= len(b) {
+				break
+			}
+		}
+		x := math.MaxInt
+		if d.i < len(d.a) {
+			x = int(d.a[d.i])
+		}
+		if d.j < len(d.b) {
+			x = min(x, int(d.b[d.j]))
+		}
+		if d.i < len(d.a) && int(d.a[d.i]) == x {
+			d.inA = !d.inA
+			d.i++
+		}
+		if d.j < len(d.b) && int(d.b[d.j]) == x {
+			d.inB = !d.inB
+			d.j++
+		}
+		switch differ := d.inA != d.inB; {
+		case differ && start < 0:
+			start = x
+		case !differ && start >= 0:
+			return start, x, true
+		}
+	}
+	return 0, 0, false
 }
 
 // zeroStale clears the rows of buf that prev left behind outside grown,

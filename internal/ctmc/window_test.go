@@ -1,12 +1,15 @@
 package ctmc
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
 	"batlife/internal/ctmc/ctmctest"
+	"batlife/internal/obs"
 	"batlife/internal/sparse"
 )
 
@@ -289,99 +292,251 @@ func TestTransientAllocsIndependentOfHorizon(t *testing.T) {
 }
 
 // TestWindowReuseMatchesFreshGrow is the property test of the window's
-// plan reuse. On random chain sizes, shift sets and supports, each step
-// runs a product on the rows prepare planned, writing a vector whose
-// growth rows mostly fall below θ and whose other rows mostly do not,
-// so trimming often leaves the window as it was and sometimes moves it.
-// The grown rows of every step, rebuilt or reused, must equal a fresh
-// grow of the current window, the plan must compute exactly those rows,
-// the buffer it wrote, which held the iterate before, must be zero off
-// them after zeroStale (which skips its pass on a window that did not
-// move) and off the trimmed window after trim, and the row tally must
-// match the fresh grows.
+// incremental regrow and replan (see checkWindowReplan) on random chain
+// sizes, shift sets, supports and trims, on pools of 1 and 4 workers.
+// Every twenty-fourth chain has 25,000–30,000 rows, so the 4-worker
+// plans fan out. Over the whole test the window must both keep and rebuild its
+// plan often, its interval count must rise and fall, its grown rows
+// must touch row 0 and row n, and some products must run in parallel.
 func TestWindowReuseMatchesFreshGrow(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	pool := sparse.NewPool(1)
+	reg := obs.NewRegistry()
+	var tally replanTally
+	for trial := 0; trial < 240; trial++ {
+		n, steps := 1+rng.Intn(300), 60
+		if trial%24 == 23 {
+			n, steps = 25000+rng.Intn(5000), 20
+		}
+		checkWindowReplan(t, rng, reg, n, rng.Intn(12), 1+3*(trial%2), steps, &tally)
+	}
+	if tally.reused < 1000 || tally.rebuilt < 1000 {
+		t.Errorf("%d steps reused their plan and %d rebuilt it; want both often", tally.reused, tally.rebuilt)
+	}
+	if tally.rose < 100 || tally.fell < 100 || tally.first < 100 || tally.last < 100 {
+		t.Errorf("interval count rose on %d steps and fell on %d; grown rows touched row 0 on %d and row n on %d; want each on 100 or more",
+			tally.rose, tally.fell, tally.first, tally.last)
+	}
+	if reg.Counter("sparse_pool_spmv_parallel_total").Value() == 0 {
+		t.Error("no product ran in parallel; the large chains must fan out")
+	}
+}
+
+// FuzzWindowReplan is the fuzzing form of TestWindowReuseMatchesFreshGrow:
+// the inputs pick the chain size, the number of offsets drawn for the
+// shift set and the pool's workers, and seed the shifts, the support and
+// the trims.
+func FuzzWindowReplan(f *testing.F) {
+	f.Add(int64(1), uint16(40), uint8(3), false)
+	f.Add(int64(2), uint16(1), uint8(0), true)
+	f.Add(int64(3), uint16(300), uint8(11), true)
+	f.Add(int64(4), uint16(25000), uint8(2), true)
+	f.Fuzz(func(t *testing.T, seed int64, size uint16, shifts uint8, parallel bool) {
+		workers := 1
+		if parallel {
+			workers = 4
+		}
+		rng := rand.New(rand.NewSource(seed))
+		checkWindowReplan(t, rng, nil, 1+int(size)%30000, int(shifts)%16, workers, 20, nil)
+	})
+}
+
+// replanTally counts what the steps of checkWindowReplan exercised.
+type replanTally struct {
+	reused, rebuilt int // steps that kept their plan, and that rebuilt it
+	rose, fell      int // steps whose window had more, and fewer, intervals than the one before
+	first, last     int // steps whose grown rows held row 0, and row n−1
+}
+
+// checkWindowReplan runs a window of an n-row chain over steps steps.
+// Its shift set holds 0 and the offsets of shifts random transitions.
+// Its operator has a few bands, all zero but a diagonal of ones, so a
+// product copies x on the rows it computes. Each step runs the product
+// on the rows prepare planned, writing a vector whose growth rows mostly
+// fall below θ and whose other rows mostly do not, so trimming often
+// leaves the window as it was and sometimes moves it. After every step:
+// the grown rows, updated in place or kept, equal a fresh grow of the
+// current window; the plan, replanned in place or kept, equals a fresh
+// Pool.Plan of the grown rows field by field (every segment's rows,
+// bands and offsets, the chunks, the kept ranges and the weight); the
+// product computed exactly the grown rows; the buffer it wrote, which
+// held the iterate before, is zero off them after zeroStale (which
+// skips its pass on a window that did not move) and off the trimmed
+// window after trim. At the end the row tally must match the fresh
+// grows. tally, when non-nil, counts what the steps exercised.
+func checkWindowReplan(t *testing.T, rng *rand.Rand, reg *obs.Registry, n, shifts, workers, steps int, tally *replanTally) {
+	t.Helper()
+	set := addShift(make([]int, 0, 2*maxShiftRanges+2), 0)
+	for k := shifts; k > 0; k-- {
+		set = addShift(set, rng.Intn(2*n-1)-(n-1))
+	}
+	op := copyBands(t, rng, n)
+	pool := sparse.NewPoolObs(workers, reg)
 	defer pool.Close()
-	reused, rebuilt := 0, 0
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(300)
-		shifts := addShift(make([]int, 0, 2*maxShiftRanges+2), 0)
-		for k := rng.Intn(12); k > 0; k-- {
-			shifts = addShift(shifts, rng.Intn(2*n-1)-(n-1))
+	alpha := make([]float64, n)
+	alpha[rng.Intn(n)] = 1
+	for i := range alpha {
+		if rng.Intn(10) == 0 {
+			alpha[i] = 1
 		}
-		ones := make([]float64, n)
-		for i := range ones {
-			ones[i] = 1
+	}
+	w := newWindow(pool, op, alpha, set, 1)
+	v, next, vals := slices.Clone(alpha), make([]float64, n), make([]float64, n)
+	wantRows := 0
+	if tally == nil {
+		tally = new(replanTally)
+	}
+	for step := 0; step < steps; step++ {
+		fresh := window{cur: slices.Clone(w.cur), shifts: set, n: n}
+		fresh.regrow()
+		if w.planned {
+			tally.reused++
+		} else {
+			tally.rebuilt++
 		}
-		id, err := sparse.NewBanded(n, []int{0}, [][]float64{ones})
+		pl, err := w.prepare()
 		if err != nil {
 			t.Fatal(err)
 		}
-		alpha := make([]float64, n)
-		alpha[rng.Intn(n)] = 1
-		for i := range alpha {
-			if rng.Intn(10) == 0 {
-				alpha[i] = 1
+		if !slices.Equal(w.grown, fresh.grown) {
+			t.Fatalf("%d rows, step %d: grown %v, a fresh grow of %v gives %v", n, step, w.grown, w.cur, fresh.grown)
+		}
+		var freshPlan sparse.Plan
+		if err := pool.Plan(&freshPlan, op, fresh.grown); err != nil {
+			t.Fatal(err)
+		}
+		if d := diffPlans(pl, &freshPlan); d != "" {
+			t.Fatalf("%d rows, %d workers, step %d: the kept plan and a fresh one of grown %v differ: %s", n, workers, step, w.grown, d)
+		}
+		if g := w.grown; len(g) > 0 {
+			if g[0] == 0 {
+				tally.first++
+			}
+			if int(g[len(g)-1]) == n {
+				tally.last++
 			}
 		}
-		w := newWindow(pool, id, alpha, shifts, 1)
-		v, next, vals := slices.Clone(alpha), make([]float64, n), make([]float64, n)
-		wantRows := 0
-		for step := 0; step < 60; step++ {
-			fresh := window{cur: slices.Clone(w.cur), shifts: shifts, n: n}
-			fresh.grow()
-			if w.planned {
-				reused++
-			} else {
-				rebuilt++
+		wantRows += fresh.grownRows
+		in := rowSet(n, w.cur)
+		for i := range vals {
+			small := !in[i]
+			if rng.Intn(50) == 0 {
+				small = !small
 			}
-			pl, err := w.prepare()
-			if err != nil {
-				t.Fatal(err)
+			vals[i] = 1 + rng.Float64()
+			if small {
+				vals[i] = 1e-12 * rng.Float64()
 			}
-			if !slices.Equal(w.grown, fresh.grown) {
-				t.Fatalf("trial %d step %d: grown %v, a fresh grow of %v gives %v", trial, step, w.grown, w.cur, fresh.grown)
-			}
-			wantRows += fresh.grownRows
-			in := rowSet(n, w.cur)
-			for i := range vals {
-				small := !in[i]
-				if rng.Intn(50) == 0 {
-					small = !small
-				}
-				vals[i] = 1 + rng.Float64()
-				if small {
-					vals[i] = 1e-12 * rng.Float64()
-				}
-			}
-			if err := pool.MulVecPlan(pl, next, vals, nil, 0); err != nil {
-				t.Fatal(err)
-			}
-			w.zeroStale(next)
-			grown := rowSet(n, w.grown)
-			for i, x := range next {
-				if want := vals[i]; (grown[i] && x != want) || (!grown[i] && x != 0) {
-					t.Fatalf("trial %d step %d: row %d (grown %v) holds %v after the product, want %v or 0", trial, step, i, grown[i], x, want)
-				}
-			}
-			w.trim(next)
-			kept := rowSet(n, w.trimmed)
-			for i, x := range next {
-				if !kept[i] && x != 0 {
-					t.Fatalf("trial %d step %d: row %d holds %v off the trimmed window %v", trial, step, i, x, w.trimmed)
-				}
-			}
-			v, next = next, v
-			w.advance()
 		}
-		if w.rows != wantRows {
-			t.Fatalf("trial %d: %d rows tallied, fresh grows cover %d", trial, w.rows, wantRows)
+		if err := pool.MulVecPlan(pl, next, vals, nil, 0); err != nil {
+			t.Fatal(err)
+		}
+		w.zeroStale(next)
+		grown := rowSet(n, w.grown)
+		for i, x := range next {
+			if want := vals[i]; (grown[i] && x != want) || (!grown[i] && x != 0) {
+				t.Fatalf("%d rows, step %d: row %d (grown %v) holds %v after the product, want %v or 0", n, step, i, grown[i], x, want)
+			}
+		}
+		w.trim(next)
+		kept := rowSet(n, w.trimmed)
+		for i, x := range next {
+			if !kept[i] && x != 0 {
+				t.Fatalf("%d rows, step %d: row %d holds %v off the trimmed window %v", n, step, i, x, w.trimmed)
+			}
+		}
+		switch {
+		case len(w.trimmed) > len(w.cur):
+			tally.rose++
+		case len(w.trimmed) < len(w.cur):
+			tally.fell++
+		}
+		v, next = next, v
+		w.advance()
+	}
+	if w.rows != wantRows {
+		t.Fatalf("%d rows: %d rows tallied, fresh grows cover %d", n, w.rows, wantRows)
+	}
+}
+
+// copyBands returns an n-row banded matrix whose product copies x: a
+// diagonal of ones and one to three bands of zeros at random offsets,
+// so the plans cut edge rows, where some bands leave the matrix, and
+// on long chains periodic bands.
+func copyBands(t *testing.T, rng *rand.Rand, n int) *sparse.Banded {
+	t.Helper()
+	offs := []int{0}
+	for k := 1 + rng.Intn(3); k > 0; k-- {
+		if o := rng.Intn(2*n-1) - (n - 1); !slices.Contains(offs, o) {
+			offs = append(offs, o)
 		}
 	}
-	if reused < 1000 || rebuilt < 1000 {
-		t.Errorf("%d steps reused their plan and %d rebuilt it; want both often", reused, rebuilt)
+	slices.Sort(offs)
+	vals := make([][]float64, len(offs))
+	for k, o := range offs {
+		vals[k] = make([]float64, n)
+		if o == 0 {
+			for i := range vals[k] {
+				vals[k][i] = 1
+			}
+		}
 	}
+	b, err := sparse.NewBanded(n, offs, vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// diffPlans names the first field in which two plans differ, with both
+// values, or returns "" when they agree field by field. It reads the
+// unexported fields through reflect: slices compare by length and
+// elements, not capacity, and the operator by identity.
+func diffPlans(a, b *sparse.Plan) string {
+	if d := diffValues(reflect.ValueOf(a).Elem(), reflect.ValueOf(b).Elem()); d != "" {
+		return "Plan" + d
+	}
+	return ""
+}
+
+// diffValues is diffPlans on one value: "" when a and b agree, else the
+// path from them to the first difference and both values there.
+func diffValues(a, b reflect.Value) string {
+	switch a.Kind() {
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if d := diffValues(a.Field(i), b.Field(i)); d != "" {
+				return "." + a.Type().Field(i).Name + d
+			}
+		}
+	case reflect.Slice, reflect.Array:
+		if a.Len() != b.Len() {
+			return fmt.Sprintf(": %d elements, fresh %d", a.Len(), b.Len())
+		}
+		for i := 0; i < a.Len(); i++ {
+			if d := diffValues(a.Index(i), b.Index(i)); d != "" {
+				return fmt.Sprintf("[%d]%s", i, d)
+			}
+		}
+	case reflect.Interface:
+		if a.IsNil() != b.IsNil() || (!a.IsNil() && a.Elem().Pointer() != b.Elem().Pointer()) {
+			return ": different operators"
+		}
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		if a.Int() != b.Int() {
+			return fmt.Sprintf(": %d, fresh %d", a.Int(), b.Int())
+		}
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		if a.Uint() != b.Uint() {
+			return fmt.Sprintf(": %d, fresh %d", a.Uint(), b.Uint())
+		}
+	case reflect.Float64:
+		if math.Float64bits(a.Float()) != math.Float64bits(b.Float()) {
+			return fmt.Sprintf(": %v, fresh %v", a.Float(), b.Float())
+		}
+	default:
+		return fmt.Sprintf(": cannot compare a %s", a.Kind())
+	}
+	return ""
 }
 
 // rowSet marks the rows of a window list of n rows.

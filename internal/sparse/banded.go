@@ -51,14 +51,16 @@ type Banded struct {
 	// turns r mod period into two multiplies (see phase).
 	period int
 	pinv   uint64
+	// base[k] is &bands[k].data[0], where the AVX2 kernel reads band k.
+	base [MaxBands]*float64
 }
 
 // maxPeriod is the longest period a band is searched for.
 const maxPeriod = 8
 
-// band holds one diagonal's values. Rows [0, a) are in head and rows
-// [c, n) in tail. A periodic band (p > 0) repeats bit for bit with
-// period p over rows [a, c), which it reads from table: the period
+// band holds one diagonal's values, all in data. Rows [0, a) are in
+// head and rows [c, n) in tail. A periodic band (p > 0) repeats bit for
+// bit with period p over rows [a, c), which it reads from table: the period
 // unrolled over bandTile + P values by row number, where P is the
 // matrix's period, a multiple of p. So table[j] holds the rows r ≡ j
 // (mod p), and table[r mod P:] holds rows r onwards for a whole tile:
@@ -66,10 +68,11 @@ const maxPeriod = 8
 // every value in head and no table. NewBanded makes a band periodic
 // only when that stores fewer values than n, so a periodic band has
 // b.lo ≤ a and c − a > bandTile + P, and c ≤ b.hi: its edge rows are
-// all explicit.
+// all explicit. data is head for a dense band, and head, tail and table
+// in that order for a periodic one.
 type band struct {
-	head, tail, table []float64
-	a, c, p           int
+	data, head, tail, table []float64
+	a, c, p                 int
 }
 
 // NewBanded returns the n×n matrix with the given bands, taking
@@ -124,6 +127,7 @@ func NewBanded(n int, offsets []int, vals [][]float64) (*Banded, error) {
 	for k, v := range vals {
 		r := runs[k]
 		b.bands[k] = newBand(v, r.a, r.c, r.p, b.period)
+		b.base[k] = &b.bands[k].data[0]
 		vals[k] = nil
 	}
 	for _, o := range offsets {
@@ -155,10 +159,11 @@ func lcm(x, y int) int {
 func newBand(v []float64, a, c, p, period int) band {
 	n := len(v)
 	if p == 0 {
-		return band{head: v, a: n, c: n}
+		return band{data: v, head: v, a: n, c: n}
 	}
 	buf := make([]float64, a+n-c+bandTile+period)
 	bd := band{
+		data:  buf,
 		head:  buf[:a:a],
 		tail:  buf[a : a+n-c : a+n-c],
 		table: buf[a+n-c:],
@@ -216,20 +221,19 @@ func periodicRun(v []float64, lo, hi int) (a, c, p int) {
 	return a, c, p
 }
 
-// rows returns the band's values for rows [lo, hi) as one slice, given
-// ph = lo mod P, P the matrix's period. The rows must lie within one of
-// the band's regions, [0, a), [a, c) or [c, n), and span at most
-// bandTile rows within [a, c); lo < hi.
-//
-//numlint:hotpath
-func (bd *band) rows(lo, hi, ph int) []float64 {
+// index returns where in data the band's values for rows [lo, hi)
+// start, given ph = lo mod P, P the matrix's period: rows lo to hi−1
+// are data[index : index+hi−lo]. The rows must lie within one of the
+// band's regions, [0, a), [a, c) or [c, n), and span at most bandTile
+// rows within [a, c); lo < hi.
+func (bd *band) index(lo, hi, ph int) int {
 	switch {
 	case hi <= bd.a:
-		return bd.head[lo:hi]
+		return lo
 	case lo >= bd.c:
-		return bd.tail[lo-bd.c : hi-bd.c]
+		return bd.a + lo - bd.c
 	}
-	return bd.table[ph : ph+hi-lo]
+	return len(bd.data) - len(bd.table) + ph
 }
 
 // phase returns r mod b.period for 0 ≤ r < 2³² without a division: the
@@ -243,7 +247,7 @@ func (b *Banded) phase(r int) int {
 }
 
 // at returns entry (r, r+offs[k]).
-func (b *Banded) at(k, r int) float64 { return b.bands[k].rows(r, r+1, b.phase(r))[0] }
+func (b *Banded) at(k, r int) float64 { return b.bands[k].data[b.bands[k].index(r, r+1, b.phase(r))] }
 
 // Validate performs the structural self-check of the band layout:
 // strictly ascending in-range offsets, one n-row band per offset,
@@ -373,16 +377,18 @@ func (b *Banded) weight(lo, hi int32) int64 {
 
 // segments appends the segments of rows [lo, hi) to segs. A segment
 // ends bandTile rows on, at hi, or at the next cut, whichever comes
-// first, so it reads each band from one region (see band.rows) and the
+// first, so it reads each band from one region (see band.index) and the
 // same bands have their column in the matrix on every one of its rows:
 // bands [k0, k1), contiguous because the offsets ascend. Each such band
-// contributes the base of its values for the segment's rows; the other
-// bands hold zeros there and are skipped. Where a segment ends changes
-// no row's value.
+// contributes the offsets of its values and of its entries of x for the
+// segment's first row; the other bands hold zeros there and are
+// skipped. Both ranges are checked here, against the band's storage and
+// against Cols(), so a kernel may read them unchecked (see
+// segmentRowsAVX2). Where a segment ends changes no row's value.
 func (b *Banded) segments(segs []segment, lo, hi int) []segment {
 	for t := lo; t < hi; {
 		e := b.tileEnd(t, hi)
-		s := segment{lo: int32(t), hi: int32(e), ph: int32(b.phase(t))}
+		s := segment{lo: int32(t), hi: int32(e)}
 		k0, k1 := 0, len(b.offs)
 		for k0 < k1 && t+b.offs[k0] < 0 {
 			k0++
@@ -391,8 +397,15 @@ func (b *Banded) segments(segs []segment, lo, hi int) []segment {
 			k1--
 		}
 		s.k0, s.k1 = uint8(k0), uint8(k1)
+		ph := b.phase(t)
 		for k := k0; k < k1; k++ {
-			s.v[k-k0] = &b.bands[k].rows(t, e, int(s.ph))[0]
+			bd, o := &b.bands[k], b.offs[k]
+			v := bd.index(t, e, ph)
+			if v+e-t > len(bd.data) || t+o < 0 || e+o > b.Cols() {
+				panic(fmt.Sprintf("sparse: segment [%d,%d) of band %d reads values [%d,%d) of %d and x[%d:%d] of %d",
+					t, e, k, v, v+e-t, len(bd.data), t+o, e+o, b.Cols()))
+			}
+			s.v[k-k0], s.x[k-k0] = int32(v), int32(t+o)
 		}
 		segs = append(segs, s)
 		t = e
@@ -455,18 +468,18 @@ func (b *Banded) Kernel() string {
 // to four unrolled bands (one for a single band, none for a segment
 // where no band's column lies in the matrix). The first pass sets dst,
 // each later pass adds its bands on top, so a row still sums its bands
-// in ascending order. It slices each band's values afresh from the
-// segment's phase, so every element it reads is bounds-checked against
-// the band itself.
+// in ascending order. It slices each band's values and its window of x
+// afresh from the segment's offsets, so every element it reads is
+// bounds-checked against the band and x themselves.
 //
 //numlint:hotpath
 func (b *Banded) segmentRowsGo(s *segment, dst, x []float64) {
-	lo, hi := int(s.lo), int(s.hi)
-	d := dst[lo:hi]
+	d := dst[s.lo:s.hi]
+	n := len(d)
 	var v, xs [MaxBands][]float64
-	for k := int(s.k0); k < int(s.k1); k++ {
-		o := b.offs[k]
-		v[k-int(s.k0)], xs[k-int(s.k0)] = b.bands[k].rows(lo, hi, int(s.ph)), x[lo+o:hi+o]
+	for k := range int(s.k1 - s.k0) {
+		vo, xo := int(s.v[k]), int(s.x[k])
+		v[k], xs[k] = b.bands[int(s.k0)+k].data[vo:vo+n], x[xo:xo+n]
 	}
 	switch s.k1 - s.k0 {
 	case 0:

@@ -37,35 +37,35 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 // xgetbv returns XCR0 (XGETBV with ECX = 0).
 func xgetbv() (eax, edx uint32)
 
-// bandRowsAVX2 sets d[i] = Σ_k v[k][i]·x[k][i] for i in [0, n) over the
-// first nb entries of v and x, each the base of n float64s. It is
-// vertical SIMD: each lane is one row, in blocks of 8 rows (two YMM
-// accumulators), then 4, then one at a time. A block starts from +0 and
-// takes the bands in order, VMULPD then VADDPD, with no FMA: every lane
-// rounds exactly as the Go passes' s := 0.0; s += v*x does.
+// bandRowsAVX2 sets d[i] = Σ_k v_k[i]·x_k[i] for i in [0, n) over the
+// first nb bands, where band k's values start at base[k] + voff[k] and
+// its entries of x at x + xoff[k], each n float64s long. It is vertical
+// SIMD: each lane is one row, in blocks of 32 rows (eight YMM
+// accumulators), then 8 (two), then 4, then one at a time. A block
+// starts from +0 and takes the bands in order, VMULPD then VADDPD, with
+// no FMA: every lane rounds exactly as the Go passes' s := 0.0;
+// s += v*x does.
 //
 //go:noescape
-func bandRowsAVX2(d *float64, n int, v, x *[MaxBands]*float64, nb int)
+func bandRowsAVX2(d *float64, n int, base **float64, voff *[MaxBands]int32, x *float64, xoff *[MaxBands]int32, nb int)
 
-// segmentRowsAVX2 is segmentRowsGo on the AVX2 kernel. The band bases
-// come from the segment, sliced and bounds-checked when the plan was
-// built against the bands' own storage, which never changes; dst and
-// each band's window of x are resliced here exactly as segmentRowsGo
-// reslices them, so Go has bounds-checked every element of those before
-// the assembly reads or writes it.
+// segmentRowsAVX2 is segmentRowsGo on the AVX2 kernel, which reads
+// without bounds checks. Each address it reads is in bounds by
+// construction: Banded.segments checked, when Pool.Plan cut the segment,
+// that each band's values for its rows lie in the band's storage, which
+// never changes, and that its entries of x lie in [0, Cols()); and
+// MulVecPlan checks len(x) == Cols() on every product. A part of a
+// segment (see segment.part) reads a subrange of the same. dst is
+// resliced here, so Go has bounds-checked every element the kernel
+// writes.
 //
 //numlint:hotpath
 func (b *Banded) segmentRowsAVX2(s *segment, dst, x []float64) {
-	lo, hi := int(s.lo), int(s.hi)
-	d := dst[lo:hi]
+	d := dst[s.lo:s.hi]
 	nb := int(s.k1 - s.k0)
 	if nb == 0 || len(d) == 0 {
 		clear(d)
 		return
 	}
-	var xs [MaxBands]*float64
-	for k, o := range b.offs[s.k0:s.k1] {
-		xs[k] = &x[lo+o : hi+o][0]
-	}
-	bandRowsAVX2(&d[0], len(d), &s.v, &xs, nb)
+	bandRowsAVX2(&d[0], len(d), &b.base[s.k0], &s.v, &x[0], &s.x, nb)
 }

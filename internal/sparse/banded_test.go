@@ -305,7 +305,9 @@ func TestBandedMatchesCSR(t *testing.T) {
 // inputs pick the size, the band count and the fold weight, and seed
 // the offsets, values, vectors and windows. Each window's plan, one per
 // pool, runs the products of two different x and acc pairs; one window
-// touches both matrix edges.
+// touches both matrix edges. The seeds of 32, 33 and 80 rows give
+// whole-matrix windows that run the kernel's 32-row block alone, with
+// one more row, and with 8-row blocks after it.
 func FuzzBandedMatchesCSR(f *testing.F) {
 	f.Add(int64(1), uint16(90), uint8(5), 0.0)
 	f.Add(int64(2), uint16(3), uint8(8), 1.5)
@@ -314,6 +316,9 @@ func FuzzBandedMatchesCSR(f *testing.F) {
 	f.Add(int64(5), uint16(1700), uint8(4), -1.0)
 	f.Add(int64(6), uint16(2999), uint8(7), 2.0)
 	f.Add(int64(9), uint16(2500), uint8(6), 0.5)
+	f.Add(int64(10), uint16(31), uint8(3), 0.5)
+	f.Add(int64(11), uint16(32), uint8(6), -1.5)
+	f.Add(int64(12), uint16(79), uint8(5), 0.25)
 	serial, parallel := NewPool(1), NewPool(2)
 	defer serial.Close()
 	defer parallel.Close()
@@ -421,23 +426,25 @@ func kernelBands(rng *rand.Rand, n int, offs []int) [][]float64 {
 
 // TestBandedAVX2MatchesGo checks the AVX2 band kernel against the Go
 // passes bit for bit, calling both directly: 1–8 bands, segments of 0
-// to 67 rows (so every mix of 8-row blocks, a 4-row block and the
-// scalar tail), every start row mod 8, band subsets that skip the first
-// band, the last or both, and x and band values whose products include
-// ±0, subnormals and ±Inf. Rows outside the segment must keep their
-// sentinel. Every segment of the whole matrix runs too, so the edge
-// rows' subsets, where the first or last bands leave the matrix, are
-// covered. The second half makes about half the bands periodic, with
-// periods of 1 to 8 of those values, and runs every segment and
-// segments of 0 to 67 rows starting at each of the first 8 rows of each
-// periodic run, so the kernels read every table phase.
+// to 100 rows (so every mix of 32-row blocks, 8-row blocks, a 4-row
+// block and the scalar tail, and every join between them), every start
+// row mod 8, band subsets that skip the first band, the last or both,
+// and x and band values whose products include ±0, subnormals and ±Inf.
+// Rows outside the segment must keep their sentinel. Every segment of
+// the whole matrix runs too, so the edge rows' subsets, where the first
+// or last bands leave the matrix, are covered. The second half makes
+// about half the bands periodic, with periods of 1 to 8 of those
+// values, and runs every segment and segments of 0 to 100 rows starting
+// at each of the first 8 rows of each periodic run, so the kernels read
+// every table phase.
 func TestBandedAVX2MatchesGo(t *testing.T) {
 	if !useAVX2 {
 		t.Skip("the AVX2 band kernel does not run here (not amd64, no AVX2, or a race build)")
 	}
 	rng := rand.New(rand.NewSource(7))
+	const maxLen = 100
 	for nb := 1; nb <= MaxBands; nb++ {
-		const n = 160
+		const n = 200
 		offs := randomOffsets(rng, 20, nb)
 		b, err := NewBanded(n, offs, kernelBands(rng, n, offs))
 		if err != nil {
@@ -446,7 +453,7 @@ func TestBandedAVX2MatchesGo(t *testing.T) {
 		if b.Kernel() != "bands-avx2" {
 			t.Fatalf("Kernel() = %q with AVX2 on", b.Kernel())
 		}
-		for length := 0; length <= 67; length++ {
+		for length := 0; length <= maxLen; length++ {
 			for start := 0; start < 8; start++ {
 				lo := b.lo + start
 				hi := lo + length
@@ -490,7 +497,7 @@ func TestBandedAVX2MatchesGo(t *testing.T) {
 			if bd.p == 0 {
 				continue
 			}
-			for length := 0; length <= 67; length++ {
+			for length := 0; length <= maxLen; length++ {
 				for lo := bd.a; lo < bd.a+8; lo++ {
 					s := segmentOf(b, lo, min(lo+length, b.tileEnd(lo, b.hi)), 0, nb)
 					checkAVX2MatchesGo(t, b, x, &s)
@@ -507,9 +514,10 @@ func TestBandedAVX2MatchesGo(t *testing.T) {
 // [k0, k1), as Banded.segments would cut it but with any band subset.
 // The rows must lie in one tile; lo = hi gives an empty segment.
 func segmentOf(b *Banded, lo, hi, k0, k1 int) segment {
-	s := segment{lo: int32(lo), hi: int32(hi), ph: int32(b.phase(lo)), k0: uint8(k0), k1: uint8(k1)}
+	s := segment{lo: int32(lo), hi: int32(hi), k0: uint8(k0), k1: uint8(k1)}
 	for k := k0; k < k1 && lo < hi; k++ {
-		s.v[k-k0] = &b.bands[k].rows(lo, hi, int(s.ph))[0]
+		s.v[k-k0] = int32(b.bands[k].index(lo, hi, b.phase(lo)))
+		s.x[k-k0] = int32(lo + b.offs[k])
 	}
 	return s
 }
@@ -755,10 +763,11 @@ func BenchmarkWindowProduct(b *testing.B) {
 	}
 }
 
-// BenchmarkBandedKernel times one interior tile of bandTile rows on each
-// band kernel, called directly, with Fig. 8's 5 band offsets and
-// Fig. 10's 6, every band dense. The avx2 runs skip where that kernel
-// does not run.
+// BenchmarkBandedKernel times one interior segment on each band kernel,
+// called directly, with Fig. 8's 5 band offsets and Fig. 10's 6, every
+// band dense: 80 and 187 rows, the typical window interval of Fig. 8 at
+// Δ = 50 and of Fig. 10 at Δ = 2 mAh, and a whole tile of bandTile
+// rows. The avx2 runs skip where that kernel does not run.
 func BenchmarkBandedKernel(b *testing.B) {
 	for _, fig := range []struct {
 		name string
@@ -775,20 +784,22 @@ func BenchmarkBandedKernel(b *testing.B) {
 		}
 		bm, _ := bandsOf(b, n, fig.offs, vals)
 		x, dst := randomVec(rng, n), make([]float64, n)
-		s := segmentOf(bm, bm.lo, bm.lo+bandTile, 0, len(fig.offs))
-		for _, k := range []struct {
-			name   string
-			kernel func(s *segment, dst, x []float64)
-		}{{"go", bm.segmentRowsGo}, {"avx2", bm.segmentRowsAVX2}} {
-			b.Run(fig.name+"/"+k.name, func(b *testing.B) {
-				if k.name == "avx2" && !useAVX2 {
-					b.Skip("the AVX2 band kernel does not run here")
-				}
-				b.SetBytes(int64(bandTile * 8 * (2*len(fig.offs) + 1)))
-				for i := 0; i < b.N; i++ {
-					k.kernel(&s, dst, x)
-				}
-			})
+		for _, rows := range []int{80, 187, bandTile} {
+			s := segmentOf(bm, bm.lo, bm.lo+rows, 0, len(fig.offs))
+			for _, k := range []struct {
+				name   string
+				kernel func(s *segment, dst, x []float64)
+			}{{"go", bm.segmentRowsGo}, {"avx2", bm.segmentRowsAVX2}} {
+				b.Run(fmt.Sprintf("%s/%d/%s", fig.name, rows, k.name), func(b *testing.B) {
+					if k.name == "avx2" && !useAVX2 {
+						b.Skip("the AVX2 band kernel does not run here")
+					}
+					b.SetBytes(int64(rows * 8 * (2*len(fig.offs) + 1)))
+					for i := 0; i < b.N; i++ {
+						k.kernel(&s, dst, x)
+					}
+				})
+			}
 		}
 	}
 }

@@ -3,6 +3,8 @@ package sparse
 import (
 	"fmt"
 	"runtime"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -208,31 +210,59 @@ type Operator interface {
 
 // segment is rows [lo, hi) of one product, computed in one kernel call.
 // A CSR reads only the rows. For a Banded (see Banded.segments) the
-// rows lie in one tile, bands [k0, k1) have their column in the matrix
-// on every row, v[k−k0] is the base of band k's values for the rows,
-// and ph is lo mod the matrix's period.
+// rows lie in one tile and bands [k0, k1) have their column in the
+// matrix on every row; for each such band k, v[k−k0] is where the
+// band's storage holds row lo's value and x[k−k0] = lo + offs[k] the
+// entry of x that value multiplies. Both advance by one per row, so any
+// rows [a, b) of a segment form a segment too (see part).
 type segment struct {
-	lo, hi, ph int32
-	k0, k1     uint8
-	v          [MaxBands]*float64
+	lo, hi int32
+	k0, k1 uint8
+	v, x   [MaxBands]int32
+}
+
+// part returns rows [a, b) of s, which must lie within [s.lo, s.hi].
+func (s *segment) part(a, b int32) segment {
+	p := *s
+	p.lo, p.hi = a, b
+	for k := range int(s.k1 - s.k0) {
+		p.v[k] += a - s.lo
+		p.x[k] += a - s.lo
+	}
+	return p
+}
+
+// chunk is one share of a parallel plan's rows: the part head, then
+// segments [from, to), then the part tail. A chunk's ends may fall
+// inside a segment, and the parts are the rows of it the chunk runs;
+// a part is empty (lo = hi) where an end falls between two segments.
+type chunk struct {
+	head, tail segment
+	from, to   int32
 }
 
 // Plan is the schedule of products over one list of row ranges of one
 // operator: the ranges cut into segments and, when they carry enough
 // work to fan out over the pool's workers, the segments' partition into
-// chunks of near-equal weight. Pool.Plan builds it once; Pool.MulVecPlan
+// chunks of near-equal weight. Pool.Plan builds it; Pool.MulVecPlan
 // runs it for as many products as the ranges stay the same, such as the
 // steps over which the uniformisation loop's active window does not
-// move. A Plan holds no vector, so products on any vectors of the right
-// shape may share it, concurrently too. The zero Plan is unbuilt.
+// move. A Plan keeps the range list it was cut from, so Pool.Plan over
+// a list that moved recuts only the ranges that changed. A Plan holds
+// no vector, so products on any vectors of the right shape may share
+// it, concurrently too. The zero Plan is unbuilt.
 type Plan struct {
-	m    Operator
-	segs []segment
-	// starts delimits the chunks: chunk i runs segs[starts[i]:starts[i+1]].
-	starts []int32
-	// parallel reports that the products fan out over the workers;
+	m Operator
+	// ranges is the range list the segments were cut from, and total
+	// its weight.
+	ranges []int32
+	total  int64
+	segs   []segment
+	// ways is the chunk count the partition was drawn for; 1 runs the
+	// products on the caller, over segs, and leaves chunks empty.
 	// imbalance is the heaviest chunk's weight over the ideal.
-	parallel  bool
+	ways      int
+	chunks    []chunk
 	imbalance float64
 }
 
@@ -296,7 +326,8 @@ type spmvJob struct {
 
 	k  kernel
 	pl *Plan
-	// own is the plan of a whole-matrix product, rebuilt for each one.
+	// own is the plan of a whole-matrix product, recut when the matrix
+	// changes.
 	own Plan
 
 	enqueuedNanos int64 // 0 when task-wait recording is off
@@ -325,11 +356,22 @@ func (j *spmvJob) run(gen uint32, m *PoolMetrics) {
 		if m != nil {
 			j.observeWait(m)
 		}
-		segs := j.pl.segs[j.pl.starts[next]:j.pl.starts[next+1]]
-		for i := range segs {
-			j.k.run(&segs[i])
-		}
+		j.runChunk(int(next))
 		j.pending.Done()
+	}
+}
+
+// runChunk runs chunk c of the job's plan.
+func (j *spmvJob) runChunk(c int) {
+	ch := &j.pl.chunks[c]
+	if ch.head.lo < ch.head.hi {
+		j.k.run(&ch.head)
+	}
+	for i := ch.from; i < ch.to; i++ {
+		j.k.run(&j.pl.segs[i])
+	}
+	if ch.tail.lo < ch.tail.hi {
+		j.k.run(&ch.tail)
 	}
 }
 
@@ -341,59 +383,140 @@ func (j *spmvJob) observeWait(m *PoolMetrics) {
 	m.TaskWait.Observe(float64(time.Now().UnixNano()-j.enqueuedNanos) / 1e9)
 }
 
-// checkRanges reports whether ranges is a valid range list of m: an
-// even number of bounds, each range [lo, hi) nonempty, within m's rows
-// and above the one before.
-func checkRanges(m Operator, ranges []int32) error {
-	if len(ranges)%2 != 0 {
-		return fmt.Errorf("sparse: plan with %d range bounds: %w", len(ranges), ErrShape)
-	}
+// checkRange reports whether range k of a range list of m, ranges[k]
+// to ranges[k+1], is nonempty, within m's rows and above the range
+// before it.
+func checkRange(m Operator, ranges []int32, k int) error {
 	prev := int32(0)
-	for i := 0; i < len(ranges); i += 2 {
-		if ranges[i] < prev || ranges[i] >= ranges[i+1] || int(ranges[i+1]) > m.Rows() {
-			return fmt.Errorf("sparse: plan range [%d,%d) after %d in %d rows: %w",
-				ranges[i], ranges[i+1], prev, m.Rows(), ErrShape)
-		}
-		prev = ranges[i+1]
+	if k > 0 {
+		prev = ranges[k-1]
+	}
+	if ranges[k] < prev || ranges[k] >= ranges[k+1] || int(ranges[k+1]) > m.Rows() {
+		return fmt.Errorf("sparse: plan range [%d,%d) after %d in %d rows: %w",
+			ranges[k], ranges[k+1], prev, m.Rows(), ErrShape)
 	}
 	return nil
 }
 
-// build sets pl to the plan of m over ranges, which checkRanges has
-// passed and whose rows weigh total, in at most chunks chunks. One chunk
-// holds every segment. More split the rows into chunks of near-equal
-// weight (nnz + rows for a CSR, rows·(bands+1) for a Banded), cutting
-// inside a range where a boundary falls, and the plan records the
-// heaviest chunk's weight over the ideal. A cut never splits a row, so
-// every parallel product stays bit-identical to the serial kernel.
-func (pl *Plan) build(m Operator, ranges []int32, chunks int, total int64) {
-	pl.m = m
-	pl.segs = pl.segs[:0]
-	pl.starts = append(pl.starts[:0], 0)
-	pl.parallel, pl.imbalance = chunks > 1, 1
-	if chunks == 1 {
-		for i := 0; i+1 < len(ranges); i += 2 {
-			pl.segs = m.segments(pl.segs, int(ranges[i]), int(ranges[i+1]))
+// cut makes pl's segments those of m over ranges and reports whether
+// they changed, or an error if ranges is not a valid range list of m:
+// an even number of bounds, each range [lo, hi) nonempty, within m's
+// rows and above the one before. A run of ranges that pl was already
+// cut from keeps its segments, and was checked then, so only its first
+// range is checked again, against the range before it. The ranges that
+// differ come in hunks: runs of ranges of the new list, and of the kept
+// one, between two such runs. A hunk's new ranges are checked and cut
+// past the live segments, then moved in place of the old ranges'
+// segments, so pl.segs needs room for twice the segments of a list (see
+// Pool.Reserve). A new operator changes every range, so the first build
+// is one hunk of all of them. On an error pl is left part cut.
+func (pl *Plan) cut(m Operator, ranges []int32) (bool, error) {
+	if len(ranges)%2 != 0 {
+		return false, fmt.Errorf("sparse: plan with %d range bounds: %w", len(ranges), ErrShape)
+	}
+	if pl.m != m {
+		pl.m, pl.ranges, pl.segs, pl.total = m, pl.ranges[:0], pl.segs[:0], 0
+	}
+	old := pl.ranges
+	changed := false
+	i, j, s := 0, 0, 0 // the next old range, new range, and segment
+	for i < len(old) || j < len(ranges) {
+		i1, j1 := i, j
+		for i1 < len(old) && j1 < len(ranges) && old[i1] == ranges[j1] && old[i1+1] == ranges[j1+1] {
+			i1, j1 = i1+2, j1+2
 		}
-		pl.starts = append(pl.starts, int32(len(pl.segs)))
+		if j1 > j {
+			if err := checkRange(m, ranges, j); err != nil {
+				return false, err
+			}
+			i, j = i1, j1
+			// The segments of the ranges passed lie below old[i].
+			if i < len(old) {
+				s += sort.Search(len(pl.segs)-s, func(k int) bool { return pl.segs[s+k].lo >= old[i] })
+			} else {
+				s = len(pl.segs)
+			}
+			continue
+		}
+		changed = true
+		// The hunk ends where a run of shared ranges starts. Either list
+		// steps past its range with the lower start, both on a tie, so
+		// the two meet at every range they share.
+		i0, j0, s0 := i, j, s
+		for i < len(old) || j < len(ranges) {
+			if i < len(old) && j < len(ranges) && old[i] == ranges[j] && old[i+1] == ranges[j+1] {
+				break
+			}
+			switch {
+			case j >= len(ranges) || (i < len(old) && old[i] < ranges[j]):
+				i += 2
+			case i >= len(old) || ranges[j] < old[i]:
+				j += 2
+			default:
+				i, j = i+2, j+2
+			}
+		}
+		for k := i0; k < i; k += 2 {
+			pl.total -= m.weight(old[k], old[k+1])
+		}
+		for s < len(pl.segs) && (i >= len(old) || pl.segs[s].lo < old[i]) {
+			s++
+		}
+		live := len(pl.segs)
+		segs := pl.segs
+		for k := j0; k < j; k += 2 {
+			if err := checkRange(m, ranges, k); err != nil {
+				return false, err
+			}
+			segs = m.segments(segs, int(ranges[k]), int(ranges[k+1]))
+			pl.total += m.weight(ranges[k], ranges[k+1])
+		}
+		pl.segs = slices.Replace(segs[:live], s0, s, segs[live:]...)
+		s = s0 + len(segs) - live
+	}
+	if changed {
+		pl.ranges = append(pl.ranges[:0], ranges...)
+	}
+	return changed, nil
+}
+
+// partition splits pl's rows into at most ways chunks of near-equal
+// weight (nnz + rows for a CSR, rows·(bands+1) for a Banded), cutting
+// inside a segment where a boundary falls, and records the heaviest
+// chunk's weight over the ideal. It reads only the segments' rows and
+// offsets, so it never recuts a segment. A cut never splits a row, so
+// every parallel product stays bit-identical to the serial kernel. One
+// way runs every segment on the caller and needs no chunks.
+func (pl *Plan) partition(ways int) {
+	pl.ways, pl.imbalance = ways, 1
+	pl.chunks = pl.chunks[:0]
+	if ways == 1 || len(pl.segs) == 0 {
 		return
 	}
-	weight := m.weight
-	ideal := float64(total) / float64(chunks)
-	var acc, chunkStart, maxChunk int64
+	weight := pl.m.weight
+	ideal := float64(pl.total) / float64(ways)
+	var acc, begun, maxChunk int64
 	cut := 1 // the current chunk ends once acc reaches cut*ideal
-	endChunk := func() {
-		pl.starts = append(pl.starts, int32(len(pl.segs)))
-		maxChunk = max(maxChunk, acc-chunkStart)
-		chunkStart = acc
+	// The current chunk starts at row row of segment seg.
+	seg, row := int32(0), pl.segs[0].lo
+	endChunk := func(i, a int32) {
+		pl.chunks = append(pl.chunks, pl.chunkTo(seg, row, i, a))
+		maxChunk = max(maxChunk, acc-begun)
+		begun = acc
+		seg, row = i, a
+		if a == pl.segs[i].hi && int(i)+1 < len(pl.segs) {
+			seg, row = i+1, pl.segs[i+1].lo
+		}
 	}
-	for i := 0; i+1 < len(ranges); i += 2 {
-		lo, hi := ranges[i], ranges[i+1]
-		for lo < hi {
+	for i := range pl.segs {
+		lo, hi := pl.segs[i].lo, pl.segs[i].hi
+		if w := weight(lo, hi); cut >= ways || float64(acc+w) < float64(cut)*ideal {
+			acc += w // no chunk ends in this segment
+			continue
+		}
+		for cut < ways {
 			target := float64(cut) * ideal
-			if cut >= chunks || float64(acc+weight(lo, hi)) < target {
-				pl.segs = m.segments(pl.segs, int(lo), int(hi))
-				acc += weight(lo, hi)
+			if float64(acc+weight(lo, hi)) < target {
 				break
 			}
 			// The smallest r in (lo, hi] whose prefix reaches the target.
@@ -406,19 +529,39 @@ func (pl *Plan) build(m Operator, ranges []int32, chunks int, total int64) {
 					a = mid + 1
 				}
 			}
-			pl.segs = m.segments(pl.segs, int(lo), int(a))
 			acc += weight(lo, a)
-			endChunk()
-			for cut < chunks && float64(acc) >= float64(cut)*ideal {
+			endChunk(int32(i), a)
+			for cut < ways && float64(acc) >= float64(cut)*ideal {
 				cut++
 			}
 			lo = a
 		}
+		acc += weight(lo, hi)
 	}
-	if int(pl.starts[len(pl.starts)-1]) < len(pl.segs) {
-		endChunk()
+	if last := int32(len(pl.segs) - 1); seg < last || row < pl.segs[last].hi {
+		endChunk(last, pl.segs[last].hi)
 	}
 	pl.imbalance = float64(maxChunk) / ideal
+}
+
+// chunkTo returns the chunk of rows from row r of segment s up to row
+// a of segment i, r < a when s = i: whole segments where it covers them,
+// and a part where it starts or ends inside one.
+func (pl *Plan) chunkTo(s, r, i, a int32) chunk {
+	c := chunk{from: s, to: i}
+	if first := &pl.segs[s]; r > first.lo {
+		if s == i {
+			c.head = first.part(r, a)
+			return c
+		}
+		c.head, c.from = first.part(r, first.hi), s+1
+	}
+	if last := &pl.segs[i]; a == last.hi {
+		c.to = i + 1
+	} else {
+		c.tail = last.part(last.lo, a)
+	}
+	return c
 }
 
 // getJob borrows a dispatch record from the free list.
@@ -445,7 +588,7 @@ func (p *Pool) putJob(j *spmvJob) {
 // run runs k over the plan's segments: fanned out over the workers
 // when the plan says so, on the calling goroutine otherwise.
 func (p *Pool) run(k kernel, pl *Plan) {
-	if !pl.parallel || p.workers == 1 || p.closed.Load() {
+	if pl.ways == 1 || p.workers == 1 || p.closed.Load() {
 		for i := range pl.segs {
 			k.run(&pl.segs[i])
 		}
@@ -461,8 +604,9 @@ func (p *Pool) run(k kernel, pl *Plan) {
 
 // whole runs a whole-matrix kernel over every row of its *CSR: fanned
 // out over the workers when the rows carry enough work, once per
-// right-hand side, on the calling goroutine otherwise.
-func (p *Pool) whole(k kernel) {
+// right-hand side, on the calling goroutine otherwise. It fails only
+// where the rows cannot be cut into a plan.
+func (p *Pool) whole(k kernel) error {
 	m := k.m.(*CSR)
 	work := m.weight(0, int32(m.rows))
 	if k.xs != nil {
@@ -470,16 +614,23 @@ func (p *Pool) whole(k kernel) {
 	}
 	if p.workers == 1 || p.closed.Load() || work < parallelMinWeight {
 		k.whole(0, m.rows)
-		return
+		return nil
 	}
 	p.m.SpMVParallel.Add(1)
 	j := p.getJob()
+	defer p.putJob(j)
 	all := [2]int32{0, int32(m.rows)}
-	j.own.build(m, all[:], min(p.workers, maxChunks), m.weight(0, int32(m.rows)))
+	changed, err := j.own.cut(m, all[:])
+	if err != nil {
+		return err
+	}
+	if ways := min(p.workers, maxChunks); changed || j.own.ways != ways {
+		j.own.partition(ways)
+	}
 	p.m.PartitionImbalance.Set(j.own.imbalance)
 	j.k, j.pl = k, &j.own
 	p.dispatch(j)
-	p.putJob(j)
+	return nil
 }
 
 // dispatch publishes the job's next generation, announces it to the
@@ -488,7 +639,7 @@ func (p *Pool) whole(k kernel) {
 // workers are gone), the caller simply drains the cursor itself, so
 // dispatch is deadlock-free even when it races Close.
 func (p *Pool) dispatch(j *spmvJob) {
-	chunks := len(j.pl.starts) - 1
+	chunks := len(j.pl.chunks)
 	j.pending.Add(chunks)
 	j.gen++
 	j.waitObserved.Store(false)
@@ -551,51 +702,59 @@ func (p *Pool) MulVec(m *CSR, dst, x []float64) error {
 			m.rows, m.cols, len(x), len(dst), ErrShape)
 	}
 	p.m.SpMV.Add(1)
-	p.whole(kernel{m: m, x: x, dst: dst})
+	if err := p.whole(kernel{m: m, x: x, dst: dst}); err != nil {
+		return err
+	}
 	check.FiniteVec("sparse.Pool.MulVec", dst)
 	return nil
 }
 
-// Plan checks ranges and builds pl into the plan of m's products over
-// them, reusing pl's storage; pl keeps no reference to ranges. ranges
-// lists ascending, disjoint, nonempty row intervals [lo, hi) flattened
-// as lo0, hi0, lo1, hi1, …, such as the active window of a
-// uniformisation step. The plan's products run in parallel when the
-// rows of ranges, not of the whole matrix, carry enough work for this
-// pool. On a bad range list pl is left unbuilt.
+// Plan checks ranges and makes pl the plan of m's products over them,
+// reusing pl's storage; pl keeps a copy of ranges, not ranges itself.
+// ranges lists ascending, disjoint, nonempty row intervals [lo, hi)
+// flattened as lo0, hi0, lo1, hi1, …, such as the active window of a
+// uniformisation step. If pl was last built for m, only the ranges that
+// differ from that build's are recut (see Plan.cut), and a parallel
+// plan's chunks are drawn again over the segments. The plan's products
+// run in parallel when the rows of ranges, not of the whole matrix,
+// carry enough work for this pool. On a bad range list pl is left
+// unbuilt.
 func (p *Pool) Plan(pl *Plan, m Operator, ranges []int32) error {
-	if err := checkRanges(m, ranges); err != nil {
+	changed, err := pl.cut(m, ranges)
+	if err != nil {
 		pl.m = nil
 		return err
 	}
-	var total int64
-	for i := 0; i < len(ranges); i += 2 {
-		total += m.weight(ranges[i], ranges[i+1])
+	ways := 1
+	if p.workers > 1 && pl.total >= parallelMinWeight {
+		ways = min(p.workers, maxChunks)
 	}
-	chunks := 1
-	if p.workers > 1 && total >= parallelMinWeight {
-		chunks = min(p.workers, maxChunks)
+	if changed || ways != pl.ways {
+		pl.partition(ways)
 	}
-	pl.build(m, ranges, chunks, total)
 	return nil
 }
 
 // Reserve makes room in pl for the plan of m's products over up to
-// ranges row ranges, so that Plan builds any such plan without
-// allocating. A segment ends where its range does, and a Banded's also
-// at every cut and every bandTile rows, and each chunk boundary splits
-// one more.
+// ranges row ranges, so that Plan builds or rebuilds any such plan
+// without allocating. A segment ends where its range does, and a
+// Banded's also at every cut and every bandTile rows; a rebuild cuts a
+// hunk's segments past the live ones (see Plan.cut), so the plan holds
+// room for two lists of them.
 func (p *Pool) Reserve(pl *Plan, m Operator, ranges int) {
 	chunks := min(p.workers, maxChunks)
-	segs := ranges + chunks
+	segs := ranges
 	if b, ok := m.(*Banded); ok {
 		segs += b.n/bandTile + len(b.cuts)
 	}
-	if cap(pl.segs) < segs {
-		pl.segs = make([]segment, 0, segs)
+	if cap(pl.segs) < 2*segs {
+		pl.segs = make([]segment, 0, 2*segs)
 	}
-	if cap(pl.starts) < chunks+1 {
-		pl.starts = make([]int32, 0, chunks+1)
+	if cap(pl.ranges) < 2*ranges {
+		pl.ranges = make([]int32, 0, 2*ranges)
+	}
+	if cap(pl.chunks) < chunks {
+		pl.chunks = make([]chunk, 0, chunks)
 	}
 }
 
@@ -651,7 +810,9 @@ func (p *Pool) MulVecMulti(m *CSR, dsts, xs [][]float64) error {
 	}
 	p.m.SpMV.Add(int64(len(xs)))
 	p.m.SpMVBatched.Add(1)
-	p.whole(kernel{m: m, xs: xs, dsts: dsts})
+	if err := p.whole(kernel{m: m, xs: xs, dsts: dsts}); err != nil {
+		return err
+	}
 	for k := range dsts {
 		check.FiniteVec("sparse.Pool.MulVecMulti", dsts[k])
 	}

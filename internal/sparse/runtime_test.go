@@ -469,19 +469,26 @@ func checkPartition(t *testing.T, opName string, m Operator) {
 		}
 		for _, chunks := range []int{1, 2, 3, 4, 7, 8, 16, 61} {
 			var pl Plan
-			pl.build(m, ranges, chunks, int64(total))
-			if got := len(pl.starts) - 1; got < 1 || got > chunks {
+			if _, err := pl.cut(m, ranges); err != nil {
+				t.Fatal(err)
+			}
+			pl.partition(chunks)
+			if pl.total != int64(total) {
+				t.Fatalf("%s: plan weight %d, ranges weigh %d", name, pl.total, total)
+			}
+			parts := chunkParts(&pl)
+			if got := len(parts); got < 1 || got > chunks {
 				t.Fatalf("%s, chunks=%d: %d chunks produced", name, chunks, got)
 			}
 			ideal := float64(total) / float64(chunks)
 			var got []int32
 			maxW := 0
-			for c := 0; c+1 < len(pl.starts); c++ {
-				if pl.starts[c] >= pl.starts[c+1] {
+			for c, part := range parts {
+				if len(part) == 0 {
 					t.Fatalf("%s, chunks=%d: empty chunk %d", name, chunks, c)
 				}
 				w := 0
-				for _, s := range pl.segs[pl.starts[c]:pl.starts[c+1]] {
+				for _, s := range part {
 					lo, hi := s.lo, s.hi
 					if hi <= lo {
 						t.Fatalf("%s, chunks=%d: empty or inverted piece [%d,%d)", name, chunks, lo, hi)
@@ -510,6 +517,28 @@ func checkPartition(t *testing.T, opName string, m Operator) {
 			}
 		}
 	}
+}
+
+// chunkParts returns the segments each chunk of pl runs, in order, as
+// spmvJob.runChunk runs them; a serial plan is one chunk of every
+// segment.
+func chunkParts(pl *Plan) [][]segment {
+	if pl.ways == 1 {
+		return [][]segment{pl.segs}
+	}
+	var parts [][]segment
+	for _, c := range pl.chunks {
+		var part []segment
+		if c.head.lo < c.head.hi {
+			part = append(part, c.head)
+		}
+		part = append(part, pl.segs[c.from:c.to]...)
+		if c.tail.lo < c.tail.hi {
+			part = append(part, c.tail)
+		}
+		parts = append(parts, part)
+	}
+	return parts
 }
 
 // TestFusedKernelsZeroAlloc backs the //numlint:hotpath annotation on
@@ -603,6 +632,40 @@ func TestPoolZeroAllocParallel(t *testing.T) {
 			if allocs != 0 {
 				t.Errorf("workers=%d metrics=%v: products allocate %v per run, want 0", workers, reg != nil, allocs)
 			}
+		}
+	}
+}
+
+// TestReplanZeroAlloc pins Pool.Reserve's sizing: once it has sized a
+// plan for up to 8 ranges of a banded matrix, replanning between windows
+// that move one end, add a range, change every range but the last, and
+// cover every row allocates nothing, on a serial and a parallel pool.
+// The change of all but the last range is the replan that needs the
+// most room: its new segments are cut past all the live ones.
+func TestReplanZeroAlloc(t *testing.T) {
+	const n = 20000
+	bm, _ := bandedPair(t, rand.New(rand.NewSource(9)), n, fig10Offsets)
+	windows := [][]int32{
+		{100, 700, 2000, 2600, 9000, 19000},
+		{100, 701, 2000, 2600, 9000, 19000},
+		{100, 701, 1990, 2600, 3000, 3100, 9000, 19000},
+		{50, 60, 70, 80, 90, 1000, 1500, 4000, 4100, 8000, 9000, 19000},
+		{0, n},
+	}
+	for _, workers := range []int{1, 4} {
+		pool := NewPool(workers)
+		var pl Plan
+		pool.Reserve(&pl, bm, 8)
+		allocs := testing.AllocsPerRun(50, func() {
+			for _, w := range windows {
+				if err := pool.Plan(&pl, bm, w); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		pool.Close()
+		if allocs != 0 {
+			t.Errorf("workers=%d: replanning allocates %v per round, want 0", workers, allocs)
 		}
 	}
 }
