@@ -94,9 +94,11 @@ type Result struct {
 	// is the fraction of the chain the solve actually swept.
 	WindowRows int
 	// WindowPlans counts the products whose plan changed, in part or in
-	// full: one for every step whose active window differs from the
-	// step before's, so 1 − WindowPlans/SpMVs is the share of products
-	// that ran the plan of the step before unchanged.
+	// full: the first step's, and one for every step whose grown rows
+	// differ from the step before's. A window that did not move keeps
+	// its grown rows, and so does a move that grows to the same rows,
+	// so 1 − WindowPlans/SpMVs is the share of products that ran the
+	// plan of the step before unchanged.
 	WindowPlans int
 	// DroppedMass is the probability mass the window trimmed from the
 	// iterates (entries below 1e-8·Epsilon), at most Epsilon by

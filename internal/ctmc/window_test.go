@@ -293,7 +293,9 @@ func TestTransientAllocsIndependentOfHorizon(t *testing.T) {
 
 // TestWindowReuseMatchesFreshGrow is the property test of the window's
 // incremental regrow and replan (see checkWindowReplan) on random chain
-// sizes, shift sets, supports and trims, on pools of 1 and 4 workers.
+// sizes, shift sets, supports and trims, on pools of 1 and 4 workers:
+// every step's grown rows must equal a grow from nothing, computed row
+// by row (grownRows), and its plan a fresh Pool.Plan of them.
 // Every twenty-fourth chain has 25,000–30,000 rows, so the 4-worker
 // plans fan out. Over the whole test the window must both keep and rebuild its
 // plan often, its interval count must rise and fall, its grown rows
@@ -354,15 +356,16 @@ type replanTally struct {
 // on the rows prepare planned, writing a vector whose growth rows mostly
 // fall below θ and whose other rows mostly do not, so trimming often
 // leaves the window as it was and sometimes moves it. After every step:
-// the grown rows, updated in place or kept, equal a fresh grow of the
-// current window; the plan, replanned in place or kept, equals a fresh
-// Pool.Plan of the grown rows field by field (every segment's rows,
-// bands and offsets, the chunks, the kept ranges and the weight); the
+// the grown rows, updated in place or kept, equal those that grownRows
+// reads off the current window row by row; the plan, replanned in place
+// or kept, equals a fresh Pool.Plan of those rows field by field (every
+// segment's rows, bands and offsets, the chunks, the kept ranges and the
+// weight); the
 // product computed exactly the grown rows; the buffer it wrote, which
 // held the iterate before, is zero off them after zeroStale (which
 // skips its pass on a window that did not move) and off the trimmed
-// window after trim. At the end the row tally must match the fresh
-// grows. tally, when non-nil, counts what the steps exercised.
+// window after trim. At the end the row tally must match the rows of
+// the references. tally, when non-nil, counts what the steps exercised.
 func checkWindowReplan(t *testing.T, rng *rand.Rand, reg *obs.Registry, n, shifts, workers, steps int, tally *replanTally) {
 	t.Helper()
 	set := addShift(make([]int, 0, 2*maxShiftRanges+2), 0)
@@ -386,8 +389,7 @@ func checkWindowReplan(t *testing.T, rng *rand.Rand, reg *obs.Registry, n, shift
 		tally = new(replanTally)
 	}
 	for step := 0; step < steps; step++ {
-		fresh := window{cur: slices.Clone(w.cur), shifts: set, n: n}
-		fresh.regrow()
+		want := grownRows(n, w.cur, set)
 		if w.planned {
 			tally.reused++
 		} else {
@@ -397,11 +399,11 @@ func checkWindowReplan(t *testing.T, rng *rand.Rand, reg *obs.Registry, n, shift
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(w.grown, fresh.grown) {
-			t.Fatalf("%d rows, step %d: grown %v, a fresh grow of %v gives %v", n, step, w.grown, w.cur, fresh.grown)
+		if !slices.Equal(w.grown, want) {
+			t.Fatalf("%d rows, shifts %v, step %d: grown %v, the rows %v grow to are %v", n, set, step, w.grown, w.cur, want)
 		}
 		var freshPlan sparse.Plan
-		if err := pool.Plan(&freshPlan, op, fresh.grown); err != nil {
+		if err := pool.Plan(&freshPlan, op, want); err != nil {
 			t.Fatal(err)
 		}
 		if d := diffPlans(pl, &freshPlan); d != "" {
@@ -415,7 +417,9 @@ func checkWindowReplan(t *testing.T, rng *rand.Rand, reg *obs.Registry, n, shift
 				tally.last++
 			}
 		}
-		wantRows += fresh.grownRows
+		for i := 0; i < len(want); i += 2 {
+			wantRows += int(want[i+1] - want[i])
+		}
 		in := rowSet(n, w.cur)
 		for i := range vals {
 			small := !in[i]
@@ -454,7 +458,7 @@ func checkWindowReplan(t *testing.T, rng *rand.Rand, reg *obs.Registry, n, shift
 		w.advance()
 	}
 	if w.rows != wantRows {
-		t.Fatalf("%d rows: %d rows tallied, fresh grows cover %d", n, w.rows, wantRows)
+		t.Fatalf("%d rows: %d rows tallied, the references cover %d", n, w.rows, wantRows)
 	}
 }
 
@@ -537,6 +541,40 @@ func diffValues(a, b reflect.Value) string {
 		return fmt.Sprintf(": cannot compare a %s", a.Kind())
 	}
 	return ""
+}
+
+// grownRows is the reference that the window's grown rows are held
+// against, built row by row and sharing no code with regrow: row r of
+// an n-row chain is grown when x + a ≤ r ≤ x + b for some row x of cur
+// and some range [a, b] of shifts. Each such span of rows, clipped to
+// the chain, is marked in a difference array, and the list is read off
+// its running sum.
+func grownRows(n int, cur []int32, shifts []int) []int32 {
+	diff := make([]int, n+1)
+	for x, in := range rowSet(n, cur) {
+		if !in {
+			continue
+		}
+		for s := 0; s < len(shifts); s += 2 {
+			if lo, hi := max(x+shifts[s], 0), min(x+shifts[s+1]+1, n); lo < hi {
+				diff[lo]++
+				diff[hi]--
+			}
+		}
+	}
+	var list []int32
+	depth := 0
+	for r := 0; r <= n; r++ {
+		was := depth > 0
+		depth += diff[r]
+		switch now := depth > 0 && r < n; {
+		case now && !was:
+			list = append(list, int32(r), 0)
+		case !now && was:
+			list[len(list)-1] = int32(r)
+		}
+	}
+	return list
 }
 
 // rowSet marks the rows of a window list of n rows.

@@ -604,9 +604,8 @@ func (p *Pool) run(k kernel, pl *Plan) {
 
 // whole runs a whole-matrix kernel over every row of its *CSR: fanned
 // out over the workers when the rows carry enough work, once per
-// right-hand side, on the calling goroutine otherwise. It fails only
-// where the rows cannot be cut into a plan.
-func (p *Pool) whole(k kernel) error {
+// right-hand side, on the calling goroutine otherwise.
+func (p *Pool) whole(k kernel) {
 	m := k.m.(*CSR)
 	work := m.weight(0, int32(m.rows))
 	if k.xs != nil {
@@ -614,15 +613,15 @@ func (p *Pool) whole(k kernel) error {
 	}
 	if p.workers == 1 || p.closed.Load() || work < parallelMinWeight {
 		k.whole(0, m.rows)
-		return nil
+		return
 	}
 	p.m.SpMVParallel.Add(1)
 	j := p.getJob()
-	defer p.putJob(j)
 	all := [2]int32{0, int32(m.rows)}
+	// A matrix with rows to fan out makes {0, rows} a valid range list.
 	changed, err := j.own.cut(m, all[:])
 	if err != nil {
-		return err
+		panic(err)
 	}
 	if ways := min(p.workers, maxChunks); changed || j.own.ways != ways {
 		j.own.partition(ways)
@@ -630,7 +629,7 @@ func (p *Pool) whole(k kernel) error {
 	p.m.PartitionImbalance.Set(j.own.imbalance)
 	j.k, j.pl = k, &j.own
 	p.dispatch(j)
-	return nil
+	p.putJob(j)
 }
 
 // dispatch publishes the job's next generation, announces it to the
@@ -702,9 +701,7 @@ func (p *Pool) MulVec(m *CSR, dst, x []float64) error {
 			m.rows, m.cols, len(x), len(dst), ErrShape)
 	}
 	p.m.SpMV.Add(1)
-	if err := p.whole(kernel{m: m, x: x, dst: dst}); err != nil {
-		return err
-	}
+	p.whole(kernel{m: m, x: x, dst: dst})
 	check.FiniteVec("sparse.Pool.MulVec", dst)
 	return nil
 }
@@ -810,9 +807,7 @@ func (p *Pool) MulVecMulti(m *CSR, dsts, xs [][]float64) error {
 	}
 	p.m.SpMV.Add(int64(len(xs)))
 	p.m.SpMVBatched.Add(1)
-	if err := p.whole(kernel{m: m, xs: xs, dsts: dsts}); err != nil {
-		return err
-	}
+	p.whole(kernel{m: m, xs: xs, dsts: dsts})
 	for k := range dsts {
 		check.FiniteVec("sparse.Pool.MulVecMulti", dsts[k])
 	}
