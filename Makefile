@@ -21,8 +21,9 @@ test: build
 ## ring, exemplar CAS), the service stack (admission, coalesced waiters,
 ## drain; an abandoned job's capacity must be free before its waiters
 ## wake, rolled ten times), and the SpMV pool with the windowed
-## uniformisation loop (reused dispatch records and window plans,
-## per-product parallel dispatch). Race builds
+## uniformisation loop (reused dispatch records and window plans, a
+## solve split between its caller and a lent worker that meet at a
+## barrier each step; the strand tests rolled ten times). Race builds
 ## leave out the amd64 assembly band kernel, so every band access goes
 ## through the instrumented Go passes.
 race:
@@ -31,6 +32,8 @@ race:
 	$(GO) test -race -count=2 ./internal/api ./internal/service ./cmd/batlifed
 	$(GO) test -race -count=10 -run 'TestAbandonedJobIsCancelled$$' ./internal/service
 	$(GO) test -race -count=2 ./internal/sparse ./internal/ctmc
+	$(GO) test -race -count=10 -run '^(TestLendOneAtATime|TestStrandRunsEveryGeneration|TestStrandPanicReachesCaller|TestPoolCloseReleasesWorkers)$$' ./internal/sparse
+	$(GO) test -race -count=10 -run '^(TestTwoStrandsMatchOne|TestTwoStrandsConcurrentSolves|TestTwoStrandSolveCancelled|TestBandedParallelMatchesCSR)$$' ./internal/ctmc
 
 ## checks: full test suite with the runtime invariant layer compiled in
 checks:

@@ -26,3 +26,12 @@ func (u *Uniformized) Banded() *sparse.Banded {
 	b, _ := u.pt.(*sparse.Banded)
 	return b
 }
+
+// SetTwoStrandRows makes rows the grown rows from which a solve runs on
+// two strands, so that small chains reach that path, and returns the
+// function that restores the threshold.
+func SetTwoStrandRows(rows int) (restore func()) {
+	old := twoStrandRows
+	twoStrandRows = rows
+	return func() { twoStrandRows = old }
+}

@@ -1,11 +1,16 @@
 package ctmc_test
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"batlife/internal/core"
 	"batlife/internal/ctmc"
@@ -69,23 +74,30 @@ func paperModels(t *testing.T) []layoutModel {
 	}
 	out := make([]layoutModel, len(models))
 	for i, m := range models {
-		x, err := core.Build(m.m, m.delta, core.Options{})
-		if err != nil {
-			t.Fatalf("%s: %v", m.name, err)
-		}
-		// Start full, as core does: workload state i at levels
-		// (n1−2, n2−2) is state (j1·n2 + j2)·n + i, with n1 and n2 the
-		// level counts u/Δ + 1 of the two wells.
-		bat := m.m.Battery
-		n1 := int(math.Round(bat.C*bat.Capacity/m.delta)) + 1
-		n2 := int(math.Round((1-bat.C)*bat.Capacity/m.delta)) + 1
-		n := len(m.m.Initial)
-		j2 := max(n2-2, 0)
-		alpha := make([]float64, x.NumStates())
-		copy(alpha[((n1-2)*n2+j2)*n:], m.m.Initial)
+		x, alpha := expandFull(t, m.m, m.delta)
 		out[i] = layoutModel{name: m.name, bands: m.bands, periods: m.periods, stored: m.stored, x: x, alpha: alpha, times: m.times}
 	}
 	return out
+}
+
+// expandFull expands m at step size delta and returns the chain with the
+// initial distribution of a full battery, as core starts it: workload
+// state i at levels (n1−2, n2−2) is state (j1·n2 + j2)·n + i, with n1
+// and n2 the level counts u/Δ + 1 of the two wells.
+func expandFull(t *testing.T, m mrm.KiBaMRM, delta float64) (*core.Expanded, []float64) {
+	t.Helper()
+	x, err := core.Build(m, delta, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bat := m.Battery
+	n1 := int(math.Round(bat.C*bat.Capacity/delta)) + 1
+	n2 := int(math.Round((1-bat.C)*bat.Capacity/delta)) + 1
+	n := len(m.Initial)
+	j2 := max(n2-2, 0)
+	alpha := make([]float64, x.NumStates())
+	copy(alpha[((n1-2)*n2+j2)*n:], m.Initial)
+	return x, alpha
 }
 
 // TestPeriodicBandLayout pins which of Pᵀ's bands are stored as a
@@ -178,10 +190,10 @@ func gateway(t *testing.T) mrm.KiBaMRM {
 func sameResult(t *testing.T, label string, banded, csr *ctmc.Result) {
 	t.Helper()
 	if banded.Iterations != csr.Iterations || banded.SpMVs != csr.SpMVs || banded.WindowRows != csr.WindowRows ||
-		math.Float64bits(banded.DroppedMass) != math.Float64bits(csr.DroppedMass) {
-		t.Fatalf("%s: banded iterations/SpMVs/rows/dropped %d/%d/%d/%v, CSR %d/%d/%d/%v", label,
-			banded.Iterations, banded.SpMVs, banded.WindowRows, banded.DroppedMass,
-			csr.Iterations, csr.SpMVs, csr.WindowRows, csr.DroppedMass)
+		banded.WindowPlans != csr.WindowPlans || math.Float64bits(banded.DroppedMass) != math.Float64bits(csr.DroppedMass) {
+		t.Fatalf("%s: iterations/SpMVs/rows/plans/dropped %d/%d/%d/%d/%v, against %d/%d/%d/%d/%v", label,
+			banded.Iterations, banded.SpMVs, banded.WindowRows, banded.WindowPlans, banded.DroppedMass,
+			csr.Iterations, csr.SpMVs, csr.WindowRows, csr.WindowPlans, csr.DroppedMass)
 	}
 	for k := range banded.Values {
 		if math.Float64bits(banded.Values[k]) != math.Float64bits(csr.Values[k]) {
@@ -256,11 +268,15 @@ func TestBandedOperatorMatchesCSR(t *testing.T) {
 	}
 }
 
-// TestBandedParallelMatchesCSR runs a birth-death chain large enough
-// for the pool's parallel path through both layouts on a two-worker
-// pool: the chunked banded products must match the CSR ones bit for
-// bit.
+// TestBandedParallelMatchesCSR runs a birth-death chain whose window is
+// large enough for two strands through both layouts on a two-worker
+// pool: the banded products split between the caller and the lent
+// worker must match the CSR ones bit for bit, and both solves must have
+// run on two strands.
 func TestBandedParallelMatchesCSR(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
 	const n = 30000
 	var b ctmc.Builder
 	name := func(i int) string { return fmt.Sprint(i) }
@@ -302,15 +318,15 @@ func TestBandedParallelMatchesCSR(t *testing.T) {
 		return res
 	}
 	sameResult(t, "birth-death", solve(banded), solve(csr))
-	if reg.Counter("sparse_pool_spmv_parallel_total").Value() == 0 {
-		t.Error("no product took the pool's parallel path")
-	}
 	var bands, periodic, kernels []string
 	for _, s := range reg.Tracer().Spans() {
 		if s.Name == "ctmc.transient" {
 			bands = append(bands, s.Attrs["bands"])
 			periodic = append(periodic, s.Attrs["periodic_bands"])
 			kernels = append(kernels, s.Attrs["kernel"])
+			if s.Attrs["strands"] != "2" {
+				t.Errorf("a solve of the %s chain ran on %s strands, want 2", s.Attrs["kernel"], s.Attrs["strands"])
+			}
 		}
 	}
 	if len(bands) != 2 || bands[0] != "3" || bands[1] != "0" {
@@ -427,5 +443,222 @@ func TestOperatorFromRowsMatchesCSR(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestTwoStrandsMatchOne solves Fig. 8 at Δ = 50, Fig. 10 at Δ = 2 mAh
+// and the harvesting example's charging model on a one-worker pool and
+// on a two-worker pool, with the two-strand threshold lowered to 64 rows
+// so that every window past the first few steps splits: a functional
+// over several time points, a fused single-point distribution solve and
+// a multi-point distribution solve must agree bit for bit, with their
+// iterations, products, window rows, window plans and dropped mass, and
+// every two-worker solve must have run on two strands. Fig. 7 over a
+// long horizon adds a solve that stops on the steady-state test.
+// Trimming whose budget runs out in the lent worker's rows is covered
+// at the window level, by TestWindowReuseMatchesFreshGrow.
+func TestTwoStrandsMatchOne(t *testing.T) {
+	defer ctmc.SetTwoStrandRows(64)()
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	fromWorkload := func(m *workload.Model, err error) mrm.KiBaMRM {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mrm.KiBaMRM{Workload: m.Chain, Currents: m.Currents, Initial: m.Initial}
+	}
+	withBattery := func(m mrm.KiBaMRM, capacityAs, c, k float64) mrm.KiBaMRM {
+		m.Battery = kibam.Params{Capacity: capacityAs, C: c, K: k}
+		return m
+	}
+	onOff := fromWorkload(workload.OnOff(1, 1, units.Amperes(0.96)))
+	simple := fromWorkload(workload.Simple(workload.SimpleConfig{}))
+	mah := func(v float64) float64 { return units.MilliampHours(v).AmpereSeconds() }
+	one := sparse.NewPool(1)
+	defer one.Close()
+	reg := obs.NewRegistry()
+	two := sparse.NewPoolObs(2, reg)
+	defer two.Close()
+	for _, m := range []struct {
+		name   string
+		m      mrm.KiBaMRM
+		delta  float64
+		times  []float64
+		steady bool
+	}{
+		{"fig8", withBattery(onOff, 7200, 0.625, 4.5e-5), 50, []float64{400, 800, 1200}, false},
+		{"fig10", withBattery(simple, mah(800), 0.625, 4.5e-5), mah(2), []float64{1800, 3600}, false},
+		{"harvesting", withBattery(gateway(t), mah(3000), 0.625, 4.5e-5), 270, []float64{5 * 3600, 15 * 3600}, false},
+		{"fig7-settled", withBattery(onOff, 7200, 1, 0), 200, []float64{50000, 60000}, true},
+	} {
+		t.Run(m.name, func(t *testing.T) {
+			x, alpha := expandFull(t, m.m, m.delta)
+			u, err := ctmc.NewUniformized(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(4))
+			w := make([]float64, len(alpha))
+			for i := range w {
+				if rng.Intn(3) == 0 {
+					w[i] = rng.Float64()
+				}
+			}
+			for _, tc := range []struct {
+				name  string
+				w     []float64
+				times []float64
+			}{
+				{"functional", w, m.times},
+				{"fused distribution", nil, m.times[:1]},
+				{"distributions", nil, m.times},
+			} {
+				before := len(reg.Tracer().Spans())
+				solve := func(pool *sparse.Pool, reg *obs.Registry) *ctmc.Result {
+					res, err := u.Transient(alpha, tc.w, tc.times, ctmc.TransientOptions{Pool: pool, Obs: reg})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return res
+				}
+				got := solve(two, reg)
+				sameResult(t, tc.name, got, solve(one, nil))
+				if settled := got.Iterations < got.FoxGlynnRight; settled != m.steady {
+					t.Errorf("%s: %d iterations of %d: steady state detected %v, want %v", tc.name, got.Iterations, got.FoxGlynnRight, settled, m.steady)
+				}
+				spans := reg.Tracer().Spans()[before:]
+				if len(spans) != 1 || spans[0].Attrs["strands"] != "2" {
+					t.Errorf("%s: the two-worker solve recorded spans %v, want one on 2 strands", tc.name, spans)
+				}
+			}
+		})
+	}
+}
+
+// TestTwoStrandsConcurrentSolves runs two solves on one two-worker
+// pool: the first borrows the worker and, at its third step, starts the
+// second and waits until that one has run a step, and so has asked for
+// the worker. The pool refuses the second ask and the first gives the
+// worker back, so only the first solve runs on two strands, and both
+// answers equal a one-worker solve's bit for bit.
+func TestTwoStrandsConcurrentSolves(t *testing.T) {
+	defer ctmc.SetTwoStrandRows(1)()
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	on, err := workload.OnOff(1, 1, units.Amperes(0.96))
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, alpha := expandFull(t, mrm.KiBaMRM{Workload: on.Chain, Currents: on.Currents, Initial: on.Initial,
+		Battery: kibam.Params{Capacity: 7200, C: 0.625, K: 4.5e-5}}, 100)
+	u, err := ctmc.NewUniformized(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := make([]float64, len(alpha))
+	for i := range w {
+		w[i] = float64(i % 5)
+	}
+	times := []float64{1000, 3000}
+	single := sparse.NewPool(1)
+	defer single.Close()
+	want, err := u.Transient(alpha, w, times, ctmc.TransientOptions{Pool: single})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	pool := sparse.NewPoolObs(2, reg)
+	defer pool.Close()
+	var (
+		results          [2]*ctmc.Result
+		errs             [2]error
+		second, asked    = make(chan struct{}), make(chan struct{})
+		secondDone       sync.WaitGroup
+		opts             = ctmc.TransientOptions{Pool: pool, Obs: reg}
+		first, latecomer = opts, opts
+	)
+	first.OnIteration = func(done, _ int) {
+		if done == 3 {
+			close(second)
+			<-asked
+		}
+	}
+	closeAsked := sync.OnceFunc(func() { close(asked) })
+	latecomer.OnIteration = func(done, _ int) {
+		if done == 1 {
+			closeAsked()
+		}
+	}
+	secondDone.Add(1)
+	go func() {
+		defer secondDone.Done()
+		defer closeAsked() // a solve that failed before its first step must not hang the first
+		<-second
+		results[1], errs[1] = u.Transient(alpha, w, times, latecomer)
+	}()
+	results[0], errs[0] = u.Transient(alpha, w, times, first)
+	secondDone.Wait()
+	for g := range results {
+		if errs[g] != nil {
+			t.Fatal(errs[g])
+		}
+		sameResult(t, fmt.Sprintf("solve %d", g), results[g], want)
+	}
+	var strands []string
+	for _, s := range reg.Tracer().Spans() {
+		if s.Name == "ctmc.transient" {
+			strands = append(strands, s.Attrs["strands"])
+		}
+	}
+	slices.Sort(strands)
+	if !slices.Equal(strands, []string{"1", "2"}) {
+		t.Errorf("the concurrent solves ran on %v strands, want one on 1 and one on 2", strands)
+	}
+}
+
+// TestTwoStrandSolveCancelled cancels a two-strand solve partway: it
+// fails with the context's error, and once the pool closes no goroutine
+// of the solve or the pool is left behind.
+func TestTwoStrandSolveCancelled(t *testing.T) {
+	defer ctmc.SetTwoStrandRows(1)()
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	on, err := workload.OnOff(1, 1, units.Amperes(0.96))
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, alpha := expandFull(t, mrm.KiBaMRM{Workload: on.Chain, Currents: on.Currents, Initial: on.Initial,
+		Battery: kibam.Params{Capacity: 7200, C: 0.625, K: 4.5e-5}}, 100)
+	u, err := ctmc.NewUniformized(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	reg := obs.NewRegistry()
+	pool := sparse.NewPoolObs(2, reg)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, err = u.Transient(alpha, nil, []float64{3000}, ctmc.TransientOptions{Pool: pool, Obs: reg, Context: ctx,
+		OnIteration: func(done, _ int) {
+			if done == 50 {
+				cancel()
+			}
+		}})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled solve returned %v", err)
+	}
+	if spans := reg.Tracer().Spans(); len(spans) != 1 || spans[0].Attrs["strands"] != "2" {
+		t.Fatalf("the cancelled solve recorded spans %v, want one on 2 strands", spans)
+	}
+	pool.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the pool closed, %d before the solve", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"time"
 
 	"batlife/internal/check"
 	"batlife/internal/foxglynn"
@@ -267,7 +268,8 @@ func (u *Uniformized) Window(times []float64, opts TransientOptions) (left, righ
 func (u *Uniformized) Transient(alpha, w, times []float64, opts TransientOptions) (*Result, error) {
 	reg := opts.Obs
 	if reg == nil {
-		return u.transient(alpha, w, times, opts)
+		res, _, err := u.transient(alpha, w, times, opts)
+		return res, err
 	}
 	_, span := obs.StartSpan(opts.Context, reg, "ctmc.transient",
 		obs.Int("states", int64(u.n)),
@@ -275,10 +277,14 @@ func (u *Uniformized) Transient(alpha, w, times []float64, opts TransientOptions
 		obs.Int("bands", int64(u.bands)),
 		obs.Int("periodic_bands", int64(u.periodic)),
 		obs.String("kernel", u.pt.Kernel()))
-	res, err := u.transient(alpha, w, times, opts)
+	res, st, err := u.transient(alpha, w, times, opts)
+	strands := 1
+	if st.two {
+		strands = 2
+	}
 	if err != nil {
 		reg.Counter("ctmc_solve_errors_total").Inc()
-		span.End(obs.String("error", err.Error()))
+		span.End(obs.String("error", err.Error()), obs.Int("strands", int64(strands)))
 		return nil, err
 	}
 	reg.Counter("ctmc_solves_total").Inc()
@@ -286,6 +292,9 @@ func (u *Uniformized) Transient(alpha, w, times []float64, opts TransientOptions
 	reg.Counter("ctmc_spmv_total").Add(int64(res.SpMVs))
 	reg.Counter("ctmc_window_rows_total").Add(int64(res.WindowRows))
 	reg.Counter("ctmc_window_plans_total").Add(int64(res.WindowPlans))
+	if st.two {
+		reg.Counter("ctmc_two_strand_solves_total").Inc()
+	}
 	if res.FoxGlynnRight > 0 {
 		reg.Histogram("ctmc_foxglynn_window").Observe(float64(res.FoxGlynnRight - res.FoxGlynnLeft + 1))
 	}
@@ -296,39 +305,41 @@ func (u *Uniformized) Transient(alpha, w, times []float64, opts TransientOptions
 		obs.Float("rate", res.Rate),
 		obs.Int("window_rows", int64(res.WindowRows)),
 		obs.Int("window_plans", int64(res.WindowPlans)),
-		obs.Float("dropped_mass", res.DroppedMass))
+		obs.Float("dropped_mass", res.DroppedMass),
+		obs.Int("strands", int64(strands)),
+		obs.Float("barrier_wait_s", st.wait.Seconds()))
 	return res, nil
 }
 
 // transient is the uninstrumented solve behind Transient.
-func (u *Uniformized) transient(alpha, w, times []float64, opts TransientOptions) (*Result, error) {
+func (u *Uniformized) transient(alpha, w, times []float64, opts TransientOptions) (*Result, loopStats, error) {
 	n := u.n
 	if len(alpha) != n {
-		return nil, fmt.Errorf("%w: |alpha|=%d for %d states", ErrBadInput, len(alpha), n)
+		return nil, loopStats{}, fmt.Errorf("%w: |alpha|=%d for %d states", ErrBadInput, len(alpha), n)
 	}
 	if w != nil && len(w) != n {
-		return nil, fmt.Errorf("%w: |w|=%d for %d states", ErrBadInput, len(w), n)
+		return nil, loopStats{}, fmt.Errorf("%w: |w|=%d for %d states", ErrBadInput, len(w), n)
 	}
 	if len(times) == 0 {
-		return nil, fmt.Errorf("%w: no time points", ErrBadInput)
+		return nil, loopStats{}, fmt.Errorf("%w: no time points", ErrBadInput)
 	}
 	sum := 0.0
 	for _, a := range alpha {
 		if a < 0 || math.IsNaN(a) {
-			return nil, fmt.Errorf("%w: negative or NaN initial probability", ErrBadInput)
+			return nil, loopStats{}, fmt.Errorf("%w: negative or NaN initial probability", ErrBadInput)
 		}
 		sum += a
 	}
 	if math.Abs(sum-1) > 1e-9 {
-		return nil, fmt.Errorf("%w: initial distribution sums to %v", ErrBadInput, sum)
+		return nil, loopStats{}, fmt.Errorf("%w: initial distribution sums to %v", ErrBadInput, sum)
 	}
 	for _, t := range times {
 		if t < 0 || math.IsNaN(t) || math.IsInf(t, 0) {
-			return nil, fmt.Errorf("%w: time point %v", ErrBadInput, t)
+			return nil, loopStats{}, fmt.Errorf("%w: time point %v", ErrBadInput, t)
 		}
 	}
 	if !sort.Float64sAreSorted(times) {
-		return nil, fmt.Errorf("%w: time points must be ascending", ErrBadInput)
+		return nil, loopStats{}, fmt.Errorf("%w: time points must be ascending", ErrBadInput)
 	}
 
 	check.Probabilities("ctmc.transient initial distribution", alpha)
@@ -338,17 +349,17 @@ func (u *Uniformized) transient(alpha, w, times []float64, opts TransientOptions
 
 	if u.q == 0 {
 		// No transitions anywhere: the distribution never moves.
-		return validatedResult(frozenResult(res, alpha, w, times)), nil
+		return validatedResult(frozenResult(res, alpha, w, times)), loopStats{}, nil
 	}
 
 	// Poisson windows per time point, and the global iteration bound.
 	weights, minLeft, maxRight, err := u.windows(times, opts.epsilon())
 	if err != nil {
-		return nil, err
+		return nil, loopStats{}, err
 	}
 	res.FoxGlynnLeft, res.FoxGlynnRight = minLeft, maxRight
 	if opts.MaxIterations > 0 && maxRight > opts.MaxIterations {
-		return nil, fmt.Errorf("%w: solve needs %d uniformisation steps, limit is %d",
+		return nil, loopStats{}, fmt.Errorf("%w: solve needs %d uniformisation steps, limit is %d",
 			ErrIterationBudget, maxRight, opts.MaxIterations)
 	}
 
@@ -356,6 +367,7 @@ func (u *Uniformized) transient(alpha, w, times []float64, opts TransientOptions
 	if pool == nil {
 		pool = sparse.DefaultPool()
 	}
+	sv := &solve{pool: pool, w: w, weights: weights, res: res}
 
 	// Accumulators.
 	if w == nil {
@@ -375,128 +387,366 @@ func (u *Uniformized) transient(alpha, w, times []float64, opts TransientOptions
 			nw++
 		}
 	}
-	wIdx := make([]int32, 0, nw)
+	sv.wIdx = make([]int32, 0, nw)
 	for i, wi := range w {
 		if wi != 0 {
-			wIdx = append(wIdx, int32(i))
-		}
-	}
-
-	// foldIn accumulates weight·v into every requested time point. v is
-	// zero outside rows, so the distribution fold skips only exact zeros.
-	foldIn := func(it int, v []float64, rows []int32, tailMass bool) {
-		if w == nil {
-			for k, fw := range weights {
-				p := fw.At(it)
-				if tailMass {
-					p = tailWeight(fw, it)
-				}
-				if p > 0 {
-					dst := res.Distributions[k]
-					for r := 0; r < len(rows); r += 2 {
-						for i := rows[r]; i < rows[r+1]; i++ {
-							dst[i] += p * v[i]
-						}
-					}
-				}
-			}
-			return
-		}
-		var s float64
-		computed := false
-		for k, fw := range weights {
-			p := fw.At(it)
-			if tailMass {
-				p = tailWeight(fw, it)
-			}
-			if p > 0 {
-				if !computed {
-					for _, i := range wIdx {
-						s += w[i] * v[i]
-					}
-					computed = true
-				}
-				res.Values[k] += p * s
-			}
+			sv.wIdx = append(sv.wIdx, int32(i))
 		}
 	}
 
 	// Steady-state detection: once v_{n+1} ≈ v_n the DTMC has converged
 	// (all further powers are equal up to the tolerance), so the rest
 	// of every Poisson window collapses onto the current vector.
-	ssdTol := opts.epsilon()
+	sv.tol = opts.epsilon()
 	checkEvery := 16
 
 	// Iteration scratch: both vectors come from (and return to) the
 	// pool's free list, so repeated solves on large chains stop paying
 	// two O(states) allocations each.
-	v := pool.GetVec(n)
-	copy(v, alpha)
-	next := pool.GetVec(n)
+	sv.v = pool.GetVec(n)
+	copy(sv.v, alpha)
+	sv.next = pool.GetVec(n)
 	defer func() {
-		pool.PutVec(v)
-		pool.PutVec(next)
+		pool.PutVec(sv.v)
+		pool.PutVec(sv.next)
+	}()
+	// Registered after the vectors' return, so it runs before it: a lent
+	// worker is back, its last share done, before the vectors are reused.
+	defer func() {
+		if sv.strand != nil {
+			sv.strand.Return()
+		}
 	}()
 	win := newWindow(pool, u.pt, alpha, u.shifts, opts.epsilon())
+	sv.win = win
 	done := func() *Result {
 		res.WindowRows, res.WindowPlans, res.DroppedMass = win.rows, win.plans, win.dropped
 		check.UnitScalar("ctmc.transient dropped mass over epsilon", win.dropped/win.budget)
 		return validatedResult(res)
 	}
-	foldIn(0, v, win.cur, false)
+	sv.fold(0, sv.v, win.cur, false)
+	sv.functional(0, sv.v, false)
 
 	// Each step computes next = Pᵀ·v on the grown window only, folds the
-	// untrimmed iterate into the answers, then trims the window. Single-
-	// time-point distribution solves (a piecewise phase's hand-over,
-	// charge moments, state snapshots) fold each iterate into exactly one
-	// accumulator, so the fold fuses into the product: dst = Pᵀ·v and
-	// acc += p·dst in one pass over the window. Iterations that run the
-	// steady-state check keep the unfused kernel — the tail fold on
-	// convergence must see an un-accumulated iterate. Every fold is an
-	// element-independent multiply-add, so fused and unfused paths are
-	// bit-identical.
+	// untrimmed iterate into the answers, then trims the window; on two
+	// strands, each runs its side of the product, the fold and the search
+	// for trim candidates (see solve.share), and the caller the rest.
+	// Single-time-point distribution solves (a piecewise phase's
+	// hand-over, charge moments, state snapshots) fold each iterate into
+	// exactly one accumulator, so the fold fuses into the product:
+	// dst = Pᵀ·v and acc += p·dst in one pass over the window. Iterations
+	// that run the steady-state check keep the unfused kernel — the tail
+	// fold on convergence must see an un-accumulated iterate. Every fold
+	// is an element-independent multiply-add, so fused and unfused paths,
+	// and one strand or two, are bit-identical.
 	fused := w == nil && len(times) == 1
 	for it := 0; it < maxRight; it++ {
 		if ctx := opts.Context; ctx != nil {
 			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("ctmc: transient solve cancelled at step %d: %w", it, err)
+				return nil, sv.stats, fmt.Errorf("ctmc: transient solve cancelled at step %d: %w", it, err)
 			}
 		}
 		ssdNow := !opts.DisableSteadyStateDetection && it%checkEvery == 0
-		fuseNow := fused && !ssdNow
-		var acc []float64
-		var p float64
-		if fuseNow {
-			acc, p = res.Distributions[0], weights[0].At(it+1)
+		sv.it, sv.ssd, sv.fuse = it, ssdNow, fused && !ssdNow
+		sv.acc, sv.p = nil, 0
+		if sv.fuse {
+			sv.acc, sv.p = res.Distributions[0], weights[0].At(it+1)
 		}
-		plan, err := win.prepare()
-		if err == nil {
-			err = pool.MulVecPlan(plan, next, v, acc, p)
+		win.prepare()
+		win.split(sv.twoStrands())
+		sv.phase = phaseProduct | phaseFold
+		if ssdNow {
+			sv.phase = phaseProduct
 		}
-		if err != nil {
-			return nil, fmt.Errorf("ctmc: uniformisation step %d: %w", it, err)
+		if err := sv.run(); err != nil {
+			return nil, sv.stats, fmt.Errorf("ctmc: uniformisation step %d: %w", it, err)
 		}
-		win.zeroStale(next)
 		res.Iterations++
 		res.SpMVs++
 		if ssdNow {
-			if win.settled(next, v, ssdTol) {
+			if win.sides[0].settled && win.sides[1].settled {
 				// Fold the remaining window mass (> it) in one shot.
-				foldIn(it+1, next, win.grown, true)
-				return done(), nil
+				sv.fold(it+1, sv.next, win.grown, true)
+				sv.functional(it+1, sv.next, true)
+				return done(), sv.stats, nil
+			}
+			sv.phase = phaseFold
+			if err := sv.run(); err != nil {
+				return nil, sv.stats, fmt.Errorf("ctmc: uniformisation step %d: %w", it, err)
 			}
 		}
-		if !fuseNow {
-			foldIn(it+1, next, win.grown, false)
+		if win.sides[1].lo < win.sides[1].hi {
+			sv.functional(it+1, nil, false)
+		} else {
+			sv.functional(it+1, sv.next, false)
+			win.trimOwn(sv.next)
 		}
-		win.trim(next)
-		v, next = next, v
+		win.trimRest(sv.next)
+		sv.v, sv.next = sv.next, sv.v
 		win.advance()
 		if opts.OnIteration != nil {
 			opts.OnIteration(res.Iterations, maxRight)
 		}
 	}
-	return done(), nil
+	return done(), sv.stats, nil
+}
+
+// twoStrandRows is the grown rows from which a step runs on two
+// strands: below about 8,000 rows what a step spends to meet the lent
+// worker and to tally its trim candidates costs what the split saves
+// (see docs/PERFORMANCE.md, "Two strands per solve"). A solve on two
+// strands goes back to one only below three quarters of that, so a
+// window about the threshold does not flap between the two. It is a
+// variable so that tests can run small chains on two strands.
+var twoStrandRows = 8192
+
+// The phases of a step that the strands run: the product, with the
+// zeroing of stale rows and the steady-state test, and the fold, with
+// the search for trim candidates. A step runs both at once, but for a
+// steady-state check, which must know that the chain has not settled
+// before it folds.
+const (
+	phaseProduct = 1 << iota
+	phaseFold
+)
+
+// solve is the state of one uniformisation loop that its strands share.
+// The caller writes the step fields before it publishes a phase, and
+// reads what the strands wrote after the barrier.
+type solve struct {
+	pool    *sparse.Pool
+	res     *Result
+	weights []*foxglynn.Weights
+	w       []float64
+	wIdx    []int32
+	win     *window
+	tol     float64
+
+	// strand is the pool's worker lent to the solve, nil until the
+	// window first reaches twoStrandRows or where the pool lends none;
+	// two reports whether the solve runs on two strands now; gen is the
+	// last generation published.
+	strand *sparse.Strand
+	asked  bool
+	two    bool
+	gen    uint32
+	stats  loopStats
+
+	// The step: its index, its vectors, the phases to run, whether it
+	// tests for a steady state, and the fused fold's target and weight.
+	it      int
+	v, next []float64
+	phase   int
+	ssd     bool
+	fuse    bool
+	acc     []float64
+	p       float64
+}
+
+// loopStats is what the ctmc.transient span reports of the strands:
+// whether some step ran on two, and how long the caller waited at the
+// barrier.
+type loopStats struct {
+	two  bool
+	wait time.Duration
+}
+
+// twoStrands reports whether the next step runs on two strands. It
+// decides from the step's grown rows, with the hysteresis of
+// twoStrandRows, asks the pool for a worker the first time the window
+// is large enough, and gives the worker back once another solve asks
+// for it, from when on the solve runs on one strand.
+func (sv *solve) twoStrands() bool {
+	rows := sv.win.grownRows
+	switch {
+	case rows >= twoStrandRows:
+		sv.two = true
+	case rows < twoStrandRows*3/4:
+		sv.two = false
+	}
+	if !sv.two {
+		return false
+	}
+	if !sv.asked {
+		sv.asked = true
+		sv.strand = sv.pool.Lend(sv.lent)
+	}
+	if sv.strand == nil {
+		return false
+	}
+	if sv.strand.Wanted() {
+		sv.strand.Give()
+	}
+	if !sv.strand.Held() {
+		return false
+	}
+	sv.stats.two = true
+	return true
+}
+
+// run runs the step's phases on both sides: side 1 on the lent worker
+// when the caller holds one, side 0 on the caller, then waits for the
+// worker. It reports a side's error, side 0's first.
+func (sv *solve) run() error {
+	s1 := &sv.win.sides[1]
+	switch {
+	case s1.lo == s1.hi:
+		sv.share(0)
+		s1.settled, s1.err = true, nil
+	case sv.strand != nil && sv.strand.Held():
+		sv.gen++
+		sv.strand.Step(sv.gen)
+		sv.share(0)
+		start := time.Now()
+		ran := sv.strand.Wait(sv.gen)
+		sv.stats.wait += time.Since(start)
+		if !ran {
+			sv.share(1)
+		}
+	default:
+		// The pool closed while the strands ran: the worker has left.
+		sv.share(0)
+		sv.share(1)
+	}
+	if err := sv.win.sides[0].err; err != nil {
+		return err
+	}
+	return s1.err
+}
+
+// lent is the lent worker's share of a step.
+func (sv *solve) lent() { sv.share(1) }
+
+// share runs the step's phases on side k: the product over its plan
+// (replanned first if its ranges changed), the zeroing of its stale
+// rows and, on a steady-state check, its settled test; then the
+// distribution fold over its rows and, on two strands, the saving of
+// its entries on w's support and its part of the trim: side 0 trims
+// its rows, side 1 cuts its candidates (see window.trimOwn and
+// cutRuns). On one strand the caller trims after the functional fold.
+// Side 1's product is the second half of the one counted on side 0.
+func (sv *solve) share(k int) {
+	win := sv.win
+	sd := &win.sides[k]
+	if sv.phase&phaseProduct != 0 {
+		sd.err = nil
+		if sd.replan {
+			if err := sv.pool.Plan(&sd.plan, win.m, sd.ranges); err != nil {
+				sd.err = err
+				return
+			}
+			sd.replan = false
+		}
+		var err error
+		if k == 0 {
+			err = sv.pool.MulVecPlan(&sd.plan, sv.next, sv.v, sv.acc, sv.p)
+		} else {
+			err = sv.strand.MulVecPlan(&sd.plan, sv.next, sv.v, sv.acc, sv.p)
+		}
+		if err != nil {
+			sd.err = err
+			return
+		}
+		win.zeroStale(sv.next, sd.lo, sd.hi)
+		sd.settled = sv.ssd && settled(sv.next, sv.v, sv.tol, sd.ranges)
+	}
+	if sv.phase&phaseFold != 0 {
+		if !sv.fuse {
+			sv.fold(sv.it+1, sv.next, sd.ranges, false)
+		}
+		if win.sides[1].lo == win.sides[1].hi {
+			return // one strand: the caller trims after the functional fold
+		}
+		if sv.w != nil {
+			// Before the trim: the functional folds the untrimmed iterate.
+			wIdx := sv.wIdx
+			lo := sort.Search(len(wIdx), func(k int) bool { return wIdx[k] >= sd.lo })
+			hi := lo + sort.Search(len(wIdx)-lo, func(k int) bool { return wIdx[lo+k] >= sd.hi })
+			if sd.wv == nil {
+				sd.wv = make([]float64, 0, len(wIdx))
+			}
+			sd.wv = sd.wv[:0]
+			for _, i := range wIdx[lo:hi] {
+				sd.wv = append(sd.wv, sv.next[i])
+			}
+		}
+		if k == 0 {
+			win.trimOwn(sv.next)
+		} else {
+			win.cutRuns(sv.next, sd)
+		}
+	}
+}
+
+// fold accumulates weight·v into every requested distribution over
+// rows, the Poisson weight of step it or, with tailMass, of every step
+// from it on. v is zero outside the window, so the fold skips only
+// exact zeros. A functional solve folds in functional.
+func (sv *solve) fold(it int, v []float64, rows []int32, tailMass bool) {
+	if sv.w != nil {
+		return
+	}
+	for k, fw := range sv.weights {
+		p := fw.At(it)
+		if tailMass {
+			p = tailWeight(fw, it)
+		}
+		if p > 0 {
+			dst := sv.res.Distributions[k]
+			for r := 0; r < len(rows); r += 2 {
+				for i := rows[r]; i < rows[r+1]; i++ {
+					dst[i] += p * v[i]
+				}
+			}
+		}
+	}
+}
+
+// functional accumulates weight·(w·v) into every requested value, the
+// Poisson weight of step it or, with tailMass, of every step from it
+// on. The dot product over w's support runs once, in order, and only
+// when some weight is positive; with v nil it reads the step's
+// untrimmed iterate that the sides saved (see dot).
+func (sv *solve) functional(it int, v []float64, tailMass bool) {
+	if sv.w == nil {
+		return
+	}
+	var s float64
+	computed := false
+	for k, fw := range sv.weights {
+		p := fw.At(it)
+		if tailMass {
+			p = tailWeight(fw, it)
+		}
+		if p > 0 {
+			if !computed {
+				s = sv.dot(v)
+				computed = true
+			}
+			sv.res.Values[k] += p * s
+		}
+	}
+}
+
+// dot returns w·v over w's support, in order; with v nil, from the
+// entries the sides saved before their trim (see share), side 0's then
+// side 1's.
+func (sv *solve) dot(v []float64) float64 {
+	w, idx := sv.w, sv.wIdx
+	var s float64
+	if v != nil {
+		for _, i := range idx {
+			s += w[i] * v[i]
+		}
+		return s
+	}
+	for k := range sv.win.sides {
+		for _, x := range sv.win.sides[k].wv {
+			s += w[idx[0]] * x
+			idx = idx[1:]
+		}
+	}
+	return s
 }
 
 // validatedResult asserts, under the debugchecks build tag, that every

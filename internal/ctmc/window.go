@@ -92,9 +92,13 @@ func addShift(rs []int, d int) []int {
 // [lo, hi) pairs flattened as lo0, hi0, ….
 //
 // grown depends on cur alone, so while trimming leaves cur as it was,
-// grown and the product plan built over it stay valid: the window
+// grown and the product plans built over it stay valid: the window
 // regrows and replans only after a step that changed cur, and then only
 // the rows the change can reach (see regrow and sparse.Pool.Plan).
+//
+// A step runs on one strand, the caller, or on two: the caller and a
+// worker lent by the pool. sides[0] is the caller's share of grown and
+// sides[1] the worker's; row mid divides them, and is n on one strand.
 type window struct {
 	cur, prev, grown, trimmed []int32
 	shifts                    []int
@@ -102,17 +106,44 @@ type window struct {
 	pool                      *sparse.Pool
 	m                         sparse.Operator
 
-	// planned reports that grown and plan are those of cur; steady
-	// that the last step left cur unchanged, so prev equals cur.
-	planned, steady bool
-	plan            sparse.Plan
-	plans           int // products whose plan changed, over the solve
-	grownRows       int // rows of grown
+	// planned reports that grown is that of cur; steady that the last
+	// step left cur unchanged, so prev equals cur; resplit that grown
+	// changed since the sides were cut from it.
+	planned, steady, resplit bool
+	plans                    int // products whose plan changed, over the solve
+	grownRows                int // rows of grown
+
+	sides [2]side
+	mid   int32
+	pass  tally // the trim in progress
 
 	theta, budget float64
 	dropped       float64
 	trimming      bool
 	rows          int // rows computed over all products
+}
+
+// side is one strand's share of a step: the rows [lo, hi) it owns, and
+// ranges, the rows of grown among them, which plan computes. Every
+// interval of grown lies in one side's ranges, but for one that holds
+// row mid, which each side holds its part of. On side 1, runs holds,
+// per range, how many trim candidates the lent worker cut at its low
+// end, then at its high end, and cut their values, for the caller to
+// tally (see cutRuns and trim); wv holds the iterate's entries on w's
+// support among the side's rows, before the cut, for the functional
+// fold.
+type side struct {
+	ranges, runs []int32
+	cut, wv      []float64
+	lo, hi       int32
+	plan         sparse.Plan
+	// replan reports that ranges changed since plan was cut.
+	replan  bool
+	settled bool
+	err     error
+	// own is the storage of ranges while two strands split grown; on
+	// one strand, side 0's ranges are grown itself.
+	own []int32
 }
 
 // newWindow returns the window of alpha's support, whose products run
@@ -137,13 +168,16 @@ func newWindow(pool *sparse.Pool, m sparse.Operator, alpha []float64, shifts []i
 		trimmed:  buf[3*share : 3*share : 4*share],
 		shifts:   shifts,
 		n:        n,
+		mid:      int32(n),
 		pool:     pool,
 		m:        m,
 		theta:    trimFactor * eps,
 		budget:   eps,
 		trimming: true,
 	}
-	pool.Reserve(&w.plan, m, iv)
+	w.sides[0].hi = int32(n)
+	w.sides[1].lo, w.sides[1].hi = int32(n), int32(n)
+	pool.Reserve(&w.sides[0].plan, m, iv)
 	for i := 0; i < len(alpha); {
 		if alpha[i] == 0 {
 			i++
@@ -158,24 +192,115 @@ func newWindow(pool *sparse.Pool, m sparse.Operator, alpha []float64, shifts []i
 	return w
 }
 
-// prepare returns the plan of the next product, over grown: the one
-// already built while cur has not changed since, else the plan updated
-// to cur's grown rows, which regrow brings up to date first. A move of
-// cur that leaves the grown rows as they were leaves the plan as it
-// was too, except on the first step, which always builds one. It
-// counts the product's rows.
-func (w *window) prepare() (*sparse.Plan, error) {
+// prepare brings grown up to date once cur has moved (see regrow) and
+// counts the product's rows. A move of cur that leaves the grown rows
+// as they were leaves the sides and their plans as they were too. It
+// counts a plan change when grown changed, and on the first step.
+func (w *window) prepare() {
 	if !w.planned {
 		if w.regrow() || w.plans == 0 {
-			if err := w.pool.Plan(&w.plan, w.m, w.grown); err != nil {
-				return nil, err
-			}
 			w.plans++
+			w.resplit = true
 		}
 		w.planned = true
 	}
 	w.rows += w.grownRows
-	return &w.plan, nil
+}
+
+// split divides grown between the sides for the next product: all of
+// it to side 0 on one strand; on two, at row mid. mid stays while it
+// lies between two intervals of grown and the two sides' rows differ
+// by at most a sixteenth of grown's, so a move of grown recuts each
+// side's plan only where grown moved. Otherwise, and when a solve turns
+// to two strands, mid moves (see halvingRow). A side whose ranges
+// changed is marked for replanning.
+func (w *window) split(two bool) {
+	s0, s1 := &w.sides[0], &w.sides[1]
+	n := int32(w.n)
+	if !two {
+		// grown's buffer changes on every regrow, even to equal rows.
+		s0.ranges = w.grown
+		if w.resplit || w.mid != n {
+			w.mid, w.resplit = n, false
+			s0.hi, s1.lo = n, n
+			s1.ranges = s1.ranges[:0]
+			s0.replan = true
+		}
+		return
+	}
+	if !w.resplit && w.mid != n {
+		return
+	}
+	mid := w.mid
+	if left, inside := w.rowsBelow(mid); mid == n || inside || !w.balanced(left) {
+		mid = w.halvingRow()
+	}
+	if s1.own == nil {
+		iv := cap(w.grown) / 2
+		w.pool.Reserve(&s1.plan, w.m, iv)
+		s0.own = make([]int32, 0, 2*iv)
+		s1.own = make([]int32, 0, 2*iv)
+		s1.runs = make([]int32, 0, 2*iv)
+	}
+	s0.own, s1.own = s0.own[:0], s1.own[:0]
+	for i := 0; i < len(w.grown); i += 2 {
+		lo, hi := w.grown[i], w.grown[i+1]
+		if lo < mid {
+			s0.own = append(s0.own, lo, min(hi, mid))
+		}
+		if hi > mid {
+			s1.own = append(s1.own, max(lo, mid), hi)
+		}
+	}
+	s0.ranges, s1.ranges = s0.own, s1.own
+	w.mid, w.resplit = mid, false
+	s0.hi, s1.lo = mid, mid
+	s0.replan, s1.replan = true, true
+	if cap(s1.runs) < len(s1.ranges) {
+		s1.runs = make([]int32, 0, 2*len(s1.ranges))
+	}
+	s1.runs = s1.runs[:len(s1.ranges)]
+}
+
+// rowsBelow counts grown's rows below row r, and reports whether r
+// lies inside an interval of grown, one that holds r − 1 and r.
+func (w *window) rowsBelow(r int32) (rows int, inside bool) {
+	for i := 0; i < len(w.grown) && w.grown[i] < r; i += 2 {
+		rows += int(min(w.grown[i+1], r) - w.grown[i])
+		inside = w.grown[i+1] > r
+	}
+	return rows, inside
+}
+
+// balanced reports whether a split with left of grown's rows below it
+// leaves the two sides within a sixteenth of grown's rows of each other.
+func (w *window) balanced(left int) bool {
+	d := 2*left - w.grownRows
+	return -w.grownRows/16 <= d && d <= w.grownRows/16
+}
+
+// halvingRow returns the split row of grown: the bound of the interval
+// that holds grown's middle row nearer to it, when that split is
+// balanced, so no interval has a part on each side; else the middle row
+// itself.
+func (w *window) halvingRow() int32 {
+	half, below := w.grownRows/2, 0
+	for i := 0; i < len(w.grown); i += 2 {
+		lo, hi := w.grown[i], w.grown[i+1]
+		rows := int(hi - lo)
+		if below+rows <= half {
+			below += rows
+			continue
+		}
+		switch {
+		case half-below <= below+rows-half && w.balanced(below):
+			return lo
+		case w.balanced(below + rows):
+			return hi
+		}
+		return lo + int32(half-below)
+	}
+	return int32(w.n)
 }
 
 // regrow sets grown, the rows of prev shifted by every offset range,
@@ -355,18 +480,19 @@ func (d *rowDiff) next() (lo, hi int, ok bool) {
 	return 0, 0, false
 }
 
-// zeroStale clears the rows of buf that prev left behind outside grown,
-// so buf is zero off the rows the product just wrote. After a step that
-// left the window unchanged prev is cur, which grown covers (one shift
-// range holds 0): there is nothing to clear.
-func (w *window) zeroStale(buf []float64) {
+// zeroStale clears the rows of buf in [from, to) that prev left behind
+// outside grown, so buf is zero there off the rows the product just
+// wrote. After a step that left the window unchanged prev is cur, which
+// grown covers (one shift range holds 0): there is nothing to clear.
+func (w *window) zeroStale(buf []float64, from, to int32) {
 	if w.steady {
 		return
 	}
-	cur := w.grown
-	j := 0
-	for i := 0; i < len(w.prev); i += 2 {
-		lo, hi := w.prev[i], w.prev[i+1]
+	prev, cur := w.prev, w.grown
+	i := 2 * sort.Search(len(prev)/2, func(k int) bool { return prev[2*k+1] > from })
+	j := 2 * sort.Search(len(cur)/2, func(k int) bool { return cur[2*k+1] > from })
+	for ; i < len(prev) && prev[i] < to; i += 2 {
+		lo, hi := max(prev[i], from), min(prev[i+1], to)
 		for lo < hi {
 			for j < len(cur) && cur[j+1] <= lo {
 				j += 2
@@ -383,12 +509,12 @@ func (w *window) zeroStale(buf []float64) {
 	}
 }
 
-// settled reports whether no row of grown moved by more than tol from v
-// to next. It stops at the first row that did; a NaN difference counts
-// as no move, as in a running maximum of the differences.
-func (w *window) settled(next, v []float64, tol float64) bool {
-	for r := 0; r < len(w.grown); r += 2 {
-		for i := w.grown[r]; i < w.grown[r+1]; i++ {
+// settled reports whether no row of ranges moved by more than tol from
+// v to next. It stops at the first row that did; a NaN difference
+// counts as no move, as in a running maximum of the differences.
+func settled(next, v []float64, tol float64, ranges []int32) bool {
+	for r := 0; r < len(ranges); r += 2 {
+		for i := ranges[r]; i < ranges[r+1]; i++ {
 			if math.Abs(next[i]-v[i]) > tol {
 				return false
 			}
@@ -397,41 +523,191 @@ func (w *window) settled(next, v []float64, tol float64) bool {
 	return true
 }
 
-// trim sets trimmed to grown with both ends of every interval cut while
-// their entries are below θ, zeroing each dropped entry and adding it to
-// the tally. Trimming stops for good once the tally would pass the
-// budget ε.
-func (w *window) trim(v []float64) {
-	out := w.trimmed[:0]
-	for i := 0; i < len(w.grown); i += 2 {
-		lo, hi := w.grown[i], w.grown[i+1]
-		for lo < hi && w.drop(v, lo) {
-			lo++
+// cutRuns cuts the trim candidates of each of sd's ranges from v: the
+// entries from its low end up that are not at least θ, then those from
+// its high end down among the rest. It zeroes each one, appends its
+// value to sd's cut in that order and records the two counts in sd's
+// runs. The lent worker cuts its side so, at the same time as the
+// caller runs its own; trim then tallies the cut values in interval
+// order and puts back those that the budget does not allow. A window
+// that stopped trimming cuts nothing.
+func (w *window) cutRuns(v []float64, sd *side) {
+	if !w.trimming {
+		return
+	}
+	theta, r, cut := w.theta, sd.ranges, sd.cut[:0]
+	for i := 0; i < len(r); i += 2 {
+		lo, hi := r[i], r[i+1]
+		a := lo
+		for ; a < hi && !(math.Abs(v[a]) >= theta); a++ {
+			cut = append(cut, v[a])
+			v[a] = 0
 		}
-		for hi > lo && w.drop(v, hi-1) {
-			hi--
+		b := hi
+		for ; b > a && !(math.Abs(v[b-1]) >= theta); b-- {
+			cut = append(cut, v[b-1])
+			v[b-1] = 0
+		}
+		sd.runs[i], sd.runs[i+1] = a-lo, hi-b
+	}
+	sd.cut = cut
+}
+
+// The trim sets trimmed to grown with both ends of every interval cut
+// while their entries are not at least θ, dropping each such entry and
+// adding it to the tally: interval by interval, its low end up, then
+// its high end down. Trimming stops for good once the tally would pass
+// the budget ε. The caller runs it in two parts: trimOwn, on side 0's
+// rows, as part of its share of the step, and trimRest after the
+// barrier, which tallies the values the lent worker cut from side 1
+// (see cutRuns) and puts back every one it does not drop.
+
+// joined reports whether an interval of grown holds row mid, so that
+// each side holds a part of it.
+func (w *window) joined() bool {
+	a, b := w.sides[0].ranges, w.sides[1].ranges
+	return len(a) > 0 && len(b) > 0 && a[len(a)-1] == b[0]
+}
+
+// trimOwn trims side 0's intervals, but for one that holds row mid,
+// into trimmed. It leaves trimming as it was, which the lent worker
+// reads meanwhile, and keeps the pass's state in pass.
+func (w *window) trimOwn(v []float64) {
+	a := w.sides[0].ranges
+	if w.joined() {
+		a = a[:len(a)-2]
+	}
+	w.pass = tally{v: v, theta: w.theta, dropped: w.dropped, budget: w.budget, on: w.trimming}
+	w.trimmed = w.pass.trim(w.trimmed[:0], a)
+}
+
+// trimRest completes the trim after trimOwn: the interval that holds
+// row mid, whose part on side 1 it puts back and trims whole, and side
+// 1's other intervals, whose cut values it tallies.
+func (w *window) trimRest(v []float64) {
+	t, out := &w.pass, w.trimmed
+	if b := &w.sides[1]; b.lo < b.hi {
+		rb, cb := b.ranges, b.cut
+		cut := w.trimming // whether the lent worker cut this step
+		j := 0
+		if w.joined() {
+			a := w.sides[0].ranges
+			if cut {
+				k := b.runs[0] + b.runs[1]
+				restore(v, rb[0], rb[1], b.runs[0], cb[:k], 0)
+				cb = cb[k:]
+			}
+			out = t.trim(out, []int32{a[len(a)-2], rb[1]})
+			j = 2
+		}
+		for ; j < len(rb); j += 2 {
+			if !cut {
+				out = append(out, rb[j], rb[j+1])
+				continue
+			}
+			k := b.runs[j] + b.runs[j+1]
+			out = t.tally(out, rb[j], rb[j+1], b.runs[j], b.runs[j+1], cb[:k])
+			cb = cb[k:]
+		}
+	}
+	w.trimmed, w.dropped, w.trimming = out, t.dropped, t.on
+}
+
+// tally is the state of one trim pass: the iterate, θ, the dropped
+// mass, the budget and whether trimming goes on.
+type tally struct {
+	v                      []float64
+	theta, dropped, budget float64
+	on                     bool
+}
+
+// trim trims each interval of ranges, its low end up and then its high
+// end down, and appends the rows left to out. Each entry not at least θ
+// is zeroed and added to the dropped mass, until one would take it past
+// the budget: that one stays, and trimming stops for good. An exact
+// zero adds nothing and cannot pass the budget, so it is only zeroed.
+// The pass keeps its state in locals.
+func (t *tally) trim(out, ranges []int32) []int32 {
+	v, theta, dropped, budget, on := t.v, t.theta, t.dropped, t.budget, t.on
+	for i := 0; i < len(ranges); i += 2 {
+		lo, hi := ranges[i], ranges[i+1]
+		for ; on && lo < hi; lo++ {
+			a := math.Abs(v[lo])
+			if a >= theta {
+				break
+			}
+			if a != 0 {
+				if dropped+a > budget {
+					on = false
+					break
+				}
+				dropped += a
+			}
+			v[lo] = 0
+		}
+		for ; on && hi > lo; hi-- {
+			a := math.Abs(v[hi-1])
+			if a >= theta {
+				break
+			}
+			if a != 0 {
+				if dropped+a > budget {
+					on = false
+					break
+				}
+				dropped += a
+			}
+			v[hi-1] = 0
 		}
 		if lo < hi {
 			out = append(out, lo, hi)
 		}
 	}
-	w.trimmed = out
+	t.dropped, t.on = dropped, on
+	return out
 }
 
-// drop zeroes v[i] and tallies it when it is below θ and the budget
-// allows; it reports whether the entry was dropped.
-func (w *window) drop(v []float64, i int32) bool {
-	a := math.Abs(v[i])
-	if !w.trimming || a >= w.theta {
-		return false
+// tally is trim for an interval [lo, hi) whose candidates were cut
+// already, low of them at its low end and high at its high end, with
+// the values vals: it adds them to the dropped mass in the same order,
+// under the same rule, and puts the value that would pass the budget
+// and every later one back into v, as it does all of them once
+// trimming has stopped.
+func (t *tally) tally(out []int32, lo, hi, low, high int32, vals []float64) []int32 {
+	k := int32(0)
+	if t.on {
+		dropped, budget := t.dropped, t.budget
+		for ; k < low+high; k++ {
+			if a := math.Abs(vals[k]); a != 0 {
+				if dropped+a > budget {
+					t.on = false
+					break
+				}
+				dropped += a
+			}
+		}
+		t.dropped = dropped
 	}
-	if w.dropped+a > w.budget {
-		w.trimming = false
-		return false
+	if k < low+high {
+		restore(t.v, lo, hi, low, vals, k)
 	}
-	w.dropped += a
-	v[i] = 0
-	return true
+	lo, hi = lo+min(k, low), hi-max(k-low, 0)
+	if lo < hi {
+		out = append(out, lo, hi)
+	}
+	return out
+}
+
+// restore puts the cut values vals[from:] of interval [lo, hi), low of
+// them cut at its low end, back into v.
+func restore(v []float64, lo, hi, low int32, vals []float64, from int32) {
+	for k := from; k < int32(len(vals)); k++ {
+		r := lo + k
+		if k >= low {
+			r = hi - 1 - (k - low)
+		}
+		v[r] = vals[k]
+	}
 }
 
 // advance makes the trimmed window current once the iteration buffers

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"batlife/internal/ctmc/ctmctest"
-	"batlife/internal/obs"
 	"batlife/internal/sparse"
 )
 
@@ -292,24 +291,26 @@ func TestTransientAllocsIndependentOfHorizon(t *testing.T) {
 }
 
 // TestWindowReuseMatchesFreshGrow is the property test of the window's
-// incremental regrow and replan (see checkWindowReplan) on random chain
-// sizes, shift sets, supports and trims, on pools of 1 and 4 workers:
-// every step's grown rows must equal a grow from nothing, computed row
-// by row (grownRows), and its plan a fresh Pool.Plan of them.
-// Every twenty-fourth chain has 25,000–30,000 rows, so the 4-worker
-// plans fan out. Over the whole test the window must both keep and rebuild its
-// plan often, its interval count must rise and fall, its grown rows
-// must touch row 0 and row n, and some products must run in parallel.
+// incremental regrow and replan and of its split between two strands
+// (see checkWindowReplan) on random chain sizes, shift sets, supports
+// and trims, splitting grown on every other trial: every step's grown
+// rows must equal a grow from nothing, computed row by row (grownRows),
+// each side's plan a fresh Pool.Plan of its rows, and the trim the
+// one-pass trim of the parent design (trimReference). Every
+// twenty-fourth chain has 25,000–30,000 rows. Over the whole test the
+// window must both keep and rebuild its plans often, its interval count
+// must rise and fall, its grown rows must touch row 0 and row n, the
+// split row must fall inside an interval and between two, and the trim
+// budget must run out, in the lent worker's rows too.
 func TestWindowReuseMatchesFreshGrow(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	reg := obs.NewRegistry()
 	var tally replanTally
 	for trial := 0; trial < 240; trial++ {
 		n, steps := 1+rng.Intn(300), 60
 		if trial%24 == 23 {
 			n, steps = 25000+rng.Intn(5000), 20
 		}
-		checkWindowReplan(t, rng, reg, n, rng.Intn(12), 1+3*(trial%2), steps, &tally)
+		checkWindowReplan(t, rng, n, rng.Intn(12), trial%2 == 1, steps, &tally)
 	}
 	if tally.reused < 1000 || tally.rebuilt < 1000 {
 		t.Errorf("%d steps reused their plan and %d rebuilt it; want both often", tally.reused, tally.rebuilt)
@@ -318,27 +319,24 @@ func TestWindowReuseMatchesFreshGrow(t *testing.T) {
 		t.Errorf("interval count rose on %d steps and fell on %d; grown rows touched row 0 on %d and row n on %d; want each on 100 or more",
 			tally.rose, tally.fell, tally.first, tally.last)
 	}
-	if reg.Counter("sparse_pool_spmv_parallel_total").Value() == 0 {
-		t.Error("no product ran in parallel; the large chains must fan out")
+	if tally.inside < 100 || tally.between < 100 || tally.spent < 10 || tally.spentHelper < 5 {
+		t.Errorf("the split row fell inside an interval on %d steps and between two on %d; the budget ran out on %d trials, %d times in the lent worker's rows; want 100, 100, 10 and 5 or more",
+			tally.inside, tally.between, tally.spent, tally.spentHelper)
 	}
 }
 
 // FuzzWindowReplan is the fuzzing form of TestWindowReuseMatchesFreshGrow:
 // the inputs pick the chain size, the number of offsets drawn for the
-// shift set and the pool's workers, and seed the shifts, the support and
-// the trims.
+// shift set and whether grown is split between two strands, and seed
+// the shifts, the support and the trims.
 func FuzzWindowReplan(f *testing.F) {
 	f.Add(int64(1), uint16(40), uint8(3), false)
 	f.Add(int64(2), uint16(1), uint8(0), true)
 	f.Add(int64(3), uint16(300), uint8(11), true)
 	f.Add(int64(4), uint16(25000), uint8(2), true)
-	f.Fuzz(func(t *testing.T, seed int64, size uint16, shifts uint8, parallel bool) {
-		workers := 1
-		if parallel {
-			workers = 4
-		}
+	f.Fuzz(func(t *testing.T, seed int64, size uint16, shifts uint8, two bool) {
 		rng := rand.New(rand.NewSource(seed))
-		checkWindowReplan(t, rng, nil, 1+int(size)%30000, int(shifts)%16, workers, 20, nil)
+		checkWindowReplan(t, rng, 1+int(size)%30000, int(shifts)%16, two, 20, nil)
 	})
 }
 
@@ -347,33 +345,41 @@ type replanTally struct {
 	reused, rebuilt int // steps that kept their plan, and that rebuilt it
 	rose, fell      int // steps whose window had more, and fewer, intervals than the one before
 	first, last     int // steps whose grown rows held row 0, and row n−1
+	inside, between int // two-strand steps whose split row lay inside an interval of grown, and outside
+	spent           int // trials whose trim budget ran out
+	spentHelper     int // steps whose trim budget ran out in the lent worker's rows
 }
 
 // checkWindowReplan runs a window of an n-row chain over steps steps.
 // Its shift set holds 0 and the offsets of shifts random transitions.
 // Its operator has a few bands, all zero but a diagonal of ones, so a
-// product copies x on the rows it computes. Each step runs the product
-// on the rows prepare planned, writing a vector whose growth rows mostly
-// fall below θ and whose other rows mostly do not, so trimming often
-// leaves the window as it was and sometimes moves it. After every step:
-// the grown rows, updated in place or kept, equal those that grownRows
-// reads off the current window row by row; the plan, replanned in place
-// or kept, equals a fresh Pool.Plan of those rows field by field (every
-// segment's rows, bands and offsets, the chunks, the kept ranges and the
-// weight); the
-// product computed exactly the grown rows; the buffer it wrote, which
-// held the iterate before, is zero off them after zeroStale (which
-// skips its pass on a window that did not move) and off the trimmed
-// window after trim. At the end the row tally must match the rows of
-// the references. tally, when non-nil, counts what the steps exercised.
-func checkWindowReplan(t *testing.T, rng *rand.Rand, reg *obs.Registry, n, shifts, workers, steps int, tally *replanTally) {
+// product copies x on the rows it computes. With two, most steps split
+// grown between two sides as a two-strand solve does, and the rest run
+// on one. Each step runs each side's product on the rows its plan
+// covers, writing a vector whose growth rows mostly fall below θ and
+// whose other rows mostly do not, so trimming often leaves the window
+// as it was and sometimes moves it. On half the trials the trim budget
+// is small enough to run out. After every step: the grown rows,
+// updated in place or kept, equal those that grownRows reads off the
+// current window row by row; the sides own rows [0, mid) and [mid, n)
+// and their ranges join to grown; each side's plan, replanned in place
+// or kept, equals a fresh Pool.Plan of its ranges field by field (every
+// segment's rows, bands and offsets, the kept ranges and the weight);
+// the products computed exactly the grown rows; the buffer they wrote,
+// which held the iterate before, is zero off them after zeroStale
+// (which skips its pass on a window that did not move); and the trim
+// of the runs the sides found leaves the window, the vector and the
+// tally bit for bit as trimReference does. At the end the row tally
+// must match the rows of the references. tally, when non-nil, counts
+// what the steps exercised.
+func checkWindowReplan(t *testing.T, rng *rand.Rand, n, shifts int, two bool, steps int, tally *replanTally) {
 	t.Helper()
 	set := addShift(make([]int, 0, 2*maxShiftRanges+2), 0)
 	for k := shifts; k > 0; k-- {
 		set = addShift(set, rng.Intn(2*n-1)-(n-1))
 	}
 	op := copyBands(t, rng, n)
-	pool := sparse.NewPoolObs(workers, reg)
+	pool := sparse.NewPool(1)
 	defer pool.Close()
 	alpha := make([]float64, n)
 	alpha[rng.Intn(n)] = 1
@@ -383,6 +389,9 @@ func checkWindowReplan(t *testing.T, rng *rand.Rand, reg *obs.Registry, n, shift
 		}
 	}
 	w := newWindow(pool, op, alpha, set, 1)
+	if rng.Intn(2) == 0 {
+		w.budget = 1e-12 * float64(5+rng.Intn(200))
+	}
 	v, next, vals := slices.Clone(alpha), make([]float64, n), make([]float64, n)
 	wantRows := 0
 	if tally == nil {
@@ -395,19 +404,43 @@ func checkWindowReplan(t *testing.T, rng *rand.Rand, reg *obs.Registry, n, shift
 		} else {
 			tally.rebuilt++
 		}
-		pl, err := w.prepare()
-		if err != nil {
-			t.Fatal(err)
-		}
+		w.prepare()
+		w.split(two && rng.Intn(8) != 0)
 		if !slices.Equal(w.grown, want) {
 			t.Fatalf("%d rows, shifts %v, step %d: grown %v, the rows %v grow to are %v", n, set, step, w.grown, w.cur, want)
 		}
-		var freshPlan sparse.Plan
-		if err := pool.Plan(&freshPlan, op, want); err != nil {
-			t.Fatal(err)
+		s0, s1 := &w.sides[0], &w.sides[1]
+		if s0.lo != 0 || s0.hi != w.mid || s1.lo != w.mid || int(s1.hi) != n {
+			t.Fatalf("%d rows, step %d: sides own [%d,%d) and [%d,%d), split at %d", n, step, s0.lo, s0.hi, s1.lo, s1.hi, w.mid)
 		}
-		if d := diffPlans(pl, &freshPlan); d != "" {
-			t.Fatalf("%d rows, %d workers, step %d: the kept plan and a fresh one of grown %v differ: %s", n, workers, step, w.grown, d)
+		if got := joinSides(s0.ranges, s1.ranges); !slices.Equal(got, want) {
+			t.Fatalf("%d rows, step %d: sides %v and %v split at %d join to %v, grown is %v", n, step, s0.ranges, s1.ranges, w.mid, got, want)
+		}
+		if int(w.mid) < n {
+			if rowSet(n+1, want)[w.mid] && w.mid > 0 && rowSet(n+1, want)[w.mid-1] {
+				tally.inside++
+			} else {
+				tally.between++
+			}
+		}
+		for k := range w.sides {
+			sd := &w.sides[k]
+			if sd.lo == sd.hi {
+				continue // a side that owns no rows runs no product
+			}
+			if sd.replan {
+				if err := pool.Plan(&sd.plan, op, sd.ranges); err != nil {
+					t.Fatal(err)
+				}
+				sd.replan = false
+			}
+			var freshPlan sparse.Plan
+			if err := pool.Plan(&freshPlan, op, sd.ranges); err != nil {
+				t.Fatal(err)
+			}
+			if d := diffPlans(&sd.plan, &freshPlan); d != "" {
+				t.Fatalf("%d rows, step %d: side %d's kept plan and a fresh one of its rows %v differ: %s", n, step, k, sd.ranges, d)
+			}
 		}
 		if g := w.grown; len(g) > 0 {
 			if g[0] == 0 {
@@ -431,21 +464,41 @@ func checkWindowReplan(t *testing.T, rng *rand.Rand, reg *obs.Registry, n, shift
 				vals[i] = 1e-12 * rng.Float64()
 			}
 		}
-		if err := pool.MulVecPlan(pl, next, vals, nil, 0); err != nil {
-			t.Fatal(err)
+		for k := range w.sides {
+			sd := &w.sides[k]
+			if sd.lo == sd.hi {
+				continue
+			}
+			if err := pool.MulVecPlan(&sd.plan, next, vals, nil, 0); err != nil {
+				t.Fatal(err)
+			}
+			w.zeroStale(next, sd.lo, sd.hi)
 		}
-		w.zeroStale(next)
 		grown := rowSet(n, w.grown)
 		for i, x := range next {
 			if want := vals[i]; (grown[i] && x != want) || (!grown[i] && x != 0) {
 				t.Fatalf("%d rows, step %d: row %d (grown %v) holds %v after the product, want %v or 0", n, step, i, grown[i], x, want)
 			}
 		}
-		w.trim(next)
-		kept := rowSet(n, w.trimmed)
-		for i, x := range next {
-			if !kept[i] && x != 0 {
-				t.Fatalf("%d rows, step %d: row %d holds %v off the trimmed window %v", n, step, i, x, w.trimmed)
+		ref := slices.Clone(next)
+		refRows, refDropped, refOn := trimReference(ref, w.grown, w.theta, w.budget, w.dropped, w.trimming)
+		w.trimOwn(next)
+		helper := w.sides[1].lo < w.sides[1].hi
+		if helper {
+			w.cutRuns(next, &w.sides[1])
+		}
+		on := w.pass.on
+		w.trimRest(next)
+		if helper && on && !w.trimming {
+			tally.spentHelper++
+		}
+		if !slices.Equal(w.trimmed, refRows) || math.Float64bits(w.dropped) != math.Float64bits(refDropped) || w.trimming != refOn {
+			t.Fatalf("%d rows, step %d, split at %d: trimmed %v, dropped %v, trimming %v; the one-pass trim gives %v, %v, %v",
+				n, step, w.mid, w.trimmed, w.dropped, w.trimming, refRows, refDropped, refOn)
+		}
+		for i := range next {
+			if math.Float64bits(next[i]) != math.Float64bits(ref[i]) {
+				t.Fatalf("%d rows, step %d: row %d holds %v after the trim, the one-pass trim leaves %v", n, step, i, next[i], ref[i])
 			}
 		}
 		switch {
@@ -457,9 +510,60 @@ func checkWindowReplan(t *testing.T, rng *rand.Rand, reg *obs.Registry, n, shift
 		v, next = next, v
 		w.advance()
 	}
+	if !w.trimming {
+		tally.spent++
+	}
 	if w.rows != wantRows {
 		t.Fatalf("%d rows: %d rows tallied, the references cover %d", n, w.rows, wantRows)
 	}
+}
+
+// joinSides returns the window list of the rows of a and b, b's above
+// a's, joining the interval that each holds a part of.
+func joinSides(a, b []int32) []int32 {
+	out := slices.Clone(a)
+	if len(out) > 0 && len(b) > 0 && out[len(out)-1] == b[0] {
+		out[len(out)-1] = b[1]
+		b = b[2:]
+	}
+	return append(out, b...)
+}
+
+// trimReference is the trim of the parent design, in one pass over grown
+// that finds and tallies together: it cuts both ends of every interval
+// while their entries are not at least θ, interval by interval, the low
+// end up and then the high end down, zeroing each dropped entry of v and
+// adding it to dropped, and stops trimming for good once an entry would
+// take dropped past budget. It returns the rows left, the tally and
+// whether trimming goes on.
+func trimReference(v []float64, grown []int32, theta, budget, dropped float64, trimming bool) ([]int32, float64, bool) {
+	drop := func(i int32) bool {
+		a := math.Abs(v[i])
+		if !trimming || a >= theta {
+			return false
+		}
+		if dropped+a > budget {
+			trimming = false
+			return false
+		}
+		dropped += a
+		v[i] = 0
+		return true
+	}
+	var out []int32
+	for i := 0; i < len(grown); i += 2 {
+		lo, hi := grown[i], grown[i+1]
+		for lo < hi && drop(lo) {
+			lo++
+		}
+		for hi > lo && drop(hi-1) {
+			hi--
+		}
+		if lo < hi {
+			out = append(out, lo, hi)
+		}
+	}
+	return out, dropped, trimming
 }
 
 // copyBands returns an n-row banded matrix whose product copies x: a

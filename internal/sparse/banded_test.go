@@ -5,10 +5,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
-
-	"batlife/internal/obs"
 )
 
 // fig8Offsets are the band offsets of the uniformised Fig. 8 operator
@@ -216,11 +215,77 @@ func planBanded(t testing.TB, pool *Pool, b *Banded, ranges []int32) *Plan {
 	return pl
 }
 
-// checkBandedMatchesCSR runs the product of pl, a plan of b over ranges,
-// and compares it bit for bit with c.MulVec on the rows of ranges,
-// folded into acc when acc is non-nil; every other row must keep its
-// sentinel.
-func checkBandedMatchesCSR(t testing.TB, pool *Pool, pl *Plan, b *Banded, c *CSR, ranges []int32, x, acc []float64, w float64) {
+// product runs one planned product dst = m·x, folded into acc with
+// weight w when acc is non-nil.
+type product func(dst, x, acc []float64, w float64) error
+
+// planProduct is the product of pl on pool, on the calling goroutine.
+func planProduct(pool *Pool, pl *Plan) product {
+	return func(dst, x, acc []float64, w float64) error { return pool.MulVecPlan(pl, dst, x, acc, w) }
+}
+
+// strandProduct runs products split between the caller and a worker its
+// pool lends, as a two-strand solve runs them: the caller runs the plan
+// of the rows below a split row while the worker runs the plan of the
+// rest, and the two meet at Step and Wait.
+type strandProduct struct {
+	pool        *Pool
+	s           *Strand
+	gen         uint32
+	hi          *Plan
+	dst, x, acc []float64
+	w           float64
+	err         error
+	split       int // products that ran on two strands
+}
+
+// newStrandProduct asks pool for a worker; it returns nil when the pool
+// lends none.
+func newStrandProduct(pool *Pool) *strandProduct {
+	sp := &strandProduct{pool: pool}
+	sp.s = pool.Lend(func() { sp.err = sp.s.MulVecPlan(sp.hi, sp.dst, sp.x, sp.acc, sp.w) })
+	if sp.s == nil {
+		return nil
+	}
+	if !sp.s.Held() {
+		sp.s.Return()
+		return nil
+	}
+	return sp
+}
+
+// product is the product split at a row into plans lo and hi.
+func (sp *strandProduct) product(lo, hi *Plan) product {
+	return func(dst, x, acc []float64, w float64) error {
+		sp.hi, sp.dst, sp.x, sp.acc, sp.w = hi, dst, x, acc, w
+		sp.gen++
+		sp.s.Step(sp.gen)
+		err := sp.pool.MulVecPlan(lo, dst, x, acc, w)
+		if !sp.s.Wait(sp.gen) {
+			return errors.New("the lent worker left")
+		}
+		sp.split++
+		return errors.Join(err, sp.err)
+	}
+}
+
+// splitRanges returns the rows of ranges below row mid and from it on.
+func splitRanges(ranges []int32, mid int32) (lo, hi []int32) {
+	for i := 0; i < len(ranges); i += 2 {
+		if ranges[i] < mid {
+			lo = append(lo, ranges[i], min(ranges[i+1], mid))
+		}
+		if ranges[i+1] > mid {
+			hi = append(hi, max(ranges[i], mid), ranges[i+1])
+		}
+	}
+	return lo, hi
+}
+
+// checkBandedMatchesCSR runs mul, a product of b over ranges, and
+// compares it bit for bit with c.MulVec on the rows of ranges, folded
+// into acc when acc is non-nil; every other row must keep its sentinel.
+func checkBandedMatchesCSR(t testing.TB, pool *Pool, mul product, b *Banded, c *CSR, ranges []int32, x, acc []float64, w float64) {
 	t.Helper()
 	n := b.Rows()
 	want := make([]float64, n)
@@ -241,7 +306,7 @@ func checkBandedMatchesCSR(t testing.TB, pool *Pool, pl *Plan, b *Banded, c *CSR
 			}
 		}
 	}
-	if err := pool.MulVecPlan(pl, dst, x, acc, w); err != nil {
+	if err := mul(dst, x, acc, w); err != nil {
 		t.Fatal(err)
 	}
 	for r := range dst {
@@ -266,15 +331,22 @@ func checkBandedMatchesCSR(t testing.TB, pool *Pool, pl *Plan, b *Banded, c *CSR
 // matrix edges and windows about the cuts, with no accumulator and
 // with w = 0 and w ≠ 0 on one plan per window, on pools of 1, 2, 4 and
 // 8 workers, every row and every fold is bit-identical to the CSR
-// product of the same entries. The large sizes exceed the parallel
-// threshold, and the registry confirms that multi-worker pools took the
-// parallel path.
+// product of the same entries. Each window is also split at a random
+// row into two plans that the caller and a lent worker run at once, as
+// a two-strand solve does; every multi-worker pool lends one, and the
+// one-worker pool none.
 func TestBandedMatchesCSR(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
 	rng := rand.New(rand.NewSource(1))
 	periodic := 0
 	for _, workers := range []int{1, 2, 4, 8} {
-		reg := obs.NewRegistry()
-		pool := NewPoolObs(workers, reg)
+		pool := NewPool(workers)
+		sp := newStrandProduct(pool)
+		if (sp != nil) != (workers > 1) {
+			t.Fatalf("workers=%d: lent a worker %v", workers, sp != nil)
+		}
 		for trial := 0; trial < 40; trial++ {
 			n := []int{1, 2, 7, 90, 600, 1500, 20000}[trial%7]
 			b, c := bandedPair(t, rng, n, randomOffsets(rng, n, 1+trial%MaxBands))
@@ -284,15 +356,24 @@ func TestBandedMatchesCSR(t *testing.T) {
 				if len(ranges) == 0 {
 					continue
 				}
-				pl := planBanded(t, pool, b, ranges)
-				checkBandedMatchesCSR(t, pool, pl, b, c, ranges, x, nil, 0)
-				for _, w := range []float64{0, 0.37, -2.5} {
-					checkBandedMatchesCSR(t, pool, pl, b, c, ranges, x, randomVec(rng, n), w)
+				muls := []product{planProduct(pool, planBanded(t, pool, b, ranges))}
+				if sp != nil {
+					lo, hi := splitRanges(ranges, int32(rng.Intn(n+1)))
+					muls = append(muls, sp.product(planBanded(t, pool, b, lo), planBanded(t, pool, b, hi)))
+				}
+				for _, mul := range muls {
+					checkBandedMatchesCSR(t, pool, mul, b, c, ranges, x, nil, 0)
+					for _, w := range []float64{0, 0.37, -2.5} {
+						checkBandedMatchesCSR(t, pool, mul, b, c, ranges, x, randomVec(rng, n), w)
+					}
 				}
 			}
 		}
-		if got := reg.Counter("sparse_pool_spmv_parallel_total").Value(); (got > 0) != (workers > 1) {
-			t.Errorf("workers=%d: %d parallel products", workers, got)
+		if sp != nil {
+			sp.s.Return()
+			if sp.split == 0 {
+				t.Errorf("workers=%d: no product ran on two strands", workers)
+			}
 		}
 		pool.Close()
 	}
@@ -338,8 +419,8 @@ func FuzzBandedMatchesCSR(f *testing.F) {
 			for _, pool := range []*Pool{serial, parallel} {
 				pl := planBanded(t, pool, b, ranges)
 				for i, x := range xs {
-					checkBandedMatchesCSR(t, pool, pl, b, c, ranges, x, nil, 0)
-					checkBandedMatchesCSR(t, pool, pl, b, c, ranges, x, slices.Clone(accs[i]), w)
+					checkBandedMatchesCSR(t, pool, planProduct(pool, pl), b, c, ranges, x, nil, 0)
+					checkBandedMatchesCSR(t, pool, planProduct(pool, pl), b, c, ranges, x, slices.Clone(accs[i]), w)
 				}
 			}
 		}
@@ -658,7 +739,7 @@ func TestBandedPeriodBreak(t *testing.T) {
 		}
 		x := randomVec(rng, n)
 		for _, ranges := range [][]int32{{0, n}, {brk - 5, brk + 5}, {brk, brk + 700}, {brk - 600, brk}} {
-			checkBandedMatchesCSR(t, pool, planBanded(t, pool, b, ranges), b, c, ranges, x, nil, 0)
+			checkBandedMatchesCSR(t, pool, planProduct(pool, planBanded(t, pool, b, ranges)), b, c, ranges, x, nil, 0)
 		}
 	}
 }
@@ -702,7 +783,7 @@ func TestBandedCommonPeriod(t *testing.T) {
 		}
 		x := randomVec(rng, n)
 		for _, ranges := range [][]int32{{0, n}, cutRanges(rng, b)} {
-			checkBandedMatchesCSR(t, pool, planBanded(t, pool, b, ranges), b, c, ranges, x, nil, 0)
+			checkBandedMatchesCSR(t, pool, planProduct(pool, planBanded(t, pool, b, ranges)), b, c, ranges, x, nil, 0)
 		}
 	}
 }

@@ -19,8 +19,9 @@ import (
 // metrics-free pool costs exactly a handful of nil checks per product.
 type PoolMetrics struct {
 	// SpMV counts every matrix-vector product (each right-hand side of a
-	// batched product counts once); SpMVParallel the subset dispatched
-	// across worker goroutines (large matrices only); SpMVFused the
+	// batched product counts once, and a product split between a caller
+	// and its lent Strand once); SpMVParallel the whole-matrix products
+	// dispatched across worker goroutines (large matrices only); SpMVFused the
 	// fused multiply-accumulate products; SpMVBatched the batched
 	// multi-RHS dispatches (one per MulVecMulti call).
 	SpMV, SpMVParallel, SpMVFused, SpMVBatched *obs.Counter
@@ -30,7 +31,8 @@ type PoolMetrics struct {
 	// this one nondeterministic).
 	VecGets, VecPuts, VecAllocs *obs.Counter
 	// WorkersBusy gauges how many persistent workers are currently
-	// executing row chunks — the pool's instantaneous utilization.
+	// executing row chunks of whole-matrix products; a lent Strand is
+	// not counted.
 	WorkersBusy *obs.Gauge
 	// TaskWait observes, per dispatched product, the seconds between
 	// enqueueing the task and the first worker picking it up.
@@ -61,13 +63,13 @@ func PoolMetricsFrom(reg *obs.Registry) PoolMetrics {
 	}
 }
 
-// parallelMinWeight is the product size below which products stay on
-// the calling goroutine, in partition weight (nnz + rows of the rows
-// the product computes, once per right-hand side): the fork cost of a
+// parallelMinWeight is the whole-matrix product size below which
+// MulVec and MulVecMulti stay on the calling goroutine, in partition
+// weight (nnz + rows, once per right-hand side): the fork cost of a
 // parallel dispatch only pays for itself once a product is a few
-// hundred microseconds of work. It is judged per product, so a
-// windowed product over a few active rows of a large matrix stays
-// serial. Paired runs behind the value are in docs/PERFORMANCE.md.
+// hundred microseconds of work. Planned products always run on their
+// caller; a solve splits its window between itself and a lent Strand
+// instead. Paired runs behind the value are in docs/PERFORMANCE.md.
 const parallelMinWeight = 65536
 
 // Pool executes parallel matrix-vector products over a set of
@@ -98,6 +100,14 @@ type Pool struct {
 	quit      chan struct{}
 	workerWG  sync.WaitGroup
 	closed    atomic.Bool
+
+	// askers counts the callers between Lend and Return, lent whether a
+	// worker serves strand, the one record a lent worker runs. lendMu
+	// orders a Lend's task send against Close.
+	askers atomic.Int32
+	lent   atomic.Bool
+	strand Strand
+	lendMu sync.Mutex
 }
 
 // NewPool returns a Pool with the given parallelism; workers <= 0 selects
@@ -128,10 +138,14 @@ func DefaultPool() *Pool { return defaultPool() }
 // Close shuts down the pool's persistent workers and waits for them to
 // exit. Products already dispatched complete (their calling goroutines
 // finish any chunks the workers abandoned), and later products run
-// serially on the caller. Close is idempotent and safe to race with
-// in-flight products.
+// serially on the caller. A lent worker leaves its Strand between two
+// generations, and its caller runs both shares from then on. Close is
+// idempotent and safe to race with in-flight products.
 func (p *Pool) Close() {
-	if p.closed.Swap(true) {
+	p.lendMu.Lock()
+	wasClosed := p.closed.Swap(true)
+	p.lendMu.Unlock()
+	if wasClosed {
 		p.workerWG.Wait() // a concurrent first Close wins; wait with it
 		return
 	}
@@ -143,6 +157,17 @@ func (p *Pool) Close() {
 		close(p.quit)
 	}
 	p.workerWG.Wait()
+	// A strand no worker took before they stopped has no worker to run it.
+	for {
+		select {
+		case t := <-p.tasks:
+			if t.s != nil {
+				t.s.leave(0)
+			}
+		default:
+			return
+		}
+	}
 }
 
 // start lazily spawns the worker goroutines. It reports whether the
@@ -173,7 +198,8 @@ func (p *Pool) start() bool {
 }
 
 // worker is the body of one persistent pool goroutine: pick up an
-// announced product, drain row chunks from its cursor, repeat.
+// announced product, drain row chunks from its cursor, repeat; or serve
+// a lent Strand until its caller gives it back.
 func (p *Pool) worker() {
 	defer p.workerWG.Done()
 	for {
@@ -181,6 +207,10 @@ func (p *Pool) worker() {
 		case <-p.quit:
 			return
 		case t := <-p.tasks:
+			if t.s != nil {
+				t.s.serve()
+				continue
+			}
 			p.m.WorkersBusy.Add(1)
 			t.j.run(t.gen, &p.m)
 			p.m.WorkersBusy.Add(-1)
@@ -242,8 +272,8 @@ type chunk struct {
 }
 
 // Plan is the schedule of products over one list of row ranges of one
-// operator: the ranges cut into segments and, when they carry enough
-// work to fan out over the pool's workers, the segments' partition into
+// operator: the ranges cut into segments and, for a whole-matrix product
+// that fans out over the pool's workers, the segments' partition into
 // chunks of near-equal weight. Pool.Plan builds it; Pool.MulVecPlan
 // runs it for as many products as the ranges stay the same, such as the
 // steps over which the uniformisation loop's active window does not
@@ -258,8 +288,8 @@ type Plan struct {
 	ranges []int32
 	total  int64
 	segs   []segment
-	// ways is the chunk count the partition was drawn for; 1 runs the
-	// products on the caller, over segs, and leaves chunks empty.
+	// ways is the chunk count the partition was drawn for, 0 for a plan
+	// of Pool.Plan, whose products run over segs on their caller.
 	// imbalance is the heaviest chunk's weight over the ideal.
 	ways      int
 	chunks    []chunk
@@ -299,11 +329,12 @@ func (k *kernel) whole(lo, hi int) {
 	m.mulRows(k.dst, k.x, lo, hi)
 }
 
-// task announces generation gen of a job to a worker. It travels by
-// value, so announcing allocates nothing.
+// task announces generation gen of a job to a worker, or hands it a
+// lent Strand. It travels by value, so announcing allocates nothing.
 type task struct {
 	j   *spmvJob
 	gen uint32
+	s   *Strand
 }
 
 // spmvJob is the reusable dispatch record of one parallel product: the
@@ -585,23 +616,6 @@ func (p *Pool) putJob(j *spmvJob) {
 	p.jobsMu.Unlock()
 }
 
-// run runs k over the plan's segments: fanned out over the workers
-// when the plan says so, on the calling goroutine otherwise.
-func (p *Pool) run(k kernel, pl *Plan) {
-	if pl.ways == 1 || p.workers == 1 || p.closed.Load() {
-		for i := range pl.segs {
-			k.run(&pl.segs[i])
-		}
-		return
-	}
-	p.m.SpMVParallel.Add(1)
-	p.m.PartitionImbalance.Set(pl.imbalance)
-	j := p.getJob()
-	j.k, j.pl = k, pl
-	p.dispatch(j)
-	p.putJob(j)
-}
-
 // whole runs a whole-matrix kernel over every row of its *CSR: fanned
 // out over the workers when the rows carry enough work, once per
 // right-hand side, on the calling goroutine otherwise.
@@ -708,26 +722,16 @@ func (p *Pool) MulVec(m *CSR, dst, x []float64) error {
 
 // Plan checks ranges and makes pl the plan of m's products over them,
 // reusing pl's storage; pl keeps a copy of ranges, not ranges itself.
-// ranges lists ascending, disjoint, nonempty row intervals [lo, hi)
-// flattened as lo0, hi0, lo1, hi1, …, such as the active window of a
-// uniformisation step. If pl was last built for m, only the ranges that
-// differ from that build's are recut (see Plan.cut), and a parallel
-// plan's chunks are drawn again over the segments. The plan's products
-// run in parallel when the rows of ranges, not of the whole matrix,
-// carry enough work for this pool. On a bad range list pl is left
-// unbuilt.
+// ranges lists ascending, disjoint, row intervals [lo, hi), each
+// nonempty, flattened as lo0, hi0, lo1, hi1, …, such as the active
+// window of a uniformisation step or one strand's share of it. If pl
+// was last built for m, only the ranges that differ from that build's
+// are recut (see Plan.cut). A plan's products run on their caller. On
+// a bad range list pl is left unbuilt.
 func (p *Pool) Plan(pl *Plan, m Operator, ranges []int32) error {
-	changed, err := pl.cut(m, ranges)
-	if err != nil {
+	if _, err := pl.cut(m, ranges); err != nil {
 		pl.m = nil
 		return err
-	}
-	ways := 1
-	if p.workers > 1 && pl.total >= parallelMinWeight {
-		ways = min(p.workers, maxChunks)
-	}
-	if changed || ways != pl.ways {
-		pl.partition(ways)
 	}
 	return nil
 }
@@ -739,7 +743,6 @@ func (p *Pool) Plan(pl *Plan, m Operator, ranges []int32) error {
 // hunk's segments past the live ones (see Plan.cut), so the plan holds
 // room for two lists of them.
 func (p *Pool) Reserve(pl *Plan, m Operator, ranges int) {
-	chunks := min(p.workers, maxChunks)
 	segs := ranges
 	if b, ok := m.(*Banded); ok {
 		segs += b.n/bandTile + len(b.cuts)
@@ -750,9 +753,6 @@ func (p *Pool) Reserve(pl *Plan, m Operator, ranges int) {
 	if cap(pl.ranges) < 2*ranges {
 		pl.ranges = make([]int32, 0, 2*ranges)
 	}
-	if cap(pl.chunks) < chunks {
-		pl.chunks = make([]chunk, 0, chunks)
-	}
 }
 
 // MulVecPlan computes dst[r] = m[r,:]·x for every row r of the plan's
@@ -762,6 +762,25 @@ func (p *Pool) Reserve(pl *Plan, m Operator, ranges int) {
 // folds nothing. dst, x and acc must not alias; every computed row is
 // bit-identical to MulVec's on the CSR of the same entries.
 func (p *Pool) MulVecPlan(pl *Plan, dst, x, acc []float64, w float64) error {
+	if err := mulVecPlan(pl, dst, x, acc, w); err != nil {
+		return err
+	}
+	p.m.SpMV.Add(1)
+	if acc != nil {
+		p.m.SpMVFused.Add(1)
+	}
+	return nil
+}
+
+// MulVecPlan is Pool.MulVecPlan for the lent worker's share of a
+// product whose caller runs the other share with Pool.MulVecPlan: the
+// product is counted once, there.
+func (s *Strand) MulVecPlan(pl *Plan, dst, x, acc []float64, w float64) error {
+	return mulVecPlan(pl, dst, x, acc, w)
+}
+
+// mulVecPlan runs pl's product on the calling goroutine.
+func mulVecPlan(pl *Plan, dst, x, acc []float64, w float64) error {
 	m := pl.m
 	if m == nil {
 		return fmt.Errorf("sparse: MulVecPlan on an unbuilt plan: %w", ErrShape)
@@ -770,14 +789,13 @@ func (p *Pool) MulVecPlan(pl *Plan, dst, x, acc []float64, w float64) error {
 		return fmt.Errorf("sparse: MulVecPlan %dx%d with |x|=%d |dst|=%d |acc|=%d: %w",
 			m.Rows(), m.Cols(), len(x), len(dst), len(acc), ErrShape)
 	}
-	p.m.SpMV.Add(1)
-	if acc != nil {
-		p.m.SpMVFused.Add(1)
-		if w == 0 {
-			acc = nil
-		}
+	if w == 0 {
+		acc = nil
 	}
-	p.run(kernel{m: m, x: x, dst: dst, acc: acc, w: w}, pl)
+	k := kernel{m: m, x: x, dst: dst, acc: acc, w: w}
+	for i := range pl.segs {
+		k.run(&pl.segs[i])
+	}
 	if check.Enabled {
 		for _, s := range pl.segs {
 			check.FiniteVec("sparse.Pool.MulVecPlan", dst[s.lo:s.hi])

@@ -36,7 +36,10 @@ func waitForGoroutines(t *testing.T, want int) {
 // the persistent runtime: a pool that has started its workers must shed
 // every goroutine on Close. Before the persistent runtime this property
 // was vacuous (goroutines were per-call); now it is the contract that
-// lets TransientOptions.pool() hand out per-solve pools safely.
+// lets TransientOptions.pool() hand out per-solve pools safely. It holds
+// too for a pool that lent a worker to a solve: one that returned it
+// part way, as a cancelled solve does, and one that still holds it when
+// the pool closes.
 func TestPoolCloseReleasesWorkers(t *testing.T) {
 	m := buildStressCSR(t, 16000, 4)
 	x := make([]float64, 16000)
@@ -55,6 +58,29 @@ func TestPoolCloseReleasesWorkers(t *testing.T) {
 	}
 	pool.Close()
 	waitForGoroutines(t, before)
+
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	for _, holdOnClose := range []bool{false, true} {
+		pool := NewPool(2)
+		s := pool.Lend(func() {})
+		if !s.Held() {
+			t.Fatal("an idle pool lent no worker")
+		}
+		for gen := uint32(1); gen <= 5; gen++ {
+			s.Step(gen)
+			s.Wait(gen)
+		}
+		if !holdOnClose {
+			s.Return()
+		}
+		pool.Close()
+		if holdOnClose {
+			s.Return()
+		}
+		waitForGoroutines(t, before)
+	}
 }
 
 // TestPoolCloseIdempotent closes a started pool repeatedly, including

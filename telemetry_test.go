@@ -138,7 +138,8 @@ func TestSolveReportMemoReplay(t *testing.T) {
 // report. The window plans the one solve built are on its
 // ctmc.transient span and in ctmc_window_plans_total alike: at least
 // one, and fewer than its products, since most steps reuse the plan of
-// the step before.
+// the step before. The span reports the strands the solve ran on, 1 or
+// 2, and ctmc_two_strand_solves_total counts the spans with 2.
 func TestTelemetryExactCounts(t *testing.T) {
 	b, w := onOffC1(t)
 	times := []float64{10000, 15000}
@@ -165,10 +166,21 @@ func TestTelemetryExactCounts(t *testing.T) {
 		}
 	}
 	var plans []string
+	twoStrands := int64(0)
 	for _, span := range reg.Tracer().Spans() {
 		if span.Name == "ctmc.transient" {
 			plans = append(plans, span.Attrs["window_plans"])
+			switch span.Attrs["strands"] {
+			case "2":
+				twoStrands++
+			case "1":
+			default:
+				t.Errorf("ctmc.transient strands = %q, want 1 or 2", span.Attrs["strands"])
+			}
 		}
+	}
+	if got := reg.Counter("ctmc_two_strand_solves_total").Value(); got != twoStrands {
+		t.Errorf("ctmc_two_strand_solves_total = %d, %d ctmc.transient spans on 2 strands", got, twoStrands)
 	}
 	n := reg.Counter("ctmc_window_plans_total").Value()
 	if len(plans) != 1 || plans[0] != strconv.FormatInt(n, 10) {
