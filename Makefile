@@ -32,7 +32,7 @@ race:
 	$(GO) test -race -count=2 ./internal/api ./internal/service ./cmd/batlifed
 	$(GO) test -race -count=10 -run 'TestAbandonedJobIsCancelled$$' ./internal/service
 	$(GO) test -race -count=2 ./internal/sparse ./internal/ctmc
-	$(GO) test -race -count=10 -run '^(TestLendOneAtATime|TestStrandRunsEveryGeneration|TestStrandPanicReachesCaller|TestPoolCloseReleasesWorkers)$$' ./internal/sparse
+	$(GO) test -race -count=10 -run '^(TestLendOneAtATime|TestStrandRunsEveryGeneration|TestStrandPanicReachesCaller|TestStrandGivenBackMidStep|TestCloseReclaimsBusyStrand|TestPoolCloseReleasesWorkers)$$' ./internal/sparse
 	$(GO) test -race -count=10 -run '^(TestTwoStrandsMatchOne|TestTwoStrandsConcurrentSolves|TestTwoStrandSolveCancelled|TestBandedParallelMatchesCSR)$$' ./internal/ctmc
 
 ## checks: full test suite with the runtime invariant layer compiled in

@@ -62,7 +62,7 @@ func (p *Pool) Lend(share func()) *Strand {
 		s.worker.wake = make(chan struct{}, 1)
 		s.user.wake = make(chan struct{}, 1)
 	}
-	s.held, s.share = true, share
+	s.held, s.share, s.panicked = true, share, nil
 	s.step.Store(0)
 	s.done.Store(0)
 	// Close drains the task channel of strands no worker took once its
@@ -142,16 +142,20 @@ func (s *Strand) Return() {
 
 // serve is the lent worker's loop: run share for each generation the
 // caller publishes, until the caller sends the worker back or the pool
-// closes.
+// closes. A caller that gives the worker back without waiting for the
+// generation in flight (a panic between Step and Wait) waits for the
+// generation that Give published, so the worker reports that one done.
+// Once the pool is closing the worker runs no further generation, even
+// while its caller keeps stepping.
 func (s *Strand) serve() {
 	for gen := uint32(1); ; gen++ {
 		st := s.worker.await(&s.step, gen, s.p.quit)
 		switch {
 		case st&stopBit != 0:
-			s.done.Store(gen)
+			s.done.Store(st &^ stopBit)
 			s.user.signal()
 			return
-		case st < gen:
+		case st < gen || s.p.closed.Load():
 			s.leave(gen - 1)
 			return
 		}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"time"
 )
 
 // BenchmarkTwoStrandWindow times one windowed product on one goroutine
@@ -195,5 +196,103 @@ func TestStrandPanicReachesCaller(t *testing.T) {
 		t.Error("the worker did not come back to the pool")
 	} else {
 		again.Return()
+	}
+}
+
+// TestStrandGivenBackMidStep: a caller that panics between Step and
+// Wait gives its worker back from its deferred Return while the worker
+// may still be parked before that generation. Give must come back, and
+// the worker must serve the next solve. A share that panicked in a step
+// whose Wait never ran must not panic that next solve.
+func TestStrandGivenBackMidStep(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	pool := NewPool(2)
+	defer pool.Close()
+	for round := 0; round < 20; round++ {
+		s := pool.Lend(func() {})
+		if !s.Held() {
+			t.Fatal("an idle pool lent no worker")
+		}
+		for !s.worker.sleeping.Load() {
+			runtime.Gosched()
+		}
+		returned := make(chan struct{})
+		go func() {
+			defer close(returned)
+			defer func() { recover() }()
+			defer s.Return()
+			s.Step(1)
+			panic("caller failed")
+		}()
+		select {
+		case <-returned:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("round %d: Return did not come back after the caller panicked between Step and Wait", round)
+		}
+	}
+
+	s := pool.Lend(func() { panic("share failed") })
+	s.Step(1)
+	for s.done.Load() < 1 {
+		runtime.Gosched()
+	}
+	s.Return()
+	next := pool.Lend(func() {})
+	if !next.Held() {
+		t.Fatal("the worker did not come back to the pool")
+	}
+	defer next.Return()
+	func() {
+		defer func() {
+			if p := recover(); p != nil {
+				t.Errorf("a new solve's Wait panicked with %v, the last solve's share panic", p)
+			}
+		}()
+		next.Step(1)
+		next.Wait(1)
+	}()
+}
+
+// TestCloseReclaimsBusyStrand closes the pool from another goroutine
+// while the holder steps on a worker that serves it: once Close has
+// begun, the worker runs no further generation but leaves, the holder
+// runs that one itself, and Close returns.
+func TestCloseReclaimsBusyStrand(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	pool := NewPool(2)
+	ran := 0
+	s := pool.Lend(func() { ran++ })
+	if !s.Held() {
+		t.Fatal("an idle pool lent no worker")
+	}
+	defer s.Return()
+	gen := uint32(1)
+	for ; gen <= 100; gen++ {
+		s.Step(gen)
+		s.Wait(gen)
+	}
+	if ran != 100 || !s.Held() {
+		t.Fatalf("the worker ran %d of 100 generations before Close", ran)
+	}
+	closed := make(chan struct{})
+	go func() {
+		pool.Close()
+		close(closed)
+	}()
+	for !pool.closed.Load() {
+		runtime.Gosched()
+	}
+	s.Step(gen)
+	if s.Wait(gen) || s.Held() || ran != 100 {
+		t.Fatalf("the worker ran a generation published after Close began (%d ran)", ran)
+	}
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return once the worker left")
 	}
 }
