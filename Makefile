@@ -21,9 +21,9 @@ test: build
 ## ring, exemplar CAS), the service stack (admission, coalesced waiters,
 ## drain; an abandoned job's capacity must be free before its waiters
 ## wake, rolled ten times), and the SpMV pool with the windowed
-## uniformisation loop (reused dispatch records and window plans, a
-## solve split between its caller and a lent worker that meet at a
-## barrier each step; the strand tests rolled ten times). Race builds
+## uniformisation loop (reused window plans, a solve split between its
+## caller and a lent worker that meet at a barrier each step; the
+## strand tests rolled ten times). Race builds
 ## leave out the amd64 assembly band kernel, so every band access goes
 ## through the instrumented Go passes.
 race:

@@ -36,7 +36,8 @@ type Options struct {
 	// once. Values < 1 select 8.
 	Capacity int
 	// Workers sets the parallelism of the shared SpMV pool; values < 1
-	// select runtime.NumCPU().
+	// select runtime.NumCPU(). With 2 or more, one large solve at a time
+	// may borrow the pool's one worker as its second strand.
 	Workers int
 	// Obs, when non-nil, is the observability registry the engine (and
 	// the pool it owns) records into: cache hit/miss/eviction counters,
@@ -101,8 +102,8 @@ func New(o Options) *Engine {
 // Pool returns the engine's shared SpMV worker pool.
 func (e *Engine) Pool() *sparse.Pool { return e.pool }
 
-// Close releases the engine's persistent SpMV worker goroutines. The
-// engine stays usable — later solves run their products serially — so
+// Close releases the SpMV pool's worker goroutine, if it started. The
+// engine stays usable — later solves run on their caller alone — so
 // Close is a resource release, not a poison pill. Idempotent.
 func (e *Engine) Close() { e.pool.Close() }
 

@@ -45,14 +45,6 @@ type Gauge struct {
 // NewGauge returns a standalone gauge.
 func NewGauge() *Gauge { return &Gauge{} }
 
-// Set stores v. No-op on a nil Gauge.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
 // Add atomically adds d to the gauge. No-op on a nil Gauge.
 func (g *Gauge) Add(d float64) {
 	if g == nil {

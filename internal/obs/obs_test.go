@@ -33,14 +33,13 @@ func TestCounterBasics(t *testing.T) {
 
 func TestGaugeBasics(t *testing.T) {
 	g := NewGauge()
-	g.Set(2.5)
+	g.Add(2.5)
 	g.Add(-1.25)
 	//numlint:ignore floatcmp 2.5 - 1.25 is exact in binary
 	if v := g.Value(); v != 1.25 {
 		t.Errorf("Value = %v, want 1.25", v)
 	}
 	var nilG *Gauge
-	nilG.Set(3)
 	nilG.Add(1)
 	if v := nilG.Value(); v != 0 {
 		t.Errorf("nil Gauge Value = %v, want 0", v)

@@ -20,7 +20,7 @@ func goldenRegistry(t *testing.T) *Registry {
 	r.CounterWith("requests_total", String("endpoint", "solve")).Add(2)
 	r.CounterWith("requests_total", String("endpoint", "sweep")).Inc()
 	r.CounterWith("odd_total", String("path", "a\\b\"c\nd")).Inc()
-	r.Gauge("inflight").Set(2)
+	r.Gauge("inflight").Add(2)
 	h := r.Histogram("latency_seconds")
 	h.Observe(0.25)
 	h.Observe(0.25)

@@ -110,7 +110,7 @@ type Service struct {
 	inflight sync.WaitGroup // running + queued jobs
 
 	// ownsSolver records that New constructed the solver (Config.Solver
-	// was nil), so a completed Drain releases its worker goroutines too.
+	// was nil), so a completed Drain releases its pool worker too.
 	ownsSolver bool
 
 	// Pre-resolved instruments (nil without Obs; methods on nil are

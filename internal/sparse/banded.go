@@ -369,12 +369,6 @@ func (b *Banded) StoredValues() int {
 	return sum
 }
 
-// weight is the partition weight of rows [lo, hi): every row reads
-// every band, so the weight is uniform.
-func (b *Banded) weight(lo, hi int32) int64 {
-	return int64(hi-lo) * int64(len(b.offs)+1)
-}
-
 // segments appends the segments of rows [lo, hi) to segs. A segment
 // ends bandTile rows on, at hi, or at the next cut, whichever comes
 // first, so it reads each band from one region (see band.index) and the

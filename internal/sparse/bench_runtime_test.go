@@ -6,9 +6,8 @@ import (
 )
 
 // benchSkewedChain is the benchmark workload: a 50k-row chain whose nnz
-// mass piles onto a small prefix of rows, the shape that defeats
-// row-count partitioning and that expanded battery CTMCs take near the
-// depleted boundary.
+// mass piles onto a small prefix of rows, the shape expanded battery
+// CTMCs take near the depleted boundary.
 func benchSkewedChain(b *testing.B) (*CSR, []float64) {
 	b.Helper()
 	const rows = 50000
@@ -18,27 +17,6 @@ func benchSkewedChain(b *testing.B) (*CSR, []float64) {
 		x[i] = 1 / float64(i+1)
 	}
 	return m, x
-}
-
-// BenchmarkUniformizedSpMV measures one uniformisation-step product on
-// the skewed 50k-row chain through the persistent worker pool, per
-// worker count.
-func BenchmarkUniformizedSpMV(b *testing.B) {
-	m, x := benchSkewedChain(b)
-	dst := make([]float64, m.Rows())
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("persistent-w%d", workers), func(b *testing.B) {
-			pool := NewPool(workers)
-			defer pool.Close()
-			b.ReportMetric(float64(m.NNZ()), "nnz")
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := pool.MulVec(m, dst, x); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkUniformizedSpMVMulti compares B solo products against one

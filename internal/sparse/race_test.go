@@ -8,9 +8,9 @@ import (
 	"testing"
 )
 
-// buildStressCSR assembles a deterministic pseudo-random matrix large
-// enough (rows·(nnzPerRow+1) above parallelMinWeight) to take the
-// parallel path in Pool.MulVec.
+// buildStressCSR assembles a deterministic pseudo-random rows×rows
+// matrix with nnzPerRow entries drawn for each row at random columns (a
+// column drawn twice merges into one entry).
 func buildStressCSR(t testing.TB, rows, nnzPerRow int) *CSR {
 	t.Helper()
 	b := NewBuilder(rows, rows, rows*nnzPerRow)
@@ -127,11 +127,9 @@ func TestPoolMulVecConcurrentPools(t *testing.T) {
 
 // TestPoolMulVecRangesConcurrent drives one pool from several goroutines
 // with different planned products at once, on a CSR and on a banded
-// operator, so dispatch records are reused across products, layouts and
-// callers while stale worker announcements are still in flight, and
-// pairs of goroutines share one plan. Every result must match the
-// serial CSR kernel; run with -race to certify the generation-tagged
-// job reuse and the read-only plans.
+// operator, and pairs of goroutines share one plan. Every result must
+// match the serial CSR kernel; run with -race to certify that plans are
+// read-only.
 func TestPoolMulVecRangesConcurrent(t *testing.T) {
 	const rows = 16000
 	m := buildStressCSR(t, rows, 4)

@@ -33,14 +33,18 @@ func waitForGoroutines(t *testing.T, want int) {
 }
 
 // TestPoolCloseReleasesWorkers is the goroutine-leak regression test for
-// the persistent runtime: a pool that has started its workers must shed
-// every goroutine on Close. Before the persistent runtime this property
-// was vacuous (goroutines were per-call); now it is the contract that
-// lets TransientOptions.pool() hand out per-solve pools safely. It holds
-// too for a pool that lent a worker to a solve: one that returned it
-// part way, as a cancelled solve does, and one that still holds it when
-// the pool closes.
+// the pool's worker: a pool starts at most one goroutine, only when it
+// first lends its worker, never for a product, and sheds it on Close.
+// That is the contract that lets TransientOptions.pool() hand out
+// per-solve pools safely. It holds too for a pool that lent its worker
+// to a solve: one that returned it part way, as a cancelled solve does,
+// and one that still holds it when the pool closes. Goroutines that
+// earlier tests left exiting can only lower the counts, so the bounds
+// are upper ones; a served generation shows the worker is there.
 func TestPoolCloseReleasesWorkers(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
 	m := buildStressCSR(t, 16000, 4)
 	x := make([]float64, 16000)
 	for i := range x {
@@ -50,18 +54,34 @@ func TestPoolCloseReleasesWorkers(t *testing.T) {
 
 	before := runtime.NumGoroutine()
 	pool := NewPool(4)
-	if err := pool.MulVec(m, dst, x); err != nil { // forces lazy start
+	if err := pool.MulVec(m, dst, x); err != nil {
 		t.Fatalf("MulVec: %v", err)
 	}
-	if n := runtime.NumGoroutine(); n < before+3 {
-		t.Fatalf("after first product %d goroutines, want >= %d (3 persistent workers)", n, before+3)
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("a product started %d goroutines, want none", n-before)
+	}
+	ran := 0
+	for lend := 0; lend < 2; lend++ {
+		s := pool.Lend(func() { ran++ })
+		if !s.Held() {
+			t.Fatal("an idle pool lent no worker")
+		}
+		s.Step(1)
+		s.Wait(1)
+		if err := pool.MulVec(m, dst, x); err != nil {
+			t.Fatalf("MulVec: %v", err)
+		}
+		if n := runtime.NumGoroutine(); n > before+1 {
+			t.Fatalf("lend %d: %d goroutines started, want the one worker", lend, n-before)
+		}
+		s.Return()
+	}
+	if ran != 2 {
+		t.Fatalf("the lent worker served %d generations, want 2", ran)
 	}
 	pool.Close()
 	waitForGoroutines(t, before)
 
-	if runtime.GOMAXPROCS(0) < 2 {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	}
 	for _, holdOnClose := range []bool{false, true} {
 		pool := NewPool(2)
 		s := pool.Lend(func() {})
@@ -83,9 +103,9 @@ func TestPoolCloseReleasesWorkers(t *testing.T) {
 	}
 }
 
-// TestPoolCloseIdempotent closes a started pool repeatedly, including
-// concurrently; every call must return, and the pool must stay usable
-// as a serial executor afterwards.
+// TestPoolCloseIdempotent closes a pool repeatedly, including
+// concurrently, once its worker has started; every call must return,
+// and the pool must stay usable afterwards.
 func TestPoolCloseIdempotent(t *testing.T) {
 	m := buildStressCSR(t, 17000, 3)
 	x := make([]float64, 17000)
@@ -102,6 +122,9 @@ func TestPoolCloseIdempotent(t *testing.T) {
 	if err := pool.MulVec(m, dst, x); err != nil {
 		t.Fatal(err)
 	}
+	if s := pool.Lend(func() {}); s != nil { // starts the worker
+		s.Return()
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -113,7 +136,7 @@ func TestPoolCloseIdempotent(t *testing.T) {
 	wg.Wait()
 	pool.Close() // and once more, sequentially
 
-	// A closed pool degrades to the serial kernel, bit-identically.
+	// A closed pool still computes products, bit-identically.
 	for i := range dst {
 		dst[i] = math.NaN()
 	}
@@ -127,9 +150,8 @@ func TestPoolCloseIdempotent(t *testing.T) {
 	}
 }
 
-// TestPoolCloseNeverStartedNoGoroutines: a pool that only ever saw
-// small (serial) products must not spawn anything, and Close on it is a
-// cheap no-op.
+// TestPoolCloseNeverStartedNoGoroutines: a pool that never lent its
+// worker must not spawn anything, and Close on it is a cheap no-op.
 func TestPoolCloseNeverStartedNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	pool := NewPool(8)
@@ -155,9 +177,8 @@ func TestPoolCloseNeverStartedNoGoroutines(t *testing.T) {
 
 // TestPoolCloseRacesInflight hammers one pool with products from many
 // goroutines while Close fires in the middle: nothing may deadlock, and
-// every product — dispatched before or after the close — must still be
-// bit-identical to the serial kernel (in-flight chunks are finished by
-// their callers; later calls fall back to serial).
+// every product, run before or after the close, must still be
+// bit-identical to the serial kernel.
 func TestPoolCloseRacesInflight(t *testing.T) {
 	const rows = 16000
 	m := buildStressCSR(t, rows, 4)
@@ -212,9 +233,9 @@ func TestDefaultPoolShared(t *testing.T) {
 
 // TestMulVecRangesFoldMatchesUnfused checks the fused fold of a planned
 // product over all rows against its definition — MulVec then
-// acc[i] += w·dst[i] — on a serial and a parallel pool, bit for bit,
-// including the w = 0 accumulate skip. Each pool plans the rows once
-// and runs every product on that plan.
+// acc[i] += w·dst[i] — on a one-worker and a four-worker pool, bit for
+// bit, including the w = 0 accumulate skip. Each pool plans the rows
+// once and runs every product on that plan.
 func TestMulVecRangesFoldMatchesUnfused(t *testing.T) {
 	const rows = 13200
 	m := buildStressCSR(t, rows, 5)
@@ -272,9 +293,9 @@ func TestMulVecRangesFoldMatchesUnfused(t *testing.T) {
 	}
 }
 
-// TestMulVecMultiMatchesSolo checks the batched kernel against B solo
-// MulVec calls, bit for bit, on serial and parallel paths and for batch
-// sizes around the kernel's unrolling decisions.
+// TestMulVecMultiMatchesSolo checks the batched kernel, on the CSR and
+// through a pool, against B solo MulVec calls, bit for bit, for several
+// batch sizes.
 func TestMulVecMultiMatchesSolo(t *testing.T) {
 	const rows = 14800
 	m := buildStressCSR(t, rows, 4)
@@ -307,9 +328,9 @@ func TestMulVecMultiMatchesSolo(t *testing.T) {
 			dsts[k] = make([]float64, rows)
 		}
 		if err := m.MulVecMulti(dsts, xs); err != nil {
-			t.Fatalf("serial MulVecMulti: %v", err)
+			t.Fatalf("CSR MulVecMulti: %v", err)
 		}
-		verify("serial", dsts)
+		verify("CSR", dsts)
 
 		pool := NewPool(4)
 		for k := range dsts {
@@ -318,9 +339,9 @@ func TestMulVecMultiMatchesSolo(t *testing.T) {
 			}
 		}
 		if err := pool.MulVecMulti(m, dsts, xs); err != nil {
-			t.Fatalf("parallel MulVecMulti: %v", err)
+			t.Fatalf("pool MulVecMulti: %v", err)
 		}
-		verify("parallel", dsts)
+		verify("pool", dsts)
 		pool.Close()
 	}
 }
@@ -391,8 +412,8 @@ func TestPoolMulVecMultiConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestKernelShapeErrors covers the argument validation of the new
-// kernels on both the serial and pooled entry points.
+// TestKernelShapeErrors covers the argument validation of the fused,
+// batched and planned kernels on both the CSR and pool entry points.
 func TestKernelShapeErrors(t *testing.T) {
 	b := NewBuilder(4, 4, 0)
 	b.Add(0, 0, 1)
@@ -430,8 +451,8 @@ func TestKernelShapeErrors(t *testing.T) {
 }
 
 // buildSkewedCSR returns a matrix whose nnz mass is concentrated in a
-// small prefix of rows — the adversarial shape for row-count
-// partitioning and the motivating case for nnz balancing.
+// small prefix of rows, as expanded battery chains pile it near the
+// depleted boundary.
 func buildSkewedCSR(t testing.TB, rows, heavy, heavyNNZ int) *CSR {
 	t.Helper()
 	b := NewBuilder(rows, rows, heavy*heavyNNZ+rows)
@@ -456,115 +477,6 @@ func buildSkewedCSR(t testing.TB, rows, heavy, heavyNNZ int) *CSR {
 		t.Fatal(err)
 	}
 	return m
-}
-
-// TestRowPartitionProperties is the property test for the nnz-balanced
-// partition of a plan's row ranges: for a range of chunk counts over
-// a heavily skewed matrix, both for all rows and for a scattered window
-// of row ranges, the chunks' segments must cover every row of the
-// ranges exactly once in order, and every chunk's weight (nnz + rows,
-// the kernel's actual work) must stay below ideal + the heaviest single
-// row — the greedy cut's guarantee.
-func TestRowPartitionProperties(t *testing.T) {
-	const rows = 6000
-	banded, _ := bandedPair(t, rand.New(rand.NewSource(6)), rows, fig8Offsets)
-	for opName, m := range map[string]Operator{"csr": buildSkewedCSR(t, rows, 64, 300), "banded": banded} {
-		checkPartition(t, opName, m)
-	}
-}
-
-// checkPartition runs the partition properties on one operator.
-func checkPartition(t *testing.T, opName string, m Operator) {
-	rows := int32(m.Rows())
-	maxRowW := 0
-	for r := int32(0); r < rows; r++ {
-		maxRowW = max(maxRowW, int(m.weight(r, r+1)))
-	}
-	windows := map[string][]int32{
-		opName + " all rows": {0, rows},
-		opName + " window":   {0, 40, 50, 51, 63, 900, 2000, 2001, 3500, 5990},
-	}
-	for name, ranges := range windows {
-		var want []int32
-		total := 0
-		for i := 0; i < len(ranges); i += 2 {
-			for r := ranges[i]; r < ranges[i+1]; r++ {
-				want = append(want, r)
-			}
-			total += int(m.weight(ranges[i], ranges[i+1]))
-		}
-		for _, chunks := range []int{1, 2, 3, 4, 7, 8, 16, 61} {
-			var pl Plan
-			if _, err := pl.cut(m, ranges); err != nil {
-				t.Fatal(err)
-			}
-			pl.partition(chunks)
-			if pl.total != int64(total) {
-				t.Fatalf("%s: plan weight %d, ranges weigh %d", name, pl.total, total)
-			}
-			parts := chunkParts(&pl)
-			if got := len(parts); got < 1 || got > chunks {
-				t.Fatalf("%s, chunks=%d: %d chunks produced", name, chunks, got)
-			}
-			ideal := float64(total) / float64(chunks)
-			var got []int32
-			maxW := 0
-			for c, part := range parts {
-				if len(part) == 0 {
-					t.Fatalf("%s, chunks=%d: empty chunk %d", name, chunks, c)
-				}
-				w := 0
-				for _, s := range part {
-					lo, hi := s.lo, s.hi
-					if hi <= lo {
-						t.Fatalf("%s, chunks=%d: empty or inverted piece [%d,%d)", name, chunks, lo, hi)
-					}
-					for r := lo; r < hi; r++ {
-						got = append(got, r)
-					}
-					w += int(m.weight(lo, hi))
-				}
-				maxW = max(maxW, w)
-				if float64(w) >= ideal+float64(maxRowW)+1 {
-					t.Errorf("%s, chunks=%d: chunk %d weight %d exceeds ideal %.1f + max row %d",
-						name, chunks, c, w, ideal, maxRowW)
-				}
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%s, chunks=%d: chunks cover %d rows, want %d", name, chunks, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s, chunks=%d: row %d of the cover is %d, want %d", name, chunks, i, got[i], want[i])
-				}
-			}
-			if math.Abs(pl.imbalance-float64(maxW)/ideal) > 1e-9 {
-				t.Errorf("%s, chunks=%d: imbalance %v, want %v", name, chunks, pl.imbalance, float64(maxW)/ideal)
-			}
-		}
-	}
-}
-
-// chunkParts returns the segments each chunk of pl runs, in order, as
-// spmvJob.runChunk runs them; a serial plan is one chunk of every
-// segment.
-func chunkParts(pl *Plan) [][]segment {
-	if pl.ways == 1 {
-		return [][]segment{pl.segs}
-	}
-	var parts [][]segment
-	for _, c := range pl.chunks {
-		var part []segment
-		if c.head.lo < c.head.hi {
-			part = append(part, c.head)
-		}
-		part = append(part, pl.segs[c.from:c.to]...)
-		if c.tail.lo < c.tail.hi {
-			part = append(part, c.tail)
-		}
-		parts = append(parts, part)
-	}
-	return parts
 }
 
 // TestFusedKernelsZeroAlloc backs the //numlint:hotpath annotation on
@@ -606,12 +518,10 @@ func TestFusedKernelsZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestPoolZeroAllocParallel pins the reusable dispatch record: once a
-// pool has run one product, products — full, and windowed and fused on
-// built plans, on CSR and banded operators, with and without pool
-// metrics, on 1 to 8 workers — allocate nothing. Before, every parallel
-// product heap-allocated its job and WaitGroup.
-func TestPoolZeroAllocParallel(t *testing.T) {
+// TestPoolZeroAlloc pins that pool products allocate nothing: full ones,
+// and windowed and fused ones on built plans, on CSR and banded
+// operators, with and without pool metrics, on 1 to 8 workers.
+func TestPoolZeroAlloc(t *testing.T) {
 	const rows = 16000
 	m := buildStressCSR(t, rows, 4)
 	bm, _ := bandedPair(t, rand.New(rand.NewSource(7)), rows, fig8Offsets)
@@ -649,11 +559,6 @@ func TestPoolZeroAllocParallel(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
-			if reg != nil && workers > 1 {
-				if n := reg.Counter("sparse_pool_spmv_parallel_total").Value(); n == 0 {
-					t.Errorf("workers=%d: no product took the parallel path", workers)
-				}
-			}
 			pool.Close()
 			if allocs != 0 {
 				t.Errorf("workers=%d metrics=%v: products allocate %v per run, want 0", workers, reg != nil, allocs)
@@ -665,7 +570,8 @@ func TestPoolZeroAllocParallel(t *testing.T) {
 // TestReplanZeroAlloc pins Pool.Reserve's sizing: once it has sized a
 // plan for up to 8 ranges of a banded matrix, replanning between windows
 // that move one end, add a range, change every range but the last, and
-// cover every row allocates nothing, on a serial and a parallel pool.
+// cover every row allocates nothing, on a one-worker and a four-worker
+// pool.
 // The change of all but the last range is the replan that needs the
 // most room: its new segments are cut past all the live ones.
 func TestReplanZeroAlloc(t *testing.T) {
@@ -698,9 +604,9 @@ func TestReplanZeroAlloc(t *testing.T) {
 
 // TestMulVecRangesMatchesMulVec: a planned product computes exactly
 // MulVec's rows (and their fold into acc) on the rows of its ranges and
-// leaves every other row untouched, serially and in parallel, for
-// windows from a single row to the whole matrix, each plan run with and
-// without a fold.
+// leaves every other row untouched, on pools of one to three workers,
+// for windows from a single row to the whole matrix, each plan run with
+// and without a fold.
 func TestMulVecRangesMatchesMulVec(t *testing.T) {
 	const rows = 16000
 	m := buildStressCSR(t, rows, 4)

@@ -5,11 +5,11 @@
 // million at the paper's finest step size Δ=5) with at most a handful of
 // nonzeros per row, so a compressed sparse row (CSR) representation with
 // 32-bit column indices is used. Matrices are assembled through a
-// coordinate (COO) Builder and then frozen into an immutable CSR matrix
-// whose vector products can run in parallel. A square operator with at
-// most MaxBands distinct index offsets, such as the uniformised Q*, can
-// instead be stored as diagonal bands (Banded), whose row-range products
-// are bit-identical to the CSR ones and cheaper.
+// coordinate (COO) Builder and then frozen into an immutable CSR matrix.
+// A square operator with at most MaxBands distinct index offsets, such
+// as the uniformised Q*, can instead be stored as diagonal bands
+// (Banded), whose row-range products are bit-identical to the CSR ones
+// and cheaper.
 package sparse
 
 import (
@@ -221,8 +221,8 @@ func (m *CSR) Transpose() *CSR {
 	return t
 }
 
-// MulVec computes dst = m·x (matrix times column vector). dst and x must
-// not alias. It runs serially; see Pool.MulVec for large matrices.
+// MulVec computes dst = m·x (matrix times column vector) on the calling
+// goroutine. dst and x must not alias.
 //
 //numlint:hotpath
 func (m *CSR) MulVec(dst, x []float64) error {
@@ -231,30 +231,17 @@ func (m *CSR) MulVec(dst, x []float64) error {
 		return fmt.Errorf("sparse: MulVec %dx%d with |x|=%d |dst|=%d: %w",
 			m.rows, m.cols, len(x), len(dst), ErrShape)
 	}
-	for r := 0; r < m.rows; r++ {
-		sum := 0.0
-		for i := m.rowPtr[r]; i < m.rowPtr[r+1]; i++ {
-			sum += m.vals[i] * x[m.colIdx[i]]
-		}
-		dst[r] = sum
-	}
+	m.mulRows(dst, x, 0, m.rows)
 	check.FiniteVec("sparse.CSR.MulVec", dst)
 	return nil
 }
 
-// weight is the partition weight of rows [lo, hi): nnz + rows.
-func (m *CSR) weight(lo, hi int32) int64 {
-	return int64(m.rowPtr[hi]-m.rowPtr[lo]) + int64(hi-lo)
-}
-
-// MulVecMulti computes dsts[k] = m·xs[k] for every right-hand side in a
-// single traversal of the matrix — the serial batched kernel behind
-// Pool.MulVecMulti. Row data (column indices and values) is loaded once
-// per row and reused across all right-hand sides. Each dsts[k] is
-// bit-identical to a solo MulVec(dsts[k], xs[k]).
+// MulVecMulti computes dsts[k] = m·xs[k] for every right-hand side, one
+// sweep of the matrix each (see mulMultiRows) — the batched kernel
+// behind Pool.MulVecMulti. Each dsts[k] is bit-identical to a solo
+// MulVec(dsts[k], xs[k]).
 //
 //numlint:hotpath
-//numlint:ignore testonly goes with Pool.MulVecMulti once bench/ stops timing it
 func (m *CSR) MulVecMulti(dsts, xs [][]float64) error {
 	if len(dsts) != len(xs) {
 		//numlint:ignore hotalloc cold shape-error path, never taken per SpMV iteration
@@ -329,8 +316,8 @@ func (m *CSR) mulAccumRows(dst, x, acc []float64, w float64, lo, hi int) {
 // arrays stream sequentially (the prefetcher hides them) while the
 // gathers into x do not, and interleaving k right-hand sides multiplies
 // the gather working set by k — ~2x slower on a 50k-row skewed chain.
-// The batch's savings come from the pool layer instead: one dispatch,
-// one partition lookup, and one task covers every right-hand side.
+// So the batch saves only the call and shape checks per right-hand
+// side, not a traversal.
 func (m *CSR) mulMultiRows(dsts, xs [][]float64, lo, hi int) {
 	for k := range xs {
 		m.mulRows(dsts[k], xs[k], lo, hi)

@@ -235,41 +235,6 @@ func TestTransposeVecMulEquivalence(t *testing.T) {
 	}
 }
 
-func TestParallelMulVecMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	// Above the serial cutoff (parallelMinWeight) so the parallel path runs.
-	rows, cols := 17000, 300
-	b := NewBuilder(rows, cols, rows*3)
-	for r := 0; r < rows; r++ {
-		for k := 0; k < 3; k++ {
-			b.Add(r, rng.Intn(cols), rng.NormFloat64())
-		}
-	}
-	m, err := b.Freeze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := make([]float64, cols)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	serial := make([]float64, rows)
-	if err := m.MulVec(serial, x); err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 3, 8} {
-		par := make([]float64, rows)
-		if err := NewPool(workers).MulVec(m, par, x); err != nil {
-			t.Fatal(err)
-		}
-		for i := range par {
-			if par[i] != serial[i] {
-				t.Fatalf("workers=%d row %d: %v != %v", workers, i, par[i], serial[i])
-			}
-		}
-	}
-}
-
 func TestMulVecShapeErrors(t *testing.T) {
 	m, err := NewBuilder(3, 4, 0).Freeze()
 	if err != nil {
@@ -384,15 +349,9 @@ func TestMulVecLinearityProperty(t *testing.T) {
 	}
 }
 
+// BenchmarkMulVecSerial times one product on a 200k-row random matrix
+// with four entries a row.
 func BenchmarkMulVecSerial(b *testing.B) {
-	benchmarkMulVec(b, 1)
-}
-
-func BenchmarkMulVecParallel(b *testing.B) {
-	benchmarkMulVec(b, 0) // NumCPU
-}
-
-func benchmarkMulVec(b *testing.B, workers int) {
 	rng := rand.New(rand.NewSource(8))
 	rows := 200000
 	bu := NewBuilder(rows, rows, rows*4)
@@ -410,11 +369,10 @@ func benchmarkMulVec(b *testing.B, workers int) {
 		x[i] = rng.Float64()
 	}
 	dst := make([]float64, rows)
-	pool := NewPool(workers)
 	b.ReportMetric(float64(m.NNZ()), "nnz")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := pool.MulVec(m, dst, x); err != nil {
+		if err := m.MulVec(dst, x); err != nil {
 			b.Fatal(err)
 		}
 	}

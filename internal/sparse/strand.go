@@ -65,16 +65,16 @@ func (p *Pool) Lend(share func()) *Strand {
 	s.held, s.share, s.panicked = true, share, nil
 	s.step.Store(0)
 	s.done.Store(0)
-	// Close drains the task channel of strands no worker took once its
-	// workers have stopped; the lock orders this send before that drain
-	// or after Close has marked the pool closed.
+	// Close drains the task channel of a strand the worker did not take
+	// once the worker has stopped; the lock orders this send before that
+	// drain or after Close has marked the pool closed.
 	p.lendMu.Lock()
 	sent := false
 	if p.start() {
 		select {
-		case p.tasks <- task{s: s}:
+		case p.tasks <- s:
 			sent = true
-		default: // the channel is full of announcements; lend nothing
+		default: // the one slot is taken; lend nothing rather than block
 		}
 	}
 	p.lendMu.Unlock()

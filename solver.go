@@ -108,8 +108,10 @@ type SolverOptions struct {
 	// results (distributions and scalars — cheap compared to models).
 	// Values < 1 select 64.
 	ResultCacheCapacity int
-	// Workers sets the SpMV parallelism of the solver's shared worker
-	// pool; values < 1 select runtime.NumCPU().
+	// Workers sets the parallelism of the solver's shared SpMV pool;
+	// values < 1 select runtime.NumCPU(). With 2 or more, one large
+	// solve at a time may borrow the pool's one worker as its second
+	// strand; with 1, every solve runs on its caller alone.
 	Workers int
 	// Telemetry, when non-nil, records solver metrics and spans: engine
 	// cache hits/misses, uniformisation iterations, Fox–Glynn windows,
@@ -167,11 +169,11 @@ func NewSolver(opts SolverOptions) *Solver {
 // and current entries. Available with or without Telemetry.
 func (s *Solver) Stats() engine.Stats { return s.eng.Stats() }
 
-// Close releases the solver's persistent SpMV worker goroutines. The
-// solver stays usable afterwards — later analyses run their products
-// serially — so Close is a resource release for callers that are done
-// with parallel solving, not a shutdown. Idempotent and safe to call
-// concurrently with in-flight solves (they finish normally).
+// Close releases the solver's SpMV pool worker goroutine, if it
+// started. The solver stays usable afterwards — later analyses run on
+// their caller alone — so Close is a resource release for callers that
+// are done with two-strand solving, not a shutdown. Idempotent and safe
+// to call concurrently with in-flight solves (they finish normally).
 func (s *Solver) Close() { s.eng.Close() }
 
 // analysis kinds for result memoisation; analyses names each kind in
@@ -725,9 +727,10 @@ type SweepResult struct {
 // SweepOptions tunes a Sweep.
 type SweepOptions struct {
 	// Workers bounds how many scenarios are solved concurrently;
-	// values < 1 select runtime.NumCPU(). The SpMV parallelism inside
-	// each solve is scaled down so that scenario-level and matrix-level
-	// parallelism together stay near NumCPU.
+	// values < 1 select runtime.NumCPU(). The sweep's SpMV pool is
+	// sized NumCPU / Workers (after Workers is capped at the number of
+	// model groups), so a large solve borrows a second strand only when
+	// that is 2 or more.
 	Workers int
 	// Epsilon, MaxIterations and Context apply to every scenario, as in
 	// AnalysisOptions.
@@ -798,10 +801,11 @@ func (s *Solver) Sweep(scenarios []Scenario, opts SweepOptions) ([]SweepResult, 
 	if workers > len(groups) {
 		workers = len(groups)
 	}
-	// One SpMV pool shared by all sweep workers: splitting the cores
-	// between scenario- and matrix-parallelism keeps the goroutine count
-	// near NumCPU instead of workers × NumCPU. The pool's persistent
-	// workers are released when the sweep returns.
+	// One SpMV pool shared by all sweep workers, of NumCPU / workers:
+	// with 2 or more, one large solve at a time may borrow the pool's
+	// one worker as its second strand, so scenario- and solve-level
+	// parallelism together stay near NumCPU. The worker, if it started,
+	// is released when the sweep returns.
 	spmv := runtime.NumCPU() / workers
 	if spmv < 1 {
 		spmv = 1
