@@ -55,12 +55,14 @@ lint:
 ## lint-flow: the numlint analyzer suite over the whole module, gated on
 ## the committed baseline (only findings absent from
 ## .numlint-baseline.json fail), after vetting and race-testing the
-## analyzers themselves. See docs/STATIC_ANALYSIS.md.
+## analyzers themselves; then over the bench/ module, which the
+## module's ./... does not reach. See docs/STATIC_ANALYSIS.md.
 lint-flow:
 	$(GO) vet ./tools/...
 	$(GO) test -race ./tools/numlint/...
 	$(GO) run ./tools/numlint -verify-gen-checks
 	$(GO) run ./tools/numlint -baseline .numlint-baseline.json ./...
+	cd bench && $(GO) run batlife/tools/numlint ./...
 
 ## fuzz: short fuzzing smoke over the directive, contract-grammar, and
 ## traceparent parsers, the banded-against-CSR product check, the

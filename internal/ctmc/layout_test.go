@@ -213,7 +213,7 @@ func sameResult(t *testing.T, label string, banded, csr *ctmc.Result) {
 }
 
 // TestBandedOperatorMatchesCSR solves the paper's models with Pᵀ as
-// bands and as CSR: functionals over several time points, a fused
+// bands and as CSR: functionals over several time points, a
 // single-point distribution solve, and a multi-point distribution solve
 // must agree bit for bit, along with iterations, SpMVs, window rows and
 // dropped mass. Each expanded model has at most 8 offsets, so the
@@ -252,7 +252,7 @@ func TestBandedOperatorMatchesCSR(t *testing.T) {
 				times []float64
 			}{
 				{"functional", w, m.times},
-				{"fused distribution", nil, m.times[:1]},
+				{"single-point distribution", nil, m.times[:1]},
 				{"distributions", nil, m.times},
 			} {
 				solve := func(u *ctmc.Uniformized) *ctmc.Result {
@@ -372,8 +372,6 @@ func TestOperatorFromRowsMatchesCSR(t *testing.T) {
 	}
 	charging := gateway(t)
 	charging.Battery = kibam.Params{Capacity: mah(3000), C: 0.625, K: 4.5e-5}
-	pool := sparse.NewPool(1)
-	defer pool.Close()
 	for _, tc := range []struct {
 		name  string
 		m     mrm.KiBaMRM
@@ -417,10 +415,10 @@ func TestOperatorFromRowsMatchesCSR(t *testing.T) {
 			got, want := make([]float64, n), make([]float64, n)
 			all := []int32{0, int32(n)}
 			var planA, planB sparse.Plan
-			if err := pool.Plan(&planA, a, all); err != nil {
+			if err := planA.Build(a, all); err != nil {
 				t.Fatal(err)
 			}
-			if err := pool.Plan(&planB, b, all); err != nil {
+			if err := planB.Build(b, all); err != nil {
 				t.Fatal(err)
 			}
 			for s := 0; s < stride; s++ {
@@ -430,10 +428,10 @@ func TestOperatorFromRowsMatchesCSR(t *testing.T) {
 						probe[j] = 1
 					}
 				}
-				if err := pool.MulVecPlan(&planA, got, probe, nil, 0); err != nil {
+				if err := planA.MulVec(got, probe); err != nil {
 					t.Fatal(err)
 				}
-				if err := pool.MulVecPlan(&planB, want, probe, nil, 0); err != nil {
+				if err := planB.MulVec(want, probe); err != nil {
 					t.Fatal(err)
 				}
 				for r := range got {
@@ -450,7 +448,7 @@ func TestOperatorFromRowsMatchesCSR(t *testing.T) {
 // and the harvesting example's charging model on a one-worker pool and
 // on a two-worker pool, with the two-strand threshold lowered to 64 rows
 // so that every window past the first few steps splits: a functional
-// over several time points, a fused single-point distribution solve and
+// over several time points, a single-point distribution solve and
 // a multi-point distribution solve must agree bit for bit, with their
 // iterations, products, window rows, window plans and dropped mass, and
 // every two-worker solve must have run on two strands. Fig. 7 over a
@@ -511,7 +509,7 @@ func TestTwoStrandsMatchOne(t *testing.T) {
 				times []float64
 			}{
 				{"functional", w, m.times},
-				{"fused distribution", nil, m.times[:1]},
+				{"single-point distribution", nil, m.times[:1]},
 				{"distributions", nil, m.times},
 			} {
 				before := len(reg.Tracer().Spans())

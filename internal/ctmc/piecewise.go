@@ -22,9 +22,10 @@ type Phase struct {
 }
 
 // PiecewiseTransient solves the time-inhomogeneous chain at each
-// requested time (ascending): the full distribution π(t) when w is nil,
-// or the functional w·π(t) otherwise, formed from the distribution each
-// phase's solve returns. Times beyond the total phase span are rejected
+// requested time: the full distribution π(t) when w is nil, or the
+// functional w·π(t) otherwise, formed from the distribution each phase's
+// solve returns. The times must be finite, nonnegative and ascending, as
+// Transient's are; times beyond the total phase span are rejected
 // unless the last phase is infinite.
 //
 // Iterations, SpMVs, WindowRows, WindowPlans and DroppedMass sum over
@@ -49,8 +50,8 @@ func PiecewiseTransient(phases []Phase, alpha, w, times []float64, opts Transien
 			return nil, fmt.Errorf("%w: only the final phase may be infinite (phase %d)", ErrBadInput, i)
 		}
 	}
-	if len(times) == 0 {
-		return nil, fmt.Errorf("%w: no time points", ErrBadInput)
+	if err := checkTimes(times); err != nil {
+		return nil, err
 	}
 
 	out := &Result{

@@ -3,6 +3,7 @@ package ctmc
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -121,6 +122,14 @@ func TestPiecewiseValidation(t *testing.T) {
 	inf := Phase{Operator: operator(t, c), Duration: math.Inf(1)}
 	if _, err := PiecewiseTransient([]Phase{inf, good}, alpha, nil, []float64{1}, TransientOptions{}); !errors.Is(err, ErrBadInput) {
 		t.Errorf("infinite non-final phase: err = %v", err)
+	}
+	// Every time is checked up front, as Transient checks it, and not
+	// as an error of the phase it would fall in.
+	for _, times := range [][]float64{{-5, 0.5}, {0.5, math.NaN()}, {0.5, 1.5, math.Inf(1)}, {1.5, 0.5}} {
+		_, err := PiecewiseTransient([]Phase{good, inf}, alpha, nil, times, TransientOptions{})
+		if !errors.Is(err, ErrBadInput) || strings.Contains(err.Error(), "phase") {
+			t.Errorf("times %v: err = %v, want ErrBadInput before any phase", times, err)
+		}
 	}
 	// Time beyond the span of finite phases.
 	if _, err := PiecewiseTransient([]Phase{good}, alpha, nil, []float64{5}, TransientOptions{}); !errors.Is(err, ErrBadInput) {

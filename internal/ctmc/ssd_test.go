@@ -71,6 +71,31 @@ func TestSteadyStateDetectionDistributions(t *testing.T) {
 	}
 }
 
+// TestSteadyStateDetectionSinglePoint: a single-point distribution
+// solve far past absorption stops on the steady-state test, before the
+// end of its Poisson window, and agrees with the full run.
+func TestSteadyStateDetectionSinglePoint(t *testing.T) {
+	c := absorbingCycle(t)
+	alpha := c.PointDistribution(0)
+	times := []float64{400}
+	full, err := transientDistributions(c.Generator(), alpha, times, TransientOptions{DisableSteadyStateDetection: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	det, err := transientDistributions(c.Generator(), alpha, times, TransientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if det.Iterations >= det.FoxGlynnRight {
+		t.Errorf("%d iterations of window %d; want steady-state detection to fire", det.Iterations, det.FoxGlynnRight)
+	}
+	for i := range alpha {
+		if math.Abs(full.Distributions[0][i]-det.Distributions[0][i]) > 1e-9 {
+			t.Errorf("state %d: %v vs %v", i, det.Distributions[0][i], full.Distributions[0][i])
+		}
+	}
+}
+
 func TestSteadyStateDetectionErgodicChain(t *testing.T) {
 	// An ergodic chain also converges (to its stationary distribution);
 	// detection must return that distribution for late time points.

@@ -32,9 +32,11 @@ type TransientOptions struct {
 	// DroppedMass below it (a functional w·π(t) at most that times
 	// max|w|). Zero selects 1e-12.
 	Epsilon float64
-	// Pool, when non-nil, supplies the SpMV worker pool; nil selects the
-	// process-wide sparse.DefaultPool. Sharing one Pool across concurrent
-	// solves (e.g. a scenario sweep) keeps the total parallelism bounded
+	// Pool, when non-nil, supplies the iteration's scratch vectors and
+	// the worker a large solve borrows as its second strand; nil selects
+	// the process-wide sparse.DefaultPool. Sharing one Pool across
+	// concurrent solves (e.g. a scenario sweep) lends its one worker to
+	// one solve at a time, so the total parallelism stays bounded
 	// instead of multiplying per solve.
 	Pool *sparse.Pool
 	// MaxIterations caps the number of uniformisation steps. When the
@@ -197,6 +199,8 @@ func NewUniformized(gen Generator) (*Uniformized, error) {
 }
 
 // Rate reports the uniformisation constant q.
+//
+//numlint:ignore testonly bench/ times Fox–Glynn at q·t until ROADMAP items 7 and 8 retarget its layers
 func (u *Uniformized) Rate() float64 { return u.q }
 
 // NumStates reports the dimension of the underlying chain.
@@ -320,8 +324,8 @@ func (u *Uniformized) transient(alpha, w, times []float64, opts TransientOptions
 	if w != nil && len(w) != n {
 		return nil, loopStats{}, fmt.Errorf("%w: |w|=%d for %d states", ErrBadInput, len(w), n)
 	}
-	if len(times) == 0 {
-		return nil, loopStats{}, fmt.Errorf("%w: no time points", ErrBadInput)
+	if err := checkTimes(times); err != nil {
+		return nil, loopStats{}, err
 	}
 	sum := 0.0
 	for _, a := range alpha {
@@ -332,14 +336,6 @@ func (u *Uniformized) transient(alpha, w, times []float64, opts TransientOptions
 	}
 	if math.Abs(sum-1) > 1e-9 {
 		return nil, loopStats{}, fmt.Errorf("%w: initial distribution sums to %v", ErrBadInput, sum)
-	}
-	for _, t := range times {
-		if t < 0 || math.IsNaN(t) || math.IsInf(t, 0) {
-			return nil, loopStats{}, fmt.Errorf("%w: time point %v", ErrBadInput, t)
-		}
-	}
-	if !sort.Float64sAreSorted(times) {
-		return nil, loopStats{}, fmt.Errorf("%w: time points must be ascending", ErrBadInput)
 	}
 
 	check.Probabilities("ctmc.transient initial distribution", alpha)
@@ -417,7 +413,7 @@ func (u *Uniformized) transient(alpha, w, times []float64, opts TransientOptions
 			sv.strand.Return()
 		}
 	}()
-	win := newWindow(pool, u.pt, alpha, u.shifts, opts.epsilon())
+	win := newWindow(u.pt, alpha, u.shifts, opts.epsilon())
 	sv.win = win
 	done := func() *Result {
 		res.WindowRows, res.WindowPlans, res.DroppedMass = win.rows, win.plans, win.dropped
@@ -431,15 +427,8 @@ func (u *Uniformized) transient(alpha, w, times []float64, opts TransientOptions
 	// untrimmed iterate into the answers, then trims the window; on two
 	// strands, each runs its side of the product, the fold and the search
 	// for trim candidates (see solve.share), and the caller the rest.
-	// Single-time-point distribution solves (a piecewise phase's
-	// hand-over, charge moments, state snapshots) fold each iterate into
-	// exactly one accumulator, so the fold fuses into the product:
-	// dst = Pᵀ·v and acc += p·dst in one pass over the window. Iterations
-	// that run the steady-state check keep the unfused kernel — the tail
-	// fold on convergence must see an un-accumulated iterate. Every fold
-	// is an element-independent multiply-add, so fused and unfused paths,
-	// and one strand or two, are bit-identical.
-	fused := w == nil && len(times) == 1
+	// Every fold is an element-independent multiply-add, so one strand
+	// and two are bit-identical.
 	for it := 0; it < maxRight; it++ {
 		if ctx := opts.Context; ctx != nil {
 			if err := ctx.Err(); err != nil {
@@ -447,11 +436,7 @@ func (u *Uniformized) transient(alpha, w, times []float64, opts TransientOptions
 			}
 		}
 		ssdNow := !opts.DisableSteadyStateDetection && it%checkEvery == 0
-		sv.it, sv.ssd, sv.fuse = it, ssdNow, fused && !ssdNow
-		sv.acc, sv.p = nil, 0
-		if sv.fuse {
-			sv.acc, sv.p = res.Distributions[0], weights[0].At(it+1)
-		}
+		sv.it, sv.ssd = it, ssdNow
 		win.prepare()
 		win.split(sv.twoStrands())
 		sv.phase = phaseProduct | phaseFold
@@ -489,6 +474,23 @@ func (u *Uniformized) transient(alpha, w, times []float64, opts TransientOptions
 		}
 	}
 	return done(), sv.stats, nil
+}
+
+// checkTimes reports an ErrBadInput unless times holds at least one
+// time point, each finite and nonnegative, in ascending order.
+func checkTimes(times []float64) error {
+	if len(times) == 0 {
+		return fmt.Errorf("%w: no time points", ErrBadInput)
+	}
+	for _, t := range times {
+		if t < 0 || math.IsNaN(t) || math.IsInf(t, 0) {
+			return fmt.Errorf("%w: time point %v", ErrBadInput, t)
+		}
+	}
+	if !sort.Float64sAreSorted(times) {
+		return fmt.Errorf("%w: time points must be ascending", ErrBadInput)
+	}
+	return nil
 }
 
 // twoStrandRows is the grown rows from which a step runs on two
@@ -532,15 +534,12 @@ type solve struct {
 	gen    uint32
 	stats  loopStats
 
-	// The step: its index, its vectors, the phases to run, whether it
-	// tests for a steady state, and the fused fold's target and weight.
+	// The step: its index, its vectors, the phases to run, and whether
+	// it tests for a steady state.
 	it      int
 	v, next []float64
 	phase   int
 	ssd     bool
-	fuse    bool
-	acc     []float64
-	p       float64
 }
 
 // loopStats is what the ctmc.transient span reports of the strands:
@@ -624,26 +623,19 @@ func (sv *solve) lent() { sv.share(1) }
 // its entries on w's support and its part of the trim: side 0 trims
 // its rows, side 1 cuts its candidates (see window.trimOwn and
 // cutRuns). On one strand the caller trims after the functional fold.
-// Side 1's product is the second half of the one counted on side 0.
 func (sv *solve) share(k int) {
 	win := sv.win
 	sd := &win.sides[k]
 	if sv.phase&phaseProduct != 0 {
 		sd.err = nil
 		if sd.replan {
-			if err := sv.pool.Plan(&sd.plan, win.m, sd.ranges); err != nil {
+			if err := sd.plan.Build(win.m, sd.ranges); err != nil {
 				sd.err = err
 				return
 			}
 			sd.replan = false
 		}
-		var err error
-		if k == 0 {
-			err = sv.pool.MulVecPlan(&sd.plan, sv.next, sv.v, sv.acc, sv.p)
-		} else {
-			err = sv.strand.MulVecPlan(&sd.plan, sv.next, sv.v, sv.acc, sv.p)
-		}
-		if err != nil {
+		if err := sd.plan.MulVec(sv.next, sv.v); err != nil {
 			sd.err = err
 			return
 		}
@@ -651,9 +643,7 @@ func (sv *solve) share(k int) {
 		sd.settled = sv.ssd && settled(sv.next, sv.v, sv.tol, sd.ranges)
 	}
 	if sv.phase&phaseFold != 0 {
-		if !sv.fuse {
-			sv.fold(sv.it+1, sv.next, sd.ranges, false)
-		}
+		sv.fold(sv.it+1, sv.next, sd.ranges, false)
 		if win.sides[1].lo == win.sides[1].hi {
 			return // one strand: the caller trims after the functional fold
 		}
@@ -694,8 +684,12 @@ func (sv *solve) fold(it int, v []float64, rows []int32, tailMass bool) {
 		if p > 0 {
 			dst := sv.res.Distributions[k]
 			for r := 0; r < len(rows); r += 2 {
-				for i := rows[r]; i < rows[r+1]; i++ {
-					dst[i] += p * v[i]
+				// Sliced to the range, so that the loop runs without
+				// bounds checks.
+				d := dst[rows[r]:rows[r+1]]
+				x := v[rows[r]:][:len(d)]
+				for i := range d {
+					d[i] += p * x[i]
 				}
 			}
 		}

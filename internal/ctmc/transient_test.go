@@ -290,42 +290,6 @@ func absorbingCycle(t *testing.T) *Chain {
 	return c
 }
 
-// TestTransientFusedMatchesUnfused: a single-time distribution solve
-// folds each iterate inside the product (MulVecPlan with an
-// accumulator); a solve over the same point twice takes the unfused
-// product-then-fold path. The fused kernel must not change a single bit
-// of the answer.
-func TestTransientFusedMatchesUnfused(t *testing.T) {
-	c := absorbingCycle(t)
-	u, err := NewUniformized(c.Generator())
-	if err != nil {
-		t.Fatal(err)
-	}
-	alpha := c.PointDistribution(0)
-	for _, tm := range []float64{2.5, 400} { // 400: steady-state detection fires
-		fused, err := u.Transient(alpha, nil, []float64{tm}, TransientOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		unfused, err := u.Transient(alpha, nil, []float64{tm, tm}, TransientOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fused.Iterations != unfused.Iterations || fused.SpMVs != unfused.SpMVs {
-			t.Errorf("t=%v: iterations/spmvs %d/%d, unfused %d/%d",
-				tm, fused.Iterations, fused.SpMVs, unfused.Iterations, unfused.SpMVs)
-		}
-		if tm == 400 && fused.Iterations >= fused.FoxGlynnRight {
-			t.Errorf("t=400: %d iterations of window %d; want steady-state detection to fire", fused.Iterations, fused.FoxGlynnRight)
-		}
-		for i, p := range fused.Distributions[0] {
-			if math.Float64bits(p) != math.Float64bits(unfused.Distributions[0][i]) {
-				t.Errorf("t=%v state %d: fused %v, unfused %v (bit-identical)", tm, i, p, unfused.Distributions[0][i])
-			}
-		}
-	}
-}
-
 // TestTransientCancellation: a cancelled context aborts the solve
 // between steps with a wrapped context error.
 func TestTransientCancellation(t *testing.T) {

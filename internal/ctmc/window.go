@@ -94,7 +94,7 @@ func addShift(rs []int, d int) []int {
 // grown depends on cur alone, so while trimming leaves cur as it was,
 // grown and the product plans built over it stay valid: the window
 // regrows and replans only after a step that changed cur, and then only
-// the rows the change can reach (see regrow and sparse.Pool.Plan).
+// the rows the change can reach (see regrow and sparse.Plan.Build).
 //
 // A step runs on one strand, the caller, or on two: the caller and a
 // worker lent by the pool. sides[0] is the caller's share of grown and
@@ -103,7 +103,6 @@ type window struct {
 	cur, prev, grown, trimmed []int32
 	shifts                    []int
 	n                         int
-	pool                      *sparse.Pool
 	m                         sparse.Operator
 
 	// planned reports that grown is that of cur; steady that the last
@@ -147,7 +146,7 @@ type side struct {
 }
 
 // newWindow returns the window of alpha's support, whose products run
-// m on pool.
+// m.
 //
 // The lists and the plan start with room for ⌈√n⌉ intervals, n the
 // state count. An expanded battery chain's window holds about one
@@ -156,7 +155,7 @@ type side struct {
 // and 253 on Fig. 10 at Δ = 2 mAh (113,703). Sized so, they never
 // regrow there; on a chain whose window outgrows them, a list moves out
 // of the shared buffer on append and the plan grows its own.
-func newWindow(pool *sparse.Pool, m sparse.Operator, alpha []float64, shifts []int, eps float64) *window {
+func newWindow(m sparse.Operator, alpha []float64, shifts []int, eps float64) *window {
 	n := len(alpha)
 	iv := int(math.Ceil(math.Sqrt(float64(n))))
 	share := 2 * iv
@@ -169,7 +168,6 @@ func newWindow(pool *sparse.Pool, m sparse.Operator, alpha []float64, shifts []i
 		shifts:   shifts,
 		n:        n,
 		mid:      int32(n),
-		pool:     pool,
 		m:        m,
 		theta:    trimFactor * eps,
 		budget:   eps,
@@ -177,7 +175,7 @@ func newWindow(pool *sparse.Pool, m sparse.Operator, alpha []float64, shifts []i
 	}
 	w.sides[0].hi = int32(n)
 	w.sides[1].lo, w.sides[1].hi = int32(n), int32(n)
-	pool.Reserve(&w.sides[0].plan, m, iv)
+	w.sides[0].plan.Reserve(m, iv)
 	for i := 0; i < len(alpha); {
 		if alpha[i] == 0 {
 			i++
@@ -237,7 +235,7 @@ func (w *window) split(two bool) {
 	}
 	if s1.own == nil {
 		iv := cap(w.grown) / 2
-		w.pool.Reserve(&s1.plan, w.m, iv)
+		s1.plan.Reserve(w.m, iv)
 		s0.own = make([]int32, 0, 2*iv)
 		s1.own = make([]int32, 0, 2*iv)
 		s1.runs = make([]int32, 0, 2*iv)

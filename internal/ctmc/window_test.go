@@ -84,7 +84,7 @@ func birthChain(t *testing.T, n int, rate float64) *Chain {
 // stays above θ (a short-lived cycle, an ergodic ring), the windowed
 // loop only ever trims
 // exact zeros, and its answers must equal the full sweep bit for bit —
-// distributions, fused single-point distributions and functionals, with
+// distributions, single-point distributions and functionals, with
 // and without steady-state detection.
 func TestWindowNothingDroppedMatchesFullSweep(t *testing.T) {
 	cycle := absorbingCycle(t)
@@ -198,35 +198,6 @@ func TestWindowManyOffsets(t *testing.T) {
 	}
 }
 
-// TestWindowSingleTimePointFused: a single-point distribution solve
-// folds each iterate inside the windowed product. With trimming active
-// it must stay within the bound of the full sweep and match the unfused
-// path (the same point twice) bit for bit, dropped mass included.
-func TestWindowSingleTimePointFused(t *testing.T) {
-	c := birthChain(t, 300, 2)
-	alpha := c.PointDistribution(0)
-	gen := c.Generator()
-	for _, opts := range []TransientOptions{{}, {DisableSteadyStateDetection: true}} {
-		fused := checkWindowAgainstReference(t, gen, alpha, nil, []float64{90}, opts)
-		if fused.DroppedMass == 0 {
-			t.Fatal("nothing dropped; the case must exercise trimming")
-		}
-		unfused, err := transientDistributions(gen, alpha, []float64{90, 90}, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fused.DroppedMass != unfused.DroppedMass || fused.WindowRows != unfused.WindowRows {
-			t.Errorf("fused dropped/rows %v/%d, unfused %v/%d",
-				fused.DroppedMass, fused.WindowRows, unfused.DroppedMass, unfused.WindowRows)
-		}
-		for i, p := range fused.Distributions[0] {
-			if math.Float64bits(p) != math.Float64bits(unfused.Distributions[0][i]) {
-				t.Fatalf("state %d: fused %v, unfused %v (bit-identical)", i, p, unfused.Distributions[0][i])
-			}
-		}
-	}
-}
-
 // TestWindowSteadyStateInTrimmedWindow: queried far past absorption, a
 // birth chain trims the mass it leaves behind, and steady-state
 // detection must still fire on the trimmed window and agree with the
@@ -295,7 +266,7 @@ func TestTransientAllocsIndependentOfHorizon(t *testing.T) {
 // (see checkWindowReplan) on random chain sizes, shift sets, supports
 // and trims, splitting grown on every other trial: every step's grown
 // rows must equal a grow from nothing, computed row by row (grownRows),
-// each side's plan a fresh Pool.Plan of its rows, and the trim the
+// each side's plan a fresh Plan.Build of its rows, and the trim the
 // one-pass trim of the parent design (trimReference). Every
 // twenty-fourth chain has 25,000–30,000 rows. Over the whole test the
 // window must both keep and rebuild its plans often, its interval count
@@ -363,8 +334,8 @@ type replanTally struct {
 // updated in place or kept, equal those that grownRows reads off the
 // current window row by row; the sides own rows [0, mid) and [mid, n)
 // and their ranges join to grown; each side's plan, replanned in place
-// or kept, equals a fresh Pool.Plan of its ranges field by field (every
-// segment's rows, bands and offsets, the kept ranges and the weight);
+// or kept, equals a fresh Plan.Build of its ranges field by field (every
+// segment's rows, bands and offsets, and the kept ranges);
 // the products computed exactly the grown rows; the buffer they wrote,
 // which held the iterate before, is zero off them after zeroStale
 // (which skips its pass on a window that did not move); and the trim
@@ -379,8 +350,6 @@ func checkWindowReplan(t *testing.T, rng *rand.Rand, n, shifts int, two bool, st
 		set = addShift(set, rng.Intn(2*n-1)-(n-1))
 	}
 	op := copyBands(t, rng, n)
-	pool := sparse.NewPool(1)
-	defer pool.Close()
 	alpha := make([]float64, n)
 	alpha[rng.Intn(n)] = 1
 	for i := range alpha {
@@ -388,7 +357,7 @@ func checkWindowReplan(t *testing.T, rng *rand.Rand, n, shifts int, two bool, st
 			alpha[i] = 1
 		}
 	}
-	w := newWindow(pool, op, alpha, set, 1)
+	w := newWindow(op, alpha, set, 1)
 	if rng.Intn(2) == 0 {
 		w.budget = 1e-12 * float64(5+rng.Intn(200))
 	}
@@ -429,13 +398,13 @@ func checkWindowReplan(t *testing.T, rng *rand.Rand, n, shifts int, two bool, st
 				continue // a side that owns no rows runs no product
 			}
 			if sd.replan {
-				if err := pool.Plan(&sd.plan, op, sd.ranges); err != nil {
+				if err := sd.plan.Build(op, sd.ranges); err != nil {
 					t.Fatal(err)
 				}
 				sd.replan = false
 			}
 			var freshPlan sparse.Plan
-			if err := pool.Plan(&freshPlan, op, sd.ranges); err != nil {
+			if err := freshPlan.Build(op, sd.ranges); err != nil {
 				t.Fatal(err)
 			}
 			if d := diffPlans(&sd.plan, &freshPlan); d != "" {
@@ -469,7 +438,7 @@ func checkWindowReplan(t *testing.T, rng *rand.Rand, n, shifts int, two bool, st
 			if sd.lo == sd.hi {
 				continue
 			}
-			if err := pool.MulVecPlan(&sd.plan, next, vals, nil, 0); err != nil {
+			if err := sd.plan.MulVec(next, vals); err != nil {
 				t.Fatal(err)
 			}
 			w.zeroStale(next, sd.lo, sd.hi)

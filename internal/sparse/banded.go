@@ -420,31 +420,21 @@ func (b *Banded) tileEnd(t, end int) int {
 }
 
 // mulSegment is the banded kernel over one segment: dst[r] = Σ_k
-// vals[k][r]·x[r+offs[k]] over the segment's bands and, when acc is
-// non-nil, acc[r] += w·dst[r].
+// vals[k][r]·x[r+offs[k]] over the segment's bands.
 //
 // Each row sums its bands from 0.0 in ascending column order, the
 // order CSR.mulRows visits the row's nonzeros. A padded zero adds
 // 0·x = ±0, which leaves any sum other than −0 unchanged, and a sum that
 // starts at +0 never becomes −0 (only −0 + −0 is −0). A band whose
 // column leaves the matrix is not read at all. So for finite x every
-// row is bit-identical to the CSR product of the same entries, and the
-// fold, one element-wise multiply-add after the row is done, keeps the
-// CSR kernel's per-element order.
+// row is bit-identical to the CSR product of the same entries.
 //
 //numlint:hotpath
-func (b *Banded) mulSegment(s *segment, dst, x, acc []float64, w float64) {
+func (b *Banded) mulSegment(s *segment, dst, x []float64) {
 	if useAVX2 {
 		b.segmentRowsAVX2(s, dst, x)
 	} else {
 		b.segmentRowsGo(s, dst, x)
-	}
-	if acc != nil {
-		d := dst[s.lo:s.hi]
-		a := acc[s.lo:s.hi][:len(d)]
-		for i := range d {
-			a[i] += w * d[i]
-		}
 	}
 }
 

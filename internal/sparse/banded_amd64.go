@@ -51,13 +51,12 @@ func bandRowsAVX2(d *float64, n int, base **float64, voff *[MaxBands]int32, x *f
 
 // segmentRowsAVX2 is segmentRowsGo on the AVX2 kernel, which reads
 // without bounds checks. Each address it reads is in bounds by
-// construction: Banded.segments checked, when Pool.Plan cut the segment,
-// that each band's values for its rows lie in the band's storage, which
-// never changes, and that its entries of x lie in [0, Cols()); and
-// MulVecPlan checks len(x) == Cols() on every product. A part of a
-// segment (see segment.part) reads a subrange of the same. dst is
-// resliced here, so Go has bounds-checked every element the kernel
-// writes.
+// construction: Banded.segments checked, when Plan.Build cut the
+// segment, that each band's values for its rows lie in the band's
+// storage, which never changes, and that its entries of x lie in
+// [0, Cols()); and Plan.MulVec checks len(x) == Cols() on every product.
+// dst is resliced here, so Go has bounds-checked every element the
+// kernel writes.
 //
 //numlint:hotpath
 func (b *Banded) segmentRowsAVX2(s *segment, dst, x []float64) {

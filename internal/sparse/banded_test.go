@@ -205,45 +205,37 @@ func cutRanges(rng *rand.Rand, b *Banded) []int32 {
 	return rs
 }
 
-// planBanded plans b's products over ranges on pool.
-func planBanded(t testing.TB, pool *Pool, b *Banded, ranges []int32) *Plan {
+// planBanded plans b's products over ranges.
+func planBanded(t testing.TB, b *Banded, ranges []int32) *Plan {
 	t.Helper()
 	pl := new(Plan)
-	if err := pool.Plan(pl, b, ranges); err != nil {
+	if err := pl.Build(b, ranges); err != nil {
 		t.Fatal(err)
 	}
 	return pl
 }
 
-// product runs one planned product dst = m·x, folded into acc with
-// weight w when acc is non-nil.
-type product func(dst, x, acc []float64, w float64) error
-
-// planProduct is the product of pl on pool, on the calling goroutine.
-func planProduct(pool *Pool, pl *Plan) product {
-	return func(dst, x, acc []float64, w float64) error { return pool.MulVecPlan(pl, dst, x, acc, w) }
-}
+// product runs one planned product dst = m·x.
+type product func(dst, x []float64) error
 
 // strandProduct runs products split between the caller and a worker its
 // pool lends, as a two-strand solve runs them: the caller runs the plan
 // of the rows below a split row while the worker runs the plan of the
 // rest, and the two meet at Step and Wait.
 type strandProduct struct {
-	pool        *Pool
-	s           *Strand
-	gen         uint32
-	hi          *Plan
-	dst, x, acc []float64
-	w           float64
-	err         error
-	split       int // products that ran on two strands
+	s      *Strand
+	gen    uint32
+	hi     *Plan
+	dst, x []float64
+	err    error
+	split  int // products that ran on two strands
 }
 
 // newStrandProduct asks pool for a worker; it returns nil when the pool
 // lends none.
 func newStrandProduct(pool *Pool) *strandProduct {
-	sp := &strandProduct{pool: pool}
-	sp.s = pool.Lend(func() { sp.err = sp.s.MulVecPlan(sp.hi, sp.dst, sp.x, sp.acc, sp.w) })
+	sp := new(strandProduct)
+	sp.s = pool.Lend(func() { sp.err = sp.hi.MulVec(sp.dst, sp.x) })
 	if sp.s == nil {
 		return nil
 	}
@@ -256,11 +248,11 @@ func newStrandProduct(pool *Pool) *strandProduct {
 
 // product is the product split at a row into plans lo and hi.
 func (sp *strandProduct) product(lo, hi *Plan) product {
-	return func(dst, x, acc []float64, w float64) error {
-		sp.hi, sp.dst, sp.x, sp.acc, sp.w = hi, dst, x, acc, w
+	return func(dst, x []float64) error {
+		sp.hi, sp.dst, sp.x = hi, dst, x
 		sp.gen++
 		sp.s.Step(sp.gen)
-		err := sp.pool.MulVecPlan(lo, dst, x, acc, w)
+		err := lo.MulVec(dst, x)
 		if !sp.s.Wait(sp.gen) {
 			return errors.New("the lent worker left")
 		}
@@ -283,16 +275,15 @@ func splitRanges(ranges []int32, mid int32) (lo, hi []int32) {
 }
 
 // checkBandedMatchesCSR runs mul, a product of b over ranges, and
-// compares it bit for bit with c.MulVec on the rows of ranges, folded
-// into acc when acc is non-nil; every other row must keep its sentinel.
-func checkBandedMatchesCSR(t testing.TB, pool *Pool, mul product, b *Banded, c *CSR, ranges []int32, x, acc []float64, w float64) {
+// compares it bit for bit with c.MulVec on the rows of ranges; every
+// other row must keep its sentinel.
+func checkBandedMatchesCSR(t testing.TB, mul product, b *Banded, c *CSR, ranges []int32, x []float64) {
 	t.Helper()
 	n := b.Rows()
 	want := make([]float64, n)
 	if err := c.MulVec(want, x); err != nil {
 		t.Fatal(err)
 	}
-	wantAcc := slices.Clone(acc)
 	dst := make([]float64, n)
 	for i := range dst {
 		dst[i] = -7 // sentinel: rows off the window keep it
@@ -301,12 +292,9 @@ func checkBandedMatchesCSR(t testing.TB, pool *Pool, mul product, b *Banded, c *
 	for i := 0; i < len(ranges); i += 2 {
 		for r := ranges[i]; r < ranges[i+1]; r++ {
 			in[r] = true
-			if acc != nil && w != 0 {
-				wantAcc[r] += w * want[r]
-			}
 		}
 	}
-	if err := mul(dst, x, acc, w); err != nil {
+	if err := mul(dst, x); err != nil {
 		t.Fatal(err)
 	}
 	for r := range dst {
@@ -315,12 +303,7 @@ func checkBandedMatchesCSR(t testing.TB, pool *Pool, mul product, b *Banded, c *
 			wantDst = want[r]
 		}
 		if math.Float64bits(dst[r]) != math.Float64bits(wantDst) {
-			t.Fatalf("offsets %v, %d rows, %d workers, w=%v: dst[%d] = %v, CSR %v",
-				b.offs, n, pool.workers, w, r, dst[r], wantDst)
-		}
-		if acc != nil && math.Float64bits(acc[r]) != math.Float64bits(wantAcc[r]) {
-			t.Fatalf("offsets %v, %d rows, %d workers, w=%v: acc[%d] = %v, CSR fold %v",
-				b.offs, n, pool.workers, w, r, acc[r], wantAcc[r])
+			t.Fatalf("offsets %v, %d rows: dst[%d] = %v, CSR %v", b.offs, n, r, dst[r], wantDst)
 		}
 	}
 }
@@ -328,12 +311,11 @@ func checkBandedMatchesCSR(t testing.TB, pool *Pool, mul product, b *Banded, c *
 // TestBandedMatchesCSR is the property test of the banded kernel: on
 // random 1–8-band matrices with empty bands, periodic bands and edge
 // rows, over the whole matrix, scattered windows, windows at both
-// matrix edges and windows about the cuts, with no accumulator and
-// with w = 0 and w ≠ 0 on one plan per window, on pools of 1, 2, 4 and
-// 8 workers, every row and every fold is bit-identical to the CSR
-// product of the same entries. Each window is also split at a random
-// row into two plans that the caller and a lent worker run at once, as
-// a two-strand solve does; every multi-worker pool lends one, and the
+// matrix edges and windows about the cuts, on one plan per window, every
+// row is bit-identical to the CSR product of the same entries. Each
+// window is also split at a random row into two plans that the caller
+// and a lent worker run at once, as a two-strand solve does, on pools
+// of 1, 2, 4 and 8 workers; every multi-worker pool lends one, and the
 // one-worker pool none.
 func TestBandedMatchesCSR(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
@@ -356,16 +338,13 @@ func TestBandedMatchesCSR(t *testing.T) {
 				if len(ranges) == 0 {
 					continue
 				}
-				muls := []product{planProduct(pool, planBanded(t, pool, b, ranges))}
+				muls := []product{planBanded(t, b, ranges).MulVec}
 				if sp != nil {
 					lo, hi := splitRanges(ranges, int32(rng.Intn(n+1)))
-					muls = append(muls, sp.product(planBanded(t, pool, b, lo), planBanded(t, pool, b, hi)))
+					muls = append(muls, sp.product(planBanded(t, b, lo), planBanded(t, b, hi)))
 				}
 				for _, mul := range muls {
-					checkBandedMatchesCSR(t, pool, mul, b, c, ranges, x, nil, 0)
-					for _, w := range []float64{0, 0.37, -2.5} {
-						checkBandedMatchesCSR(t, pool, mul, b, c, ranges, x, randomVec(rng, n), w)
-					}
+					checkBandedMatchesCSR(t, mul, b, c, ranges, x)
 				}
 			}
 		}
@@ -383,45 +362,34 @@ func TestBandedMatchesCSR(t *testing.T) {
 }
 
 // FuzzBandedMatchesCSR is the fuzzing form of TestBandedMatchesCSR: the
-// inputs pick the size, the band count and the fold weight, and seed
-// the offsets, values, vectors and windows. Each window's plan, one per
-// pool, runs the products of two different x and acc pairs; one window
-// touches both matrix edges. The seeds of 32, 33 and 80 rows give
-// whole-matrix windows that run the kernel's 32-row block alone, with
-// one more row, and with 8-row blocks after it.
+// inputs pick the size and the band count, and seed the offsets, values,
+// vectors and windows. Each window's plan runs the products of two
+// different x; one window touches both matrix edges. The seeds of 32, 33
+// and 80 rows give whole-matrix windows that run the kernel's 32-row
+// block alone, with one more row, and with 8-row blocks after it.
 func FuzzBandedMatchesCSR(f *testing.F) {
-	f.Add(int64(1), uint16(90), uint8(5), 0.0)
-	f.Add(int64(2), uint16(3), uint8(8), 1.5)
-	f.Add(int64(3), uint16(1200), uint8(1), -0.25)
-	f.Add(int64(4), uint16(2500), uint8(6), 0.75)
-	f.Add(int64(5), uint16(1700), uint8(4), -1.0)
-	f.Add(int64(6), uint16(2999), uint8(7), 2.0)
-	f.Add(int64(9), uint16(2500), uint8(6), 0.5)
-	f.Add(int64(10), uint16(31), uint8(3), 0.5)
-	f.Add(int64(11), uint16(32), uint8(6), -1.5)
-	f.Add(int64(12), uint16(79), uint8(5), 0.25)
-	serial, parallel := NewPool(1), NewPool(2)
-	defer serial.Close()
-	defer parallel.Close()
-	f.Fuzz(func(t *testing.T, seed int64, size uint16, bands uint8, w float64) {
-		if math.IsNaN(w) || math.IsInf(w, 0) {
-			t.Skip()
-		}
+	f.Add(int64(1), uint16(90), uint8(5))
+	f.Add(int64(2), uint16(3), uint8(8))
+	f.Add(int64(3), uint16(1200), uint8(1))
+	f.Add(int64(4), uint16(2500), uint8(6))
+	f.Add(int64(5), uint16(1700), uint8(4))
+	f.Add(int64(6), uint16(2999), uint8(7))
+	f.Add(int64(9), uint16(2500), uint8(6))
+	f.Add(int64(10), uint16(31), uint8(3))
+	f.Add(int64(11), uint16(32), uint8(6))
+	f.Add(int64(12), uint16(79), uint8(5))
+	f.Fuzz(func(t *testing.T, seed int64, size uint16, bands uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + int(size)%3000
 		b, c := bandedPair(t, rng, n, randomOffsets(rng, n, 1+int(bands)%MaxBands))
 		xs := [][]float64{randomVec(rng, n), randomVec(rng, n)}
-		accs := [][]float64{randomVec(rng, n), randomVec(rng, n)}
 		for _, ranges := range [][]int32{randomRanges(rng, n), edgeRanges(rng, n), cutRanges(rng, b)} {
 			if len(ranges) == 0 {
 				continue
 			}
-			for _, pool := range []*Pool{serial, parallel} {
-				pl := planBanded(t, pool, b, ranges)
-				for i, x := range xs {
-					checkBandedMatchesCSR(t, pool, planProduct(pool, pl), b, c, ranges, x, nil, 0)
-					checkBandedMatchesCSR(t, pool, planProduct(pool, pl), b, c, ranges, x, slices.Clone(accs[i]), w)
-				}
+			pl := planBanded(t, b, ranges)
+			for _, x := range xs {
+				checkBandedMatchesCSR(t, pl.MulVec, b, c, ranges, x)
 			}
 		}
 		checkKernelsMatchCSR(t, b, c, xs[0])
@@ -715,8 +683,6 @@ func TestBandedValidate(t *testing.T) {
 func TestBandedPeriodBreak(t *testing.T) {
 	const n, brk = 3000, 1800 // brk is a multiple of the period
 	period := []float64{0.25, 0, math.Copysign(0, -1)}
-	pool := NewPool(1)
-	defer pool.Close()
 	rng := rand.New(rand.NewSource(11))
 	for _, tc := range []struct {
 		name string
@@ -739,7 +705,7 @@ func TestBandedPeriodBreak(t *testing.T) {
 		}
 		x := randomVec(rng, n)
 		for _, ranges := range [][]int32{{0, n}, {brk - 5, brk + 5}, {brk, brk + 700}, {brk - 600, brk}} {
-			checkBandedMatchesCSR(t, pool, planProduct(pool, planBanded(t, pool, b, ranges)), b, c, ranges, x, nil, 0)
+			checkBandedMatchesCSR(t, planBanded(t, b, ranges).MulVec, b, c, ranges, x)
 		}
 	}
 }
@@ -751,8 +717,6 @@ func TestBandedPeriodBreak(t *testing.T) {
 // layouts read back every value and match the CSR.
 func TestBandedCommonPeriod(t *testing.T) {
 	const n = 2000
-	pool := NewPool(1)
-	defer pool.Close()
 	rng := rand.New(rand.NewSource(12))
 	for _, tc := range []struct {
 		name    string
@@ -783,7 +747,7 @@ func TestBandedCommonPeriod(t *testing.T) {
 		}
 		x := randomVec(rng, n)
 		for _, ranges := range [][]int32{{0, n}, cutRanges(rng, b)} {
-			checkBandedMatchesCSR(t, pool, planProduct(pool, planBanded(t, pool, b, ranges)), b, c, ranges, x, nil, 0)
+			checkBandedMatchesCSR(t, planBanded(t, b, ranges).MulVec, b, c, ranges, x)
 		}
 	}
 }
@@ -827,16 +791,14 @@ func BenchmarkWindowProduct(b *testing.B) {
 		ranges = append(ranges, r, r+40)
 	}
 	dst := make([]float64, n)
-	pool := NewPool(1)
-	defer pool.Close()
 	for _, op := range []Operator{cm, bm} {
 		var pl Plan
-		if err := pool.Plan(&pl, op, ranges); err != nil {
+		if err := pl.Build(op, ranges); err != nil {
 			b.Fatal(err)
 		}
 		b.Run(fmt.Sprintf("%T", op)[len("*sparse."):], func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if err := pool.MulVecPlan(&pl, dst, x, nil, 0); err != nil {
+				if err := pl.MulVec(dst, x); err != nil {
 					b.Fatal(err)
 				}
 			}

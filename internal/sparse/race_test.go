@@ -125,17 +125,15 @@ func TestPoolMulVecConcurrentPools(t *testing.T) {
 	wg.Wait()
 }
 
-// TestPoolMulVecRangesConcurrent drives one pool from several goroutines
-// with different planned products at once, on a CSR and on a banded
-// operator, and pairs of goroutines share one plan. Every result must
+// TestPlanConcurrent runs different planned products from several
+// goroutines at once, on a CSR and on a banded operator, and pairs of
+// goroutines share one plan. Every result must
 // match the serial CSR kernel; run with -race to certify that plans are
 // read-only.
-func TestPoolMulVecRangesConcurrent(t *testing.T) {
+func TestPlanConcurrent(t *testing.T) {
 	const rows = 16000
 	m := buildStressCSR(t, rows, 4)
 	bm, bc := bandedPair(t, rand.New(rand.NewSource(8)), rows, fig8Offsets)
-	pool := NewPool(3)
-	defer pool.Close()
 	x := make([]float64, rows)
 	for i := range x {
 		x[i] = math.Sin(float64(i) / 5)
@@ -157,7 +155,7 @@ func TestPoolMulVecRangesConcurrent(t *testing.T) {
 		}
 		lo := int32(g * 1000)
 		windows[g] = []int32{lo, lo + 9000, lo + 9100, rows}
-		if err := pool.Plan(&plans[g], m, windows[g]); err != nil {
+		if err := plans[g].Build(m, windows[g]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -173,7 +171,7 @@ func TestPoolMulVecRangesConcurrent(t *testing.T) {
 			pl, ranges := &plans[g%6], windows[g%6]
 			dst := make([]float64, rows)
 			for it := 0; it < 30; it++ {
-				if err := pool.MulVecPlan(pl, dst, x, nil, 0); err != nil {
+				if err := pl.MulVec(dst, x); err != nil {
 					t.Errorf("goroutine %d: %v", g, err)
 					return
 				}

@@ -2,15 +2,12 @@ package sparse
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
-
-	"batlife/internal/obs"
 )
 
 // waitForGoroutines polls until the process goroutine count drops to at
@@ -231,68 +228,6 @@ func TestDefaultPoolShared(t *testing.T) {
 	}
 }
 
-// TestMulVecRangesFoldMatchesUnfused checks the fused fold of a planned
-// product over all rows against its definition — MulVec then
-// acc[i] += w·dst[i] — on a one-worker and a four-worker pool, bit for
-// bit, including the w = 0 accumulate skip. Each pool plans the rows
-// once and runs every product on that plan.
-func TestMulVecRangesFoldMatchesUnfused(t *testing.T) {
-	const rows = 13200
-	m := buildStressCSR(t, rows, 5)
-	x := make([]float64, rows)
-	accInit := make([]float64, rows)
-	for i := range x {
-		x[i] = math.Sin(float64(i)) + 1.5
-		accInit[i] = 1 / float64(i+1)
-	}
-
-	pools := map[int]*Pool{}
-	plans := map[int]*Plan{}
-	for _, workers := range []int{1, 4} {
-		pool := NewPool(workers)
-		defer pool.Close()
-		pl := new(Plan)
-		if err := pool.Plan(pl, m, []int32{0, rows}); err != nil {
-			t.Fatal(err)
-		}
-		pools[workers], plans[workers] = pool, pl
-	}
-	for _, w := range []float64{0, 1, 0.37, -2.25} {
-		wantDst := make([]float64, rows)
-		wantAcc := append([]float64(nil), accInit...)
-		if err := m.MulVec(wantDst, x); err != nil {
-			t.Fatal(err)
-		}
-		if w != 0 {
-			for i := range wantAcc {
-				wantAcc[i] += w * wantDst[i]
-			}
-		}
-
-		check := func(label string, run func(dst, acc []float64) error) {
-			t.Helper()
-			dst := make([]float64, rows)
-			acc := append([]float64(nil), accInit...)
-			if err := run(dst, acc); err != nil {
-				t.Fatalf("%s (w=%v): %v", label, w, err)
-			}
-			for i := range dst {
-				if dst[i] != wantDst[i] {
-					t.Fatalf("%s (w=%v): dst[%d] = %v, want %v", label, w, i, dst[i], wantDst[i])
-				}
-				if acc[i] != wantAcc[i] {
-					t.Fatalf("%s (w=%v): acc[%d] = %v, want %v", label, w, i, acc[i], wantAcc[i])
-				}
-			}
-		}
-		for _, workers := range []int{1, 4} {
-			check(fmt.Sprintf("workers=%d", workers), func(dst, acc []float64) error {
-				return pools[workers].MulVecPlan(plans[workers], dst, x, acc, w)
-			})
-		}
-	}
-}
-
 // TestMulVecMultiMatchesSolo checks the batched kernel, on the CSR and
 // through a pool, against B solo MulVec calls, bit for bit, for several
 // batch sizes.
@@ -389,15 +324,14 @@ func TestPoolMulVecMultiConcurrent(t *testing.T) {
 				return
 			}
 			dst := make([]float64, rows)
-			acc := make([]float64, rows)
 			var pl Plan
-			if err := pool.Plan(&pl, m, []int32{0, rows}); err != nil {
-				t.Errorf("Plan: %v", err)
+			if err := pl.Build(m, []int32{0, rows}); err != nil {
+				t.Errorf("Build: %v", err)
 				return
 			}
 			for it := 0; it < 20; it++ {
-				if err := pool.MulVecPlan(&pl, dst, x, acc, 0); err != nil {
-					t.Errorf("MulVecPlan: %v", err)
+				if err := pl.MulVec(dst, x); err != nil {
+					t.Errorf("plan MulVec: %v", err)
 					return
 				}
 				for i := range dst {
@@ -412,8 +346,8 @@ func TestPoolMulVecMultiConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestKernelShapeErrors covers the argument validation of the fused,
-// batched and planned kernels on both the CSR and pool entry points.
+// TestKernelShapeErrors covers the argument validation of the batched
+// and planned kernels on the CSR, plan and pool entry points.
 func TestKernelShapeErrors(t *testing.T) {
 	b := NewBuilder(4, 4, 0)
 	b.Add(0, 0, 1)
@@ -426,16 +360,16 @@ func TestKernelShapeErrors(t *testing.T) {
 	good := make([]float64, 4)
 	bad := make([]float64, 3)
 	var pl Plan
-	if err := pool.Plan(&pl, m, []int32{0, 4}); err != nil {
+	if err := pl.Build(m, []int32{0, 4}); err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct {
 		name string
 		err  error
 	}{
-		{"pool accum dst", pool.MulVecPlan(&pl, bad, good, good, 1)},
-		{"pool accum x", pool.MulVecPlan(&pl, good, bad, good, 1)},
-		{"unbuilt plan", pool.MulVecPlan(&Plan{}, good, good, nil, 0)},
+		{"plan dst", pl.MulVec(bad, good)},
+		{"plan x", pl.MulVec(good, bad)},
+		{"unbuilt plan", new(Plan).MulVec(good, good)},
 		{"serial multi ragged", m.MulVecMulti([][]float64{good}, [][]float64{bad})},
 		{"serial multi arity", m.MulVecMulti([][]float64{good, good}, [][]float64{good})},
 		{"pool multi ragged", pool.MulVecMulti(m, [][]float64{good}, [][]float64{bad})},
@@ -480,8 +414,8 @@ func buildSkewedCSR(t testing.TB, rows, heavy, heavyNNZ int) *CSR {
 }
 
 // TestFusedKernelsZeroAlloc backs the //numlint:hotpath annotation on
-// the serial batched kernel and the fused planned product: neither
-// MulVecMulti nor a fused MulVecPlan on a built plan allocates per call.
+// the serial batched kernel: neither MulVecMulti nor MulVec on a built
+// plan allocates per call.
 func TestFusedKernelsZeroAlloc(t *testing.T) {
 	b := NewBuilder(64, 64, 0)
 	for i := 0; i < 64; i++ {
@@ -498,29 +432,25 @@ func TestFusedKernelsZeroAlloc(t *testing.T) {
 	}
 	dsts := [][]float64{make([]float64, 64), make([]float64, 64)}
 	xs := [][]float64{x, x}
-	pool := NewPool(1)
-	defer pool.Close()
 	var pl Plan
-	if err := pool.Plan(&pl, m, []int32{0, 10, 20, 64}); err != nil {
+	if err := pl.Build(m, []int32{0, 10, 20, 64}); err != nil {
 		t.Fatal(err)
 	}
-	acc := make([]float64, 64)
 	allocs := testing.AllocsPerRun(200, func() {
 		if err := m.MulVecMulti(dsts, xs); err != nil {
 			t.Fatal(err)
 		}
-		if err := pool.MulVecPlan(&pl, dsts[0], x, acc, 0.5); err != nil {
+		if err := pl.MulVec(dsts[0], x); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("fused kernels allocate %v per run, want 0", allocs)
+		t.Errorf("batched and planned kernels allocate %v per run, want 0", allocs)
 	}
 }
 
-// TestPoolZeroAlloc pins that pool products allocate nothing: full ones,
-// and windowed and fused ones on built plans, on CSR and banded
-// operators, with and without pool metrics, on 1 to 8 workers.
+// TestPoolZeroAlloc pins that products allocate nothing: a pool's full
+// ones, and windowed ones on built plans of CSR and banded operators.
 func TestPoolZeroAlloc(t *testing.T) {
 	const rows = 16000
 	m := buildStressCSR(t, rows, 4)
@@ -530,48 +460,36 @@ func TestPoolZeroAlloc(t *testing.T) {
 		x[i] = 1 / float64(i+1)
 	}
 	dst := make([]float64, rows)
-	acc := make([]float64, rows)
 	window := []int32{0, 9000, 9500, rows}
-	for _, workers := range []int{1, 2, 4, 8} {
-		for _, reg := range []*obs.Registry{nil, obs.NewRegistry()} {
-			pool := NewPoolObs(workers, reg)
-			var csrPlan, bandPlan Plan
-			if err := pool.Plan(&csrPlan, m, window); err != nil {
-				t.Fatal(err)
-			}
-			if err := pool.Plan(&bandPlan, bm, window); err != nil {
-				t.Fatal(err)
-			}
-			allocs := testing.AllocsPerRun(100, func() {
-				if err := pool.MulVec(m, dst, x); err != nil {
-					t.Fatal(err)
-				}
-				if err := pool.MulVecPlan(&csrPlan, dst, x, nil, 0); err != nil {
-					t.Fatal(err)
-				}
-				if err := pool.MulVecPlan(&csrPlan, dst, x, acc, 0.25); err != nil {
-					t.Fatal(err)
-				}
-				if err := pool.MulVecPlan(&bandPlan, dst, x, nil, 0); err != nil {
-					t.Fatal(err)
-				}
-				if err := pool.MulVecPlan(&bandPlan, dst, x, acc, 0.25); err != nil {
-					t.Fatal(err)
-				}
-			})
-			pool.Close()
-			if allocs != 0 {
-				t.Errorf("workers=%d metrics=%v: products allocate %v per run, want 0", workers, reg != nil, allocs)
-			}
+	pool := NewPool(2)
+	defer pool.Close()
+	var csrPlan, bandPlan Plan
+	if err := csrPlan.Build(m, window); err != nil {
+		t.Fatal(err)
+	}
+	if err := bandPlan.Build(bm, window); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := pool.MulVec(m, dst, x); err != nil {
+			t.Fatal(err)
 		}
+		if err := csrPlan.MulVec(dst, x); err != nil {
+			t.Fatal(err)
+		}
+		if err := bandPlan.MulVec(dst, x); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("products allocate %v per run, want 0", allocs)
 	}
 }
 
-// TestReplanZeroAlloc pins Pool.Reserve's sizing: once it has sized a
+// TestReplanZeroAlloc pins Plan.Reserve's sizing: once it has sized a
 // plan for up to 8 ranges of a banded matrix, replanning between windows
 // that move one end, add a range, change every range but the last, and
-// cover every row allocates nothing, on a one-worker and a four-worker
-// pool.
+// cover every row allocates nothing.
 // The change of all but the last range is the replan that needs the
 // most room: its new segments are cut past all the live ones.
 func TestReplanZeroAlloc(t *testing.T) {
@@ -584,100 +502,76 @@ func TestReplanZeroAlloc(t *testing.T) {
 		{50, 60, 70, 80, 90, 1000, 1500, 4000, 4100, 8000, 9000, 19000},
 		{0, n},
 	}
-	for _, workers := range []int{1, 4} {
-		pool := NewPool(workers)
-		var pl Plan
-		pool.Reserve(&pl, bm, 8)
-		allocs := testing.AllocsPerRun(50, func() {
-			for _, w := range windows {
-				if err := pool.Plan(&pl, bm, w); err != nil {
-					t.Fatal(err)
-				}
+	var pl Plan
+	pl.Reserve(bm, 8)
+	allocs := testing.AllocsPerRun(50, func() {
+		for _, w := range windows {
+			if err := pl.Build(bm, w); err != nil {
+				t.Fatal(err)
 			}
-		})
-		pool.Close()
-		if allocs != 0 {
-			t.Errorf("workers=%d: replanning allocates %v per round, want 0", workers, allocs)
 		}
+	})
+	if allocs != 0 {
+		t.Errorf("replanning allocates %v per round, want 0", allocs)
 	}
 }
 
-// TestMulVecRangesMatchesMulVec: a planned product computes exactly
-// MulVec's rows (and their fold into acc) on the rows of its ranges and
-// leaves every other row untouched, on pools of one to three workers,
-// for windows from a single row to the whole matrix, each plan run with
-// and without a fold.
-func TestMulVecRangesMatchesMulVec(t *testing.T) {
+// TestPlanMatchesMulVec: a planned product computes exactly MulVec's
+// rows on the rows of its ranges and leaves every other row untouched,
+// for windows from a single row to the whole matrix.
+func TestPlanMatchesMulVec(t *testing.T) {
 	const rows = 16000
 	m := buildStressCSR(t, rows, 4)
 	x := make([]float64, rows)
-	accInit := make([]float64, rows)
 	for i := range x {
 		x[i] = math.Cos(float64(i)/7) + 1.25
-		accInit[i] = float64(i % 3)
 	}
 	want := make([]float64, rows)
 	if err := m.MulVec(want, x); err != nil {
 		t.Fatal(err)
 	}
-	windows := [][]int32{
+	for _, ranges := range [][]int32{
 		{0, rows},
 		{4242, 4243},
 		{0, 10, 11, 12, 500, 7000, 7001, 15000, 15999, rows},
 		{100, 14000},
 		{},
-	}
-	for _, workers := range []int{1, 2, 3} {
-		pool := NewPool(workers)
-		for _, ranges := range windows {
-			var pl Plan
-			if err := pool.Plan(&pl, m, ranges); err != nil {
-				t.Fatal(err)
-			}
-			for _, w := range []float64{0, 0.75} {
-				dst := make([]float64, rows)
-				for i := range dst {
-					dst[i] = -1 // sentinel: rows off the window keep it
-				}
-				var acc []float64
-				if w != 0 {
-					acc = append([]float64(nil), accInit...)
-				}
-				if err := pool.MulVecPlan(&pl, dst, x, acc, w); err != nil {
-					t.Fatal(err)
-				}
-				in := make([]bool, rows)
-				for i := 0; i < len(ranges); i += 2 {
-					for r := ranges[i]; r < ranges[i+1]; r++ {
-						in[r] = true
-					}
-				}
-				for r := range dst {
-					wantDst, wantAcc := -1.0, accInit[r]
-					if in[r] {
-						wantDst, wantAcc = want[r], accInit[r]+w*want[r]
-					}
-					if dst[r] != wantDst {
-						t.Fatalf("workers=%d ranges=%v w=%v: dst[%d] = %v, want %v", workers, ranges, w, r, dst[r], wantDst)
-					}
-					if acc != nil && acc[r] != wantAcc {
-						t.Fatalf("workers=%d ranges=%v w=%v: acc[%d] = %v, want %v", workers, ranges, w, r, acc[r], wantAcc)
-					}
-				}
+	} {
+		var pl Plan
+		if err := pl.Build(m, ranges); err != nil {
+			t.Fatal(err)
+		}
+		dst := make([]float64, rows)
+		for i := range dst {
+			dst[i] = -1 // sentinel: rows off the window keep it
+		}
+		if err := pl.MulVec(dst, x); err != nil {
+			t.Fatal(err)
+		}
+		in := make([]bool, rows)
+		for i := 0; i < len(ranges); i += 2 {
+			for r := ranges[i]; r < ranges[i+1]; r++ {
+				in[r] = true
 			}
 		}
-		pool.Close()
+		for r := range dst {
+			wantDst := -1.0
+			if in[r] {
+				wantDst = want[r]
+			}
+			if dst[r] != wantDst {
+				t.Fatalf("ranges=%v: dst[%d] = %v, want %v", ranges, r, dst[r], wantDst)
+			}
+		}
 	}
 }
 
-// TestMulVecRangesShapeErrors: malformed windows fail to plan with
-// ErrShape, leaving the plan unbuilt, and a plan's product checks the
-// shape of every vector it is given.
-func TestMulVecRangesShapeErrors(t *testing.T) {
+// TestPlanShapeErrors: malformed windows fail to plan with ErrShape,
+// leaving the plan unbuilt, and a plan's product checks the shape of
+// every vector it is given.
+func TestPlanShapeErrors(t *testing.T) {
 	m := buildStressCSR(t, 100, 2)
 	x, dst := make([]float64, 100), make([]float64, 100)
-	pool := NewPool(2)
-	defer pool.Close()
 	for _, ranges := range [][]int32{
 		{0},            // odd bound count
 		{5, 5},         // empty range
@@ -688,21 +582,21 @@ func TestMulVecRangesShapeErrors(t *testing.T) {
 		{10, 20, 0, 5}, // descending
 	} {
 		pl := new(Plan)
-		if err := pool.Plan(pl, m, []int32{0, 100}); err != nil {
+		if err := pl.Build(m, []int32{0, 100}); err != nil {
 			t.Fatal(err)
 		}
-		if err := pool.Plan(pl, m, ranges); !errors.Is(err, ErrShape) {
+		if err := pl.Build(m, ranges); !errors.Is(err, ErrShape) {
 			t.Errorf("ranges %v: err = %v, want ErrShape", ranges, err)
 		}
-		if err := pool.MulVecPlan(pl, dst, x, nil, 0); !errors.Is(err, ErrShape) {
+		if err := pl.MulVec(dst, x); !errors.Is(err, ErrShape) {
 			t.Errorf("ranges %v: product on the plan that failed: err = %v, want ErrShape", ranges, err)
 		}
 	}
 	var pl Plan
-	if err := pool.Plan(&pl, m, []int32{0, 100}); err != nil {
+	if err := pl.Build(m, []int32{0, 100}); err != nil {
 		t.Fatal(err)
 	}
-	if err := pool.MulVecPlan(&pl, dst, x, make([]float64, 99), 1); !errors.Is(err, ErrShape) {
-		t.Errorf("short acc: err = %v, want ErrShape", err)
+	if err := pl.MulVec(dst[:99], x); !errors.Is(err, ErrShape) {
+		t.Errorf("short dst: err = %v, want ErrShape", err)
 	}
 }

@@ -189,9 +189,10 @@ func (m *CSR) MaxAbsDiagonal() float64 {
 	return maxAbs
 }
 
-// Transpose returns the transposed matrix. Left multiplication x·M — the
-// direction uniformisation iterates — is implemented as Transpose(M)·x,
-// so transposition is done once per transient solve.
+// Transpose returns the transposed matrix, so that a left
+// multiplication x·M can run as Transpose(M)·x.
+//
+//numlint:ignore testonly bench/ transposes Q* for its SpMV layer until ROADMAP items 7 and 8 retarget it
 func (m *CSR) Transpose() *CSR {
 	t := &CSR{
 		rows:   m.cols,
@@ -237,8 +238,7 @@ func (m *CSR) MulVec(dst, x []float64) error {
 }
 
 // MulVecMulti computes dsts[k] = m·xs[k] for every right-hand side, one
-// sweep of the matrix each (see mulMultiRows) — the batched kernel
-// behind Pool.MulVecMulti. Each dsts[k] is bit-identical to a solo
+// sweep of the matrix each (see mulMultiRows). Each dsts[k] is bit-identical to a solo
 // MulVec(dsts[k], xs[k]).
 //
 //numlint:hotpath
@@ -284,29 +284,9 @@ func (m *CSR) segments(segs []segment, lo, hi int) []segment {
 	return append(segs, segment{lo: int32(lo), hi: int32(hi)})
 }
 
-// mulSegment computes the rows of s: dst[r] = m[r,:]·x and, when acc is
-// non-nil, acc[r] += w·dst[r].
-func (m *CSR) mulSegment(s *segment, dst, x, acc []float64, w float64) {
-	if acc == nil {
-		m.mulRows(dst, x, int(s.lo), int(s.hi))
-		return
-	}
-	m.mulAccumRows(dst, x, acc, w, int(s.lo), int(s.hi))
-}
-
-// mulAccumRows is the fused multiply-accumulate kernel over one row
-// range: dst[r] = m[r,:]·x and acc[r] += w·dst[r] while the freshly
-// computed sum is still in a register.
-func (m *CSR) mulAccumRows(dst, x, acc []float64, w float64, lo, hi int) {
-	rowPtr, vals, colIdx := m.rowPtr, m.vals, m.colIdx
-	for r := lo; r < hi; r++ {
-		sum := 0.0
-		for i := rowPtr[r]; i < rowPtr[r+1]; i++ {
-			sum += vals[i] * x[colIdx[i]]
-		}
-		dst[r] = sum
-		acc[r] += w * sum
-	}
+// mulSegment computes the rows of s: dst[r] = m[r,:]·x.
+func (m *CSR) mulSegment(s *segment, dst, x []float64) {
+	m.mulRows(dst, x, int(s.lo), int(s.hi))
 }
 
 // mulMultiRows is the batched multi-RHS kernel over one row range: one

@@ -35,27 +35,26 @@ func BenchmarkTwoStrandWindow(b *testing.B) {
 			ranges = append(ranges, lo, lo+int32(shape.len))
 		}
 		half := 2 * (shape.iv / 2)
-		pool := NewPool(2)
 		var all, lo, hi Plan
 		for _, p := range []struct {
 			pl     *Plan
 			ranges []int32
 		}{{&all, ranges}, {&lo, ranges[:half]}, {&hi, ranges[half:]}} {
-			if err := pool.Plan(p.pl, bm, p.ranges); err != nil {
+			if err := p.pl.Build(bm, p.ranges); err != nil {
 				b.Fatal(err)
 			}
 		}
 		b.Run(shape.name+"/one", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if err := pool.MulVecPlan(&all, dst, x, nil, 0); err != nil {
+				if err := all.MulVec(dst, x); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
+		pool := NewPool(2)
 		b.Run(shape.name+"/two", func(b *testing.B) {
-			var s *Strand
-			s = pool.Lend(func() {
-				if err := s.MulVecPlan(&hi, dst, x, nil, 0); err != nil {
+			s := pool.Lend(func() {
+				if err := hi.MulVec(dst, x); err != nil {
 					panic(err)
 				}
 			})
@@ -69,7 +68,7 @@ func BenchmarkTwoStrandWindow(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				gen := uint32(i + 1)
 				s.Step(gen)
-				if err := pool.MulVecPlan(&lo, dst, x, nil, 0); err != nil {
+				if err := lo.MulVec(dst, x); err != nil {
 					b.Fatal(err)
 				}
 				s.Wait(gen)

@@ -163,6 +163,12 @@ func TestPhasedLifetimeDistributionErrors(t *testing.T) {
 	if _, err := s.PhasedLifetimeDistribution(b, []WorkloadPhase{{Workload: w, DurationSeconds: -1}}, []float64{1}, opts); !errors.Is(err, ErrBadArgument) {
 		t.Errorf("negative duration: err = %v", err)
 	}
+	if _, err := s.PhasedLifetimeDistribution(b, []WorkloadPhase{
+		{Workload: w, DurationSeconds: 10},
+		{Workload: w, DurationSeconds: math.Inf(1)},
+	}, []float64{-5, 0.5}, opts); !errors.Is(err, ErrBadArgument) {
+		t.Errorf("negative time: err = %v", err)
+	}
 	// Mismatched phase workloads (different state counts).
 	simple, err := SimpleWireless()
 	if err != nil {

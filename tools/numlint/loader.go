@@ -189,7 +189,8 @@ func (c *chainImporter) ImportFrom(path, dir string, mode types.ImportMode) (*ty
 }
 
 // expandPatterns turns command-line package patterns (directories, import
-// paths, or the "/..." wildcard) into module-local import paths.
+// paths, or the "/..." wildcard) into module-local import paths. The
+// wildcard skips nested modules.
 func (l *loader) expandPatterns(patterns []string) ([]string, error) {
 	seen := map[string]bool{}
 	var out []string
@@ -240,6 +241,11 @@ func (l *loader) expandPatterns(patterns []string) ([]string, error) {
 			}
 			name := d.Name()
 			if p != dir && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata" || name == "vendor") {
+				return filepath.SkipDir
+			}
+			// A directory with its own go.mod is another module, which
+			// "/..." does not reach, as in go list.
+			if _, err := os.Stat(filepath.Join(p, "go.mod")); p != dir && err == nil {
 				return filepath.SkipDir
 			}
 			if path, ok := l.importPathFor(p); ok {
